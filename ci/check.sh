@@ -131,8 +131,8 @@ trap 'rm -rf "$SERIAL_DIR"' EXIT
 # the mean-field sweep (analytic-oracle cross-validation, meanfield_*.csv
 # — its divergence must shrink monotonically with scale and end <= 10%
 # for every policy, a hard check), the epoch-level JSONL traces under
-# out/trace/, the bench manifest (with the scale-100 throughput +
-# queue-backend probe and the multi-world aggregate), and enforces every
+# out/trace/, the bench manifest (with the scale-1 and scale-100
+# throughput probe and the multi-world aggregate), and enforces every
 # figure's, chaos cell's, storm cell's and meanfield divergence checks.
 # --bench-gate arms the exit-code contract: 0 = all pass, 1 = shape/chaos
 # checks failed, 3 = checks passed but throughput fell below 0.8x of the

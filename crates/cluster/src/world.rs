@@ -1122,7 +1122,7 @@ pub fn run_traced_profiled(
     let mut world = World {
         cfg,
         workload,
-        cal: Calendar::with_backend(cfg.queue),
+        cal: Calendar::new(),
         servers: speeds
             .iter()
             .enumerate()

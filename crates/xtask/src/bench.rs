@@ -26,11 +26,11 @@
 //! lowering it is a hand edit in a reviewed commit (same contract as the
 //! lint ratchet in [`crate::ratchet`]).
 //!
-//! Everything here is dependency-free: the module carries its own minimal
-//! JSON reader for the two restricted shapes it consumes (the manifest and
-//! the history lines).
+//! Both inputs (the manifest and the history lines) are read with the
+//! workspace's own [`anu_core::Json`] parser.
 
 use crate::json_str;
+use anu_core::Json;
 
 /// Hard-gate threshold: a fresh run below this fraction of the best
 /// recorded baseline fails the ratchet. Mirrors the harness's soft
@@ -98,11 +98,11 @@ pub fn parse_history(text: &str) -> Result<Vec<Record>, String> {
         if line.trim().is_empty() {
             continue;
         }
-        let v = Val::parse(line).map_err(|e| format!("history line {}: {e}", idx + 1))?;
+        let v = Json::parse(line).map_err(|e| format!("history line {}: {e}", idx + 1))?;
         let schema = v
             .get("schema")
-            .and_then(Val::as_str)
-            .ok_or_else(|| format!("history line {}: missing `schema`", idx + 1))?;
+            .and_then(Json::as_str)
+            .map_err(|_| format!("history line {}: missing `schema`", idx + 1))?;
         if schema != HISTORY_SCHEMA {
             return Err(format!(
                 "history line {}: unsupported schema `{schema}` (want `{HISTORY_SCHEMA}`)",
@@ -111,12 +111,10 @@ pub fn parse_history(text: &str) -> Result<Vec<Record>, String> {
         }
         let commit = v
             .get("commit")
-            .and_then(Val::as_str)
-            .ok_or_else(|| format!("history line {}: missing `commit`", idx + 1))?
+            .and_then(Json::as_str)
+            .map_err(|_| format!("history line {}: missing `commit`", idx + 1))?
             .to_string();
-        let scale1 = v
-            .get("scale1_events_per_sec")
-            .and_then(Val::as_f64)
+        let scale1 = optional_f64(&v, "scale1_events_per_sec")
             .filter(|s| s.is_finite() && *s > 0.0)
             .ok_or_else(|| {
                 format!(
@@ -127,11 +125,16 @@ pub fn parse_history(text: &str) -> Result<Vec<Record>, String> {
         records.push(Record {
             commit,
             scale1_events_per_sec: scale1,
-            scale_n_events_per_sec: v.get("scale_n_events_per_sec").and_then(Val::as_f64),
-            overhead_pct: v.get("overhead_pct").and_then(Val::as_f64),
+            scale_n_events_per_sec: optional_f64(&v, "scale_n_events_per_sec"),
+            overhead_pct: optional_f64(&v, "overhead_pct"),
         });
     }
     Ok(records)
+}
+
+/// The number under `key`, if `v` is an object holding one there.
+fn optional_f64(v: &Json, key: &str) -> Option<f64> {
+    v.get(key).and_then(Json::as_f64).ok()
 }
 
 /// The bench numbers `bench-ratchet` needs from `BENCH_figures.json`.
@@ -149,26 +152,24 @@ pub struct BenchPoint {
 /// manifest has no `bench` section — the gate needs `--scale-bench` to
 /// have run, and a silent pass on a probe-less manifest would defeat it.
 pub fn extract_manifest(text: &str) -> Result<BenchPoint, String> {
-    let v = Val::parse(text).map_err(|e| format!("manifest: {e}"))?;
-    let bench = v.get("bench").ok_or("manifest has no `bench` key")?;
-    if matches!(bench, Val::Null) {
+    let v = Json::parse(text).map_err(|e| format!("manifest: {e}"))?;
+    let bench = v.get("bench").map_err(|_| "manifest has no `bench` key")?;
+    if bench.is_null() {
         return Err(
             "manifest `bench` section is null — regenerate with `figures --scale-bench N`"
                 .to_string(),
         );
     }
-    let scale1 = bench
-        .get("scale1_events_per_sec")
-        .and_then(Val::as_f64)
+    let scale1 = optional_f64(bench, "scale1_events_per_sec")
         .filter(|s| s.is_finite() && *s > 0.0)
         .ok_or("manifest bench has no positive `scale1_events_per_sec`")?;
     Ok(BenchPoint {
         scale1_events_per_sec: scale1,
-        scale_n_events_per_sec: bench.get("scale_n_events_per_sec").and_then(Val::as_f64),
+        scale_n_events_per_sec: optional_f64(bench, "scale_n_events_per_sec"),
         overhead_pct: v
             .get("trace_overhead")
-            .and_then(|t| t.get("overhead_pct"))
-            .and_then(Val::as_f64),
+            .ok()
+            .and_then(|t| optional_f64(t, "overhead_pct")),
     })
 }
 
@@ -223,229 +224,6 @@ pub fn compare(history: &[Record], current: f64) -> Result<BenchComparison, Stri
         current,
         ratio: current / best.scale1_events_per_sec,
     })
-}
-
-/// Minimal JSON value reader for the two restricted shapes this module
-/// consumes. Supports objects, arrays, strings (with `\"`-style escape
-/// skipping — escaped content is preserved verbatim minus the backslash
-/// for the simple escapes the manifest writer emits), numbers, booleans
-/// and null. Not a general-purpose parser; errors carry byte offsets.
-#[derive(Clone, Debug, PartialEq)]
-pub enum Val {
-    /// Key/value pairs in document order.
-    Obj(Vec<(String, Val)>),
-    /// Array elements in document order.
-    Arr(Vec<Val>),
-    /// String contents.
-    Str(String),
-    /// Any JSON number, as f64.
-    Num(f64),
-    /// `true` / `false`.
-    Bool(bool),
-    /// `null`.
-    Null,
-}
-
-impl Val {
-    /// Parse a complete JSON document (rejects trailing data).
-    pub fn parse(text: &str) -> Result<Val, String> {
-        let mut p = JsonParser {
-            bytes: text.as_bytes(),
-            i: 0,
-        };
-        let v = p.value()?;
-        p.skip_ws();
-        if p.i < p.bytes.len() {
-            return Err(format!("trailing data at byte {}", p.i));
-        }
-        Ok(v)
-    }
-
-    /// Object field lookup (None for non-objects and missing keys).
-    pub fn get(&self, key: &str) -> Option<&Val> {
-        match self {
-            Val::Obj(pairs) => pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    /// The number, if this is one.
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            Val::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
-
-    /// The string contents, if this is one.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Val::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-}
-
-struct JsonParser<'a> {
-    bytes: &'a [u8],
-    i: usize,
-}
-
-impl JsonParser<'_> {
-    fn skip_ws(&mut self) {
-        while self
-            .bytes
-            .get(self.i)
-            .is_some_and(|b| b.is_ascii_whitespace())
-        {
-            self.i += 1;
-        }
-    }
-
-    fn peek(&mut self) -> Option<u8> {
-        self.skip_ws();
-        self.bytes.get(self.i).copied()
-    }
-
-    fn value(&mut self) -> Result<Val, String> {
-        match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => Ok(Val::Str(self.string()?)),
-            Some(b't') => self.literal("true", Val::Bool(true)),
-            Some(b'f') => self.literal("false", Val::Bool(false)),
-            Some(b'n') => self.literal("null", Val::Null),
-            Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
-            got => Err(format!(
-                "expected a JSON value at byte {}, found {:?}",
-                self.i,
-                got.map(|b| b as char)
-            )),
-        }
-    }
-
-    fn literal(&mut self, word: &str, v: Val) -> Result<Val, String> {
-        self.skip_ws();
-        if self.bytes[self.i..].starts_with(word.as_bytes()) {
-            self.i += word.len();
-            Ok(v)
-        } else {
-            Err(format!("expected `{word}` at byte {}", self.i))
-        }
-    }
-
-    fn object(&mut self) -> Result<Val, String> {
-        self.i += 1; // consume '{' (peeked by caller)
-        let mut pairs = Vec::new();
-        if self.peek() == Some(b'}') {
-            self.i += 1;
-            return Ok(Val::Obj(pairs));
-        }
-        loop {
-            let key = self.string()?;
-            if self.peek() != Some(b':') {
-                return Err(format!("expected `:` at byte {}", self.i));
-            }
-            self.i += 1;
-            pairs.push((key, self.value()?));
-            match self.peek() {
-                Some(b',') => self.i += 1,
-                Some(b'}') => {
-                    self.i += 1;
-                    return Ok(Val::Obj(pairs));
-                }
-                got => {
-                    return Err(format!(
-                        "expected `,` or `}}` at byte {}, found {:?}",
-                        self.i,
-                        got.map(|b| b as char)
-                    ))
-                }
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<Val, String> {
-        self.i += 1; // consume '[' (peeked by caller)
-        let mut items = Vec::new();
-        if self.peek() == Some(b']') {
-            self.i += 1;
-            return Ok(Val::Arr(items));
-        }
-        loop {
-            items.push(self.value()?);
-            match self.peek() {
-                Some(b',') => self.i += 1,
-                Some(b']') => {
-                    self.i += 1;
-                    return Ok(Val::Arr(items));
-                }
-                got => {
-                    return Err(format!(
-                        "expected `,` or `]` at byte {}, found {:?}",
-                        self.i,
-                        got.map(|b| b as char)
-                    ))
-                }
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        if self.peek() != Some(b'"') {
-            return Err(format!("expected `\"` at byte {}", self.i));
-        }
-        self.i += 1;
-        let mut out = String::new();
-        while let Some(&b) = self.bytes.get(self.i) {
-            match b {
-                b'"' => {
-                    self.i += 1;
-                    return Ok(out);
-                }
-                b'\\' => {
-                    self.i += 1;
-                    match self.bytes.get(self.i) {
-                        Some(b'n') => out.push('\n'),
-                        Some(b't') => out.push('\t'),
-                        Some(&c @ (b'"' | b'\\' | b'/')) => out.push(c as char),
-                        other => {
-                            return Err(format!(
-                                "unsupported escape {:?} at byte {}",
-                                other.map(|b| *b as char),
-                                self.i
-                            ))
-                        }
-                    }
-                    self.i += 1;
-                }
-                _ => {
-                    // Pass multi-byte UTF-8 through untouched.
-                    out.push_str(
-                        std::str::from_utf8(&self.bytes[self.i..self.i + 1]).unwrap_or("\u{fffd}"),
-                    );
-                    self.i += 1;
-                }
-            }
-        }
-        Err("unterminated string".to_string())
-    }
-
-    fn number(&mut self) -> Result<Val, String> {
-        self.skip_ws();
-        let start = self.i;
-        while self
-            .bytes
-            .get(self.i)
-            .is_some_and(|&b| b.is_ascii_digit() || matches!(b, b'-' | b'+' | b'.' | b'e' | b'E'))
-        {
-            self.i += 1;
-        }
-        String::from_utf8_lossy(&self.bytes[start..self.i])
-            .parse::<f64>()
-            .map(Val::Num)
-            .map_err(|e| format!("bad number at byte {start}: {e}"))
-    }
 }
 
 #[cfg(test)]
@@ -513,8 +291,7 @@ mod tests {
             "trace_overhead": {"off_events_per_sec": 1e6, "on_events_per_sec": 9e5, "overhead_pct": 10.0},
             "bench": {
                 "scale1_events_per_sec": 12000000.0,
-                "scale_n_events_per_sec": 15000000.0,
-                "queue": {"heap_events_per_sec": 15000000.0, "calendar_events_per_sec": 14000000.0}
+                "scale_n_events_per_sec": 15000000.0
             }
         }"#;
         let p = extract_manifest(manifest).expect("valid manifest");
@@ -532,17 +309,23 @@ mod tests {
 
     #[test]
     fn json_reader_handles_the_manifest_shapes() {
-        let v = Val::parse(r#"{"a": [1, -2.5, 3e2], "b": "x\"y", "c": true, "d": null}"#)
-            .expect("parses");
-        let arr = match v.get("a") {
-            Some(Val::Arr(items)) => items.clone(),
-            other => panic!("expected array, got {other:?}"),
-        };
-        assert_eq!(arr, vec![Val::Num(1.0), Val::Num(-2.5), Val::Num(300.0)]);
-        assert_eq!(v.get("b").and_then(Val::as_str), Some("x\"y"));
-        assert_eq!(v.get("c"), Some(&Val::Bool(true)));
-        assert_eq!(v.get("d"), Some(&Val::Null));
-        assert!(Val::parse("{\"a\": 1} junk").is_err());
-        assert!(Val::parse("{\"a\" 1}").is_err());
+        // Exponent numbers, an escaped string, and trailing data or a
+        // missing colon rejected.
+        let p = extract_manifest(
+            r#"{"bench": {"scale1_events_per_sec": 1.2e7, "note": "x\"y", "ok": true, "d": null}}"#,
+        )
+        .expect("parses");
+        assert_eq!(p.scale1_events_per_sec, 1.2e7);
+        assert_eq!(p.scale_n_events_per_sec, None);
+        assert_eq!(p.overhead_pct, None);
+        assert!(extract_manifest(r#"{"bench": {"scale1_events_per_sec": 1.0}} junk"#).is_err());
+        assert!(extract_manifest(r#"{"bench" {"scale1_events_per_sec": 1.0}}"#).is_err());
+    }
+
+    #[test]
+    fn non_ascii_commit_round_trips() {
+        let r = rec("zürich-β→𝄞", 1.0e7);
+        let parsed = parse_history(&r.render()).expect("round trip");
+        assert_eq!(parsed, vec![r]);
     }
 }

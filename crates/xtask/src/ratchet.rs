@@ -14,9 +14,11 @@
 //!
 //! `--update` only ever tightens: it refuses to write a baseline with
 //! regressions. The file format is a stable, hand-editable JSON document
-//! parsed by the dependency-free reader in this module.
+//! read with the workspace's own [`anu_core::Json`] parser.
 
 use std::collections::BTreeMap;
+
+use anu_core::Json;
 
 use crate::{json_str, Report, ALL_LINTS};
 
@@ -77,51 +79,21 @@ impl Baseline {
     /// edited by hand). Accepts any whitespace; rejects unknown schema
     /// versions and malformed JSON with a descriptive message.
     pub fn parse(text: &str) -> Result<Baseline, String> {
-        let mut p = Parser {
-            bytes: text.as_bytes(),
-            i: 0,
-        };
+        let doc = Json::parse(text).map_err(|e| format!("baseline: {e}"))?;
         let mut schema: Option<u64> = None;
         let mut lints = BTreeMap::new();
-
-        p.consume('{')?;
-        loop {
-            p.skip_ws();
-            if p.peek() == Some('}') {
-                p.i += 1;
-                break;
-            }
-            let key = p.string()?;
-            p.consume(':')?;
+        for (key, val) in object(&doc, "baseline")? {
             match key.as_str() {
-                "schema" => schema = Some(p.number()?),
+                "schema" => {
+                    schema = Some(val.as_u64().map_err(|e| format!("baseline schema: {e}"))?)
+                }
                 "lints" => {
-                    p.consume('{')?;
-                    loop {
-                        p.skip_ws();
-                        if p.peek() == Some('}') {
-                            p.i += 1;
-                            break;
-                        }
-                        let lint = p.string()?;
-                        p.consume(':')?;
-                        let counts = p.counts()?;
-                        lints.insert(lint, counts);
-                        p.skip_ws();
-                        if p.peek() == Some(',') {
-                            p.i += 1;
-                        }
+                    for (lint, counts) in object(val, "baseline `lints`")? {
+                        lints.insert(lint.clone(), lint_counts(lint, counts)?);
                     }
                 }
                 other => return Err(format!("unknown baseline key `{other}`")),
             }
-            p.skip_ws();
-            if p.peek() == Some(',') {
-                p.i += 1;
-            }
-        }
-        if p.peek().is_some() {
-            return Err(format!("trailing data after baseline at byte {}", p.i));
         }
         match schema {
             Some(1) => Ok(Baseline { lints }),
@@ -131,93 +103,26 @@ impl Baseline {
     }
 }
 
-/// Minimal parser over the restricted baseline JSON shape.
-struct Parser<'a> {
-    bytes: &'a [u8],
-    i: usize,
+/// The `(key, value)` pairs of `j`, which must be an object.
+fn object<'a>(j: &'a Json, what: &str) -> Result<&'a [(String, Json)], String> {
+    match j {
+        Json::Obj(pairs) => Ok(pairs),
+        _ => Err(format!("{what} must be a JSON object")),
+    }
 }
 
-impl Parser<'_> {
-    fn skip_ws(&mut self) {
-        while self
-            .bytes
-            .get(self.i)
-            .is_some_and(|b| b.is_ascii_whitespace())
-        {
-            self.i += 1;
+/// One lint's `{"violations": N, "waived": M}` entry.
+fn lint_counts(lint: &str, j: &Json) -> Result<LintCounts, String> {
+    let mut counts = LintCounts::default();
+    for (key, n) in object(j, &format!("counts of `{lint}`"))? {
+        let n = n.as_usize().map_err(|e| format!("`{lint}`.{key}: {e}"))?;
+        match key.as_str() {
+            "violations" => counts.violations = n,
+            "waived" => counts.waived = n,
+            other => return Err(format!("unknown count key `{other}`")),
         }
     }
-
-    fn peek(&mut self) -> Option<char> {
-        self.skip_ws();
-        self.bytes.get(self.i).map(|&b| b as char)
-    }
-
-    fn consume(&mut self, c: char) -> Result<(), String> {
-        match self.peek() {
-            Some(got) if got == c => {
-                self.i += 1;
-                Ok(())
-            }
-            got => Err(format!("expected `{c}`, found {got:?} at byte {}", self.i)),
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.consume('"')?;
-        let start = self.i;
-        while let Some(&b) = self.bytes.get(self.i) {
-            if b == b'"' {
-                let s = String::from_utf8_lossy(&self.bytes[start..self.i]).into_owned();
-                self.i += 1;
-                return Ok(s);
-            }
-            if b == b'\\' {
-                return Err("escapes are not supported in baseline keys".to_string());
-            }
-            self.i += 1;
-        }
-        Err("unterminated string in baseline".to_string())
-    }
-
-    fn number(&mut self) -> Result<u64, String> {
-        self.skip_ws();
-        let start = self.i;
-        while self.bytes.get(self.i).is_some_and(u8::is_ascii_digit) {
-            self.i += 1;
-        }
-        if self.i == start {
-            return Err(format!("expected a number at byte {start}"));
-        }
-        String::from_utf8_lossy(&self.bytes[start..self.i])
-            .parse::<u64>()
-            .map_err(|e| format!("bad number in baseline: {e}"))
-    }
-
-    fn counts(&mut self) -> Result<LintCounts, String> {
-        let mut counts = LintCounts::default();
-        self.consume('{')?;
-        loop {
-            self.skip_ws();
-            if self.peek() == Some('}') {
-                self.i += 1;
-                break;
-            }
-            let key = self.string()?;
-            self.consume(':')?;
-            let n = self.number()? as usize;
-            match key.as_str() {
-                "violations" => counts.violations = n,
-                "waived" => counts.waived = n,
-                other => return Err(format!("unknown count key `{other}`")),
-            }
-            self.skip_ws();
-            if self.peek() == Some(',') {
-                self.i += 1;
-            }
-        }
-        Ok(counts)
-    }
+    Ok(counts)
 }
 
 /// The outcome of comparing a fresh scan against the baseline.

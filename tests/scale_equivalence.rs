@@ -129,35 +129,6 @@ fn fingerprints_unchanged_at_any_worker_count() {
 }
 
 #[test]
-fn event_queue_backends_match_the_reference_fingerprints() {
-    // The calendar-queue backend must be observationally identical to
-    // the binary heap — same fingerprints as the pre-rewrite reference,
-    // which also pins both backends to each other. A divergence here
-    // means the bucket queue reordered events, not just re-timed them.
-    use anu_des::EventQueueKind;
-
-    for kind in [EventQueueKind::BinaryHeap, EventQueueKind::CalendarQueue] {
-        for (fig, reference) in [(6u32, &FIG6_REFERENCE), (8u32, &FIG8_REFERENCE)] {
-            // Three seeds per figure keep the gate fast; the ten-seed
-            // sweeps above already cover the default backend in full.
-            for (i, &expected) in reference.iter().enumerate().take(3) {
-                let seed = 1 + i as u64;
-                let mut exp = reduced_figure(fig, seed);
-                exp.cluster.queue = kind;
-                let got = fingerprint(&exp.run_all());
-                assert_eq!(
-                    got,
-                    expected,
-                    "fig{fig} seed {seed} on {}: event-queue backend changed results \
-                     (got 0x{got:016x}, expected 0x{expected:016x})",
-                    kind.name()
-                );
-            }
-        }
-    }
-}
-
-#[test]
 fn alias_draw_sequences_identical_across_threads() {
     // Satellite check for the sampler itself: four threads each draw
     // the same sequence from identical (table, seed) pairs as a serial
