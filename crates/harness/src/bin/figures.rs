@@ -4,9 +4,7 @@
 //! ```text
 //! figures [--fig N] [--seed S] [--seeds K] [--jobs J] [--out DIR]
 //!         [--bench-out FILE] [--trace-out DIR] [--trace-level LVL]
-//!         [--series] [--plot] [--chaos] [--storm] [--meanfield] [--scale N] [--scale-bench N]
-//!         [--bench-reps R] [--bench-gate]
-//!         [--multi-world W] [--multi-world-scale S]
+//!         [--series] [--plot] [--chaos] [--storm] [--meanfield] [--scale N]
 //! ```
 //!
 //! The full {figure × policy × seed} grid is enumerated as independent
@@ -19,9 +17,13 @@
 //! shape-check verdicts. `--seeds K` widens the grid to `K` seeds (the
 //! base seed plus `K-1` derived via the SplitMix64 task-seed path; derived
 //! seeds' CSVs are tagged `_s<seed>`). `--series` additionally prints the
-//! full minute-by-minute latency table. A machine-readable perf manifest
+//! full minute-by-minute latency table. A machine-readable run manifest
 //! (wall time, per-task simulated events/sec, verdicts) is written to
 //! `--bench-out` (default `BENCH_figures.json`).
+//!
+//! Exit codes: 0 = every check passed, 1 = at least one check failed,
+//! 2 = usage error (unknown flag or malformed value, reported before any
+//! run). Simulator speed is measured by the `e2e-bench` harness, not here.
 //!
 //! `--chaos` appends the fault-intensity sweep: the four-policy lineup
 //! under escalating deterministic fault scripts (crashes, slowdowns,
@@ -55,22 +57,7 @@
 //! counts by `N` at constant offered load — a hot-path stress run over an
 //! `N`× larger id universe. Scaled workloads are non-canonical, so CSV
 //! emission and shape checks are skipped (completing the grid *is* the
-//! check). `--scale-bench N` additionally runs the trace-off fig6 grid at
-//! scale 1 (best of `--bench-reps`, default 3) and scale `N` on one
-//! worker, records both throughputs plus the baseline into the
-//! manifest's `bench` section (schema v9), and prints the `PERF-GATE
-//! OK|WARN` verdict. By default the verdict is informational; with
-//! `--bench-gate` a WARN turns into exit code 3 so callers get a real
-//! exit-code contract instead of grepping log lines (0 = pass, 1 = shape
-//! checks failed, 2 = usage error, 3 = perf gate warned). The baseline
-//! can be overridden via the `ANU_PERF_BASELINE` environment variable.
-//!
-//! `--multi-world W` appends the partitioned multi-world probe: `W`
-//! independent fig6 worlds (derived seeds, each at `--multi-world-scale`,
-//! default 1) drained by the shared worker pool, recording aggregate
-//! events/sec into the manifest's `multi_world` section. This is the
-//! all-cores throughput number: worlds share nothing, so the pool stays
-//! saturated without any cross-world synchronization.
+//! check).
 //!
 //! Tracing: every figure additionally writes its per-epoch tuner telemetry
 //! to `<figure>_tuner_epochs.csv` and its metrics registry (counters,
@@ -87,17 +74,26 @@ use anu_harness::runner;
 use anu_harness::{
     chaos_checks, chaos_experiments, chaos_manifest, chaos_rows, checks_for, checks_table, figure,
     figure_scaled, meanfield_checks, meanfield_experiments, meanfield_grid, meanfield_manifest,
-    meanfield_rows, measure_trace_overhead, reduced, run_multi_world, run_scale_bench,
-    series_table, sparklines, storm_cells, storm_checks, storm_experiments, storm_manifest,
-    storm_rows, summary_table, write_chaos_summary_csv, write_figure_csvs_tagged,
-    write_meanfield_cells_csv, write_meanfield_convergence_csv, write_metrics_csv,
-    write_storm_summary_csv, write_tuner_epochs_csv, Experiment, FigureVerdict, CHAOS_LEVELS,
-    DEFAULT_SEED, FIGURE_NUMBERS, MEANFIELD_REPLICAS, MEANFIELD_SCALES, PLAIN_ANU_LABEL,
-    STORM_LEVELS,
+    meanfield_rows, measure_trace_overhead, reduced, series_table, sparklines, storm_cells,
+    storm_checks, storm_experiments, storm_manifest, storm_rows, summary_table,
+    write_chaos_summary_csv, write_figure_csvs_tagged, write_meanfield_cells_csv,
+    write_meanfield_convergence_csv, write_metrics_csv, write_storm_summary_csv,
+    write_tuner_epochs_csv, Experiment, FigureVerdict, CHAOS_LEVELS, DEFAULT_SEED, FIGURE_NUMBERS,
+    MEANFIELD_REPLICAS, MEANFIELD_SCALES, PLAIN_ANU_LABEL, STORM_LEVELS,
 };
 use anu_trace::TraceLevel;
 use std::path::PathBuf;
 use std::time::Instant;
+
+const USAGE: &str = "usage: figures [--fig N] [--seed S] [--seeds K] [--jobs J] [--out DIR] \
+     [--bench-out FILE] [--trace-out DIR] [--trace-level off|epoch|request] [--series] [--plot] \
+     [--chaos] [--storm] [--meanfield] [--scale N]";
+
+/// Report a malformed command line and exit with the usage code 2.
+fn usage_error(msg: &str) -> ! {
+    eprintln!("{msg}\n{USAGE}");
+    std::process::exit(2);
+}
 
 struct Args {
     fig: Option<u32>,
@@ -114,11 +110,6 @@ struct Args {
     storm: bool,
     meanfield: bool,
     scale: u64,
-    scale_bench: u64,
-    bench_reps: usize,
-    bench_gate: bool,
-    multi_world: u64,
-    multi_world_scale: u64,
 }
 
 fn parse_args() -> Args {
@@ -137,11 +128,6 @@ fn parse_args() -> Args {
         storm: false,
         meanfield: false,
         scale: 1,
-        scale_bench: 0,
-        bench_reps: 3,
-        bench_gate: false,
-        multi_world: 0,
-        multi_world_scale: 1,
     };
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
@@ -150,41 +136,51 @@ fn parse_args() -> Args {
                 args.fig = Some(
                     it.next()
                         .and_then(|v| v.parse().ok())
-                        .expect("--fig needs a figure number 6..=11"),
+                        .unwrap_or_else(|| usage_error("--fig needs a figure number 6..=11")),
                 )
             }
             "--seed" => {
                 args.seed = it
                     .next()
                     .and_then(|v| v.parse().ok())
-                    .expect("--seed needs an integer")
+                    .unwrap_or_else(|| usage_error("--seed needs an integer"))
             }
             "--seeds" => {
                 args.seeds = it
                     .next()
                     .and_then(|v| v.parse().ok())
                     .filter(|&k| k >= 1)
-                    .expect("--seeds needs a count >= 1")
+                    .unwrap_or_else(|| usage_error("--seeds needs a count >= 1"))
             }
             "--jobs" => {
-                args.jobs = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--jobs needs a worker count (0 = one per core)")
+                args.jobs = it.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| {
+                    usage_error("--jobs needs a worker count (0 = one per core)")
+                })
             }
-            "--out" => args.out = PathBuf::from(it.next().expect("--out needs a path")),
+            "--out" => {
+                args.out = PathBuf::from(
+                    it.next()
+                        .unwrap_or_else(|| usage_error("--out needs a path")),
+                )
+            }
             "--bench-out" => {
-                args.bench_out = PathBuf::from(it.next().expect("--bench-out needs a path"))
+                args.bench_out = PathBuf::from(
+                    it.next()
+                        .unwrap_or_else(|| usage_error("--bench-out needs a path")),
+                )
             }
             "--trace-out" => {
-                args.trace_out = Some(PathBuf::from(it.next().expect("--trace-out needs a path")))
+                args.trace_out = Some(PathBuf::from(
+                    it.next()
+                        .unwrap_or_else(|| usage_error("--trace-out needs a path")),
+                ))
             }
             "--trace-level" => {
                 args.trace_level = it
                     .next()
                     .as_deref()
                     .and_then(TraceLevel::parse)
-                    .expect("--trace-level needs off|epoch|request")
+                    .unwrap_or_else(|| usage_error("--trace-level needs off|epoch|request"))
             }
             "--series" => args.series = true,
             "--plot" => args.plot = true,
@@ -196,50 +192,14 @@ fn parse_args() -> Args {
                     .next()
                     .and_then(|v| v.parse().ok())
                     .filter(|&s| s >= 1)
-                    .expect("--scale needs a factor >= 1")
-            }
-            "--scale-bench" => {
-                args.scale_bench = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--scale-bench needs a factor (0 = disabled)")
-            }
-            "--bench-reps" => {
-                args.bench_reps = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&r| r >= 1)
-                    .expect("--bench-reps needs a count >= 1")
-            }
-            "--bench-gate" => args.bench_gate = true,
-            "--multi-world" => {
-                args.multi_world = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--multi-world needs a world count (0 = disabled)")
-            }
-            "--multi-world-scale" => {
-                args.multi_world_scale = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&s| s >= 1)
-                    .expect("--multi-world-scale needs a factor >= 1")
+                    .unwrap_or_else(|| usage_error("--scale needs a factor >= 1"))
             }
             "--help" | "-h" => {
-                println!(
-                    "usage: figures [--fig N] [--seed S] [--seeds K] [--jobs J] [--out DIR] [--bench-out FILE] [--trace-out DIR] [--trace-level off|epoch|request] [--series] [--plot] [--chaos] [--storm] [--meanfield] [--scale N] [--scale-bench N] [--bench-reps R] [--bench-gate] [--multi-world W] [--multi-world-scale S]"
-                );
+                println!("{USAGE}");
                 std::process::exit(0);
             }
-            other => {
-                eprintln!("unknown argument {other}");
-                std::process::exit(2);
-            }
+            other => usage_error(&format!("unknown argument {other}")),
         }
-    }
-    if args.bench_gate && args.scale_bench == 0 {
-        eprintln!("--bench-gate requires --scale-bench N (there is no probe to gate on)");
-        std::process::exit(2);
     }
     args
 }
@@ -266,8 +226,7 @@ fn build_grid(figures: &[u32], seeds: &[u64], scale: u64) -> (Vec<Experiment>, V
         let tag = (si > 0).then(|| format!("s{seed}"));
         for &n in figures {
             let exp = figure_scaled(n, seed, scale).unwrap_or_else(|| {
-                eprintln!("no figure {n}; the evaluation figures are 6..=11");
-                std::process::exit(2);
+                usage_error(&format!("no figure {n}; the evaluation figures are 6..=11"))
             });
             exps.push(exp);
             entries.push(Entry {
@@ -423,24 +382,6 @@ fn main() {
             checks,
         });
     }
-
-    // Optional throughput probe: trace-off fig6 at scale 1 and scale N,
-    // compared against the baseline in effect.
-    // The verdict is printed and recorded; with --bench-gate a WARN also
-    // becomes exit code 3. Runs *before* the optional chaos/storm sweeps
-    // so the probe always times the same warm-but-quiet process state —
-    // tacking sweeps onto the command line must not skew the recorded
-    // throughput (on small boxes the extra minutes of sweep load
-    // measurably depress a probe taken afterwards).
-    let bench = (args.scale_bench > 0).then(|| {
-        println!(
-            "\nscale bench: fig6 trace-off on 1 worker at scale 1 (best of {}) and scale {}",
-            args.bench_reps, args.scale_bench
-        );
-        let b = run_scale_bench(args.seed, args.scale_bench, args.bench_reps);
-        println!("{}", b.gate_line());
-        b
-    });
 
     // Optional fault-intensity sweep; its own grid, its own manifest
     // section, but the robustness verdicts gate the exit code like the
@@ -650,26 +591,6 @@ fn main() {
         over
     });
 
-    // Optional partitioned multi-world probe: aggregate throughput of
-    // independent derived-seed worlds saturating the worker pool.
-    let multi_world = (args.multi_world > 0).then(|| {
-        println!(
-            "\nmulti-world: {} independent fig6 worlds at scale {} on {} workers",
-            args.multi_world, args.multi_world_scale, jobs
-        );
-        let mw = run_multi_world(
-            args.seed,
-            args.multi_world,
-            args.multi_world_scale,
-            args.jobs,
-        );
-        println!(
-            "multi-world aggregate: {} events in {:.2} s -> {:.0} ev/s across {} worlds",
-            mw.sim_events, mw.wall_secs, mw.events_per_sec, mw.worlds
-        );
-        mw
-    });
-
     let events: u64 = outcomes.iter().map(|o| o.result.summary.sim_events).sum();
     let manifest = runner::manifest(
         args.seed,
@@ -683,8 +604,6 @@ fn main() {
         chaos_fragment.as_ref(),
         storm_fragment.as_ref(),
         meanfield_fragment.as_ref(),
-        bench.as_ref(),
-        multi_world.as_ref(),
         csv_render_secs,
     );
     std::fs::write(&args.bench_out, manifest.render_pretty()).expect("write bench manifest");
@@ -704,6 +623,5 @@ fn main() {
             "some shape checks FAILED"
         }
     );
-    let bench_warn = args.bench_gate && bench.as_ref().is_some_and(|b| !b.gate_ok());
-    std::process::exit(runner::gate_exit_code(all_pass, bench_warn));
+    std::process::exit(if all_pass { 0 } else { 1 });
 }

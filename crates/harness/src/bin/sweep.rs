@@ -537,34 +537,49 @@ fn study_hashing(seed: u64) {
     println!("  expectation: speed weights fix capacity mismatch, not workload skew; adaptivity fixes both");
 }
 
+const USAGE: &str = "usage: sweep [--seed S] [--jobs J] [--scale N] [--study average|threshold|gamma|homogeneous|churn|decentralized|failover|crossover|convergence|scale|motivation|hashing]";
+
+/// Report a malformed command line and exit with the usage code 2.
+fn usage_error(msg: &str) -> ! {
+    eprintln!("{msg}\n{USAGE}");
+    std::process::exit(2);
+}
+
 fn main() {
     let mut seed = DEFAULT_SEED;
     let mut study: Option<String> = None;
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--seed" => seed = it.next().and_then(|v| v.parse().ok()).expect("--seed"),
-            "--study" => study = Some(it.next().expect("--study needs a name")),
-            "--jobs" => anu_harness::set_default_jobs(
-                it.next()
+            "--seed" => {
+                seed = it
+                    .next()
                     .and_then(|v| v.parse().ok())
-                    .expect("--jobs needs a worker count (0 = one per core)"),
+                    .unwrap_or_else(|| usage_error("--seed needs an integer"))
+            }
+            "--study" => {
+                study = Some(
+                    it.next()
+                        .unwrap_or_else(|| usage_error("--study needs a name")),
+                )
+            }
+            "--jobs" => anu_harness::set_default_jobs(
+                it.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| {
+                    usage_error("--jobs needs a worker count (0 = one per core)")
+                }),
             ),
             "--scale" => SCALE.store(
                 it.next()
                     .and_then(|v| v.parse().ok())
                     .filter(|&n: &u64| n >= 1)
-                    .expect("--scale needs a factor >= 1"),
+                    .unwrap_or_else(|| usage_error("--scale needs a factor >= 1")),
                 std::sync::atomic::Ordering::Relaxed,
             ),
             "--help" | "-h" => {
-                println!("usage: sweep [--seed S] [--jobs J] [--scale N] [--study average|threshold|gamma|homogeneous|churn|decentralized|failover|crossover|convergence|scale|motivation|hashing]");
+                println!("{USAGE}");
                 return;
             }
-            other => {
-                eprintln!("unknown argument {other}");
-                std::process::exit(2);
-            }
+            other => usage_error(&format!("unknown argument {other}")),
         }
     }
     if scale_factor() > 1 {
@@ -605,10 +620,7 @@ fn main() {
             "scale" => study_scale(seed),
             "motivation" => study_motivation(seed),
             "hashing" => study_hashing(seed),
-            other => {
-                eprintln!("unknown study {other}");
-                std::process::exit(2);
-            }
+            other => usage_error(&format!("unknown study {other}")),
         }
         println!();
     }

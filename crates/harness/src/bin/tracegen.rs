@@ -15,6 +15,15 @@ use anu_workload::{
 };
 use std::path::PathBuf;
 
+const USAGE: &str = "usage: tracegen --kind dfslike|synthetic [--seed S] [--out FILE] \
+     [--format csv|json] [--requests N] [--file-sets N] [--duration SECS]";
+
+/// Report a malformed command line and exit with the usage code 2.
+fn usage_error(msg: &str) -> ! {
+    eprintln!("{msg}\n{USAGE}");
+    std::process::exit(2);
+}
+
 struct Args {
     kind: String,
     seed: u64,
@@ -37,26 +46,45 @@ fn parse() -> Args {
     };
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
-        let mut val = |name: &str| it.next().unwrap_or_else(|| panic!("{name} needs a value"));
+        let mut val = |name: &str| {
+            it.next()
+                .unwrap_or_else(|| usage_error(&format!("{name} needs a value")))
+        };
         match a.as_str() {
             "--kind" => args.kind = val("--kind"),
-            "--seed" => args.seed = val("--seed").parse().expect("--seed integer"),
+            "--seed" => {
+                args.seed = val("--seed")
+                    .parse()
+                    .unwrap_or_else(|_| usage_error("--seed needs an integer"))
+            }
             "--out" => args.out = PathBuf::from(val("--out")),
             "--format" => args.format = val("--format"),
-            "--requests" => args.requests = Some(val("--requests").parse().expect("integer")),
-            "--file-sets" => args.file_sets = Some(val("--file-sets").parse().expect("integer")),
-            "--duration" => args.duration = Some(val("--duration").parse().expect("seconds")),
+            "--requests" => {
+                args.requests = Some(
+                    val("--requests")
+                        .parse()
+                        .unwrap_or_else(|_| usage_error("--requests needs an integer")),
+                )
+            }
+            "--file-sets" => {
+                args.file_sets = Some(
+                    val("--file-sets")
+                        .parse()
+                        .unwrap_or_else(|_| usage_error("--file-sets needs an integer")),
+                )
+            }
+            "--duration" => {
+                args.duration = Some(
+                    val("--duration")
+                        .parse()
+                        .unwrap_or_else(|_| usage_error("--duration needs seconds")),
+                )
+            }
             "--help" | "-h" => {
-                println!(
-                    "usage: tracegen --kind dfslike|synthetic [--seed S] [--out FILE] \
-                     [--format csv|json] [--requests N] [--file-sets N] [--duration SECS]"
-                );
+                println!("{USAGE}");
                 std::process::exit(0);
             }
-            other => {
-                eprintln!("unknown argument {other}");
-                std::process::exit(2);
-            }
+            other => usage_error(&format!("unknown argument {other}")),
         }
     }
     args
@@ -92,10 +120,7 @@ fn generate(args: &Args) -> Workload {
             }
             cfg.generate()
         }
-        other => {
-            eprintln!("unknown kind {other}; use dfslike or synthetic");
-            std::process::exit(2);
-        }
+        other => usage_error(&format!("unknown kind {other}; use dfslike or synthetic")),
     }
 }
 
@@ -111,10 +136,7 @@ fn main() {
         "json" => {
             save_json(&w, &args.out).expect("write json");
         }
-        other => {
-            eprintln!("unknown format {other}; use csv or json");
-            std::process::exit(2);
-        }
+        other => usage_error(&format!("unknown format {other}; use csv or json")),
     }
     println!("wrote {} ({})", args.out.display(), args.format);
     println!(

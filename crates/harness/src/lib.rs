@@ -10,7 +10,7 @@
 //! * [`runner`] — the deterministic parallel sweep engine: the
 //!   figure/seed grid as independent tasks, drained by a scoped-thread
 //!   worker pool with byte-identical outputs at any `--jobs N`, plus the
-//!   `BENCH_figures.json` perf manifest;
+//!   `BENCH_figures.json` run manifest;
 //! * [`chaos`] — the fault-intensity sweep: the four-policy lineup under
 //!   escalating deterministic fault scripts, with availability metrics
 //!   and robustness checks;
@@ -67,9 +67,7 @@ pub use storm::{
 };
 
 pub use runner::{
-    effective_jobs, gate_exit_code, manifest, measure_trace_overhead, multi_world_experiments,
-    perf_baseline, plan, run_grid, run_grid_traced, run_multi_world, run_scale_bench,
-    set_default_jobs, strip_timing, FigureVerdict, MultiWorld, ScaleBench, SimTask, TaskOutcome,
-    TaskProfile, TraceOverhead, BASELINE_SCALE1_EVENTS_PER_SEC, MANIFEST_SCHEMA,
-    PERF_GATE_THRESHOLD,
+    effective_jobs, manifest, measure_trace_overhead, plan, run_grid, run_grid_traced,
+    set_default_jobs, strip_timing, FigureVerdict, SimTask, TaskOutcome, TaskProfile,
+    TraceOverhead, MANIFEST_SCHEMA,
 };

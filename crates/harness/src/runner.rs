@@ -39,14 +39,9 @@ use std::time::Instant;
 /// `trace_overhead`. v3 added the top-level `chaos` section (fault
 /// intensity levels and per-cell availability metrics; `null` when the
 /// sweep ran without `--chaos`). v4 added the top-level `scale` factor
-/// the grid ran at, and the `bench` section (`figures --scale-bench N`):
-/// trace-off fig6 `events_per_sec` at scale 1 and scale N, the recorded
-/// `baseline` block, and the perf `gate` verdict (`null` when the probe
-/// did not run). v5 added the `bench.queue` event-queue comparison
-/// (binary heap vs calendar queue at scale N) and the top-level
-/// `multi_world` section (`figures --multi-world W`): aggregate events/sec
-/// of `W` independent seed×scale worlds drained by the worker pool
-/// (`null` when multi-world mode did not run). v6 added the per-task
+/// the grid ran at, and a `bench` throughput-probe section. v5 added an
+/// all-cores throughput section over independent seeds. v6 added the
+/// per-task
 /// `metrics` block (deterministic registry export: counters, gauges,
 /// latency-histogram quantiles) and `profile` object (wall-clock seconds
 /// attributed to event dispatch / policy decide / metrics update / trace
@@ -58,57 +53,10 @@ use std::time::Instant;
 /// unless `--meanfield` ran): the analytic-oracle convergence sweep's
 /// scales, divergence ceiling, gate verdict, and per-(policy, scale)
 /// divergence rows. v9 dropped the `bench.queue` block along with the
-/// second event-queue backend: the scale-N probe runs once, on the one
-/// binary-heap calendar.
-pub const MANIFEST_SCHEMA: &str = "anu-bench-figures/v9";
-
-/// Recorded scale-1 fig6 throughput baseline (simulated events per
-/// wall-clock second, four-policy aggregate, `--jobs 1`, trace off):
-/// best-of-five on the commit immediately before the dense-state rewrite
-/// of `anu-cluster`. The soft perf gate compares fresh runs against this
-/// constant; re-record it (and say so in the commit) whenever the bench
-/// machine or the workload definitions change.
-pub const BASELINE_SCALE1_EVENTS_PER_SEC: f64 = 11_854_120.0;
-
-/// Perf-gate threshold: a run below this fraction of the baseline prints
-/// a `PERF-GATE WARN` line, and under `figures --bench-gate` exits with
-/// code 3. The constant-baseline verdict stays advisory in CI (machines
-/// differ); the *hard* gate is `anu-xtask bench-ratchet`, which compares
-/// against the committed per-commit history in `BENCH_history.jsonl`
-/// using this same threshold.
-pub const PERF_GATE_THRESHOLD: f64 = 0.8;
-
-/// The scale-1 baseline the soft gate compares against:
-/// [`BASELINE_SCALE1_EVENTS_PER_SEC`] unless the `ANU_PERF_BASELINE`
-/// environment variable overrides it (integration tests use the override
-/// to force deterministic PASS/WARN verdicts without real throughput).
-pub fn perf_baseline() -> f64 {
-    std::env::var("ANU_PERF_BASELINE")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|b: &f64| b.is_finite() && *b > 0.0)
-        .unwrap_or(BASELINE_SCALE1_EVENTS_PER_SEC)
-}
-
-/// Map a `figures` run's verdicts to its exit code — the contract
-/// `ci/check.sh` consumes instead of grepping log lines:
-///
-/// * `0` — every shape/chaos check passed (and the bench gate, if armed,
-///   cleared the threshold);
-/// * `1` — at least one shape/chaos check failed (overrides everything);
-/// * `3` — checks passed but `--bench-gate` was armed and the throughput
-///   probe fell below the soft threshold.
-///
-/// (Exit `2` is reserved for usage errors, reported before any run.)
-pub fn gate_exit_code(all_pass: bool, bench_warn: bool) -> i32 {
-    if !all_pass {
-        1
-    } else if bench_warn {
-        3
-    } else {
-        0
-    }
-}
+/// second event-queue backend. v10 dropped both throughput sections (the
+/// v4 probe and the v5 all-cores run): simulator speed is measured by the
+/// `e2e-bench` harness, not by the figures run.
+pub const MANIFEST_SCHEMA: &str = "anu-bench-figures/v10";
 
 /// Requested worker count for [`Experiment::run_all`] when the caller does
 /// not pass one explicitly; 0 means "one worker per available core".
@@ -473,194 +421,6 @@ pub fn measure_trace_overhead(exp: &Experiment) -> TraceOverhead {
     }
 }
 
-/// Result of the `figures --scale-bench N` throughput probe: trace-off
-/// fig6 events/sec at scale 1 and at scale `scale`, plus the soft-gate verdict
-/// against the baseline in effect (see [`perf_baseline`]). Everything
-/// here is timing data (see [`TIMING_FIELDS`] — the whole `bench`
-/// manifest section is stripped before determinism comparisons).
-#[derive(Clone, Copy, Debug)]
-pub struct ScaleBench {
-    /// The scale factor the second probe ran at.
-    pub scale: u64,
-    /// Best-of-reps events/sec of the canonical (scale-1) fig6 grid.
-    pub scale1_events_per_sec: f64,
-    /// Events/sec of the scale-`scale` fig6 grid (single rep — the run
-    /// is long enough to dominate warm-up noise).
-    pub scale_n_events_per_sec: f64,
-    /// The baseline the gate compared against ([`perf_baseline`] at probe
-    /// time — recorded so the manifest is self-describing even when
-    /// `ANU_PERF_BASELINE` overrode the constant).
-    pub baseline: f64,
-}
-
-impl ScaleBench {
-    /// `scale1 / baseline`: ≥ 1 means at least as fast as the recorded
-    /// baseline commit.
-    pub fn ratio_vs_baseline(&self) -> f64 {
-        self.scale1_events_per_sec / self.baseline
-    }
-
-    /// Does the run clear the soft gate?
-    pub fn gate_ok(&self) -> bool {
-        self.ratio_vs_baseline() >= PERF_GATE_THRESHOLD
-    }
-
-    /// The one-line `PERF-GATE OK|WARN` verdict the `figures` binary
-    /// prints; under `--bench-gate` a WARN also becomes exit code 3 (see
-    /// [`gate_exit_code`]).
-    pub fn gate_line(&self) -> String {
-        format!(
-            "PERF-GATE {}: fig6 scale-1 {:.0} ev/s = {:.2}x recorded baseline {:.0} ev/s (soft threshold {:.2}x); scale-{} {:.0} ev/s",
-            if self.gate_ok() { "OK" } else { "WARN" },
-            self.scale1_events_per_sec,
-            self.ratio_vs_baseline(),
-            self.baseline,
-            PERF_GATE_THRESHOLD,
-            self.scale,
-            self.scale_n_events_per_sec,
-        )
-    }
-
-    /// The `bench` manifest section (schema v9).
-    pub fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("scale", Json::u64(self.scale)),
-            (
-                "scale1_events_per_sec",
-                Json::f64(self.scale1_events_per_sec),
-            ),
-            (
-                "scale_n_events_per_sec",
-                Json::f64(self.scale_n_events_per_sec),
-            ),
-            (
-                "baseline",
-                Json::obj(vec![
-                    ("scale1_events_per_sec", Json::f64(self.baseline)),
-                    (
-                        "note",
-                        Json::str(
-                            "fig6 four-policy aggregate, --jobs 1, trace off, \
-                             best of 5 on the commit before the dense-state rewrite",
-                        ),
-                    ),
-                ]),
-            ),
-            (
-                "gate",
-                Json::obj(vec![
-                    ("threshold", Json::f64(PERF_GATE_THRESHOLD)),
-                    ("ratio", Json::f64(self.ratio_vs_baseline())),
-                    ("ok", Json::bool(self.gate_ok())),
-                ]),
-            ),
-        ])
-    }
-}
-
-/// Run the scale-bench probe: the full fig6 grid (all four policies) with
-/// tracing off on a single worker, at scale 1 (`reps` repetitions, best
-/// taken — single-digit-second runs are noisy) and at scale `scale` (one
-/// repetition). Aggregate events/sec per rep is total simulated events
-/// over total simulation wall time.
-pub fn run_scale_bench(seed: u64, scale: u64, reps: usize) -> ScaleBench {
-    let probe = |s: u64, reps: usize| -> f64 {
-        let exp = crate::figures::figure_scaled(6, seed, s)
-            // anu-lint: allow(panic) -- figure 6 always exists
-            .expect("figure 6 exists");
-        let mut best = 0.0f64;
-        for _ in 0..reps.max(1) {
-            let outcomes = run_grid(std::slice::from_ref(&exp), 1);
-            let events: u64 = outcomes.iter().map(|o| o.result.summary.sim_events).sum();
-            let wall: f64 = outcomes.iter().map(|o| o.wall_secs).sum();
-            best = best.max(events as f64 / wall.max(1e-9));
-        }
-        best
-    };
-    ScaleBench {
-        scale,
-        scale1_events_per_sec: probe(1, reps),
-        scale_n_events_per_sec: probe(scale.max(1), 1),
-        baseline: perf_baseline(),
-    }
-}
-
-/// Result of the `figures --multi-world W` partitioned run: `worlds`
-/// independent fig6 worlds (seeds derived from the base seed via
-/// [`anu_des::task_seed`], each at `scale`) drained by the deterministic
-/// worker pool, with the aggregate events/sec across all of them. On a
-/// many-core machine this is the number that saturates the box: worlds
-/// share nothing, so throughput scales with cores until memory bandwidth
-/// intervenes. Timing data — the whole section is stripped before
-/// determinism comparisons (see [`TIMING_FIELDS`]).
-#[derive(Clone, Copy, Debug)]
-pub struct MultiWorld {
-    /// How many independent worlds ran.
-    pub worlds: u64,
-    /// Scale factor of every world's workload.
-    pub scale: u64,
-    /// Worker-pool size the run used (after auto resolution).
-    pub jobs: usize,
-    /// Total simulated events across all worlds.
-    pub sim_events: u64,
-    /// Wall-clock seconds for the whole partitioned run.
-    pub wall_secs: f64,
-    /// `sim_events / wall_secs` — the aggregate throughput number.
-    pub events_per_sec: f64,
-}
-
-impl MultiWorld {
-    /// The `multi_world` manifest section (schema v5).
-    pub fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("worlds", Json::u64(self.worlds)),
-            ("scale", Json::u64(self.scale)),
-            ("jobs", Json::usize(self.jobs)),
-            ("sim_events", Json::u64(self.sim_events)),
-            ("wall_secs", Json::f64(self.wall_secs)),
-            ("events_per_sec", Json::f64(self.events_per_sec)),
-        ])
-    }
-}
-
-/// The experiments a `--multi-world` run executes: `worlds` copies of the
-/// fig6 grid, world `w` seeded with `task_seed(base_seed, w)` and scaled
-/// by `scale`. Exposed separately so tests can inspect the plan without
-/// timing anything.
-pub fn multi_world_experiments(base_seed: u64, worlds: u64, scale: u64) -> Vec<Experiment> {
-    (0..worlds.max(1))
-        .map(|w| {
-            let mut exp = crate::figures::figure_scaled(6, anu_des::task_seed(base_seed, w), scale)
-                // anu-lint: allow(panic) -- figure 6 always exists
-                .expect("figure 6 exists");
-            exp.name = format!("mw{w}_{}", exp.name);
-            exp
-        })
-        .collect()
-}
-
-/// Run the partitioned multi-world probe: build the
-/// [`multi_world_experiments`] grid, drain it on the deterministic worker
-/// pool with `jobs` workers (0 = one per core), and aggregate events/sec
-/// across every world×policy task. Tracing is off — this measures the
-/// simulation kernel, and per-world traces at scale are gigabytes.
-pub fn run_multi_world(base_seed: u64, worlds: u64, scale: u64, jobs: usize) -> MultiWorld {
-    let exps = multi_world_experiments(base_seed, worlds, scale);
-    let jobs = effective_jobs(jobs);
-    let t0 = Instant::now();
-    let outcomes = run_grid(&exps, jobs);
-    let wall_secs = t0.elapsed().as_secs_f64();
-    let sim_events: u64 = outcomes.iter().map(|o| o.result.summary.sim_events).sum();
-    MultiWorld {
-        worlds: worlds.max(1),
-        scale,
-        jobs,
-        sim_events,
-        wall_secs,
-        events_per_sec: sim_events as f64 / wall_secs.max(1e-9),
-    }
-}
-
 /// Regroup grid outcomes by experiment, preserving policy order — the
 /// shape the per-figure check functions and CSV writers consume. The
 /// returned vector has one entry per submitted experiment.
@@ -705,10 +465,8 @@ impl FigureVerdict {
 /// `chaos` is the [`crate::chaos::chaos_manifest`] fragment when the run
 /// swept fault intensities, `None` otherwise (serialized as `null`);
 /// `storm` likewise the [`crate::storm::storm_manifest`] fragment when
-/// the elasticity sweep ran. `scale` is the factor the grid's workloads were multiplied by (1 for
-/// the canonical figures); `bench` is the [`ScaleBench`] probe result
-/// when `--scale-bench` ran, `None` otherwise (serialized as `null`);
-/// `multi_world` likewise for the `--multi-world` partitioned run.
+/// the elasticity sweep ran. `scale` is the factor the grid's workloads
+/// were multiplied by (1 for the canonical figures).
 // One parameter per manifest section, called from exactly one place (the
 // figures binary); a builder would be ceremony without safety.
 #[allow(clippy::too_many_arguments)]
@@ -724,8 +482,6 @@ pub fn manifest(
     chaos: Option<&Json>,
     storm: Option<&Json>,
     meanfield: Option<&Json>,
-    bench: Option<&ScaleBench>,
-    multi_world: Option<&MultiWorld>,
     csv_render_secs: f64,
 ) -> Json {
     let total_events: u64 = outcomes.iter().map(|o| o.result.summary.sim_events).sum();
@@ -803,11 +559,6 @@ pub fn manifest(
         ("chaos", chaos.cloned().unwrap_or(Json::Null)),
         ("storm", storm.cloned().unwrap_or(Json::Null)),
         ("meanfield", meanfield.cloned().unwrap_or(Json::Null)),
-        ("bench", bench.map_or(Json::Null, ScaleBench::to_json)),
-        (
-            "multi_world",
-            multi_world.map_or(Json::Null, MultiWorld::to_json),
-        ),
         (
             "profile",
             Json::obj(vec![
@@ -822,15 +573,12 @@ pub fn manifest(
 
 /// Keys of manifest fields that legitimately differ between two runs of
 /// the same grid (they measure the run, not the simulation). The whole
-/// `bench`, `multi_world`, and `profile` sections are timing: they exist
-/// to record throughput and wall-clock attribution.
-pub const TIMING_FIELDS: [&str; 7] = [
+/// `profile` section is timing: it records wall-clock attribution.
+pub const TIMING_FIELDS: [&str; 5] = [
     "wall_secs",
     "events_per_sec",
     "jobs",
     "trace_overhead",
-    "bench",
-    "multi_world",
     "profile",
 ];
 
@@ -972,20 +720,6 @@ mod tests {
         let chaos = Json::obj(vec![("levels", Json::arr(vec![Json::f64(1.0)]))]);
         let storm = Json::obj(vec![("kinds", Json::arr(vec![Json::str("flash_crowd")]))]);
         let meanfield = Json::obj(vec![("scales", Json::arr(vec![Json::u64(1)]))]);
-        let bench = ScaleBench {
-            scale: 100,
-            scale1_events_per_sec: 1.2e7,
-            scale_n_events_per_sec: 1.5e7,
-            baseline: BASELINE_SCALE1_EVENTS_PER_SEC,
-        };
-        let mw = MultiWorld {
-            worlds: 4,
-            scale: 2,
-            jobs: 2,
-            sim_events: 1_000_000,
-            wall_secs: 0.5,
-            events_per_sec: 2e6,
-        };
         let ma = manifest(
             5,
             1,
@@ -998,8 +732,6 @@ mod tests {
             Some(&chaos),
             Some(&storm),
             Some(&meanfield),
-            Some(&bench),
-            Some(&mw),
             0.02,
         );
         let mb = manifest(
@@ -1014,8 +746,6 @@ mod tests {
             Some(&chaos),
             Some(&storm),
             Some(&meanfield),
-            None,
-            None,
             0.01,
         );
         assert_ne!(ma, mb, "timing fields must differ");
@@ -1026,14 +756,6 @@ mod tests {
         assert!(stripped.contains("\"schema\""));
         assert!(!stripped.contains("wall_secs"));
         assert!(!stripped.contains("events_per_sec"));
-        assert!(
-            !stripped.contains("\"bench\""),
-            "bench is timing data and must strip"
-        );
-        assert!(
-            !stripped.contains("\"multi_world\""),
-            "multi_world is timing data and must strip"
-        );
         assert!(
             !stripped.contains("\"profile\""),
             "profile sections are timing data and must strip"
@@ -1069,12 +791,10 @@ mod tests {
             None,
             None,
             None,
-            None,
-            None,
             0.0,
         );
         assert_eq!(m.get("schema").unwrap().as_str().unwrap(), MANIFEST_SCHEMA);
-        assert_eq!(MANIFEST_SCHEMA, "anu-bench-figures/v9");
+        assert_eq!(MANIFEST_SCHEMA, "anu-bench-figures/v10");
         assert_eq!(m.get("base_seed").unwrap().as_u64().unwrap(), 5);
         assert_eq!(m.get("scale").unwrap().as_u64().unwrap(), 1);
         assert_eq!(m.get("tasks_total").unwrap().as_usize().unwrap(), 3);
@@ -1083,8 +803,35 @@ mod tests {
         assert_eq!(m.get("chaos").unwrap(), &Json::Null);
         assert_eq!(m.get("storm").unwrap(), &Json::Null);
         assert_eq!(m.get("meanfield").unwrap(), &Json::Null);
-        assert_eq!(m.get("bench").unwrap(), &Json::Null);
-        assert_eq!(m.get("multi_world").unwrap(), &Json::Null);
+        // The exact top-level shape: the v4/v5 throughput sections are
+        // gone, not null.
+        let Json::Obj(pairs) = &m else {
+            panic!("manifest should be an object, got {m:?}")
+        };
+        let keys: Vec<&str> = pairs.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(
+            keys,
+            [
+                "schema",
+                "base_seed",
+                "jobs",
+                "scale",
+                "tasks_total",
+                "sim_events_total",
+                "wall_secs",
+                "events_per_sec",
+                "trace_level",
+                "trace_overhead",
+                "all_pass",
+                "chaos",
+                "storm",
+                "meanfield",
+                "profile",
+                "tasks",
+                "figures",
+            ]
+        );
+        assert!(m.get("bench").is_err());
         assert!(!m.get("all_pass").unwrap().as_bool().unwrap());
         let tasks = m.get("tasks").unwrap().as_arr().unwrap();
         assert_eq!(tasks.len(), 3);
@@ -1146,65 +893,6 @@ mod tests {
         assert!(over.overhead_pct < 100.0);
         let j = over.to_json();
         assert!(j.get("overhead_pct").is_ok());
-    }
-
-    #[test]
-    fn scale_bench_gate_and_manifest_shape() {
-        let fast = ScaleBench {
-            scale: 100,
-            scale1_events_per_sec: BASELINE_SCALE1_EVENTS_PER_SEC * 1.6,
-            scale_n_events_per_sec: 2.0e7,
-            baseline: BASELINE_SCALE1_EVENTS_PER_SEC,
-        };
-        assert!(fast.gate_ok());
-        assert!(fast.gate_line().starts_with("PERF-GATE OK"));
-        let slow = ScaleBench {
-            scale: 100,
-            scale1_events_per_sec: BASELINE_SCALE1_EVENTS_PER_SEC * 0.5,
-            scale_n_events_per_sec: 1.0e6,
-            baseline: BASELINE_SCALE1_EVENTS_PER_SEC,
-        };
-        assert!(!slow.gate_ok());
-        assert!(slow.gate_line().starts_with("PERF-GATE WARN"));
-        let j = fast.to_json();
-        assert_eq!(j.get("scale").unwrap().as_u64().unwrap(), 100);
-        assert_eq!(
-            j.get("baseline")
-                .unwrap()
-                .get("scale1_events_per_sec")
-                .unwrap(),
-            &Json::f64(BASELINE_SCALE1_EVENTS_PER_SEC)
-        );
-        let gate = j.get("gate").unwrap();
-        assert!(gate.get("ok").unwrap().as_bool().unwrap());
-        assert_eq!(gate.get("threshold").unwrap(), &Json::f64(0.8));
-    }
-
-    #[test]
-    fn gate_exit_codes_follow_the_contract() {
-        assert_eq!(gate_exit_code(true, false), 0);
-        assert_eq!(gate_exit_code(true, true), 3);
-        // A shape failure overrides the bench verdict either way.
-        assert_eq!(gate_exit_code(false, false), 1);
-        assert_eq!(gate_exit_code(false, true), 1);
-    }
-
-    #[test]
-    fn multi_world_plan_is_deterministic_and_distinct() {
-        let exps = multi_world_experiments(42, 3, 2);
-        assert_eq!(exps.len(), 3);
-        let names: Vec<&str> = exps.iter().map(|e| e.name.as_str()).collect();
-        assert_eq!(names, ["mw0_fig6", "mw1_fig6", "mw2_fig6"]);
-        // Worlds get distinct derived seeds, and rebuilding the plan
-        // reproduces them exactly.
-        assert_ne!(exps[0].seed, exps[1].seed);
-        let again = multi_world_experiments(42, 3, 2);
-        for (a, b) in exps.iter().zip(&again) {
-            assert_eq!(a.seed, b.seed);
-            assert_eq!(a.name, b.name);
-        }
-        // Zero worlds clamps to one instead of an empty (0-event) run.
-        assert_eq!(multi_world_experiments(42, 0, 1).len(), 1);
     }
 
     #[test]

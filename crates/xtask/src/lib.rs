@@ -62,7 +62,6 @@ use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
-pub mod bench;
 pub mod deps;
 mod imports;
 pub mod legacy;

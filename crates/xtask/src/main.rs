@@ -4,8 +4,6 @@
 //! anu-xtask check [--root DIR] [--format text|json]
 //! anu-xtask waivers [--root DIR]
 //! anu-xtask ratchet [--root DIR] [--baseline FILE] [--update]
-//! anu-xtask bench-ratchet [--root DIR] [--manifest FILE] [--history FILE]
-//!                         [--commit ID] [--update]
 //! anu-xtask deps [--root DIR]
 //! anu-xtask list-lints
 //! ```
@@ -18,24 +16,18 @@
 //!
 //! `ratchet` compares a fresh scan's per-lint counts against the
 //! committed `lint-baseline.json`: any increase fails; a decrease passes
-//! and `--update` rewrites the baseline to bank it. `bench-ratchet` is
-//! the perf twin: it reads the fresh `BENCH_figures.json` (which must
-//! carry a `bench` section from `figures --scale-bench N`) and **fails
-//! hard** when scale-1 throughput drops below 0.8x of the best record in
-//! the committed `BENCH_history.jsonl`; `--update` appends a new record
-//! when the run beats the best (see [`anu_xtask::bench`]). `deps` parses
+//! and `--update` rewrites the baseline to bank it. `deps` parses
 //! `Cargo.lock` and fails if any non-workspace package appears.
 //!
 //! Exit codes: 0 clean, 1 unwaived violations (or, for `waivers`, unused
-//! waivers; for `ratchet`, count increases; for `bench-ratchet`, a perf
-//! regression; for `deps`, external packages) found, 2 usage or I/O
-//! error.
+//! waivers; for `ratchet`, count increases; for `deps`, external
+//! packages) found, 2 usage or I/O error.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
 use anu_xtask::ratchet::Baseline;
-use anu_xtask::{bench, deps, scan_workspace, ALL_LINTS};
+use anu_xtask::{deps, scan_workspace, ALL_LINTS};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -213,143 +205,6 @@ fn main() -> ExitCode {
             }
             ExitCode::SUCCESS
         }
-        "bench-ratchet" => {
-            let mut root: Option<PathBuf> = None;
-            let mut manifest_path: Option<PathBuf> = None;
-            let mut history_path: Option<PathBuf> = None;
-            let mut commit: Option<String> = None;
-            let mut update = false;
-            while let Some(arg) = it.next() {
-                match arg.as_str() {
-                    "--root" => match it.next() {
-                        Some(dir) => root = Some(PathBuf::from(dir)),
-                        None => {
-                            eprintln!("error: --root needs a directory");
-                            return ExitCode::from(2);
-                        }
-                    },
-                    "--manifest" => match it.next() {
-                        Some(file) => manifest_path = Some(PathBuf::from(file)),
-                        None => {
-                            eprintln!("error: --manifest needs a file");
-                            return ExitCode::from(2);
-                        }
-                    },
-                    "--history" => match it.next() {
-                        Some(file) => history_path = Some(PathBuf::from(file)),
-                        None => {
-                            eprintln!("error: --history needs a file");
-                            return ExitCode::from(2);
-                        }
-                    },
-                    "--commit" => match it.next() {
-                        Some(id) => commit = Some(id.clone()),
-                        None => {
-                            eprintln!("error: --commit needs an id");
-                            return ExitCode::from(2);
-                        }
-                    },
-                    "--update" => update = true,
-                    other => {
-                        eprintln!("error: unknown argument `{other}`");
-                        usage();
-                        return ExitCode::from(2);
-                    }
-                }
-            }
-            let root = resolve_root(root);
-            let manifest_path = manifest_path.unwrap_or_else(|| root.join("BENCH_figures.json"));
-            let history_path = history_path.unwrap_or_else(|| root.join("BENCH_history.jsonl"));
-            let point = match std::fs::read_to_string(&manifest_path) {
-                Ok(text) => match bench::extract_manifest(&text) {
-                    Ok(p) => p,
-                    Err(e) => {
-                        eprintln!("error: {}: {e}", manifest_path.display());
-                        return ExitCode::from(2);
-                    }
-                },
-                Err(e) => {
-                    eprintln!("error: cannot read {}: {e}", manifest_path.display());
-                    return ExitCode::from(2);
-                }
-            };
-            let record = bench::Record {
-                commit: commit.unwrap_or_else(resolve_commit),
-                scale1_events_per_sec: point.scale1_events_per_sec,
-                scale_n_events_per_sec: point.scale_n_events_per_sec,
-                overhead_pct: point.overhead_pct,
-            };
-            let history = match std::fs::read_to_string(&history_path) {
-                Ok(text) => match bench::parse_history(&text) {
-                    Ok(h) => h,
-                    Err(e) => {
-                        eprintln!("error: {}: {e}", history_path.display());
-                        return ExitCode::from(2);
-                    }
-                },
-                Err(e) if e.kind() == std::io::ErrorKind::NotFound && update => {
-                    // Bootstrap: --update with no history records the
-                    // current numbers as the first baseline.
-                    if let Err(e) = append_record(&history_path, &record) {
-                        eprintln!("error: cannot write {}: {e}", history_path.display());
-                        return ExitCode::from(2);
-                    }
-                    println!(
-                        "bench-ratchet: wrote initial baseline ({:.0} ev/s, commit {}) to {}",
-                        record.scale1_events_per_sec,
-                        record.commit,
-                        history_path.display()
-                    );
-                    return ExitCode::SUCCESS;
-                }
-                Err(e) => {
-                    eprintln!(
-                        "error: cannot read {}: {e} (run `anu-xtask bench-ratchet --update` to bootstrap)",
-                        history_path.display()
-                    );
-                    return ExitCode::from(2);
-                }
-            };
-            let cmp = match bench::compare(&history, point.scale1_events_per_sec) {
-                Ok(c) => c,
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    return ExitCode::from(2);
-                }
-            };
-            println!("{}", cmp.verdict_line());
-            if !cmp.ok() {
-                eprintln!(
-                    "error: scale-1 throughput regressed below {:.2}x of the best committed \
-                     baseline; fix the regression, or lower {} by hand in a reviewed commit",
-                    bench::BENCH_RATCHET_THRESHOLD,
-                    history_path.display()
-                );
-                return ExitCode::FAILURE;
-            }
-            if cmp.improved() {
-                if update {
-                    if let Err(e) = append_record(&history_path, &record) {
-                        eprintln!("error: cannot write {}: {e}", history_path.display());
-                        return ExitCode::from(2);
-                    }
-                    println!(
-                        "bench-ratchet: banked {:.0} ev/s (commit {}) in {}",
-                        record.scale1_events_per_sec,
-                        record.commit,
-                        history_path.display()
-                    );
-                } else {
-                    println!(
-                        "bench-ratchet: throughput beats the best baseline; run \
-                         `anu-xtask bench-ratchet --update` to bank it"
-                    );
-                }
-            } else if update {
-                println!("bench-ratchet: no improvement to bank (current <= best)");
-            }
-            ExitCode::SUCCESS
-        }
         "deps" => {
             let mut root: Option<PathBuf> = None;
             while let Some(arg) = it.next() {
@@ -408,36 +263,6 @@ fn main() -> ExitCode {
     }
 }
 
-/// Append one history record (plus newline), creating the file if needed.
-/// History lines are never rewritten — the log is append-only by design.
-fn append_record(path: &std::path::Path, record: &bench::Record) -> std::io::Result<()> {
-    use std::io::Write;
-    let mut f = std::fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(path)?;
-    writeln!(f, "{}", record.render())
-}
-
-/// Commit id for a banked record: `$GITHUB_SHA` in CI, the local `git
-/// rev-parse --short HEAD` otherwise, `"unknown"` when neither resolves.
-fn resolve_commit() -> String {
-    if let Ok(sha) = std::env::var("GITHUB_SHA") {
-        if !sha.is_empty() {
-            return sha.chars().take(12).collect();
-        }
-    }
-    std::process::Command::new("git")
-        .args(["rev-parse", "--short", "HEAD"])
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .and_then(|o| String::from_utf8(o.stdout).ok())
-        .map(|s| s.trim().to_string())
-        .filter(|s| !s.is_empty())
-        .unwrap_or_else(|| "unknown".to_string())
-}
-
 /// Default the root to the workspace when `--root` was not given.
 fn resolve_root(root: Option<PathBuf>) -> PathBuf {
     root.unwrap_or_else(|| {
@@ -480,7 +305,6 @@ fn usage() {
     eprintln!(
         "usage: anu-xtask <check [--root DIR] [--format text|json] | waivers [--root DIR] | \
          ratchet [--root DIR] [--baseline FILE] [--update] | \
-         bench-ratchet [--root DIR] [--manifest FILE] [--history FILE] [--commit ID] [--update] | \
          deps [--root DIR] | list-lints>"
     );
 }
