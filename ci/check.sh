@@ -2,9 +2,10 @@
 # Local CI gate. Runs everything a PR must pass, in cheap-to-expensive
 # order: formatting, the clippy wall (default and no-default-features),
 # the repo's own lint driver, the tier-1 build and test suite, the
-# figures determinism gate (parallel run byte-identical to serial), and
-# one end-to-end benchmark run (e2e-bench/: pinned fingerprint and
-# conservation/audit checks gate; its timings are reported, not gated).
+# figures determinism gate (parallel run's outputs and manifest
+# byte-identical to serial), and one end-to-end benchmark run
+# (e2e-bench/: pinned fingerprint and conservation/audit checks gate;
+# its timings are reported, not gated).
 # Fails fast on the first broken step and prints a per-step timing
 # summary at the end.
 #
@@ -131,23 +132,27 @@ trap 'rm -rf "$SERIAL_DIR"' EXIT
 # for every policy, a hard check), the epoch-level JSONL traces under
 # out/trace/, the run manifest, and enforces every figure's, chaos
 # cell's, storm cell's and meanfield divergence checks. Exit codes: 0 =
-# all pass, 1 = a check failed, 2 = usage error.
+# all pass, 1 = a check failed, 2 = usage error. Traces are not
+# committed; clearing them first keeps files an older build wrote out of
+# the comparison.
+rm -rf out/trace
 ./target/release/figures --jobs "$JOBS" --chaos --storm --meanfield --out out \
     --bench-out BENCH_figures.json --trace-out out/trace --trace-level epoch
 # ...then a serial re-run must reproduce the same bytes, chaos, storm and
-# meanfield outputs and traces included.
+# meanfield outputs, traces and the run manifest included.
 ./target/release/figures --jobs 1 --chaos --storm --meanfield --out "$SERIAL_DIR/out" \
     --bench-out "$SERIAL_DIR/BENCH_figures.json" \
     --trace-out "$SERIAL_DIR/out/trace" --trace-level epoch >/dev/null
 diff -r out "$SERIAL_DIR/out"
-echo "out/ (series, tuner epochs, metrics, chaos + storm + meanfield CSVs, JSONL+ring traces) is byte-identical at --jobs $JOBS and --jobs 1"
+cmp BENCH_figures.json "$SERIAL_DIR/BENCH_figures.json"
+echo "out/ (series, tuner epochs, metrics, chaos + storm + meanfield CSVs, JSONL traces) and BENCH_figures.json are byte-identical at --jobs $JOBS and --jobs 1"
 
-step "anu-inspect --check over every recorded trace (JSONL + binary ring)"
+step "anu-inspect --check over every recorded JSONL trace"
 # Every trace the gate just wrote must reconstruct with clean integrity:
 # no orphaned request events, balanced span markers, attribution that
 # telescopes to each recorded latency.
-./target/release/anu-inspect --check out/trace/*.jsonl out/trace/*.ring >/dev/null
-echo "all recorded traces pass span-integrity checks"
+./target/release/anu-inspect --check out/trace/*.jsonl >/dev/null
+echo "all recorded JSONL traces pass span-integrity checks"
 
 step "e2e-bench scale_hotpath (fingerprint + conservation/audit checks; timings reported)"
 # The repo's one performance measurement (see e2e-bench/README.md and

@@ -29,7 +29,6 @@ use anu_des::{
     AliasTable, Calendar, FifoStation, IntervalStats, Job, RngStream, SimDuration, SimTime,
     StartService,
 };
-use anu_trace::{NullSink, TraceEvent, TraceLevel, TraceSink, Tracer};
 
 /// Closed-loop experiment configuration.
 #[derive(Clone, Debug, PartialEq)]
@@ -116,7 +115,8 @@ enum Event {
 
 struct Server {
     speed: f64,
-    station: FifoStation<(u32, u32)>,
+    /// Queued metadata requests, each tagged with its client.
+    station: FifoStation<u32>,
     interval: IntervalStats,
 }
 
@@ -129,20 +129,6 @@ pub fn run_closed_loop(
     cluster: &ClusterConfig,
     cfg: &ClosedLoopConfig,
     policy: &mut dyn PlacementPolicy,
-) -> ClosedLoopResult {
-    run_closed_loop_traced(cluster, cfg, policy, &mut NullSink)
-}
-
-/// [`run_closed_loop`], with structured-trace events delivered to `sink`.
-///
-/// Same determinism contract as [`crate::world::run_traced`]: tracing
-/// never schedules calendar events, so the traced and untraced
-/// trajectories are identical.
-pub fn run_closed_loop_traced(
-    cluster: &ClusterConfig,
-    cfg: &ClosedLoopConfig,
-    policy: &mut dyn PlacementPolicy,
-    sink: &mut dyn TraceSink,
 ) -> ClosedLoopResult {
     // anu-lint: allow(panic) -- entry precondition: results on an invalid cluster are meaningless
     cluster.validate().expect("valid cluster");
@@ -210,9 +196,6 @@ pub fn run_closed_loop_traced(
     let mut metadata_ms_sum = 0.0;
     let mut san_busy = SimDuration::ZERO;
     let mut migrations = 0u64;
-    let mut tracer = Tracer::new(sink);
-    let mut epoch: u64 = 0;
-    let run_span = tracer.open(SimTime::ZERO, "closed-loop");
 
     while let Some((now, ev)) = cal.pop() {
         if now > SimTime::ZERO + cfg.duration {
@@ -224,31 +207,9 @@ pub fn run_closed_loop_traced(
                 issue_time[c as usize] = now;
                 if let Some((_, waiters)) = migrating[fs as usize].as_mut() {
                     waiters.push((c, now));
-                    if tracer.enabled(TraceLevel::Request) {
-                        tracer.emit(
-                            TraceLevel::Request,
-                            now,
-                            &TraceEvent::RequestArrival {
-                                server: None,
-                                set: u64::from(fs),
-                                buffered: true,
-                            },
-                        );
-                    }
                     continue;
                 }
                 let sidx = assignment[fs as usize];
-                if tracer.enabled(TraceLevel::Request) {
-                    tracer.emit(
-                        TraceLevel::Request,
-                        now,
-                        &TraceEvent::RequestArrival {
-                            server: Some(server_ids.get(sidx as usize).0),
-                            set: u64::from(fs),
-                            buffered: false,
-                        },
-                    );
-                }
                 let server = &mut servers[sidx as usize];
                 let service = SimDuration::from_secs_f64(
                     rng.exponential(1.0 / cfg.metadata_cost.as_secs_f64()) / server.speed,
@@ -256,7 +217,7 @@ pub fn run_closed_loop_traced(
                 let job = Job {
                     arrival: now,
                     service,
-                    meta: (c, fs),
+                    meta: c,
                 };
                 if let StartService::At(t) = server.station.arrive(now, job) {
                     cal.schedule(t, Event::Complete(sidx));
@@ -268,23 +229,10 @@ pub fn run_closed_loop_traced(
                 if let Some(t) = next {
                     cal.schedule(t, Event::Complete(sidx));
                 }
-                let (c, _fs) = job.meta;
+                let c = job.meta;
                 let md_latency = now.since(job.arrival);
                 server.interval.record(md_latency);
                 metadata_ms_sum += md_latency.as_millis_f64();
-                if tracer.enabled(TraceLevel::Request) {
-                    let depth = server.station.population() as u64;
-                    tracer.emit(
-                        TraceLevel::Request,
-                        now,
-                        &TraceEvent::RequestComplete {
-                            server: server_ids.get(sidx as usize).0,
-                            set: u64::from(_fs),
-                            latency_us: md_latency.0,
-                            depth,
-                        },
-                    );
-                }
                 // Metadata granted: the client now drives the SAN directly.
                 let transfer = SimDuration::from_secs_f64(
                     rng.exponential(1.0 / cfg.data_transfer.as_secs_f64()),
@@ -324,34 +272,11 @@ pub fn run_closed_loop_traced(
                     .enumerate()
                     .map(|(i, &s)| (FileSetId(i as u64), server_ids.get(s as usize)))
                     .collect();
-                tracer.emit(TraceLevel::Epoch, now, &TraceEvent::EpochBegin { epoch });
-                let mut move_count = 0u64;
                 for mv in policy.on_tick(&view, &reports, &assignment_map) {
                     let fi = mv.set.0 as usize;
                     let to = server_ids.index(mv.to) as u32;
                     if migrating[fi].is_some() || assignment[fi] == to {
                         continue;
-                    }
-                    if tracer.enabled(TraceLevel::Epoch) {
-                        let from = Some(server_ids.get(assignment[fi] as usize).0);
-                        tracer.emit(
-                            TraceLevel::Epoch,
-                            now,
-                            &TraceEvent::MigrationStart {
-                                set: mv.set.0,
-                                from,
-                                to: mv.to.0,
-                            },
-                        );
-                        tracer.emit(
-                            TraceLevel::Epoch,
-                            now,
-                            &TraceEvent::MigrationFlush {
-                                set: mv.set.0,
-                                from,
-                                done_us: (now + cluster.migration.flush).0,
-                            },
-                        );
                     }
                     migrating[fi] = Some((to, Vec::new()));
                     cal.schedule(
@@ -359,35 +284,13 @@ pub fn run_closed_loop_traced(
                         Event::MigrationDone(fi as u32),
                     );
                     migrations += 1;
-                    move_count += 1;
                 }
-                if tracer.enabled(TraceLevel::Epoch) {
-                    tracer.emit(
-                        TraceLevel::Epoch,
-                        now,
-                        &TraceEvent::EpochEnd {
-                            epoch,
-                            moves: move_count,
-                            tune: policy.take_epoch(),
-                        },
-                    );
-                }
-                epoch += 1;
                 cal.schedule(now + cluster.tick, Event::Tick);
             }
             Event::MigrationDone(fs) => {
                 // anu-lint: allow(panic) -- MigrationDone is scheduled only when the entry is inserted
                 let (to, waiters) = migrating[fs as usize].take().expect("migration exists");
                 assignment[fs as usize] = to;
-                tracer.emit(
-                    TraceLevel::Epoch,
-                    now,
-                    &TraceEvent::MigrationFinish {
-                        set: u64::from(fs),
-                        to: server_ids.get(to as usize).0,
-                        buffered: waiters.len() as u64,
-                    },
-                );
                 for (c, issued) in waiters {
                     // Re-issue the blocked request at the new owner,
                     // preserving the original issue time for latency.
@@ -398,7 +301,7 @@ pub fn run_closed_loop_traced(
                     let job = Job {
                         arrival: issued,
                         service,
-                        meta: (c, fs),
+                        meta: c,
                     };
                     if let StartService::At(t) = server.station.arrive(now, job) {
                         cal.schedule(t, Event::Complete(to));
@@ -408,7 +311,6 @@ pub fn run_closed_loop_traced(
         }
     }
 
-    tracer.close(SimTime::ZERO + cfg.duration, run_span);
     let dur = cfg.duration.as_secs_f64();
     ClosedLoopResult {
         policy: policy.name().to_string(),

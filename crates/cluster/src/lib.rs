@@ -17,9 +17,9 @@
 //!   floor, through the same membership path failures use;
 //! * [`metrics`] — per-server latency time series and run summaries
 //!   (imbalance CoV, oscillation score, availability, …);
-//! * [`profile`] — wall-clock self-profiling hooks: the world reports
-//!   scoped subsystem boundaries to a [`RunProfiler`], with time
-//!   measurement owned by the harness.
+//! * [`profile`] — self-profiling hooks: the world reports
+//!   metrics-publication scope boundaries to a [`RunProfiler`], with time
+//!   measurement owned by the caller.
 //!
 //! The concrete policies (simple randomization, round-robin, prescient,
 //! ANU) live in `anu-policies`; this crate only defines the contract so
@@ -39,9 +39,7 @@ pub mod spec;
 pub mod world;
 
 pub use autoscaler::{Autoscaler, AutoscalerConfig, ScaleAction};
-pub use closed_loop::{
-    run_closed_loop, run_closed_loop_traced, ClosedLoopConfig, ClosedLoopResult,
-};
+pub use closed_loop::{run_closed_loop, ClosedLoopConfig, ClosedLoopResult};
 pub use faults::{plan_faults, FaultPlanConfig};
 pub use metrics::{
     flip_count, late_imbalance, late_mean, oscillation_score, series_points, EpochRecord,

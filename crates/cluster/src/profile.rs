@@ -1,34 +1,23 @@
 //! Wall-clock self-profiling hooks for the simulation event loop.
 //!
-//! The world attributes real elapsed time to coarse subsystems by calling
-//! [`RunProfiler::enter`] / [`RunProfiler::exit`] around scoped regions.
-//! The trait lives here so the sim path stays free of timing concerns:
-//! the default [`NoProfiler`] is a pair of empty inline calls, and the
-//! wall-clock implementation (reading `Instant`) belongs to the harness.
-//! Profiling never touches simulated time or the calendar, so a profiled
-//! run executes the exact same event sequence as an unprofiled one.
+//! The world reports scoped regions to a profiler by calling
+//! [`RunProfiler::enter`] / [`RunProfiler::exit`] around them. The trait
+//! lives here so the sim path stays free of timing concerns: the default
+//! [`NoProfiler`] is a pair of empty inline calls, and any implementation
+//! that reads a clock belongs to the caller (the `e2e-bench` harness
+//! times metrics publication through it). Profiling never touches
+//! simulated time or the calendar, so a profiled run executes the exact
+//! same event sequence as an unprofiled one.
 
-/// Coarse subsystems the world attributes time to. Scopes are entered
-/// only at tick/fault boundaries — never on the per-request path — so
-/// profiling overhead stays negligible at any event rate.
+/// Subsystems the world reports scope boundaries for. Scopes are entered
+/// only at tick boundaries and at the end of the run — never on the
+/// per-request path — so profiling overhead stays negligible at any
+/// event rate.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ProfileScope {
-    /// Policy callbacks: `on_tick`, `on_fail`, `on_recover` and the
-    /// epoch-record handoff.
-    PolicyDecide,
     /// Metrics publication: folding local accumulators into the registry
     /// and taking the per-epoch snapshot.
     MetricsUpdate,
-}
-
-impl ProfileScope {
-    /// Stable snake_case name, used as the manifest profile key.
-    pub fn name(self) -> &'static str {
-        match self {
-            ProfileScope::PolicyDecide => "policy_decide",
-            ProfileScope::MetricsUpdate => "metrics_update",
-        }
-    }
 }
 
 /// Receives scope boundaries from the event loop.
@@ -54,15 +43,4 @@ impl RunProfiler for NoProfiler {
     fn enter(&mut self, _scope: ProfileScope) {}
     #[inline]
     fn exit(&mut self, _scope: ProfileScope) {}
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn scope_names_are_stable() {
-        assert_eq!(ProfileScope::PolicyDecide.name(), "policy_decide");
-        assert_eq!(ProfileScope::MetricsUpdate.name(), "metrics_update");
-    }
 }

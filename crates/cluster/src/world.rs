@@ -725,12 +725,7 @@ impl<'a> World<'a> {
     /// decommission per tick; the membership change flows through the
     /// same `on_recover` / `on_fail` path scripted faults use, and the
     /// invariant auditor runs at the boundary.
-    fn autoscale(
-        &mut self,
-        reports: &[LoadReport],
-        policy: &mut dyn PlacementPolicy,
-        profiler: &mut dyn RunProfiler,
-    ) {
+    fn autoscale(&mut self, reports: &[LoadReport], policy: &mut dyn PlacementPolicy) {
         if self.autoscaler.is_none() {
             return;
         }
@@ -747,10 +742,10 @@ impl<'a> World<'a> {
         };
         match action {
             Some(ScaleAction::Commission(slot)) => {
-                self.commission(self.standby_slots[slot], policy, profiler);
+                self.commission(self.standby_slots[slot], policy);
             }
             Some(ScaleAction::Decommission(slot)) => {
-                self.decommission(self.standby_slots[slot], policy, profiler);
+                self.decommission(self.standby_slots[slot], policy);
             }
             None => return,
         }
@@ -761,12 +756,7 @@ impl<'a> World<'a> {
     /// fault loop minus the availability bookkeeping: a standby was never
     /// "down", so it opens no unavailability window and accrues no
     /// degraded capacity.
-    fn commission(
-        &mut self,
-        si: u32,
-        policy: &mut dyn PlacementPolicy,
-        profiler: &mut dyn RunProfiler,
-    ) {
+    fn commission(&mut self, si: u32, policy: &mut dyn PlacementPolicy) {
         let now = self.cal.now();
         let server = self.server_ids.get(si as usize);
         let st = &mut self.servers[si as usize];
@@ -779,9 +769,7 @@ impl<'a> World<'a> {
             &TraceEvent::Recover { server: server.0 },
         );
         let view = self.view();
-        profiler.enter(ProfileScope::PolicyDecide);
         let moves = policy.on_commission(&view, server, &self.planning_assignment());
-        profiler.exit(ProfileScope::PolicyDecide);
         self.apply_moves(moves, self.cfg.migration.total(), policy.name());
     }
 
@@ -791,12 +779,7 @@ impl<'a> World<'a> {
     /// accrues no degraded capacity, pays the ordinary migration cost
     /// (not the failover delay — there is nothing to detect), and starts
     /// no rebalance clock.
-    fn decommission(
-        &mut self,
-        si: u32,
-        policy: &mut dyn PlacementPolicy,
-        profiler: &mut dyn RunProfiler,
-    ) {
+    fn decommission(&mut self, si: u32, policy: &mut dyn PlacementPolicy) {
         let now = self.cal.now();
         let server = self.server_ids.get(si as usize);
         let st = &mut self.servers[si as usize];
@@ -822,9 +805,7 @@ impl<'a> World<'a> {
             },
         );
         let view = self.view();
-        profiler.enter(ProfileScope::PolicyDecide);
         let moves = policy.on_decommission(&view, server, &self.planning_assignment());
-        profiler.exit(ProfileScope::PolicyDecide);
         self.apply_moves(moves, self.cfg.migration.total(), policy.name());
         // Every set the retiring server owned must now be in flight.
         let orphans: Vec<usize> = (0..self.set_ids.len())
@@ -1072,8 +1053,8 @@ pub fn run_traced(
     run_traced_profiled(cfg, workload, policy, sink, &mut NoProfiler)
 }
 
-/// [`run_traced`], with wall-clock subsystem attribution delivered to
-/// `profiler` at tick and fault boundaries.
+/// [`run_traced`], with metrics-publication scope boundaries delivered
+/// to `profiler` at every tick and once at the end of the run.
 ///
 /// The profiler observes real elapsed time only — it never reads or
 /// advances simulated time, so a profiled run simulates the exact same
@@ -1241,13 +1222,11 @@ pub fn run_traced_profiled(
                     .tracer
                     .emit(TraceLevel::Epoch, now, &TraceEvent::EpochBegin { epoch });
                 let reports = world.collect_reports();
-                world.autoscale(&reports, policy, profiler);
+                world.autoscale(&reports, policy);
                 let view = world.view();
-                profiler.enter(ProfileScope::PolicyDecide);
                 let moves = policy.on_tick(&view, &reports, &world.planning_assignment());
                 let move_count = moves.len() as u64;
                 let tune = policy.take_epoch();
-                profiler.exit(ProfileScope::PolicyDecide);
                 if let Some(t) = &tune {
                     for d in &t.decisions {
                         match d.outcome {
@@ -1344,9 +1323,7 @@ pub fn run_traced_profiled(
                             },
                         );
                         let view = world.view();
-                        profiler.enter(ProfileScope::PolicyDecide);
                         let moves = policy.on_fail(&view, server, &world.planning_assignment());
-                        profiler.exit(ProfileScope::PolicyDecide);
                         world.apply_moves(moves, cfg.failover_delay, policy.name());
                         // Every orphaned set must now be in flight; queued
                         // work follows its set to the new owner. Dense
@@ -1406,9 +1383,7 @@ pub fn run_traced_profiled(
                             &TraceEvent::Recover { server: server.0 },
                         );
                         let view = world.view();
-                        profiler.enter(ProfileScope::PolicyDecide);
                         let moves = policy.on_recover(&view, server, &world.planning_assignment());
-                        profiler.exit(ProfileScope::PolicyDecide);
                         let delay = cfg.migration.total();
                         world.apply_moves(moves, delay, policy.name());
                     }
@@ -1835,9 +1810,8 @@ mod tests {
         assert_eq!(plain.summary, profiled.summary);
         assert_eq!(plain.metrics, profiled.metrics);
         assert_eq!(prof.depth, 0, "all scopes closed");
-        // One PolicyDecide + one MetricsUpdate per tick, plus the final
-        // metrics publish.
-        assert_eq!(prof.enters as usize, 2 * plain.epochs.len() + 1);
+        // One MetricsUpdate per tick, plus the final metrics publish.
+        assert_eq!(prof.enters as usize, plain.epochs.len() + 1);
     }
 
     #[test]

@@ -4,13 +4,14 @@
 //! ```text
 //! figures [--fig N] [--seed S] [--seeds K] [--jobs J] [--out DIR]
 //!         [--bench-out FILE] [--trace-out DIR] [--trace-level LVL]
-//!         [--series] [--plot] [--chaos] [--storm] [--meanfield] [--scale N]
+//!         [--series] [--plot] [--chaos] [--storm] [--meanfield]
 //! ```
 //!
 //! The full {figure × policy × seed} grid is enumerated as independent
 //! tasks and drained by `J` workers (default: one per core). Results,
-//! CSVs and PASS/FAIL verdicts are byte-identical at any `--jobs` value,
-//! including `--jobs 1` — parallelism only changes wall time.
+//! CSVs, traces, PASS/FAIL verdicts and the run manifest are
+//! byte-identical at any `--jobs` value, including `--jobs 1` —
+//! parallelism only changes wall time.
 //!
 //! For each figure: writes per-policy CSV series to `--out` (default
 //! `out/`), prints the cross-policy summary table and the qualitative
@@ -18,12 +19,13 @@
 //! base seed plus `K-1` derived via the SplitMix64 task-seed path; derived
 //! seeds' CSVs are tagged `_s<seed>`). `--series` additionally prints the
 //! full minute-by-minute latency table. A machine-readable run manifest
-//! (wall time, per-task simulated events/sec, verdicts) is written to
+//! (task grid, seeds, simulated event counts, verdicts) is written to
 //! `--bench-out` (default `BENCH_figures.json`).
 //!
 //! Exit codes: 0 = every check passed, 1 = at least one check failed,
 //! 2 = usage error (unknown flag or malformed value, reported before any
-//! run). Simulator speed is measured by the `e2e-bench` harness, not here.
+//! run). The run reads no clock: simulator speed is measured by the
+//! `e2e-bench` harness, not here.
 //!
 //! `--chaos` appends the fault-intensity sweep: the four-policy lineup
 //! under escalating deterministic fault scripts (crashes, slowdowns,
@@ -53,41 +55,32 @@
 //! scale and ends at or below 10% for every policy — counts toward the
 //! exit code like the figure shape checks.
 //!
-//! Scale mode: `--scale N` multiplies every figure's file-set and request
-//! counts by `N` at constant offered load — a hot-path stress run over an
-//! `N`× larger id universe. Scaled workloads are non-canonical, so CSV
-//! emission and shape checks are skipped (completing the grid *is* the
-//! check).
-//!
 //! Tracing: every figure additionally writes its per-epoch tuner telemetry
 //! to `<figure>_tuner_epochs.csv` and its metrics registry (counters,
 //! gauges, histogram quantiles, per-epoch snapshots) to
 //! `<figure>_metrics.csv` in `--out`. `--trace-out DIR` records a
 //! structured trace of every task at `--trace-level` (`epoch` by default;
-//! `request` adds per-request events) — one JSONL file plus one binary
-//! `.ring` dump per task (the format `anu-inspect` reads) — and
-//! calibrates the tracing overhead into the manifest. Traces, CSVs and
-//! the manifest's deterministic sections are byte-identical at any
-//! `--jobs` value.
+//! `request` adds per-request events) — one JSONL file per task, the
+//! format `anu-inspect` reads.
 
+use anu_cluster::RunResult;
 use anu_harness::runner;
 use anu_harness::{
     chaos_checks, chaos_experiments, chaos_manifest, chaos_rows, checks_for, checks_table, figure,
-    figure_scaled, meanfield_checks, meanfield_experiments, meanfield_grid, meanfield_manifest,
-    meanfield_rows, measure_trace_overhead, reduced, series_table, sparklines, storm_cells,
-    storm_checks, storm_experiments, storm_manifest, storm_rows, summary_table,
-    write_chaos_summary_csv, write_figure_csvs_tagged, write_meanfield_cells_csv,
-    write_meanfield_convergence_csv, write_metrics_csv, write_storm_summary_csv,
-    write_tuner_epochs_csv, Experiment, FigureVerdict, CHAOS_LEVELS, DEFAULT_SEED, FIGURE_NUMBERS,
-    MEANFIELD_REPLICAS, MEANFIELD_SCALES, PLAIN_ANU_LABEL, STORM_LEVELS,
+    meanfield_checks, meanfield_experiments, meanfield_grid, meanfield_manifest, meanfield_rows,
+    series_table, sparklines, storm_cells, storm_checks, storm_experiments, storm_manifest,
+    storm_rows, summary_table, write_chaos_summary_csv, write_figure_csvs_tagged,
+    write_meanfield_cells_csv, write_meanfield_convergence_csv, write_metrics_csv,
+    write_storm_summary_csv, write_tuner_epochs_csv, Experiment, FigureVerdict, TaskOutcome,
+    CHAOS_LEVELS, DEFAULT_SEED, FIGURE_NUMBERS, MEANFIELD_REPLICAS, MEANFIELD_SCALES,
+    PLAIN_ANU_LABEL, STORM_LEVELS,
 };
 use anu_trace::TraceLevel;
-use std::path::PathBuf;
-use std::time::Instant;
+use std::path::{Path, PathBuf};
 
 const USAGE: &str = "usage: figures [--fig N] [--seed S] [--seeds K] [--jobs J] [--out DIR] \
      [--bench-out FILE] [--trace-out DIR] [--trace-level off|epoch|request] [--series] [--plot] \
-     [--chaos] [--storm] [--meanfield] [--scale N]";
+     [--chaos] [--storm] [--meanfield]";
 
 /// Report a malformed command line and exit with the usage code 2.
 fn usage_error(msg: &str) -> ! {
@@ -109,7 +102,6 @@ struct Args {
     chaos: bool,
     storm: bool,
     meanfield: bool,
-    scale: u64,
 }
 
 fn parse_args() -> Args {
@@ -127,7 +119,6 @@ fn parse_args() -> Args {
         chaos: false,
         storm: false,
         meanfield: false,
-        scale: 1,
     };
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
@@ -187,13 +178,6 @@ fn parse_args() -> Args {
             "--chaos" => args.chaos = true,
             "--storm" => args.storm = true,
             "--meanfield" => args.meanfield = true,
-            "--scale" => {
-                args.scale = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&s| s >= 1)
-                    .unwrap_or_else(|| usage_error("--scale needs a factor >= 1"))
-            }
             "--help" | "-h" => {
                 println!("{USAGE}");
                 std::process::exit(0);
@@ -218,14 +202,14 @@ struct Entry {
 /// figure 10, a checks-only "support" run of the fig10 no-heuristics
 /// policy is appended per seed, so the decomposition baseline comes from
 /// the same pooled sweep instead of a separate serial run.
-fn build_grid(figures: &[u32], seeds: &[u64], scale: u64) -> (Vec<Experiment>, Vec<Entry>) {
+fn build_grid(figures: &[u32], seeds: &[u64]) -> (Vec<Experiment>, Vec<Entry>) {
     let mut exps = Vec::new();
     let mut entries = Vec::new();
     let needs_support = figures.contains(&11) && !figures.contains(&10);
     for (si, &seed) in seeds.iter().enumerate() {
         let tag = (si > 0).then(|| format!("s{seed}"));
         for &n in figures {
-            let exp = figure_scaled(n, seed, scale).unwrap_or_else(|| {
+            let exp = figure(n, seed).unwrap_or_else(|| {
                 usage_error(&format!("no figure {n}; the evaluation figures are 6..=11"))
             });
             exps.push(exp);
@@ -259,9 +243,9 @@ fn build_grid(figures: &[u32], seeds: &[u64], scale: u64) -> (Vec<Experiment>, V
 /// otherwise).
 fn find_plain<'a>(
     entries: &[Entry],
-    grouped: &'a [Vec<runner::TaskOutcome>],
+    grouped: &'a [Vec<TaskOutcome>],
     seed: u64,
-) -> Option<&'a anu_cluster::RunResult> {
+) -> Option<&'a RunResult> {
     entries
         .iter()
         .enumerate()
@@ -269,6 +253,34 @@ fn find_plain<'a>(
         .flat_map(|(i, _)| &grouped[i])
         .map(|o| &o.result)
         .find(|r| r.policy == PLAIN_ANU_LABEL)
+}
+
+/// Write every per-figure CSV of one experiment's results to `out`: the
+/// latency series, the tuner epochs and the metrics registry. Returns the
+/// number of series files.
+fn write_csvs(name: &str, tag: Option<&str>, results: &[RunResult], out: &Path) -> usize {
+    let paths = write_figure_csvs_tagged(name, tag, results, out).expect("write CSVs");
+    write_tuner_epochs_csv(name, tag, results, out).expect("write tuner-epoch CSV");
+    write_metrics_csv(name, tag, results, out).expect("write metrics CSV");
+    paths.len()
+}
+
+/// Write one task's JSONL trace to `<dir>/<stem>_<label>.jsonl`, where
+/// `label` is the policy label with every non-alphanumeric character
+/// replaced by `_`.
+fn write_trace(dir: &Path, stem: &str, o: &TaskOutcome) {
+    let safe: String = o
+        .task
+        .label
+        .chars()
+        .map(|c| if c.is_alphanumeric() { c } else { '_' })
+        .collect();
+    let mut body = o.trace_lines.join("\n");
+    if !body.is_empty() {
+        body.push('\n');
+    }
+    std::fs::create_dir_all(dir).expect("create trace dir");
+    std::fs::write(dir.join(format!("{stem}_{safe}.jsonl")), body).expect("write trace");
 }
 
 fn main() {
@@ -281,14 +293,8 @@ fn main() {
         .map(|i| anu_des::task_seed(args.seed, i))
         .collect();
 
-    let (exps, entries) = build_grid(&figures, &seeds, args.scale);
+    let (exps, entries) = build_grid(&figures, &seeds);
     let jobs = runner::effective_jobs(args.jobs);
-    if args.scale > 1 {
-        println!(
-            "scale mode: {}x file sets and requests per figure; CSVs and shape checks are skipped (non-canonical workloads)",
-            args.scale
-        );
-    }
     // Trace recording is opt-in: without a destination the sweep runs at
     // the zero-cost Off level regardless of the requested verbosity.
     let trace_level = if args.trace_out.is_some() {
@@ -305,12 +311,10 @@ fn main() {
         trace_level.name()
     );
 
-    let t0 = Instant::now();
     let outcomes = runner::run_grid_traced(&exps, jobs, trace_level);
-    let wall_secs = t0.elapsed().as_secs_f64();
 
     // Regroup outcomes per experiment, in task order.
-    let mut grouped: Vec<Vec<runner::TaskOutcome>> = Vec::new();
+    let mut grouped: Vec<Vec<TaskOutcome>> = Vec::new();
     grouped.resize_with(exps.len(), Vec::new);
     for o in outcomes {
         grouped[o.task.experiment].push(o);
@@ -318,16 +322,12 @@ fn main() {
 
     let mut verdicts: Vec<FigureVerdict> = Vec::new();
     let mut all_pass = true;
-    // Wall seconds spent rendering CSV artifacts, for the manifest's
-    // top-level profile section.
-    let mut csv_render_secs = 0.0f64;
     for (i, entry) in entries.iter().enumerate() {
         if !entry.emit {
             continue;
         }
         let exp = &exps[i];
-        let results: Vec<anu_cluster::RunResult> =
-            grouped[i].iter().map(|o| o.result.clone()).collect();
+        let results: Vec<RunResult> = grouped[i].iter().map(|o| o.result.clone()).collect();
         let stats = exp.workload.stats();
         println!(
             "\n=== Figure {} ({}, seed {}) — {} requests, {} file sets, {:.0} s, {} policies ===",
@@ -350,24 +350,9 @@ fn main() {
                 println!("{}", sparklines(r));
             }
         }
-        if args.scale > 1 {
-            // Scaled workloads are non-canonical: the committed CSVs and
-            // the paper's shape claims only apply at scale 1. Finishing
-            // the grid is the scale-mode check.
-            println!("  SKIP: CSVs and shape checks (scale {}x)", args.scale);
-            continue;
-        }
-        let csv0 = Instant::now();
-        let paths = write_figure_csvs_tagged(&exp.name, entry.tag.as_deref(), &results, &args.out)
-            .expect("write CSVs");
-        write_tuner_epochs_csv(&exp.name, entry.tag.as_deref(), &results, &args.out)
-            .expect("write tuner-epoch CSV");
-        write_metrics_csv(&exp.name, entry.tag.as_deref(), &results, &args.out)
-            .expect("write metrics CSV");
-        csv_render_secs += csv0.elapsed().as_secs_f64();
+        let series = write_csvs(&exp.name, entry.tag.as_deref(), &results, &args.out);
         println!(
-            "  wrote {} CSV series (+ tuner epochs, metrics) to {}",
-            paths.len(),
+            "  wrote {series} CSV series (+ tuner epochs, metrics) to {}",
             args.out.display()
         );
 
@@ -396,25 +381,8 @@ fn main() {
         );
         let chaos_outcomes = runner::run_grid_traced(&chaos_exps, jobs, trace_level);
         if let Some(dir) = args.trace_out.as_deref() {
-            std::fs::create_dir_all(dir).expect("create trace dir");
             for o in &chaos_outcomes {
-                let safe: String = o
-                    .task
-                    .label
-                    .chars()
-                    .map(|c| if c.is_alphanumeric() { c } else { '_' })
-                    .collect();
-                let mut body = o.trace_lines.join("\n");
-                if !body.is_empty() {
-                    body.push('\n');
-                }
-                std::fs::write(dir.join(format!("{}_{safe}.jsonl", o.task.name)), body)
-                    .expect("write trace");
-                std::fs::write(
-                    dir.join(format!("{}_{safe}.ring", o.task.name)),
-                    &o.trace_ring,
-                )
-                .expect("write ring trace");
+                write_trace(dir, &o.task.name, o);
             }
         }
         let grouped = runner::group_results(chaos_outcomes, chaos_exps.len());
@@ -426,14 +394,7 @@ fn main() {
                 exp.seed
             );
             println!("{}", summary_table(results));
-            let csv0 = Instant::now();
-            write_figure_csvs_tagged(&exp.name, None, results, &args.out)
-                .expect("write chaos CSVs");
-            write_tuner_epochs_csv(&exp.name, None, results, &args.out)
-                .expect("write chaos tuner-epoch CSV");
-            write_metrics_csv(&exp.name, None, results, &args.out)
-                .expect("write chaos metrics CSV");
-            csv_render_secs += csv0.elapsed().as_secs_f64();
+            write_csvs(&exp.name, None, results, &args.out);
             let checks = chaos_checks(exp, results);
             print!("{}", checks_table(&checks));
             all_pass &= checks.iter().all(|c| c.pass);
@@ -458,29 +419,11 @@ fn main() {
         );
         let storm_outcomes = runner::run_grid_traced(&storm_exps, jobs, trace_level);
         if let Some(dir) = args.trace_out.as_deref() {
-            std::fs::create_dir_all(dir).expect("create trace dir");
             for o in &storm_outcomes {
-                let safe: String = o
-                    .task
-                    .label
-                    .chars()
-                    .map(|c| if c.is_alphanumeric() { c } else { '_' })
-                    .collect();
-                let mut body = o.trace_lines.join("\n");
-                if !body.is_empty() {
-                    body.push('\n');
-                }
-                std::fs::write(dir.join(format!("{}_{safe}.jsonl", o.task.name)), body)
-                    .expect("write trace");
-                std::fs::write(
-                    dir.join(format!("{}_{safe}.ring", o.task.name)),
-                    &o.trace_ring,
-                )
-                .expect("write ring trace");
+                write_trace(dir, &o.task.name, o);
             }
         }
         let grouped = runner::group_results(storm_outcomes, storm_exps.len());
-        let csv0 = Instant::now();
         for (exp, results) in storm_exps.iter().zip(&grouped) {
             println!(
                 "\n=== Storm {} ({} churn events, seed {}) ===",
@@ -489,16 +432,10 @@ fn main() {
                 exp.seed
             );
             println!("{}", summary_table(results));
-            write_figure_csvs_tagged(&exp.name, None, results, &args.out)
-                .expect("write storm CSVs");
-            write_tuner_epochs_csv(&exp.name, None, results, &args.out)
-                .expect("write storm tuner-epoch CSV");
-            write_metrics_csv(&exp.name, None, results, &args.out)
-                .expect("write storm metrics CSV");
+            write_csvs(&exp.name, None, results, &args.out);
         }
         let rows = storm_rows(&storm_cells(), &storm_exps, &grouped);
         let summary_path = write_storm_summary_csv(&rows, &args.out).expect("write storm summary");
-        csv_render_secs += csv0.elapsed().as_secs_f64();
         let checks = storm_checks(&rows);
         print!("{}", checks_table(&checks));
         all_pass &= checks.iter().all(|c| c.pass);
@@ -533,12 +470,10 @@ fn main() {
             println!("{}", summary_table(results));
         }
         let (rows, report) = meanfield_rows(&meanfield_grid(), &mf_exps, &grouped);
-        let csv0 = Instant::now();
         let cells_path =
             write_meanfield_cells_csv(&rows, &args.out).expect("write meanfield cells");
         let conv_path =
             write_meanfield_convergence_csv(&report, &args.out).expect("write meanfield report");
-        csv_render_secs += csv0.elapsed().as_secs_f64();
         let checks = meanfield_checks(&report);
         print!("{}", checks_table(&checks));
         all_pass &= checks.iter().all(|c| c.pass);
@@ -549,75 +484,43 @@ fn main() {
     };
 
     // Flatten back to task order for the manifest.
-    let outcomes: Vec<runner::TaskOutcome> = {
-        let mut all: Vec<runner::TaskOutcome> = grouped.into_iter().flatten().collect();
+    let outcomes: Vec<TaskOutcome> = {
+        let mut all: Vec<TaskOutcome> = grouped.into_iter().flatten().collect();
         all.sort_by_key(|o| o.task.id);
         all
     };
 
-    // Dump each task's JSONL trace (task order; names mirror the CSVs) and
-    // calibrate the tracing overhead on a reduced figure-6 run.
-    let overhead = args.trace_out.as_deref().map(|dir| {
-        std::fs::create_dir_all(dir).expect("create trace dir");
-        let mut written = 0usize;
+    // Dump each task's JSONL trace (task order; names mirror the CSVs).
+    if let Some(dir) = args.trace_out.as_deref() {
         for o in &outcomes {
-            let safe: String = o
-                .task
-                .label
-                .chars()
-                .map(|c| if c.is_alphanumeric() { c } else { '_' })
-                .collect();
             let stem = match &entries[o.task.experiment].tag {
-                Some(t) => format!("{}_{t}_{safe}", o.task.name),
-                None => format!("{}_{safe}", o.task.name),
+                Some(t) => format!("{}_{t}", o.task.name),
+                None => o.task.name.clone(),
             };
-            let mut body = o.trace_lines.join("\n");
-            if !body.is_empty() {
-                body.push('\n');
-            }
-            std::fs::write(dir.join(format!("{stem}.jsonl")), body).expect("write trace");
-            // The same trace as the binary ring dump `anu-inspect` reads.
-            std::fs::write(dir.join(format!("{stem}.ring")), &o.trace_ring)
-                .expect("write ring trace");
-            written += 1;
+            write_trace(dir, &stem, o);
         }
-        println!("wrote {written} JSONL+ring traces to {}", dir.display());
-        let probe = reduced(figure(6, args.seed).expect("figure 6 exists"), args.seed);
-        let over = measure_trace_overhead(&probe);
-        println!(
-            "trace overhead (reduced fig6): off {:.0} ev/s, request-level {:.0} ev/s ({:+.2}%)",
-            over.off_events_per_sec, over.on_events_per_sec, over.overhead_pct
-        );
-        over
-    });
+        println!("wrote {} JSONL traces to {}", outcomes.len(), dir.display());
+    }
 
     let events: u64 = outcomes.iter().map(|o| o.result.summary.sim_events).sum();
     let manifest = runner::manifest(
         args.seed,
-        jobs,
-        args.scale,
-        wall_secs,
         &outcomes,
         &verdicts,
         trace_level,
-        overhead.as_ref(),
         chaos_fragment.as_ref(),
         storm_fragment.as_ref(),
         meanfield_fragment.as_ref(),
-        csv_render_secs,
     );
     std::fs::write(&args.bench_out, manifest.render_pretty()).expect("write bench manifest");
     println!(
-        "\n{} tasks, {events} simulated events in {wall_secs:.2} s on {jobs} workers ({:.0} events/s) -> {}",
+        "\n{} tasks, {events} simulated events -> {}",
         outcomes.len(),
-        events as f64 / wall_secs.max(1e-9),
         args.bench_out.display()
     );
     println!(
         "overall: {}",
-        if args.scale > 1 {
-            "grid completed (shape checks skipped at scale > 1)"
-        } else if all_pass {
+        if all_pass {
             "all shape checks PASS"
         } else {
             "some shape checks FAILED"

@@ -1,18 +1,12 @@
 //! Ablation and sensitivity sweeps beyond the paper's figures.
 //!
 //! ```text
-//! sweep [--seed S] [--study NAME] [--jobs J] [--scale N]
+//! sweep [--seed S] [--study NAME] [--jobs J]
 //! ```
 //!
 //! `--jobs J` sets the worker-pool width every study's `run_all` uses
 //! (0 = one per core). Results are identical at any `J`; only wall time
 //! changes.
-//!
-//! `--scale N` multiplies every study's file-set and request counts by
-//! `N` while holding offered load constant — a throughput stress of the
-//! simulator hot path, not a different experiment. Scaled output values
-//! are non-canonical; the printed numbers only match the documented
-//! expectations at `--scale 1`.
 //!
 //! Studies:
 //! * `average`    — weighted-mean vs median delegate average (paper §4
@@ -40,21 +34,11 @@ use anu_core::{AverageKind, FileSetId, PlacementMap, ServerId, TuningConfig};
 use anu_harness::{Experiment, PolicyKind, PrescientWindow, DEFAULT_SEED};
 use anu_workload::SyntheticConfig;
 
-/// Global `--scale N` factor applied by [`base_experiment`] and
-/// [`study_scale`]; mirrors the `DEFAULT_JOBS` pattern in the runner.
-static SCALE: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(1);
-
-fn scale_factor() -> u64 {
-    SCALE.load(std::sync::atomic::Ordering::Relaxed).max(1)
-}
-
 fn base_experiment(seed: u64, policies: Vec<(String, PolicyKind)>) -> Experiment {
     let cluster = ClusterConfig::paper();
-    let k = scale_factor();
-    let mut cfg = SyntheticConfig::paper(seed);
-    cfg.n_file_sets *= k as usize;
-    cfg.total_requests *= k;
-    let workload = cfg.with_offered_load(0.5, cluster.total_speed()).generate();
+    let workload = SyntheticConfig::paper(seed)
+        .with_offered_load(0.5, cluster.total_speed())
+        .generate();
     Experiment {
         name: "sweep".into(),
         cluster,
@@ -405,7 +389,6 @@ fn study_scale(seed: u64) {
     // The paper's scalability pitch: shared state grows with servers, not
     // file sets. Run a 50-server, 5000-file-set cluster end to end.
     println!("--- scale: 50 heterogeneous servers, 5000 file sets ---");
-    let k = scale_factor();
     let mut cluster = ClusterConfig::paper();
     cluster.servers = (0..50u32)
         .map(|i| anu_cluster::ServerSpec {
@@ -414,8 +397,8 @@ fn study_scale(seed: u64) {
         })
         .collect();
     let workload = SyntheticConfig {
-        n_file_sets: 5_000 * k as usize,
-        total_requests: 300_000 * k,
+        n_file_sets: 5_000,
+        total_requests: 300_000,
         duration_secs: 6_000.0,
         weights: anu_workload::WeightDist::PowerOfUniform { alpha: 1000.0 },
         mean_cost_secs: 0.0,
@@ -537,7 +520,7 @@ fn study_hashing(seed: u64) {
     println!("  expectation: speed weights fix capacity mismatch, not workload skew; adaptivity fixes both");
 }
 
-const USAGE: &str = "usage: sweep [--seed S] [--jobs J] [--scale N] [--study average|threshold|gamma|homogeneous|churn|decentralized|failover|crossover|convergence|scale|motivation|hashing]";
+const USAGE: &str = "usage: sweep [--seed S] [--jobs J] [--study average|threshold|gamma|homogeneous|churn|decentralized|failover|crossover|convergence|scale|motivation|hashing]";
 
 /// Report a malformed command line and exit with the usage code 2.
 fn usage_error(msg: &str) -> ! {
@@ -568,25 +551,12 @@ fn main() {
                     usage_error("--jobs needs a worker count (0 = one per core)")
                 }),
             ),
-            "--scale" => SCALE.store(
-                it.next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&n: &u64| n >= 1)
-                    .unwrap_or_else(|| usage_error("--scale needs a factor >= 1")),
-                std::sync::atomic::Ordering::Relaxed,
-            ),
             "--help" | "-h" => {
                 println!("{USAGE}");
                 return;
             }
             other => usage_error(&format!("unknown argument {other}")),
         }
-    }
-    if scale_factor() > 1 {
-        println!(
-            "scale mode: {}x file sets and requests, offered load held constant (numbers non-canonical)\n",
-            scale_factor()
-        );
     }
     let all = [
         "average",

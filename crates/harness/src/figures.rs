@@ -199,13 +199,14 @@ pub fn reduced(mut exp: Experiment, seed: u64) -> Experiment {
     exp
 }
 
-/// Scale mode: figure `n` with `scale`× the file sets and requests on the
-/// same cluster, duration and policy lineup. The offered load is held
-/// constant (per-request service demand shrinks in proportion), so the
-/// run stresses the per-event hot path — a `scale`× larger id universe
-/// and event volume — rather than queueing pathology. `scale == 1` is the
-/// canonical figure; `scale != 1` workloads are non-canonical, so callers
-/// must skip the shape checks and CSV emission that pin paper outputs.
+/// Figure `n` with `scale`× the file sets and requests on the same
+/// cluster, duration and policy lineup — the `e2e-bench` `scale_hotpath`
+/// workload. The offered load is held constant (per-request service
+/// demand shrinks in proportion), so the run stresses the per-event hot
+/// path — a `scale`× larger id universe and event volume — rather than
+/// queueing pathology. `scale == 1` is the canonical figure; `scale != 1`
+/// workloads are non-canonical, so callers must skip the shape checks and
+/// CSV emission that pin paper outputs.
 pub fn figure_scaled(n: u32, seed: u64, scale: u64) -> Option<Experiment> {
     let mut exp = figure(n, seed)?;
     if scale <= 1 {

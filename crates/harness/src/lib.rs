@@ -68,6 +68,5 @@ pub use storm::{
 
 pub use runner::{
     effective_jobs, manifest, measure_trace_overhead, plan, run_grid, run_grid_traced,
-    set_default_jobs, strip_timing, FigureVerdict, SimTask, TaskOutcome, TaskProfile,
-    TraceOverhead, MANIFEST_SCHEMA,
+    set_default_jobs, FigureVerdict, SimTask, TaskOutcome, TraceOverhead, MANIFEST_SCHEMA,
 };

@@ -4,8 +4,9 @@
 //! simulations, each an independent, fully deterministic unit of work.
 //! This module enumerates that grid as [`SimTask`]s and drains it on a
 //! fixed-size worker pool (std scoped threads over a shared atomic work
-//! queue — no external dependencies), recording per-task wall time and
-//! simulated-event throughput as it goes.
+//! queue — no external dependencies). Nothing here reads a clock except
+//! [`measure_trace_overhead`]; simulator speed is measured by the
+//! `e2e-bench` harness.
 //!
 //! ## Determinism contract
 //!
@@ -17,18 +18,15 @@
 //!   function of the task's stable id;
 //! * workers only *pick* tasks through the shared queue; each simulation
 //!   runs single-threaded and shares no mutable state with its siblings;
-//! * outcomes are stored by task id, so the returned order (and any CSV or
-//!   verdict derived from it) is identical at `--jobs 1` and `--jobs N`.
-//!
-//! Only the timing fields of a [`TaskOutcome`] (wall seconds, events/sec)
-//! vary between runs; [`strip_timing`] removes them from a manifest so two
-//! runs can be compared for semantic equality.
+//! * outcomes are stored by task id, so the returned order (and any CSV,
+//!   trace, verdict or manifest derived from it) is identical at
+//!   `--jobs 1` and `--jobs N`.
 
 use crate::experiment::Experiment;
 use crate::figures::ShapeCheck;
-use anu_cluster::{ProfileScope, RunProfiler, RunResult};
+use anu_cluster::RunResult;
 use anu_core::Json;
-use anu_trace::{NullSink, RingSink, TraceLevel};
+use anu_trace::{RingSink, TraceLevel};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
@@ -55,8 +53,13 @@ use std::time::Instant;
 /// divergence rows. v9 dropped the `bench.queue` block along with the
 /// second event-queue backend. v10 dropped both throughput sections (the
 /// v4 probe and the v5 all-cores run): simulator speed is measured by the
-/// `e2e-bench` harness, not by the figures run.
-pub const MANIFEST_SCHEMA: &str = "anu-bench-figures/v10";
+/// `e2e-bench` harness, not by the figures run. v11 dropped every timing
+/// field (top-level `jobs`, `wall_secs`, `events_per_sec`,
+/// `trace_overhead`, `profile`; per-task `wall_secs`, `events_per_sec`,
+/// `profile`), the `scale` factor, and the per-task `metrics` blocks that
+/// repeated `<figure>_metrics.csv`: the manifest is now byte-identical at
+/// any worker count.
+pub const MANIFEST_SCHEMA: &str = "anu-bench-figures/v11";
 
 /// Requested worker count for [`Experiment::run_all`] when the caller does
 /// not pass one explicitly; 0 means "one worker per available core".
@@ -101,134 +104,17 @@ pub struct SimTask {
     pub seed: u64,
 }
 
-/// A completed [`SimTask`]: its simulation result plus performance
-/// accounting. Everything except `wall_secs` / `events_per_sec` is
-/// deterministic.
+/// A completed [`SimTask`]: its simulation result and trace, both
+/// identical at any worker count.
 #[derive(Clone, Debug)]
 pub struct TaskOutcome {
     /// The task that ran.
     pub task: SimTask,
-    /// The simulation result (series + summary), identical at any worker
-    /// count.
+    /// The simulation result (series + summary).
     pub result: RunResult,
-    /// Wall-clock seconds this task's simulation took (timing field).
-    pub wall_secs: f64,
-    /// Simulated events per wall-clock second (timing field).
-    pub events_per_sec: f64,
     /// Structured trace of the run, one JSONL line per event, in emission
-    /// order. Empty when the sweep ran at [`TraceLevel::Off`]. Fully
-    /// deterministic: byte-identical at any worker count.
+    /// order. Empty when the sweep ran at [`TraceLevel::Off`].
     pub trace_lines: Vec<String>,
-    /// The same trace serialized in the binary ring dump format
-    /// ([`RingSink::to_bytes`]), for `.ring` artifacts `anu-inspect`
-    /// reads. Empty at [`TraceLevel::Off`]. Byte-deterministic.
-    pub trace_ring: Vec<u8>,
-    /// Wall-clock self-profile: where this task's real time went
-    /// (timing data, like `wall_secs`).
-    pub profile: TaskProfile,
-}
-
-/// Wall-clock seconds of one task attributed to coarse subsystems.
-///
-/// `policy_decide` and `metrics_update` come from scoped [`RunProfiler`]
-/// callbacks at tick/fault boundaries; `trace_write` is the ring→JSONL
-/// decode after the timed simulation region; `event_dispatch` is the
-/// remainder of the simulation wall time — the event loop proper. Pure
-/// timing data: two runs never reproduce it, so the manifest treats the
-/// whole `profile` object as a timing field (see [`TIMING_FIELDS`]).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct TaskProfile {
-    /// Wall seconds of the timed simulation region (== `wall_secs`).
-    pub total_secs: f64,
-    /// Seconds inside policy callbacks (`on_tick`, `on_fail`,
-    /// `on_recover`, epoch handoff).
-    pub policy_decide_secs: f64,
-    /// Seconds folding local accumulators into the metrics registry.
-    pub metrics_update_secs: f64,
-    /// Seconds decoding the binary ring to JSONL lines (outside the
-    /// timed simulation region; zero for untraced tasks).
-    pub trace_write_secs: f64,
-}
-
-impl TaskProfile {
-    /// Simulation wall time not attributed to a scoped subsystem: the
-    /// event loop itself (dispatch, routing, FIFO service, tracing
-    /// appends).
-    pub fn event_dispatch_secs(&self) -> f64 {
-        (self.total_secs - self.policy_decide_secs - self.metrics_update_secs).max(0.0)
-    }
-
-    /// Manifest fragment: seconds per subsystem plus each subsystem's
-    /// share of the accounted total (simulation + trace decode).
-    pub fn to_json(&self) -> Json {
-        let accounted = self.total_secs + self.trace_write_secs;
-        let share = |s: f64| {
-            if accounted > 0.0 {
-                s / accounted
-            } else {
-                0.0
-            }
-        };
-        let dispatch = self.event_dispatch_secs();
-        Json::obj(vec![
-            ("total_secs", Json::f64(self.total_secs)),
-            ("event_dispatch_secs", Json::f64(dispatch)),
-            ("policy_decide_secs", Json::f64(self.policy_decide_secs)),
-            ("metrics_update_secs", Json::f64(self.metrics_update_secs)),
-            ("trace_write_secs", Json::f64(self.trace_write_secs)),
-            ("event_dispatch_share", Json::f64(share(dispatch))),
-            (
-                "policy_decide_share",
-                Json::f64(share(self.policy_decide_secs)),
-            ),
-            (
-                "metrics_update_share",
-                Json::f64(share(self.metrics_update_secs)),
-            ),
-            ("trace_write_share", Json::f64(share(self.trace_write_secs))),
-        ])
-    }
-
-    /// Fold another task's profile into this one (for the manifest's
-    /// top-level totals).
-    pub fn accumulate(&mut self, other: &TaskProfile) {
-        self.total_secs += other.total_secs;
-        self.policy_decide_secs += other.policy_decide_secs;
-        self.metrics_update_secs += other.metrics_update_secs;
-        self.trace_write_secs += other.trace_write_secs;
-    }
-}
-
-/// [`RunProfiler`] backed by `Instant`: accumulates elapsed wall time per
-/// scope. Scopes never nest (the world holds one at a time), so a single
-/// pending start mark suffices.
-struct WallProfiler {
-    profile: TaskProfile,
-    since: Option<Instant>,
-}
-
-impl WallProfiler {
-    fn new() -> Self {
-        WallProfiler {
-            profile: TaskProfile::default(),
-            since: None,
-        }
-    }
-}
-
-impl RunProfiler for WallProfiler {
-    fn enter(&mut self, _scope: ProfileScope) {
-        self.since = Some(Instant::now());
-    }
-
-    fn exit(&mut self, scope: ProfileScope) {
-        let Some(t0) = self.since.take() else { return };
-        let secs = t0.elapsed().as_secs_f64();
-        match scope {
-            ProfileScope::PolicyDecide => self.profile.policy_decide_secs += secs,
-            ProfileScope::MetricsUpdate => self.profile.metrics_update_secs += secs,
-        }
-    }
 }
 
 /// Enumerate the sweep grid of `experiments` in declaration order:
@@ -266,11 +152,11 @@ pub fn run_grid(experiments: &[Experiment], jobs: usize) -> Vec<TaskOutcome> {
 }
 
 /// [`run_grid`] with structured tracing: every task records its run into a
-/// per-task binary [`RingSink`] at `level`, decoded to JSONL lines after
-/// the task's wall time is measured and returned as
-/// [`TaskOutcome::trace_lines`]. Tracing never schedules simulation events,
-/// so the results (and the trace itself) stay byte-identical at any worker
-/// count; [`TraceLevel::Off`] skips the sink entirely.
+/// per-task binary [`RingSink`] at `level`, decoded to JSONL lines once
+/// the simulation ends and returned as [`TaskOutcome::trace_lines`].
+/// Tracing never schedules simulation events, so the results (and the
+/// trace itself) stay byte-identical at any worker count;
+/// [`TraceLevel::Off`] skips the sink entirely.
 pub fn run_grid_traced(
     experiments: &[Experiment],
     jobs: usize,
@@ -304,102 +190,65 @@ pub fn run_grid_traced(
         .collect()
 }
 
-/// Run one task's simulation, timing it.
-///
-/// Traced runs record into a binary [`RingSink`] and the wall clock stops
-/// *before* the sink is decoded: `wall_secs` / `events_per_sec` measure
-/// the simulation plus the fixed-width binary append only. The JSONL
-/// rendering cost is paid at flush, outside the timed region, which is
-/// what keeps the trace tax out of every recorded throughput number.
-fn run_task(task: &SimTask, exp: &Experiment, level: TraceLevel) -> TaskOutcome {
-    let (label, kind) = &exp.policies[task.policy];
-    let mut profiler = WallProfiler::new();
-    let t0 = Instant::now();
-    let mut policy = kind.build(&exp.cluster, &exp.workload, exp.seed);
-    let (mut result, sink) = if level > TraceLevel::Off {
+/// Build policy `policy` of `exp` and simulate it, recording into a
+/// binary [`RingSink`] when `level` is above [`TraceLevel::Off`].
+fn simulate(exp: &Experiment, policy: usize, level: TraceLevel) -> (RunResult, Option<RingSink>) {
+    let (label, kind) = &exp.policies[policy];
+    let mut p = kind.build(&exp.cluster, &exp.workload, exp.seed);
+    let (mut result, ring) = if level > TraceLevel::Off {
         let mut ring = RingSink::new(level);
-        let r = anu_cluster::run_traced_profiled(
-            &exp.cluster,
-            &exp.workload,
-            policy.as_mut(),
-            &mut ring,
-            &mut profiler,
-        );
+        let r = anu_cluster::run_traced(&exp.cluster, &exp.workload, p.as_mut(), &mut ring);
         (r, Some(ring))
     } else {
-        let r = anu_cluster::run_traced_profiled(
-            &exp.cluster,
-            &exp.workload,
-            policy.as_mut(),
-            &mut NullSink,
-            &mut profiler,
-        );
-        (r, None)
+        (
+            anu_cluster::run(&exp.cluster, &exp.workload, p.as_mut()),
+            None,
+        )
     };
     result.policy = label.clone();
-    let wall_secs = t0.elapsed().as_secs_f64();
-    // Trace flush happens outside the timed region and is attributed to
-    // the `trace_write` profile bucket: serialize the binary dump first
-    // (cheap copy), then pay the JSONL render.
-    let flush0 = Instant::now();
-    let (trace_lines, trace_ring) = match sink {
-        Some(ring) => (ring.decode_lines(), ring.to_bytes()),
-        None => (Vec::new(), Vec::new()),
-    };
-    let mut profile = profiler.profile;
-    profile.total_secs = wall_secs;
-    profile.trace_write_secs = flush0.elapsed().as_secs_f64();
-    let events_per_sec = if wall_secs > 0.0 {
-        result.summary.sim_events as f64 / wall_secs
-    } else {
-        0.0
-    };
+    (result, ring)
+}
+
+/// Run one task's simulation and render its trace, if any, to JSONL.
+fn run_task(task: &SimTask, exp: &Experiment, level: TraceLevel) -> TaskOutcome {
+    let (result, ring) = simulate(exp, task.policy, level);
     TaskOutcome {
         task: task.clone(),
         result,
-        wall_secs,
-        events_per_sec,
-        trace_lines,
-        trace_ring,
-        profile,
+        trace_lines: ring.map_or_else(Vec::new, |r| r.decode_lines()),
     }
 }
 
 /// Trace-overhead calibration: events/sec of the same experiment with
 /// tracing off vs fully on ([`TraceLevel::Request`] into the binary
-/// [`RingSink`]; JSONL decode happens outside the timed region, as in any
-/// traced sweep). Pure timing data — two runs never reproduce it exactly,
-/// so the manifest treats it as a timing field (see [`TIMING_FIELDS`]).
+/// [`RingSink`]). Wall-clock data, so two runs never reproduce it exactly;
+/// the `e2e-bench` harness reports it, the figures run does not.
 #[derive(Clone, Copy, Debug)]
 pub struct TraceOverhead {
     /// Simulated events per wall-clock second with the null sink.
     pub off_events_per_sec: f64,
-    /// Events per second while recording a request-level JSONL trace.
+    /// Events per second while recording a request-level binary trace.
     pub on_events_per_sec: f64,
     /// Relative slowdown in percent: `(off - on) / off * 100`.
     pub overhead_pct: f64,
 }
 
-impl TraceOverhead {
-    /// Manifest fragment.
-    pub fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("off_events_per_sec", Json::f64(self.off_events_per_sec)),
-            ("on_events_per_sec", Json::f64(self.on_events_per_sec)),
-            ("overhead_pct", Json::f64(self.overhead_pct)),
-        ])
-    }
-}
-
 /// Measure trace overhead on one experiment's first policy: run it once
 /// with the null sink and once recording a request-level binary trace, and
-/// compare events/sec. The simulation results are asserted identical —
-/// tracing must observe, never perturb.
+/// compare events/sec. Each timed region covers the policy build and the
+/// simulation; no JSONL is rendered. The simulation results are asserted
+/// identical — tracing must observe, never perturb.
 pub fn measure_trace_overhead(exp: &Experiment) -> TraceOverhead {
     let timed = |level: TraceLevel| {
-        let tasks = plan(std::slice::from_ref(exp));
-        let o = run_task(&tasks[0], exp, level);
-        (o.events_per_sec, o.result.summary)
+        let t0 = Instant::now();
+        let (result, _ring) = simulate(exp, 0, level);
+        let secs = t0.elapsed().as_secs_f64();
+        let events_per_sec = if secs > 0.0 {
+            result.summary.sim_events as f64 / secs
+        } else {
+            0.0
+        };
+        (events_per_sec, result.summary)
     };
     // Warm-up run so neither measured pass pays first-touch costs.
     let _ = timed(TraceLevel::Off);
@@ -455,45 +304,24 @@ impl FigureVerdict {
 
 /// Build the machine-readable run manifest (`BENCH_figures.json`).
 ///
-/// The schema is stable so CI can archive one manifest per commit and
-/// future changes can regress against the trajectory: timing fields
-/// (`wall_secs`, `events_per_sec`, `jobs`) measure the run; everything
-/// else — task grid, seeds, simulated event counts, verdicts — is
-/// deterministic and must be identical at any worker count (see
-/// [`strip_timing`]).
+/// Every field — task grid, seeds, simulated event counts, verdicts — is
+/// a pure function of the seed and the grid, so the rendered manifest is
+/// byte-identical at any worker count and CI compares it with `cmp`.
 ///
 /// `chaos` is the [`crate::chaos::chaos_manifest`] fragment when the run
 /// swept fault intensities, `None` otherwise (serialized as `null`);
-/// `storm` likewise the [`crate::storm::storm_manifest`] fragment when
-/// the elasticity sweep ran. `scale` is the factor the grid's workloads
-/// were multiplied by (1 for the canonical figures).
-// One parameter per manifest section, called from exactly one place (the
-// figures binary); a builder would be ceremony without safety.
-#[allow(clippy::too_many_arguments)]
+/// `storm` and `meanfield` likewise the [`crate::storm::storm_manifest`]
+/// and [`crate::meanfield::meanfield_manifest`] fragments.
 pub fn manifest(
     base_seed: u64,
-    jobs: usize,
-    scale: u64,
-    wall_secs: f64,
     outcomes: &[TaskOutcome],
     verdicts: &[FigureVerdict],
     trace_level: TraceLevel,
-    overhead: Option<&TraceOverhead>,
     chaos: Option<&Json>,
     storm: Option<&Json>,
     meanfield: Option<&Json>,
-    csv_render_secs: f64,
 ) -> Json {
     let total_events: u64 = outcomes.iter().map(|o| o.result.summary.sim_events).sum();
-    let events_per_sec = if wall_secs > 0.0 {
-        total_events as f64 / wall_secs
-    } else {
-        0.0
-    };
-    let mut totals = TaskProfile::default();
-    for o in outcomes {
-        totals.accumulate(&o.profile);
-    }
     let tasks: Vec<Json> = outcomes
         .iter()
         .map(|o| {
@@ -509,10 +337,6 @@ pub fn manifest(
                 ),
                 ("migrations", Json::u64(o.result.summary.migrations)),
                 ("trace_events", Json::usize(o.trace_lines.len())),
-                ("metrics", o.result.metrics.to_json()),
-                ("wall_secs", Json::f64(o.wall_secs)),
-                ("events_per_sec", Json::f64(o.events_per_sec)),
-                ("profile", o.profile.to_json()),
             ])
         })
         .collect();
@@ -541,17 +365,9 @@ pub fn manifest(
     Json::obj(vec![
         ("schema", Json::str(MANIFEST_SCHEMA)),
         ("base_seed", Json::u64(base_seed)),
-        ("jobs", Json::usize(jobs)),
-        ("scale", Json::u64(scale)),
         ("tasks_total", Json::usize(outcomes.len())),
         ("sim_events_total", Json::u64(total_events)),
-        ("wall_secs", Json::f64(wall_secs)),
-        ("events_per_sec", Json::f64(events_per_sec)),
         ("trace_level", Json::str(trace_level.name())),
-        (
-            "trace_overhead",
-            overhead.map_or(Json::Null, TraceOverhead::to_json),
-        ),
         (
             "all_pass",
             Json::bool(verdicts.iter().all(FigureVerdict::pass)),
@@ -559,45 +375,9 @@ pub fn manifest(
         ("chaos", chaos.cloned().unwrap_or(Json::Null)),
         ("storm", storm.cloned().unwrap_or(Json::Null)),
         ("meanfield", meanfield.cloned().unwrap_or(Json::Null)),
-        (
-            "profile",
-            Json::obj(vec![
-                ("tasks", totals.to_json()),
-                ("csv_render_secs", Json::f64(csv_render_secs)),
-            ]),
-        ),
         ("tasks", Json::arr(tasks)),
         ("figures", Json::arr(figures)),
     ])
-}
-
-/// Keys of manifest fields that legitimately differ between two runs of
-/// the same grid (they measure the run, not the simulation). The whole
-/// `profile` section is timing: it records wall-clock attribution.
-pub const TIMING_FIELDS: [&str; 5] = [
-    "wall_secs",
-    "events_per_sec",
-    "jobs",
-    "trace_overhead",
-    "profile",
-];
-
-/// Copy of a manifest with every timing field removed, at every depth.
-/// Two manifests of the same grid must be equal after stripping, whatever
-/// `--jobs` each ran with — this is what the determinism tests and the CI
-/// gate compare.
-pub fn strip_timing(j: &Json) -> Json {
-    match j {
-        Json::Obj(pairs) => Json::Obj(
-            pairs
-                .iter()
-                .filter(|(k, _)| !TIMING_FIELDS.contains(&k.as_str()))
-                .map(|(k, v)| (k.clone(), strip_timing(v)))
-                .collect(),
-        ),
-        Json::Arr(items) => Json::Arr(items.iter().map(strip_timing).collect()),
-        other => other.clone(),
-    }
 }
 
 #[cfg(test)]
@@ -698,71 +478,39 @@ mod tests {
     }
 
     #[test]
-    fn manifest_identical_modulo_timing_across_worker_counts() {
+    fn manifest_bytes_identical_across_worker_counts() {
         let exps = grid();
-        let checks = vec![ShapeCheck {
-            claim: "c".into(),
-            measured: "m".into(),
-            pass: true,
-        }];
         let verdicts = vec![FigureVerdict {
             figure: 8,
             seed: 5,
-            checks,
+            checks: vec![ShapeCheck {
+                claim: "c".into(),
+                measured: "m".into(),
+                pass: true,
+            }],
         }];
-        let a = run_grid(&exps, 1);
-        let b = run_grid(&exps, 8);
-        let over = TraceOverhead {
-            off_events_per_sec: 1e6,
-            on_events_per_sec: 9.9e5,
-            overhead_pct: 1.0,
-        };
         let chaos = Json::obj(vec![("levels", Json::arr(vec![Json::f64(1.0)]))]);
         let storm = Json::obj(vec![("kinds", Json::arr(vec![Json::str("flash_crowd")]))]);
         let meanfield = Json::obj(vec![("scales", Json::arr(vec![Json::u64(1)]))]);
-        let ma = manifest(
-            5,
-            1,
-            1,
-            1.23,
-            &a,
-            &verdicts,
-            TraceLevel::Off,
-            Some(&over),
-            Some(&chaos),
-            Some(&storm),
-            Some(&meanfield),
-            0.02,
-        );
-        let mb = manifest(
-            5,
-            8,
-            1,
-            0.45,
-            &b,
-            &verdicts,
-            TraceLevel::Off,
-            None,
-            Some(&chaos),
-            Some(&storm),
-            Some(&meanfield),
-            0.01,
-        );
-        assert_ne!(ma, mb, "timing fields must differ");
-        assert_eq!(strip_timing(&ma), strip_timing(&mb));
-        // The stripped manifest still carries the deterministic payload.
-        let stripped = strip_timing(&ma).render();
-        assert!(stripped.contains("sim_events"));
-        assert!(stripped.contains("\"schema\""));
-        assert!(!stripped.contains("wall_secs"));
-        assert!(!stripped.contains("events_per_sec"));
-        assert!(
-            !stripped.contains("\"profile\""),
-            "profile sections are timing data and must strip"
-        );
-        assert!(
-            stripped.contains("\"metrics\""),
-            "per-task metrics are deterministic and must survive stripping"
+        let render = |jobs: usize| {
+            let outcomes = run_grid_traced(&exps, jobs, TraceLevel::Epoch);
+            manifest(
+                5,
+                &outcomes,
+                &verdicts,
+                TraceLevel::Epoch,
+                Some(&chaos),
+                Some(&storm),
+                Some(&meanfield),
+            )
+            .render_pretty()
+        };
+        let serial = render(1);
+        assert!(serial.contains("\"sim_events\""));
+        assert_eq!(
+            serial,
+            render(8),
+            "manifest bytes differ across worker counts"
         );
     }
 
@@ -779,84 +527,58 @@ mod tests {
                 pass: false,
             }],
         }];
-        let m = manifest(
-            5,
-            2,
-            1,
-            0.5,
-            &outcomes,
-            &verdicts,
-            TraceLevel::Epoch,
-            None,
-            None,
-            None,
-            None,
-            0.0,
-        );
+        let m = manifest(5, &outcomes, &verdicts, TraceLevel::Epoch, None, None, None);
         assert_eq!(m.get("schema").unwrap().as_str().unwrap(), MANIFEST_SCHEMA);
-        assert_eq!(MANIFEST_SCHEMA, "anu-bench-figures/v10");
+        assert_eq!(MANIFEST_SCHEMA, "anu-bench-figures/v11");
         assert_eq!(m.get("base_seed").unwrap().as_u64().unwrap(), 5);
-        assert_eq!(m.get("scale").unwrap().as_u64().unwrap(), 1);
         assert_eq!(m.get("tasks_total").unwrap().as_usize().unwrap(), 3);
         assert_eq!(m.get("trace_level").unwrap().as_str().unwrap(), "epoch");
-        assert_eq!(m.get("trace_overhead").unwrap(), &Json::Null);
         assert_eq!(m.get("chaos").unwrap(), &Json::Null);
         assert_eq!(m.get("storm").unwrap(), &Json::Null);
         assert_eq!(m.get("meanfield").unwrap(), &Json::Null);
-        // The exact top-level shape: the v4/v5 throughput sections are
-        // gone, not null.
-        let Json::Obj(pairs) = &m else {
-            panic!("manifest should be an object, got {m:?}")
+        let keys = |j: &Json| -> Vec<String> {
+            let Json::Obj(pairs) = j else {
+                panic!("expected an object, got {j:?}")
+            };
+            pairs.iter().map(|(k, _)| k.clone()).collect()
         };
-        let keys: Vec<&str> = pairs.iter().map(|(k, _)| k.as_str()).collect();
+        // The exact top-level shape: no timing field, scale factor or
+        // throughput section, not even as null.
         assert_eq!(
-            keys,
+            keys(&m),
             [
                 "schema",
                 "base_seed",
-                "jobs",
-                "scale",
                 "tasks_total",
                 "sim_events_total",
-                "wall_secs",
-                "events_per_sec",
                 "trace_level",
-                "trace_overhead",
                 "all_pass",
                 "chaos",
                 "storm",
                 "meanfield",
-                "profile",
                 "tasks",
                 "figures",
             ]
         );
-        assert!(m.get("bench").is_err());
         assert!(!m.get("all_pass").unwrap().as_bool().unwrap());
         let tasks = m.get("tasks").unwrap().as_arr().unwrap();
         assert_eq!(tasks.len(), 3);
         for t in tasks {
+            assert_eq!(
+                keys(t),
+                [
+                    "id",
+                    "experiment",
+                    "policy",
+                    "seed",
+                    "sim_events",
+                    "completed_requests",
+                    "migrations",
+                    "trace_events",
+                ]
+            );
             assert!(t.get("sim_events").unwrap().as_u64().unwrap() > 0);
-            assert!(t.get("trace_events").is_ok());
-            assert!(t.get("wall_secs").is_ok());
-            assert!(t.get("events_per_sec").is_ok());
-            let prof = t.get("profile").unwrap();
-            assert!(prof.get("total_secs").is_ok());
-            assert!(prof.get("policy_decide_secs").is_ok());
-            assert!(prof.get("metrics_update_secs").is_ok());
-            assert!(prof.get("event_dispatch_secs").is_ok());
-            assert!(prof.get("trace_write_secs").is_ok());
-            let metrics = t.get("metrics").unwrap();
-            match metrics.get("counters").unwrap() {
-                Json::Obj(pairs) => {
-                    assert!(!pairs.is_empty(), "task metrics registry is populated");
-                }
-                other => panic!("metrics.counters should be an object, got {other:?}"),
-            }
         }
-        let profile = m.get("profile").unwrap();
-        assert!(profile.get("tasks").is_ok());
-        assert!(profile.get("csv_render_secs").is_ok());
         let figs = m.get("figures").unwrap().as_arr().unwrap();
         assert_eq!(figs.len(), 1);
         assert_eq!(figs[0].get("figure").unwrap().as_u32().unwrap(), 8);
@@ -891,8 +613,6 @@ mod tests {
         assert!(over.off_events_per_sec > 0.0);
         assert!(over.on_events_per_sec > 0.0);
         assert!(over.overhead_pct < 100.0);
-        let j = over.to_json();
-        assert!(j.get("overhead_pct").is_ok());
     }
 
     #[test]

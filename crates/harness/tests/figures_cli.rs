@@ -19,7 +19,16 @@ fn assert_usage_error(bin: &str, args: &[&str]) {
 
 #[test]
 fn unknown_argument_is_a_usage_error() {
-    assert_usage_error(env!("CARGO_BIN_EXE_figures"), &["--no-such-flag"]);
+    let cases: [(&str, &[&str]); 3] = [
+        (env!("CARGO_BIN_EXE_figures"), &["--no-such-flag"]),
+        // The hot-path stress mode lives in e2e-bench's `scale_hotpath`
+        // workload; neither binary takes a scale factor.
+        (env!("CARGO_BIN_EXE_figures"), &["--scale", "2"]),
+        (env!("CARGO_BIN_EXE_sweep"), &["--scale", "2"]),
+    ];
+    for (bin, args) in cases {
+        assert_usage_error(bin, args);
+    }
 }
 
 #[test]

@@ -1,8 +1,8 @@
 //! # anu-inspect — offline trace analysis
 //!
-//! Reads a recorded simulation trace — the binary `.ring` dump
-//! ([`anu_trace::RingSink::to_bytes`]) or its JSONL rendering — and turns
-//! the flat event stream back into per-request structure:
+//! Reads a recorded simulation trace — the JSONL rendering every traced
+//! run writes — and turns the flat event stream back into per-request
+//! structure:
 //!
 //! * **Span reconstruction**: every `arrival` is matched to its
 //!   `dispatch`(es) and `complete` via the `(file set, arrival time)`
@@ -13,7 +13,9 @@
 //!   is split into rebalance stall (buffered behind a migration), queue
 //!   wait, requeue-after-fault, and service time — the four parts
 //!   telescope back to the recorded `latency_us` exactly, and any span
-//!   where they don't is counted as an integrity violation.
+//!   where they don't (or where their sum overflows `u64`) is counted as
+//!   an integrity violation. Totals saturate, so hostile timestamps can
+//!   skew a report but never panic the analyzer.
 //! * **Integrity checking**: zero orphaned dispatches/completes, zero
 //!   unmatched span markers, and per-span attribution sums are the
 //!   "trace is trustworthy" bar the CI smoke test holds.
@@ -21,24 +23,17 @@
 //!   records) rendered as a timeline of µ, moves and per-outcome counts.
 //!
 //! This crate performs no I/O: callers (the `anu-inspect` binary, tests)
-//! hand in bytes or text and receive an [`Analysis`] value. That keeps
-//! the analysis deterministic and reusable from any harness.
+//! hand in text or decoded events and receive an [`Analysis`] value. That
+//! keeps the analysis deterministic and reusable from any harness.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use anu_core::{Json, ServerId, TuneDecision, TuneEpoch, TuneOutcome};
 use anu_des::SimTime;
-use anu_trace::{RingSink, TraceEvent, WarnCode};
+use anu_trace::{TraceEvent, WarnCode};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-
-/// Parse a binary `.ring` dump back into `(timestamp, event)` pairs.
-/// Returns `None` for anything that is not a well-formed ring dump
-/// (wrong magic, truncated, corrupt indices) — never panics.
-pub fn parse_ring(bytes: &[u8]) -> Option<Vec<(SimTime, TraceEvent)>> {
-    RingSink::from_bytes(bytes).map(|ring| ring.decode_events())
-}
 
 /// Parse a JSONL trace (one `{"t_us":…,"ev":…,…}` object per line) back
 /// into `(timestamp, event)` pairs. Blank lines are skipped; the first
@@ -55,8 +50,7 @@ pub fn parse_jsonl(text: &str) -> Result<Vec<(SimTime, TraceEvent)>, String> {
     Ok(out)
 }
 
-/// Outcomes in their pinned declaration order (the ring's id table and
-/// the timeline's column order).
+/// Outcomes in declaration order (the timeline's column order).
 const OUTCOMES: [TuneOutcome; 6] = [
     TuneOutcome::Scaled,
     TuneOutcome::Clamped,
@@ -275,7 +269,8 @@ pub struct Completion {
 ///
 /// For a completed span the four attribution parts telescope exactly:
 /// `stall + queue + requeue + service == completion.latency_us`
-/// (violations are counted in [`Integrity::attribution_mismatches`]).
+/// (violations, including a sum that overflows `u64`, are counted in
+/// [`Integrity::attribution_mismatches`]).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct RequestSpan {
     /// File set the request touched (raw workload id).
@@ -304,9 +299,13 @@ pub struct RequestSpan {
 
 impl RequestSpan {
     /// Sum of the four attribution parts; equals the recorded
-    /// end-to-end latency for every clean completed span.
-    pub fn attributed_us(&self) -> u64 {
-        self.stall_us + self.queue_us + self.requeue_us + self.service_us
+    /// end-to-end latency for every clean completed span. `None` when the
+    /// sum overflows `u64`, which only a hostile trace can cause.
+    pub fn attributed_us(&self) -> Option<u64> {
+        self.stall_us
+            .checked_add(self.queue_us)?
+            .checked_add(self.requeue_us)?
+            .checked_add(self.service_us)
     }
 }
 
@@ -339,7 +338,8 @@ impl Integrity {
     }
 }
 
-/// Attribution totals over every completed request (µs).
+/// Attribution totals over every completed request (µs), saturating at
+/// `u64::MAX`.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct Attribution {
     /// Total rebalance-stall time.
@@ -530,15 +530,16 @@ pub fn analyze(events: &[(SimTime, TraceEvent)]) -> Analysis {
             span.requeue_us = last.t_us.saturating_sub(first.t_us);
             span.service_us = done.t_us.saturating_sub(last.t_us);
         }
-        if span.attributed_us() != done.latency_us {
+        if span.attributed_us() != Some(done.latency_us) {
             a.integrity.attribution_mismatches += 1;
         }
-        a.attribution.stall_us += span.stall_us;
-        a.attribution.queue_us += span.queue_us;
-        a.attribution.requeue_us += span.requeue_us;
-        a.attribution.service_us += span.service_us;
-        a.attribution.latency_us += done.latency_us;
-        a.attribution.completed += 1;
+        let t = &mut a.attribution;
+        t.stall_us = t.stall_us.saturating_add(span.stall_us);
+        t.queue_us = t.queue_us.saturating_add(span.queue_us);
+        t.requeue_us = t.requeue_us.saturating_add(span.requeue_us);
+        t.service_us = t.service_us.saturating_add(span.service_us);
+        t.latency_us = t.latency_us.saturating_add(done.latency_us);
+        t.completed += 1;
     }
     a
 }
@@ -808,7 +809,7 @@ mod tests {
             ),
             (750, 100, 0, 400)
         );
-        assert_eq!(buffered.attributed_us(), 1250);
+        assert_eq!(buffered.attributed_us(), Some(1250));
 
         assert_eq!(a.attribution.latency_us, 1750);
         assert_eq!(
@@ -876,7 +877,7 @@ mod tests {
             (s.stall_us, s.queue_us, s.requeue_us, s.service_us),
             (0, 10, 70, 120)
         );
-        assert_eq!(s.attributed_us(), 200);
+        assert_eq!(s.attributed_us(), Some(200));
         assert_eq!(a.faults, 1);
     }
 
@@ -973,17 +974,90 @@ mod tests {
     }
 
     #[test]
-    fn ring_bytes_round_trip_into_analysis() {
-        use anu_trace::{TraceLevel, TraceSink};
-        let mut ring = RingSink::new(TraceLevel::Request);
-        for (t, e) in sample() {
-            ring.record(t, &e);
-        }
-        let events = parse_ring(&ring.to_bytes()).expect("well-formed ring");
-        assert_eq!(events, sample());
+    fn hostile_latencies_saturate_the_totals() {
+        // Two requests whose recorded latencies each take most of the
+        // u64 range: every span telescopes, but the totals would overflow.
+        let big = u64::MAX - 1;
+        let arrival = || {
+            ev(
+                0,
+                TraceEvent::RequestArrival {
+                    server: Some(0),
+                    set: 7,
+                    buffered: false,
+                },
+            )
+        };
+        let complete = || {
+            ev(
+                big,
+                TraceEvent::RequestComplete {
+                    server: 0,
+                    set: 7,
+                    latency_us: big,
+                    depth: 0,
+                },
+            )
+        };
+        let a = analyze(&[arrival(), arrival(), complete(), complete()]);
+        assert!(a.integrity.clean(), "{:?}", a.integrity);
+        assert_eq!(a.attribution.completed, 2);
+        assert_eq!(a.attribution.queue_us, u64::MAX);
+        assert_eq!(a.attribution.latency_us, u64::MAX);
+        assert!(a.report(5).contains("integrity: OK"));
+    }
+
+    #[test]
+    fn overflowing_attribution_is_a_mismatch() {
+        // Dispatches out of time order make queue and service each take
+        // most of the u64 range, so their sum overflows.
+        let big = u64::MAX - 1;
+        let events = [
+            ev(
+                0,
+                TraceEvent::RequestArrival {
+                    server: Some(0),
+                    set: 3,
+                    buffered: false,
+                },
+            ),
+            ev(
+                big,
+                TraceEvent::RequestDispatch {
+                    server: 0,
+                    set: 3,
+                    wait_us: big,
+                },
+            ),
+            ev(
+                1,
+                TraceEvent::RequestDispatch {
+                    server: 0,
+                    set: 3,
+                    wait_us: 1,
+                },
+            ),
+            ev(
+                u64::MAX,
+                TraceEvent::RequestComplete {
+                    server: 0,
+                    set: 3,
+                    latency_us: u64::MAX,
+                    depth: 0,
+                },
+            ),
+        ];
         let a = analyze(&events);
-        assert!(a.integrity.clean());
-        assert!(parse_ring(b"garbage").is_none());
+        assert_eq!(a.spans.len(), 1);
+        assert_eq!(a.spans[0].attributed_us(), None);
+        assert_eq!(
+            a.integrity,
+            Integrity {
+                attribution_mismatches: 1,
+                ..Integrity::default()
+            }
+        );
+        assert!(a.report(5).contains("integrity: VIOLATED"));
     }
 
     #[test]

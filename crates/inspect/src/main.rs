@@ -4,38 +4,32 @@
 //! anu-inspect [--top K] [--check] TRACE...
 //! ```
 //!
-//! Each `TRACE` is either a binary ring dump (`*.ring`, written by the
-//! figures runner next to the JSONL traces) or a JSONL trace. For each
-//! file the tool reconstructs per-request spans, attributes latency to
-//! queue / service / requeue-after-fault / rebalance-stall, and prints
-//! the decision timeline and the `K` slowest requests (default 10).
+//! Each `TRACE` is a JSONL trace (the `*.jsonl` files `figures
+//! --trace-out` writes). For each file the tool reconstructs per-request
+//! spans, attributes latency to queue / service / requeue-after-fault /
+//! rebalance-stall, and prints the decision timeline and the `K` slowest
+//! requests (default 10).
 //!
 //! `--check` exits non-zero if any trace fails integrity (orphaned
 //! dispatches or completes, unmatched span markers, or attribution that
 //! does not telescope to the recorded end-to-end latency) — the mode the
 //! CI smoke test runs in.
 
-use anu_inspect::{analyze, parse_jsonl, parse_ring, Analysis};
+use anu_inspect::{analyze, parse_jsonl, Analysis};
 use std::path::Path;
 use std::process::ExitCode;
 
 fn usage() -> ExitCode {
     eprintln!("usage: anu-inspect [--top K] [--check] TRACE...");
-    eprintln!("  TRACE    *.ring binary dump or JSONL trace file");
+    eprintln!("  TRACE    JSONL trace file");
     eprintln!("  --top K  show the K slowest requests (default 10)");
     eprintln!("  --check  exit 1 if any trace fails integrity checks");
     ExitCode::from(2)
 }
 
 fn load(path: &Path) -> Result<Analysis, String> {
-    let events = if path.extension().is_some_and(|e| e == "ring") {
-        let bytes = std::fs::read(path).map_err(|e| format!("read failed: {e}"))?;
-        parse_ring(&bytes).ok_or_else(|| "not a well-formed ring dump".to_string())?
-    } else {
-        let text = std::fs::read_to_string(path).map_err(|e| format!("read failed: {e}"))?;
-        parse_jsonl(&text)?
-    };
-    Ok(analyze(&events))
+    let text = std::fs::read_to_string(path).map_err(|e| format!("read failed: {e}"))?;
+    Ok(analyze(&parse_jsonl(&text)?))
 }
 
 fn main() -> ExitCode {

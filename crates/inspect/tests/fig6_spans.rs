@@ -2,9 +2,9 @@
 //! `TraceLevel::Request` must reconstruct into per-request spans with
 //! zero orphaned events and attribution that telescopes to each
 //! recorded end-to-end latency — for every policy in the lineup, via
-//! both the binary ring bytes and the JSONL rendering.
+//! the JSONL rendering `anu-inspect` reads.
 
-use anu_inspect::{analyze, parse_jsonl, parse_ring};
+use anu_inspect::{analyze, parse_jsonl};
 use anu_trace::{RingSink, TraceLevel};
 
 #[test]
@@ -19,9 +19,19 @@ fn fig6_request_spans_are_clean_for_every_policy() {
         let result =
             anu_cluster::run_traced(&exp.cluster, &exp.workload, policy.as_mut(), &mut ring);
 
-        // Ring bytes round-trip into the analyzer.
-        let bytes = ring.to_bytes();
-        let events = parse_ring(&bytes).expect("well-formed ring dump");
+        // The JSONL rendering parses back to exactly the recorded event
+        // stream.
+        let text: String = ring
+            .decode_lines()
+            .iter()
+            .map(|l| l.clone() + "\n")
+            .collect();
+        let events = parse_jsonl(&text).expect("JSONL parses");
+        assert_eq!(
+            events,
+            ring.decode_events(),
+            "{label}: JSONL/ring divergence"
+        );
         let a = analyze(&events);
 
         // Zero orphaned dispatches/completes/markers, zero attribution
@@ -50,15 +60,5 @@ fn fig6_request_spans_are_clean_for_every_policy() {
             a.attribution.latency_us,
             "{label}: aggregate attribution"
         );
-
-        // The JSONL rendering decodes to the same event stream, so both
-        // input formats yield identical analyses.
-        let text: String = ring
-            .decode_lines()
-            .iter()
-            .map(|l| l.clone() + "\n")
-            .collect();
-        let from_jsonl = parse_jsonl(&text).expect("JSONL parses");
-        assert_eq!(from_jsonl, events, "{label}: JSONL/ring divergence");
     }
 }

@@ -28,7 +28,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use anu_core::Json;
 use anu_trace::LogHistogram;
 use std::collections::BTreeMap;
 
@@ -271,66 +270,6 @@ impl Registry {
     pub fn snapshots(&self) -> &[Snapshot] {
         &self.snapshots
     }
-
-    /// Fold `other` into this registry by metric name: counters add,
-    /// gauges take `other`'s value, histograms merge bucket-by-bucket.
-    /// Metrics unknown to `self` are registered (in `other`'s order), so
-    /// merging per-shard registries yields a deterministic aggregate.
-    pub fn merge_from(&mut self, other: &Registry) {
-        for oid in other.ids() {
-            let name = other.name(oid).to_string();
-            match &other.slots[oid.index()] {
-                Slot::Counter(v) => {
-                    let id = self.counter(&name);
-                    self.inc(id, *v);
-                }
-                Slot::Gauge(v) => {
-                    let id = self.gauge(&name);
-                    self.set(id, *v);
-                }
-                Slot::Histogram(h) => {
-                    let id = self.histogram(&name);
-                    if let Some(Slot::Histogram(mine)) = self.slots.get_mut(id.index()) {
-                        mine.merge(h);
-                    }
-                }
-            }
-        }
-    }
-
-    /// Compact JSON export in registration order:
-    /// `{"counters":{…},"gauges":{…},"histograms":{name:{count,p50,p95,p99}},"snapshots":N}`.
-    ///
-    /// Deterministic by construction — identical update sequences render
-    /// identical bytes. Histogram buckets are summarized as quantiles
-    /// (the full distributions stay queryable via [`hist`](Registry::hist)).
-    pub fn to_json(&self) -> Json {
-        let mut counters = Vec::new();
-        let mut gauges = Vec::new();
-        let mut hists = Vec::new();
-        for id in self.ids() {
-            let name = self.name(id).to_string();
-            match &self.slots[id.index()] {
-                Slot::Counter(v) => counters.push((name, Json::u64(*v))),
-                Slot::Gauge(v) => gauges.push((name, Json::u64(*v))),
-                Slot::Histogram(h) => hists.push((
-                    name,
-                    Json::obj(vec![
-                        ("count", Json::u64(h.count())),
-                        ("p50", Json::u64(h.quantile(0.50))),
-                        ("p95", Json::u64(h.quantile(0.95))),
-                        ("p99", Json::u64(h.quantile(0.99))),
-                    ]),
-                )),
-            }
-        }
-        Json::obj(vec![
-            ("counters", Json::Obj(counters)),
-            ("gauges", Json::Obj(gauges)),
-            ("histograms", Json::Obj(hists)),
-            ("snapshots", Json::usize(self.snapshots.len())),
-        ])
-    }
 }
 
 #[cfg(test)]
@@ -411,31 +350,6 @@ mod tests {
     }
 
     #[test]
-    fn merge_adds_counters_and_folds_histograms() {
-        let mut a = Registry::new();
-        let ca = a.counter("n");
-        let ha = a.histogram("lat");
-        a.inc(ca, 2);
-        a.observe(ha, 1);
-
-        let mut b = Registry::new();
-        let cb = b.counter("n");
-        let hb = b.histogram("lat");
-        let gb = b.gauge("only_in_b");
-        b.inc(cb, 3);
-        b.observe(hb, 1);
-        b.observe(hb, 4000);
-        b.set(gb, 11);
-
-        a.merge_from(&b);
-        assert_eq!(a.value(a.find("n").unwrap()), 5);
-        let h = a.hist(a.find("lat").unwrap()).unwrap();
-        assert_eq!(h.count(), 3);
-        assert_eq!(h.nonzero(), vec![(1, 2), (4095, 1)]);
-        assert_eq!(a.value(a.find("only_in_b").unwrap()), 11);
-    }
-
-    #[test]
     fn install_histogram_replaces_slot() {
         let mut r = Registry::new();
         let id = r.histogram("lat");
@@ -445,22 +359,5 @@ mod tests {
         r.install_histogram(id, local);
         assert_eq!(r.value(id), 2);
         assert_eq!(r.quantile(id, 1.0), 15);
-    }
-
-    #[test]
-    fn json_export_is_shape_stable() {
-        let mut r = Registry::new();
-        let c = r.counter("events");
-        let g = r.gauge("depth");
-        let h = r.histogram("lat");
-        r.inc(c, 4);
-        r.set(g, 2);
-        r.observe(h, 100);
-        r.snapshot(0, 500);
-        let j = r.to_json();
-        assert_eq!(
-            j.render(),
-            r#"{"counters":{"events":4},"gauges":{"depth":2},"histograms":{"lat":{"count":1,"p50":127,"p95":127,"p99":127}},"snapshots":1}"#
-        );
     }
 }

@@ -8,7 +8,8 @@
 //! of it out of the loop: [`record`] packs each [`TraceEvent`] into a
 //! fixed-width binary record — six `u64` words appended to a chain of
 //! preallocated segments — and the JSONL bytes are produced only when the
-//! caller asks for them, after the run's wall time has been measured.
+//! caller asks for them, after the simulation ends. The records live in
+//! memory only; the JSONL rendering is the one on-disk trace format.
 //!
 //! The decode path reconstructs each `TraceEvent` value and renders it
 //! through the same [`render_line`] function `JsonlBuffer` uses, so the
@@ -45,7 +46,7 @@
 
 use crate::event::{TraceEvent, WarnCode};
 use crate::{render_line, TraceLevel, TraceSink};
-use anu_core::{ServerId, TuneDecision, TuneEpoch, TuneOutcome};
+use anu_core::TuneEpoch;
 use anu_des::SimTime;
 
 /// Fixed width of one encoded record, in `u64` words.
@@ -80,14 +81,13 @@ const TAG_SPAN_END: u64 = 16;
 const FLAG_SOME: u64 = 1 << 8;
 
 /// Binary trace sink: records events as fixed-width words, renders JSONL
-/// only on [`decode_lines`] / [`into_lines`].
+/// only on [`decode_lines`].
 ///
 /// Deterministic like every sink — the encoded words are a pure function
 /// of the event stream, and the decoded lines are byte-identical to what
 /// a [`JsonlBuffer`] at the same level would have captured.
 ///
 /// [`decode_lines`]: RingSink::decode_lines
-/// [`into_lines`]: RingSink::into_lines
 /// [`JsonlBuffer`]: crate::JsonlBuffer
 #[derive(Clone, Debug)]
 pub struct RingSink {
@@ -249,9 +249,9 @@ impl RingSink {
                 delayed: b != 0,
             },
             TAG_WARNING => TraceEvent::Warning {
-                // Unknown ids (corrupt bytes) fall back to the first code
-                // rather than panicking, mirroring `unpack_str`'s
-                // tolerance.
+                // Ids come from `WarnCode::id` at record time; an unknown
+                // one would fall back to the first code rather than
+                // panicking, mirroring `unpack_str`'s tolerance.
                 code: WarnCode::from_id(a).unwrap_or(WarnCode::Invariant),
                 detail: self.unpack_str(b).to_string(),
                 count: c,
@@ -287,190 +287,6 @@ impl RingSink {
                 render_line(at, &ev)
             })
             .collect()
-    }
-
-    /// Consume the sink, yielding the rendered JSONL lines.
-    pub fn into_lines(self) -> Vec<String> {
-        self.decode_lines()
-    }
-
-    /// Serialize the sink to a self-describing byte buffer (the `.ring`
-    /// dump format read by `anu-inspect`).
-    ///
-    /// Layout: a six-word header `[magic, version, level, records,
-    /// text_len, tunes]`, then the record words, the text arena padded to
-    /// an 8-byte boundary, and each [`TuneEpoch`] flattened as
-    /// `[mu_ms_bits, planned, n_decisions]` followed by six words per
-    /// decision. All words little-endian `u64`; no I/O happens here —
-    /// callers own the file write.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out =
-            Vec::with_capacity((6 + self.records * WORDS_PER_RECORD) * 8 + self.text.len() + 8);
-        let word = |buf: &mut Vec<u8>, w: u64| buf.extend_from_slice(&w.to_le_bytes());
-        word(&mut out, RING_MAGIC);
-        word(&mut out, RING_VERSION);
-        word(&mut out, self.level as u64);
-        word(&mut out, self.records as u64);
-        word(&mut out, self.text.len() as u64);
-        word(&mut out, self.tunes.len() as u64);
-        for i in 0..self.records {
-            if let Some(words) = self.record_words(i) {
-                for w in words {
-                    word(&mut out, w);
-                }
-            }
-        }
-        out.extend_from_slice(&self.text);
-        while out.len() % 8 != 0 {
-            out.push(0);
-        }
-        for tune in &self.tunes {
-            word(&mut out, tune.mu_ms.to_bits());
-            word(&mut out, u64::from(tune.planned));
-            word(&mut out, tune.decisions.len() as u64);
-            for dec in &tune.decisions {
-                word(&mut out, u64::from(dec.server.0));
-                word(&mut out, dec.latency_ms.to_bits());
-                word(&mut out, dec.old_share.to_bits());
-                word(&mut out, dec.new_share.to_bits());
-                word(&mut out, dec.applied_share.to_bits());
-                word(&mut out, outcome_id(dec.outcome));
-            }
-        }
-        out
-    }
-
-    /// Rebuild a sink from [`to_bytes`] output. Returns `None` on any
-    /// structural problem — wrong magic or version, truncation, an
-    /// unknown record tag or tune outcome, or a tune index pointing past
-    /// the side table — so corrupt dumps fail cleanly instead of
-    /// panicking in the decoder.
-    ///
-    /// [`to_bytes`]: RingSink::to_bytes
-    pub fn from_bytes(bytes: &[u8]) -> Option<RingSink> {
-        let mut cur = Cursor { bytes, at: 0 };
-        if cur.word()? != RING_MAGIC || cur.word()? != RING_VERSION {
-            return None;
-        }
-        let level = match cur.word()? {
-            0 => TraceLevel::Off,
-            1 => TraceLevel::Epoch,
-            2 => TraceLevel::Request,
-            _ => return None,
-        };
-        let records = usize::try_from(cur.word()?).ok()?;
-        let text_len = usize::try_from(cur.word()?).ok()?;
-        let n_tunes = usize::try_from(cur.word()?).ok()?;
-
-        // Records, re-chunked into fixed-capacity segments so the rebuilt
-        // sink honors the same never-reallocate invariant as a live one.
-        let mut segs = vec![Vec::with_capacity(SEG_WORDS)];
-        for i in 0..records {
-            if i > 0 && i % SEG_RECORDS == 0 {
-                segs.push(Vec::with_capacity(SEG_WORDS));
-            }
-            let mut rec = [0u64; WORDS_PER_RECORD];
-            for w in &mut rec {
-                *w = cur.word()?;
-            }
-            if rec[0] & 0xFF > TAG_SPAN_END {
-                return None;
-            }
-            if let Some(seg) = segs.last_mut() {
-                seg.extend_from_slice(&rec);
-            }
-        }
-
-        let text = cur.take(text_len)?.to_vec();
-        cur.at += (8 - cur.at % 8) % 8;
-
-        let mut tunes = Vec::with_capacity(n_tunes);
-        for _ in 0..n_tunes {
-            let mu_ms = f64::from_bits(cur.word()?);
-            let planned = cur.word()? != 0;
-            let n_dec = usize::try_from(cur.word()?).ok()?;
-            let mut decisions = Vec::with_capacity(n_dec.min(1 << 16));
-            for _ in 0..n_dec {
-                decisions.push(TuneDecision {
-                    server: ServerId(u32::try_from(cur.word()?).ok()?),
-                    latency_ms: f64::from_bits(cur.word()?),
-                    old_share: f64::from_bits(cur.word()?),
-                    new_share: f64::from_bits(cur.word()?),
-                    applied_share: f64::from_bits(cur.word()?),
-                    outcome: outcome_from_id(cur.word()?)?,
-                });
-            }
-            tunes.push(TuneEpoch {
-                mu_ms,
-                planned,
-                decisions,
-            });
-        }
-
-        let sink = RingSink {
-            level,
-            segs,
-            records,
-            text,
-            tunes,
-        };
-        // Integrity pass: every EpochEnd tune reference must land inside
-        // the side table, or `decode_record` would index out of bounds.
-        for i in 0..records {
-            let words = sink.record_words(i)?;
-            if words[0] & 0xFF == TAG_EPOCH_END
-                && words[0] & FLAG_SOME != 0
-                && words[4] as usize >= sink.tunes.len()
-            {
-                return None;
-            }
-        }
-        Some(sink)
-    }
-}
-
-/// `b"ANURING1"` read as a little-endian word — the dump file magic.
-const RING_MAGIC: u64 = u64::from_le_bytes(*b"ANURING1");
-/// Bump when the byte layout changes; readers reject unknown versions.
-const RING_VERSION: u64 = 1;
-
-/// [`TuneOutcome`] variants in declaration order; positions are the
-/// on-disk ids, pinned like the record tags — append, never renumber.
-const OUTCOMES: [TuneOutcome; 6] = [
-    TuneOutcome::Scaled,
-    TuneOutcome::Clamped,
-    TuneOutcome::Floored,
-    TuneOutcome::FrozenBand,
-    TuneOutcome::FrozenDivergent,
-    TuneOutcome::NoReport,
-];
-
-fn outcome_id(o: TuneOutcome) -> u64 {
-    OUTCOMES.iter().position(|&x| x == o).unwrap_or(0) as u64
-}
-
-fn outcome_from_id(id: u64) -> Option<TuneOutcome> {
-    OUTCOMES.get(usize::try_from(id).ok()?).copied()
-}
-
-/// Bounds-checked little-endian word reader over a dump buffer.
-struct Cursor<'a> {
-    bytes: &'a [u8],
-    at: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn word(&mut self) -> Option<u64> {
-        let b = self.take(8)?;
-        Some(u64::from_le_bytes([
-            b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7],
-        ]))
-    }
-
-    fn take(&mut self, n: usize) -> Option<&'a [u8]> {
-        let slice = self.bytes.get(self.at..self.at.checked_add(n)?)?;
-        self.at += n;
-        Some(slice)
     }
 }
 
@@ -754,74 +570,6 @@ mod tests {
             off.text_bytes().is_empty(),
             "filtered events intern nothing"
         );
-    }
-
-    #[test]
-    fn bytes_round_trip_preserves_lines_and_level() {
-        let mut ring = RingSink::new(TraceLevel::Request);
-        for (at, ev) in sample_events() {
-            ring.record(at, &ev);
-        }
-        // Include the one variable-width payload: a tuner epoch record.
-        ring.record(
-            SimTime(20),
-            &TraceEvent::EpochEnd {
-                epoch: 3,
-                moves: 1,
-                tune: Some(TuneEpoch {
-                    mu_ms: 4.25,
-                    planned: true,
-                    decisions: vec![TuneDecision {
-                        server: ServerId(2),
-                        latency_ms: 6.5,
-                        old_share: 0.25,
-                        new_share: 0.5,
-                        applied_share: 0.5,
-                        outcome: TuneOutcome::Clamped,
-                    }],
-                }),
-            },
-        );
-        let bytes = ring.to_bytes();
-        let back = RingSink::from_bytes(&bytes).expect("round trip");
-        assert_eq!(back.level(), TraceLevel::Request);
-        assert_eq!(back.len(), ring.len());
-        assert_eq!(back.decode_lines(), ring.decode_lines());
-        assert_eq!(back.to_bytes(), bytes, "re-serialization is stable");
-    }
-
-    #[test]
-    fn bytes_round_trip_across_segment_boundary() {
-        let mut ring = RingSink::new(TraceLevel::Request);
-        for i in 0..(SEG_RECORDS + 5) as u64 {
-            ring.record(SimTime(i), &TraceEvent::EpochBegin { epoch: i });
-        }
-        let back = RingSink::from_bytes(&ring.to_bytes()).expect("round trip");
-        assert_eq!(back.segs.len(), 2, "segments re-chunked on load");
-        for seg in &back.segs {
-            assert_eq!(seg.capacity(), SEG_WORDS);
-        }
-        assert_eq!(back.decode_lines(), ring.decode_lines());
-    }
-
-    #[test]
-    fn corrupt_bytes_are_rejected_not_panicked() {
-        let mut ring = RingSink::new(TraceLevel::Epoch);
-        for (at, ev) in sample_events() {
-            ring.record(at, &ev);
-        }
-        let good = ring.to_bytes();
-        assert!(RingSink::from_bytes(&[]).is_none(), "empty");
-        assert!(
-            RingSink::from_bytes(&good[..good.len() - 3]).is_none(),
-            "truncated"
-        );
-        let mut bad_magic = good.clone();
-        bad_magic[0] ^= 0xFF;
-        assert!(RingSink::from_bytes(&bad_magic).is_none(), "magic");
-        let mut bad_tag = good.clone();
-        bad_tag[48] = 0xFE; // first record's tag byte (after 6 header words)
-        assert!(RingSink::from_bytes(&bad_tag).is_none(), "unknown tag");
     }
 
     #[test]
