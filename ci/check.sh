@@ -3,9 +3,9 @@
 # order: formatting, the clippy wall (default and no-default-features),
 # the repo's own lint driver, the tier-1 build and test suite, the
 # figures determinism gate (parallel run's outputs and manifest
-# byte-identical to serial), and one end-to-end benchmark run
+# byte-identical to serial), one end-to-end benchmark run
 # (e2e-bench/: pinned fingerprint and conservation/audit checks gate;
-# its timings are reported, not gated).
+# its timings are reported, not gated), and e2e-bench's own tests.
 # Fails fast on the first broken step and prints a per-step timing
 # summary at the end.
 #
@@ -161,6 +161,13 @@ step "e2e-bench scale_hotpath (fingerprint + conservation/audit checks; timings 
 # performance claim can point at a number this script produced.
 cargo run --release --quiet --manifest-path e2e-bench/Cargo.toml --bin e2e -- \
     --workload scale_hotpath --seed 1 --seconds 0
+
+step "e2e-bench tests (its own workspace; not covered by the tier-1 cargo test)"
+# e2e-bench is a separate Cargo workspace, so the root `cargo test` never
+# builds its tests. They call workspace APIs (`run_traced_profiled`,
+# `Assignment`, `ClusterView`, `MoveSet`), so a workspace change that
+# breaks an API only e2e-bench uses fails here and nowhere else.
+cargo test -q --manifest-path e2e-bench/Cargo.toml
 
 summary
 printf '\n==> all checks passed\n'

@@ -1,13 +1,8 @@
 //! Benchmarks of the simulation substrates: the DES kernel's event
-//! calendar and FIFO stations, and end-to-end simulated-events-per-second
-//! for the cluster world.
+//! calendar and FIFO stations.
 
 use anu_bench::bench;
-use anu_cluster::{run, ClusterConfig};
-use anu_core::TuningConfig;
 use anu_des::{Calendar, FifoStation, Job, SimDuration, SimTime, StartService};
-use anu_harness::{Experiment, PolicyKind};
-use anu_workload::{CostModel, SyntheticConfig, WeightDist};
 use std::hint::black_box;
 
 fn bench_calendar() {
@@ -51,51 +46,7 @@ fn bench_station() {
     });
 }
 
-fn small_experiment(policy: (&str, PolicyKind)) -> Experiment {
-    let cluster = ClusterConfig::paper();
-    Experiment {
-        name: "bench".into(),
-        workload: SyntheticConfig {
-            n_file_sets: 100,
-            total_requests: 10_000,
-            duration_secs: 1_000.0,
-            weights: WeightDist::PowerOfUniform { alpha: 100.0 },
-            mean_cost_secs: 0.0,
-            cost: CostModel::UniformSpread { spread: 0.2 },
-            seed: 3,
-        }
-        .with_offered_load(0.5, cluster.total_speed())
-        .generate(),
-        cluster,
-        policies: vec![(policy.0.to_string(), policy.1)],
-        seed: 3,
-    }
-}
-
-fn bench_world() {
-    for (label, kind) in [
-        ("round-robin", PolicyKind::RoundRobin),
-        (
-            "anu",
-            PolicyKind::Anu {
-                tuning: TuningConfig::paper(),
-            },
-        ),
-    ] {
-        let exp = small_experiment((label, kind));
-        bench(&format!("world/10k-requests/{label}"), || {
-            let mut policy = exp.policies[0]
-                .1
-                .build(&exp.cluster, &exp.workload, exp.seed);
-            run(&exp.cluster, &exp.workload, policy.as_mut())
-                .summary
-                .completed_requests
-        });
-    }
-}
-
 fn main() {
     bench_calendar();
     bench_station();
-    bench_world();
 }

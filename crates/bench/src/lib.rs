@@ -7,14 +7,14 @@
 //!
 //! * `placement` — micro-benches of the core data structures (hash family,
 //!   locate, rebalance, membership);
-//! * `simulation` — DES kernel throughput and end-to-end simulated events
-//!   per second;
-//! * `figures` — one benchmark per paper figure (6–11) at reduced scale;
+//! * `simulation` — DES kernel costs: the event calendar and FIFO
+//!   stations;
 //! * `ablations` — tuner cost per heuristic configuration, full delegate
 //!   cycles, membership-churn relocation.
 //!
-//! Run with `cargo bench -p anu-bench`. The full-size figure *data* comes
-//! from the `figures` binary in `anu-harness`, not from these benches.
+//! Run with `cargo bench -p anu-bench`. Whole simulations are timed by
+//! `e2e-bench/`, the repo's end-to-end benchmark; the figure *data* comes
+//! from the `figures` binary in `anu-harness`.
 //!
 //! Timing methodology: each benchmark warms up until ~50 ms of work has
 //! run, then takes [`SAMPLES`] timed batches and reports the median and
@@ -40,17 +40,6 @@ pub struct Measurement {
     pub min_ns: f64,
     /// Iterations executed per timed batch.
     pub iters_per_batch: u64,
-}
-
-impl Measurement {
-    /// Iterations per second implied by the median.
-    pub fn per_second(&self) -> f64 {
-        if self.median_ns > 0.0 {
-            1e9 / self.median_ns
-        } else {
-            f64::INFINITY
-        }
-    }
 }
 
 impl ToJson for Measurement {

@@ -620,22 +620,12 @@ impl<'a> World<'a> {
                 continue;
             }
             // The releasing server drops the set: its cache is flushed.
-            // Queued jobs either complete at the releasing server (the
-            // paper's flush semantics — leaving the "memento" tasks that
-            // divergent tuning compensates for) or, optionally, follow the
-            // set to its new owner.
-            let mut buffered = Vec::new();
+            // Queued jobs complete at the releasing server (the paper's
+            // flush semantics — leaving the "memento" tasks that divergent
+            // tuning compensates for).
             let from = self.assignment[set];
             if let Some(from) = from {
-                {
-                    let st = &mut self.servers[from as usize];
-                    st.warmth[set] = 0;
-                    if self.cfg.migration.queued_follow {
-                        for job in st.station.remove_queued(|m| m.set as usize == set) {
-                            buffered.push((job.arrival, job.meta.cost));
-                        }
-                    }
-                }
+                self.servers[from as usize].warmth[set] = 0;
             }
             if self.tracer.enabled(TraceLevel::Epoch) {
                 let from_id = from.map(|s| self.server_ids.get(s as usize).0);
@@ -661,7 +651,10 @@ impl<'a> World<'a> {
                     },
                 );
             }
-            self.migrations[set] = Some(Migration { to, buffered });
+            self.migrations[set] = Some(Migration {
+                to,
+                buffered: Vec::new(),
+            });
             self.cal
                 .schedule(now + delay, Event::MigrationDone(set as u32));
             self.migration_count += 1;
@@ -1721,20 +1714,21 @@ mod tests {
         let cfg = ClusterConfig::paper();
         let w = small_workload(2);
         let untraced = run(&cfg, &w, &mut PingPong { flip: false });
-        let mut buf = anu_trace::JsonlBuffer::new(TraceLevel::Request);
-        let traced = run_traced(&cfg, &w, &mut PingPong { flip: false }, &mut buf);
+        let mut ring = anu_trace::RingSink::new(TraceLevel::Request);
+        let traced = run_traced(&cfg, &w, &mut PingPong { flip: false }, &mut ring);
         assert_eq!(untraced.summary, traced.summary);
         assert_eq!(untraced.epochs, traced.epochs);
         // The request-level stream covers at least arrival + completion
         // per request, and every line is parseable JSON.
-        assert!(buf.lines().len() >= 2 * w.requests.len());
-        for line in buf.lines().iter().take(50) {
+        let lines = ring.decode_lines();
+        assert!(lines.len() >= 2 * w.requests.len());
+        for line in lines.iter().take(50) {
             assert!(anu_core::Json::parse(line).is_ok(), "bad JSONL: {line}");
         }
         // Byte-determinism of the stream itself.
-        let mut buf2 = anu_trace::JsonlBuffer::new(TraceLevel::Request);
-        run_traced(&cfg, &w, &mut PingPong { flip: false }, &mut buf2);
-        assert_eq!(buf.lines(), buf2.lines());
+        let mut ring2 = anu_trace::RingSink::new(TraceLevel::Request);
+        run_traced(&cfg, &w, &mut PingPong { flip: false }, &mut ring2);
+        assert_eq!(lines, ring2.decode_lines());
     }
 
     #[test]
@@ -1746,8 +1740,8 @@ mod tests {
         assert_eq!(a.metrics, b.metrics, "registry must be run-deterministic");
         // ...and identical with a sink attached: metrics are a function of
         // the simulated trajectory, which tracing never perturbs.
-        let mut buf = anu_trace::JsonlBuffer::new(TraceLevel::Request);
-        let traced = run_traced(&cfg, &w, &mut Modulo, &mut buf);
+        let mut ring = anu_trace::RingSink::new(TraceLevel::Request);
+        let traced = run_traced(&cfg, &w, &mut Modulo, &mut ring);
         assert_eq!(a.metrics, traced.metrics);
 
         // The event-mix counters partition the simulated event count.
@@ -2219,11 +2213,11 @@ mod tests {
         assert_eq!(r.metrics.value(shed), r.summary.requests_shed);
         // Deterministic, and identical under tracing (the degraded span
         // changes what is recorded, never what is simulated).
-        let mut buf = anu_trace::JsonlBuffer::new(TraceLevel::Epoch);
-        let traced = run_traced(&cfg, &w, &mut Modulo, &mut buf);
+        let mut ring = anu_trace::RingSink::new(TraceLevel::Epoch);
+        let traced = run_traced(&cfg, &w, &mut Modulo, &mut ring);
         assert_eq!(r.summary, traced.summary);
-        let degraded_spans = buf
-            .lines()
+        let degraded_spans = ring
+            .decode_lines()
             .iter()
             .filter(|l| l.contains("\"degraded\""))
             .count();
@@ -2423,31 +2417,6 @@ mod cache_tests {
         assert!(
             u_cold > u_warm,
             "cold-cache utilization {u_cold:.4} must exceed warm {u_warm:.4}"
-        );
-    }
-
-    #[test]
-    fn queued_follow_moves_waiting_requests() {
-        // With queued_follow, the destination serves strictly more of the
-        // moved set's requests (it also gets the backlog).
-        let w = uniform_workload(22);
-        let moved = FileSetId(0);
-        let dest = ServerId(4);
-        let run_mode = |follow: bool| {
-            let mut cfg = ClusterConfig::paper();
-            cfg.migration.queued_follow = follow;
-            let mut p = OneMove {
-                set: moved,
-                to: dest,
-                done: false,
-            };
-            run(&cfg, &w, &mut p).summary.per_server_requests[&dest]
-        };
-        let with_follow = run_mode(true);
-        let without = run_mode(false);
-        assert!(
-            with_follow >= without,
-            "queued_follow {with_follow} vs flush-at-source {without}"
         );
     }
 }

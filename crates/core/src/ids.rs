@@ -61,13 +61,6 @@ impl FileSetId {
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct SetName<'a>(pub &'a [u8]);
 
-impl<'a> SetName<'a> {
-    /// View a UTF-8 string as a set name.
-    pub fn of_str(s: &'a str) -> Self {
-        SetName(s.as_bytes())
-    }
-}
-
 impl<'a> AsRef<[u8]> for SetName<'a> {
     fn as_ref(&self) -> &[u8] {
         self.0
@@ -98,7 +91,7 @@ mod tests {
 
     #[test]
     fn set_name_from_str() {
-        let n = SetName::of_str("projects/alpha");
+        let n = SetName("projects/alpha".as_bytes());
         assert_eq!(n.as_ref(), b"projects/alpha");
     }
 }

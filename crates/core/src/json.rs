@@ -290,11 +290,13 @@ impl Json {
     }
 
     /// Parse a JSON document. Trailing whitespace is allowed; trailing
-    /// content is an error.
+    /// content, and arrays or objects nested more than 128 levels deep,
+    /// are errors.
     pub fn parse(text: &str) -> Result<Json, JsonError> {
         let mut p = Parser {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -342,9 +344,17 @@ fn write_escaped(s: &str, out: &mut String) {
     out.push('"');
 }
 
+/// Deepest array/object nesting [`Json::parse`] accepts. The parser
+/// recurses once per level, so without a bound a line of `[`s from outside
+/// the process overflows the stack; the deepest document the workspace
+/// writes nests 5 levels.
+const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -389,8 +399,19 @@ impl<'a> Parser<'a> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(c @ (b'[' | b'{')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(self.err(format!("nesting deeper than {MAX_DEPTH} levels")));
+                }
+                self.depth += 1;
+                let v = if c == b'[' {
+                    self.array()
+                } else {
+                    self.object()
+                };
+                self.depth -= 1;
+                v
+            }
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             Some(c) => Err(self.err(format!("unexpected {:?}", c as char))),
             None => Err(self.err("unexpected end of input")),
@@ -657,6 +678,25 @@ mod tests {
         assert!(Json::parse("nul").is_err());
         assert!(Json::parse("1 2").is_err());
         assert!(Json::parse(r#"{"a" 1}"#).is_err());
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        for open in ["[", "{\"a\":"] {
+            let err = Json::parse(&open.repeat(100_000)).unwrap_err();
+            assert!(err.message.contains("nesting"), "{err}");
+        }
+        // Objects and arrays share one depth count.
+        let mixed = "[{\"a\":".repeat(MAX_DEPTH / 2) + "[";
+        assert!(Json::parse(&mixed).unwrap_err().message.contains("nesting"));
+    }
+
+    #[test]
+    fn nesting_at_the_limit_parses() {
+        let nested = |n: usize| "[".repeat(n) + &"]".repeat(n);
+        let v = Json::parse(&nested(MAX_DEPTH)).unwrap();
+        assert_eq!(v.render(), nested(MAX_DEPTH));
+        assert!(Json::parse(&nested(MAX_DEPTH + 1)).is_err());
     }
 
     #[test]

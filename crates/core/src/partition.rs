@@ -169,11 +169,6 @@ impl PartitionTable {
         self.regions.values().map(|r| r.share(w)).sum()
     }
 
-    /// Number of free partitions.
-    pub fn free_parts(&self) -> usize {
-        self.free.len()
-    }
-
     /// State of partition `idx`.
     pub fn part(&self, idx: u32) -> PartitionState {
         self.parts[num::usize_of_u32(idx)]

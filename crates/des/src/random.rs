@@ -11,7 +11,7 @@
 //! bit-for-bit reproducible across machines, toolchains, and dependency
 //! upgrades, which the whole evaluation methodology relies on.
 //!
-//! Samplers for the exponential, Zipf, Pareto and discrete distributions
+//! Samplers for the exponential, Zipf and discrete distributions
 //! are implemented on top of the raw uniforms — no extra dependency.
 
 /// A deterministic random stream (xoshiro256++ with SplitMix64 seeding).
@@ -133,17 +133,6 @@ impl RngStream {
         debug_assert!(rate > 0.0);
         // 1 - U in (0, 1] avoids ln(0).
         -(1.0 - self.uniform()).ln() / rate
-    }
-
-    /// Bounded Pareto draw on `[lo, hi]` with shape `alpha` (heavy tails
-    /// for burst magnitudes).
-    pub fn bounded_pareto(&mut self, alpha: f64, lo: f64, hi: f64) -> f64 {
-        debug_assert!(alpha > 0.0 && lo > 0.0 && hi > lo);
-        let u = self.uniform();
-        let la = lo.powf(alpha);
-        let ha = hi.powf(alpha);
-        // Inverse CDF of the bounded Pareto.
-        (-(u * (ha - la) - ha) / (ha * la)).powf(-1.0 / alpha)
     }
 
     /// Sample an index from a discrete distribution given its cumulative
@@ -349,15 +338,6 @@ mod tests {
         let n = 20_000;
         let mean: f64 = (0..n).map(|_| r.exponential(4.0)).sum::<f64>() / n as f64;
         assert!((mean - 0.25).abs() < 0.01, "mean {mean}");
-    }
-
-    #[test]
-    fn bounded_pareto_in_bounds() {
-        let mut r = RngStream::new(3, "p");
-        for _ in 0..2000 {
-            let x = r.bounded_pareto(1.5, 1.0, 100.0);
-            assert!((1.0..=100.0).contains(&x), "{x}");
-        }
     }
 
     #[test]

@@ -205,11 +205,6 @@ impl TimeSeries {
         b.max = b.max.max(value);
     }
 
-    /// Bucket width.
-    pub fn bucket_width(&self) -> SimDuration {
-        self.width
-    }
-
     /// The buckets in time order.
     pub fn buckets(&self) -> &[Bucket] {
         &self.buckets

@@ -176,7 +176,7 @@ pub fn fig11(seed: u64) -> Experiment {
 
 /// Shrink a figure experiment to ~10% scale with identical structure:
 /// same cluster, same policy lineup, same workload family and skew. Used
-/// by the per-figure Criterion benches and the CI-speed shape tests; the
+/// by the chaos sweep, `e2e-bench` and the CI-speed shape tests; the
 /// full-size series come from the `figures` binary.
 pub fn reduced(mut exp: Experiment, seed: u64) -> Experiment {
     exp.workload = if exp.workload.label == "dfstrace-like" {

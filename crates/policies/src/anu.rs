@@ -119,12 +119,6 @@ impl AnuPolicy {
         (self.ticks_with_moves, self.ticks_total)
     }
 
-    /// Simulate a delegate failover: the next divergent-tuning decision has
-    /// no previous-interval state to compare against.
-    pub fn delegate_failover(&mut self) {
-        self.planner.forget();
-    }
-
     fn target_assignment(
         map: &PlacementMap,
         file_sets: &[FileSetId],

@@ -48,12 +48,6 @@ impl Prescient {
         }
     }
 
-    /// Override the hysteresis threshold (1.0 = always adopt fresh packing).
-    pub fn with_improvement_threshold(mut self, t: f64) -> Self {
-        self.improvement_threshold = t;
-        self
-    }
-
     /// Freeze the configuration: solve the packing once at time zero and
     /// never re-pack on ticks (failures still force one). This is the
     /// paper's observed behavior on stationary workloads — "the prescient

@@ -17,9 +17,10 @@
 //!    [`TraceLevel`] in a plain enum; every instrumentation site guards on
 //!    [`Tracer::enabled`], a single integer compare, before constructing an
 //!    event. With a [`NullSink`] no event is ever built.
-//! 3. **No I/O here.** Sinks buffer rendered lines ([`JsonlBuffer`]) or
-//!    drop them ([`NullSink`]); callers decide what reaches disk, so the
-//!    simulation core stays free of filesystem effects.
+//! 3. **No I/O here.** Sinks hold events in memory ([`RingSink`], which
+//!    renders them to JSONL on request) or drop them ([`NullSink`]);
+//!    callers decide what reaches disk, so the simulation core stays free
+//!    of filesystem effects.
 //!
 //! Event records are rendered as one JSON object per line (JSONL) through
 //! the hand-rolled [`anu_core::json`] module, keeping the workspace
@@ -37,10 +38,10 @@ use anu_des::SimTime;
 
 /// Render one event as its canonical JSONL line: `{"t_us":…,"ev":…,…}`.
 ///
-/// This is the single rendering path shared by every sink — the
-/// [`JsonlBuffer`] hot path and the [`RingSink`] flush-time decoder call
-/// the same function, so trace bytes are identical whichever sink
-/// recorded the run.
+/// This is the single rendering path: [`RingSink::decode_lines`] calls
+/// it at flush time. Rendering goes through [`anu_core::json`], so float
+/// and escape behavior is identical to every other artifact the
+/// workspace writes — and byte-stable across runs.
 pub fn render_line(at: SimTime, event: &TraceEvent) -> String {
     let mut obj = vec![("t_us".to_string(), anu_core::Json::u64(at.0))];
     let anu_core::Json::Obj(fields) = event.to_json() else {
@@ -115,55 +116,6 @@ impl TraceSink for NullSink {
         TraceLevel::Off
     }
     fn record(&mut self, _at: SimTime, _event: &TraceEvent) {}
-}
-
-/// Buffers events as rendered JSONL lines (no trailing newline per line).
-///
-/// Each line is a compact JSON object: `{"t_us":…,"ev":"…",…}` with the
-/// simulated timestamp in microseconds first, then the event's own
-/// fields. Rendering goes through [`anu_core::json`], so float and
-/// escape behavior is identical to every other artifact the workspace
-/// writes — and byte-stable across runs.
-#[derive(Clone, Debug)]
-pub struct JsonlBuffer {
-    level: TraceLevel,
-    lines: Vec<String>,
-}
-
-impl JsonlBuffer {
-    /// A buffer capturing events up to `level`.
-    pub fn new(level: TraceLevel) -> Self {
-        JsonlBuffer {
-            level,
-            lines: Vec::new(),
-        }
-    }
-
-    /// The captured lines, in emission order.
-    pub fn lines(&self) -> &[String] {
-        &self.lines
-    }
-
-    /// Consume the buffer, yielding the captured lines.
-    pub fn into_lines(self) -> Vec<String> {
-        self.lines
-    }
-}
-
-impl TraceSink for JsonlBuffer {
-    fn level(&self) -> TraceLevel {
-        self.level
-    }
-
-    fn record(&mut self, at: SimTime, event: &TraceEvent) {
-        // Mirror of the [`RingSink`] intrinsic-level gate, so both sinks
-        // capture byte-identical line sets when driven directly (the
-        // `Tracer` already filters on site level before calling us).
-        if event.level() > self.level {
-            return;
-        }
-        self.lines.push(render_line(at, event));
-    }
 }
 
 /// The instrumentation handle threaded through a simulation run.
@@ -257,8 +209,8 @@ mod tests {
         assert!(!t.enabled(TraceLevel::Epoch));
         assert!(!t.enabled(TraceLevel::Request));
 
-        let mut buf = JsonlBuffer::new(TraceLevel::Epoch);
-        let t = Tracer::new(&mut buf);
+        let mut ring = RingSink::new(TraceLevel::Epoch);
+        let t = Tracer::new(&mut ring);
         assert!(t.enabled(TraceLevel::Epoch));
         assert!(!t.enabled(TraceLevel::Request));
     }
@@ -273,8 +225,8 @@ mod tests {
 
     #[test]
     fn jsonl_buffer_renders_timestamp_first() {
-        let mut buf = JsonlBuffer::new(TraceLevel::Request);
-        let mut t = Tracer::new(&mut buf);
+        let mut ring = RingSink::new(TraceLevel::Request);
+        let mut t = Tracer::new(&mut ring);
         t.emit(
             TraceLevel::Request,
             SimTime(1500),
@@ -284,20 +236,20 @@ mod tests {
             },
         );
         assert_eq!(
-            buf.lines(),
+            ring.decode_lines(),
             [r#"{"t_us":1500,"ev":"queue_depth","server":2,"depth":7}"#]
         );
     }
 
     #[test]
     fn spans_nest_and_balance() {
-        let mut buf = JsonlBuffer::new(TraceLevel::Epoch);
-        let mut t = Tracer::new(&mut buf);
+        let mut ring = RingSink::new(TraceLevel::Epoch);
+        let mut t = Tracer::new(&mut ring);
         let outer = t.open(SimTime(0), "run");
         let inner = t.open(SimTime(10), "epoch");
         t.close(SimTime(20), inner);
         t.close(SimTime(30), outer);
-        let lines = buf.lines();
+        let lines = ring.decode_lines();
         assert_eq!(lines.len(), 4);
         assert!(lines[0].contains(r#""ev":"span_begin","id":0,"parent":null,"label":"run""#));
         assert!(lines[1].contains(r#""id":1,"parent":0,"label":"epoch""#));
@@ -308,7 +260,7 @@ mod tests {
     #[test]
     fn span_ids_advance_even_when_off() {
         // Ids are part of the Tracer's local state, not the sink's, so a
-        // NullSink run and a buffered run walk the same id sequence.
+        // NullSink run and a recorded run walk the same id sequence.
         let mut sink = NullSink;
         let mut t = Tracer::new(&mut sink);
         let a = t.open(SimTime(0), "run");

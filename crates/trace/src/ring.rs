@@ -1,21 +1,20 @@
 //! The binary ring-buffer sink: fixed-width event records, decoded to
 //! JSONL only at flush.
 //!
-//! [`JsonlBuffer`] pays the full JSON rendering cost — field-name
-//! strings, number formatting, per-line `String` allocation — *inside*
-//! the simulation hot loop, once per event. That tax dominated traced
-//! runs (97% throughput loss at request level). [`RingSink`] moves all
-//! of it out of the loop: [`record`] packs each [`TraceEvent`] into a
-//! fixed-width binary record — six `u64` words appended to a chain of
-//! preallocated segments — and the JSONL bytes are produced only when the
-//! caller asks for them, after the simulation ends. The records live in
-//! memory only; the JSONL rendering is the one on-disk trace format.
+//! Rendering JSON inside the simulation hot loop — field-name strings,
+//! number formatting, per-line `String` allocation, once per event —
+//! dominated traced runs (97% throughput loss at request level).
+//! [`RingSink`] moves all of it out of the loop: [`record`] packs each
+//! [`TraceEvent`] into a fixed-width binary record — six `u64` words
+//! appended to a chain of preallocated segments — and the JSONL bytes are
+//! produced only when the caller asks for them, after the simulation
+//! ends. The records live in memory only; the JSONL rendering is the one
+//! on-disk trace format.
 //!
 //! The decode path reconstructs each `TraceEvent` value and renders it
-//! through the same [`render_line`] function `JsonlBuffer` uses, so the
-//! flushed lines are byte-identical to a `JsonlBuffer` recording of the
-//! same run — the committed trace goldens and the jobs-1-vs-N
-//! determinism gates hold unchanged over the binary sink.
+//! through [`render_line`], so the flushed lines are exactly the
+//! rendering of the recorded events — the committed trace goldens and
+//! the jobs-1-vs-N determinism gates pin those bytes.
 //!
 //! ## Record layout (pinned by the `ring_golden` fixture test)
 //!
@@ -84,11 +83,11 @@ const FLAG_SOME: u64 = 1 << 8;
 /// only on [`decode_lines`].
 ///
 /// Deterministic like every sink — the encoded words are a pure function
-/// of the event stream, and the decoded lines are byte-identical to what
-/// a [`JsonlBuffer`] at the same level would have captured.
+/// of the event stream, and the decoded lines are the [`render_line`]
+/// renderings of the events the sink's level admits.
 ///
 /// [`decode_lines`]: RingSink::decode_lines
-/// [`JsonlBuffer`]: crate::JsonlBuffer
+/// [`render_line`]: crate::render_line
 #[derive(Clone, Debug)]
 pub struct RingSink {
     level: TraceLevel,
@@ -276,9 +275,6 @@ impl RingSink {
     }
 
     /// Render every record as its canonical JSONL line, in emission order.
-    /// Byte-identical to a [`JsonlBuffer`] capture of the same events.
-    ///
-    /// [`JsonlBuffer`]: crate::JsonlBuffer
     pub fn decode_lines(&self) -> Vec<String> {
         (0..self.records)
             .filter_map(|i| self.record_words(i))
@@ -441,7 +437,7 @@ fn flag(some: bool) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{JsonlBuffer, Tracer};
+    use crate::Tracer;
 
     fn sample_events() -> Vec<(SimTime, TraceEvent)> {
         vec![
@@ -492,12 +488,16 @@ mod tests {
     #[test]
     fn decode_matches_jsonl_buffer_bytes() {
         let mut ring = RingSink::new(TraceLevel::Request);
-        let mut jsonl = JsonlBuffer::new(TraceLevel::Request);
-        for (at, ev) in sample_events() {
-            ring.record(at, &ev);
-            jsonl.record(at, &ev);
+        let events = sample_events();
+        for (at, ev) in &events {
+            ring.record(*at, ev);
         }
-        assert_eq!(ring.decode_lines(), jsonl.lines());
+        let expected: Vec<String> = events
+            .iter()
+            .filter(|(_, ev)| ev.level() <= TraceLevel::Request)
+            .map(|(at, ev)| render_line(*at, ev))
+            .collect();
+        assert_eq!(ring.decode_lines(), expected);
     }
 
     #[test]
@@ -544,14 +544,18 @@ mod tests {
     #[test]
     fn intrinsic_level_filters_before_encode() {
         // An Epoch-level ring driven directly with request events must
-        // drop them before interning or encoding anything — and match a
-        // JsonlBuffer at the same level byte for byte.
+        // drop them before interning or encoding anything — and render
+        // exactly the events the level admits.
         let mut ring = RingSink::new(TraceLevel::Epoch);
-        let mut jsonl = JsonlBuffer::new(TraceLevel::Epoch);
-        for (at, ev) in sample_events() {
-            ring.record(at, &ev);
-            jsonl.record(at, &ev);
+        let events = sample_events();
+        for (at, ev) in &events {
+            ring.record(*at, ev);
         }
+        let expected: Vec<String> = events
+            .iter()
+            .filter(|(_, ev)| ev.level() <= TraceLevel::Epoch)
+            .map(|(at, ev)| render_line(*at, ev))
+            .collect();
         // Arrivals filtered; Warning/Slowdown/spans kept (Epoch level).
         assert_eq!(ring.len(), 4);
         assert_eq!(
@@ -559,7 +563,7 @@ mod tests {
             b"tail requestsrun",
             "arena holds only surviving events' strings"
         );
-        assert_eq!(ring.decode_lines(), jsonl.lines());
+        assert_eq!(ring.decode_lines(), expected);
 
         let mut off = RingSink::new(TraceLevel::Off);
         for (at, ev) in sample_events() {

@@ -1,6 +1,6 @@
 //! Pins the binary ring-sink record layout and proves encode→decode
-//! reproduces `JsonlBuffer` output byte-for-byte across every
-//! `TraceEvent` variant.
+//! reproduces the `render_line` JSONL of the recorded events
+//! byte-for-byte across every `TraceEvent` variant.
 //!
 //! The golden fixture here is the compatibility contract for the on-wire
 //! record shape: six little-endian `u64` words per record — word 0 is
@@ -11,7 +11,7 @@
 
 use anu_core::{TuneDecision, TuneEpoch, TuneOutcome};
 use anu_des::SimTime;
-use anu_trace::{JsonlBuffer, RingSink, TraceEvent, TraceLevel, TraceSink, WarnCode};
+use anu_trace::{render_line, RingSink, TraceEvent, TraceLevel, TraceSink, WarnCode};
 
 /// Presence flag for a variant's `Option` payload (bit 8 of word 0).
 const FLAG_SOME: u64 = 1 << 8;
@@ -346,7 +346,6 @@ fn ring_matches_jsonl_buffer_bytes_across_all_variants() {
     for seed in 0..8u64 {
         let mut state = seed.wrapping_mul(0x5851_f42d_4c95_7f2d).wrapping_add(seed);
         let mut ring = RingSink::new(TraceLevel::Request);
-        let mut jsonl = JsonlBuffer::new(TraceLevel::Request);
         let mut t = 0u64;
         let mut originals = Vec::new();
         for _ in 0..1200 {
@@ -354,15 +353,19 @@ fn ring_matches_jsonl_buffer_bytes_across_all_variants() {
             t += next(&mut state) % 3;
             let ev = gen_event(&mut state);
             ring.record(SimTime(t), &ev);
-            jsonl.record(SimTime(t), &ev);
             originals.push((SimTime(t), ev));
         }
         assert_eq!(ring.len(), originals.len());
         // Byte-identical flush output...
+        let expected: Vec<String> = originals
+            .iter()
+            .filter(|(_, ev)| ev.level() <= TraceLevel::Request)
+            .map(|(at, ev)| render_line(*at, ev))
+            .collect();
         assert_eq!(
             ring.decode_lines(),
-            jsonl.lines(),
-            "seed {seed}: ring JSONL diverged from JsonlBuffer"
+            expected,
+            "seed {seed}: ring JSONL diverged from render_line"
         );
         // ...and value-identical reconstruction.
         assert_eq!(

@@ -156,26 +156,6 @@ impl Workload {
             requests,
         )
     }
-
-    /// Scale every service demand by `factor` (load intensity knob for
-    /// saturation sweeps).
-    pub fn scale_cost(&self, factor: f64) -> Workload {
-        assert!(factor > 0.0 && factor.is_finite());
-        let requests = self
-            .requests
-            .iter()
-            .map(|r| Request {
-                cost: SimDuration((r.cost.0 as f64 * factor).round() as u64),
-                ..*r
-            })
-            .collect();
-        Workload {
-            label: format!("{}×{factor}", self.label),
-            n_file_sets: self.n_file_sets,
-            duration_us: self.duration_us,
-            requests,
-        }
-    }
 }
 
 /// Aggregate statistics of a workload.
@@ -348,14 +328,6 @@ mod tests {
         let a = Workload::new("a", 2, SimDuration::from_secs(1), vec![]);
         let b = Workload::new("b", 3, SimDuration::from_secs(1), vec![]);
         a.merge(&b);
-    }
-
-    #[test]
-    fn scale_cost_multiplies_demand() {
-        let w = Workload::new("t", 1, SimDuration::from_secs(10), vec![req(1.0, 0, 100)]);
-        let s = w.scale_cost(2.5);
-        assert_eq!(s.requests[0].cost, SimDuration::from_millis(250));
-        assert!((s.total_demand_secs() - 0.25).abs() < 1e-9);
     }
 
     #[test]

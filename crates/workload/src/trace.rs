@@ -74,7 +74,10 @@ pub fn read_csv<R: BufRead>(input: R) -> Result<Workload, TraceError> {
     let mut n_file_sets = 0usize;
     let mut duration_us = 0u64;
     let mut requests = Vec::new();
-    let mut max_fs = 0u64;
+    // Largest file-set id and arrival, each with its 1-based line, for
+    // inferring the header fields the input leaves out.
+    let mut max_fs = (0u64, 0usize);
+    let mut max_arrival = (0u64, 0usize);
 
     for (i, line) in input.lines().enumerate() {
         let line = line?;
@@ -121,7 +124,8 @@ pub fn read_csv<R: BufRead>(input: R) -> Result<Workload, TraceError> {
         let arrival = field("arrival_us")?;
         let fs = field("file_set")?;
         let cost = field("cost_us")?;
-        max_fs = max_fs.max(fs);
+        max_fs = max_fs.max((fs, lineno));
+        max_arrival = max_arrival.max((arrival, lineno));
         requests.push(Request {
             arrival: SimTime(arrival),
             file_set: FileSetId(fs),
@@ -129,10 +133,21 @@ pub fn read_csv<R: BufRead>(input: R) -> Result<Workload, TraceError> {
         });
     }
     if n_file_sets == 0 {
-        n_file_sets = (max_fs + 1) as usize;
+        let (fs, line) = max_fs;
+        n_file_sets = fs
+            .checked_add(1)
+            .and_then(|n| usize::try_from(n).ok())
+            .ok_or_else(|| TraceError::Parse {
+                line,
+                message: format!("file_set {fs} is too large to infer n_file_sets"),
+            })?;
     }
     if duration_us == 0 {
-        duration_us = requests.iter().map(|r| r.arrival.0).max().unwrap_or(0) + 1;
+        let (arrival, line) = max_arrival;
+        duration_us = arrival.checked_add(1).ok_or_else(|| TraceError::Parse {
+            line,
+            message: format!("arrival_us {arrival} is too large to infer duration_us"),
+        })?;
     }
     Ok(Workload::new(
         label,
@@ -202,6 +217,30 @@ mod tests {
         let err = read_csv("not,a,number\n".as_bytes()).unwrap_err();
         match err {
             TraceError::Parse { line, .. } => assert_eq!(line, 1),
+            other => panic!("wrong error: {other}"),
+        }
+    }
+
+    #[test]
+    fn csv_rejects_file_set_too_large_to_count() {
+        let err = read_csv("0,0,1\n1,18446744073709551615,1\n".as_bytes()).unwrap_err();
+        match err {
+            TraceError::Parse { line, message } => {
+                assert_eq!(line, 2);
+                assert!(message.contains("n_file_sets"), "{message}");
+            }
+            other => panic!("wrong error: {other}"),
+        }
+    }
+
+    #[test]
+    fn csv_rejects_arrival_too_large_for_a_duration() {
+        let err = read_csv("18446744073709551615,0,1\n".as_bytes()).unwrap_err();
+        match err {
+            TraceError::Parse { line, message } => {
+                assert_eq!(line, 1);
+                assert!(message.contains("duration_us"), "{message}");
+            }
             other => panic!("wrong error: {other}"),
         }
     }

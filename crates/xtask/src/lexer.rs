@@ -77,19 +77,6 @@ impl TokenKind {
                 | TokenKind::InnerDocBlock
         )
     }
-
-    /// Is this token a string-like literal whose contents must never be
-    /// mistaken for code?
-    pub fn is_string_like(self) -> bool {
-        matches!(
-            self,
-            TokenKind::Str
-                | TokenKind::RawStr
-                | TokenKind::ByteStr
-                | TokenKind::CharLit
-                | TokenKind::ByteLit
-        )
-    }
 }
 
 /// One token: kind, byte span `[start, end)`, and 1-based start line.

@@ -64,7 +64,6 @@ use std::path::{Path, PathBuf};
 
 pub mod deps;
 mod imports;
-pub mod legacy;
 pub mod lexer;
 pub mod ratchet;
 mod rng;
@@ -885,8 +884,8 @@ fn is_documented(lines: &[lexer::LineView], idx: usize) -> bool {
 }
 
 /// Parse an `anu-lint: allow(a, b) -- reason` comment, filling the three
-/// output slots (shared between the live scanner and [`legacy`]).
-pub(crate) fn parse_waiver_into(
+/// output slots.
+fn parse_waiver_into(
     text: &str,
     waived: &mut Vec<Lint>,
     reason_out: &mut Option<String>,

@@ -1,6 +1,8 @@
-//! Integration tests for `anu-xtask` against the fixture trees under
-//! `tests/fixtures/`: exact per-lint counts, waiver honoring, and the JSON
-//! report shape.
+//! Integration tests for `anu-xtask` against the fixture trees: the
+//! single-file trees under `tests/fixtures/` (exact findings, waiver
+//! honoring, the JSON report shape) and the lexer and cross-file trees
+//! under `fixtures/trees/` (raw-string false positives stay fixed; import
+//! aliases, shared RNG streams and tick arithmetic are caught).
 
 use anu_xtask::{scan_workspace, Lint, Report};
 use std::path::PathBuf;
@@ -8,6 +10,13 @@ use std::path::PathBuf;
 fn scan_fixture(name: &str) -> Report {
     let root = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
         .join("tests/fixtures")
+        .join(name);
+    scan_workspace(&root).expect("fixture tree readable")
+}
+
+fn scan_tree(name: &str) -> Report {
+    let root = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("fixtures/trees")
         .join(name);
     scan_workspace(&root).expect("fixture tree readable")
 }
@@ -41,25 +50,26 @@ fn violations_fixture_exact_counts() {
 
 #[test]
 fn violations_fixture_locations() {
+    // Every finding, in report order, as `file:line: [lint] message`.
     let r = scan_fixture("violations");
-    let at = |lint: Lint| {
-        r.violations
-            .iter()
-            .filter(|v| v.lint == lint)
-            .map(|v| (v.file.as_str(), v.line))
-            .collect::<Vec<_>>()
-    };
-    assert_eq!(at(Lint::WallClock), [("crates/core/src/lib.rs", 6)]);
-    assert_eq!(at(Lint::AsCast), [("crates/core/src/interval.rs", 5)]);
-    assert_eq!(at(Lint::FloatCmp), [("crates/core/src/interval.rs", 6)]);
+    let got: Vec<String> = r.violations.iter().map(ToString::to_string).collect();
     assert_eq!(
-        at(Lint::Panic),
+        got,
         [
-            ("crates/core/src/lib.rs", 21),
-            ("crates/core/src/lib.rs", 29)
+            "crates/core/src/interval.rs:5: [as-cast] bare `as` cast in fixed-point arithmetic; use the checked num helpers",
+            "crates/core/src/interval.rs:6: [float-cmp] float equality in fixed-point arithmetic; compare exact fixed-point units",
+            "crates/core/src/lib.rs:6: [wall-clock] `Instant::now` reads the wall clock; simulations must be a pure function of seed and input",
+            "crates/core/src/lib.rs:11: [thread-rng] `thread_rng` draws ambient entropy; use a seeded RngStream",
+            "crates/core/src/lib.rs:16: [hash-iteration] `HashMap` has nondeterministic iteration order; use BTreeMap/BTreeSet",
+            "crates/core/src/lib.rs:21: [panic] `.unwrap()` in library code; return Result or restructure",
+            "crates/core/src/lib.rs:24: [missing-docs] public item `undocumented` has no doc comment",
+            "crates/core/src/lib.rs:28: [waiver] waiver needs a justification: `-- <reason>`",
+            "crates/core/src/lib.rs:29: [panic] `.unwrap()` in library code; return Result or restructure",
+            "crates/core/src/lib.rs:34: [waiver] unknown lint `nonsense` in waiver",
+            "crates/core/src/lib.rs:38: [doc-slash] line starts with a single `/` beside a doc comment; a `///` doc line lost its slashes",
+            "crates/core/src/lib.rs:39: [missing-docs] public item `mangled_doc` has no doc comment",
         ]
     );
-    assert_eq!(at(Lint::DocSlash), [("crates/core/src/lib.rs", 38)]);
 }
 
 #[test]
@@ -122,4 +132,61 @@ fn json_report_shape() {
     let clean = scan_fixture("clean").render_json();
     assert!(clean.contains("\"ok\": true"));
     assert!(clean.contains("\"violations\": [],"));
+}
+
+#[test]
+fn fp_fixes_tree_is_clean() {
+    // Prose and a `pub fn` inside `br#"…"#`, and a `}` inside a raw
+    // string in a cfg(test) region: the lexer sees each literal as one
+    // token, so nothing leaks into the code view.
+    let r = scan_tree("fp_fixes");
+    assert!(
+        r.clean(),
+        "token scanner false positives: {:?}",
+        r.violations
+    );
+    let core = &r.doc_coverage["anu-core"];
+    assert_eq!((core.documented, core.total), (1, 1));
+    let des = &r.doc_coverage["anu-des"];
+    assert_eq!((des.documented, des.total), (1, 1));
+}
+
+#[test]
+fn import_alias_tree_findings() {
+    let r = scan_tree("import_alias");
+    let got: Vec<(usize, Lint)> = r.violations.iter().map(|v| (v.line, v.lint)).collect();
+    assert_eq!(
+        got,
+        [(7, Lint::ImportGraph), (9, Lint::ImportGraph)],
+        "findings: {:?}",
+        r.violations
+    );
+    assert!(r.violations[1].message.contains("Clock"), "alias named");
+}
+
+#[test]
+fn rng_shared_tree_findings() {
+    let r = scan_tree("rng_shared");
+    let got: Vec<Lint> = r.violations.iter().map(|v| v.lint).collect();
+    assert_eq!(
+        got,
+        [Lint::RngDiscipline, Lint::RngDiscipline],
+        "findings: {:?}",
+        r.violations
+    );
+    // One constant-seed construction, one stream shared across a scope.
+    assert!(r.violations.iter().any(|v| v.message.contains("seed")));
+    assert!(r.violations.iter().any(|v| v.message.contains("scope")));
+}
+
+#[test]
+fn tick_arith_tree_findings() {
+    let r = scan_tree("tick_arith");
+    let got: Vec<(usize, Lint)> = r.violations.iter().map(|v| (v.line, v.lint)).collect();
+    assert_eq!(
+        got,
+        [(5, Lint::TickArith), (10, Lint::TickArith)],
+        "findings: {:?}",
+        r.violations
+    );
 }
