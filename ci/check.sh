@@ -3,9 +3,10 @@
 # order: formatting, the clippy wall (default and no-default-features),
 # the repo's own lint driver, the tier-1 build and test suite, the
 # figures determinism gate (parallel run's outputs and manifest
-# byte-identical to serial), one end-to-end benchmark run
-# (e2e-bench/: pinned fingerprint and conservation/audit checks gate;
-# its timings are reported, not gated), and e2e-bench's own tests.
+# byte-identical to serial), two end-to-end benchmark runs, scale_hotpath
+# and paper_grid (e2e-bench/: pinned fingerprint and conservation/audit
+# checks gate; timings are reported, not gated), and e2e-bench's own
+# tests.
 # Fails fast on the first broken step and prints a per-step timing
 # summary at the end.
 #
@@ -161,6 +162,13 @@ step "e2e-bench scale_hotpath (fingerprint + conservation/audit checks; timings 
 # performance claim can point at a number this script produced.
 cargo run --release --quiet --manifest-path e2e-bench/Cargo.toml --bin e2e -- \
     --workload scale_hotpath --seed 1 --seconds 0
+
+step "e2e-bench paper_grid (fingerprint + conservation/audit checks; timings reported)"
+# The Figures 6-11 lineup, and the only workload that runs the
+# dynamic-prescient policy: its pinned fingerprint guards the prescient
+# solve and its lower-bound skip on every full gate.
+cargo run --release --quiet --manifest-path e2e-bench/Cargo.toml --bin e2e -- \
+    --workload paper_grid --seed 1 --seconds 0
 
 step "e2e-bench tests (its own workspace; not covered by the tier-1 cargo test)"
 # e2e-bench is a separate Cargo workspace, so the root `cargo test` never

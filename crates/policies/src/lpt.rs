@@ -73,35 +73,97 @@ impl Instance {
         out
     }
 
+    /// A lower bound on the makespan of every assignment: the fluid load
+    /// `Σd / Σs`, at which all servers finish together, or the time the
+    /// fastest server needs for the largest set, `max d / max s`,
+    /// whichever is larger.
+    pub fn makespan_lower_bound(&self) -> f64 {
+        let total_demand: f64 = self.demands.iter().map(|&(_, d)| d).sum();
+        let total_speed: f64 = self.servers.iter().map(|&(_, s)| s).sum();
+        let max_demand = self.demands.iter().fold(0.0f64, |a, &(_, d)| a.max(d));
+        let max_speed = self.servers.iter().fold(0.0f64, |a, &(_, s)| a.max(s));
+        (total_demand / total_speed).max(max_demand / max_speed)
+    }
+
     /// Best-improvement local search: repeatedly take the best
     /// makespan-lowering single *move* (one set off the most loaded
     /// server) or pairwise *swap* (exchange a hot-server set with a
     /// smaller set elsewhere), until neither helps (bounded iterations).
+    ///
+    /// The search runs on dense indices. Servers are numbered in
+    /// ascending [`ServerId`] order, and each demand (every file set is
+    /// listed once) holds the number of its server. Each round recomputes
+    /// the loads from scratch, in demand order: the same additions as
+    /// [`Instance::loads`], so the values match bit for bit. Updating
+    /// them incrementally would round differently and could change which
+    /// candidate wins.
+    ///
+    /// Tie-breaks:
+    /// - the hot server is the *last* maximum in id order (an exact tie
+    ///   at the maximum ends the search whichever server is picked, since
+    ///   no step can lower the peak below the other tied load);
+    /// - moves are tried in demand order × `servers` order, then swaps in
+    ///   demand order × demand order;
+    /// - a candidate is taken only if its peak beats the best so far by
+    ///   more than 1e-12, so the first of equal candidates wins.
+    ///
+    /// A candidate's peak is the largest of the new hot load, the new
+    /// destination load and the largest load elsewhere, which is one of
+    /// the top two non-hot loads. A swap that brings in a set no smaller
+    /// than the one it sends away cannot lower the hot load, so it is not
+    /// tried. The assignment is written back once, at the end.
     pub fn refine(&self, assignment: &mut BTreeMap<FileSetId, ServerId>, max_rounds: usize) {
         let speed: BTreeMap<ServerId, f64> = self.servers.iter().copied().collect();
+        let ids: Vec<ServerId> = speed.keys().copied().collect();
+        let speeds: Vec<f64> = speed.values().copied().collect();
+        let number: BTreeMap<ServerId, usize> =
+            ids.iter().enumerate().map(|(i, &s)| (s, i)).collect();
+        let targets: Vec<(usize, f64)> = self
+            .servers
+            .iter()
+            .map(|&(s, to_speed)| (number[&s], to_speed))
+            .collect();
+        let mut owner: Vec<usize> = self
+            .demands
+            .iter()
+            .map(|(fs, _)| number[&assignment[fs]])
+            .collect();
+        let mut loads = vec![0.0f64; ids.len()];
+
         for _ in 0..max_rounds {
-            let loads = self.loads(assignment);
-            let (&hot, &hot_load) = loads
-                .iter()
-                .max_by(|a, b| a.1.total_cmp(b.1))
-                // anu-lint: allow(panic) -- loads has one entry per server; servers are non-empty
-                .expect("non-empty");
-            let hot_sets: Vec<(FileSetId, f64)> = self
-                .demands
-                .iter()
-                .copied()
-                .filter(|&(fs, _)| assignment[&fs] == hot)
-                .collect();
-            let other_sets: Vec<(FileSetId, f64)> = self
-                .demands
-                .iter()
-                .copied()
-                .filter(|&(fs, _)| assignment[&fs] != hot)
-                .collect();
+            loads.fill(0.0);
+            for (&(_, d), &s) in self.demands.iter().zip(&owner) {
+                loads[s] += d / speeds[s];
+            }
+            let Some(hot) = (0..loads.len()).max_by(|&a, &b| loads[a].total_cmp(&loads[b])) else {
+                break;
+            };
+            let hot_load = loads[hot];
+            let hot_speed = speeds[hot];
+            // The two largest loads off the hot server: the largest load
+            // elsewhere is the first, or the second when the first is the
+            // destination.
+            let (mut top, mut top_load, mut second_load) =
+                (hot, f64::NEG_INFINITY, f64::NEG_INFINITY);
+            for (s, &l) in loads.iter().enumerate() {
+                if s == hot {
+                    continue;
+                }
+                if l > top_load {
+                    second_load = top_load;
+                    (top, top_load) = (s, l);
+                } else if l > second_load {
+                    second_load = l;
+                }
+            }
+            let peak = |new_hot: f64, to: usize, new_to: f64| {
+                let elsewhere = if to == top { second_load } else { top_load };
+                new_hot.max(new_to).max(elsewhere)
+            };
 
             enum Step {
-                Move(FileSetId, ServerId),
-                Swap(FileSetId, FileSetId),
+                Move(usize, usize),
+                Swap(usize, usize),
             }
             let mut best: Option<(Step, f64)> = None;
             let consider = |step: Step, peak: f64, best: &mut Option<(Step, f64)>| {
@@ -111,46 +173,44 @@ impl Instance {
             };
 
             // Single moves off the hot server.
-            for &(fs, d) in &hot_sets {
-                for &(to, to_speed) in &self.servers {
+            for (a, &(_, d)) in self.demands.iter().enumerate() {
+                if owner[a] != hot {
+                    continue;
+                }
+                for &(to, to_speed) in &targets {
                     if to == hot {
                         continue;
                     }
-                    let new_hot = hot_load - d / speed[&hot];
-                    let new_to = loads[&to] + d / to_speed;
-                    let peak = loads
-                        .iter()
-                        .filter(|&(&s, _)| s != hot && s != to)
-                        .fold(new_hot.max(new_to), |a, (_, &l)| a.max(l));
-                    consider(Step::Move(fs, to), peak, &mut best);
+                    let new_hot = hot_load - d / hot_speed;
+                    let new_to = loads[to] + d / to_speed;
+                    consider(Step::Move(a, to), peak(new_hot, to, new_to), &mut best);
                 }
             }
             // Pairwise swaps between the hot server and any other.
-            for &(fa, da) in &hot_sets {
-                for &(fb, db) in &other_sets {
-                    let to = assignment[&fb];
-                    let new_hot = hot_load + (db - da) / speed[&hot];
-                    let new_to = loads[&to] + (da - db) / speed[&to];
-                    let peak = loads
-                        .iter()
-                        .filter(|&(&s, _)| s != hot && s != to)
-                        .fold(new_hot.max(new_to), |a, (_, &l)| a.max(l));
-                    consider(Step::Swap(fa, fb), peak, &mut best);
+            for (a, &(_, da)) in self.demands.iter().enumerate() {
+                if owner[a] != hot {
+                    continue;
+                }
+                for (b, &(_, db)) in self.demands.iter().enumerate() {
+                    let to = owner[b];
+                    if to == hot || db >= da {
+                        continue;
+                    }
+                    let new_hot = hot_load + (db - da) / hot_speed;
+                    let new_to = loads[to] + (da - db) / speeds[to];
+                    consider(Step::Swap(a, b), peak(new_hot, to, new_to), &mut best);
                 }
             }
 
             match best {
-                Some((Step::Move(fs, to), _)) => {
-                    assignment.insert(fs, to);
-                }
-                Some((Step::Swap(fa, fb), _)) => {
-                    let sa = assignment[&fa];
-                    let sb = assignment[&fb];
-                    assignment.insert(fa, sb);
-                    assignment.insert(fb, sa);
-                }
+                Some((Step::Move(a, to), _)) => owner[a] = to,
+                Some((Step::Swap(a, b), _)) => owner.swap(a, b),
                 None => break,
             }
+        }
+
+        for (&(fs, _), &s) in self.demands.iter().zip(&owner) {
+            assignment.insert(fs, ids[s]);
         }
     }
 
@@ -172,8 +232,9 @@ impl Instance {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use anu_des::RngStream;
 
     fn inst(demands: &[f64], speeds: &[f64]) -> Instance {
         Instance {
@@ -248,5 +309,153 @@ mod tests {
     fn deterministic() {
         let i = inst(&[3.0, 3.0, 2.0, 2.0, 1.0], &[1.0, 2.0, 3.0]);
         assert_eq!(i.solve(), i.solve());
+    }
+
+    // `refine` written directly over `BTreeMap` loads, with an O(m) peak
+    // fold per candidate: the reference the dense-index version must match.
+    impl Instance {
+        fn refine_reference(
+            &self,
+            assignment: &mut BTreeMap<FileSetId, ServerId>,
+            max_rounds: usize,
+        ) {
+            let speed: BTreeMap<ServerId, f64> = self.servers.iter().copied().collect();
+            for _ in 0..max_rounds {
+                let loads = self.loads(assignment);
+                let (&hot, &hot_load) = loads
+                    .iter()
+                    .max_by(|a, b| a.1.total_cmp(b.1))
+                    .expect("non-empty");
+                let hot_sets: Vec<(FileSetId, f64)> = self
+                    .demands
+                    .iter()
+                    .copied()
+                    .filter(|&(fs, _)| assignment[&fs] == hot)
+                    .collect();
+                let other_sets: Vec<(FileSetId, f64)> = self
+                    .demands
+                    .iter()
+                    .copied()
+                    .filter(|&(fs, _)| assignment[&fs] != hot)
+                    .collect();
+
+                enum Step {
+                    Move(FileSetId, ServerId),
+                    Swap(FileSetId, FileSetId),
+                }
+                let mut best: Option<(Step, f64)> = None;
+                let consider = |step: Step, peak: f64, best: &mut Option<(Step, f64)>| {
+                    if peak + 1e-12 < best.as_ref().map_or(hot_load, |&(_, p)| p) {
+                        *best = Some((step, peak));
+                    }
+                };
+
+                // Single moves off the hot server.
+                for &(fs, d) in &hot_sets {
+                    for &(to, to_speed) in &self.servers {
+                        if to == hot {
+                            continue;
+                        }
+                        let new_hot = hot_load - d / speed[&hot];
+                        let new_to = loads[&to] + d / to_speed;
+                        let peak = loads
+                            .iter()
+                            .filter(|&(&s, _)| s != hot && s != to)
+                            .fold(new_hot.max(new_to), |a, (_, &l)| a.max(l));
+                        consider(Step::Move(fs, to), peak, &mut best);
+                    }
+                }
+                // Pairwise swaps between the hot server and any other.
+                for &(fa, da) in &hot_sets {
+                    for &(fb, db) in &other_sets {
+                        let to = assignment[&fb];
+                        let new_hot = hot_load + (db - da) / speed[&hot];
+                        let new_to = loads[&to] + (da - db) / speed[&to];
+                        let peak = loads
+                            .iter()
+                            .filter(|&(&s, _)| s != hot && s != to)
+                            .fold(new_hot.max(new_to), |a, (_, &l)| a.max(l));
+                        consider(Step::Swap(fa, fb), peak, &mut best);
+                    }
+                }
+
+                match best {
+                    Some((Step::Move(fs, to), _)) => {
+                        assignment.insert(fs, to);
+                    }
+                    Some((Step::Swap(fa, fb), _)) => {
+                        let sa = assignment[&fa];
+                        let sb = assignment[&fb];
+                        assignment.insert(fa, sb);
+                        assignment.insert(fb, sa);
+                    }
+                    None => break,
+                }
+            }
+        }
+    }
+
+    /// A random instance of 1 to `max_sets` sets on 1 to `max_servers`
+    /// servers. The server ids have gaps and are listed shuffled; demands
+    /// and speeds are either small integers, which force load ties, or
+    /// reals, and some demands are zero.
+    pub(crate) fn random_instance(
+        rng: &mut RngStream,
+        max_sets: usize,
+        max_servers: usize,
+    ) -> Instance {
+        let n_servers = 1 + rng.index(max_servers);
+        let mut id = 0u32;
+        let mut servers: Vec<(ServerId, f64)> = (0..n_servers)
+            .map(|_| {
+                id += 1 + rng.index(4) as u32;
+                let speed = if rng.chance(0.5) {
+                    (1 + rng.index(3)) as f64
+                } else {
+                    rng.uniform_range(0.5, 10.0)
+                };
+                (ServerId(id), speed)
+            })
+            .collect();
+        rng.shuffle(&mut servers);
+        let integer = rng.chance(0.5);
+        let demands = (0..1 + rng.index(max_sets))
+            .map(|i| {
+                let d = if rng.chance(0.2) {
+                    0.0
+                } else if integer {
+                    (1 + rng.index(5)) as f64
+                } else {
+                    rng.uniform_range(0.0, 10.0)
+                };
+                (FileSetId(i as u64), d)
+            })
+            .collect();
+        Instance { demands, servers }
+    }
+
+    #[test]
+    fn refine_matches_btreemap_reference() {
+        let mut rng = RngStream::new(16, "refine-reference");
+        let (mut runs, mut changed) = (0, 0);
+        for case in 0..2_000 {
+            let i = random_instance(&mut rng, 40, 7);
+            let random_start: BTreeMap<FileSetId, ServerId> = i
+                .demands
+                .iter()
+                .map(|&(fs, _)| (fs, i.servers[rng.index(i.servers.len())].0))
+                .collect();
+            for start in [i.lpt(), random_start] {
+                let mut fast = start.clone();
+                let mut reference = start.clone();
+                i.refine(&mut fast, 64);
+                i.refine_reference(&mut reference, 64);
+                assert_eq!(fast, reference, "case {case}: {i:?} from {start:?}");
+                runs += 1;
+                changed += usize::from(fast != start);
+            }
+        }
+        // Most runs must move something, or the comparison proves little.
+        assert!(changed * 2 > runs, "refine changed {changed} of {runs}");
     }
 }

@@ -14,6 +14,8 @@
 //! current one — with a time-stationary workload it then "retains the same
 //! configuration for the duration of the experiment" exactly as the paper
 //! observes, while still tracking genuine workload shifts in the trace.
+//! A tick whose makespan lower bound already misses the hysteresis bar
+//! skips the solve, since no packing it could find would be adopted.
 
 use crate::assign::diff_moves;
 use crate::lpt::Instance;
@@ -77,6 +79,13 @@ impl Prescient {
     }
 }
 
+/// Whether no packing of `inst` can reach a makespan below `bar`: its
+/// lower bound misses the bar by a margin that covers the rounding of the
+/// float sums behind the bound and the makespans.
+fn bound_misses(inst: &Instance, bar: f64) -> bool {
+    inst.makespan_lower_bound() >= bar * (1.0 + 1e-9)
+}
+
 impl PlacementPolicy for Prescient {
     fn name(&self) -> &str {
         "dynamic-prescient"
@@ -108,13 +117,16 @@ impl PlacementPolicy for Prescient {
         let current_valid = assignment
             .values()
             .all(|s| inst.servers.iter().any(|&(id, _)| id == *s));
+        let bar = (current_valid && assignment.len() == inst.demands.len())
+            .then(|| inst.makespan(assignment) * self.improvement_threshold);
+        // No packing beats the lower bound, so when the bound misses the
+        // bar a fresh packing could not be adopted: skip the solve.
+        if bar.is_some_and(|bar| bound_misses(&inst, bar)) {
+            return Vec::new();
+        }
         let fresh = inst.solve();
-        if current_valid && assignment.len() == fresh.len() {
-            let cur_span = inst.makespan(assignment);
-            let new_span = inst.makespan(&fresh);
-            if new_span >= cur_span * self.improvement_threshold {
-                return Vec::new(); // not enough improvement to pay migration
-            }
+        if bar.is_some_and(|bar| inst.makespan(&fresh) >= bar) {
+            return Vec::new(); // not enough improvement to pay migration
         }
         diff_moves(assignment, &fresh)
     }
@@ -145,6 +157,8 @@ impl PlacementPolicy for Prescient {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lpt::tests::random_instance;
+    use anu_des::RngStream;
     use anu_workload::{CostModel, SyntheticConfig, WeightDist};
 
     fn workload() -> Workload {
@@ -231,5 +245,104 @@ mod tests {
             }
         }
         assert!(moves.iter().all(|m| m.to != ServerId(4)));
+    }
+
+    /// `on_tick` without the lower-bound skip: always solve, then apply
+    /// the hysteresis test.
+    fn always_solve(p: &Prescient, view: &ClusterView, assignment: &Assignment) -> Vec<MoveSet> {
+        let inst = p.instance(view, view.now);
+        let current_valid = assignment
+            .values()
+            .all(|s| inst.servers.iter().any(|&(id, _)| id == *s));
+        let fresh = inst.solve();
+        if current_valid && assignment.len() == fresh.len() {
+            let cur_span = inst.makespan(assignment);
+            let new_span = inst.makespan(&fresh);
+            if new_span >= cur_span * p.improvement_threshold {
+                return Vec::new();
+            }
+        }
+        diff_moves(assignment, &fresh)
+    }
+
+    #[test]
+    fn lower_bound_skip_drops_only_solves_that_cannot_be_adopted() {
+        // The hysteresis factor `Prescient::new` sets.
+        let theta = 0.9;
+        let mut rng = RngStream::new(16, "prescient-lower-bound");
+        let mut fired = 0;
+        for case in 0..2_000 {
+            let i = random_instance(&mut rng, 80, 8);
+            let fresh = i.solve();
+            let new_span = i.makespan(&fresh);
+            let bound = i.makespan_lower_bound();
+            assert!(
+                new_span >= bound * (1.0 - 1e-12),
+                "case {case}: makespan {new_span} below the bound {bound}"
+            );
+            // Current assignments from the solve's own to uniformly random.
+            for scatter in [0.0, 0.1, 1.0] {
+                let current: Assignment = fresh
+                    .iter()
+                    .map(|(&fs, &s)| {
+                        if rng.chance(scatter) {
+                            (fs, i.servers[rng.index(i.servers.len())].0)
+                        } else {
+                            (fs, s)
+                        }
+                    })
+                    .collect();
+                let bar = i.makespan(&current) * theta;
+                if bound_misses(&i, bar) {
+                    fired += 1;
+                    assert!(
+                        new_span >= bar,
+                        "case {case}: a skipped solve would have been adopted"
+                    );
+                }
+            }
+        }
+        assert!(fired >= 500, "the skip fired on only {fired} ticks");
+    }
+
+    #[test]
+    fn on_tick_matches_always_solving() {
+        let w = workload();
+        let mut p = Prescient::new(w.clone(), speeds(), SimDuration::from_secs(120));
+        let balanced = p.initial(&view(), &w.file_sets());
+        let piled: Assignment = w
+            .file_sets()
+            .into_iter()
+            .map(|fs| (fs, ServerId(0)))
+            .collect();
+        let (mut skipped, mut adopted) = (0, 0);
+        for start in [balanced, piled] {
+            let mut a = start;
+            let mut v = view();
+            for k in 1..=33 {
+                v.now = SimTime::from_secs_f64(30.0 * k as f64);
+                if k == 20 {
+                    v.servers[2].1 = false; // its sets must move on this tick
+                }
+                let inst = p.instance(&v, v.now);
+                let valid = a
+                    .values()
+                    .all(|s| inst.servers.iter().any(|&(id, _)| id == *s));
+                if valid && bound_misses(&inst, inst.makespan(&a) * p.improvement_threshold) {
+                    skipped += 1;
+                }
+                let expected = always_solve(&p, &v, &a);
+                let moves = p.on_tick(&v, &[], &a);
+                assert_eq!(moves, expected, "tick {k}");
+                adopted += usize::from(!moves.is_empty());
+                for m in moves {
+                    a.insert(m.set, m.to);
+                }
+            }
+        }
+        assert!(
+            skipped > 0 && adopted > 0,
+            "skipped {skipped}, adopted {adopted}"
+        );
     }
 }

@@ -209,6 +209,7 @@ impl ToJson for Workload {
 
 impl FromJson for Workload {
     fn from_json(j: &Json) -> Result<Self, JsonError> {
+        let n_file_sets = j.get("n_file_sets")?.as_usize()?;
         let mut requests = Vec::new();
         for (i, r) in j.get("requests")?.as_arr()?.iter().enumerate() {
             let triple = r.as_arr()?;
@@ -217,15 +218,21 @@ impl FromJson for Workload {
                     "request {i}: expected [arrival, file_set, cost]"
                 )));
             };
+            let file_set = f.as_u64()?;
+            if usize::try_from(file_set).map_or(true, |fs| fs >= n_file_sets) {
+                return Err(JsonError::shape(format!(
+                    "request {i}: file_set {file_set} is not below n_file_sets {n_file_sets}"
+                )));
+            }
             requests.push(Request {
                 arrival: SimTime(a.as_u64()?),
-                file_set: FileSetId(f.as_u64()?),
+                file_set: FileSetId(file_set),
                 cost: SimDuration(c.as_u64()?),
             });
         }
         Ok(Workload::new(
             j.get("label")?.as_str()?.to_string(),
-            j.get("n_file_sets")?.as_usize()?,
+            n_file_sets,
             SimDuration(j.get("duration_us")?.as_u64()?),
             requests,
         ))
@@ -337,5 +344,12 @@ mod tests {
         let w2 = Workload::from_json(&Json::parse(&text).unwrap()).unwrap();
         assert_eq!(w2.requests, w.requests);
         assert_eq!(w2.label, "t");
+    }
+
+    #[test]
+    fn json_rejects_file_set_outside_the_namespace() {
+        let text = r#"{"label":"t","n_file_sets":3,"duration_us":10,"requests":[[0,1,1],[0,7,1]]}"#;
+        let err = Workload::from_json(&Json::parse(text).unwrap()).unwrap_err();
+        assert!(err.to_string().contains("request 1: file_set 7"), "{err}");
     }
 }

@@ -132,8 +132,8 @@ pub fn read_csv<R: BufRead>(input: R) -> Result<Workload, TraceError> {
             cost: SimDuration(cost),
         });
     }
+    let (fs, line) = max_fs;
     if n_file_sets == 0 {
-        let (fs, line) = max_fs;
         n_file_sets = fs
             .checked_add(1)
             .and_then(|n| usize::try_from(n).ok())
@@ -141,6 +141,11 @@ pub fn read_csv<R: BufRead>(input: R) -> Result<Workload, TraceError> {
                 line,
                 message: format!("file_set {fs} is too large to infer n_file_sets"),
             })?;
+    } else if usize::try_from(fs).map_or(true, |fs| fs >= n_file_sets) {
+        return Err(TraceError::Parse {
+            line,
+            message: format!("file_set {fs} is not below n_file_sets {n_file_sets}"),
+        });
     }
     if duration_us == 0 {
         let (arrival, line) = max_arrival;
@@ -240,6 +245,18 @@ mod tests {
             TraceError::Parse { line, message } => {
                 assert_eq!(line, 1);
                 assert!(message.contains("duration_us"), "{message}");
+            }
+            other => panic!("wrong error: {other}"),
+        }
+    }
+
+    #[test]
+    fn csv_rejects_file_set_outside_the_header_count() {
+        let err = read_csv("# n_file_sets: 3\n0,7,1\n".as_bytes()).unwrap_err();
+        match err {
+            TraceError::Parse { line, message } => {
+                assert_eq!(line, 2);
+                assert!(message.contains("n_file_sets 3"), "{message}");
             }
             other => panic!("wrong error: {other}"),
         }
