@@ -3,10 +3,12 @@
 # order: formatting, the clippy wall (default and no-default-features),
 # the repo's own lint driver, the tier-1 build and test suite, the
 # figures determinism gate (parallel run's outputs and manifest
-# byte-identical to serial), two end-to-end benchmark runs, scale_hotpath
-# and paper_grid (e2e-bench/: pinned fingerprint and conservation/audit
-# checks gate; timings are reported, not gated), and e2e-bench's own
-# tests.
+# byte-identical to serial), the committed-record gate (BENCH_figures.json,
+# whose outputs[] pins every file the run writes, and the summary tables
+# under out/ must equal what this commit writes), two end-to-end benchmark
+# runs, scale_hotpath and paper_grid (e2e-bench/: pinned fingerprint and
+# conservation/audit checks gate; timings are reported, not gated), and
+# e2e-bench's own tests.
 # Fails fast on the first broken step and prints a per-step timing
 # summary at the end.
 #
@@ -125,17 +127,19 @@ step "figures + chaos + storm + meanfield + trace determinism gate (--jobs \$(np
 JOBS="$(nproc)"
 SERIAL_DIR="$(mktemp -d)"
 trap 'rm -rf "$SERIAL_DIR"' EXIT
-# Parallel run writes the canonical out/ CSVs (series + tuner epochs), the
-# chaos sweep (fault-injected grid, chaos_* series + chaos_summary.csv),
-# the storm sweep (elasticity grid, storm_* series + storm_summary.csv),
-# the mean-field sweep (analytic-oracle cross-validation, meanfield_*.csv
-# — its divergence must shrink monotonically with scale and end <= 10%
-# for every policy, a hard check), the epoch-level JSONL traces under
-# out/trace/, the run manifest, and enforces every figure's, chaos
-# cell's, storm cell's and meanfield divergence checks. Exit codes: 0 =
-# all pass, 1 = a check failed, 2 = usage error. Traces are not
-# committed; clearing them first keeps files an older build wrote out of
-# the comparison.
+# Parallel run writes the canonical out/ CSVs (series, tuner epochs,
+# metrics), the chaos sweep (fault-injected grid, chaos_* series +
+# chaos_summary.csv), the storm sweep (elasticity grid, storm_* series +
+# storm_summary.csv), the mean-field sweep (analytic-oracle
+# cross-validation, meanfield_*.csv — its divergence must shrink
+# monotonically with scale and end <= 10% for every policy, a hard
+# check), the epoch-level JSONL traces under out/trace/, and the run
+# manifest, whose outputs[] pins the length and FNV-1a hash of every one
+# of those files; it enforces every figure's, chaos cell's, storm's and
+# meanfield's checks. Exit codes: 0 = all pass, 1 = a check failed, 2 =
+# usage error or unwritable output path. Only the four summary tables
+# are committed under out/; clearing out/trace first keeps traces an
+# older build wrote out of the comparison.
 rm -rf out/trace
 ./target/release/figures --jobs "$JOBS" --chaos --storm --meanfield --out out \
     --bench-out BENCH_figures.json --trace-out out/trace --trace-level epoch
@@ -147,6 +151,13 @@ rm -rf out/trace
 diff -r out "$SERIAL_DIR/out"
 cmp BENCH_figures.json "$SERIAL_DIR/BENCH_figures.json"
 echo "out/ (series, tuner epochs, metrics, chaos + storm + meanfield CSVs, JSONL traces) and BENCH_figures.json are byte-identical at --jobs $JOBS and --jobs 1"
+
+step "committed record: BENCH_figures.json and out/ equal what this commit writes"
+# The committed manifest is the one hash list: its outputs[] pins every
+# CSV and trace the run above wrote, so a clean diff here checks every
+# output file's bytes, and the four committed summary tables directly.
+git diff --exit-code -- BENCH_figures.json out/
+echo "the committed manifest pins this commit's outputs"
 
 step "anu-inspect --check over every recorded JSONL trace"
 # Every trace the gate just wrote must reconstruct with clean integrity:

@@ -21,7 +21,6 @@
 //! min batch time per iteration. The median is robust to scheduler noise;
 //! the min approximates the noise-free cost.
 
-use anu_core::{Json, ToJson};
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -40,18 +39,6 @@ pub struct Measurement {
     pub min_ns: f64,
     /// Iterations executed per timed batch.
     pub iters_per_batch: u64,
-}
-
-impl ToJson for Measurement {
-    /// The shape bench manifests embed per benchmark — the same key style
-    /// as the harness's `BENCH_figures.json` tasks.
-    fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("median_ns", Json::f64(self.median_ns)),
-            ("min_ns", Json::f64(self.min_ns)),
-            ("iters_per_batch", Json::u64(self.iters_per_batch)),
-        ])
-    }
 }
 
 /// Time `f`, printing a `name: median .. min` line, and return the numbers.
@@ -126,19 +113,6 @@ mod tests {
         let m = bench("noop-ish", || black_box(1u64 + 1));
         assert!(m.median_ns >= 0.0);
         assert!(m.iters_per_batch >= 1);
-    }
-
-    #[test]
-    fn measurement_to_json_has_all_keys() {
-        let m = Measurement {
-            median_ns: 12.5,
-            min_ns: 10.0,
-            iters_per_batch: 64,
-        };
-        let j = m.to_json();
-        assert_eq!(j.get("median_ns").unwrap().as_f64().unwrap(), 12.5);
-        assert_eq!(j.get("min_ns").unwrap().as_f64().unwrap(), 10.0);
-        assert_eq!(j.get("iters_per_batch").unwrap().as_u64().unwrap(), 64);
     }
 
     #[test]

@@ -11,7 +11,8 @@
 //! yields the same figures on any machine.
 
 use anu_workload::{
-    save_json, write_csv, CostModel, DfsLikeConfig, SyntheticConfig, WeightDist, Workload,
+    save_json, write_csv, CostModel, DfsLikeConfig, SyntheticConfig, TraceError, WeightDist,
+    Workload,
 };
 use std::path::PathBuf;
 
@@ -128,15 +129,16 @@ fn main() {
     let args = parse();
     let w = generate(&args);
     let stats = w.stats();
-    match args.format.as_str() {
-        "csv" => {
-            let f = std::fs::File::create(&args.out).expect("create output file");
-            write_csv(&w, f).expect("write csv");
-        }
-        "json" => {
-            save_json(&w, &args.out).expect("write json");
-        }
+    let written = match args.format.as_str() {
+        "csv" => std::fs::File::create(&args.out)
+            .map_err(TraceError::from)
+            .and_then(|f| write_csv(&w, f)),
+        "json" => save_json(&w, &args.out),
         other => usage_error(&format!("unknown format {other}; use csv or json")),
+    };
+    if let Err(e) = written {
+        eprintln!("tracegen: cannot write {}: {e}", args.out.display());
+        std::process::exit(2);
     }
     println!("wrote {} ({})", args.out.display(), args.format);
     println!(

@@ -16,8 +16,9 @@
 
 use crate::experiment::Experiment;
 use crate::figures::{fig8, reduced, ShapeCheck};
-use anu_cluster::{FaultEvent, FaultPlanConfig, RunResult, RunSummary};
-use anu_core::{Json, ServerId};
+use crate::runner::{Cell, Finished, Sweep, Verdict};
+use anu_cluster::{FaultEvent, FaultPlanConfig, RunResult};
+use anu_core::ServerId;
 use std::io;
 use std::path::{Path, PathBuf};
 
@@ -44,57 +45,33 @@ pub fn chaos_experiment(level: f64, seed: u64) -> Experiment {
     exp
 }
 
-/// The full default sweep: one experiment per [`CHAOS_LEVELS`] entry.
-pub fn chaos_experiments(seed: u64) -> Vec<Experiment> {
-    CHAOS_LEVELS
+/// The chaos sweep: one experiment per fault-intensity level (the
+/// `figures` run passes [`CHAOS_LEVELS`]), with one verdict per cell from
+/// [`chaos_checks`] and the `chaos_summary.csv` availability table.
+pub fn chaos_sweep(levels: &[f64], seed: u64) -> Sweep {
+    let cells = levels
         .iter()
-        .map(|&level| chaos_experiment(level, seed))
-        .collect()
-}
-
-/// One `(intensity, policy)` cell of the chaos summary.
-#[derive(Clone, Debug)]
-pub struct ChaosRow {
-    /// Fault-intensity level the cell ran at.
-    pub intensity: f64,
-    /// Policy label.
-    pub policy: String,
-    /// Seed the fault script and workload were drawn from.
-    pub seed: u64,
-    /// Fault events in the compiled script.
-    pub faults: usize,
-    /// The run's summary (availability metrics included).
-    pub summary: RunSummary,
-}
-
-/// Flatten grouped sweep results into summary rows, one per
-/// `(intensity, policy)` cell. `levels`, `experiments` and `grouped` must
-/// be parallel (as produced by [`chaos_experiments`] +
-/// [`crate::runner::group_results`]).
-pub fn chaos_rows(
-    levels: &[f64],
-    experiments: &[Experiment],
-    grouped: &[Vec<RunResult>],
-) -> Vec<ChaosRow> {
-    let mut rows = Vec::new();
-    for ((&level, exp), results) in levels.iter().zip(experiments).zip(grouped) {
-        for r in results {
-            rows.push(ChaosRow {
-                intensity: level,
-                policy: r.policy.clone(),
-                seed: exp.seed,
-                faults: exp.cluster.faults.len(),
-                summary: r.summary.clone(),
-            });
-        }
-    }
-    rows
+        .map(|&level| (level, chaos_experiment(level, seed)))
+        .collect();
+    Sweep::new("chaos", cells, true, |cells: &[Cell<'_, f64>], out| {
+        Ok(Finished {
+            files: vec![write_chaos_summary_csv(cells, out)?],
+            verdicts: cells
+                .iter()
+                .map(|c| Verdict {
+                    name: c.exp.name.clone(),
+                    seed: c.exp.seed,
+                    checks: chaos_checks(c.exp, c.results),
+                })
+                .collect(),
+        })
+    })
 }
 
 /// Write the chaos availability summary as `chaos_summary.csv` in `dir`:
 /// one row per `(intensity, policy)` cell, fixed-precision formatting so
 /// the bytes are deterministic across platforms and worker counts.
-pub fn write_chaos_summary_csv(rows: &[ChaosRow], dir: &Path) -> io::Result<PathBuf> {
+pub fn write_chaos_summary_csv(cells: &[Cell<'_, f64>], dir: &Path) -> io::Result<PathBuf> {
     use std::io::Write;
     std::fs::create_dir_all(dir)?;
     let path = dir.join("chaos_summary.csv");
@@ -105,77 +82,33 @@ pub fn write_chaos_summary_csv(rows: &[ChaosRow], dir: &Path) -> io::Result<Path
          unavailable_secs,unavailability_windows,mean_rebalance_secs,max_rebalance_secs,\
          degraded_capacity_secs,migrations,audit_checks,audit_violations"
     )?;
-    for r in rows {
-        let s = &r.summary;
-        writeln!(
-            f,
-            "{:.2},{},{},{},{},{},{},{:.3},{:.3},{},{:.3},{:.3},{:.3},{},{},{}",
-            r.intensity,
-            r.policy,
-            r.seed,
-            r.faults,
-            s.offered_requests,
-            s.completed_requests,
-            s.requests_requeued,
-            s.mean_latency_ms,
-            s.unavailable_secs,
-            s.unavailability_windows,
-            s.mean_rebalance_secs,
-            s.max_rebalance_secs,
-            s.degraded_capacity_secs,
-            s.migrations,
-            s.audit_checks,
-            s.audit_violations
-        )?;
+    for c in cells {
+        for r in c.results {
+            let s = &r.summary;
+            writeln!(
+                f,
+                "{:.2},{},{},{},{},{},{},{:.3},{:.3},{},{:.3},{:.3},{:.3},{},{},{}",
+                c.at,
+                r.policy,
+                c.exp.seed,
+                c.exp.cluster.faults.len(),
+                s.offered_requests,
+                s.completed_requests,
+                s.requests_requeued,
+                s.mean_latency_ms,
+                s.unavailable_secs,
+                s.unavailability_windows,
+                s.mean_rebalance_secs,
+                s.max_rebalance_secs,
+                s.degraded_capacity_secs,
+                s.migrations,
+                s.audit_checks,
+                s.audit_violations
+            )?;
+        }
     }
     f.flush()?;
     Ok(path)
-}
-
-/// Manifest fragment for the chaos sweep (`BENCH_figures.json`, schema
-/// v4): levels swept plus one object per summary row. Everything in it is
-/// deterministic — no timing fields.
-pub fn chaos_manifest(rows: &[ChaosRow]) -> Json {
-    let cells: Vec<Json> = rows
-        .iter()
-        .map(|r| {
-            let s = &r.summary;
-            Json::obj(vec![
-                ("intensity", Json::f64(r.intensity)),
-                ("policy", Json::str(&r.policy)),
-                ("seed", Json::u64(r.seed)),
-                ("faults", Json::usize(r.faults)),
-                ("completed_requests", Json::u64(s.completed_requests)),
-                ("requests_requeued", Json::u64(s.requests_requeued)),
-                ("unavailable_secs", Json::f64(s.unavailable_secs)),
-                (
-                    "unavailability_windows",
-                    Json::u64(s.unavailability_windows),
-                ),
-                ("mean_rebalance_secs", Json::f64(s.mean_rebalance_secs)),
-                (
-                    "degraded_capacity_secs",
-                    Json::f64(s.degraded_capacity_secs),
-                ),
-                ("audit_checks", Json::u64(s.audit_checks)),
-                ("audit_violations", Json::u64(s.audit_violations)),
-            ])
-        })
-        .collect();
-    let mut levels: Vec<f64> = rows.iter().map(|r| r.intensity).collect();
-    levels.dedup();
-    let audit_clean = !rows.is_empty()
-        && rows
-            .iter()
-            .all(|r| r.summary.audit_checks > 0 && r.summary.audit_violations == 0);
-    Json::obj(vec![
-        (
-            "levels",
-            Json::arr(levels.into_iter().map(Json::f64).collect()),
-        ),
-        ("audit_clean", Json::bool(audit_clean)),
-        ("rows", Json::arr(cells)),
-    ])
 }
 
 /// Time of the last delegate crash in a fault script, if any.
@@ -256,7 +189,6 @@ pub fn chaos_checks(exp: &Experiment, results: &[RunResult]) -> Vec<ShapeCheck> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::{group_results, run_grid};
 
     #[test]
     fn chaos_names_sort_by_level() {
@@ -271,9 +203,10 @@ mod tests {
 
     #[test]
     fn chaos_experiments_scale_with_intensity() {
-        let exps = chaos_experiments(1);
+        let sweep = chaos_sweep(&CHAOS_LEVELS, 1);
+        let exps = sweep.experiments();
         assert_eq!(exps.len(), CHAOS_LEVELS.len());
-        for exp in &exps {
+        for exp in exps {
             assert_eq!(exp.policies.len(), 4);
             exp.cluster.validate_faults().expect("plans validate");
         }
@@ -288,32 +221,30 @@ mod tests {
 
     #[test]
     fn chaos_cell_is_deterministic_and_audited() {
-        let exp = chaos_experiment(1.0, 1);
-        let grouped_a = group_results(run_grid(std::slice::from_ref(&exp), 1), 1);
-        let grouped_b = group_results(run_grid(std::slice::from_ref(&exp), 4), 1);
+        let sweep = chaos_sweep(&[1.0], 1);
+        let (_, grouped_a) = sweep.run(1, anu_trace::TraceLevel::Off);
+        let (_, grouped_b) = sweep.run(4, anu_trace::TraceLevel::Off);
         for (a, b) in grouped_a[0].iter().zip(&grouped_b[0]) {
             assert_eq!(a.summary, b.summary, "{} differs across jobs", a.policy);
             assert!(a.summary.audit_checks > 0, "{} never audited", a.policy);
             assert_eq!(a.summary.audit_violations, 0, "{} violated", a.policy);
         }
-        let rows = chaos_rows(&[1.0], std::slice::from_ref(&exp), &grouped_a);
-        assert_eq!(rows.len(), 4);
 
-        let dir = std::env::temp_dir().join("anu_chaos_csv_test");
-        let path = write_chaos_summary_csv(&rows, &dir).unwrap();
-        let content = std::fs::read_to_string(&path).unwrap();
+        let dir = std::env::temp_dir().join(format!("anu_chaos_csv_{}", std::process::id()));
+        let finished = sweep.finish(&grouped_a, &dir).unwrap();
+        assert_eq!(finished.files, [dir.join("chaos_summary.csv")]);
+        let content = std::fs::read_to_string(&finished.files[0]).unwrap();
         assert!(content.starts_with("intensity,policy,seed,faults,"));
-        assert_eq!(content.lines().count(), 1 + rows.len());
+        assert_eq!(content.lines().count(), 1 + 4, "one row per policy");
+        let first = content.lines().nth(1).unwrap();
+        assert_eq!(first.rsplit(',').next().unwrap(), "0", "no audit violation");
         std::fs::remove_dir_all(&dir).ok();
 
-        let frag = chaos_manifest(&rows);
-        assert_eq!(frag.get("rows").unwrap().as_arr().unwrap().len(), 4);
-        let first = &frag.get("rows").unwrap().as_arr().unwrap()[0];
-        assert_eq!(first.get("audit_violations").unwrap().as_u64().unwrap(), 0);
-
-        let checks = chaos_checks(&exp, &grouped_a[0]);
-        assert!(checks.len() >= 2);
-        for c in &checks {
+        assert_eq!(finished.verdicts.len(), 1, "one verdict per cell");
+        let v = &finished.verdicts[0];
+        assert_eq!(v.name, "chaos_i10");
+        assert!(v.checks.len() >= 2);
+        for c in &v.checks {
             assert!(c.pass, "[FAIL] {} — {}", c.claim, c.measured);
         }
     }

@@ -8,6 +8,7 @@
 //! schematics with no data.
 
 use crate::experiment::{Experiment, PolicyKind, PrescientWindow};
+use crate::runner::{Cell, Finished, Sweep, Verdict};
 use anu_cluster::{flip_count, late_imbalance, late_mean, ClusterConfig, RunResult};
 use anu_core::{ServerId, TuningConfig};
 use anu_workload::{DfsLikeConfig, SyntheticConfig};
@@ -228,14 +229,6 @@ pub fn figure_scaled(n: u32, seed: u64, scale: u64) -> Option<Experiment> {
     Some(exp)
 }
 
-/// All figures in order.
-pub fn all_figures(seed: u64) -> Vec<Experiment> {
-    FIGURE_NUMBERS
-        .iter()
-        .filter_map(|&n| figure(n, seed))
-        .collect()
-}
-
 /// The experiment for figure `n` (6–11); `None` for numbers outside the
 /// evaluation (Figures 1–5 are schematics with no data).
 pub fn figure(n: u32, seed: u64) -> Option<Experiment> {
@@ -248,6 +241,64 @@ pub fn figure(n: u32, seed: u64) -> Option<Experiment> {
         11 => Some(fig11(seed)),
         _ => None,
     }
+}
+
+/// The Figures 6–11 sweep: every figure in `figures` at every seed in
+/// `seeds`, seed-major. Experiments of the first seed keep their figure
+/// names (`fig6`); those of later seeds are named `fig6_s<seed>`, and so
+/// are their CSVs and traces. When figure 11 is requested without figure
+/// 10, a support run of the fig10 no-heuristics policy (`fig10-plain`)
+/// is appended per seed, so the decomposition baseline comes from the
+/// same pooled grid. One verdict per figure and seed; no summary file.
+/// `None` when a number is not an evaluation figure.
+pub fn figures_sweep(figures: &[u32], seeds: &[u64]) -> Option<Sweep> {
+    let needs_support = figures.contains(&11) && !figures.contains(&10);
+    let (mut cells, mut support) = (Vec::new(), Vec::new());
+    for (i, &seed) in seeds.iter().enumerate() {
+        let suffix = if i == 0 {
+            String::new()
+        } else {
+            format!("_s{seed}")
+        };
+        for &n in figures {
+            let mut exp = figure(n, seed)?;
+            exp.name += &suffix;
+            cells.push(((n, seed), exp));
+        }
+        if needs_support {
+            let mut plain = figure(10, seed)?;
+            plain.policies.retain(|(l, _)| l == PLAIN_ANU_LABEL);
+            plain.name = format!("fig10-plain{suffix}");
+            support.push(((10, seed), plain));
+        }
+    }
+    let (shown, n_support) = (cells.len(), support.len());
+    cells.extend(support);
+    let mut sweep = Sweep::new("figures", cells, true, move |cells, _out| {
+        let verdict = |c: &Cell<'_, (u32, u64)>| {
+            let &(n, seed) = c.at;
+            // The no-heuristics baseline of figure 11's checks, from
+            // figure 10 or the support run at the same seed.
+            let plain = cells
+                .iter()
+                .filter(|p| *p.at == (10, seed))
+                .flat_map(|p| p.results)
+                .find(|r| r.policy == PLAIN_ANU_LABEL);
+            let cluster = &c.exp.cluster;
+            let tick_buckets = (cluster.tick.0 / cluster.series_bucket.0).max(1) as usize;
+            Verdict {
+                name: c.exp.name.clone(),
+                seed,
+                checks: checks_for(n, c.results, plain, tick_buckets),
+            }
+        };
+        Ok(Finished {
+            files: Vec::new(),
+            verdicts: cells[..shown].iter().map(verdict).collect(),
+        })
+    });
+    sweep.support = n_support;
+    Some(sweep)
 }
 
 /// Outcome of one qualitative shape check.
@@ -543,7 +594,6 @@ mod tests {
         assert_eq!(fig9(1).policies.len(), 2);
         assert_eq!(fig10(1).policies.len(), 2);
         assert_eq!(fig11(1).policies.len(), 3);
-        assert_eq!(all_figures(1).len(), 6);
     }
 
     #[test]
@@ -554,7 +604,6 @@ mod tests {
         }
         assert!(figure(5, 1).is_none());
         assert!(figure(12, 1).is_none());
-        assert_eq!(all_figures(1).len(), FIGURE_NUMBERS.len());
     }
 
     #[test]

@@ -9,7 +9,8 @@
 //!   oscillates);
 //! * [`runner`] — the deterministic parallel sweep engine: the
 //!   figure/seed grid as independent tasks, drained by a scoped-thread
-//!   worker pool with byte-identical outputs at any `--jobs N`, plus the
+//!   worker pool with byte-identical outputs at any `--jobs N`; the
+//!   [`Sweep`] every grid of the `figures` run goes through; and the
 //!   `BENCH_figures.json` run manifest;
 //! * [`chaos`] — the fault-intensity sweep: the four-policy lineup under
 //!   escalating deterministic fault scripts, with availability metrics
@@ -41,32 +42,31 @@ pub mod runner;
 pub mod storm;
 
 pub use chaos::{
-    chaos_checks, chaos_experiment, chaos_experiments, chaos_manifest, chaos_name, chaos_rows,
-    write_chaos_summary_csv, ChaosRow, CHAOS_LEVELS,
+    chaos_checks, chaos_experiment, chaos_name, chaos_sweep, write_chaos_summary_csv, CHAOS_LEVELS,
 };
 pub use experiment::{Experiment, PolicyKind, PrescientWindow};
 pub use figures::{
-    all_figures, check_closeup, check_decomposition, check_four_policy, check_overtuning,
-    checks_for, fig10, fig11, fig6, fig7, fig8, fig9, figure, figure_scaled, reduced, ShapeCheck,
+    check_closeup, check_decomposition, check_four_policy, check_overtuning, checks_for, fig10,
+    fig11, fig6, fig7, fig8, fig9, figure, figure_scaled, figures_sweep, reduced, ShapeCheck,
     DEFAULT_SEED, FIGURE_NUMBERS, PLAIN_ANU_LABEL,
 };
 pub use meanfield::{
-    meanfield_cell, meanfield_checks, meanfield_experiments, meanfield_grid, meanfield_lens,
-    meanfield_manifest, meanfield_name, meanfield_rows, meanfield_tuning, model_input,
-    write_meanfield_cells_csv, write_meanfield_convergence_csv, ConvergenceRow, MeanfieldRow,
-    MeasureWindow, MEANFIELD_DIVERGENCE_CEILING, MEANFIELD_REPLICAS, MEANFIELD_SCALES,
+    meanfield_cell, meanfield_checks, meanfield_lens, meanfield_name, meanfield_rows,
+    meanfield_sweep, meanfield_tuning, model_input, write_meanfield_cells_csv,
+    write_meanfield_convergence_csv, ConvergenceRow, MeanfieldRow, MeasureWindow,
+    MEANFIELD_DIVERGENCE_CEILING, MEANFIELD_REPLICAS, MEANFIELD_SCALES,
 };
 pub use report::{
-    checks_table, csv_field, series_table, sparklines, summary_table, write_figure_csvs,
-    write_figure_csvs_tagged, write_metrics_csv, write_series_csv, write_tuner_epochs_csv,
+    checks_table, csv_field, series_table, sparklines, summary_table, write_figure_csvs_tagged,
+    write_metrics_csv, write_series_csv, write_tuner_epochs_csv,
 };
 pub use storm::{
-    storm_cells, storm_checks, storm_cluster, storm_converge_experiment, storm_experiment,
-    storm_experiments, storm_manifest, storm_name, storm_rows, write_storm_summary_csv, StormRow,
-    CONVERGE_JAIN_FLOOR, STORM_LEVELS,
+    storm_checks, storm_cluster, storm_converge_experiment, storm_experiment, storm_name,
+    storm_sweep, write_storm_summary_csv, StormCell, CONVERGE_JAIN_FLOOR, STORM_LEVELS,
 };
 
 pub use runner::{
-    effective_jobs, manifest, measure_trace_overhead, plan, run_grid, run_grid_traced,
-    set_default_jobs, FigureVerdict, SimTask, TaskOutcome, TraceOverhead, MANIFEST_SCHEMA,
+    effective_jobs, group_results, manifest, measure_trace_overhead, plan, run_grid,
+    run_grid_traced, set_default_jobs, Cell, Finished, Output, SimTask, Sweep, TaskOutcome,
+    TraceOverhead, Verdict, MANIFEST_SCHEMA,
 };

@@ -41,9 +41,10 @@
 
 use crate::experiment::{Experiment, PolicyKind};
 use crate::figures::ShapeCheck;
+use crate::runner::{Cell, Finished, Sweep, Verdict};
 use anu_analytic::{predict, ModelInput, ShareModel, Tolerance};
 use anu_cluster::{ClusterConfig, RunResult};
-use anu_core::{Json, ServerId, TuningConfig};
+use anu_core::{ServerId, TuningConfig};
 use anu_workload::{SyntheticConfig, Workload};
 use std::io;
 use std::path::{Path, PathBuf};
@@ -183,21 +184,30 @@ pub fn meanfield_cell(seed: u64, scale: u64, replica: u64) -> Experiment {
     }
 }
 
-/// The `(scale, replica)` grid of the sweep, in run order (scale-major,
-/// parallel to [`meanfield_experiments`]).
-pub fn meanfield_grid() -> Vec<(u64, u64)> {
-    MEANFIELD_SCALES
+/// The meanfield sweep: one cell per `(scale, replica)`, scale-major. It
+/// writes no per-run files; it writes `meanfield_cells.csv` and
+/// `meanfield_convergence.csv` and gives one verdict, from
+/// [`meanfield_checks`].
+pub fn meanfield_sweep(seed: u64) -> Sweep {
+    let cells = MEANFIELD_SCALES
         .iter()
         .flat_map(|&scale| (0..MEANFIELD_REPLICAS).map(move |replica| (scale, replica)))
-        .collect()
-}
-
-/// The full sweep: one experiment per [`meanfield_grid`] cell.
-pub fn meanfield_experiments(seed: u64) -> Vec<Experiment> {
-    meanfield_grid()
-        .into_iter()
-        .map(|(scale, replica)| meanfield_cell(seed, scale, replica))
-        .collect()
+        .map(|(scale, replica)| ((scale, replica), meanfield_cell(seed, scale, replica)))
+        .collect();
+    Sweep::new("meanfield", cells, false, move |cells, out| {
+        let (rows, report) = meanfield_rows(cells);
+        Ok(Finished {
+            files: vec![
+                write_meanfield_cells_csv(&rows, out)?,
+                write_meanfield_convergence_csv(&report, out)?,
+            ],
+            verdicts: vec![Verdict {
+                name: "meanfield".into(),
+                seed,
+                checks: meanfield_checks(&report),
+            }],
+        })
+    })
 }
 
 /// Extract the oracle's input from a cell: server speeds (id order), the
@@ -352,19 +362,14 @@ fn predicted_utilization(input: &ModelInput, shares: &[f64]) -> Vec<f64> {
 }
 
 /// Build the per-server comparison rows and the per-cell convergence
-/// report from grouped sweep results. `cells`, `experiments` and
-/// `grouped` must be parallel (as produced by [`meanfield_grid`] +
-/// [`meanfield_experiments`] + [`crate::runner::group_results`]).
-/// Policies outside the lineup are skipped.
-pub fn meanfield_rows(
-    cells: &[(u64, u64)],
-    experiments: &[Experiment],
-    grouped: &[Vec<RunResult>],
-) -> (Vec<MeanfieldRow>, Vec<ConvergenceRow>) {
+/// report from sweep cells, each at its `(scale, replica)`. Policies
+/// outside the lineup are skipped.
+pub fn meanfield_rows(cells: &[Cell<'_, (u64, u64)>]) -> (Vec<MeanfieldRow>, Vec<ConvergenceRow>) {
     let mut rows = Vec::new();
     let mut report = Vec::new();
-    for ((&(scale, replica), exp), results) in cells.iter().zip(experiments).zip(grouped) {
-        for r in results {
+    for c in cells {
+        let (exp, &(scale, replica)) = (c.exp, c.at);
+        for r in c.results {
             let Some((model, window)) = meanfield_lens(&r.policy) else {
                 continue;
             };
@@ -565,37 +570,6 @@ pub fn meanfield_checks(report: &[ConvergenceRow]) -> Vec<ShapeCheck> {
     checks
 }
 
-/// Manifest fragment for the meanfield sweep (`BENCH_figures.json`,
-/// schema v8): scales, replica count, ceiling, gate verdict and one
-/// object per `(policy, scale, replica)` cell. Deterministic — no timing
-/// fields.
-pub fn meanfield_manifest(report: &[ConvergenceRow]) -> Json {
-    let rows: Vec<Json> = report
-        .iter()
-        .map(|r| {
-            Json::obj(vec![
-                ("policy", Json::str(&r.policy)),
-                ("scale", Json::u64(r.scale)),
-                ("replica", Json::u64(r.replica)),
-                ("divergence", Json::f64(r.divergence)),
-                ("iterations", Json::u64(u64::from(r.iterations))),
-                ("converged", Json::bool(r.converged)),
-            ])
-        })
-        .collect();
-    let gate_pass = meanfield_checks(report).iter().all(|c| c.pass);
-    Json::obj(vec![
-        (
-            "scales",
-            Json::arr(MEANFIELD_SCALES.iter().map(|&s| Json::u64(s)).collect()),
-        ),
-        ("replicas", Json::u64(MEANFIELD_REPLICAS)),
-        ("ceiling", Json::f64(MEANFIELD_DIVERGENCE_CEILING)),
-        ("gate_pass", Json::bool(gate_pass)),
-        ("rows", Json::arr(rows)),
-    ])
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -603,9 +577,9 @@ mod tests {
 
     #[test]
     fn meanfield_names_sort_by_scale_then_replica() {
-        let mut names: Vec<String> = meanfield_grid()
-            .into_iter()
-            .map(|(s, r)| meanfield_name(s, r))
+        let mut names: Vec<String> = MEANFIELD_SCALES
+            .iter()
+            .flat_map(|&s| (0..MEANFIELD_REPLICAS).map(move |r| meanfield_name(s, r)))
             .collect();
         assert_eq!(
             names.len(),
@@ -677,8 +651,12 @@ mod tests {
     #[test]
     fn smallest_cell_rows_checks_and_manifest() {
         let exp = meanfield_cell(1, 1, 0);
-        let grouped = group_results(run_grid(std::slice::from_ref(&exp), 0), 1);
-        let (rows, report) = meanfield_rows(&[(1, 0)], std::slice::from_ref(&exp), &grouped);
+        let grouped = group_results(&run_grid(std::slice::from_ref(&exp), 0), 1);
+        let (rows, report) = meanfield_rows(&[Cell {
+            at: &(1, 0),
+            exp: &exp,
+            results: &grouped[0],
+        }]);
         assert_eq!(rows.len(), 5 * 5, "5 policies x 5 servers");
         assert_eq!(report.len(), 5);
         for r in &report {
@@ -710,13 +688,6 @@ mod tests {
         assert!(conv_text.starts_with("policy,scale,replica,divergence,"));
         assert_eq!(conv_text.lines().count(), 1 + report.len());
         std::fs::remove_dir_all(&dir).ok();
-
-        let frag = meanfield_manifest(&report);
-        assert_eq!(frag.get("rows").unwrap().as_arr().unwrap().len(), 5);
-        assert_eq!(
-            frag.get("ceiling").unwrap().as_f64().unwrap(),
-            MEANFIELD_DIVERGENCE_CEILING
-        );
 
         // A single scale cannot satisfy the >= 3-point monotone gate; the
         // checks must say so rather than vacuously pass.

@@ -126,20 +126,9 @@ pub fn write_series_csv(result: &RunResult, path: &Path) -> io::Result<()> {
     f.flush()
 }
 
-/// Write every result of a figure into `dir` as
-/// `<figure>_<policy>.csv`, returning the written paths.
-pub fn write_figure_csvs(
-    figure: &str,
-    results: &[RunResult],
-    dir: &Path,
-) -> io::Result<Vec<std::path::PathBuf>> {
-    write_figure_csvs_tagged(figure, None, results, dir)
-}
-
-/// [`write_figure_csvs`] with an optional tag inserted after the figure
-/// name (`<figure>_<tag>_<policy>.csv`). Multi-seed sweeps tag each seed's
-/// series (`fig6_s42_anu_randomization.csv`) so grids don't collide; the
-/// base seed stays untagged and keeps the canonical `out/` names.
+/// Write every result of a figure into `dir` as `<figure>_<policy>.csv`,
+/// or `<figure>_<tag>_<policy>.csv` with a tag, returning the written
+/// paths.
 pub fn write_figure_csvs_tagged(
     figure: &str,
     tag: Option<&str>,
@@ -457,7 +446,7 @@ mod tests {
     fn csv_files_written() {
         let rs = quick_result();
         let dir = std::env::temp_dir().join("anu_report_test");
-        let paths = write_figure_csvs("figX", &rs, &dir).unwrap();
+        let paths = write_figure_csvs_tagged("figX", None, &rs, &dir).unwrap();
         assert_eq!(paths.len(), 1);
         let content = std::fs::read_to_string(&paths[0]).unwrap();
         assert!(content.starts_with("minute,server"));

@@ -22,10 +22,9 @@
 //! byte-identical at any `--jobs` value.
 
 use crate::experiment::{Experiment, PolicyKind};
-use anu_cluster::{
-    AutoscalerConfig, ClusterConfig, FaultPlanConfig, RunResult, RunSummary, ShedConfig,
-};
-use anu_core::{Json, ServerId, TuningConfig};
+use crate::runner::{Cell, Finished, Sweep, Verdict};
+use anu_cluster::{AutoscalerConfig, ClusterConfig, FaultPlanConfig, ShedConfig};
+use anu_core::{ServerId, TuningConfig};
 use anu_des::SimDuration;
 use anu_workload::{CostModel, StormConfig, StormKind, SyntheticConfig, WeightDist};
 use std::io;
@@ -178,79 +177,39 @@ pub fn storm_converge_experiment(seed: u64) -> Experiment {
     }
 }
 
-/// The cell axis of the full sweep: every storm kind at every
-/// [`STORM_LEVELS`] entry, then the convergence cell (kind `"converge"`,
-/// level 0). Parallel to [`storm_experiments`].
-pub fn storm_cells() -> Vec<(String, f64)> {
+/// The storm sweep: every storm kind at every [`STORM_LEVELS`] entry,
+/// then the convergence cell (kind `"converge"`, level 0). It writes
+/// `storm_summary.csv` and gives one verdict for the whole sweep, from
+/// [`storm_checks`].
+pub fn storm_sweep(seed: u64) -> Sweep {
     let mut cells = Vec::new();
     for kind in StormKind::all() {
         for &level in &STORM_LEVELS {
-            cells.push((kind.name().to_string(), level));
+            cells.push(((kind.name(), level), storm_experiment(kind, level, seed)));
         }
     }
-    cells.push(("converge".into(), 0.0));
-    cells
+    cells.push((("converge", 0.0), storm_converge_experiment(seed)));
+    Sweep::new("storm", cells, true, move |cells, out| {
+        Ok(Finished {
+            files: vec![write_storm_summary_csv(cells, out)?],
+            verdicts: vec![Verdict {
+                name: "storm".into(),
+                seed,
+                checks: storm_checks(cells),
+            }],
+        })
+    })
 }
 
-/// The full default sweep, parallel to [`storm_cells`]: 12 storm cells
-/// plus the convergence cell.
-pub fn storm_experiments(seed: u64) -> Vec<Experiment> {
-    let mut exps = Vec::new();
-    for kind in StormKind::all() {
-        for &level in &STORM_LEVELS {
-            exps.push(storm_experiment(kind, level, seed));
-        }
-    }
-    exps.push(storm_converge_experiment(seed));
-    exps
-}
-
-/// One `(kind, intensity, policy)` cell of the storm summary.
-#[derive(Clone, Debug)]
-pub struct StormRow {
-    /// Storm kind name (`"flash_crowd"`, …, or `"converge"`).
-    pub kind: String,
-    /// Storm/churn intensity of the cell.
-    pub intensity: f64,
-    /// Policy label.
-    pub policy: String,
-    /// Seed the storm and fault script were drawn from.
-    pub seed: u64,
-    /// Fault events in the compiled churn script.
-    pub faults: usize,
-    /// The run's summary (fairness and elasticity metrics included).
-    pub summary: RunSummary,
-}
-
-/// Flatten grouped sweep results into summary rows. `cells`,
-/// `experiments` and `grouped` must be parallel (as produced by
-/// [`storm_cells`] + [`storm_experiments`] +
-/// [`crate::runner::group_results`]).
-pub fn storm_rows(
-    cells: &[(String, f64)],
-    experiments: &[Experiment],
-    grouped: &[Vec<RunResult>],
-) -> Vec<StormRow> {
-    let mut rows = Vec::new();
-    for ((cell, exp), results) in cells.iter().zip(experiments).zip(grouped) {
-        for r in results {
-            rows.push(StormRow {
-                kind: cell.0.clone(),
-                intensity: cell.1,
-                policy: r.policy.clone(),
-                seed: exp.seed,
-                faults: exp.cluster.faults.len(),
-                summary: r.summary.clone(),
-            });
-        }
-    }
-    rows
-}
+/// A storm cell, at its `(kind, level)`; the convergence cell is
+/// `("converge", 0.0)`.
+pub type StormCell<'a> = Cell<'a, (&'static str, f64)>;
 
 /// Write the storm fairness/elasticity summary as `storm_summary.csv` in
-/// `dir`: one row per cell, fixed-precision formatting so the bytes are
-/// deterministic across platforms and worker counts.
-pub fn write_storm_summary_csv(rows: &[StormRow], dir: &Path) -> io::Result<PathBuf> {
+/// `dir`: one row per `(kind, intensity, policy)` run, fixed-precision
+/// formatting so the bytes are deterministic across platforms and worker
+/// counts.
+pub fn write_storm_summary_csv(cells: &[StormCell<'_>], dir: &Path) -> io::Result<PathBuf> {
     use std::io::Write;
     std::fs::create_dir_all(dir)?;
     let path = dir.join("storm_summary.csv");
@@ -261,81 +220,36 @@ pub fn write_storm_summary_csv(rows: &[StormRow], dir: &Path) -> io::Result<Path
          scale_downs,mean_latency_ms,p99_latency_ms,jain_fairness,completion_fairness,\
          p99_per_file_set_max_ms,unavailability_windows,audit_checks,audit_violations"
     )?;
-    for r in rows {
-        let s = &r.summary;
-        writeln!(
-            f,
-            "{},{:.2},{},{},{},{},{},{},{},{},{},{:.3},{:.3},{:.4},{:.4},{:.3},{},{},{}",
-            r.kind,
-            r.intensity,
-            r.policy,
-            r.seed,
-            r.faults,
-            s.offered_requests,
-            s.completed_requests,
-            s.requests_shed,
-            s.requests_requeued,
-            s.scale_ups,
-            s.scale_downs,
-            s.mean_latency_ms,
-            s.p99_latency_ms,
-            s.jain_fairness,
-            s.completion_fairness,
-            s.p99_per_file_set_max,
-            s.unavailability_windows,
-            s.audit_checks,
-            s.audit_violations
-        )?;
+    for c in cells {
+        for r in c.results {
+            let s = &r.summary;
+            writeln!(
+                f,
+                "{},{:.2},{},{},{},{},{},{},{},{},{},{:.3},{:.3},{:.4},{:.4},{:.3},{},{},{}",
+                c.at.0,
+                c.at.1,
+                r.policy,
+                c.exp.seed,
+                c.exp.cluster.faults.len(),
+                s.offered_requests,
+                s.completed_requests,
+                s.requests_shed,
+                s.requests_requeued,
+                s.scale_ups,
+                s.scale_downs,
+                s.mean_latency_ms,
+                s.p99_latency_ms,
+                s.jain_fairness,
+                s.completion_fairness,
+                s.p99_per_file_set_max,
+                s.unavailability_windows,
+                s.audit_checks,
+                s.audit_violations
+            )?;
+        }
     }
     f.flush()?;
     Ok(path)
-}
-
-/// Manifest fragment for the storm sweep (`BENCH_figures.json`, schema
-/// v7): kinds and levels swept plus one object per summary row.
-/// Everything in it is deterministic — no timing fields.
-pub fn storm_manifest(rows: &[StormRow]) -> Json {
-    let cells: Vec<Json> = rows
-        .iter()
-        .map(|r| {
-            let s = &r.summary;
-            Json::obj(vec![
-                ("kind", Json::str(&r.kind)),
-                ("intensity", Json::f64(r.intensity)),
-                ("policy", Json::str(&r.policy)),
-                ("seed", Json::u64(r.seed)),
-                ("faults", Json::usize(r.faults)),
-                ("completed_requests", Json::u64(s.completed_requests)),
-                ("requests_shed", Json::u64(s.requests_shed)),
-                ("requests_requeued", Json::u64(s.requests_requeued)),
-                ("scale_ups", Json::u64(s.scale_ups)),
-                ("scale_downs", Json::u64(s.scale_downs)),
-                ("jain_fairness", Json::f64(s.jain_fairness)),
-                ("completion_fairness", Json::f64(s.completion_fairness)),
-                ("p99_per_file_set_max_ms", Json::f64(s.p99_per_file_set_max)),
-                ("audit_checks", Json::u64(s.audit_checks)),
-                ("audit_violations", Json::u64(s.audit_violations)),
-            ])
-        })
-        .collect();
-    let mut kinds: Vec<String> = rows.iter().map(|r| r.kind.clone()).collect();
-    kinds.dedup();
-    let audit_clean = !rows.is_empty()
-        && rows
-            .iter()
-            .all(|r| r.summary.audit_checks > 0 && r.summary.audit_violations == 0);
-    Json::obj(vec![
-        (
-            "kinds",
-            Json::arr(kinds.into_iter().map(|k| Json::str(&k)).collect()),
-        ),
-        (
-            "levels",
-            Json::arr(STORM_LEVELS.iter().map(|&l| Json::f64(l)).collect()),
-        ),
-        ("audit_clean", Json::bool(audit_clean)),
-        ("rows", Json::arr(cells)),
-    ])
 }
 
 /// Robustness checks for the storm sweep — the acceptance claims of the
@@ -351,30 +265,28 @@ pub fn storm_manifest(rows: &[StormRow]) -> Json {
 ///   cell, and the per-file-set p99 column dominates the overall p99;
 /// * the convergence cell commissions through the flash crowd, retires
 ///   afterwards, and keeps whole-run Jain fairness above the floor.
-pub fn storm_checks(rows: &[StormRow]) -> Vec<ShapeCheck> {
+pub fn storm_checks(cells: &[StormCell<'_>]) -> Vec<ShapeCheck> {
+    let runs = || cells.iter().flat_map(|c| c.results);
+    let n_runs = runs().count();
     let mut checks = Vec::new();
-    let total_checks: u64 = rows.iter().map(|r| r.summary.audit_checks).sum();
-    let total_violations: u64 = rows.iter().map(|r| r.summary.audit_violations).sum();
+    let total_checks: u64 = runs().map(|r| r.summary.audit_checks).sum();
+    let total_violations: u64 = runs().map(|r| r.summary.audit_violations).sum();
     checks.push(ShapeCheck {
         claim: "storm: the invariant auditor runs at every membership boundary (scale + fault) \
                 and finds no violation"
             .into(),
-        measured: format!(
-            "{} cells, {total_checks} checks, {total_violations} violations",
-            rows.len()
-        ),
-        pass: !rows.is_empty() && total_checks > 0 && total_violations == 0,
+        measured: format!("{n_runs} cells, {total_checks} checks, {total_violations} violations"),
+        pass: n_runs > 0 && total_checks > 0 && total_violations == 0,
     });
 
-    let lost: u64 = rows
-        .iter()
+    let lost: u64 = runs()
         .map(|r| {
             r.summary
                 .offered_requests
                 .saturating_sub(r.summary.completed_requests + r.summary.requests_shed)
         })
         .sum();
-    let shed: u64 = rows.iter().map(|r| r.summary.requests_shed).sum();
+    let shed: u64 = runs().map(|r| r.summary.requests_shed).sum();
     checks.push(ShapeCheck {
         claim: "storm: overload sheds deterministically at admission but never loses a request \
                 in flight"
@@ -410,13 +322,10 @@ pub fn storm_checks(rows: &[StormRow]) -> Vec<ShapeCheck> {
     let mut all_dominant = 0usize;
     let mut fair_wins = 0usize;
     let mut shed_wins = 0usize;
-    for anu in rows
-        .iter()
-        .filter(|r| r.policy == "anu-randomization" && r.kind != "converge")
-    {
-        let Some(simple) = rows.iter().find(|r| {
-            r.policy == "simple-randomization" && r.kind == anu.kind && r.intensity == anu.intensity
-        }) else {
+    for c in cells.iter().filter(|c| c.at.0 != "converge") {
+        let find = |p: &str| c.results.iter().find(|r| r.policy == p);
+        let (Some(anu), Some(simple)) = (find("anu-randomization"), find("simple-randomization"))
+        else {
             continue;
         };
         let margin = anu.summary.completion_fairness - simple.summary.completion_fairness;
@@ -431,13 +340,13 @@ pub fn storm_checks(rows: &[StormRow]) -> Vec<ShapeCheck> {
         if margin > 0.0 || sheds_less {
             all_dominant += 1;
         }
-        if anu.kind == "adversarial" {
+        if c.at.0 == "adversarial" {
             adv_compared += 1;
             if margin > 0.0 {
                 adv_beaten += 1;
             }
             if adv_worst.as_ref().is_none_or(|w| margin < w.1) {
-                adv_worst = Some((storm_name(&anu.kind, anu.intensity), margin));
+                adv_worst = Some((c.exp.name.clone(), margin));
             }
         }
     }
@@ -463,19 +372,19 @@ pub fn storm_checks(rows: &[StormRow]) -> Vec<ShapeCheck> {
             ),
             pass: all_dominant == all_compared,
         });
-        let malformed = rows
-            .iter()
+        let malformed = runs()
             .filter(|r| r.summary.p99_per_file_set_max + 1e-9 < r.summary.p99_latency_ms)
             .count();
         checks.push(ShapeCheck {
             claim: "storm: worst per-file-set p99 dominates the overall p99 in every policy row"
                 .into(),
-            measured: format!("{malformed} of {} rows malformed", rows.len()),
+            measured: format!("{malformed} of {n_runs} rows malformed"),
             pass: malformed == 0,
         });
     }
 
-    if let Some(conv) = rows.iter().find(|r| r.kind == "converge") {
+    let converge = cells.iter().find(|c| c.at.0 == "converge");
+    if let Some(conv) = converge.and_then(|c| c.results.first()) {
         let s = &conv.summary;
         checks.push(ShapeCheck {
             claim: format!(
@@ -496,15 +405,34 @@ pub fn storm_checks(rows: &[StormRow]) -> Vec<ShapeCheck> {
 mod tests {
     use super::*;
     use crate::runner::{group_results, run_grid};
+    use anu_cluster::RunResult;
+
+    /// The storm checks of one cell at `(kind, level)`.
+    fn checks_of(
+        kind: &'static str,
+        level: f64,
+        exp: &Experiment,
+        results: &[RunResult],
+    ) -> Vec<ShapeCheck> {
+        storm_checks(&[Cell {
+            at: &(kind, level),
+            exp,
+            results,
+        }])
+    }
 
     #[test]
     fn storm_cells_and_experiments_are_parallel() {
-        let cells = storm_cells();
-        let exps = storm_experiments(1);
-        assert_eq!(cells.len(), exps.len());
-        assert_eq!(cells.len(), 13);
-        for ((kind, level), exp) in cells.iter().zip(&exps) {
-            if kind == "converge" {
+        let sweep = storm_sweep(1);
+        let exps = sweep.experiments();
+        assert_eq!(exps.len(), 13);
+        let cells: Vec<(&str, f64)> = StormKind::all()
+            .iter()
+            .flat_map(|k| STORM_LEVELS.iter().map(move |&l| (k.name(), l)))
+            .chain([("converge", 0.0)])
+            .collect();
+        for ((kind, level), exp) in cells.iter().zip(exps) {
+            if *kind == "converge" {
                 assert_eq!(exp.name, "storm_converge");
                 assert!(exp.cluster.faults.is_empty());
             } else {
@@ -525,8 +453,8 @@ mod tests {
     #[test]
     fn storm_cell_is_deterministic_fair_scored_and_audited() {
         let exp = storm_experiment(StormKind::FlashCrowd, 1.0, 1);
-        let grouped_a = group_results(run_grid(std::slice::from_ref(&exp), 1), 1);
-        let grouped_b = group_results(run_grid(std::slice::from_ref(&exp), 4), 1);
+        let grouped_a = group_results(&run_grid(std::slice::from_ref(&exp), 1), 1);
+        let grouped_b = group_results(&run_grid(std::slice::from_ref(&exp), 4), 1);
         for (a, b) in grouped_a[0].iter().zip(&grouped_b[0]) {
             assert_eq!(a.summary, b.summary, "{} differs across jobs", a.policy);
             assert!(a.summary.audit_checks > 0, "{} never audited", a.policy);
@@ -535,25 +463,27 @@ mod tests {
             assert!(a.summary.completion_fairness > 0.0 && a.summary.completion_fairness <= 1.0);
             assert!(a.summary.p99_per_file_set_max >= a.summary.p99_latency_ms);
         }
-        // One row per policy in the storm lineup.
-        let cells = vec![("flash_crowd".to_string(), 1.0)];
-        let rows = storm_rows(&cells, std::slice::from_ref(&exp), &grouped_a);
-        assert_eq!(rows.len(), storm_policies().len());
-        assert_eq!(rows.len(), 4);
-
+        // One summary row per policy in the storm lineup.
+        assert_eq!(grouped_a[0].len(), storm_policies().len());
+        assert_eq!(grouped_a[0].len(), 4);
+        let cell = Cell {
+            at: &("flash_crowd", 1.0),
+            exp: &exp,
+            results: &grouped_a[0],
+        };
         let dir = std::env::temp_dir().join("anu_storm_csv_test");
-        let path = write_storm_summary_csv(&rows, &dir).unwrap();
+        let path = write_storm_summary_csv(&[cell], &dir).unwrap();
         let content = std::fs::read_to_string(&path).unwrap();
         assert!(content.starts_with("kind,intensity,policy,seed,faults,"));
-        assert_eq!(content.lines().count(), 1 + rows.len());
+        assert_eq!(content.lines().count(), 1 + 4);
+        assert!(content
+            .lines()
+            .nth(1)
+            .unwrap()
+            .starts_with("flash_crowd,1.00,"));
         std::fs::remove_dir_all(&dir).ok();
-
-        let frag = storm_manifest(&rows);
-        assert_eq!(frag.get("rows").unwrap().as_arr().unwrap().len(), 4);
-        let first = &frag.get("rows").unwrap().as_arr().unwrap()[0];
-        assert_eq!(first.get("audit_violations").unwrap().as_u64().unwrap(), 0);
-        assert!(first.get("completion_fairness").unwrap().as_f64().is_ok());
-        assert!(frag.get("audit_clean").unwrap().as_bool().unwrap());
+        let audit = &storm_checks(&[cell])[0];
+        assert!(audit.pass, "{}", audit.measured);
     }
 
     /// The ISSUE's regression claim: tuned randomization beats the
@@ -565,11 +495,10 @@ mod tests {
     #[test]
     fn anu_beats_uniform_random_on_completion_fairness_under_adversarial_churn() {
         let exp = storm_experiment(StormKind::Adversarial, 1.0, 1);
-        let grouped = group_results(run_grid(std::slice::from_ref(&exp), 0), 1);
-        let cells = vec![("adversarial".to_string(), 1.0)];
-        let rows = storm_rows(&cells, std::slice::from_ref(&exp), &grouped);
+        let grouped = group_results(&run_grid(std::slice::from_ref(&exp), 0), 1);
         let find = |p: &str| {
-            rows.iter()
+            grouped[0]
+                .iter()
                 .find(|r| r.policy == p)
                 .unwrap_or_else(|| panic!("{p} row missing"))
         };
@@ -582,7 +511,7 @@ mod tests {
             simple.summary.completion_fairness
         );
         // The sweep-level scoreboard gates the same claim.
-        let checks = storm_checks(&rows);
+        let checks = checks_of("adversarial", 1.0, &exp, &grouped[0]);
         let score = checks
             .iter()
             .find(|c| c.claim.contains("every adversarial cell"))
@@ -598,15 +527,13 @@ mod tests {
     #[test]
     fn converge_cell_scales_up_down_and_stays_fair() {
         let exp = storm_converge_experiment(1);
-        let grouped = group_results(run_grid(std::slice::from_ref(&exp), 0), 1);
-        let cells = vec![("converge".to_string(), 0.0)];
-        let rows = storm_rows(&cells, std::slice::from_ref(&exp), &grouped);
-        let checks = storm_checks(&rows);
+        let grouped = group_results(&run_grid(std::slice::from_ref(&exp), 0), 1);
+        let checks = checks_of("converge", 0.0, &exp, &grouped[0]);
         assert_eq!(checks.len(), 3);
         for c in &checks {
             assert!(c.pass, "[FAIL] {} — {}", c.claim, c.measured);
         }
-        let s = &rows[0].summary;
+        let s = &grouped[0][0].summary;
         assert!(s.scale_ups >= 1, "never commissioned: {s:?}");
         assert!(s.scale_downs >= 1, "never retired: {s:?}");
         assert!(

@@ -3,7 +3,7 @@
 //! catch contract drift without running any simulation.
 
 use anu_des::task_seed;
-use anu_harness::{checks_table, csv_field, FigureVerdict, ShapeCheck};
+use anu_harness::{checks_table, csv_field, ShapeCheck, Verdict};
 
 // ---------------------------------------------------------------- seeds
 
@@ -61,8 +61,8 @@ fn check(claim: &str, pass: bool, measured: &str) -> ShapeCheck {
 
 #[test]
 fn verdict_pass_requires_every_check() {
-    let mut v = FigureVerdict {
-        figure: 6,
+    let mut v = Verdict {
+        name: "fig6".into(),
         seed: 1,
         checks: vec![check("a", true, "x"), check("b", true, "y")],
     };

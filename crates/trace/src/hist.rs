@@ -1,4 +1,4 @@
-//! Log-scaled histograms and a fixed-size sample ring.
+//! Log-scaled histograms.
 //!
 //! [`LogHistogram`] buckets by power of two: bucket `i ≥ 1` covers
 //! `[2^(i-1), 2^i - 1]` and bucket 0 covers exactly `{0}`. That gives
@@ -7,8 +7,6 @@
 //! `RunSummary` percentiles exist whether or not a sink is attached.
 //! Every operation is integer arithmetic: quantiles are deterministic
 //! and identical across platforms.
-
-use anu_core::Json;
 
 /// Power-of-two bucketed histogram over `u64` values.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -105,87 +103,6 @@ impl LogHistogram {
             .map(|(i, &n)| (Self::upper_bound(i), n))
             .collect()
     }
-
-    /// Compact JSON: `{"count":N,"buckets":[[ub,n],…]}` (non-empty only).
-    pub fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("count", Json::u64(self.count)),
-            (
-                "buckets",
-                Json::arr(
-                    self.nonzero()
-                        .into_iter()
-                        .map(|(ub, n)| Json::arr(vec![Json::u64(ub), Json::u64(n)]))
-                        .collect(),
-                ),
-            ),
-        ])
-    }
-}
-
-/// A fixed-capacity ring of the most recent `u64` samples (queue depths).
-///
-/// Bounded by construction so per-run memory stays constant no matter
-/// how long the simulation runs; the summary keeps running aggregates
-/// while the ring answers "what did the last window look like".
-#[derive(Clone, Debug)]
-pub struct DepthRing {
-    slots: [u64; Self::CAP],
-    len: usize,
-    pos: usize,
-}
-
-impl Default for DepthRing {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl DepthRing {
-    /// Ring capacity.
-    pub const CAP: usize = 64;
-
-    /// An empty ring.
-    pub fn new() -> Self {
-        DepthRing {
-            slots: [0; Self::CAP],
-            len: 0,
-            pos: 0,
-        }
-    }
-
-    /// Push a sample, evicting the oldest once full.
-    pub fn push(&mut self, v: u64) {
-        self.slots[self.pos] = v;
-        self.pos = (self.pos + 1) % Self::CAP;
-        self.len = (self.len + 1).min(Self::CAP);
-    }
-
-    /// Samples currently held (≤ [`CAP`]).
-    ///
-    /// [`CAP`]: DepthRing::CAP
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// True when nothing has been pushed yet.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Largest sample in the window (0 when empty).
-    pub fn max(&self) -> u64 {
-        self.slots[..self.len].iter().copied().max().unwrap_or(0)
-    }
-
-    /// Mean of the window (0.0 when empty).
-    pub fn mean(&self) -> f64 {
-        if self.len == 0 {
-            0.0
-        } else {
-            self.slots[..self.len].iter().sum::<u64>() as f64 / self.len as f64
-        }
-    }
 }
 
 #[cfg(test)]
@@ -278,19 +195,5 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.count(), 3);
         assert_eq!(a.nonzero(), vec![(3, 2), (4095, 1)]);
-    }
-
-    #[test]
-    fn depth_ring_window() {
-        let mut r = DepthRing::new();
-        assert!(r.is_empty());
-        assert_eq!(r.max(), 0);
-        for i in 0..100u64 {
-            r.push(i);
-        }
-        assert_eq!(r.len(), DepthRing::CAP);
-        assert_eq!(r.max(), 99);
-        // Window holds 36..=99 (the last 64 pushes).
-        assert_eq!(r.mean(), (36..=99).sum::<u64>() as f64 / 64.0);
     }
 }

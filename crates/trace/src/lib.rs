@@ -31,7 +31,7 @@ mod hist;
 mod ring;
 
 pub use event::{TraceEvent, WarnCode};
-pub use hist::{DepthRing, LogHistogram};
+pub use hist::LogHistogram;
 pub use ring::RingSink;
 
 use anu_des::SimTime;

@@ -7,9 +7,9 @@
 //! enumeration time, outcomes are slotted by task id).
 
 use anu::harness::{
-    chaos_experiment, chaos_rows, checks_for, figure, reduced, run_grid, run_grid_traced,
-    write_chaos_summary_csv, write_figure_csvs_tagged, write_metrics_csv, write_tuner_epochs_csv,
-    FIGURE_NUMBERS, PLAIN_ANU_LABEL,
+    chaos_sweep, checks_for, figure, group_results, reduced, run_grid, run_grid_traced,
+    write_figure_csvs_tagged, write_metrics_csv, write_tuner_epochs_csv, FIGURE_NUMBERS,
+    PLAIN_ANU_LABEL,
 };
 use anu::trace::TraceLevel;
 
@@ -37,11 +37,7 @@ fn serial_and_parallel_runs_are_byte_identical() {
         let dir = tmp.join(format!("jobs{jobs}"));
         let outcomes = run_grid(&exps, jobs);
 
-        // Regroup per experiment, preserving policy order.
-        let mut grouped: Vec<Vec<anu::cluster::RunResult>> = vec![Vec::new(); exps.len()];
-        for o in outcomes {
-            grouped[o.task.experiment].push(o.result);
-        }
+        let grouped = group_results(&outcomes, exps.len());
 
         let plain = grouped
             .iter()
@@ -96,16 +92,18 @@ fn serial_and_parallel_runs_are_byte_identical() {
 
 /// The chaos extension of the guarantee: a fault-injected sweep — where
 /// failures drain queues, migrations retarget mid-flight and the auditor
-/// runs at every boundary — still produces byte-identical series CSVs, a
-/// byte-identical `chaos_summary.csv` and identical epoch-level traces at
-/// any worker count. One intensity level keeps the test CI-speed; the
+/// runs at every boundary — still produces byte-identical series,
+/// tuner-epoch and metrics CSVs, a byte-identical `chaos_summary.csv`,
+/// identical verdicts and identical epoch-level traces at any worker
+/// count, through the same sweep API as `figures --chaos`. One intensity
+/// level keeps the test CI-speed; the
 /// engine treats levels as independent grid rows, so one row is
 /// representative.
 #[test]
 fn chaos_outputs_are_byte_identical_across_jobs() {
-    let exps = vec![chaos_experiment(1.0, SEED)];
+    let sweep = chaos_sweep(&[1.0], SEED);
     assert!(
-        !exps[0].cluster.faults.is_empty(),
+        !sweep.experiments()[0].cluster.faults.is_empty(),
         "intensity 1.0 compiles a non-empty fault script"
     );
 
@@ -114,44 +112,31 @@ fn chaos_outputs_are_byte_identical_across_jobs() {
 
     let mut csvs: Vec<CsvSet> = Vec::new();
     let mut traces: Vec<Vec<Vec<String>>> = Vec::new();
+    let mut verdicts: Vec<String> = Vec::new();
     for jobs in [1usize, 4] {
         let dir = tmp.join(format!("jobs{jobs}"));
-        let outcomes = run_grid_traced(&exps, jobs, TraceLevel::Epoch);
+        let (outcomes, grouped) = sweep.run(jobs, TraceLevel::Epoch);
 
-        let mut grouped: Vec<Vec<anu::cluster::RunResult>> = vec![Vec::new(); exps.len()];
-        let mut run_traces = Vec::new();
-        for o in outcomes {
-            run_traces.push(o.trace_lines);
-            grouped[o.task.experiment].push(o.result);
+        // Every run survived the storm with a clean audit — a chaos sweep
+        // that only reproduces bytes of a corrupted world would prove
+        // nothing.
+        for r in grouped.iter().flatten() {
+            assert!(r.summary.audit_checks > 0, "{}: auditor armed", r.policy);
+            assert_eq!(r.summary.audit_violations, 0, "{}: clean audit", r.policy);
         }
-
-        let mut run_csvs = Vec::new();
-        for (exp, results) in exps.iter().zip(&grouped) {
-            // Every run survived the storm with a clean audit — a chaos
-            // sweep that only reproduces bytes of a corrupted world would
-            // prove nothing.
-            for r in results {
-                assert!(r.summary.audit_checks > 0, "{}: auditor armed", r.policy);
-                assert_eq!(r.summary.audit_violations, 0, "{}: clean audit", r.policy);
-            }
-            let paths =
-                write_figure_csvs_tagged(&exp.name, None, results, &dir).expect("write CSVs");
-            for p in paths {
-                let bytes = std::fs::read(&p).expect("read back CSV");
-                run_csvs.push((
-                    p.strip_prefix(&dir).expect("under dir").to_path_buf(),
-                    bytes,
-                ));
-            }
-        }
-        let rows = chaos_rows(&[1.0], &exps, &grouped);
-        let p = write_chaos_summary_csv(&rows, &dir).expect("write chaos summary");
-        run_csvs.push((
-            p.strip_prefix(&dir).expect("under dir").to_path_buf(),
-            std::fs::read(&p).expect("read back summary"),
-        ));
-        csvs.push(run_csvs);
-        traces.push(run_traces);
+        let mut written = sweep
+            .write_run_files(&outcomes, &grouped, &dir, None)
+            .expect("write CSVs");
+        let finished = sweep.finish(&grouped, &dir).expect("write chaos summary");
+        assert!(finished.files[0].ends_with("chaos_summary.csv"));
+        written.extend(finished.files);
+        let read = |p: &std::path::PathBuf| {
+            let rel = p.strip_prefix(&dir).expect("under dir").to_path_buf();
+            (rel, std::fs::read(p).expect("read back CSV"))
+        };
+        csvs.push(written.iter().map(read).collect());
+        verdicts.push(format!("{:?}", finished.verdicts));
+        traces.push(outcomes.into_iter().map(|o| o.trace_lines).collect());
     }
 
     assert_eq!(csvs[0].len(), csvs[1].len(), "same CSV file count");
@@ -164,6 +149,10 @@ fn chaos_outputs_are_byte_identical_across_jobs() {
             name_s.display()
         );
     }
+    assert_eq!(
+        verdicts[0], verdicts[1],
+        "chaos verdicts differ between jobs=1 and jobs=4"
+    );
     assert_eq!(traces[0].len(), traces[1].len(), "same task count");
     for (i, (a, b)) in traces[0].iter().zip(&traces[1]).enumerate() {
         assert_eq!(
@@ -204,10 +193,7 @@ fn traces_and_tuner_csvs_are_byte_identical_across_jobs() {
         let dir = tmp.join(format!("jobs{jobs}"));
         let outcomes = run_grid_traced(&exps, jobs, TraceLevel::Request);
 
-        let mut grouped: Vec<Vec<anu::cluster::RunResult>> = vec![Vec::new(); exps.len()];
-        for o in &outcomes {
-            grouped[o.task.experiment].push(o.result.clone());
-        }
+        let grouped = group_results(&outcomes, exps.len());
         let mut run_csvs = Vec::new();
         let mut run_metrics = Vec::new();
         for (exp, results) in exps.iter().zip(&grouped) {
