@@ -5,10 +5,10 @@
 # figures determinism gate (parallel run's outputs and manifest
 # byte-identical to serial), the committed-record gate (BENCH_figures.json,
 # whose outputs[] pins every file the run writes, and the summary tables
-# under out/ must equal what this commit writes), two end-to-end benchmark
-# runs, scale_hotpath and paper_grid (e2e-bench/: pinned fingerprint and
-# conservation/audit checks gate; timings are reported, not gated), and
-# e2e-bench's own tests.
+# under out/ must equal what this commit writes), three end-to-end
+# benchmark runs, scale_hotpath, paper_grid and churn_storm (e2e-bench/:
+# pinned fingerprint and conservation/audit checks gate; timings are
+# reported, not gated), and e2e-bench's own tests.
 # Fails fast on the first broken step and prints a per-step timing
 # summary at the end.
 #
@@ -180,6 +180,14 @@ step "e2e-bench paper_grid (fingerprint + conservation/audit checks; timings rep
 # solve and its lower-bound skip on every full gate.
 cargo run --release --quiet --manifest-path e2e-bench/Cargo.toml --bin e2e -- \
     --workload paper_grid --seed 1 --seconds 0
+
+step "e2e-bench churn_storm (fingerprint + conservation/audit checks; timings reported)"
+# Storm cells with churn faults, autoscaling and shedding: the only gated
+# workload where autoscaler commissions and decommissions meet crashes and
+# admission sheds, so its pinned fingerprint guards the world's one
+# take-down and one bring-up path.
+cargo run --release --quiet --manifest-path e2e-bench/Cargo.toml --bin e2e -- \
+    --workload churn_storm --seed 1 --seconds 0
 
 step "e2e-bench tests (its own workspace; not covered by the tier-1 cargo test)"
 # e2e-bench is a separate Cargo workspace, so the root `cargo test` never

@@ -19,9 +19,11 @@
 //!   scale-down can never collide with the fault script, which targets
 //!   core servers only (enforced by `ClusterConfig::validate_faults`).
 //!
-//! Every scale event flows through the ordinary membership path —
-//! `PlacementPolicy::on_recover` / `on_fail` plus the minimal-movement
-//! placement map — and the world audits invariants at each boundary.
+//! Every scale event flows through the world's one bring-up and take-down
+//! path, the same one scripted repairs and crashes use —
+//! `PlacementPolicy::on_commission` / `on_decommission` (by default
+//! `on_recover` / `on_fail`) plus the minimal-movement placement map — and
+//! the world audits invariants at each boundary.
 //!
 //! The decision procedure is a pure function of the observed latency
 //! sequence, so runs are byte-identical at any worker count.

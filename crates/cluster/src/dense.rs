@@ -1,45 +1,29 @@
-//! Compact id interning for the simulation hot path.
+//! Compact server-id interning for the simulation hot path.
 //!
-//! The event loop addresses per-server and per-file-set state millions of
-//! times per run. Keying that state by `BTreeMap<Id, …>` costs an ordered
-//! tree walk per touch; interning the (fixed) id universe once at setup
-//! turns every touch into a `Vec` index. Sorted interning order means
-//! dense index order *is* id order, so iterating a dense table yields
-//! exactly the sequence a `BTreeMap` would — report and CSV boundaries
-//! stay byte-identical without any re-sorting.
+//! The event loop addresses per-server state millions of times per run.
+//! Keying that state by `BTreeMap<ServerId, …>` costs an ordered tree walk
+//! per touch; interning the (fixed) id universe once at setup turns every
+//! touch into a `Vec` index. Sorted interning order means dense index
+//! order *is* id order, so iterating a dense table yields exactly the
+//! sequence a `BTreeMap` would — report and CSV boundaries stay
+//! byte-identical without any re-sorting. File sets need no interner: a
+//! workload's sets are `0..n`, so a set's id is already its index.
 
-/// An id type that can be interned: copyable, totally ordered, and
-/// projectable to a raw integer (used for the O(1) contiguous fast path).
-pub(crate) trait DenseId: Copy + Ord {
-    /// The raw integer behind the id.
-    fn raw(self) -> u64;
-}
+use anu_core::ServerId;
 
-impl DenseId for anu_core::ServerId {
-    fn raw(self) -> u64 {
-        u64::from(self.0)
-    }
-}
-
-impl DenseId for anu_core::FileSetId {
-    fn raw(self) -> u64 {
-        self.0
-    }
-}
-
-/// A frozen, sorted id universe mapping ids to dense indices `0..len`.
+/// A frozen, sorted server-id universe mapping ids to dense indices `0..len`.
 ///
-/// Ids are typically contiguous from zero (server ids in configs, file
-/// sets in generated workloads), in which case `index` is a bounds check
-/// and an equality compare; non-contiguous universes fall back to binary
-/// search. Either way, index order equals sorted id order.
-pub(crate) struct Interner<K> {
-    ids: Vec<K>,
+/// Ids are typically contiguous from zero (server ids in configs), in
+/// which case `index` is a bounds check and an equality compare;
+/// non-contiguous universes fall back to binary search. Either way, index
+/// order equals sorted id order.
+pub(crate) struct Interner {
+    ids: Vec<ServerId>,
 }
 
-impl<K: DenseId> Interner<K> {
+impl Interner {
     /// Intern `ids` (deduplicated, sorted).
-    pub fn new(mut ids: Vec<K>) -> Self {
+    pub fn new(mut ids: Vec<ServerId>) -> Self {
         ids.sort_unstable();
         ids.dedup();
         Interner { ids }
@@ -52,8 +36,8 @@ impl<K: DenseId> Interner<K> {
 
     /// Dense index of `id`, or `None` if it was never interned.
     #[inline]
-    pub fn try_index(&self, id: K) -> Option<usize> {
-        let raw = id.raw() as usize;
+    pub fn try_index(&self, id: ServerId) -> Option<usize> {
+        let raw = id.0 as usize;
         // Contiguous-from-zero fast path: the id *is* its index.
         if self.ids.get(raw).is_some_and(|&k| k == id) {
             return Some(raw);
@@ -68,7 +52,7 @@ impl<K: DenseId> Interner<K> {
     /// means an event or policy referenced an id outside the universe
     /// fixed at setup, which is a contract violation worth halting on.
     #[inline]
-    pub fn index(&self, id: K) -> usize {
+    pub fn index(&self, id: ServerId) -> usize {
         self.try_index(id)
             // anu-lint: allow(panic) -- ids outside the setup-time universe are a caller bug
             .expect("id outside the interned universe")
@@ -76,20 +60,14 @@ impl<K: DenseId> Interner<K> {
 
     /// The id at dense index `idx`.
     #[inline]
-    pub fn get(&self, idx: usize) -> K {
+    pub fn get(&self, idx: usize) -> ServerId {
         self.ids[idx]
-    }
-
-    /// All ids, in sorted (= index) order.
-    pub fn ids(&self) -> &[K] {
-        &self.ids
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use anu_core::{FileSetId, ServerId};
 
     #[test]
     fn contiguous_ids_use_identity_indexing() {
@@ -103,13 +81,16 @@ mod tests {
 
     #[test]
     fn sparse_ids_fall_back_to_search() {
-        let i = Interner::new(vec![FileSetId(10), FileSetId(3), FileSetId(700)]);
+        let i = Interner::new(vec![ServerId(10), ServerId(3), ServerId(700)]);
         assert_eq!(i.len(), 3);
-        assert_eq!(i.index(FileSetId(3)), 0);
-        assert_eq!(i.index(FileSetId(10)), 1);
-        assert_eq!(i.index(FileSetId(700)), 2);
-        assert_eq!(i.try_index(FileSetId(4)), None);
-        assert_eq!(i.ids(), &[FileSetId(3), FileSetId(10), FileSetId(700)]);
+        assert_eq!(i.index(ServerId(3)), 0);
+        assert_eq!(i.index(ServerId(10)), 1);
+        assert_eq!(i.index(ServerId(700)), 2);
+        assert_eq!(i.try_index(ServerId(4)), None);
+        assert_eq!(
+            (0..3).map(|k| i.get(k)).collect::<Vec<_>>(),
+            [ServerId(3), ServerId(10), ServerId(700)]
+        );
     }
 
     #[test]

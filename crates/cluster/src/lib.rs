@@ -7,16 +7,19 @@
 //!   cost (5–10 s flush + init), cold-cache penalty, fault schedule;
 //! * [`policy`] — the [`PlacementPolicy`] trait the world drives; policies
 //!   see server identity and liveness only, never capability;
-//! * [`world`] — the deterministic event loop: request routing, FIFO
+//! * [`world`] — the one deterministic event loop, whatever the arrival
+//!   process (trace replay or closed-loop clients): request routing, FIFO
 //!   service, file-set migration with request buffering, failure draining
-//!   and failover;
+//!   and failover, autoscaling and shedding;
+//! * [`closed_loop`] — closed-loop clients and the SAN data path (the
+//!   paper's §2 motivation), an arrival source of the world;
 //! * [`faults`] — deterministic chaos: compiles MTTF/MTTR-style fault
 //!   environments into concrete, pre-validated fault scripts;
 //! * [`autoscaler`] — latency-driven elasticity: commissions and retires
 //!   servers from a standby pool with hysteresis, cooldown, and a quorum
 //!   floor, through the same membership path failures use;
 //! * [`metrics`] — per-server latency time series and run summaries
-//!   (imbalance CoV, oscillation score, availability, …);
+//!   (imbalance CoV, flip count, availability, …);
 //! * [`profile`] — self-profiling hooks: the world reports
 //!   metrics-publication scope boundaries to a [`RunProfiler`], with time
 //!   measurement owned by the caller.
@@ -41,10 +44,7 @@ pub mod world;
 pub use autoscaler::{Autoscaler, AutoscalerConfig, ScaleAction};
 pub use closed_loop::{run_closed_loop, ClosedLoopConfig, ClosedLoopResult};
 pub use faults::{plan_faults, FaultPlanConfig};
-pub use metrics::{
-    flip_count, late_imbalance, late_mean, oscillation_score, series_points, EpochRecord,
-    RunResult, RunSummary,
-};
+pub use metrics::{flip_count, late_imbalance, late_mean, EpochRecord, RunResult, RunSummary};
 pub use policy::{Assignment, ClusterView, MoveSet, PlacementPolicy};
 pub use profile::{NoProfiler, ProfileScope, RunProfiler};
 pub use spec::{

@@ -184,29 +184,6 @@ pub fn late_mean(series: &BTreeMap<ServerId, TimeSeries>) -> f64 {
     }
 }
 
-/// Convenience: the series as `(minute, mean_ms)` points for one server.
-pub fn series_points(ts: &TimeSeries) -> Vec<(f64, f64)> {
-    ts.means().map(|(t, m)| (t.as_mins_f64(), m)).collect()
-}
-
-/// Oscillation score of one server's series: mean absolute bucket-to-bucket
-/// change divided by the series' overall mean. Over-tuning shows up as a
-/// large score (the server cycles between idle and overloaded); a converged
-/// server scores near zero.
-pub fn oscillation_score(ts: &TimeSeries) -> f64 {
-    let means: Vec<f64> = ts.means().map(|(_, m)| m).collect();
-    if means.len() < 2 {
-        return 0.0;
-    }
-    let overall: f64 = means.iter().sum::<f64>() / means.len() as f64;
-    if overall == 0.0 {
-        return 0.0;
-    }
-    let jumps: f64 =
-        means.windows(2).map(|w| (w[1] - w[0]).abs()).sum::<f64>() / (means.len() - 1) as f64;
-    jumps / overall
-}
-
 /// Count busy↔idle flips of one server's series — the over-tuning
 /// signature the paper describes: the weakest server "cyclically takes on
 /// workload, exhibits high latency, releases workload, and goes to zero
@@ -275,19 +252,6 @@ mod tests {
     }
 
     #[test]
-    fn oscillation_flat_is_zero() {
-        let ts = series_with(&[10.0, 10.0, 10.0, 10.0]);
-        assert!(oscillation_score(&ts) < 1e-12);
-    }
-
-    #[test]
-    fn oscillation_spiky_is_large() {
-        let spiky = series_with(&[0.0, 100.0, 0.0, 100.0, 0.0, 100.0]);
-        let smooth = series_with(&[50.0, 52.0, 49.0, 51.0, 50.0, 50.0]);
-        assert!(oscillation_score(&spiky) > 10.0 * oscillation_score(&smooth));
-    }
-
-    #[test]
     fn flip_count_detects_cycling() {
         let cycling = series_with(&[0.0, 500.0, 0.0, 500.0, 0.0, 500.0]);
         assert_eq!(flip_count(&cycling, 10.0, 100.0), 5);
@@ -298,15 +262,5 @@ mod tests {
         // Intermediate buckets keep the previous state.
         let decay = series_with(&[500.0, 50.0, 50.0, 0.0, 500.0]);
         assert_eq!(flip_count(&decay, 10.0, 100.0), 2);
-    }
-
-    #[test]
-    fn series_points_in_minutes() {
-        let ts = series_with(&[5.0, 7.0]);
-        let pts = series_points(&ts);
-        assert_eq!(pts.len(), 2);
-        assert!((pts[0].0 - 0.0).abs() < 1e-12);
-        assert!((pts[1].0 - 1.0).abs() < 1e-12);
-        assert!((pts[1].1 - 7.0).abs() < 1e-12);
     }
 }

@@ -1,0 +1,498 @@
+//! Membership and migration: applying a policy's moves, landing
+//! migrations, the fault script, the autoscaler, and the invariant
+//! auditor. A server leaves through one take-down path and joins
+//! through one bring-up path, whether a fault or the autoscaler moves it.
+
+use super::{Event, Migration, RebalanceClock, World};
+use crate::autoscaler::{Autoscaler, ScaleAction};
+use crate::policy::{MoveSet, PlacementPolicy};
+use crate::spec::FaultEvent;
+use anu_core::{FileSetId, LoadReport};
+use anu_des::{SimDuration, SimTime};
+use anu_trace::{TraceEvent, TraceLevel, WarnCode};
+
+/// What moves a server out of or into the membership.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Cause {
+    /// A scripted crash or repair: availability bookkeeping applies.
+    Fault,
+    /// The autoscaler retiring or commissioning a standby.
+    Scale,
+}
+
+impl World<'_> {
+    /// Update `server`'s capacity fraction, integrating the lost capacity
+    /// accrued at the old fraction since the last transition.
+    fn set_capacity(&mut self, server: u32, now: SimTime, frac: f64) {
+        let st = &mut self.servers[server as usize];
+        self.degraded_capacity_secs += (1.0 - st.cap_frac) * now.since(st.cap_since).as_secs_f64();
+        st.cap_frac = frac;
+        st.cap_since = now;
+    }
+
+    pub(super) fn apply_moves(
+        &mut self,
+        moves: Vec<MoveSet>,
+        delay: SimDuration,
+        policy_name: &str,
+    ) {
+        let now = self.cal.now();
+        for mv in moves {
+            let to = self
+                .server_ids
+                .try_index(mv.to)
+                .filter(|&i| self.servers[i].alive);
+            assert!(
+                to.is_some(),
+                "{policy_name} moved {} to dead/unknown server {}",
+                mv.set,
+                mv.to
+            );
+            // anu-lint: allow(panic) -- asserted Some just above
+            let to = to.expect("alive destination") as u32;
+            let set = mv.set.0 as usize;
+            if let Some(m) = self.migrations[set].as_mut() {
+                // Already in flight: honor the newest placement. A
+                // failure or recovery can re-partition the map while a
+                // set is mid-flush, and letting it land at the stale
+                // destination would leave it misplaced until the next
+                // planned epoch (the invariant auditor flags exactly
+                // that).
+                m.to = to;
+                continue;
+            }
+            if self.assignment[set] == Some(to) {
+                continue;
+            }
+            // The releasing server drops the set: its cache is flushed.
+            // Queued jobs complete at the releasing server (the paper's
+            // flush semantics — leaving the "memento" tasks that divergent
+            // tuning compensates for).
+            let from = self.assignment[set];
+            if let Some(from) = from {
+                self.servers[from as usize].warmth[set] = 0;
+            }
+            if self.tracer.enabled(TraceLevel::Epoch) {
+                let from_id = from.map(|s| self.server_ids.get(s as usize).0);
+                self.tracer.emit(
+                    TraceLevel::Epoch,
+                    now,
+                    &TraceEvent::MigrationStart {
+                        set: mv.set.0,
+                        from: from_id,
+                        to: mv.to.0,
+                    },
+                );
+                // Emitted eagerly: tracing must never schedule calendar
+                // events, so the *scheduled* flush completion rides in the
+                // payload instead of arriving as its own timestamped line.
+                self.tracer.emit(
+                    TraceLevel::Epoch,
+                    now,
+                    &TraceEvent::MigrationFlush {
+                        set: mv.set.0,
+                        from: from_id,
+                        done_us: (now + self.cfg.migration.flush).0,
+                    },
+                );
+            }
+            self.migrations[set] = Some(Migration {
+                to,
+                buffered: Vec::new(),
+            });
+            self.cal
+                .schedule(now + delay, Event::MigrationDone(set as u32));
+            self.migration_count += 1;
+        }
+    }
+
+    pub(super) fn handle_migration_done(&mut self, set: u32) {
+        let m = self.migrations[set as usize]
+            .take()
+            // anu-lint: allow(panic) -- MigrationDone is scheduled only when the entry is inserted
+            .expect("migration exists");
+        // If the destination died while the set was in flight and no
+        // retarget arrived, fall back to the releasing owner (still the
+        // policy's placement for the set — its diff saw the set as
+        // already home, so inventing any other owner would contradict
+        // the policy's map), then to the lowest-index alive server
+        // (= lowest-id: index order is sorted id order).
+        let to = if self.servers[m.to as usize].alive {
+            m.to
+        } else {
+            self.assignment[set as usize]
+                .filter(|&s| self.servers[s as usize].alive)
+                .unwrap_or_else(|| {
+                    self.servers
+                        .iter()
+                        .position(|st| st.alive)
+                        // anu-lint: allow(panic) -- a cluster with zero alive servers has no valid placement
+                        .expect("an alive server") as u32
+                })
+        };
+        self.assignment[set as usize] = Some(to);
+        // Acquiring server starts with a cold cache.
+        self.servers[to as usize].warmth[set as usize] = 0;
+        self.tracer.emit(
+            TraceLevel::Epoch,
+            self.cal.now(),
+            &TraceEvent::MigrationFinish {
+                set: u64::from(set),
+                to: self.server_ids.get(to as usize).0,
+                buffered: m.buffered.len() as u64,
+            },
+        );
+        for (arrival, job) in m.buffered {
+            self.enqueue(to, arrival, job);
+        }
+        // If this set was orphaned by a failure, its landing may close
+        // that failure's rebalance clock.
+        if let Some(idx) = self.orphan_fault[set as usize].take() {
+            let c = &mut self.rebalance_clocks[idx as usize];
+            c.outstanding -= 1;
+            if c.outstanding == 0 {
+                self.rebalance_secs
+                    .push(self.cal.now().since(c.start).as_secs_f64());
+            }
+        }
+    }
+
+    /// One autoscaler decision at the tick boundary, between report
+    /// collection and the policy's own tuning pass, so the policy always
+    /// plans against the post-scale membership. At most one commission or
+    /// decommission per tick; the membership change flows through the
+    /// same bring-up / take-down path scripted faults use, and the
+    /// invariant auditor runs at the boundary.
+    pub(super) fn autoscale(&mut self, reports: &[LoadReport], policy: &mut dyn PlacementPolicy) {
+        if self.autoscaler.is_none() {
+            return;
+        }
+        let standby_online: Vec<bool> = self
+            .standby_slots
+            .iter()
+            .map(|&si| self.servers[si as usize].alive)
+            .collect();
+        let live = self.servers.iter().filter(|st| st.alive).count();
+        let mean = Autoscaler::mean_latency_ms(reports);
+        let action = match self.autoscaler.as_mut() {
+            Some(scaler) => scaler.decide(mean, &standby_online, live),
+            None => None,
+        };
+        match action {
+            Some(ScaleAction::Commission(slot)) => {
+                self.bring_up(self.standby_slots[slot], Cause::Scale, policy);
+            }
+            Some(ScaleAction::Decommission(slot)) => {
+                self.take_down(self.standby_slots[slot], Cause::Scale, policy);
+            }
+            None => return,
+        }
+        self.audit(&*policy);
+    }
+
+    /// Bring server `si` into the membership and let the policy rebalance
+    /// toward it at the ordinary migration cost. A repair
+    /// ([`Cause::Fault`]) closes the server's downtime window and restores
+    /// its capacity. A commissioned standby ([`Cause::Scale`]) was never
+    /// "down", so it opens no unavailability window and only counts a
+    /// scale-up.
+    fn bring_up(&mut self, si: u32, cause: Cause, policy: &mut dyn PlacementPolicy) {
+        let now = self.cal.now();
+        let server = self.server_ids.get(si as usize);
+        let st = &mut self.servers[si as usize];
+        debug_assert!(!st.alive, "bring-up of alive {server}");
+        st.alive = true;
+        match cause {
+            Cause::Fault => {
+                if let Some(d) = st.down_since.take() {
+                    self.unavailable_secs += now.since(d).as_secs_f64();
+                }
+                self.set_capacity(si, now, 1.0);
+            }
+            Cause::Scale => self.scale_ups += 1,
+        }
+        self.tracer.emit(
+            TraceLevel::Epoch,
+            now,
+            &TraceEvent::Recover { server: server.0 },
+        );
+        let view = self.view();
+        let planning = self.planning_assignment();
+        let moves = match cause {
+            Cause::Fault => policy.on_recover(&view, server, &planning),
+            Cause::Scale => policy.on_commission(&view, server, &planning),
+        };
+        self.apply_moves(moves, self.cfg.migration.total(), policy.name());
+    }
+
+    /// Take server `si` out of the membership: drain its queue, let the
+    /// policy re-home its file sets, and requeue the drained work behind
+    /// them. A crash ([`Cause::Fault`]) also cancels a pending slowdown,
+    /// opens a downtime window, loses the server's capacity, pays the
+    /// failover delay and starts a rebalance clock. A retirement
+    /// ([`Cause::Scale`]) re-homes exactly like a crash but pays the
+    /// ordinary migration cost (there is nothing to detect) and counts a
+    /// scale-down.
+    fn take_down(&mut self, si: u32, cause: Cause, policy: &mut dyn PlacementPolicy) {
+        let now = self.cal.now();
+        let server = self.server_ids.get(si as usize);
+        let crash = cause == Cause::Fault;
+        let st = &mut self.servers[si as usize];
+        debug_assert!(st.alive, "take-down of dormant {server}");
+        st.alive = false;
+        let drained = st.station.drain(now);
+        st.warmth.fill(0);
+        // The in-service job (if any) died with the server: its completion
+        // event must not fire.
+        if let Some(h) = st.completion.take() {
+            self.cal.cancel(h);
+        }
+        if crash {
+            // Likewise any pending slowdown end — the failure supersedes it.
+            if let Some(h) = st.slow_end.take() {
+                self.cal.cancel(h);
+            }
+            st.slow_factor = 1.0;
+            st.down_since = Some(now);
+            self.unavailability_windows += 1;
+            self.set_capacity(si, now, 0.0);
+        } else {
+            // Faults never target standby servers (validate_faults), so no
+            // slowdown or report fault can be pending here.
+            debug_assert!(
+                st.slow_end.is_none(),
+                "slowdown pending on standby {server}"
+            );
+        }
+        self.tracer.emit(
+            TraceLevel::Epoch,
+            now,
+            &TraceEvent::Fault {
+                server: server.0,
+                drained: drained.len() as u64,
+            },
+        );
+        let view = self.view();
+        let planning = self.planning_assignment();
+        let (moves, delay) = match cause {
+            Cause::Fault => (
+                policy.on_fail(&view, server, &planning),
+                self.cfg.failover_delay,
+            ),
+            Cause::Scale => (
+                policy.on_decommission(&view, server, &planning),
+                self.cfg.migration.total(),
+            ),
+        };
+        self.apply_moves(moves, delay, policy.name());
+        // Every orphaned set must now be in flight; queued work follows
+        // its set to the new owner. Dense index order keeps the scan in
+        // sorted set order.
+        let orphans: Vec<usize> = (0..self.assignment.len())
+            .filter(|&fi| self.assignment[fi] == Some(si))
+            .collect();
+        if crash && !orphans.is_empty() {
+            let idx = self.rebalance_clocks.len() as u32;
+            self.rebalance_clocks.push(RebalanceClock {
+                start: now,
+                outstanding: orphans.len(),
+            });
+            for &fi in &orphans {
+                self.orphan_fault[fi] = Some(idx);
+            }
+        }
+        for fi in orphans {
+            assert!(
+                self.migrations[fi].is_some(),
+                "{} left orphan {} on {} {server}",
+                policy.name(),
+                FileSetId(fi as u64),
+                if crash { "failed" } else { "decommissioned" }
+            );
+            self.assignment[fi] = None;
+        }
+        self.requests_requeued += drained.len() as u64;
+        for job in drained {
+            // Most drained jobs belong to orphaned sets (now in flight); a
+            // few may belong to sets that migrated away earlier but still
+            // had queued work here.
+            if let Some(m) = self.migrations[job.meta.set as usize].as_mut() {
+                m.buffered.push((job.arrival, job.meta));
+            } else {
+                let owner = self.assignment[job.meta.set as usize]
+                    // anu-lint: allow(panic) -- take-down re-assigns every set before requeueing
+                    .expect("set is assigned or migrating");
+                self.enqueue(owner, job.arrival, job.meta);
+            }
+        }
+        if !crash {
+            self.scale_downs += 1;
+        }
+    }
+
+    /// The invariant auditor: runs at every tick and fault boundary of a
+    /// chaos run (no-op otherwise). Checks request conservation, that no
+    /// file set is assigned to a dead server, that every file set is
+    /// either assigned or in flight, and the policy's own placement
+    /// invariants. Violations are counted and surfaced as `invariant`
+    /// trace warnings instead of panicking mid-run.
+    pub(super) fn audit(&mut self, policy: &dyn PlacementPolicy) {
+        if !self.auditing {
+            return;
+        }
+        self.audit_checks += 1;
+        let mut violations: Vec<String> = Vec::new();
+        let completed: u64 = self.servers.iter().map(|st| st.completed).sum();
+        let queued: u64 = self
+            .servers
+            .iter()
+            .map(|st| st.station.population() as u64)
+            .sum();
+        let buffered: u64 = self
+            .migrations
+            .iter()
+            .flatten()
+            .map(|m| m.buffered.len() as u64)
+            .sum();
+        if completed + queued + buffered != self.arrived {
+            violations.push(format!(
+                "conservation: completed {completed} + queued {queued} + \
+                 buffered {buffered} != admitted {}",
+                self.arrived
+            ));
+        }
+        // Dense index order is sorted id order, so violation order (and
+        // the trace bytes built from it) matches the map-keyed world.
+        for (i, owner) in self.assignment.iter().enumerate() {
+            if let Some(s) = owner {
+                if !self.servers[*s as usize].alive {
+                    violations.push(format!(
+                        "{} assigned to dead {}",
+                        FileSetId(i as u64),
+                        self.server_ids.get(*s as usize)
+                    ));
+                }
+            }
+        }
+        for i in 0..self.assignment.len() {
+            if self.assignment[i].is_none() && self.migrations[i].is_none() {
+                violations.push(format!(
+                    "{} neither assigned nor migrating",
+                    FileSetId(i as u64)
+                ));
+            }
+        }
+        let in_flight: Vec<FileSetId> = self
+            .migrations
+            .iter()
+            .enumerate()
+            .filter_map(|(i, m)| m.as_ref().map(|_| FileSetId(i as u64)))
+            .collect();
+        violations.extend(policy.audit(&self.assignment_map(), &in_flight));
+        if !violations.is_empty() {
+            self.audit_violations += violations.len() as u64;
+            let now = self.cal.now();
+            for v in violations {
+                self.tracer.emit(
+                    TraceLevel::Epoch,
+                    now,
+                    &TraceEvent::Warning {
+                        code: WarnCode::Invariant,
+                        detail: v,
+                        count: 1,
+                    },
+                );
+            }
+        }
+    }
+
+    /// A limping server's slowdown lifts.
+    pub(super) fn handle_slowdown_end(&mut self, server: u32) {
+        let now = self.cal.now();
+        let st = &mut self.servers[server as usize];
+        st.slow_factor = 1.0;
+        st.slow_end = None;
+        self.set_capacity(server, now, 1.0);
+    }
+
+    /// The `i`-th scripted fault fires; the auditor then checks the
+    /// boundary. Fault scripts are validated against the server set, so
+    /// interning a fault's server id always succeeds.
+    pub(super) fn handle_fault(&mut self, i: u32, policy: &mut dyn PlacementPolicy) {
+        let now = self.cal.now();
+        let cfg = self.cfg;
+        match cfg.faults[i as usize] {
+            FaultEvent::Fail { server, .. } => {
+                let si = self.server_ids.index(server) as u32;
+                self.take_down(si, Cause::Fault, policy);
+            }
+            FaultEvent::Recover { server, .. } => {
+                let si = self.server_ids.index(server) as u32;
+                self.bring_up(si, Cause::Fault, policy);
+            }
+            FaultEvent::Slowdown {
+                server,
+                factor,
+                lasts,
+                ..
+            } => {
+                let si = self.server_ids.index(server) as u32;
+                let st = &mut self.servers[si as usize];
+                debug_assert!(st.alive, "slowdown of failed {server}");
+                // A newer slowdown replaces a pending one outright.
+                if let Some(h) = st.slow_end.take() {
+                    self.cal.cancel(h);
+                }
+                st.slow_factor = factor;
+                let until = now + lasts;
+                let h = self.cal.schedule(until, Event::SlowdownEnd(si));
+                self.servers[si as usize].slow_end = Some(h);
+                self.set_capacity(si, now, 1.0 / factor);
+                self.tracer.emit(
+                    TraceLevel::Epoch,
+                    now,
+                    &TraceEvent::Slowdown {
+                        server: server.0,
+                        factor,
+                        until_us: until.0,
+                    },
+                );
+            }
+            FaultEvent::ReportLoss { server, .. } => {
+                let st = &mut self.servers[self.server_ids.index(server)];
+                debug_assert!(st.alive, "report fault on failed {server}");
+                st.lose_report = true;
+                self.tracer.emit(
+                    TraceLevel::Epoch,
+                    now,
+                    &TraceEvent::ReportFault {
+                        server: server.0,
+                        delayed: false,
+                    },
+                );
+            }
+            FaultEvent::ReportDelay { server, .. } => {
+                let st = &mut self.servers[self.server_ids.index(server)];
+                debug_assert!(st.alive, "report fault on failed {server}");
+                st.delay_report = true;
+                self.tracer.emit(
+                    TraceLevel::Epoch,
+                    now,
+                    &TraceEvent::ReportFault {
+                        server: server.0,
+                        delayed: true,
+                    },
+                );
+            }
+            FaultEvent::DelegateFail { pause_ticks, .. } => {
+                policy.on_delegate_fail(pause_ticks);
+                self.tracer.emit(
+                    TraceLevel::Epoch,
+                    now,
+                    &TraceEvent::DelegateFail { pause_ticks },
+                );
+            }
+        }
+        self.audit(&*policy);
+    }
+}

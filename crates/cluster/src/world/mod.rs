@@ -1,0 +1,862 @@
+//! The cluster simulation world: one event loop, whatever the arrival
+//! process.
+//!
+//! Models the Storage Tank metadata tier the paper simulates (§2, §7):
+//! clients direct each metadata request to the server owning the target
+//! file set; servers are FIFO queues with relative speeds; a policy
+//! periodically reassigns file sets; moving a file set costs flush + init
+//! time, during which its requests buffer at the destination, and the
+//! destination starts with a cold cache. Failures drain a server's queue
+//! and re-home its file sets after a failover delay.
+//!
+//! Requests come from an `ArrivalSource`: trace replay for [`run`] and
+//! its traced variants, or the closed-loop clients of
+//! [`crate::closed_loop`]. This module holds the entry points, setup, the
+//! loop and the arrival, completion and tick handlers; `membership` holds
+//! migration, faults, autoscaling and the invariant auditor; `observe`
+//! holds metrics publication and result assembly.
+
+mod membership;
+mod observe;
+
+use crate::autoscaler::Autoscaler;
+use crate::dense::Interner;
+use crate::metrics::{EpochRecord, RunResult};
+use crate::policy::{Assignment, ClusterView, PlacementPolicy};
+use crate::profile::{NoProfiler, ProfileScope, RunProfiler};
+use crate::spec::ClusterConfig;
+use anu_core::{FileSetId, LoadReport};
+use anu_des::{
+    Calendar, FifoStation, IntervalStats, Job, OnlineStats, SimDuration, SimTime, StartService,
+    TimeSeries,
+};
+use anu_trace::{LogHistogram, NullSink, TraceEvent, TraceLevel, TraceSink, Tracer};
+use anu_workload::Workload;
+use observe::WorldMetrics;
+
+/// Events of the cluster simulation. Server payloads are *dense
+/// indices* into the world's interned server table, not raw ids: the hot
+/// loop never touches an ordered map. File sets are `0..n`, so a set's
+/// index is its id. Trace emission maps server indices back to raw ids,
+/// so trace event ids are unchanged.
+#[derive(Clone, Copy, Debug)]
+enum Event {
+    /// The request its source tagged with this number arrives.
+    Arrival(u32),
+    /// The in-service job at a server (dense index) completes.
+    Complete(u32),
+    /// Delegate tuning tick.
+    Tick,
+    /// A file-set (dense index) migration finishes at its destination.
+    MigrationDone(u32),
+    /// The `i`-th configured fault fires.
+    Fault(u32),
+    /// A limping server's (dense index) slowdown lifts.
+    SlowdownEnd(u32),
+}
+
+impl Event {
+    /// Position in the event-mix counter array — declaration order, the
+    /// same order the `world.events.*` metrics are registered in.
+    #[inline]
+    fn mix(self) -> usize {
+        match self {
+            Event::Arrival(_) => 0,
+            Event::Complete(_) => 1,
+            Event::Tick => 2,
+            Event::MigrationDone(_) => 3,
+            Event::Fault(_) => 4,
+            Event::SlowdownEnd(_) => 5,
+        }
+    }
+}
+
+/// Where requests come from. The world's one loop drives any source: it
+/// seeds the calendar with the source's first arrivals, asks the source
+/// to resolve each `Arrival(tag)` it fires, and reports each request's
+/// departure back. The tag is opaque to the world (a trace position for
+/// replay, a client number for closed-loop clients); it rides in the job
+/// and in any migration buffer until the request departs.
+///
+/// The loop is generic over the source, so each source compiles to its
+/// own loop with no dynamic call per event.
+pub(crate) trait ArrivalSource {
+    /// File sets are `0..n_file_sets()`.
+    fn n_file_sets(&self) -> usize;
+    /// Nominal duration: ticks stop there, and the series cover it.
+    fn duration(&self) -> SimDuration;
+    /// The workload label the result carries.
+    fn label(&self) -> &str;
+    /// The arrivals to seed the calendar with, as `(time, tag)`.
+    fn first_arrivals(&mut self) -> Vec<(SimTime, u32)>;
+    /// Resolve the request tagged `tag`, arriving `now`.
+    fn arrive(&mut self, tag: u32, now: SimTime) -> Arrival;
+    /// The request tagged `tag` left `now`: served, or shed at admission.
+    /// Returns the arrival its departure causes, as `(time, tag)`.
+    fn depart(&mut self, tag: u32, now: SimTime, served: bool) -> Option<(SimTime, u32)>;
+}
+
+/// One request, as its source resolves an `Arrival(tag)`.
+pub(crate) struct Arrival {
+    /// Target file set.
+    pub set: u32,
+    /// Service demand on a speed-1 server.
+    pub cost: SimDuration,
+    /// The next arrival to chain, as `(time, tag)`; it is scheduled
+    /// before this request is admitted.
+    pub next: Option<(SimTime, u32)>,
+}
+
+/// Trace replay: the workload's requests in arrival order, one pending
+/// arrival at a time. A request's tag is its position in the trace, and a
+/// departure causes nothing.
+struct Replay<'w>(&'w Workload);
+
+impl ArrivalSource for Replay<'_> {
+    fn n_file_sets(&self) -> usize {
+        self.0.n_file_sets
+    }
+
+    fn duration(&self) -> SimDuration {
+        self.0.duration()
+    }
+
+    fn label(&self) -> &str {
+        &self.0.label
+    }
+
+    fn first_arrivals(&mut self) -> Vec<(SimTime, u32)> {
+        self.0
+            .requests
+            .first()
+            .map(|r| (r.arrival, 0))
+            .into_iter()
+            .collect()
+    }
+
+    #[inline]
+    fn arrive(&mut self, tag: u32, _now: SimTime) -> Arrival {
+        let req = self.0.requests[tag as usize];
+        debug_assert!((req.file_set.0 as usize) < self.0.n_file_sets);
+        // Chain the next arrival so the calendar stays small.
+        let next = self
+            .0
+            .requests
+            .get(tag as usize + 1)
+            .map(|r| (r.arrival, tag + 1));
+        Arrival {
+            set: req.file_set.0 as u32,
+            cost: req.cost,
+            next,
+        }
+    }
+
+    #[inline]
+    fn depart(&mut self, _tag: u32, _now: SimTime, _served: bool) -> Option<(SimTime, u32)> {
+        None
+    }
+}
+
+/// Job metadata: which set the request targets, its source's tag, and
+/// the raw (speed-1) service demand so a drained job can be re-costed on
+/// its new server. 16 bytes: the tag fills what would be padding.
+#[derive(Clone, Copy, Debug)]
+struct JobInfo {
+    set: u32,
+    tag: u32,
+    cost: SimDuration,
+}
+const _: () = assert!(size_of::<JobInfo>() == 16);
+
+struct ServerState {
+    speed: f64,
+    alive: bool,
+    station: FifoStation<JobInfo>,
+    interval: IntervalStats,
+    series: TimeSeries,
+    all: OnlineStats,
+    completed: u64,
+    /// Requests served per file set (dense index) since that set was
+    /// acquired — drives the cold-cache factor. Zero means "not warmed",
+    /// exactly the absent-key reading of the old map.
+    warmth: Vec<u32>,
+    /// The pending completion event for the in-service job, so a failure
+    /// that drains the station can cancel it (otherwise the stale event
+    /// would fire against an idle — or worse, re-busy — station).
+    completion: Option<anu_des::EventHandle>,
+    /// Service-time inflation while the server limps (1.0 = healthy).
+    /// Applies to newly enqueued jobs only; in-service work keeps its
+    /// already-drawn service time.
+    slow_factor: f64,
+    /// Pending [`Event::SlowdownEnd`], so a newer slowdown (or a failure)
+    /// can cancel it.
+    slow_end: Option<anu_des::EventHandle>,
+    /// The next latency report is dropped in transit.
+    lose_report: bool,
+    /// The next latency report is held one tick and delivered stale.
+    delay_report: bool,
+    /// A report held by `delay_report`, delivered at the next tick with
+    /// `age_ticks = 1`.
+    held_report: Option<LoadReport>,
+    /// When the server went down; closes at recovery or end of run.
+    down_since: Option<SimTime>,
+    /// Current serving-capacity fraction: 0 while dead, `1/slow_factor`
+    /// while limping, 1 otherwise. Piecewise constant between transitions.
+    cap_frac: f64,
+    /// When `cap_frac` last changed — the integration mark for
+    /// degraded-capacity accounting.
+    cap_since: SimTime,
+}
+
+/// Tracks how long one failure's orphaned file sets took to re-home.
+struct RebalanceClock {
+    /// When the failure fired.
+    start: SimTime,
+    /// Orphaned sets still in flight.
+    outstanding: usize,
+}
+
+struct Migration {
+    /// Destination server (dense index).
+    to: u32,
+    /// Requests that arrived while the set was in flight: `(arrival, job)`.
+    buffered: Vec<(SimTime, JobInfo)>,
+}
+
+/// The simulation state, dense-indexed on the per-event path.
+///
+/// Server and file-set universes are fixed at setup (servers interned in
+/// sorted order, file sets `0..n`), and every per-event structure (server
+/// table, routing assignment, in-flight migrations, per-server/per-set
+/// accumulators) is a `Vec` indexed by the dense id. `BTreeMap`s appear only at the
+/// policy/report boundaries (`planning_assignment`, `view`, result
+/// assembly), rebuilt per tick — and since dense index order equals
+/// sorted id order, every boundary iteration yields the exact sequence
+/// the old map-keyed world produced, byte for byte.
+struct World<'a> {
+    cfg: &'a ClusterConfig,
+    cal: Calendar<Event>,
+    server_ids: Interner,
+    servers: Vec<ServerState>,
+    /// Owning server (dense index) per file set (dense index); `None`
+    /// while orphaned by a failure.
+    assignment: Vec<Option<u32>>,
+    /// In-flight migration per file set (dense index).
+    migrations: Vec<Option<Migration>>,
+    horizon: SimTime,
+    migration_count: u64,
+    max_latency_ms: f64,
+    event_count: u64,
+    /// Structured-trace emitter. With a `NullSink` every emission site is
+    /// one integer compare; the tracer never schedules calendar events, so
+    /// traced and untraced runs execute identical event sequences.
+    tracer: Tracer<'a>,
+    /// Log-scaled request-latency histogram (µs), always recorded — the
+    /// p50/p95/p99 summary fields come from here.
+    latency_hist: LogHistogram,
+    /// Largest queue population seen at any server at any enqueue.
+    max_queue_depth: u64,
+    /// One record per tuning tick (telemetry CSV + `RunResult::epochs`).
+    epochs: Vec<EpochRecord>,
+    /// Tuner decisions frozen by thresholding, across all epochs.
+    band_freezes: u64,
+    /// Tuner decisions frozen by divergent tuning.
+    divergent_freezes: u64,
+    /// Tuner moves bounded by the max-factor clamp.
+    factor_clamps: u64,
+    /// Requests that completed after the nominal horizon (stragglers).
+    post_horizon_completions: u64,
+    /// Requests admitted so far (enqueued or buffered) — the conservation
+    /// denominator the auditor checks against.
+    arrived: u64,
+    /// Requests drained from failed servers and requeued elsewhere.
+    requests_requeued: u64,
+    /// Requests refused at admission by the shed ceiling (not admitted:
+    /// excluded from `arrived`, so request conservation still holds).
+    requests_shed: u64,
+    /// Whether any request was shed since the last tick boundary — the
+    /// degraded span stays open until a full tick passes shed-free.
+    shed_since_tick: bool,
+    /// The open `degraded` span, if the run is currently shedding. Opened
+    /// and closed only when the span stack is exactly `[run]` (arrivals
+    /// and tick/drain boundaries), so span nesting stays LIFO.
+    degraded_span: Option<u64>,
+    /// Latency-driven elasticity, when configured.
+    autoscaler: Option<Autoscaler>,
+    /// Dense server index of each standby-pool entry, in pool order.
+    standby_slots: Vec<u32>,
+    /// Standby servers commissioned / decommissioned over the run.
+    scale_ups: u64,
+    scale_downs: u64,
+    /// Time-integral of lost serving capacity, in server-seconds.
+    degraded_capacity_secs: f64,
+    /// Closed downtime, in seconds, summed across servers.
+    unavailable_secs: f64,
+    /// Downtime windows opened.
+    unavailability_windows: u64,
+    /// One clock per failure that orphaned at least one set.
+    rebalance_clocks: Vec<RebalanceClock>,
+    /// Completed failure→fully-re-homed durations, in seconds.
+    rebalance_secs: Vec<f64>,
+    /// Per file set (dense index): the rebalance clock an in-flight
+    /// orphaned set closes on landing.
+    orphan_fault: Vec<Option<u32>>,
+    /// The invariant auditor arms only for chaos runs (non-empty fault
+    /// script), so fault-free runs pay nothing at tick boundaries.
+    auditing: bool,
+    /// Auditor boundary checks executed.
+    audit_checks: u64,
+    /// Invariant violations detected.
+    audit_violations: u64,
+    /// Local event-mix accumulators (indexed by [`Event::mix`]) — plain
+    /// increments on the hot path, folded into the registry at ticks.
+    event_mix: [u64; 6],
+    /// Per file set (dense index) latency histograms, accumulated locally
+    /// and installed into the registry once at the end of the run.
+    set_hists: Vec<LogHistogram>,
+    /// Per file set (dense index) admission-shed counts — which sets paid
+    /// for graceful degradation. Feeds the completion-fairness index.
+    set_shed: Vec<u64>,
+    /// The metrics registry and its cached publish ids.
+    metrics: WorldMetrics,
+}
+
+impl<'a> World<'a> {
+    fn view(&self) -> ClusterView {
+        ClusterView {
+            servers: self
+                .servers
+                .iter()
+                .enumerate()
+                .map(|(i, st)| (self.server_ids.get(i), st.alive))
+                .collect(),
+            now: self.cal.now(),
+        }
+    }
+
+    fn enqueue(&mut self, server: u32, arrival: SimTime, info: JobInfo) {
+        let (set, cost) = (info.set, info.cost);
+        let now = self.cal.now();
+        let st = &mut self.servers[server as usize];
+        debug_assert!(
+            st.alive,
+            "routing to dead server {}",
+            self.server_ids.get(server as usize)
+        );
+        let served = st.warmth[set as usize];
+        let factor = self.cfg.cold_cache.factor(served);
+        st.warmth[set as usize] += 1;
+        let service =
+            SimDuration::from_secs_f64(cost.as_secs_f64() / st.speed * factor * st.slow_factor);
+        let job = Job {
+            arrival,
+            service,
+            meta: info,
+        };
+        let started = st.station.arrive(now, job);
+        let depth = st.station.population() as u64;
+        self.max_queue_depth = self.max_queue_depth.max(depth);
+        if self.tracer.enabled(TraceLevel::Request) {
+            self.tracer.emit(
+                TraceLevel::Request,
+                now,
+                &TraceEvent::QueueDepth {
+                    server: self.server_ids.get(server as usize).0,
+                    depth,
+                },
+            );
+            if let StartService::At(_) = started {
+                self.tracer.emit(
+                    TraceLevel::Request,
+                    now,
+                    &TraceEvent::RequestDispatch {
+                        server: self.server_ids.get(server as usize).0,
+                        set: u64::from(set),
+                        wait_us: now.since(arrival).0,
+                    },
+                );
+            }
+        }
+        if let StartService::At(t) = started {
+            let h = self.cal.schedule(t, Event::Complete(server));
+            self.servers[server as usize].completion = Some(h);
+        }
+    }
+
+    /// Schedule the arrival a source chained, if any.
+    #[inline]
+    fn chain(&mut self, next: Option<(SimTime, u32)>) {
+        if let Some((at, tag)) = next {
+            self.cal.schedule(at, Event::Arrival(tag));
+        }
+    }
+
+    fn handle_arrival<S: ArrivalSource>(&mut self, tag: u32, source: &mut S) {
+        let now = self.cal.now();
+        let req = source.arrive(tag, now);
+        self.chain(req.next);
+        let set = req.set;
+        let job = JobInfo {
+            set,
+            tag,
+            cost: req.cost,
+        };
+        if let Some(m) = self.migrations[set as usize].as_mut() {
+            self.arrived += 1;
+            m.buffered.push((now, job));
+            if self.tracer.enabled(TraceLevel::Request) {
+                self.tracer.emit(
+                    TraceLevel::Request,
+                    now,
+                    &TraceEvent::RequestArrival {
+                        server: None,
+                        set: u64::from(set),
+                        buffered: true,
+                    },
+                );
+            }
+            return;
+        }
+        let server = self.assignment[set as usize]
+            // anu-lint: allow(panic) -- setup assigns every file set before the run starts
+            .expect("every file set is assigned");
+        if let Some(shed) = &self.cfg.shed {
+            if self.servers[server as usize].station.population() >= shed.max_queue {
+                // Graceful degradation: refuse the request at admission
+                // instead of letting the queue diverge. Shed requests are
+                // never admitted — they stay out of `arrived`, the trace,
+                // and the latency statistics — and the overloaded stretch
+                // is covered by one `degraded` span rather than a
+                // per-request event.
+                self.requests_shed += 1;
+                self.set_shed[set as usize] += 1;
+                self.shed_since_tick = true;
+                if self.degraded_span.is_none() {
+                    self.degraded_span = Some(self.tracer.open(now, "degraded"));
+                }
+                let next = source.depart(tag, now, false);
+                self.chain(next);
+                return;
+            }
+        }
+        self.arrived += 1;
+        if self.tracer.enabled(TraceLevel::Request) {
+            self.tracer.emit(
+                TraceLevel::Request,
+                now,
+                &TraceEvent::RequestArrival {
+                    server: Some(self.server_ids.get(server as usize).0),
+                    set: u64::from(set),
+                    buffered: false,
+                },
+            );
+        }
+        self.enqueue(server, now, job);
+    }
+
+    fn handle_complete<S: ArrivalSource>(&mut self, server: u32, source: &mut S) {
+        let now = self.cal.now();
+        let st = &mut self.servers[server as usize];
+        let (job, next) = st.station.complete(now);
+        let latency = now.since(job.arrival);
+        st.interval.record(latency);
+        st.series.record(now, latency.as_millis_f64());
+        st.all.push(latency.as_millis_f64());
+        st.completed += 1;
+        self.max_latency_ms = self.max_latency_ms.max(latency.as_millis_f64());
+        self.latency_hist.record(latency.0);
+        self.set_hists[job.meta.set as usize].record(latency.0);
+        if now > self.horizon {
+            self.post_horizon_completions += 1;
+        }
+        if self.tracer.enabled(TraceLevel::Request) {
+            let depth = st.station.population() as u64;
+            // The next queued job (if any) enters service now.
+            let dispatched = st
+                .station
+                .in_service()
+                .map(|j| (j.meta.set, now.since(j.arrival).0));
+            self.tracer.emit(
+                TraceLevel::Request,
+                now,
+                &TraceEvent::RequestComplete {
+                    server: self.server_ids.get(server as usize).0,
+                    set: u64::from(job.meta.set),
+                    latency_us: latency.0,
+                    depth,
+                },
+            );
+            if let Some((set, wait_us)) = dispatched {
+                self.tracer.emit(
+                    TraceLevel::Request,
+                    now,
+                    &TraceEvent::RequestDispatch {
+                        server: self.server_ids.get(server as usize).0,
+                        set: u64::from(set),
+                        wait_us,
+                    },
+                );
+            }
+        }
+        self.servers[server as usize].completion = match next {
+            Some(t) => Some(self.cal.schedule(t, Event::Complete(server))),
+            None => None,
+        };
+        let next = source.depart(job.meta.tag, now, true);
+        self.chain(next);
+    }
+
+    fn collect_reports(&mut self) -> Vec<LoadReport> {
+        let mut reports = Vec::new();
+        for (i, st) in self.servers.iter_mut().enumerate() {
+            let s = self.server_ids.get(i);
+            if !st.alive {
+                // A dead server transmits nothing; pending report faults
+                // are moot once the server itself is down.
+                st.held_report = None;
+                st.lose_report = false;
+                st.delay_report = false;
+                continue;
+            }
+            // A report held last tick arrives one tick stale, alongside
+            // the fresh one; the tuner keeps the freshest per server.
+            if let Some(mut held) = st.held_report.take() {
+                held.age_ticks = 1;
+                reports.push(held);
+            }
+            let (mean_ms, count) = st.interval.take();
+            let fresh = LoadReport {
+                server: s,
+                mean_latency_ms: mean_ms,
+                requests: count,
+                age_ticks: 0,
+            };
+            if st.lose_report {
+                st.lose_report = false;
+            } else if st.delay_report {
+                st.delay_report = false;
+                st.held_report = Some(fresh);
+            } else {
+                reports.push(fresh);
+            }
+        }
+        reports
+    }
+
+    /// The placement the policy should plan against: settled sets at
+    /// their owner, in-flight sets at their current *destination*. The
+    /// routing assignment keeps the old owner while a set is mid-flush,
+    /// and planning against that hides a destination the map no longer
+    /// agrees with — the diff sees owner == target, issues nothing, and
+    /// the set lands misplaced until the next planned epoch (the
+    /// invariant auditor flags exactly that).
+    fn planning_assignment(&self) -> Assignment {
+        let mut a = self.assignment_map();
+        for (i, m) in self.migrations.iter().enumerate() {
+            if let Some(m) = m {
+                a.insert(FileSetId(i as u64), self.server_ids.get(m.to as usize));
+            }
+        }
+        a
+    }
+
+    /// The routing assignment as an ordered map — the policy-facing
+    /// boundary type, rebuilt per tick from the dense table.
+    fn assignment_map(&self) -> Assignment {
+        self.assignment
+            .iter()
+            .enumerate()
+            .filter_map(|(i, s)| s.map(|s| (FileSetId(i as u64), self.server_ids.get(s as usize))))
+            .collect()
+    }
+
+    /// A tuning tick: collect the servers' reports, let the autoscaler and
+    /// then the policy act on them, record the epoch, publish metrics, and
+    /// schedule the next tick while it falls within the horizon.
+    fn handle_tick(&mut self, policy: &mut dyn PlacementPolicy, profiler: &mut dyn RunProfiler) {
+        let now = self.cal.now();
+        // A full tick passed without a shed: the overload is
+        // over, close the degraded span at this quiet boundary
+        // (the span stack is exactly [run] here, keeping
+        // open/close strictly LIFO).
+        if !self.shed_since_tick {
+            if let Some(id) = self.degraded_span.take() {
+                self.tracer.close(now, id);
+            }
+        }
+        self.shed_since_tick = false;
+        let epoch = self.epochs.len() as u64;
+        let span = self.tracer.open(now, "epoch");
+        self.tracer
+            .emit(TraceLevel::Epoch, now, &TraceEvent::EpochBegin { epoch });
+        let reports = self.collect_reports();
+        self.autoscale(&reports, policy);
+        let view = self.view();
+        let moves = policy.on_tick(&view, &reports, &self.planning_assignment());
+        let move_count = moves.len() as u64;
+        let tune = policy.take_epoch();
+        if let Some(t) = &tune {
+            for d in &t.decisions {
+                match d.outcome {
+                    anu_core::TuneOutcome::FrozenBand => self.band_freezes += 1,
+                    anu_core::TuneOutcome::FrozenDivergent => {
+                        self.divergent_freezes += 1;
+                    }
+                    anu_core::TuneOutcome::Clamped => self.factor_clamps += 1,
+                    _ => {}
+                }
+            }
+        }
+        let delay = self.cfg.migration.total();
+        self.apply_moves(moves, delay, policy.name());
+        if self.tracer.enabled(TraceLevel::Epoch) {
+            // Queue-depth samples at the tick boundary, one per
+            // live server, then the epoch record itself.
+            let depths: Vec<(u32, u64)> = self
+                .servers
+                .iter()
+                .enumerate()
+                .filter(|(_, st)| st.alive)
+                .map(|(i, st)| (self.server_ids.get(i).0, st.station.population() as u64))
+                .collect();
+            for (server, depth) in depths {
+                self.tracer.emit(
+                    TraceLevel::Epoch,
+                    now,
+                    &TraceEvent::QueueDepth { server, depth },
+                );
+            }
+            self.tracer.emit(
+                TraceLevel::Epoch,
+                now,
+                &TraceEvent::EpochEnd {
+                    epoch,
+                    moves: move_count,
+                    tune: tune.clone(),
+                },
+            );
+        }
+        self.audit(&*policy);
+        self.tracer.close(now, span);
+        self.epochs.push(EpochRecord {
+            index: epoch,
+            time_s: now.as_secs_f64(),
+            moves: move_count,
+            tune,
+        });
+        profiler.enter(ProfileScope::MetricsUpdate);
+        self.publish_metrics(Some((epoch, now)));
+        profiler.exit(ProfileScope::MetricsUpdate);
+        let next = now + self.cfg.tick;
+        if next <= self.horizon {
+            self.cal.schedule(next, Event::Tick);
+        }
+    }
+}
+
+/// Run `workload` against `cfg` under `policy`; returns the latency series
+/// and summary the figures are built from.
+///
+/// The run is fully deterministic: same config, workload and policy state
+/// produce identical results. Equivalent to [`run_traced`] with a
+/// [`NullSink`].
+pub fn run(
+    cfg: &ClusterConfig,
+    workload: &Workload,
+    policy: &mut dyn PlacementPolicy,
+) -> RunResult {
+    run_traced(cfg, workload, policy, &mut NullSink)
+}
+
+/// [`run`], with structured-trace events delivered to `sink`.
+///
+/// The sink's [`TraceSink::level`] selects the event taxonomy:
+/// [`TraceLevel::Epoch`] records tuner epochs, migrations, faults and
+/// spans; [`TraceLevel::Request`] adds per-request arrival / dispatch /
+/// complete records. Tracing never schedules calendar events, so the
+/// simulated trajectory — and every figure built from it — is identical
+/// whether or not a sink is attached, and trace bytes are deterministic
+/// at any worker count.
+pub fn run_traced(
+    cfg: &ClusterConfig,
+    workload: &Workload,
+    policy: &mut dyn PlacementPolicy,
+    sink: &mut dyn TraceSink,
+) -> RunResult {
+    run_traced_profiled(cfg, workload, policy, sink, &mut NoProfiler)
+}
+
+/// [`run_traced`], with metrics-publication scope boundaries delivered
+/// to `profiler` at every tick and once at the end of the run.
+///
+/// The profiler observes real elapsed time only — it never reads or
+/// advances simulated time, so a profiled run simulates the exact same
+/// trajectory as [`run`] and stays byte-deterministic. Scopes are entered
+/// only at epoch granularity; per-request events are never bracketed.
+pub fn run_traced_profiled(
+    cfg: &ClusterConfig,
+    workload: &Workload,
+    policy: &mut dyn PlacementPolicy,
+    sink: &mut dyn TraceSink,
+    profiler: &mut dyn RunProfiler,
+) -> RunResult {
+    simulate(cfg, &mut Replay(workload), policy, sink, profiler)
+}
+
+/// The one event loop. Sets up the world for `source`'s file sets and
+/// duration, places every file set, seeds the calendar with the source's
+/// first arrivals, the first tick and the fault script, and runs the
+/// calendar dry.
+pub(crate) fn simulate<S: ArrivalSource>(
+    cfg: &ClusterConfig,
+    source: &mut S,
+    policy: &mut dyn PlacementPolicy,
+    sink: &mut dyn TraceSink,
+    profiler: &mut dyn RunProfiler,
+) -> RunResult {
+    // anu-lint: allow(panic) -- entry precondition: results on an invalid config are meaningless
+    cfg.validate().expect("invalid cluster config");
+    // Fault scripts are validated up front, replaying the whole schedule
+    // against the server set, so mid-run fault handling never has to
+    // panic on a contradictory script.
+    // anu-lint: allow(panic) -- entry precondition: a contradictory fault script has no meaningful result
+    cfg.validate_faults().expect("invalid fault script");
+    let horizon = SimTime::ZERO + source.duration();
+    let series_len = source.duration() + cfg.series_bucket;
+
+    // Intern the server universe up front; every per-event structure
+    // below is indexed by these dense ids (file sets are already `0..n`).
+    let server_ids = Interner::new(cfg.servers.iter().map(|s| s.id).collect());
+    let n_sets = source.n_file_sets();
+    let mut speeds = vec![0.0; server_ids.len()];
+    for s in &cfg.servers {
+        speeds[server_ids.index(s.id)] = s.speed;
+    }
+    let metrics = WorldMetrics::new(&server_ids, n_sets);
+    // Standby servers are part of the interned universe (dense ids, trace
+    // ids and metric names are fixed at setup) but start dormant: not
+    // alive, so the initial placement and the fault script never see them.
+    let mut standby_dense = vec![false; server_ids.len()];
+    for s in cfg.standby_ids() {
+        standby_dense[server_ids.index(*s)] = true;
+    }
+    let standby_slots: Vec<u32> = cfg
+        .standby_ids()
+        .iter()
+        .map(|&s| server_ids.index(s) as u32)
+        .collect();
+
+    let mut world = World {
+        cfg,
+        cal: Calendar::new(),
+        servers: speeds
+            .iter()
+            .enumerate()
+            .map(|(i, &speed)| ServerState {
+                speed,
+                alive: !standby_dense[i],
+                station: FifoStation::new(),
+                interval: IntervalStats::new(),
+                series: TimeSeries::new(cfg.series_bucket, series_len),
+                all: OnlineStats::new(),
+                completed: 0,
+                warmth: vec![0; n_sets],
+                completion: None,
+                slow_factor: 1.0,
+                slow_end: None,
+                lose_report: false,
+                delay_report: false,
+                held_report: None,
+                down_since: None,
+                cap_frac: 1.0,
+                cap_since: SimTime::ZERO,
+            })
+            .collect(),
+        assignment: vec![None; n_sets],
+        migrations: (0..n_sets).map(|_| None).collect(),
+        server_ids,
+        horizon,
+        migration_count: 0,
+        max_latency_ms: 0.0,
+        event_count: 0,
+        tracer: Tracer::new(sink),
+        latency_hist: LogHistogram::new(),
+        max_queue_depth: 0,
+        epochs: Vec::new(),
+        band_freezes: 0,
+        divergent_freezes: 0,
+        factor_clamps: 0,
+        post_horizon_completions: 0,
+        arrived: 0,
+        requests_requeued: 0,
+        requests_shed: 0,
+        shed_since_tick: false,
+        degraded_span: None,
+        autoscaler: cfg.autoscaler.clone().map(Autoscaler::new),
+        standby_slots,
+        scale_ups: 0,
+        scale_downs: 0,
+        degraded_capacity_secs: 0.0,
+        unavailable_secs: 0.0,
+        unavailability_windows: 0,
+        rebalance_clocks: Vec::new(),
+        rebalance_secs: Vec::new(),
+        orphan_fault: vec![None; n_sets],
+        auditing: !cfg.faults.is_empty() || cfg.autoscaler.is_some(),
+        audit_checks: 0,
+        audit_violations: 0,
+        event_mix: [0; 6],
+        set_hists: vec![LogHistogram::new(); n_sets],
+        set_shed: vec![0; n_sets],
+        metrics,
+    };
+
+    // Initial placement: every file set must land on an alive server.
+    let file_sets: Vec<FileSetId> = (0..n_sets as u64).map(FileSetId).collect();
+    let view = world.view();
+    let initial = policy.initial(&view, &file_sets);
+    for fs in &file_sets {
+        let s = *initial
+            .get(fs)
+            // anu-lint: allow(panic) -- a policy that skips a file set is a contract violation worth halting on
+            .unwrap_or_else(|| panic!("{} left {fs} unassigned", policy.name()));
+        let si = world.server_ids.index(s) as u32;
+        assert!(world.servers[si as usize].alive);
+        let fi = fs.0 as usize;
+        world.assignment[fi] = Some(si);
+        // Initial placement starts warm: the system has been serving these
+        // sets; the paper penalizes only post-move cold caches.
+        world.servers[si as usize].warmth[fi] = cfg.cold_cache.warm_after;
+    }
+
+    // Seed events: first arrivals, first tick, faults.
+    for (at, tag) in source.first_arrivals() {
+        world.cal.schedule(at, Event::Arrival(tag));
+    }
+    world.cal.schedule(SimTime::ZERO + cfg.tick, Event::Tick);
+    for (i, f) in cfg.faults.iter().enumerate() {
+        world.cal.schedule(f.at(), Event::Fault(i as u32));
+    }
+
+    // Main loop.
+    let run_span = world.tracer.open(SimTime::ZERO, "run");
+    while let Some((_, ev)) = world.cal.pop() {
+        world.event_count += 1;
+        world.event_mix[ev.mix()] += 1;
+        match ev {
+            Event::Arrival(tag) => world.handle_arrival(tag, source),
+            Event::Complete(s) => world.handle_complete(s, source),
+            Event::MigrationDone(set) => world.handle_migration_done(set),
+            Event::Tick => world.handle_tick(policy, profiler),
+            Event::SlowdownEnd(s) => world.handle_slowdown_end(s),
+            Event::Fault(i) => world.handle_fault(i, policy),
+        }
+    }
+    world.finish(run_span, policy.name(), source.label(), profiler)
+}
+
+#[cfg(test)]
+pub(crate) mod tests;
+
+#[cfg(test)]
+mod cache_tests;

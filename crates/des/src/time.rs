@@ -40,12 +40,6 @@ impl SimTime {
         self.0 as f64 / 1e6
     }
 
-    /// The instant as fractional minutes (the unit of the paper's figures).
-    #[inline]
-    pub fn as_mins_f64(self) -> f64 {
-        self.0 as f64 / 60e6
-    }
-
     /// Duration elapsed since `earlier`; saturates at zero.
     #[inline]
     pub fn since(self, earlier: SimTime) -> SimDuration {
@@ -150,7 +144,6 @@ mod tests {
         assert_eq!(SimDuration::from_secs(2).0, 2_000_000);
         assert_eq!(SimDuration::from_millis(3).0, 3_000);
         assert!((SimTime(1_500_000).as_secs_f64() - 1.5).abs() < 1e-12);
-        assert!((SimTime(60_000_000).as_mins_f64() - 1.0).abs() < 1e-12);
         assert!((SimDuration(2_500).as_millis_f64() - 2.5).abs() < 1e-12);
     }
 

@@ -441,38 +441,29 @@ fn study_motivation(seed: u64) {
     // cycle metadata -> SAN transfer -> think; a slow metadata tier stalls
     // the data path.
     println!("--- motivation: closed-loop clients, SAN utilization by placement policy ---");
-    use anu_cluster::{run_closed_loop, ClosedLoopConfig};
+    use anu_cluster::{run_closed_loop, ClosedLoopConfig, PlacementPolicy};
+    use anu_core::{AnuConfig, DEFAULT_ROUNDS};
+    use anu_policies::{AnuPolicy, RoundRobin, SimpleRandom};
     let cluster = ClusterConfig::paper();
     let cfg = ClosedLoopConfig::demo(seed);
-    let policies: Vec<(String, PolicyKind)> = vec![
-        ("round-robin".into(), PolicyKind::RoundRobin),
-        ("simple-randomization".into(), PolicyKind::SimpleRandom),
+    // Prescient is excluded: closed-loop clients have no future trace to read.
+    let policies: Vec<(&str, Box<dyn PlacementPolicy>)> = vec![
+        ("round-robin", Box::new(RoundRobin::new())),
+        ("simple-randomization", Box::new(SimpleRandom::new(seed))),
         (
-            "anu-randomization".into(),
-            PolicyKind::Anu {
+            "anu-randomization",
+            Box::new(AnuPolicy::new(AnuConfig {
+                seed,
+                rounds: DEFAULT_ROUNDS,
                 tuning: TuningConfig::paper(),
-            },
+            })),
         ),
     ];
     println!(
         "  {:<22} {:>10} {:>12} {:>14} {:>12}",
         "policy", "ops", "ops/s", "cycle ms", "SAN util"
     );
-    for (label, kind) in policies {
-        // Closed-loop runs have no trace; build the policy against an
-        // empty placeholder workload (prescient is excluded — there is no
-        // future trace to read).
-        let placeholder = SyntheticConfig {
-            n_file_sets: cfg.n_file_sets,
-            total_requests: 1,
-            duration_secs: 1.0,
-            weights: anu_workload::WeightDist::Constant,
-            mean_cost_secs: 0.001,
-            cost: anu_workload::CostModel::Deterministic,
-            seed,
-        }
-        .generate();
-        let mut policy = kind.build(&cluster, &placeholder, seed);
+    for (label, mut policy) in policies {
         let r = run_closed_loop(&cluster, &cfg, policy.as_mut());
         println!(
             "  {:<22} {:>10} {:>12.1} {:>14.1} {:>11.1}%",

@@ -6,10 +6,13 @@
 //! storm must (a) pass up-front script validation, (b) keep the invariant
 //! auditor completely silent while it checks every fault/tick boundary,
 //! (c) account for every offered request, and (d) resume tuning after the
-//! last delegate crash.
+//! last delegate crash. Closed-loop clients run through the same world,
+//! so ten storms also drive them, with the same checks.
 
-use anu::cluster::{plan_faults, run, ClusterConfig, FaultEvent, FaultPlanConfig};
-use anu::core::TuningConfig;
+use anu::cluster::{
+    plan_faults, run, run_closed_loop, ClosedLoopConfig, ClusterConfig, FaultEvent, FaultPlanConfig,
+};
+use anu::core::{AnuConfig, TuningConfig, DEFAULT_ROUNDS};
 use anu::harness::PolicyKind;
 use anu::workload::{CostModel, SyntheticConfig, WeightDist};
 
@@ -150,6 +153,50 @@ fn fifty_fault_storms_hold_every_invariant() {
         report_storms >= 10,
         "only {report_storms} report-fault storms"
     );
+}
+
+#[test]
+fn closed_loop_clients_hold_every_invariant_under_storms() {
+    // Ten storm scripts planned over the closed-loop demo's duration. The
+    // auditor checks every boundary, every admitted request completes
+    // after the drain, and each crash opens one downtime window.
+    for storm in 0..10 {
+        let level = 0.5 * (1 + storm % 8) as f64;
+        let cfg = ClosedLoopConfig::demo(storm);
+        let mut cluster = ClusterConfig::paper();
+        let env = FaultPlanConfig::intensity(level, cfg.duration.as_secs_f64());
+        cluster.faults = plan_faults(&env, &cluster.server_ids(), storm ^ 0x5707_0123);
+        let mut policy = anu::policies::AnuPolicy::new(AnuConfig {
+            seed: storm,
+            rounds: DEFAULT_ROUNDS,
+            tuning: TuningConfig::paper(),
+        });
+        let r = run_closed_loop(&cluster, &cfg, &mut policy);
+        let s = &r.run.summary;
+        assert!(
+            s.audit_checks > 0,
+            "storm {storm}: auditor never ran over {} faults",
+            cluster.faults.len()
+        );
+        assert_eq!(
+            s.audit_violations, 0,
+            "storm {storm} (level {level}): auditor found violations"
+        );
+        assert_eq!(
+            s.completed_requests + s.requests_shed,
+            s.offered_requests,
+            "storm {storm}: lost requests"
+        );
+        let crashes = count(&cluster.faults, |f| matches!(f, FaultEvent::Fail { .. }));
+        assert_eq!(
+            s.unavailability_windows as usize, crashes,
+            "storm {storm}: downtime windows vs crashes"
+        );
+        assert!(
+            r.completed_ops > 0,
+            "storm {storm}: no client cycle completed"
+        );
+    }
 }
 
 fn count(faults: &[FaultEvent], pred: impl Fn(&FaultEvent) -> bool) -> usize {
