@@ -20,6 +20,30 @@ fn bench_calendar() {
     });
 }
 
+fn bench_calendar_hold() {
+    // The hold model: a few events pending, each pop followed by one
+    // schedule, as in the world's event loop (trace replay chains its
+    // next arrival right after the current one fires). With i.i.d.
+    // increments the entry beside the heap is the earliest only about one
+    // pop in eight, where replay pops it for every arrival. Draining a
+    // filled calendar, as above, never refills that entry.
+    let mut cal = Calendar::new();
+    for i in 0..8u64 {
+        cal.schedule(SimTime(i * 100), i);
+    }
+    let mut x = 1u64;
+    bench("calendar/hold 8 pending: pop+schedule", || {
+        // A 64-bit LCG spreads the next time over 0..1024 µs ahead.
+        x = x
+            .wrapping_mul(6_364_136_223_846_793_005)
+            .wrapping_add(1_442_695_040_888_963_407);
+        if let Some((now, v)) = cal.pop() {
+            cal.schedule(now + SimDuration(x >> 54), v);
+        }
+        cal.pending()
+    });
+}
+
 fn bench_station() {
     bench("fifo_station/arrive+complete", || {
         let mut st: FifoStation<u32> = FifoStation::new();
@@ -48,5 +72,6 @@ fn bench_station() {
 
 fn main() {
     bench_calendar();
+    bench_calendar_hold();
     bench_station();
 }

@@ -48,9 +48,9 @@ pub struct EpochRecord {
 pub struct RunSummary {
     /// Requests offered by the workload.
     pub offered_requests: u64,
-    /// Requests completed by the end of the run (stragglers drain after
-    /// the nominal horizon, so this equals offered unless a server stayed
-    /// overloaded past the end).
+    /// Requests completed by the end of the run. The world runs its
+    /// calendar dry, draining stragglers past the nominal horizon, so this
+    /// equals offered minus shed.
     pub completed_requests: u64,
     /// Overall mean latency (ms) across all completed requests.
     pub mean_latency_ms: f64,
@@ -112,8 +112,9 @@ pub struct RunSummary {
     /// server accrues 1 per second, a server slowed by factor `f` accrues
     /// `1 - 1/f` per second.
     pub degraded_capacity_secs: f64,
-    /// Invariant-auditor boundary checks executed. Non-zero only for
-    /// chaos runs (the auditor arms when the fault script is non-empty).
+    /// Invariant-auditor boundary checks executed. Non-zero only when
+    /// membership can change: the auditor arms when the fault script is
+    /// non-empty or an autoscaler is configured.
     pub audit_checks: u64,
     /// Invariant violations the auditor detected (a correct system holds
     /// this at zero under any fault storm).

@@ -3,7 +3,7 @@
 //! auditor. A server leaves through one take-down path and joins
 //! through one bring-up path, whether a fault or the autoscaler moves it.
 
-use super::{Event, Migration, RebalanceClock, World};
+use super::{Event, RebalanceClock, SetRow, World, NO_SERVER};
 use crate::autoscaler::{Autoscaler, ScaleAction};
 use crate::policy::{MoveSet, PlacementPolicy};
 use crate::spec::FaultEvent;
@@ -51,27 +51,27 @@ impl World<'_> {
             // anu-lint: allow(panic) -- asserted Some just above
             let to = to.expect("alive destination") as u32;
             let set = mv.set.0 as usize;
-            if let Some(m) = self.migrations[set].as_mut() {
+            let row = &mut self.sets[set];
+            if row.dest().is_some() {
                 // Already in flight: honor the newest placement. A
                 // failure or recovery can re-partition the map while a
                 // set is mid-flush, and letting it land at the stale
                 // destination would leave it misplaced until the next
                 // planned epoch (the invariant auditor flags exactly
                 // that).
-                m.to = to;
+                row.dest = to;
                 continue;
             }
-            if self.assignment[set] == Some(to) {
+            if row.owner == to {
                 continue;
             }
             // The releasing server drops the set: its cache is flushed.
             // Queued jobs complete at the releasing server (the paper's
             // flush semantics — leaving the "memento" tasks that divergent
             // tuning compensates for).
-            let from = self.assignment[set];
-            if let Some(from) = from {
-                self.servers[from as usize].warmth[set] = 0;
-            }
+            let from = row.owner();
+            row.warmth = 0;
+            row.dest = to;
             if self.tracer.enabled(TraceLevel::Epoch) {
                 let from_id = from.map(|s| self.server_ids.get(s as usize).0);
                 self.tracer.emit(
@@ -96,10 +96,6 @@ impl World<'_> {
                     },
                 );
             }
-            self.migrations[set] = Some(Migration {
-                to,
-                buffered: Vec::new(),
-            });
             self.cal
                 .schedule(now + delay, Event::MigrationDone(set as u32));
             self.migration_count += 1;
@@ -107,9 +103,10 @@ impl World<'_> {
     }
 
     pub(super) fn handle_migration_done(&mut self, set: u32) {
-        let m = self.migrations[set as usize]
-            .take()
-            // anu-lint: allow(panic) -- MigrationDone is scheduled only when the entry is inserted
+        let row = self.sets[set as usize];
+        let dest = row
+            .dest()
+            // anu-lint: allow(panic) -- MigrationDone is scheduled only when a migration starts
             .expect("migration exists");
         // If the destination died while the set was in flight and no
         // retarget arrived, fall back to the releasing owner (still the
@@ -117,10 +114,10 @@ impl World<'_> {
         // already home, so inventing any other owner would contradict
         // the policy's map), then to the lowest-index alive server
         // (= lowest-id: index order is sorted id order).
-        let to = if self.servers[m.to as usize].alive {
-            m.to
+        let to = if self.servers[dest as usize].alive {
+            dest
         } else {
-            self.assignment[set as usize]
+            row.owner()
                 .filter(|&s| self.servers[s as usize].alive)
                 .unwrap_or_else(|| {
                     self.servers
@@ -130,19 +127,23 @@ impl World<'_> {
                         .expect("an alive server") as u32
                 })
         };
-        self.assignment[set as usize] = Some(to);
         // Acquiring server starts with a cold cache.
-        self.servers[to as usize].warmth[set as usize] = 0;
+        self.sets[set as usize] = SetRow {
+            owner: to,
+            dest: NO_SERVER,
+            warmth: 0,
+        };
+        let buffered = std::mem::take(&mut self.buffered[set as usize]);
         self.tracer.emit(
             TraceLevel::Epoch,
             self.cal.now(),
             &TraceEvent::MigrationFinish {
                 set: u64::from(set),
                 to: self.server_ids.get(to as usize).0,
-                buffered: m.buffered.len() as u64,
+                buffered: buffered.len() as u64,
             },
         );
-        for (arrival, job) in m.buffered {
+        for (arrival, job) in buffered {
             self.enqueue(to, arrival, job);
         }
         // If this set was orphaned by a failure, its landing may close
@@ -241,7 +242,6 @@ impl World<'_> {
         debug_assert!(st.alive, "take-down of dormant {server}");
         st.alive = false;
         let drained = st.station.drain(now);
-        st.warmth.fill(0);
         // The in-service job (if any) died with the server: its completion
         // event must not fire.
         if let Some(h) = st.completion.take() {
@@ -288,8 +288,8 @@ impl World<'_> {
         // Every orphaned set must now be in flight; queued work follows
         // its set to the new owner. Dense index order keeps the scan in
         // sorted set order.
-        let orphans: Vec<usize> = (0..self.assignment.len())
-            .filter(|&fi| self.assignment[fi] == Some(si))
+        let orphans: Vec<usize> = (0..self.sets.len())
+            .filter(|&fi| self.sets[fi].owner == si)
             .collect();
         if crash && !orphans.is_empty() {
             let idx = self.rebalance_clocks.len() as u32;
@@ -303,23 +303,25 @@ impl World<'_> {
         }
         for fi in orphans {
             assert!(
-                self.migrations[fi].is_some(),
+                self.sets[fi].dest().is_some(),
                 "{} left orphan {} on {} {server}",
                 policy.name(),
                 FileSetId(fi as u64),
                 if crash { "failed" } else { "decommissioned" }
             );
-            self.assignment[fi] = None;
+            self.sets[fi].owner = NO_SERVER;
         }
         self.requests_requeued += drained.len() as u64;
         for job in drained {
             // Most drained jobs belong to orphaned sets (now in flight); a
             // few may belong to sets that migrated away earlier but still
             // had queued work here.
-            if let Some(m) = self.migrations[job.meta.set as usize].as_mut() {
-                m.buffered.push((job.arrival, job.meta));
+            let set = job.meta.set as usize;
+            if self.sets[set].dest().is_some() {
+                self.buffered[set].push((job.arrival, job.meta));
             } else {
-                let owner = self.assignment[job.meta.set as usize]
+                let owner = self.sets[set]
+                    .owner()
                     // anu-lint: allow(panic) -- take-down re-assigns every set before requeueing
                     .expect("set is assigned or migrating");
                 self.enqueue(owner, job.arrival, job.meta);
@@ -330,12 +332,13 @@ impl World<'_> {
         }
     }
 
-    /// The invariant auditor: runs at every tick and fault boundary of a
-    /// chaos run (no-op otherwise). Checks request conservation, that no
-    /// file set is assigned to a dead server, that every file set is
-    /// either assigned or in flight, and the policy's own placement
-    /// invariants. Violations are counted and surfaced as `invariant`
-    /// trace warnings instead of panicking mid-run.
+    /// The invariant auditor: runs at every tick, fault and scaling
+    /// boundary while armed (a fault script or an autoscaler; no-op
+    /// otherwise). Checks request conservation, that no file set is
+    /// assigned to a dead server, that every file set is either assigned
+    /// or in flight, and the policy's own placement invariants.
+    /// Violations are counted and surfaced as `invariant` trace warnings
+    /// instead of panicking mid-run.
     pub(super) fn audit(&mut self, policy: &dyn PlacementPolicy) {
         if !self.auditing {
             return;
@@ -348,12 +351,7 @@ impl World<'_> {
             .iter()
             .map(|st| st.station.population() as u64)
             .sum();
-        let buffered: u64 = self
-            .migrations
-            .iter()
-            .flatten()
-            .map(|m| m.buffered.len() as u64)
-            .sum();
+        let buffered: u64 = self.buffered.iter().map(|b| b.len() as u64).sum();
         if completed + queued + buffered != self.arrived {
             violations.push(format!(
                 "conservation: completed {completed} + queued {queued} + \
@@ -363,19 +361,19 @@ impl World<'_> {
         }
         // Dense index order is sorted id order, so violation order (and
         // the trace bytes built from it) matches the map-keyed world.
-        for (i, owner) in self.assignment.iter().enumerate() {
-            if let Some(s) = owner {
-                if !self.servers[*s as usize].alive {
+        for (i, row) in self.sets.iter().enumerate() {
+            if let Some(s) = row.owner() {
+                if !self.servers[s as usize].alive {
                     violations.push(format!(
                         "{} assigned to dead {}",
                         FileSetId(i as u64),
-                        self.server_ids.get(*s as usize)
+                        self.server_ids.get(s as usize)
                     ));
                 }
             }
         }
-        for i in 0..self.assignment.len() {
-            if self.assignment[i].is_none() && self.migrations[i].is_none() {
+        for (i, row) in self.sets.iter().enumerate() {
+            if row.owner().is_none() && row.dest().is_none() {
                 violations.push(format!(
                     "{} neither assigned nor migrating",
                     FileSetId(i as u64)
@@ -383,10 +381,10 @@ impl World<'_> {
             }
         }
         let in_flight: Vec<FileSetId> = self
-            .migrations
+            .sets
             .iter()
             .enumerate()
-            .filter_map(|(i, m)| m.as_ref().map(|_| FileSetId(i as u64)))
+            .filter_map(|(i, row)| row.dest().map(|_| FileSetId(i as u64)))
             .collect();
         violations.extend(policy.audit(&self.assignment_map(), &in_flight));
         if !violations.is_empty() {

@@ -32,7 +32,7 @@ use anu_des::{
 };
 use anu_trace::{LogHistogram, NullSink, TraceEvent, TraceLevel, TraceSink, Tracer};
 use anu_workload::Workload;
-use observe::WorldMetrics;
+use observe::{SetLatency, WorldMetrics};
 
 /// Events of the cluster simulation. Server payloads are *dense
 /// indices* into the world's interned server table, not raw ids: the hot
@@ -168,6 +168,50 @@ struct JobInfo {
 }
 const _: () = assert!(size_of::<JobInfo>() == 16);
 
+/// No server: the owner of an orphaned file set, or the destination of
+/// a settled one.
+const NO_SERVER: u32 = u32::MAX;
+
+/// One file set's routing and cache state: everything an arrival reads
+/// about its set, in one 12-byte row (five rows to a cache line).
+///
+/// Warmth lives here rather than per server because at most one server
+/// ever holds a non-zero count for a set, and that server is the owner:
+/// requests are only ever enqueued at the set's owner, and the count
+/// restarts at zero when a migration starts (the releasing owner flushes)
+/// and again when it lands (the new owner starts cold).
+#[derive(Clone, Copy)]
+struct SetRow {
+    /// Owning server (dense index); `NO_SERVER` while orphaned by a
+    /// failure. While the set is in flight this is still the releasing
+    /// owner, which the policy-facing assignment and a landing at a dead
+    /// destination fall back to.
+    owner: u32,
+    /// Destination (dense index) while a migration is in flight;
+    /// `NO_SERVER` when settled.
+    dest: u32,
+    /// Requests the owner has served for this set since acquiring it —
+    /// drives the cold-cache factor.
+    warmth: u32,
+}
+const _: () = assert!(size_of::<SetRow>() == 12);
+
+impl SetRow {
+    /// The owning server, unless the set is orphaned.
+    #[inline]
+    fn owner(self) -> Option<u32> {
+        (self.owner != NO_SERVER).then_some(self.owner)
+    }
+
+    /// The destination, while a migration is in flight.
+    #[inline]
+    fn dest(self) -> Option<u32> {
+        (self.dest != NO_SERVER).then_some(self.dest)
+    }
+}
+
+/// One server's queue, statistics and fault state. Nothing here is per
+/// file set: a set's warmth lives in its [`SetRow`].
 struct ServerState {
     speed: f64,
     alive: bool,
@@ -176,10 +220,6 @@ struct ServerState {
     series: TimeSeries,
     all: OnlineStats,
     completed: u64,
-    /// Requests served per file set (dense index) since that set was
-    /// acquired — drives the cold-cache factor. Zero means "not warmed",
-    /// exactly the absent-key reading of the old map.
-    warmth: Vec<u32>,
     /// The pending completion event for the in-service job, so a failure
     /// that drains the station can cancel it (otherwise the stale event
     /// would fire against an idle — or worse, re-busy — station).
@@ -216,20 +256,13 @@ struct RebalanceClock {
     outstanding: usize,
 }
 
-struct Migration {
-    /// Destination server (dense index).
-    to: u32,
-    /// Requests that arrived while the set was in flight: `(arrival, job)`.
-    buffered: Vec<(SimTime, JobInfo)>,
-}
-
 /// The simulation state, dense-indexed on the per-event path.
 ///
 /// Server and file-set universes are fixed at setup (servers interned in
 /// sorted order, file sets `0..n`), and every per-event structure (server
-/// table, routing assignment, in-flight migrations, per-server/per-set
-/// accumulators) is a `Vec` indexed by the dense id. `BTreeMap`s appear only at the
-/// policy/report boundaries (`planning_assignment`, `view`, result
+/// table, per-set rows, migration buffers, per-server/per-set
+/// accumulators) is a `Vec` indexed by the dense id. `BTreeMap`s appear
+/// only at the policy/report boundaries (`planning_assignment`, `view`, result
 /// assembly), rebuilt per tick — and since dense index order equals
 /// sorted id order, every boundary iteration yields the exact sequence
 /// the old map-keyed world produced, byte for byte.
@@ -238,11 +271,12 @@ struct World<'a> {
     cal: Calendar<Event>,
     server_ids: Interner,
     servers: Vec<ServerState>,
-    /// Owning server (dense index) per file set (dense index); `None`
-    /// while orphaned by a failure.
-    assignment: Vec<Option<u32>>,
-    /// In-flight migration per file set (dense index).
-    migrations: Vec<Option<Migration>>,
+    /// Owner, in-flight destination and warmth per file set (dense
+    /// index): the one per-set table the arrival path reads.
+    sets: Vec<SetRow>,
+    /// Per file set (dense index): requests that arrived while the set
+    /// was in flight, as `(arrival, job)`. Only in-flight sets touch it.
+    buffered: Vec<Vec<(SimTime, JobInfo)>>,
     horizon: SimTime,
     migration_count: u64,
     max_latency_ms: f64,
@@ -301,8 +335,9 @@ struct World<'a> {
     /// Per file set (dense index): the rebalance clock an in-flight
     /// orphaned set closes on landing.
     orphan_fault: Vec<Option<u32>>,
-    /// The invariant auditor arms only for chaos runs (non-empty fault
-    /// script), so fault-free runs pay nothing at tick boundaries.
+    /// The invariant auditor arms only when membership can change (a
+    /// non-empty fault script or an autoscaler), so static runs pay
+    /// nothing at tick boundaries.
     auditing: bool,
     /// Auditor boundary checks executed.
     audit_checks: u64,
@@ -311,9 +346,9 @@ struct World<'a> {
     /// Local event-mix accumulators (indexed by [`Event::mix`]) — plain
     /// increments on the hot path, folded into the registry at ticks.
     event_mix: [u64; 6],
-    /// Per file set (dense index) latency histograms, accumulated locally
+    /// Per file set (dense index) latency histograms, recorded in batches
     /// and installed into the registry once at the end of the run.
-    set_hists: Vec<LogHistogram>,
+    set_latency: SetLatency,
     /// Per file set (dense index) admission-shed counts — which sets paid
     /// for graceful degradation. Feeds the completion-fairness index.
     set_shed: Vec<u64>,
@@ -337,15 +372,16 @@ impl<'a> World<'a> {
     fn enqueue(&mut self, server: u32, arrival: SimTime, info: JobInfo) {
         let (set, cost) = (info.set, info.cost);
         let now = self.cal.now();
+        let row = &mut self.sets[set as usize];
+        debug_assert_eq!(row.owner, server, "enqueue away from the owner");
+        let factor = self.cfg.cold_cache.factor(row.warmth);
+        row.warmth += 1;
         let st = &mut self.servers[server as usize];
         debug_assert!(
             st.alive,
             "routing to dead server {}",
             self.server_ids.get(server as usize)
         );
-        let served = st.warmth[set as usize];
-        let factor = self.cfg.cold_cache.factor(served);
-        st.warmth[set as usize] += 1;
         let service =
             SimDuration::from_secs_f64(cost.as_secs_f64() / st.speed * factor * st.slow_factor);
         let job = Job {
@@ -401,9 +437,10 @@ impl<'a> World<'a> {
             tag,
             cost: req.cost,
         };
-        if let Some(m) = self.migrations[set as usize].as_mut() {
+        let row = self.sets[set as usize];
+        if row.dest().is_some() {
             self.arrived += 1;
-            m.buffered.push((now, job));
+            self.buffered[set as usize].push((now, job));
             if self.tracer.enabled(TraceLevel::Request) {
                 self.tracer.emit(
                     TraceLevel::Request,
@@ -417,7 +454,8 @@ impl<'a> World<'a> {
             }
             return;
         }
-        let server = self.assignment[set as usize]
+        let server = row
+            .owner()
             // anu-lint: allow(panic) -- setup assigns every file set before the run starts
             .expect("every file set is assigned");
         if let Some(shed) = &self.cfg.shed {
@@ -465,7 +503,7 @@ impl<'a> World<'a> {
         st.completed += 1;
         self.max_latency_ms = self.max_latency_ms.max(latency.as_millis_f64());
         self.latency_hist.record(latency.0);
-        self.set_hists[job.meta.set as usize].record(latency.0);
+        self.set_latency.record(job.meta.set, latency.0);
         if now > self.horizon {
             self.post_horizon_completions += 1;
         }
@@ -551,22 +589,24 @@ impl<'a> World<'a> {
     /// the set lands misplaced until the next planned epoch (the
     /// invariant auditor flags exactly that).
     fn planning_assignment(&self) -> Assignment {
-        let mut a = self.assignment_map();
-        for (i, m) in self.migrations.iter().enumerate() {
-            if let Some(m) = m {
-                a.insert(FileSetId(i as u64), self.server_ids.get(m.to as usize));
-            }
-        }
-        a
+        self.assignment_by(|row| row.dest().or(row.owner()))
     }
 
     /// The routing assignment as an ordered map — the policy-facing
-    /// boundary type, rebuilt per tick from the dense table.
+    /// boundary type, rebuilt per tick from the per-set rows. An in-flight
+    /// set maps to its releasing owner; an orphaned one is absent.
     fn assignment_map(&self) -> Assignment {
-        self.assignment
+        self.assignment_by(SetRow::owner)
+    }
+
+    /// Every file set `place` puts somewhere, at that server's id.
+    fn assignment_by(&self, place: impl Fn(SetRow) -> Option<u32>) -> Assignment {
+        self.sets
             .iter()
             .enumerate()
-            .filter_map(|(i, s)| s.map(|s| (FileSetId(i as u64), self.server_ids.get(s as usize))))
+            .filter_map(|(i, &row)| {
+                place(row).map(|s| (FileSetId(i as u64), self.server_ids.get(s as usize)))
+            })
             .collect()
     }
 
@@ -760,7 +800,6 @@ pub(crate) fn simulate<S: ArrivalSource>(
                 series: TimeSeries::new(cfg.series_bucket, series_len),
                 all: OnlineStats::new(),
                 completed: 0,
-                warmth: vec![0; n_sets],
                 completion: None,
                 slow_factor: 1.0,
                 slow_end: None,
@@ -772,8 +811,17 @@ pub(crate) fn simulate<S: ArrivalSource>(
                 cap_since: SimTime::ZERO,
             })
             .collect(),
-        assignment: vec![None; n_sets],
-        migrations: (0..n_sets).map(|_| None).collect(),
+        // Initial placement starts warm: the system has been serving these
+        // sets; the paper penalizes only post-move cold caches.
+        sets: vec![
+            SetRow {
+                owner: NO_SERVER,
+                dest: NO_SERVER,
+                warmth: cfg.cold_cache.warm_after,
+            };
+            n_sets
+        ],
+        buffered: vec![Vec::new(); n_sets],
         server_ids,
         horizon,
         migration_count: 0,
@@ -806,7 +854,7 @@ pub(crate) fn simulate<S: ArrivalSource>(
         audit_checks: 0,
         audit_violations: 0,
         event_mix: [0; 6],
-        set_hists: vec![LogHistogram::new(); n_sets],
+        set_latency: SetLatency::new(n_sets),
         set_shed: vec![0; n_sets],
         metrics,
     };
@@ -822,11 +870,7 @@ pub(crate) fn simulate<S: ArrivalSource>(
             .unwrap_or_else(|| panic!("{} left {fs} unassigned", policy.name()));
         let si = world.server_ids.index(s) as u32;
         assert!(world.servers[si as usize].alive);
-        let fi = fs.0 as usize;
-        world.assignment[fi] = Some(si);
-        // Initial placement starts warm: the system has been serving these
-        // sets; the paper penalizes only post-move cold caches.
-        world.servers[si as usize].warmth[fi] = cfg.cold_cache.warm_after;
+        world.sets[fs.0 as usize].owner = si;
     }
 
     // Seed events: first arrivals, first tick, faults.

@@ -2,7 +2,7 @@
 //! metrics and tracing, driven through [`run`] and its traced variants.
 #![cfg(test)]
 
-use super::observe::EVENT_MIX_NAMES;
+use super::observe::{EVENT_MIX_NAMES, SET_LATENCY_BATCH};
 use super::*;
 use crate::policy::MoveSet;
 use crate::spec::FaultEvent;
@@ -182,6 +182,39 @@ fn metrics_registry_is_deterministic_and_conserves_events() {
     assert_eq!(per_set, a.summary.completed_requests);
     // One scalar snapshot per tuning epoch.
     assert_eq!(a.metrics.snapshots().len(), a.epochs.len());
+}
+
+#[test]
+fn per_set_histograms_match_the_request_trace() {
+    // Reference check for the batched per-set records: rebuild every
+    // set's histogram from the request-level trace, one record per
+    // completion. The run completes more than two batches plus a partial
+    // one that only `finish` folds, and a crash migrates orphaned sets.
+    let mut cfg = ClusterConfig::paper();
+    cfg.faults = vec![FaultEvent::Fail {
+        at: SimTime::from_secs_f64(200.0),
+        server: ServerId(2),
+    }];
+    let w = small_workload(5);
+    let mut ring = anu_trace::RingSink::new(TraceLevel::Request);
+    let r = run_traced(&cfg, &w, &mut Modulo, &mut ring);
+    let completed = r.summary.completed_requests as usize;
+    assert!(completed > 2 * SET_LATENCY_BATCH, "{completed}");
+    assert_ne!(completed % SET_LATENCY_BATCH, 0, "a partial batch remains");
+    assert!(r.summary.migrations >= 1);
+    let mut want = vec![LogHistogram::new(); w.n_file_sets];
+    for (_, ev) in ring.decode_events() {
+        if let TraceEvent::RequestComplete {
+            set, latency_us, ..
+        } = ev
+        {
+            want[set as usize].record(latency_us);
+        }
+    }
+    for (i, h) in want.iter().enumerate() {
+        let id = r.metrics.find(&format!("set.{i}.latency_us"));
+        assert_eq!(id.and_then(|id| r.metrics.hist(id)), Some(h), "set {i}");
+    }
 }
 
 #[test]

@@ -14,11 +14,17 @@
 //! ever scheduled — and the pop order is exactly the `(time, seq)` total
 //! order regardless of the bookkeeping structure.
 //!
-//! The queue itself is one `std::collections::BinaryHeap` of `(time, seq)`
-//! entries with payloads inline: O(log n) schedule/pop. The pending set
-//! peaks at a few thousand events on the benchmark workloads, where the
-//! heap's constant factor beats a bucketed calendar queue — see the
-//! "Event calendar" note in `EXPERIMENTS.md`.
+//! The queue is one `std::collections::BinaryHeap` of `(time, seq)`
+//! entries with payloads inline, O(log n) schedule/pop, plus one entry
+//! held beside the heap. A schedule that finds that place empty fills it
+//! instead of pushing; a pop takes the earlier of it and the heap top.
+//! A simulation that schedules each event's successor as the first thing
+//! it does after the event fires — trace replay chaining its next
+//! arrival — keeps that stream in the side entry, so it never enters the
+//! heap, and the heap holds only the other events. The pending set peaks
+//! at a few thousand events on the benchmark workloads, where the heap's
+//! constant factor beats a bucketed calendar queue — see the "Event
+//! calendar" note in `EXPERIMENTS.md`.
 
 use crate::time::SimTime;
 use std::cmp::Ordering;
@@ -55,13 +61,6 @@ impl<E> Ord for Entry<E> {
     }
 }
 
-/// Is `seq`'s liveness bit still set?
-#[inline]
-fn bit_is_live(live: &[u64], seq: u64) -> bool {
-    let (word, bit) = (seq as usize / 64, seq % 64);
-    live.get(word).is_some_and(|w| w & (1 << bit) != 0)
-}
-
 /// The future-event list of a simulation.
 ///
 /// The calendar tracks the current simulated time: popping an event
@@ -69,6 +68,10 @@ fn bit_is_live(live: &[u64], seq: u64) -> bool {
 /// logic error and panics in debug builds (it silently clamps to `now` in
 /// release builds, which is always safe for causality).
 pub struct Calendar<E> {
+    /// The entry beside the heap: filled by a schedule that finds it
+    /// empty, so an event scheduled right after the side entry pops
+    /// skips the heap.
+    side: Option<Entry<E>>,
     heap: BinaryHeap<Entry<E>>,
     now: SimTime,
     next_seq: u64,
@@ -108,6 +111,7 @@ impl<E> Calendar<E> {
     /// An empty calendar at time zero.
     pub fn new() -> Self {
         Calendar {
+            side: None,
             heap: BinaryHeap::new(),
             now: SimTime::ZERO,
             next_seq: 0,
@@ -146,11 +150,6 @@ impl<E> Calendar<E> {
         self.live_count
     }
 
-    /// Is the calendar exhausted?
-    pub fn is_empty(&self) -> bool {
-        self.pending() == 0
-    }
-
     /// Full lifetime statistics, including the pending high-water mark.
     pub fn stats(&self) -> CalendarStats {
         CalendarStats {
@@ -179,11 +178,16 @@ impl<E> Calendar<E> {
         self.live[word] |= 1 << (seq % 64);
         self.live_count += 1;
         self.max_pending = self.max_pending.max(self.live_count);
-        self.heap.push(Entry {
+        let e = Entry {
             time: at,
             seq,
             payload,
-        });
+        };
+        if self.side.is_none() {
+            self.side = Some(e);
+        } else {
+            self.heap.push(e);
+        }
         EventHandle(seq)
     }
 
@@ -197,9 +201,15 @@ impl<E> Calendar<E> {
     }
 
     /// Pop the earliest live event, advancing the clock to its time.
-    /// Tombstones met on the way are dropped.
+    /// Tombstones met on the way are dropped, from either place.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        while let Some(e) = self.heap.pop() {
+        loop {
+            // `Entry`'s order is reversed for the max-heap: greater is
+            // earlier, and no two entries tie on `seq`.
+            let e = match &self.side {
+                Some(s) if self.heap.peek().is_none_or(|h| s > h) => self.side.take(),
+                _ => self.heap.pop(),
+            }?;
             if self.take_live(e.seq) {
                 debug_assert!(e.time >= self.now);
                 self.now = e.time;
@@ -207,18 +217,6 @@ impl<E> Calendar<E> {
                 return Some((e.time, e.payload));
             }
         }
-        None
-    }
-
-    /// Peek at the time of the earliest live event without popping.
-    pub fn peek_time(&mut self) -> Option<SimTime> {
-        while let Some(e) = self.heap.peek() {
-            if bit_is_live(&self.live, e.seq) {
-                return Some(e.time);
-            }
-            self.heap.pop(); // tombstoned by a cancel
-        }
-        None
     }
 }
 
@@ -286,15 +284,6 @@ mod tests {
     }
 
     #[test]
-    fn peek_skips_tombstones() {
-        let mut c = Calendar::new();
-        let h = c.schedule(SimTime(10), 1);
-        c.schedule(SimTime(20), 2);
-        c.cancel(h);
-        assert_eq!(c.peek_time(), Some(SimTime(20)));
-    }
-
-    #[test]
     fn stats_track_cancelled_and_high_water() {
         let mut c = Calendar::new();
         let h = c.schedule(SimTime(1), ());
@@ -311,15 +300,6 @@ mod tests {
     }
 
     #[test]
-    fn is_empty_accounts_for_dead() {
-        let mut c = Calendar::new();
-        let h = c.schedule(SimTime(1), ());
-        assert!(!c.is_empty());
-        c.cancel(h);
-        assert!(c.is_empty());
-    }
-
-    #[test]
     #[cfg(debug_assertions)]
     #[should_panic(expected = "scheduling into the past")]
     fn past_scheduling_panics_in_debug() {
@@ -331,16 +311,22 @@ mod tests {
 
     #[test]
     fn schedule_after_far_peek_still_pops_first() {
-        // Peeking at a far-future event must not hide an earlier event
-        // scheduled after the peek.
+        // With a far-future event waiting, an event scheduled after a pop
+        // must still fire first, whether it lands beside the heap ("near",
+        // scheduled when that place is free) or in it ("nearer", scheduled
+        // behind a far event that holds the place).
         let mut c = Calendar::new();
         c.schedule(SimTime(1), "first");
         c.schedule(SimTime(1_000_000_000), "far");
         assert_eq!(c.pop(), Some((SimTime(1), "first")));
-        assert_eq!(c.peek_time(), Some(SimTime(1_000_000_000)));
         c.schedule(SimTime(5), "near");
         assert_eq!(c.pop(), Some((SimTime(5), "near")));
+        c.schedule(SimTime(2_000_000_000), "farther");
+        c.schedule(SimTime(6), "nearer");
+        assert_eq!(c.pop(), Some((SimTime(6), "nearer")));
         assert_eq!(c.pop(), Some((SimTime(1_000_000_000), "far")));
+        assert_eq!(c.pop(), Some((SimTime(2_000_000_000), "farther")));
+        assert_eq!(c.pop(), None);
     }
 
     #[test]

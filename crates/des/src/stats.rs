@@ -108,7 +108,7 @@ impl OnlineStats {
 }
 
 /// Per-interval latency collector: resettable mean + count, feeding the
-/// delegate's [`LoadReport`](https://docs.rs) equivalent each tuning tick.
+/// delegate's `LoadReport` (defined in `anu-core`) each tuning tick.
 #[derive(Clone, Debug, Default)]
 pub struct IntervalStats {
     sum_ms: f64,

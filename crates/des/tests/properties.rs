@@ -1,7 +1,8 @@
 //! Model-based property tests for the DES kernel.
 //!
 //! The calendar is checked against a naive sorted-vector model under random
-//! schedule/cancel/peek/pop interleavings; the FIFO station against a hand-rolled
+//! schedule/cancel/pop interleavings and under the pop-then-schedule shape
+//! trace replay drives; the FIFO station against a hand-rolled
 //! queue simulation; the statistics against exact recomputation.
 //!
 //! Cases are generated by the kernel's own seeded [`RngStream`] so the
@@ -9,7 +10,8 @@
 //! 128 cases per property, reproducible from the printed case index.
 
 use anu_des::{
-    Calendar, FifoStation, Job, OnlineStats, RngStream, SimDuration, SimTime, StartService,
+    Calendar, CalendarStats, FifoStation, Job, OnlineStats, RngStream, SimDuration, SimTime,
+    StartService,
 };
 
 const CASES: u64 = 128;
@@ -21,21 +23,44 @@ enum CalOp {
     Schedule(u64),
     /// Cancel the k-th handle issued so far (if any).
     Cancel(usize),
-    /// Peek at the earliest live event's time.
-    Peek,
+    /// Cancel the newest handle (if any). Right after a pop, that is the
+    /// entry held beside the heap.
+    CancelNewest,
     /// Pop one event.
     Pop,
 }
 
 fn random_ops(rng: &mut RngStream, len: usize) -> Vec<CalOp> {
     (0..len)
-        .map(|_| match rng.index(4) {
+        .map(|_| match rng.index(3) {
             0 => CalOp::Schedule(random_offset(rng)),
             1 => CalOp::Cancel(rng.index(64)),
-            2 => CalOp::Peek,
             _ => CalOp::Pop,
         })
         .collect()
+}
+
+/// The shape trace replay drives: pop an event, then schedule its
+/// successor at `now + dt` (often `dt = 0`), with other events and
+/// cancels mixed in.
+fn replay_ops(rng: &mut RngStream, len: usize) -> Vec<CalOp> {
+    let mut ops = Vec::with_capacity(len + 1);
+    while ops.len() < len {
+        match rng.index(8) {
+            0 => ops.push(CalOp::Schedule(random_offset(rng))),
+            1 => ops.push(CalOp::CancelNewest),
+            2 => ops.push(CalOp::Cancel(rng.index(64))),
+            _ => {
+                ops.push(CalOp::Pop);
+                let dt = match rng.index(4) {
+                    0 | 1 => 0,
+                    _ => random_offset(rng),
+                };
+                ops.push(CalOp::Schedule(dt));
+            }
+        }
+    }
+    ops
 }
 
 /// A schedule offset in µs: exact ties at `now`, near ties, a
@@ -59,68 +84,78 @@ fn earliest_live(model: &[(SimTime, u64, u64, bool)]) -> Option<usize> {
         .map(|(i, _)| i)
 }
 
+/// Drive a calendar and a sorted-vector model through `ops`. After every
+/// op, pop results, `pending()` and every field of `stats()` must equal
+/// what the model counted.
+fn check_against_model(case: u64, ops: Vec<CalOp>) {
+    let mut cal: Calendar<u64> = Calendar::new();
+    // Model: (time, seq, payload, alive).
+    let mut model: Vec<(SimTime, u64, u64, bool)> = Vec::new();
+    let mut handles = Vec::new();
+    let mut now = SimTime::ZERO;
+    let mut want = CalendarStats::default();
+
+    for op in ops {
+        let cancel = match op {
+            CalOp::Schedule(dt) => {
+                let at = now + SimDuration(dt);
+                let seq = handles.len() as u64;
+                handles.push(cal.schedule(at, seq));
+                model.push((at, seq, seq, true));
+                want.scheduled += 1;
+                None
+            }
+            CalOp::Cancel(k) if !handles.is_empty() => Some(k % handles.len()),
+            CalOp::CancelNewest if !handles.is_empty() => Some(handles.len() - 1),
+            CalOp::Cancel(_) | CalOp::CancelNewest => None,
+            CalOp::Pop => {
+                let got = cal.pop();
+                match earliest_live(&model) {
+                    Some(i) => {
+                        let e = model[i];
+                        model[i].3 = false;
+                        assert_eq!(got, Some((e.0, e.2)), "case {case}");
+                        now = e.0;
+                        want.fired += 1;
+                    }
+                    None => assert_eq!(got, None, "case {case}"),
+                }
+                None
+            }
+        };
+        if let Some(k) = cancel {
+            let got = cal.cancel(handles[k]);
+            // Model cancel: alive entry with matching seq.
+            let hit = model
+                .iter_mut()
+                .find(|e| e.1 == k as u64 && e.3)
+                .map(|e| e.3 = false)
+                .is_some();
+            assert_eq!(got, hit, "case {case}");
+            want.cancelled += u64::from(hit);
+        }
+        let pending = model.iter().filter(|e| e.3).count();
+        want.max_pending = want.max_pending.max(pending as u64);
+        assert_eq!(cal.pending(), pending, "case {case}");
+        assert_eq!(cal.stats(), want, "case {case}");
+    }
+}
+
 #[test]
 fn calendar_matches_sorted_model() {
     for case in 0..CASES {
         let mut rng = RngStream::new(case, "calendar-model");
         let len = 1 + rng.index(119);
-        let ops = random_ops(&mut rng, len);
-        let mut cal: Calendar<u64> = Calendar::new();
-        // Model: (time, seq, payload, alive).
-        let mut model: Vec<(SimTime, u64, u64, bool)> = Vec::new();
-        let mut handles = Vec::new();
-        let mut seq = 0u64;
-        let mut now = SimTime::ZERO;
+        check_against_model(case, random_ops(&mut rng, len));
+    }
+}
 
-        for op in ops {
-            match op {
-                CalOp::Schedule(dt) => {
-                    let at = now + SimDuration(dt);
-                    let h = cal.schedule(at, seq);
-                    handles.push(h);
-                    model.push((at, seq, seq, true));
-                    seq += 1;
-                }
-                CalOp::Cancel(k) => {
-                    if handles.is_empty() {
-                        continue;
-                    }
-                    let k = k % handles.len();
-                    let got = cal.cancel(handles[k]);
-                    // Model cancel: alive entry with matching seq.
-                    let want = model
-                        .iter_mut()
-                        .find(|e| e.1 == k as u64 && e.3)
-                        .map(|e| {
-                            e.3 = false;
-                            true
-                        })
-                        .unwrap_or(false);
-                    assert_eq!(got, want, "case {case}");
-                }
-                CalOp::Peek => {
-                    let want = earliest_live(&model).map(|i| model[i].0);
-                    assert_eq!(cal.peek_time(), want, "case {case}");
-                }
-                CalOp::Pop => {
-                    let got = cal.pop();
-                    match earliest_live(&model) {
-                        Some(i) => {
-                            let e = model[i];
-                            model[i].3 = false;
-                            assert_eq!(got, Some((e.0, e.2)), "case {case}");
-                            now = e.0;
-                        }
-                        None => assert_eq!(got, None, "case {case}"),
-                    }
-                }
-            }
-            assert_eq!(
-                cal.pending(),
-                model.iter().filter(|e| e.3).count(),
-                "case {case}"
-            );
-        }
+#[test]
+fn calendar_matches_sorted_model_under_replay_shape() {
+    for case in 0..CASES {
+        let mut rng = RngStream::new(case, "calendar-replay-model");
+        let len = 1 + rng.index(199);
+        check_against_model(case, replay_ops(&mut rng, len));
     }
 }
 
