@@ -2,7 +2,7 @@
 //!
 //! Micro-benchmark harness for the ANU reproduction. The repo builds
 //! fully offline, so instead of an external benchmark framework this
-//! crate ships a small std-only timing loop ([`bench`]) and the actual
+//! crate ships a small std-only timing loop ([`bench()`]) and the actual
 //! benchmarks live in `benches/` as plain `harness = false` binaries:
 //!
 //! * `placement` — micro-benches of the core data structures (hash family,
@@ -46,6 +46,10 @@ pub struct Measurement {
 /// `f` is the complete unit of work; wrap inputs in
 /// [`std::hint::black_box`] yourself where the optimizer could otherwise
 /// hoist them.
+#[expect(
+    clippy::print_stdout,
+    reason = "the bench harness's whole job is printing measurements to the terminal"
+)]
 pub fn bench<T>(name: &str, mut f: impl FnMut() -> T) -> Measurement {
     // Calibrate: grow the batch size until one batch takes ~TARGET_BATCH_NS.
     let mut iters: u64 = 1;
@@ -80,7 +84,6 @@ pub fn bench<T>(name: &str, mut f: impl FnMut() -> T) -> Measurement {
         min_ns: min,
         iters_per_batch: iters,
     };
-    // anu-lint: allow(print) -- the bench harness's whole job is printing measurements to the terminal
     println!(
         "{:<55} {:>12}/iter  (min {}, {} iters/batch)",
         name,

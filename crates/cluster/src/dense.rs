@@ -23,20 +23,20 @@ pub(crate) struct Interner {
 
 impl Interner {
     /// Intern `ids` (deduplicated, sorted).
-    pub fn new(mut ids: Vec<ServerId>) -> Self {
+    pub(crate) fn new(mut ids: Vec<ServerId>) -> Self {
         ids.sort_unstable();
         ids.dedup();
         Interner { ids }
     }
 
     /// Number of interned ids.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.ids.len()
     }
 
     /// Dense index of `id`, or `None` if it was never interned.
     #[inline]
-    pub fn try_index(&self, id: ServerId) -> Option<usize> {
+    pub(crate) fn try_index(&self, id: ServerId) -> Option<usize> {
         let raw = id.0 as usize;
         // Contiguous-from-zero fast path: the id *is* its index.
         if self.ids.get(raw).is_some_and(|&k| k == id) {
@@ -52,15 +52,18 @@ impl Interner {
     /// means an event or policy referenced an id outside the universe
     /// fixed at setup, which is a contract violation worth halting on.
     #[inline]
-    pub fn index(&self, id: ServerId) -> usize {
+    pub(crate) fn index(&self, id: ServerId) -> usize {
+        #[expect(
+            clippy::expect_used,
+            reason = "ids outside the setup-time universe are a caller bug"
+        )]
         self.try_index(id)
-            // anu-lint: allow(panic) -- ids outside the setup-time universe are a caller bug
             .expect("id outside the interned universe")
     }
 
     /// The id at dense index `idx`.
     #[inline]
-    pub fn get(&self, idx: usize) -> ServerId {
+    pub(crate) fn get(&self, idx: usize) -> ServerId {
         self.ids[idx]
     }
 }

@@ -345,7 +345,7 @@ impl ClusterConfig {
     ///
     /// Replays the events in the exact order the calendar will deliver them
     /// (time, then list position for ties) and rejects, with a structured
-    /// [`AnuError::BadFaultScript`] naming the offending event:
+    /// [`AnuError::BadFaultScript`](anu_core::AnuError::BadFaultScript) naming the offending event:
     ///
     /// * any event targeting a server id not in the cluster,
     /// * failing a server that is already down (double fail),

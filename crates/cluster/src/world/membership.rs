@@ -48,7 +48,7 @@ impl World<'_> {
                 mv.set,
                 mv.to
             );
-            // anu-lint: allow(panic) -- asserted Some just above
+            #[expect(clippy::expect_used, reason = "asserted Some just above")]
             let to = to.expect("alive destination") as u32;
             let set = mv.set.0 as usize;
             let row = &mut self.sets[set];
@@ -104,16 +104,21 @@ impl World<'_> {
 
     pub(super) fn handle_migration_done(&mut self, set: u32) {
         let row = self.sets[set as usize];
-        let dest = row
-            .dest()
-            // anu-lint: allow(panic) -- MigrationDone is scheduled only when a migration starts
-            .expect("migration exists");
+        #[expect(
+            clippy::expect_used,
+            reason = "MigrationDone is scheduled only when a migration starts"
+        )]
+        let dest = row.dest().expect("migration exists");
         // If the destination died while the set was in flight and no
         // retarget arrived, fall back to the releasing owner (still the
         // policy's placement for the set — its diff saw the set as
         // already home, so inventing any other owner would contradict
         // the policy's map), then to the lowest-index alive server
         // (= lowest-id: index order is sorted id order).
+        #[expect(
+            clippy::expect_used,
+            reason = "a cluster with zero alive servers has no valid placement"
+        )]
         let to = if self.servers[dest as usize].alive {
             dest
         } else {
@@ -123,7 +128,6 @@ impl World<'_> {
                     self.servers
                         .iter()
                         .position(|st| st.alive)
-                        // anu-lint: allow(panic) -- a cluster with zero alive servers has no valid placement
                         .expect("an alive server") as u32
                 })
         };
@@ -320,9 +324,12 @@ impl World<'_> {
             if self.sets[set].dest().is_some() {
                 self.buffered[set].push((job.arrival, job.meta));
             } else {
+                #[expect(
+                    clippy::expect_used,
+                    reason = "take-down re-assigns every set before requeueing"
+                )]
                 let owner = self.sets[set]
                     .owner()
-                    // anu-lint: allow(panic) -- take-down re-assigns every set before requeueing
                     .expect("set is assigned or migrating");
                 self.enqueue(owner, job.arrival, job.meta);
             }

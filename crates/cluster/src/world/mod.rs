@@ -454,10 +454,11 @@ impl<'a> World<'a> {
             }
             return;
         }
-        let server = row
-            .owner()
-            // anu-lint: allow(panic) -- setup assigns every file set before the run starts
-            .expect("every file set is assigned");
+        #[expect(
+            clippy::expect_used,
+            reason = "setup assigns every file set before the run starts"
+        )]
+        let server = row.owner().expect("every file set is assigned");
         if let Some(shed) = &self.cfg.shed {
             if self.servers[server as usize].station.population() >= shed.max_queue {
                 // Graceful degradation: refuse the request at admission
@@ -754,12 +755,18 @@ pub(crate) fn simulate<S: ArrivalSource>(
     sink: &mut dyn TraceSink,
     profiler: &mut dyn RunProfiler,
 ) -> RunResult {
-    // anu-lint: allow(panic) -- entry precondition: results on an invalid config are meaningless
+    #[expect(
+        clippy::expect_used,
+        reason = "entry precondition: results on an invalid config are meaningless"
+    )]
     cfg.validate().expect("invalid cluster config");
     // Fault scripts are validated up front, replaying the whole schedule
     // against the server set, so mid-run fault handling never has to
     // panic on a contradictory script.
-    // anu-lint: allow(panic) -- entry precondition: a contradictory fault script has no meaningful result
+    #[expect(
+        clippy::expect_used,
+        reason = "entry precondition: a contradictory fault script has no meaningful result"
+    )]
     cfg.validate_faults().expect("invalid fault script");
     let horizon = SimTime::ZERO + source.duration();
     let series_len = source.duration() + cfg.series_bucket;
@@ -864,9 +871,12 @@ pub(crate) fn simulate<S: ArrivalSource>(
     let view = world.view();
     let initial = policy.initial(&view, &file_sets);
     for fs in &file_sets {
+        #[expect(
+            clippy::panic,
+            reason = "a policy that skips a file set is a contract violation worth halting on"
+        )]
         let s = *initial
             .get(fs)
-            // anu-lint: allow(panic) -- a policy that skips a file set is a contract violation worth halting on
             .unwrap_or_else(|| panic!("{} left {fs} unassigned", policy.name()));
         let si = world.server_ids.index(s) as u32;
         assert!(world.servers[si as usize].alive);

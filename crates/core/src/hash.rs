@@ -165,7 +165,7 @@ mod tests {
     fn rounds_probe_distinct_positions() {
         let f = HashFamily::new(7, 16);
         let base = f.base(b"some file set");
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for k in 0..16 {
             assert!(seen.insert(f.probe(base, k)), "probe collision at {k}");
         }
@@ -216,7 +216,7 @@ mod tests {
 
     #[test]
     fn mix64_is_bijective_on_sample() {
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for i in 0..10_000u64 {
             assert!(seen.insert(mix64(i)));
         }

@@ -10,6 +10,9 @@
 //! algorithm never needs it, because the half-occupancy invariant means the
 //! total mapped width is exactly [`HALF_UNIT`] = `2^63`.
 
+#![cfg_attr(not(test), deny(clippy::as_conversions, clippy::float_cmp))]
+#![cfg_attr(not(test), deny(clippy::arithmetic_side_effects))]
+
 use crate::num;
 use std::fmt;
 
@@ -49,7 +52,6 @@ pub fn half_units(fraction_of_half: f64) -> u64 {
     // `f64_of(HALF_UNIT)` is exact (power of two); the product rounds to the
     // nearest representable value, which is fine — exact sums are restored
     // by the largest-remainder pass in `shares`.
-    // anu-lint: allow(tick-arith) -- pure f64 scaling, clamped to [0, 1]; floats saturate on their own
     num::trunc_u64(clamped * num::f64_of(HALF_UNIT))
 }
 

@@ -2,7 +2,7 @@
 //!
 //! The fixed-point modules ([`crate::interval`], [`crate::shares`],
 //! [`crate::partition`], [`crate::placement`]) are forbidden from using bare
-//! `as` casts (see the `as-cast` lint in `anu-xtask`): a silent truncation
+//! `as` casts (each denies `clippy::as_conversions`): a silent truncation
 //! there corrupts share invariants without failing any assertion. Every
 //! conversion they need goes through one of these helpers instead, so the
 //! rounding/saturation semantics are named and documented at the call site.

@@ -24,6 +24,8 @@
 //! a reconfiguration moves the minimum amount of workload: only file sets
 //! whose probe path intersects a changed segment change owner.
 
+#![cfg_attr(not(test), deny(clippy::as_conversions, clippy::float_cmp))]
+
 use crate::error::{AnuError, Result};
 use crate::ids::ServerId;
 use crate::interval::{Pos, Segment, HALF_UNIT};

@@ -6,6 +6,8 @@
 //! hashing its unique name against the map, with no I/O and no per-file-set
 //! table.
 
+#![cfg_attr(not(test), deny(clippy::as_conversions, clippy::float_cmp))]
+
 use crate::error::{AnuError, Result};
 use crate::hash::HashFamily;
 use crate::ids::ServerId;

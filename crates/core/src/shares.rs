@@ -6,6 +6,8 @@
 //! the per-server error is below one fixed-point unit (≈ 5·10⁻²⁰ of the
 //! interval).
 
+#![cfg_attr(not(test), deny(clippy::as_conversions, clippy::float_cmp))]
+
 use crate::ids::ServerId;
 use crate::interval::HALF_UNIT;
 use crate::num;

@@ -75,7 +75,6 @@ impl RngStream {
     /// `(task_seed(base_seed, task_id), label)`. See [`task_seed`] for the
     /// determinism contract.
     pub fn for_task(base_seed: u64, task_id: u64, label: &str) -> Self {
-        // anu-lint: allow(rng-discipline) -- passthrough constructor: the literal label lives at the caller
         RngStream::new(task_seed(base_seed, task_id), label)
     }
 
@@ -139,7 +138,10 @@ impl RngStream {
     /// weights (strictly increasing, last element = total). `O(log n)`.
     pub fn discrete_cdf(&mut self, cumulative: &[f64]) -> usize {
         debug_assert!(!cumulative.is_empty());
-        // anu-lint: allow(panic) -- an empty CDF is a caller bug (debug-asserted above)
+        #[expect(
+            clippy::expect_used,
+            reason = "an empty CDF is a caller bug (debug-asserted above)"
+        )]
         let total = *cumulative.last().expect("non-empty");
         debug_assert!(total > 0.0);
         let x = self.uniform() * total;
@@ -293,7 +295,10 @@ impl Zipf {
 
     /// The probability of rank `k` (0-based).
     pub fn prob(&self, k: usize) -> f64 {
-        // anu-lint: allow(panic) -- the constructor rejects empty weight vectors
+        #[expect(
+            clippy::expect_used,
+            reason = "the constructor rejects empty weight vectors"
+        )]
         let total = *self.cdf.last().expect("non-empty");
         let prev = if k == 0 { 0.0 } else { self.cdf[k - 1] };
         (self.cdf[k] - prev) / total

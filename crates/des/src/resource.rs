@@ -117,10 +117,13 @@ impl<M> FifoStation<M> {
     /// Panics if no job is in service — a completion event fired for an
     /// idle station indicates a world/event-loop bug.
     pub fn complete(&mut self, now: SimTime) -> (Job<M>, Option<SimTime>) {
+        #[expect(
+            clippy::expect_used,
+            reason = "a Complete event is only scheduled while a job is in service"
+        )]
         let job = self
             .in_service
             .take()
-            // anu-lint: allow(panic) -- a Complete event is only scheduled while a job is in service
             .expect("completion event for idle station");
         self.busy += now.since(self.service_start);
         self.completed += 1;

@@ -9,8 +9,11 @@
 //! All tick arithmetic saturates instead of wrapping: a silent wrap would
 //! corrupt every downstream figure while staying bitwise deterministic,
 //! invisible to the determinism gates. Saturation cannot occur in a valid
-//! run (584k simulated years), so goldens are unaffected; the `tick-arith`
-//! lint in `anu-xtask` enforces that no bare `+`/`-`/`*` sneaks back in.
+//! run (584k simulated years), so goldens are unaffected;
+//! `clippy::arithmetic_side_effects`, denied below outside tests, keeps a
+//! bare integer `+`/`-`/`*` from sneaking back in.
+
+#![cfg_attr(not(test), deny(clippy::arithmetic_side_effects))]
 
 use std::fmt;
 use std::ops::{Add, AddAssign, Sub};

@@ -313,10 +313,13 @@ pub struct ShapeCheck {
 }
 
 fn find<'a>(results: &'a [RunResult], label: &str) -> &'a RunResult {
+    #[expect(
+        clippy::panic,
+        reason = "figure definitions name only policies they themselves run"
+    )]
     results
         .iter()
         .find(|r| r.policy == label)
-        // anu-lint: allow(panic) -- figure definitions name only policies they themselves run
         .unwrap_or_else(|| panic!("no result labelled {label}"))
 }
 
@@ -404,7 +407,10 @@ pub fn check_closeup(results: &[RunResult], tick_buckets: usize) -> Vec<ShapeChe
         max - min
     };
     let early = tick_buckets * 3;
-    // anu-lint: allow(panic) -- runs always record at least one server series
+    #[expect(
+        clippy::expect_used,
+        reason = "runs always record at least one server series"
+    )]
     let n_buckets = anu.series.values().next().expect("servers").buckets().len();
     let anu_early = spread(anu, 0, early);
     let anu_late = spread(anu, n_buckets / 2, n_buckets);
@@ -566,7 +572,10 @@ pub fn checks_for(
         7 | 9 => check_closeup(results, tick_buckets),
         10 => check_overtuning(results),
         11 => {
-            // anu-lint: allow(panic) -- callers schedule the fig10 plain run before checking fig11; running decomposition checks without the baseline is a harness bug
+            #[expect(
+                clippy::expect_used,
+                reason = "callers schedule the fig10 plain run before checking fig11; running decomposition checks without the baseline is a harness bug"
+            )]
             let plain = plain.expect("figure 11 checks need the fig10 no-heuristics run");
             check_decomposition(plain, results)
         }

@@ -376,10 +376,13 @@ pub fn meanfield_rows(cells: &[Cell<'_, (u64, u64)>]) -> (Vec<MeanfieldRow>, Vec
             let input = model_input(&exp.cluster, &exp.workload, window);
             let pred = match predict(&input, model, &SOLVE_TOL) {
                 Ok(p) => p,
+                #[expect(
+                    clippy::print_stderr,
+                    reason = "names the solver error in the figures log; the gate itself fails via the infinite-divergence row"
+                )]
                 Err(e) => {
                     // An unsolvable cell is a failed gate, not a crash:
                     // record an infinite divergence and move on.
-                    // anu-lint: allow(print) -- names the solver error in the figures log; the gate itself fails via the infinite-divergence row
                     eprintln!("meanfield: {} at scale {scale}: {e}", r.policy);
                     report.push(ConvergenceRow {
                         policy: r.policy.clone(),

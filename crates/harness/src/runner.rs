@@ -188,15 +188,22 @@ pub fn run_grid_traced(
                 let i = next.fetch_add(1, Ordering::Relaxed);
                 let Some(task) = tasks.get(i) else { break };
                 let outcome = run_task(task, &experiments[task.experiment], level);
-                // anu-lint: allow(panic) -- slot mutexes are uncontended (each task writes its own) and a poisoned lock means a sibling already aborted the sweep
-                *done[i].lock().expect("unpoisoned slot") = Some(outcome);
+                #[expect(
+                    clippy::expect_used,
+                    reason = "slot mutexes are uncontended (each task writes its own) and a poisoned lock means a sibling already aborted the sweep"
+                )]
+                let mut slot = done[i].lock().expect("unpoisoned slot");
+                *slot = Some(outcome);
             });
         }
     });
 
     done.into_iter()
         .map(|slot| {
-            // anu-lint: allow(panic) -- the scope joins every worker, so each slot was filled exactly once
+            #[expect(
+                clippy::expect_used,
+                reason = "the scope joins every worker, so each slot was filled exactly once"
+            )]
             slot.into_inner().expect("unpoisoned slot").expect("filled")
         })
         .collect()

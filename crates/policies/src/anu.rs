@@ -119,6 +119,16 @@ impl AnuPolicy {
         (self.ticks_with_moves, self.ticks_total)
     }
 
+    /// The live placement map. It takes the field rather than `&mut self`
+    /// so callers can still borrow `self.file_sets` and `self.planner`.
+    fn live_map(map: &mut Option<PlacementMap>) -> &mut PlacementMap {
+        #[expect(
+            clippy::expect_used,
+            reason = "the policy contract runs initial before any tick, failure, recovery or scaling event"
+        )]
+        map.as_mut().expect("initial ran")
+    }
+
     fn target_assignment(
         map: &PlacementMap,
         file_sets: &[FileSetId],
@@ -130,6 +140,16 @@ impl AnuPolicy {
     }
 }
 
+/// Restore exact half occupancy after failures or retirements left it
+/// out of the window.
+fn restore(map: &mut PlacementMap) {
+    #[expect(
+        clippy::expect_used,
+        reason = "fails only on invariant corruption; halting is correct"
+    )]
+    map.restore_half_occupancy().expect("restore succeeds");
+}
+
 impl PlacementPolicy for AnuPolicy {
     fn name(&self) -> &str {
         "anu-randomization"
@@ -137,8 +157,11 @@ impl PlacementPolicy for AnuPolicy {
 
     fn initial(&mut self, view: &ClusterView, file_sets: &[FileSetId]) -> Assignment {
         let alive = view.alive();
+        #[expect(
+            clippy::expect_used,
+            reason = "the simulator never calls initial on an empty cluster"
+        )]
         let map = PlacementMap::new(&alive, self.cfg.seed, self.cfg.rounds)
-            // anu-lint: allow(panic) -- the simulator never calls initial on an empty cluster
             .expect("at least one alive server");
         self.file_sets = file_sets.to_vec();
         let assignment = Self::target_assignment(&map, file_sets);
@@ -165,12 +188,10 @@ impl PlacementPolicy for AnuPolicy {
                 self.planner.forget();
             }
         }
-        // anu-lint: allow(panic) -- the policy contract runs initial before any tick
-        let map = self.map.as_mut().expect("initial ran");
+        let map = Self::live_map(&mut self.map);
         // Failures may have left occupancy below half; restore before
         // tuning so the tuner sees a normalized configuration.
-        // anu-lint: allow(panic) -- fails only on invariant corruption; halting is correct
-        map.restore_half_occupancy().expect("restore succeeds");
+        restore(map);
         let shares = map.share_fractions();
         let planned = self.planner.plan_shares(&shares, reports);
         let mut epoch = self.planner.take_epoch();
@@ -193,7 +214,10 @@ impl PlacementPolicy for AnuPolicy {
             let target = Self::target_assignment(map, &self.file_sets);
             return diff_moves(assignment, &target);
         };
-        // anu-lint: allow(panic) -- targets come from normalize_targets over the mapped servers
+        #[expect(
+            clippy::expect_used,
+            reason = "targets come from normalize_targets over the mapped servers"
+        )]
         map.rebalance(&targets).expect("valid targets");
         if let Some(e) = &mut epoch {
             // Record the quantized shares the rebalanced map actually holds,
@@ -261,9 +285,11 @@ impl PlacementPolicy for AnuPolicy {
         // latency must not survive as a ghost share when it re-joins.
         self.planner.forget_server(failed);
         self.parked_shares.remove(&failed);
-        // anu-lint: allow(panic) -- the policy contract runs initial before any failure event
-        let map = self.map.as_mut().expect("initial ran");
-        // anu-lint: allow(panic) -- the view only reports failures of mapped servers
+        let map = Self::live_map(&mut self.map);
+        #[expect(
+            clippy::expect_used,
+            reason = "the view only reports failures of mapped servers"
+        )]
         map.remove_server(failed).expect("failed server was mapped");
         // A lone failure frees at most the dead server's partial partition
         // (under one partition width), which the occupancy window tolerates
@@ -273,8 +299,7 @@ impl PlacementPolicy for AnuPolicy {
         // immediately then, trading a little placement locality for a map
         // that is valid at every fault boundary.
         if map.check_invariants().is_err() {
-            // anu-lint: allow(panic) -- fails only on invariant corruption; halting is correct
-            map.restore_half_occupancy().expect("restore succeeds");
+            restore(map);
         }
         let target = Self::target_assignment(map, &self.file_sets);
         diff_moves(assignment, &target)
@@ -289,9 +314,11 @@ impl PlacementPolicy for AnuPolicy {
         // Belt and braces: the history was dropped at failure time, but a
         // commissioned standby was never in the map, so clear again here.
         self.planner.forget_server(recovered);
-        // anu-lint: allow(panic) -- the policy contract runs initial before any recovery event
-        let map = self.map.as_mut().expect("initial ran");
-        // anu-lint: allow(panic) -- a recovering server was removed from the map when it failed
+        let map = Self::live_map(&mut self.map);
+        #[expect(
+            clippy::expect_used,
+            reason = "a recovering server was removed from the map when it failed"
+        )]
         map.add_server(recovered).expect("server was absent");
         let target = Self::target_assignment(map, &self.file_sets);
         diff_moves(assignment, &target)
@@ -308,16 +335,17 @@ impl PlacementPolicy for AnuPolicy {
         // the retiring server's last reports is suspect — the autoscaler
         // simply no longer needs the capacity — so the tuner's learned
         // state stays valid for the day the server is commissioned back.
-        // anu-lint: allow(panic) -- the policy contract runs initial before any scaling event
-        let map = self.map.as_mut().expect("initial ran");
+        let map = Self::live_map(&mut self.map);
         if let Some(&share) = map.share_fractions().get(&retired) {
             self.parked_shares.insert(retired, share);
         }
-        // anu-lint: allow(panic) -- the autoscaler only retires mapped servers
+        #[expect(
+            clippy::expect_used,
+            reason = "the autoscaler only retires mapped servers"
+        )]
         map.remove_server(retired).expect("retired was mapped");
         if map.check_invariants().is_err() {
-            // anu-lint: allow(panic) -- fails only on invariant corruption; halting is correct
-            map.restore_half_occupancy().expect("restore succeeds");
+            restore(map);
         }
         let target = Self::target_assignment(map, &self.file_sets);
         diff_moves(assignment, &target)
@@ -329,9 +357,11 @@ impl PlacementPolicy for AnuPolicy {
         commissioned: ServerId,
         assignment: &Assignment,
     ) -> Vec<MoveSet> {
-        // anu-lint: allow(panic) -- the policy contract runs initial before any scaling event
-        let map = self.map.as_mut().expect("initial ran");
-        // anu-lint: allow(panic) -- the autoscaler only commissions dormant (unmapped) servers
+        let map = Self::live_map(&mut self.map);
+        #[expect(
+            clippy::expect_used,
+            reason = "the autoscaler only commissions dormant (unmapped) servers"
+        )]
         map.add_server(commissioned).expect("server was absent");
         // If this server retired through an orderly decommission, resume
         // at the share the tuner had learned for it: rescale the fresh
@@ -348,7 +378,10 @@ impl PlacementPolicy for AnuPolicy {
                     .sum();
                 if others > 0.0 {
                     weights.insert(commissioned, share * others / (1.0 - share));
-                    // anu-lint: allow(panic) -- weights cover exactly the mapped servers
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "weights cover exactly the mapped servers"
+                    )]
                     map.rebalance(&weights).expect("valid targets");
                 }
             }

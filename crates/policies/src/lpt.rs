@@ -36,8 +36,12 @@ impl Instance {
         let speed: BTreeMap<ServerId, f64> = self.servers.iter().copied().collect();
         for &(fs, d) in &self.demands {
             let s = assignment[&fs];
-            // anu-lint: allow(panic) -- assignments only reference servers from self.servers
-            *loads.get_mut(&s).expect("assigned to known server") += d / speed[&s];
+            #[expect(
+                clippy::expect_used,
+                reason = "assignments only reference servers from self.servers"
+            )]
+            let load = loads.get_mut(&s).expect("assigned to known server");
+            *load += d / speed[&s];
         }
         loads
     }
@@ -59,13 +63,16 @@ impl Instance {
         let mut loads: Vec<f64> = vec![0.0; self.servers.len()];
         let mut out = BTreeMap::new();
         for (fs, d) in order {
+            #[expect(
+                clippy::expect_used,
+                reason = "non-empty servers asserted at the top of assign"
+            )]
             let (best, _) = self
                 .servers
                 .iter()
                 .enumerate()
                 .map(|(i, &(_, speed))| (i, (loads[i] * speed + d) / speed))
                 .min_by(|a, b| a.1.total_cmp(&b.1))
-                // anu-lint: allow(panic) -- non-empty servers asserted at the top of assign
                 .expect("non-empty servers");
             loads[best] += d / self.servers[best].1;
             out.insert(fs, self.servers[best].0);

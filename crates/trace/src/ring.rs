@@ -49,10 +49,10 @@ use anu_core::TuneEpoch;
 use anu_des::SimTime;
 
 /// Fixed width of one encoded record, in `u64` words.
-pub const WORDS_PER_RECORD: usize = 6;
+pub(crate) const WORDS_PER_RECORD: usize = 6;
 
 /// Records per preallocated segment (6 words × 8 bytes × 8192 = 384 KiB).
-pub const SEG_RECORDS: usize = 8192;
+pub(crate) const SEG_RECORDS: usize = 8192;
 
 const SEG_WORDS: usize = SEG_RECORDS * WORDS_PER_RECORD;
 
@@ -165,7 +165,7 @@ impl RingSink {
     /// Append one encoded record.
     #[inline]
     fn push(&mut self, tag: u64, flags: u64, t_us: u64, payload: [u64; 4]) {
-        // anu-lint ok: the last segment always exists (new() seeds one).
+        // The last segment always exists: `new()` seeds one.
         if self.segs.last().is_some_and(|s| s.len() == SEG_WORDS) {
             self.segs.push(Vec::with_capacity(SEG_WORDS));
         }

@@ -186,7 +186,10 @@ impl IntensitySampler {
     }
 
     fn sample(&self, rng: &mut RngStream) -> f64 {
-        // anu-lint: allow(panic) -- the constructor always emits at least one piece
+        #[expect(
+            clippy::expect_used,
+            reason = "the constructor always emits at least one piece"
+        )]
         let total = *self.cum.last().expect("at least one piece");
         let x = rng.uniform() * total;
         let i = self

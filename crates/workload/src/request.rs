@@ -10,6 +10,21 @@ use anu_core::json::{FromJson, Json, JsonError, ToJson};
 use anu_core::FileSetId;
 use anu_des::{SimDuration, SimTime};
 
+/// The most file sets a workload may have: the simulator indexes sets as
+/// `u32`, so ids run over `0..2^32`. Readers reject larger counts before
+/// anything sized by the count is allocated.
+const MAX_FILE_SETS: u64 = 1 << 32;
+
+/// `n`, or why it names more file sets than the simulator can index.
+pub(crate) fn indexable_set_count(n: usize) -> Result<usize, String> {
+    if u64::try_from(n).map_or(true, |n| n > MAX_FILE_SETS) {
+        return Err(format!(
+            "n_file_sets {n} exceeds 2^32, the most file sets the simulator indexes"
+        ));
+    }
+    Ok(n)
+}
+
 /// One metadata request.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct Request {
@@ -209,7 +224,8 @@ impl ToJson for Workload {
 
 impl FromJson for Workload {
     fn from_json(j: &Json) -> Result<Self, JsonError> {
-        let n_file_sets = j.get("n_file_sets")?.as_usize()?;
+        let n_file_sets =
+            indexable_set_count(j.get("n_file_sets")?.as_usize()?).map_err(JsonError::shape)?;
         let mut requests = Vec::new();
         for (i, r) in j.get("requests")?.as_arr()?.iter().enumerate() {
             let triple = r.as_arr()?;
@@ -344,6 +360,15 @@ mod tests {
         let w2 = Workload::from_json(&Json::parse(&text).unwrap()).unwrap();
         assert_eq!(w2.requests, w.requests);
         assert_eq!(w2.label, "t");
+    }
+
+    #[test]
+    fn json_rejects_more_sets_than_the_simulator_indexes() {
+        let text = r#"{"label":"t","n_file_sets":4294967297,"duration_us":10,"requests":[]}"#;
+        let err = Workload::from_json(&Json::parse(text).unwrap()).unwrap_err();
+        assert!(err.to_string().contains("n_file_sets 4294967297"), "{err}");
+        let text = text.replace("4294967297", "4294967296");
+        assert!(Workload::from_json(&Json::parse(&text).unwrap()).is_ok());
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! the line format `arrival_us,file_set,cost_us`; JSON serializes the whole
 //! [`Workload`] including its label.
 
-use crate::request::{Request, Workload};
+use crate::request::{indexable_set_count, Request, Workload};
 use anu_core::json::{FromJson, Json, JsonError, ToJson};
 use anu_core::FileSetId;
 use anu_des::{SimDuration, SimTime};
@@ -91,10 +91,15 @@ pub fn read_csv<R: BufRead>(input: R) -> Result<Workload, TraceError> {
             if let Some(v) = rest.strip_prefix("label:") {
                 label = v.trim().to_string();
             } else if let Some(v) = rest.strip_prefix("n_file_sets:") {
-                n_file_sets = v.trim().parse().map_err(|e| TraceError::Parse {
-                    line: lineno,
-                    message: format!("bad n_file_sets: {e}"),
-                })?;
+                n_file_sets = v
+                    .trim()
+                    .parse()
+                    .map_err(|e| format!("bad n_file_sets: {e}"))
+                    .and_then(indexable_set_count)
+                    .map_err(|message| TraceError::Parse {
+                        line: lineno,
+                        message,
+                    })?;
             } else if let Some(v) = rest.strip_prefix("duration_us:") {
                 duration_us = v.trim().parse().map_err(|e| TraceError::Parse {
                     line: lineno,
@@ -137,10 +142,9 @@ pub fn read_csv<R: BufRead>(input: R) -> Result<Workload, TraceError> {
         n_file_sets = fs
             .checked_add(1)
             .and_then(|n| usize::try_from(n).ok())
-            .ok_or_else(|| TraceError::Parse {
-                line,
-                message: format!("file_set {fs} is too large to infer n_file_sets"),
-            })?;
+            .ok_or_else(|| format!("file_set {fs} is too large to infer n_file_sets"))
+            .and_then(indexable_set_count)
+            .map_err(|message| TraceError::Parse { line, message })?;
     } else if usize::try_from(fs).map_or(true, |fs| fs >= n_file_sets) {
         return Err(TraceError::Parse {
             line,
@@ -236,6 +240,28 @@ mod tests {
             }
             other => panic!("wrong error: {other}"),
         }
+    }
+
+    #[test]
+    fn csv_rejects_more_sets_than_the_simulator_indexes() {
+        // Each once returned Ok and then aborted or panicked on allocation.
+        for (csv, bad_line) in [
+            ("# n_file_sets: 18446744073709551615\n0,0,1\n", 1),
+            ("# n_file_sets: 4000000000000\n0,0,1\n", 1),
+            ("0,0,1\n1,3999999999999,1\n", 2),
+            ("0,4294967296,1\n", 1),
+        ] {
+            match read_csv(csv.as_bytes()).unwrap_err() {
+                TraceError::Parse { line, message } => {
+                    assert_eq!(line, bad_line, "{csv}");
+                    assert!(message.contains("2^32"), "{message}");
+                }
+                other => panic!("wrong error: {other}"),
+            }
+        }
+        // The largest indexable set still reads.
+        let w = read_csv("0,4294967295,1\n".as_bytes()).unwrap();
+        assert_eq!(w.n_file_sets, 1 << 32);
     }
 
     #[test]
