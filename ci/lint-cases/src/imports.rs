@@ -94,9 +94,13 @@ mod tests {
             "let _socket = std::net::TcpStream::connect(",
             "let _child = std::process::Command::new(",
             "let _worker = std::thread::spawn(",
+            "let _listing = Path::new(\".\").read_dir(",
+            "let _stat = Path::new(\".\").metadata(",
+            "let _present = Path::new(\".\").exists(",
         ] {
             gate.flags(call);
         }
+        gate.accepts("Path::new(\"a\").join(\"b\")");
     }
 
     #[test]

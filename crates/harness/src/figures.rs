@@ -53,10 +53,18 @@ fn four_policies(window: PrescientWindow) -> Vec<(String, PolicyKind)> {
 /// Figure 6: server latency for DFSTrace workloads — four policies, five
 /// heterogeneous servers (speeds 1/3/5/7/9), one hour, 2-minute ticks.
 pub fn fig6(seed: u64) -> Experiment {
+    fig6_scaled(seed, 1)
+}
+
+fn fig6_scaled(seed: u64, scale: u64) -> Experiment {
+    let mut cfg = DfsLikeConfig::paper(seed);
+    cfg.n_file_sets *= scale as usize;
+    cfg.total_requests *= scale;
+    cfg.mean_cost_secs /= scale as f64;
     Experiment {
         name: "fig6".into(),
         cluster: ClusterConfig::paper(),
-        workload: DfsLikeConfig::paper(seed).generate(),
+        workload: cfg.generate(),
         policies: four_policies(PrescientWindow::Tick),
         seed,
     }
@@ -65,6 +73,10 @@ pub fn fig6(seed: u64) -> Experiment {
 /// Figure 7: close-up of dynamic prescient vs ANU randomization on the
 /// trace workload (same setting as Figure 6, adaptive policies only).
 pub fn fig7(seed: u64) -> Experiment {
+    fig7_scaled(seed, 1)
+}
+
+fn fig7_scaled(seed: u64, scale: u64) -> Experiment {
     Experiment {
         name: "fig7".into(),
         policies: vec![
@@ -81,17 +93,22 @@ pub fn fig7(seed: u64) -> Experiment {
                 },
             ),
         ],
-        ..fig6(seed)
+        ..fig6_scaled(seed, scale)
     }
 }
 
 /// Figure 8: server latency for the synthetic workload — 100,000 requests,
 /// 500 file sets, 10,000 s, stable extreme heterogeneity.
 pub fn fig8(seed: u64) -> Experiment {
+    fig8_scaled(seed, 1)
+}
+
+fn fig8_scaled(seed: u64, scale: u64) -> Experiment {
     let cluster = ClusterConfig::paper();
-    let workload = SyntheticConfig::paper(seed)
-        .with_offered_load(0.5, cluster.total_speed())
-        .generate();
+    let mut cfg = SyntheticConfig::paper(seed);
+    cfg.n_file_sets *= scale as usize;
+    cfg.total_requests *= scale;
+    let workload = cfg.with_offered_load(0.5, cluster.total_speed()).generate();
     Experiment {
         name: "fig8".into(),
         cluster,
@@ -103,6 +120,10 @@ pub fn fig8(seed: u64) -> Experiment {
 
 /// Figure 9: close-up of prescient vs ANU on the synthetic workload.
 pub fn fig9(seed: u64) -> Experiment {
+    fig9_scaled(seed, 1)
+}
+
+fn fig9_scaled(seed: u64, scale: u64) -> Experiment {
     Experiment {
         name: "fig9".into(),
         policies: vec![
@@ -119,13 +140,17 @@ pub fn fig9(seed: u64) -> Experiment {
                 },
             ),
         ],
-        ..fig8(seed)
+        ..fig8_scaled(seed, scale)
     }
 }
 
 /// Figure 10: the over-tuning problem — ANU without heuristics (a) versus
 /// ANU with all three heuristics (b), on the synthetic workload.
 pub fn fig10(seed: u64) -> Experiment {
+    fig10_scaled(seed, 1)
+}
+
+fn fig10_scaled(seed: u64, scale: u64) -> Experiment {
     Experiment {
         name: "fig10".into(),
         policies: vec![
@@ -142,13 +167,17 @@ pub fn fig10(seed: u64) -> Experiment {
                 },
             ),
         ],
-        ..fig8(seed)
+        ..fig8_scaled(seed, scale)
     }
 }
 
 /// Figure 11: decomposing the three over-tuning heuristics — each enabled
 /// alone, on the synthetic workload.
 pub fn fig11(seed: u64) -> Experiment {
+    fig11_scaled(seed, 1)
+}
+
+fn fig11_scaled(seed: u64, scale: u64) -> Experiment {
     Experiment {
         name: "fig11".into(),
         policies: vec![
@@ -171,7 +200,7 @@ pub fn fig11(seed: u64) -> Experiment {
                 },
             ),
         ],
-        ..fig8(seed)
+        ..fig8_scaled(seed, scale)
     }
 }
 
@@ -209,38 +238,22 @@ pub fn reduced(mut exp: Experiment, seed: u64) -> Experiment {
 /// workloads are non-canonical, so callers must skip the shape checks and
 /// CSV emission that pin paper outputs.
 pub fn figure_scaled(n: u32, seed: u64, scale: u64) -> Option<Experiment> {
-    let mut exp = figure(n, seed)?;
-    if scale <= 1 {
-        return Some(exp);
-    }
-    exp.workload = if exp.workload.label == "dfstrace-like" {
-        let mut cfg = DfsLikeConfig::paper(seed);
-        cfg.n_file_sets *= scale as usize;
-        cfg.total_requests *= scale;
-        cfg.mean_cost_secs /= scale as f64;
-        cfg.generate()
-    } else {
-        let mut cfg = SyntheticConfig::paper(seed);
-        cfg.n_file_sets *= scale as usize;
-        cfg.total_requests *= scale;
-        cfg = cfg.with_offered_load(0.5, exp.cluster.total_speed());
-        cfg.generate()
-    };
-    Some(exp)
+    let scale = scale.max(1);
+    Some(match n {
+        6 => fig6_scaled(seed, scale),
+        7 => fig7_scaled(seed, scale),
+        8 => fig8_scaled(seed, scale),
+        9 => fig9_scaled(seed, scale),
+        10 => fig10_scaled(seed, scale),
+        11 => fig11_scaled(seed, scale),
+        _ => return None,
+    })
 }
 
 /// The experiment for figure `n` (6–11); `None` for numbers outside the
 /// evaluation (Figures 1–5 are schematics with no data).
 pub fn figure(n: u32, seed: u64) -> Option<Experiment> {
-    match n {
-        6 => Some(fig6(seed)),
-        7 => Some(fig7(seed)),
-        8 => Some(fig8(seed)),
-        9 => Some(fig9(seed)),
-        10 => Some(fig10(seed)),
-        11 => Some(fig11(seed)),
-        _ => None,
-    }
+    figure_scaled(n, seed, 1)
 }
 
 /// The Figures 6–11 sweep: every figure in `figures` at every seed in

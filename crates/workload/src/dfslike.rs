@@ -155,6 +155,8 @@ struct IntensitySampler {
     edges: Vec<f64>,
     /// Cumulative mass up to each piece end.
     cum: Vec<f64>,
+    /// Mass of the whole duration: the last entry of `cum`.
+    total: f64,
 }
 
 impl IntensitySampler {
@@ -182,16 +184,15 @@ impl IntensitySampler {
             acc += (w[1] - w[0]) * intensity;
             cum.push(acc);
         }
-        IntensitySampler { edges, cum }
+        IntensitySampler {
+            edges,
+            cum,
+            total: acc,
+        }
     }
 
     fn sample(&self, rng: &mut RngStream) -> f64 {
-        #[expect(
-            clippy::expect_used,
-            reason = "the constructor always emits at least one piece"
-        )]
-        let total = *self.cum.last().expect("at least one piece");
-        let x = rng.uniform() * total;
+        let x = rng.uniform() * self.total;
         let i = self
             .cum
             .partition_point(|&c| c <= x)

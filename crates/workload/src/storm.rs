@@ -29,6 +29,17 @@
 //! workload's; only *when* requests land changes. Every draw comes from
 //! dedicated labeled [`RngStream`]s, so storms are byte-deterministic in
 //! `(config, seed)` and never perturb other generators.
+//!
+//! The warp inverts the CDF by bisection, eight arrivals at a time in
+//! lockstep. One arrival's bisection is a chain of 60 dependent steps:
+//! each step's midpoint needs the previous step's comparison, which needs
+//! a CDF evaluation. A scalar loop waits out that chain at every step
+//! (and mispredicts its branch about half the time). The lockstep runs
+//! eight independent chains side by side with a select in place of the
+//! branch, so the CPU overlaps them. Each lane performs the scalar loop's
+//! float operations in the same order for the same number of steps, so
+//! its `(lo, hi)` after every step, and hence every warped arrival, is
+//! bit-identical to the scalar loop's, for any CDF (monotone or not).
 
 use crate::request::{Request, Workload};
 use crate::synthetic::{apportion, SyntheticConfig};
@@ -117,10 +128,12 @@ impl StormConfig {
     fn warp(&self, cdf: impl Fn(f64) -> f64) -> Workload {
         let mut w = self.base.generate();
         let t_total = self.base.duration_secs;
-        for r in &mut w.requests {
-            let x = (r.arrival.as_secs_f64() / t_total).clamp(0.0, 1.0);
-            r.arrival = SimTime::from_secs_f64(invert_cdf(&cdf, x) * t_total);
-        }
+        invert_cdf(
+            &cdf,
+            &mut w.requests,
+            |r| (r.arrival.as_secs_f64() / t_total).clamp(0.0, 1.0),
+            |r, x| r.arrival = SimTime::from_secs_f64(x * t_total),
+        );
         w
     }
 
@@ -207,20 +220,49 @@ fn diurnal_cdf(x: f64, intensity: f64) -> f64 {
     x - a / (4.0 * std::f64::consts::PI) * (4.0 * std::f64::consts::PI * x).sin()
 }
 
-/// Invert a strictly increasing CDF on [0, 1] by bisection. 60 halvings
-/// put the answer within 2⁻⁶⁰ — far below the µs tick — and the fixed
-/// iteration count keeps the result bit-deterministic.
-fn invert_cdf(cdf: &impl Fn(f64) -> f64, target: f64) -> f64 {
-    let (mut lo, mut hi) = (0.0_f64, 1.0_f64);
-    for _ in 0..60 {
-        let mid = 0.5 * (lo + hi);
-        if cdf(mid) < target {
-            lo = mid;
-        } else {
-            hi = mid;
+/// Bisections the warp runs side by side. Eight measured fastest on the
+/// flash-crowd warp: four are too few chains to hide a step's latency,
+/// and sixteen spill lane state to the stack.
+const LANES: usize = 8;
+
+/// Invert a strictly increasing CDF on [0, 1] by bisection at
+/// `target(item)` for every item, and hand each item its inverse through
+/// `set`. 60 halvings put the answer within 2⁻⁶⁰ — far below the µs
+/// tick — and the fixed step count keeps the result bit-deterministic.
+///
+/// The items go in batches of [`LANES`] (the last one padded with target
+/// 0, whose result is dropped), and one bisection advances all lanes of
+/// a batch a step at a time. A lane's step is the scalar step
+/// `mid = 0.5·(lo + hi)`, then `lo = mid` if `cdf(mid) < target`, else
+/// `hi = mid`, with a select for the branch: the same operations on the
+/// same values in the same order. So after each step every lane's
+/// `(lo, hi)` equals what a scalar loop holds for its target, and the
+/// result `0.5·(lo + hi)` is the scalar result, bit for bit, whatever
+/// `cdf` is.
+fn invert_cdf<T>(
+    cdf: &impl Fn(f64) -> f64,
+    items: &mut [T],
+    target: impl Fn(&T) -> f64,
+    mut set: impl FnMut(&mut T, f64),
+) {
+    for batch in items.chunks_mut(LANES) {
+        let mut x = [0.0_f64; LANES];
+        for (x, item) in x.iter_mut().zip(&*batch) {
+            *x = target(item);
+        }
+        let (mut lo, mut hi) = ([0.0_f64; LANES], [1.0_f64; LANES]);
+        for _ in 0..60 {
+            for k in 0..LANES {
+                let mid = 0.5 * (lo[k] + hi[k]);
+                let below = cdf(mid) < x[k];
+                lo[k] = if below { mid } else { lo[k] };
+                hi[k] = if below { hi[k] } else { mid };
+            }
+        }
+        for (k, item) in batch.iter_mut().enumerate() {
+            set(item, 0.5 * (lo[k] + hi[k]));
         }
     }
-    0.5 * (lo + hi)
 }
 
 #[cfg(test)]
@@ -248,6 +290,97 @@ mod tests {
             base: base(11),
         }
         .generate()
+    }
+
+    /// The reference the lockstep warp must match bit for bit: one
+    /// bisection per target, branching at every step.
+    fn invert_cdf_scalar(cdf: &impl Fn(f64) -> f64, target: f64) -> f64 {
+        let (mut lo, mut hi) = (0.0_f64, 1.0_f64);
+        for _ in 0..60 {
+            let mid = 0.5 * (lo + hi);
+            if cdf(mid) < target {
+                lo = mid;
+            } else {
+                hi = mid;
+            }
+        }
+        0.5 * (lo + hi)
+    }
+
+    /// The rate profile's CDF of a rate-shaping storm.
+    fn rate_cdf(kind: StormKind, intensity: f64) -> Box<dyn Fn(f64) -> f64> {
+        match kind {
+            StormKind::FlashCrowd => Box::new(move |x| flash_crowd_cdf(x, intensity)),
+            StormKind::Diurnal => Box::new(move |x| diurnal_cdf(x, intensity)),
+            _ => unreachable!("{} does not warp time", kind.name()),
+        }
+    }
+
+    /// Requires the lockstep inverse of every target to have the scalar
+    /// inverse's bits.
+    fn assert_lockstep_matches(cdf: &dyn Fn(f64) -> f64, targets: &[f64], what: &str) {
+        let mut got = targets.to_vec();
+        invert_cdf(&cdf, &mut got, |&x| x, |x, inverse| *x = inverse);
+        for (i, (&x, g)) in targets.iter().zip(got).enumerate() {
+            let want = invert_cdf_scalar(&cdf, x);
+            assert_eq!(
+                g.to_bits(),
+                want.to_bits(),
+                "{what}: target {i} ({x:e}) inverts to {g:e}, the scalar loop to {want:e}"
+            );
+        }
+    }
+
+    #[test]
+    fn lockstep_warp_matches_scalar_bisection() {
+        let mut rng = RngStream::new(3, "test/warp-targets");
+        let uniforms: Vec<f64> = (0..100_000).map(|_| rng.uniform()).collect();
+        for kind in [StormKind::FlashCrowd, StormKind::Diurnal] {
+            for intensity in [0.0, 0.5, 1.0, 2.0, 4.0] {
+                let cdf = rate_cdf(kind, intensity);
+                let what = format!("{} at {intensity}", kind.name());
+                // Edge targets, then the CDF's own values on a grid, where
+                // `cdf(mid) < target` and `<=` part ways.
+                let mut targets =
+                    vec![0.0, 1.0, f64::MIN_POSITIVE, 1e-12, 1.0 - f64::EPSILON / 2.0];
+                targets.extend((0..=64).map(|k| cdf(f64::from(k) / 64.0)));
+                // Every fill of the last batch, padded or not.
+                for len in 0..=2 * LANES + 1 {
+                    assert_lockstep_matches(
+                        &cdf,
+                        &targets[..len],
+                        &format!("{what}, {len} targets"),
+                    );
+                }
+                targets.extend(&uniforms);
+                assert_lockstep_matches(&cdf, &targets, &what);
+            }
+        }
+    }
+
+    #[test]
+    fn rate_storms_are_the_base_warped_by_the_scalar_reference() {
+        for kind in [StormKind::FlashCrowd, StormKind::Diurnal] {
+            // A request count that leaves the last batch part-filled.
+            let mut base = base(5);
+            base.total_requests = 10_003;
+            let cdf = rate_cdf(kind, 1.5);
+            let mut want = base.generate();
+            for r in &mut want.requests {
+                let x = (r.arrival.as_secs_f64() / base.duration_secs).clamp(0.0, 1.0);
+                r.arrival = SimTime::from_secs_f64(invert_cdf_scalar(&cdf, x) * base.duration_secs);
+            }
+            let got = StormConfig {
+                kind,
+                intensity: 1.5,
+                base,
+            }
+            .generate();
+            assert_eq!(got.requests.len(), want.requests.len(), "{}", kind.name());
+            for (i, (g, w)) in got.requests.iter().zip(&want.requests).enumerate() {
+                assert_eq!(g, w, "{}: request {i}", kind.name());
+            }
+        }
     }
 
     #[test]
