@@ -1,7 +1,6 @@
-//! Top-level ANU configuration, serializable for replication.
+//! Top-level ANU configuration.
 
 use crate::heuristics::TuningConfig;
-use crate::json::{FromJson, Json, JsonError, ToJson};
 use crate::placement::DEFAULT_ROUNDS;
 
 /// Everything a node needs to participate in ANU placement: the shared hash
@@ -30,26 +29,6 @@ impl Default for AnuConfig {
     }
 }
 
-impl ToJson for AnuConfig {
-    fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("seed", Json::u64(self.seed)),
-            ("rounds", Json::u32(self.rounds)),
-            ("tuning", self.tuning.to_json()),
-        ])
-    }
-}
-
-impl FromJson for AnuConfig {
-    fn from_json(j: &Json) -> Result<Self, JsonError> {
-        Ok(AnuConfig {
-            seed: j.get("seed")?.as_u64()?,
-            rounds: j.get("rounds")?.as_u32()?,
-            tuning: TuningConfig::from_json(j.get("tuning")?)?,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -59,13 +38,5 @@ mod tests {
         let c = AnuConfig::default();
         assert_eq!(c.rounds, DEFAULT_ROUNDS);
         assert!(c.tuning.top_off && c.tuning.divergent);
-    }
-
-    #[test]
-    fn json_roundtrip() {
-        let c = AnuConfig::default();
-        let text = c.to_json().render_pretty();
-        let c2 = AnuConfig::from_json(&Json::parse(&text).unwrap()).unwrap();
-        assert_eq!(c, c2);
     }
 }

@@ -20,7 +20,6 @@
 //! skew" (paper §4).
 
 use crate::interval::Pos;
-use crate::json::{FromJson, Json, JsonError, ToJson};
 
 /// SplitMix64 step: advances `state` and returns the next output.
 ///
@@ -114,27 +113,6 @@ impl HashFamily {
         // same cost; with n ≪ 2^32 the bias of either is negligible, but
         // this keeps the mapping uniform by construction.
         ((mix64(base ^ self.fallback_seed) as u128 * n as u128) >> 64) as usize
-    }
-}
-
-impl ToJson for HashFamily {
-    fn to_json(&self) -> Json {
-        // Only the seed and round count are persisted; the per-round seeds
-        // are a pure function of them, so the replica rebuilds the family
-        // and cannot diverge from the canonical derivation.
-        Json::obj(vec![
-            ("seed", Json::u64(self.seed)),
-            ("rounds", Json::u32(self.rounds())),
-        ])
-    }
-}
-
-impl FromJson for HashFamily {
-    fn from_json(j: &Json) -> Result<Self, JsonError> {
-        Ok(HashFamily::new(
-            j.get("seed")?.as_u64()?,
-            j.get("rounds")?.as_u32()?,
-        ))
     }
 }
 

@@ -21,8 +21,6 @@
 //!   previous-interval state (e.g. after a delegate failover) it is simply
 //!   skipped, preserving graceful degradation.
 
-use crate::json::{FromJson, Json, JsonError, ToJson};
-
 /// How the delegate condenses per-server latencies into one "average".
 ///
 /// The paper uses a request-weighted mean but notes the system "is robust to
@@ -171,61 +169,6 @@ impl TuningConfig {
     }
 }
 
-impl ToJson for AverageKind {
-    fn to_json(&self) -> Json {
-        Json::str(match self {
-            AverageKind::WeightedMean => "weighted_mean",
-            AverageKind::Median => "median",
-        })
-    }
-}
-
-impl FromJson for AverageKind {
-    fn from_json(j: &Json) -> Result<Self, JsonError> {
-        match j.as_str()? {
-            "weighted_mean" => Ok(AverageKind::WeightedMean),
-            "median" => Ok(AverageKind::Median),
-            other => Err(JsonError::shape(format!("unknown average kind {other:?}"))),
-        }
-    }
-}
-
-impl ToJson for TuningConfig {
-    fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("gamma", Json::f64(self.gamma)),
-            ("max_factor", Json::f64(self.max_factor)),
-            ("min_grow_share", Json::f64(self.min_grow_share)),
-            ("threshold", self.threshold.map_or(Json::Null, Json::f64)),
-            ("top_off", Json::Bool(self.top_off)),
-            ("divergent", Json::Bool(self.divergent)),
-            ("average", self.average.to_json()),
-            ("max_report_age", Json::u64(u64::from(self.max_report_age))),
-            ("min_quorum", Json::f64(self.min_quorum)),
-        ])
-    }
-}
-
-impl FromJson for TuningConfig {
-    fn from_json(j: &Json) -> Result<Self, JsonError> {
-        let threshold = match j.get("threshold")? {
-            Json::Null => None,
-            v => Some(v.as_f64()?),
-        };
-        Ok(TuningConfig {
-            gamma: j.get("gamma")?.as_f64()?,
-            max_factor: j.get("max_factor")?.as_f64()?,
-            min_grow_share: j.get("min_grow_share")?.as_f64()?,
-            threshold,
-            top_off: j.get("top_off")?.as_bool()?,
-            divergent: j.get("divergent")?.as_bool()?,
-            average: AverageKind::from_json(j.get("average")?)?,
-            max_report_age: j.get("max_report_age")?.as_u32()?,
-            min_quorum: j.get("min_quorum")?.as_f64()?,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -292,14 +235,5 @@ mod tests {
     fn divergence_disabled_always_allows() {
         let c = TuningConfig::plain();
         assert!(c.divergence_allows(200.0, 100.0, Some(250.0)));
-    }
-
-    #[test]
-    fn json_roundtrip() {
-        for c in [TuningConfig::paper(), TuningConfig::plain()] {
-            let text = c.to_json().render();
-            let c2 = TuningConfig::from_json(&Json::parse(&text).unwrap()).unwrap();
-            assert_eq!(c, c2);
-        }
     }
 }

@@ -29,7 +29,6 @@
 use crate::error::{AnuError, Result};
 use crate::ids::ServerId;
 use crate::interval::{Pos, Segment, HALF_UNIT};
-use crate::json::{FromJson, Json, JsonError, ToJson};
 use crate::num;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -756,86 +755,6 @@ impl PartitionTable {
             }
         }
         Ok(())
-    }
-}
-
-impl ToJson for PartitionTable {
-    fn to_json(&self) -> Json {
-        // Servers are listed explicitly so zero-share servers survive the
-        // round trip; partitions encode as null (free), {"s": id} (full) or
-        // {"s": id, "len": l} (partial). The per-server and free indexes
-        // are derived state and are rebuilt on load.
-        let servers = Json::arr(self.servers().map(|s| Json::u32(s.0)).collect());
-        let parts = Json::arr(
-            self.parts
-                .iter()
-                .map(|p| match *p {
-                    PartitionState::Free => Json::Null,
-                    PartitionState::Full(s) => Json::obj(vec![("s", Json::u32(s.0))]),
-                    PartitionState::Partial { server, len } => {
-                        Json::obj(vec![("s", Json::u32(server.0)), ("len", Json::u64(len))])
-                    }
-                })
-                .collect(),
-        );
-        Json::obj(vec![
-            ("log2_parts", Json::u32(self.log2_parts)),
-            ("servers", servers),
-            ("parts", parts),
-        ])
-    }
-}
-
-impl FromJson for PartitionTable {
-    fn from_json(j: &Json) -> std::result::Result<Self, JsonError> {
-        let log2_parts = j.get("log2_parts")?.as_u32()?;
-        let mut table = PartitionTable::new(log2_parts)
-            .map_err(|e| JsonError::shape(format!("bad partition table: {e}")))?;
-        for s in j.get("servers")?.as_arr()? {
-            let id = ServerId(s.as_u32()?);
-            table
-                .register_server(id)
-                .map_err(|e| JsonError::shape(format!("bad server list: {e}")))?;
-        }
-        let parts = j.get("parts")?.as_arr()?;
-        if parts.len() != table.parts.len() {
-            return Err(JsonError::shape(format!(
-                "expected {} partitions, got {}",
-                table.parts.len(),
-                parts.len()
-            )));
-        }
-        let width = table.part_width();
-        for (i, p) in parts.iter().enumerate() {
-            if p.is_null() {
-                continue;
-            }
-            let server = ServerId(p.get("s")?.as_u32()?);
-            let reg = table
-                .regions
-                .get_mut(&server)
-                .ok_or_else(|| JsonError::shape(format!("partition owned by unlisted {server}")))?;
-            let idx = u32::try_from(i).map_err(|_| JsonError::shape("partition index overflow"))?;
-            match p.get("len") {
-                Err(_) => {
-                    table.parts[i] = PartitionState::Full(server);
-                    reg.fulls.insert(idx);
-                }
-                Ok(l) => {
-                    let len = l.as_u64()?;
-                    if len == 0 || len >= width || reg.partial.is_some() {
-                        return Err(JsonError::shape(format!(
-                            "invalid partial partition {i} for {server}"
-                        )));
-                    }
-                    table.parts[i] = PartitionState::Partial { server, len };
-                    reg.partial = Some((idx, len));
-                }
-            }
-            table.free.remove(&idx);
-        }
-        table.check_invariants_shape().map_err(JsonError::shape)?;
-        Ok(table)
     }
 }
 

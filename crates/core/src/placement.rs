@@ -12,7 +12,6 @@ use crate::error::{AnuError, Result};
 use crate::hash::HashFamily;
 use crate::ids::ServerId;
 use crate::interval::HALF_UNIT;
-use crate::json::{FromJson, Json, JsonError, ToJson};
 use crate::num;
 use crate::partition::{PartitionTable, RegionChange};
 use crate::shares;
@@ -172,8 +171,9 @@ impl PlacementMap {
     /// The trade-off is granularity: the newcomer's initial share is the
     /// nearest whole number of partitions to the fair share `1/n` (at
     /// least one), so it starts within ±50% of fair; the tuner smooths
-    /// that within a tick or two. Compare the two strategies with
-    /// `sweep --study churn` or the `membership_churn` bench.
+    /// that within a tick or two. Compare the two strategies with the
+    /// `churn` study of `figures --studies` or the `membership_churn`
+    /// bench.
     pub fn add_server_takeover(&mut self, s: ServerId) -> Result<Vec<RegionChange>> {
         if self.table.contains_server(s) {
             return Err(AnuError::DuplicateServer(s));
@@ -264,24 +264,6 @@ impl PlacementMap {
             ));
         }
         Ok(())
-    }
-}
-
-impl ToJson for PlacementMap {
-    fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("table", self.table.to_json()),
-            ("hasher", self.hasher.to_json()),
-        ])
-    }
-}
-
-impl FromJson for PlacementMap {
-    fn from_json(j: &Json) -> std::result::Result<Self, JsonError> {
-        Ok(PlacementMap {
-            table: PartitionTable::from_json(j.get("table")?)?,
-            hasher: HashFamily::from_json(j.get("hasher")?)?,
-        })
     }
 }
 
@@ -546,30 +528,5 @@ mod tests {
         assert!(f <= 0.5 && f > 0.5 - 1.0 / 8.0, "{f}");
         m.restore_half_occupancy().unwrap();
         assert!((m.mapped_fraction() - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn json_roundtrip() {
-        let m = PlacementMap::new(&ids(3), 77, 8).unwrap();
-        let text = m.to_json().render();
-        let m2 = PlacementMap::from_json(&Json::parse(&text).unwrap()).unwrap();
-        for n in names(500) {
-            assert_eq!(m.locate(n), m2.locate(n));
-        }
-        assert_eq!(m2.to_json().render(), text);
-    }
-
-    #[test]
-    fn json_roundtrip_preserves_skewed_shares() {
-        // Partials and zero-share servers must survive the round trip.
-        let mut m = PlacementMap::new(&ids(3), 5, 8).unwrap();
-        let mut w = BTreeMap::new();
-        w.insert(ServerId(0), 0.0);
-        w.insert(ServerId(1), 1.0);
-        w.insert(ServerId(2), 3.0);
-        m.rebalance(&w).unwrap();
-        let m2 = PlacementMap::from_json(&Json::parse(&m.to_json().render()).unwrap()).unwrap();
-        assert_eq!(m2.table().shares(), m.table().shares());
-        assert_eq!(m2.num_servers(), 3);
     }
 }

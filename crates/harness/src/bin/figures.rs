@@ -4,7 +4,7 @@
 //! ```text
 //! figures [--fig N] [--seed S] [--seeds K] [--jobs J] [--out DIR]
 //!         [--bench-out FILE] [--trace-out DIR] [--trace-level LVL]
-//!         [--series] [--plot] [--chaos] [--storm] [--meanfield]
+//!         [--series] [--plot] [--chaos] [--storm] [--meanfield] [--studies]
 //! ```
 //!
 //! The full {figure × policy × seed} grid is enumerated as independent
@@ -61,6 +61,17 @@
 //! 10% for every policy — gives one verdict and counts toward the exit
 //! code like the figure shape checks.
 //!
+//! `--studies` appends the studies beyond the figures: ablations of the
+//! delegate's average, threshold and γ, a homogeneous cluster, pairwise
+//! gossip tuning, delegate crashes, an offered-load crossover, convergence
+//! by granularity, 50 servers, rendezvous hashing, membership churn, and
+//! closed-loop clients. Writes `studies_summary.csv` (late mean,
+//! imbalance, moves and ticks with moves per study, cell and policy),
+//! `studies_churn.csv` and `studies_motivation.csv` to `--out`, and no
+//! per-run files or traces. Each study that makes a claim gives one
+//! verdict, and the verdicts count toward the exit code like the figure
+//! shape checks.
+//!
 //! Tracing: every figure, chaos and storm experiment additionally writes
 //! its per-epoch tuner telemetry to `<experiment>_tuner_epochs.csv` and
 //! its metrics registry (counters, gauges, histogram quantiles, per-epoch
@@ -72,15 +83,15 @@
 use anu_harness::runner;
 use anu_harness::{
     chaos_sweep, checks_table, figures_sweep, meanfield_sweep, series_table, sparklines,
-    storm_sweep, summary_table, Output, TaskOutcome, Verdict, CHAOS_LEVELS, DEFAULT_SEED,
-    FIGURE_NUMBERS,
+    storm_sweep, studies_sweep, summary_table, Output, TaskOutcome, Verdict, CHAOS_LEVELS,
+    DEFAULT_SEED, FIGURE_NUMBERS,
 };
 use anu_trace::TraceLevel;
 use std::path::{Path, PathBuf};
 
 const USAGE: &str = "usage: figures [--fig N] [--seed S] [--seeds K] [--jobs J] [--out DIR] \
      [--bench-out FILE] [--trace-out DIR] [--trace-level off|epoch|request] [--series] [--plot] \
-     [--chaos] [--storm] [--meanfield]";
+     [--chaos] [--storm] [--meanfield] [--studies]";
 
 /// Report a malformed command line and exit with the usage code 2.
 fn usage_error(msg: &str) -> ! {
@@ -115,6 +126,7 @@ struct Args {
     chaos: bool,
     storm: bool,
     meanfield: bool,
+    studies: bool,
 }
 
 fn parse_args() -> Args {
@@ -132,6 +144,7 @@ fn parse_args() -> Args {
         chaos: false,
         storm: false,
         meanfield: false,
+        studies: false,
     };
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
@@ -160,6 +173,7 @@ fn parse_args() -> Args {
             "--chaos" => args.chaos = true,
             "--storm" => args.storm = true,
             "--meanfield" => args.meanfield = true,
+            "--studies" => args.studies = true,
             "--help" | "-h" => {
                 println!("{USAGE}");
                 std::process::exit(0);
@@ -193,6 +207,10 @@ fn main() {
     }
     if args.meanfield {
         sweeps.push(meanfield_sweep(args.seed));
+    }
+    // Last, so the task ids of the other sweeps do not depend on it.
+    if args.studies {
+        sweeps.push(studies_sweep(args.seed));
     }
 
     // Fail on an unwritable destination before the first simulation.

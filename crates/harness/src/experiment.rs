@@ -125,9 +125,8 @@ pub struct Experiment {
 
 impl Experiment {
     /// Run every policy on the deterministic worker pool (one worker per
-    /// available core, unless [`crate::runner::set_default_jobs`]
-    /// overrides it), returning results in declaration order. Results are
-    /// identical at any worker count.
+    /// available core), returning results in declaration order. Results
+    /// are identical at any worker count.
     pub fn run_all(&self) -> Vec<RunResult> {
         self.run_with_jobs(0)
     }

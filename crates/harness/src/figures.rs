@@ -325,6 +325,12 @@ pub struct ShapeCheck {
     pub pass: bool,
 }
 
+/// The shape checks' "comparable": a late mean within 3× of a reference
+/// late mean (floored at 1 ms).
+pub(crate) fn comparable(late_ms: f64, reference_ms: f64) -> bool {
+    late_ms <= 3.0 * reference_ms.max(1.0)
+}
+
 fn find<'a>(results: &'a [RunResult], label: &str) -> &'a RunResult {
     #[expect(
         clippy::panic,
@@ -378,7 +384,7 @@ pub fn check_four_policy(results: &[RunResult]) -> Vec<ShapeCheck> {
             lm(anu),
             lm(presc)
         ),
-        pass: lm(anu) <= 3.0 * lm(presc).max(1.0),
+        pass: comparable(lm(anu), lm(presc)),
     });
 
     checks.push(ShapeCheck {
@@ -441,7 +447,7 @@ pub fn check_closeup(results: &[RunResult], tick_buckets: usize) -> Vec<ShapeChe
     checks.push(ShapeCheck {
         claim: "after convergence ANU performs comparably to prescient".into(),
         measured: format!("late mean: anu {lm_a:.1} ms vs prescient {lm_p:.1} ms"),
-        pass: lm_a <= 3.0 * lm_p.max(1.0),
+        pass: comparable(lm_a, lm_p),
     });
 
     checks.push(ShapeCheck {

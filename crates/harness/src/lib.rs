@@ -24,11 +24,17 @@
 //!   `anu-analytic` oracle's fixed-point predictions next to simulated
 //!   per-server means across growing workload scales, with the
 //!   shrinking-divergence gate;
+//! * [`studies`] — the studies beyond the figures: ablations (average
+//!   kind, threshold, γ, homogeneous balance, membership churn) and
+//!   extensions (gossip tuning, delegate crashes, offered-load crossover,
+//!   convergence, scale, closed-loop clients, rendezvous hashing), each
+//!   claim a check;
 //! * [`report`] — text tables, CSV emission, and verdict rendering.
 //!
 //! Binaries: `figures` regenerates every figure's series and prints the
-//! shape-check verdicts; `sweep` runs the ablation studies (average kind,
-//! threshold, gamma, homogeneous balance, membership churn).
+//! shape-check verdicts, and with `--chaos`, `--storm`, `--meanfield` and
+//! `--studies` runs the other sweeps; `tracegen` writes replayable
+//! workload traces.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -40,6 +46,7 @@ pub mod meanfield;
 pub mod report;
 pub mod runner;
 pub mod storm;
+pub mod studies;
 
 pub use chaos::{
     chaos_checks, chaos_experiment, chaos_name, chaos_sweep, write_chaos_summary_csv, CHAOS_LEVELS,
@@ -64,9 +71,10 @@ pub use storm::{
     storm_checks, storm_cluster, storm_converge_experiment, storm_experiment, storm_name,
     storm_sweep, write_storm_summary_csv, StormCell, CONVERGE_JAIN_FLOOR, STORM_LEVELS,
 };
+pub use studies::studies_sweep;
 
 pub use runner::{
     effective_jobs, group_results, manifest, measure_trace_overhead, plan, run_grid,
-    run_grid_traced, set_default_jobs, Cell, Finished, Output, SimTask, Sweep, TaskOutcome,
-    TraceOverhead, Verdict, MANIFEST_SCHEMA,
+    run_grid_traced, Cell, Finished, Output, SimTask, Sweep, TaskOutcome, TraceOverhead, Verdict,
+    MANIFEST_SCHEMA,
 };

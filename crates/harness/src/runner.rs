@@ -20,7 +20,7 @@
 //!   function of the task's stable id;
 //! * workers only *pick* tasks through the shared queue; each simulation
 //!   runs single-threaded and shares no mutable state with its siblings;
-//! * outcomes are stored by task id, so the returned order (and any CSV,
+//! * outcomes are sorted by task id, so the returned order (and any CSV,
 //!   trace, verdict or manifest derived from it) is identical at
 //!   `--jobs 1` and `--jobs N`.
 
@@ -34,7 +34,6 @@ use anu_trace::{RingSink, TraceLevel};
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 use std::time::Instant;
 
 /// Manifest schema identifier; bump when the shape of
@@ -73,26 +72,11 @@ use std::time::Instant;
 /// file the run wrote.
 pub const MANIFEST_SCHEMA: &str = "anu-bench-figures/v12";
 
-/// Requested worker count for [`Experiment::run_all`] when the caller does
-/// not pass one explicitly; 0 means "one worker per available core".
-static DEFAULT_JOBS: AtomicUsize = AtomicUsize::new(0);
-
-/// Set the worker count used by [`Experiment::run_all`] (and therefore by
-/// every sweep study) when no explicit count is given. 0 restores the
-/// default of one worker per available core.
-pub fn set_default_jobs(jobs: usize) {
-    DEFAULT_JOBS.store(jobs, Ordering::Relaxed);
-}
-
 /// Resolve a requested worker count: 0 (auto) becomes the number of
 /// available cores, and anything else is used as-is.
 pub fn effective_jobs(requested: usize) -> usize {
     if requested > 0 {
         return requested;
-    }
-    let configured = DEFAULT_JOBS.load(Ordering::Relaxed);
-    if configured > 0 {
-        return configured;
     }
     std::thread::available_parallelism().map_or(1, |n| n.get())
 }
@@ -156,9 +140,11 @@ pub fn plan(experiments: &[Experiment]) -> Vec<SimTask> {
 /// Workers share one atomic cursor over the planned task list: each
 /// `fetch_add` claims the next undone task, so the pool drains the queue
 /// without idle tails even when task durations are wildly uneven (a fig8
-/// synthetic run costs ~10× a fig7 close-up). A panicking simulation
-/// propagates out of the scope and fails the whole sweep — partial grids
-/// are never reported.
+/// synthetic run costs ~10× a fig7 close-up). Each worker returns the
+/// outcomes it ran with their task indices, and the joined outcomes are
+/// sorted back into task order. A panicking simulation is re-raised when
+/// its worker is joined and fails the whole sweep — partial grids are
+/// never reported.
 pub fn run_grid(experiments: &[Experiment], jobs: usize) -> Vec<TaskOutcome> {
     run_grid_traced(experiments, jobs, TraceLevel::Off)
 }
@@ -180,33 +166,26 @@ pub fn run_grid_traced(
     }
     let workers = effective_jobs(jobs).min(tasks.len()).max(1);
     let next = AtomicUsize::new(0);
-    let done: Vec<Mutex<Option<TaskOutcome>>> = tasks.iter().map(|_| Mutex::new(None)).collect();
-
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some(task) = tasks.get(i) else { break };
-                let outcome = run_task(task, &experiments[task.experiment], level);
-                #[expect(
-                    clippy::expect_used,
-                    reason = "slot mutexes are uncontended (each task writes its own) and a poisoned lock means a sibling already aborted the sweep"
-                )]
-                let mut slot = done[i].lock().expect("unpoisoned slot");
-                *slot = Some(outcome);
-            });
-        }
+    let mut done: Vec<(usize, TaskOutcome)> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers)
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut ran = Vec::new();
+                    loop {
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        let Some(task) = tasks.get(i) else { break ran };
+                        ran.push((i, run_task(task, &experiments[task.experiment], level)));
+                    }
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .flat_map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
+            .collect()
     });
-
-    done.into_iter()
-        .map(|slot| {
-            #[expect(
-                clippy::expect_used,
-                reason = "the scope joins every worker, so each slot was filled exactly once"
-            )]
-            slot.into_inner().expect("unpoisoned slot").expect("filled")
-        })
-        .collect()
+    done.sort_by_key(|&(i, _)| i);
+    done.into_iter().map(|(_, outcome)| outcome).collect()
 }
 
 /// Build policy `policy` of `exp` and simulate it, recording into a
@@ -588,14 +567,15 @@ pub fn manifest(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::experiment::PolicyKind;
     use anu_cluster::ClusterConfig;
     use anu_core::TuningConfig;
     use anu_workload::{CostModel, SyntheticConfig, WeightDist};
 
-    fn tiny_experiment(name: &str, seed: u64) -> Experiment {
+    /// Three policies on a 20-set, 2,000-request synthetic workload.
+    pub(crate) fn tiny_experiment(name: &str, seed: u64) -> Experiment {
         Experiment {
             name: name.into(),
             cluster: ClusterConfig::paper(),
@@ -901,10 +881,6 @@ mod tests {
     #[test]
     fn effective_jobs_resolves_auto() {
         assert_eq!(effective_jobs(3), 3);
-        assert!(effective_jobs(0) >= 1);
-        set_default_jobs(2);
-        assert_eq!(effective_jobs(0), 2);
-        set_default_jobs(0);
         assert!(effective_jobs(0) >= 1);
     }
 }

@@ -23,9 +23,10 @@ fn unknown_argument_is_a_usage_error() {
     let cases: [(&str, &[&str]); 3] = [
         (env!("CARGO_BIN_EXE_figures"), &["--no-such-flag"]),
         // The hot-path stress mode lives in e2e-bench's `scale_hotpath`
-        // workload; neither binary takes a scale factor.
+        // workload; `figures` takes no scale factor.
         (env!("CARGO_BIN_EXE_figures"), &["--scale", "2"]),
-        (env!("CARGO_BIN_EXE_sweep"), &["--scale", "2"]),
+        // The studies run as one sweep; there is no per-study selection.
+        (env!("CARGO_BIN_EXE_figures"), &["--study", "churn"]),
     ];
     for (bin, args) in cases {
         assert_usage_error(bin, args);
@@ -38,7 +39,7 @@ fn malformed_values_are_usage_errors() {
         (env!("CARGO_BIN_EXE_figures"), &["--fig", "x"]),
         (env!("CARGO_BIN_EXE_figures"), &["--trace-level", "loud"]),
         (env!("CARGO_BIN_EXE_figures"), &["--seed"]),
-        (env!("CARGO_BIN_EXE_sweep"), &["--jobs"]),
+        (env!("CARGO_BIN_EXE_figures"), &["--jobs"]),
         (env!("CARGO_BIN_EXE_tracegen"), &["--seed", "x"]),
     ];
     for (bin, args) in cases {

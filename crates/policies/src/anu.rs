@@ -38,9 +38,6 @@ pub struct AnuPolicy {
     cfg: AnuConfig,
     map: Option<PlacementMap>,
     planner: Box<dyn SharePlanner>,
-    /// Periodically drop planner state, simulating delegate failovers
-    /// (`None` = never).
-    delegate_crash_every: Option<u64>,
     /// Ticks left to sit out while a new delegate is elected after an
     /// injected delegate crash. While positive, ticks produce no moves
     /// and no telemetry; the new delegate then resumes from the shares
@@ -55,9 +52,6 @@ pub struct AnuPolicy {
     /// the share the tuner had already learned instead of the 1/n
     /// average.
     parked_shares: BTreeMap<ServerId, f64>,
-    /// Cumulative statistics for analysis.
-    ticks_with_moves: u64,
-    ticks_total: u64,
     /// Tuner telemetry from the last tick, with `applied_share` filled in
     /// from the post-rebalance placement map (the quantized region widths
     /// the cluster actually runs with).
@@ -72,12 +66,9 @@ impl AnuPolicy {
             cfg,
             map: None,
             planner: Box::new(Tuner::new(cfg.tuning)),
-            delegate_crash_every: None,
             pause_ticks_left: 0,
             file_sets: Vec::new(),
             parked_shares: BTreeMap::new(),
-            ticks_with_moves: 0,
-            ticks_total: 0,
             last_epoch: None,
         }
     }
@@ -98,25 +89,9 @@ impl AnuPolicy {
         })
     }
 
-    /// Simulate a delegate crash every `n` ticks: the planner's
-    /// cross-interval state is dropped before the n-th, 2n-th, … tick.
-    /// Exercises the paper's statelessness claim — "if the delegate fails,
-    /// the next elected delegate runs the same protocol with the same
-    /// information".
-    pub fn with_delegate_crashes(mut self, every_n_ticks: u64) -> Self {
-        assert!(every_n_ticks > 0);
-        self.delegate_crash_every = Some(every_n_ticks);
-        self
-    }
-
     /// Access the live placement map (None before `initial`).
     pub fn map(&self) -> Option<&PlacementMap> {
         self.map.as_ref()
-    }
-
-    /// `(ticks that produced moves, total ticks)` — convergence diagnostic.
-    pub fn tick_stats(&self) -> (u64, u64) {
-        (self.ticks_with_moves, self.ticks_total)
     }
 
     /// The live placement map. It takes the field rather than `&mut self`
@@ -175,18 +150,12 @@ impl PlacementPolicy for AnuPolicy {
         reports: &[LoadReport],
         assignment: &Assignment,
     ) -> Vec<MoveSet> {
-        self.ticks_total += 1;
         if self.pause_ticks_left > 0 {
             // Re-election in progress: no delegate, no tuning pass, no
             // telemetry. The placement map keeps serving lookups.
             self.pause_ticks_left -= 1;
             self.last_epoch = None;
             return Vec::new();
-        }
-        if let Some(every) = self.delegate_crash_every {
-            if self.ticks_total.is_multiple_of(every) {
-                self.planner.forget();
-            }
         }
         let map = Self::live_map(&mut self.map);
         // Failures may have left occupancy below half; restore before
@@ -231,11 +200,7 @@ impl PlacementPolicy for AnuPolicy {
         }
         self.last_epoch = epoch;
         let target = Self::target_assignment(map, &self.file_sets);
-        let moves = diff_moves(assignment, &target);
-        if !moves.is_empty() {
-            self.ticks_with_moves += 1;
-        }
-        moves
+        diff_moves(assignment, &target)
     }
 
     fn take_epoch(&mut self) -> Option<TuneEpoch> {
@@ -466,7 +431,10 @@ mod tests {
             &a,
         );
         assert!(moves.is_empty());
-        assert_eq!(p.tick_stats(), (0, 1));
+        let epoch = p
+            .take_epoch()
+            .expect("a balanced tick still records its epoch");
+        assert!(!epoch.planned, "a balanced tick plans nothing");
     }
 
     #[test]
