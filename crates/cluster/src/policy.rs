@@ -10,7 +10,6 @@
 
 use anu_core::{FileSetId, LoadReport, ServerId};
 use anu_des::SimTime;
-use std::collections::BTreeMap;
 
 /// What a policy can see of the cluster at a decision point.
 #[derive(Clone, Debug)]
@@ -41,8 +40,10 @@ pub struct MoveSet {
     pub to: ServerId,
 }
 
-/// The current file-set → server assignment as the world tracks it.
-pub type Assignment = BTreeMap<FileSetId, ServerId>;
+/// The file-set → server assignment: one entry per file set, indexed by
+/// [`FileSetId`]`.0` (file sets are `0..n`), `None` while a set is
+/// orphaned (its owner crashed or retired and it has not landed yet).
+pub type Assignment = Vec<Option<ServerId>>;
 
 /// A load-placement policy.
 ///
@@ -53,7 +54,8 @@ pub trait PlacementPolicy {
     /// Human-readable policy name (figure labels).
     fn name(&self) -> &str;
 
-    /// Initial placement of `file_sets` before the workload starts.
+    /// Initial placement of `file_sets`, which are `0..n`, before the
+    /// workload starts. Every entry of the result must be `Some`.
     fn initial(&mut self, view: &ClusterView, file_sets: &[FileSetId]) -> Assignment;
 
     /// Tuning tick: latency reports for the last interval are in. Return
@@ -130,8 +132,10 @@ pub trait PlacementPolicy {
     fn on_delegate_fail(&mut self, _pause_ticks: u32) {}
 
     /// Audit policy-internal placement invariants at a fault/tick
-    /// boundary. `in_flight` lists file sets currently migrating, whose
-    /// `assignment` entry may legitimately lag the policy's target. Return
+    /// boundary. `in_flight` lists file sets currently migrating, in id
+    /// order; their `assignment` entry is the releasing owner, or `None`
+    /// for a set a crash orphaned, and may legitimately lag the policy's
+    /// target. Return
     /// one message per violation; policies without internal placement
     /// state report none, the default.
     fn audit(&self, _assignment: &Assignment, _in_flight: &[FileSetId]) -> Vec<String> {

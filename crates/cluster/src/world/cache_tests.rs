@@ -22,7 +22,7 @@ impl PlacementPolicy for Scripted {
         "scripted"
     }
     fn initial(&mut self, _: &ClusterView, fs: &[FileSetId]) -> Assignment {
-        fs.iter().map(|&f| (f, self.home)).collect()
+        vec![Some(self.home); fs.len()]
     }
     fn on_tick(&mut self, _: &ClusterView, _: &[LoadReport], _: &Assignment) -> Vec<MoveSet> {
         if self.moves.is_empty() {

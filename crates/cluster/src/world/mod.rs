@@ -184,8 +184,9 @@ const NO_SERVER: u32 = u32::MAX;
 struct SetRow {
     /// Owning server (dense index); `NO_SERVER` while orphaned by a
     /// failure. While the set is in flight this is still the releasing
-    /// owner, which the policy-facing assignment and a landing at a dead
-    /// destination fall back to.
+    /// owner, which the auditor's assignment shows and a landing at a
+    /// dead destination falls back to; the planning assignment shows the
+    /// destination instead.
     owner: u32,
     /// Destination (dense index) while a migration is in flight;
     /// `NO_SERVER` when settled.
@@ -261,11 +262,12 @@ struct RebalanceClock {
 /// Server and file-set universes are fixed at setup (servers interned in
 /// sorted order, file sets `0..n`), and every per-event structure (server
 /// table, per-set rows, migration buffers, per-server/per-set
-/// accumulators) is a `Vec` indexed by the dense id. `BTreeMap`s appear
-/// only at the policy/report boundaries (`planning_assignment`, `view`, result
-/// assembly), rebuilt per tick — and since dense index order equals
-/// sorted id order, every boundary iteration yields the exact sequence
-/// the old map-keyed world produced, byte for byte.
+/// accumulators) is a `Vec` indexed by the dense id. The policy boundary
+/// is dense too: the [`Assignment`] a policy reads is one owner entry per
+/// set, filled from the rows per call. `BTreeMap`s appear only in result
+/// assembly — and since dense index order equals sorted id order, every
+/// boundary iteration yields the exact sequence the old map-keyed world
+/// produced, byte for byte.
 struct World<'a> {
     cfg: &'a ClusterConfig,
     cal: Calendar<Event>,
@@ -590,24 +592,22 @@ impl<'a> World<'a> {
     /// the set lands misplaced until the next planned epoch (the
     /// invariant auditor flags exactly that).
     fn planning_assignment(&self) -> Assignment {
-        self.assignment_by(|row| row.dest().or(row.owner()))
-    }
-
-    /// The routing assignment as an ordered map — the policy-facing
-    /// boundary type, rebuilt per tick from the per-set rows. An in-flight
-    /// set maps to its releasing owner; an orphaned one is absent.
-    fn assignment_map(&self) -> Assignment {
-        self.assignment_by(SetRow::owner)
-    }
-
-    /// Every file set `place` puts somewhere, at that server's id.
-    fn assignment_by(&self, place: impl Fn(SetRow) -> Option<u32>) -> Assignment {
         self.sets
             .iter()
-            .enumerate()
-            .filter_map(|(i, &row)| {
-                place(row).map(|s| (FileSetId(i as u64), self.server_ids.get(s as usize)))
+            .map(|row| {
+                row.dest()
+                    .or(row.owner())
+                    .map(|s| self.server_ids.get(s as usize))
             })
+            .collect()
+    }
+
+    /// The routing assignment the auditor hands the policy: an in-flight
+    /// set at its releasing owner, an orphaned one at `None`.
+    fn assignment_map(&self) -> Assignment {
+        self.sets
+            .iter()
+            .map(|row| row.owner().map(|s| self.server_ids.get(s as usize)))
             .collect()
     }
 
@@ -870,17 +870,15 @@ pub(crate) fn simulate<S: ArrivalSource>(
     let file_sets: Vec<FileSetId> = (0..n_sets as u64).map(FileSetId).collect();
     let view = world.view();
     let initial = policy.initial(&view, &file_sets);
-    for fs in &file_sets {
+    for (i, fs) in file_sets.iter().enumerate() {
         #[expect(
             clippy::panic,
             reason = "a policy that skips a file set is a contract violation worth halting on"
         )]
-        let s = *initial
-            .get(fs)
-            .unwrap_or_else(|| panic!("{} left {fs} unassigned", policy.name()));
+        let s = initial[i].unwrap_or_else(|| panic!("{} left {fs} unassigned", policy.name()));
         let si = world.server_ids.index(s) as u32;
         assert!(world.servers[si as usize].alive);
-        world.sets[fs.0 as usize].owner = si;
+        world.sets[i].owner = si;
     }
 
     // Seed events: first arrivals, first tick, faults.

@@ -19,10 +19,8 @@ impl PlacementPolicy for Modulo {
     }
     fn initial(&mut self, view: &ClusterView, file_sets: &[FileSetId]) -> Assignment {
         let alive = view.alive();
-        file_sets
-            .iter()
-            .enumerate()
-            .map(|(i, &fs)| (fs, alive[i % alive.len()]))
+        (0..file_sets.len())
+            .map(|i| Some(alive[i % alive.len()]))
             .collect()
     }
     fn on_tick(&mut self, _: &ClusterView, _: &[LoadReport], _: &Assignment) -> Vec<MoveSet> {
@@ -37,11 +35,12 @@ impl PlacementPolicy for Modulo {
         let alive = view.alive();
         assignment
             .iter()
-            .filter(|&(_, &s)| s == failed)
             .enumerate()
-            .map(|(i, (&fs, _))| MoveSet {
-                set: fs,
-                to: alive[i % alive.len()],
+            .filter(|&(_, &s)| s == Some(failed))
+            .enumerate()
+            .map(|(k, (i, _))| MoveSet {
+                set: FileSetId(i as u64),
+                to: alive[k % alive.len()],
             })
             .collect()
     }
@@ -61,8 +60,7 @@ impl PlacementPolicy for PingPong {
         "pingpong"
     }
     fn initial(&mut self, view: &ClusterView, file_sets: &[FileSetId]) -> Assignment {
-        let alive = view.alive();
-        file_sets.iter().map(|&fs| (fs, alive[0])).collect()
+        vec![Some(view.alive()[0]); file_sets.len()]
     }
     fn on_tick(&mut self, view: &ClusterView, _: &[LoadReport], _: &Assignment) -> Vec<MoveSet> {
         self.flip = !self.flip;
@@ -354,20 +352,17 @@ fn series_cover_run() {
     assert_eq!(total, r.summary.completed_requests);
 }
 
-/// Modulo placement plus instrumentation: records the reports each
-/// tick delivered and how often the delegate failed over.
+/// Modulo placement plus instrumentation: records the reports each tick
+/// delivered, how often the delegate failed over, and each tick, failure
+/// and audit with the assignment and in-flight sets it was shown. With
+/// `move_first` set, it moves set 0 to the second alive server at the
+/// first tick.
+#[derive(Default)]
 struct Probe {
+    move_first: bool,
     seen: Vec<Vec<LoadReport>>,
     delegate_fails: u32,
-}
-
-impl Probe {
-    fn new() -> Self {
-        Probe {
-            seen: Vec::new(),
-            delegate_fails: 0,
-        }
-    }
+    shown: std::cell::RefCell<Vec<(&'static str, Assignment, Vec<FileSetId>)>>,
 }
 
 impl PlacementPolicy for Probe {
@@ -377,11 +372,24 @@ impl PlacementPolicy for Probe {
     fn initial(&mut self, view: &ClusterView, file_sets: &[FileSetId]) -> Assignment {
         Modulo.initial(view, file_sets)
     }
-    fn on_tick(&mut self, _: &ClusterView, reports: &[LoadReport], _: &Assignment) -> Vec<MoveSet> {
+    fn on_tick(
+        &mut self,
+        view: &ClusterView,
+        reports: &[LoadReport],
+        a: &Assignment,
+    ) -> Vec<MoveSet> {
         self.seen.push(reports.to_vec());
+        self.shown.get_mut().push(("tick", a.clone(), Vec::new()));
+        if self.move_first && self.seen.len() == 1 {
+            return vec![MoveSet {
+                set: FileSetId(0),
+                to: view.alive()[1],
+            }];
+        }
         Vec::new()
     }
     fn on_fail(&mut self, view: &ClusterView, failed: ServerId, a: &Assignment) -> Vec<MoveSet> {
+        self.shown.get_mut().push(("fail", a.clone(), Vec::new()));
         Modulo.on_fail(view, failed, a)
     }
     fn on_recover(&mut self, _: &ClusterView, _: ServerId, _: &Assignment) -> Vec<MoveSet> {
@@ -390,6 +398,50 @@ impl PlacementPolicy for Probe {
     fn on_delegate_fail(&mut self, _pause_ticks: u32) {
         self.delegate_fails += 1;
     }
+    fn audit(&self, a: &Assignment, in_flight: &[FileSetId]) -> Vec<String> {
+        self.shown
+            .borrow_mut()
+            .push(("audit", a.clone(), in_flight.to_vec()));
+        Vec::new()
+    }
+}
+
+#[test]
+fn policies_plan_at_the_destination_and_audit_at_the_releasing_owner() {
+    // Set 0 leaves server 0 for server 1 at the 120 s tick and lands 7 s
+    // later. Server 2 crashes at 123 s, while set 0 is in flight; its
+    // sets 2, 7, 12 and 17 re-home 5 s later.
+    let mut cfg = ClusterConfig::paper();
+    cfg.faults = vec![FaultEvent::Fail {
+        at: SimTime::from_secs_f64(123.0),
+        server: ServerId(2),
+    }];
+    let mut p = Probe {
+        move_first: true,
+        ..Probe::default()
+    };
+    run(&cfg, &small_workload(16), &mut p);
+    let shown = p.shown.into_inner();
+    let calls: Vec<&str> = shown.iter().take(4).map(|s| s.0).collect();
+    assert_eq!(calls, ["tick", "audit", "fail", "audit"]);
+    let at = |call: usize, sets: &[usize]| -> Vec<Option<ServerId>> {
+        sets.iter().map(|&i| shown[call].1[i]).collect()
+    };
+    let orphans = [2, 7, 12, 17];
+    // The tick plans against set 0 at its owner, and its audit sees set 0
+    // still there, in flight.
+    assert_eq!(at(0, &[0]), [Some(ServerId(0))]);
+    assert_eq!(at(1, &[0]), [Some(ServerId(0))]);
+    assert_eq!(shown[1].2, [FileSetId(0)]);
+    // The failure plans against set 0 at its destination and the crashed
+    // server's sets where they were.
+    assert_eq!(at(2, &[0]), [Some(ServerId(1))]);
+    assert_eq!(at(2, &orphans), [Some(ServerId(2)); 4]);
+    // Its audit sees set 0 at its releasing owner and the re-homed sets
+    // unassigned, all five in flight.
+    assert_eq!(at(3, &[0]), [Some(ServerId(0))]);
+    assert_eq!(at(3, &orphans), [None; 4]);
+    assert_eq!(shown[3].2, [0, 2, 7, 12, 17].map(FileSetId));
 }
 
 #[test]
@@ -442,7 +494,7 @@ fn report_faults_reach_the_policy_late_or_never() {
         },
     ];
     let w = small_workload(11);
-    let mut p = Probe::new();
+    let mut p = Probe::default();
     let r = run(&cfg, &w, &mut p);
     assert_eq!(r.summary.completed_requests, r.summary.offered_requests);
     assert!(
@@ -476,7 +528,7 @@ fn delegate_fail_reaches_the_policy() {
         pause_ticks: 2,
     }];
     let w = small_workload(12);
-    let mut p = Probe::new();
+    let mut p = Probe::default();
     let r = run(&cfg, &w, &mut p);
     assert_eq!(p.delegate_fails, 1);
     assert_eq!(r.summary.completed_requests, r.summary.offered_requests);
@@ -553,11 +605,7 @@ fn policy_ignoring_failure_is_caught() {
             "bad"
         }
         fn initial(&mut self, view: &ClusterView, fs: &[FileSetId]) -> Assignment {
-            let alive = view.alive();
-            fs.iter()
-                .enumerate()
-                .map(|(i, &f)| (f, alive[i % alive.len()]))
-                .collect()
+            Modulo.initial(view, fs)
         }
         fn on_tick(&mut self, _: &ClusterView, _: &[LoadReport], _: &Assignment) -> Vec<MoveSet> {
             Vec::new()

@@ -22,10 +22,8 @@ impl PlacementPolicy for Modulo {
     }
     fn initial(&mut self, view: &ClusterView, file_sets: &[FileSetId]) -> Assignment {
         let alive = view.alive();
-        file_sets
-            .iter()
-            .enumerate()
-            .map(|(i, &fs)| (fs, alive[i % alive.len()]))
+        (0..file_sets.len())
+            .map(|i| Some(alive[i % alive.len()]))
             .collect()
     }
     fn on_tick(&mut self, _: &ClusterView, _: &[LoadReport], _: &Assignment) -> Vec<MoveSet> {
@@ -40,11 +38,12 @@ impl PlacementPolicy for Modulo {
         let alive = view.alive();
         assignment
             .iter()
-            .filter(|&(_, &s)| s == failed)
             .enumerate()
-            .map(|(i, (&fs, _))| MoveSet {
-                set: fs,
-                to: alive[i % alive.len()],
+            .filter(|&(_, &s)| s == Some(failed))
+            .enumerate()
+            .map(|(k, (i, _))| MoveSet {
+                set: FileSetId(i as u64),
+                to: alive[k % alive.len()],
             })
             .collect()
     }

@@ -10,8 +10,9 @@
 //!   total ordering and O(1) cancellation;
 //! * [`resource`] — a single-server FIFO service station (the paper's
 //!   queuing discipline) with utilization accounting;
-//! * [`random`] — labelled deterministic RNG streams plus exponential,
-//!   bounded-Pareto, Zipf and discrete samplers;
+//! * [`random`] — labelled deterministic RNG streams plus the
+//!   exponential sampler, an alias table for weighted draws, and Zipf
+//!   rank probabilities;
 //! * [`stats`] — online moments, per-interval latency collection, and the
 //!   bucketed time series behind every latency-vs-time figure.
 //!

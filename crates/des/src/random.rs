@@ -11,8 +11,9 @@
 //! bit-for-bit reproducible across machines, toolchains, and dependency
 //! upgrades, which the whole evaluation methodology relies on.
 //!
-//! Samplers for the exponential, Zipf and discrete distributions
-//! are implemented on top of the raw uniforms — no extra dependency.
+//! The exponential sampler and the alias table for weighted draws are
+//! built on the raw uniforms — no extra dependency. [`Zipf`] holds the
+//! rank probabilities the Zipf popularity weights are built from.
 
 /// A deterministic random stream (xoshiro256++ with SplitMix64 seeding).
 #[derive(Clone, Debug)]
@@ -134,22 +135,6 @@ impl RngStream {
         -(1.0 - self.uniform()).ln() / rate
     }
 
-    /// Sample an index from a discrete distribution given its cumulative
-    /// weights (strictly increasing, last element = total). `O(log n)`.
-    pub fn discrete_cdf(&mut self, cumulative: &[f64]) -> usize {
-        debug_assert!(!cumulative.is_empty());
-        #[expect(
-            clippy::expect_used,
-            reason = "an empty CDF is a caller bug (debug-asserted above)"
-        )]
-        let total = *cumulative.last().expect("non-empty");
-        debug_assert!(total > 0.0);
-        let x = self.uniform() * total;
-        cumulative
-            .partition_point(|&c| c <= x)
-            .min(cumulative.len() - 1)
-    }
-
     /// Shuffle a slice in place (Fisher–Yates).
     pub fn shuffle<T>(&mut self, xs: &mut [T]) {
         for i in (1..xs.len()).rev() {
@@ -162,13 +147,13 @@ impl RngStream {
 /// Precomputed Walker/Vose alias table over an arbitrary weight vector:
 /// `O(n)` to build, `O(1)` per draw, and exactly **one** uniform consumed
 /// per draw (the high bits pick the column, the fractional remainder plays
-/// the biased coin), so swapping a CDF-based sampler for an alias table
+/// the biased coin), so swapping an inverse-CDF sampler for an alias table
 /// never changes *how many* draws a stream makes — only their values.
 ///
 /// This is the per-request sampler for weighted file-set selection at
-/// scale: a `discrete_cdf` draw costs `O(log n)` per request, which at
-/// 100× file-set counts dominates the hot loop; the alias table is two
-/// array reads and a compare regardless of `n`.
+/// scale: a binary search of the cumulative weights costs `O(log n)` per
+/// request, which at 100× file-set counts dominates the hot loop; the
+/// alias table is two array reads and a compare regardless of `n`.
 #[derive(Clone, Debug)]
 pub struct AliasTable {
     /// Acceptance threshold per column, scaled to `[0, 1]`.
@@ -267,15 +252,17 @@ impl AliasTable {
     }
 }
 
-/// Precomputed Zipf(s) sampler over ranks `1..=n`: rank `k` has weight
-/// `k^-s`. Used to skew per-file-set popularity.
+/// Precomputed Zipf(s) rank probabilities over ranks `1..=n`: rank `k`
+/// has weight `k^-s`.
 #[derive(Clone, Debug)]
 pub struct Zipf {
     cdf: Vec<f64>,
+    /// The total weight, `cdf`'s last entry.
+    total: f64,
 }
 
 impl Zipf {
-    /// Build a sampler for `n` ranks with exponent `s >= 0`.
+    /// Build the table for `n` ranks with exponent `s >= 0`.
     pub fn new(n: usize, s: f64) -> Self {
         assert!(n > 0, "Zipf over zero ranks");
         assert!(s >= 0.0 && s.is_finite());
@@ -285,23 +272,13 @@ impl Zipf {
             acc += (k as f64).powf(-s);
             cdf.push(acc);
         }
-        Zipf { cdf }
+        Zipf { cdf, total: acc }
     }
 
-    /// Draw a rank in `0..n` (0-based; rank 0 is the most popular).
-    pub fn sample(&self, rng: &mut RngStream) -> usize {
-        rng.discrete_cdf(&self.cdf)
-    }
-
-    /// The probability of rank `k` (0-based).
+    /// The probability of rank `k` (0-based; rank 0 is the most popular).
     pub fn prob(&self, k: usize) -> f64 {
-        #[expect(
-            clippy::expect_used,
-            reason = "the constructor rejects empty weight vectors"
-        )]
-        let total = *self.cdf.last().expect("non-empty");
         let prev = if k == 0 { 0.0 } else { self.cdf[k - 1] };
-        (self.cdf[k] - prev) / total
+        (self.cdf[k] - prev) / self.total
     }
 }
 
@@ -343,20 +320,6 @@ mod tests {
         let n = 20_000;
         let mean: f64 = (0..n).map(|_| r.exponential(4.0)).sum::<f64>() / n as f64;
         assert!((mean - 0.25).abs() < 0.01, "mean {mean}");
-    }
-
-    #[test]
-    fn discrete_cdf_respects_weights() {
-        let mut r = RngStream::new(4, "d");
-        let cdf = [1.0, 1.5, 4.0]; // weights 1.0, 0.5, 2.5
-        let mut counts = [0usize; 3];
-        for _ in 0..40_000 {
-            counts[r.discrete_cdf(&cdf)] += 1;
-        }
-        let f0 = counts[0] as f64 / 40_000.0;
-        let f2 = counts[2] as f64 / 40_000.0;
-        assert!((f0 - 0.25).abs() < 0.02, "{f0}");
-        assert!((f2 - 0.625).abs() < 0.02, "{f2}");
     }
 
     #[test]
@@ -403,7 +366,7 @@ mod tests {
     fn alias_consumes_exactly_one_uniform_per_draw() {
         // The stream-lockstep contract: interleaved draws from other
         // distributions see the same uniforms whether the weighted draw
-        // uses the alias table or `discrete_cdf`.
+        // uses the alias table or any other one-uniform sampler.
         let t = AliasTable::new(&[0.2, 0.8, 1.0]);
         let mut a = RngStream::new(21, "lockstep");
         let mut b = RngStream::new(21, "lockstep");
@@ -455,15 +418,8 @@ mod tests {
     #[test]
     fn zipf_rank_one_dominates() {
         let z = Zipf::new(100, 1.0);
-        let mut r = RngStream::new(5, "z");
-        let mut counts = vec![0usize; 100];
-        for _ in 0..50_000 {
-            counts[z.sample(&mut r)] += 1;
-        }
-        assert!(counts[0] > counts[10] && counts[10] > counts[99]);
+        assert!(z.prob(0) > z.prob(10) && z.prob(10) > z.prob(99));
         // Harmonic(100) ~ 5.187; p(0) ~ 0.1928.
-        let f0 = counts[0] as f64 / 50_000.0;
-        assert!((f0 - 0.1928).abs() < 0.02, "{f0}");
         assert!((z.prob(0) - 0.1928).abs() < 1e-3);
     }
 

@@ -104,13 +104,11 @@ impl AnuPolicy {
         map.as_mut().expect("initial ran")
     }
 
-    fn target_assignment(
-        map: &PlacementMap,
-        file_sets: &[FileSetId],
-    ) -> BTreeMap<FileSetId, ServerId> {
+    /// Where the map locates each of `file_sets`, in set order.
+    fn target_assignment(map: &PlacementMap, file_sets: &[FileSetId]) -> Vec<ServerId> {
         file_sets
             .iter()
-            .map(|&fs| (fs, map.locate(fs.name_bytes())))
+            .map(|fs| map.locate(fs.name_bytes()))
             .collect()
     }
 }
@@ -141,7 +139,7 @@ impl PlacementPolicy for AnuPolicy {
         self.file_sets = file_sets.to_vec();
         let assignment = Self::target_assignment(&map, file_sets);
         self.map = Some(map);
-        assignment
+        assignment.into_iter().map(Some).collect()
     }
 
     fn on_tick(
@@ -224,11 +222,11 @@ impl PlacementPolicy for AnuPolicy {
         }
         // Locate agreement: every settled set must sit where the map
         // hashes it. Sets mid-migration legitimately lag the map.
-        for fs in &self.file_sets {
+        for (fs, &owner) in self.file_sets.iter().zip(assignment) {
             if in_flight.binary_search(fs).is_ok() {
                 continue;
             }
-            if let Some(&owner) = assignment.get(fs) {
+            if let Some(owner) = owner {
                 let target = map.locate(fs.name_bytes());
                 if owner != target {
                     violations.push(format!(
@@ -359,18 +357,8 @@ impl PlacementPolicy for AnuPolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use anu_des::SimTime;
-
-    fn view(n: u32) -> ClusterView {
-        ClusterView {
-            servers: (0..n).map(|i| (ServerId(i), true)).collect(),
-            now: SimTime::ZERO,
-        }
-    }
-
-    fn sets(n: u64) -> Vec<FileSetId> {
-        (0..n).map(FileSetId).collect()
-    }
+    use crate::assign::fixtures::{apply, sets, view};
+    use crate::assign::sets_on;
 
     fn reports(lats: &[(u32, f64, u64)]) -> Vec<LoadReport> {
         lats.iter()
@@ -388,7 +376,7 @@ mod tests {
         let mut p = AnuPolicy::with_seed(1);
         let a = p.initial(&view(5), &sets(200));
         assert_eq!(a.len(), 200);
-        let distinct: std::collections::BTreeSet<_> = a.values().collect();
+        let distinct: std::collections::BTreeSet<_> = a.iter().flatten().collect();
         assert_eq!(distinct.len(), 5, "all servers used");
     }
 
@@ -396,7 +384,7 @@ mod tests {
     fn overloaded_server_sheds_on_tick() {
         let mut p = AnuPolicy::with_seed(2);
         let a = p.initial(&view(5), &sets(200));
-        let before = a.values().filter(|&&s| s == ServerId(0)).count();
+        let before = a.iter().filter(|&&s| s == Some(ServerId(0))).count();
         let moves = p.on_tick(
             &view(5),
             &reports(&[
@@ -409,7 +397,10 @@ mod tests {
             &a,
         );
         assert!(!moves.is_empty(), "overload must trigger moves");
-        let away = moves.iter().filter(|m| a[&m.set] == ServerId(0)).count();
+        let away = moves
+            .iter()
+            .filter(|m| a[m.set.0 as usize] == Some(ServerId(0)))
+            .count();
         assert!(away > 0, "server 0 sheds");
         assert!(away <= before);
         assert!(moves.iter().all(|m| m.to != ServerId(0)));
@@ -525,14 +516,12 @@ mod tests {
         assert!(p.audit(&a, &[]).is_empty());
         let mut v = view(5);
         v.servers[2].1 = false;
-        for m in p.on_fail(&v, ServerId(2), &a.clone()) {
-            a.insert(m.set, m.to);
-        }
+        let moves = p.on_fail(&v, ServerId(2), &a);
+        apply(&mut a, moves);
         assert!(p.audit(&a, &[]).is_empty());
         v.servers[2].1 = true;
-        for m in p.on_recover(&v, ServerId(2), &a.clone()) {
-            a.insert(m.set, m.to);
-        }
+        let moves = p.on_recover(&v, ServerId(2), &a);
+        apply(&mut a, moves);
         assert!(p.audit(&a, &[]).is_empty());
     }
 
@@ -540,12 +529,12 @@ mod tests {
     fn audit_flags_a_settled_set_on_the_wrong_server() {
         let mut p = AnuPolicy::with_seed(11);
         let mut a = p.initial(&view(5), &sets(50));
-        let (&fs, &owner) = a.iter().next().unwrap();
-        a.insert(fs, ServerId((owner.0 + 1) % 5));
+        let owner = a[0].unwrap();
+        a[0] = Some(ServerId((owner.0 + 1) % 5));
         let violations = p.audit(&a, &[]);
         assert_eq!(violations.len(), 1, "{violations:?}");
         // The same disagreement is legitimate while the set migrates.
-        assert!(p.audit(&a, &[fs]).is_empty());
+        assert!(p.audit(&a, &[FileSetId(0)]).is_empty());
     }
 
     /// One closed-loop tick: each mapped server reports latency
@@ -568,9 +557,8 @@ mod tests {
                 age_ticks: 0,
             })
             .collect();
-        for m in p.on_tick(v, &reports, &a.clone()) {
-            a.insert(m.set, m.to);
-        }
+        let moves = p.on_tick(v, &reports, a);
+        apply(a, moves);
         p.take_epoch()
     }
 
@@ -614,9 +602,7 @@ mod tests {
             } else {
                 p.on_fail(&v4, leaver, &a)
             };
-            for m in out {
-                a.insert(m.set, m.to);
-            }
+            apply(&mut a, out);
             for _ in 0..5 {
                 closed_loop_tick(&mut p, &v4, &mut a, &speeds);
             }
@@ -625,9 +611,7 @@ mod tests {
             } else {
                 p.on_recover(&v5, leaver, &a)
             };
-            for m in back {
-                a.insert(m.set, m.to);
-            }
+            apply(&mut a, back);
             let reentry = p.map().unwrap().share_fractions()[&leaver];
             let mut scaled = 0;
             for _ in 0..15 {
@@ -664,11 +648,7 @@ mod tests {
         v.servers[2].1 = false;
         let moves = p.on_fail(&v, ServerId(2), &a);
         // Exactly the orphans move (the exact-takeover property).
-        let orphans: Vec<_> = a
-            .iter()
-            .filter(|&(_, &s)| s == ServerId(2))
-            .map(|(&f, _)| f)
-            .collect();
+        let orphans: Vec<_> = sets_on(&a, ServerId(2)).collect();
         assert_eq!(moves.len(), orphans.len());
         for m in &moves {
             assert!(orphans.contains(&m.set));
@@ -683,9 +663,7 @@ mod tests {
         let mut v = view(4);
         v.servers[1].1 = false;
         let mut cur = a.clone();
-        for m in p.on_fail(&v, ServerId(1), &a) {
-            cur.insert(m.set, m.to);
-        }
+        apply(&mut cur, p.on_fail(&v, ServerId(1), &a));
         v.servers[1].1 = true;
         let moves = p.on_recover(&v, ServerId(1), &cur);
         assert!(!moves.is_empty());

@@ -29,13 +29,12 @@ pub struct Instance {
 
 impl Instance {
     /// Normalized load (seconds of wall time) of each server under
-    /// `assignment`.
-    pub fn loads(&self, assignment: &BTreeMap<FileSetId, ServerId>) -> BTreeMap<ServerId, f64> {
+    /// `assignment`, which holds one server per demand, in demand order.
+    pub fn loads(&self, assignment: &[ServerId]) -> BTreeMap<ServerId, f64> {
         let mut loads: BTreeMap<ServerId, f64> =
             self.servers.iter().map(|&(s, _)| (s, 0.0)).collect();
         let speed: BTreeMap<ServerId, f64> = self.servers.iter().copied().collect();
-        for &(fs, d) in &self.demands {
-            let s = assignment[&fs];
+        for (&(_, d), &s) in self.demands.iter().zip(assignment) {
             #[expect(
                 clippy::expect_used,
                 reason = "assignments only reference servers from self.servers"
@@ -46,23 +45,26 @@ impl Instance {
         loads
     }
 
-    /// Makespan (max normalized load) of `assignment`.
-    pub fn makespan(&self, assignment: &BTreeMap<FileSetId, ServerId>) -> f64 {
+    /// Makespan (max normalized load) of `assignment`, in demand order.
+    pub fn makespan(&self, assignment: &[ServerId]) -> f64 {
         self.loads(assignment)
             .values()
             .fold(0.0f64, |a, &b| a.max(b))
     }
 
     /// LPT greedy: place demands in decreasing order, each on the server
-    /// that minimizes its completion time `(load + d) / speed`.
-    pub fn lpt(&self) -> BTreeMap<FileSetId, ServerId> {
+    /// that minimizes its completion time `(load + d) / speed`. Returns
+    /// one server per demand, in demand order.
+    pub fn lpt(&self) -> Vec<ServerId> {
         assert!(!self.servers.is_empty());
-        let mut order: Vec<(FileSetId, f64)> = self.demands.clone();
-        // Sort by demand descending, file-set id ascending for determinism.
-        order.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
+        let mut order: Vec<usize> = (0..self.demands.len()).collect();
+        // Demand descending; the stable sort keeps equal demands in demand
+        // order, for determinism.
+        order.sort_by(|&a, &b| self.demands[b].1.total_cmp(&self.demands[a].1));
         let mut loads: Vec<f64> = vec![0.0; self.servers.len()];
-        let mut out = BTreeMap::new();
-        for (fs, d) in order {
+        let mut out = vec![self.servers[0].0; self.demands.len()];
+        for k in order {
+            let d = self.demands[k].1;
             #[expect(
                 clippy::expect_used,
                 reason = "non-empty servers asserted at the top of assign"
@@ -75,7 +77,7 @@ impl Instance {
                 .min_by(|a, b| a.1.total_cmp(&b.1))
                 .expect("non-empty servers");
             loads[best] += d / self.servers[best].1;
-            out.insert(fs, self.servers[best].0);
+            out[k] = self.servers[best].0;
         }
         out
     }
@@ -97,10 +99,11 @@ impl Instance {
     /// server) or pairwise *swap* (exchange a hot-server set with a
     /// smaller set elsewhere), until neither helps (bounded iterations).
     ///
-    /// The search runs on dense indices. Servers are numbered in
-    /// ascending [`ServerId`] order, and each demand (every file set is
-    /// listed once) holds the number of its server. Each round recomputes
-    /// the loads from scratch, in demand order: the same additions as
+    /// `assignment` holds one server per demand, in demand order, and is
+    /// updated in place. The search runs on dense indices: servers are
+    /// numbered in ascending [`ServerId`] order, and each demand holds the
+    /// number of its server. Each round recomputes the loads from
+    /// scratch, in demand order: the same additions as
     /// [`Instance::loads`], so the values match bit for bit. Updating
     /// them incrementally would round differently and could change which
     /// candidate wins.
@@ -118,8 +121,8 @@ impl Instance {
     /// destination load and the largest load elsewhere, which is one of
     /// the top two non-hot loads. A swap that brings in a set no smaller
     /// than the one it sends away cannot lower the hot load, so it is not
-    /// tried. The assignment is written back once, at the end.
-    pub fn refine(&self, assignment: &mut BTreeMap<FileSetId, ServerId>, max_rounds: usize) {
+    /// tried. The servers are written back once, at the end.
+    pub fn refine(&self, assignment: &mut [ServerId], max_rounds: usize) {
         let speed: BTreeMap<ServerId, f64> = self.servers.iter().copied().collect();
         let ids: Vec<ServerId> = speed.keys().copied().collect();
         let speeds: Vec<f64> = speed.values().copied().collect();
@@ -130,11 +133,7 @@ impl Instance {
             .iter()
             .map(|&(s, to_speed)| (number[&s], to_speed))
             .collect();
-        let mut owner: Vec<usize> = self
-            .demands
-            .iter()
-            .map(|(fs, _)| number[&assignment[fs]])
-            .collect();
+        let mut owner: Vec<usize> = assignment.iter().map(|s| number[s]).collect();
         let mut loads = vec![0.0f64; ids.len()];
 
         for _ in 0..max_rounds {
@@ -216,8 +215,8 @@ impl Instance {
             }
         }
 
-        for (&(fs, _), &s) in self.demands.iter().zip(&owner) {
-            assignment.insert(fs, ids[s]);
+        for (a, &s) in assignment.iter_mut().zip(&owner) {
+            *a = ids[s];
         }
     }
 
@@ -229,7 +228,7 @@ impl Instance {
     /// the total demand and greedy placement is already within a sliver
     /// of the balanced optimum, while the swap search would dominate the
     /// whole simulation's run time.
-    pub fn solve(&self) -> BTreeMap<FileSetId, ServerId> {
+    pub fn solve(&self) -> Vec<ServerId> {
         let mut a = self.lpt();
         if self.demands.len() <= REFINE_SIZE_CAP {
             self.refine(&mut a, 64);
@@ -276,7 +275,7 @@ pub(crate) mod tests {
         let a = i.solve();
         let loads = i.loads(&a);
         // Normalized loads roughly equal => fast server holds ~9x the sets.
-        let n1 = a.values().filter(|&&s| s == ServerId(1)).count();
+        let n1 = a.iter().filter(|&&s| s == ServerId(1)).count();
         assert!(n1 >= 16, "fast server got {n1} of 20");
         let l0 = loads[&ServerId(0)];
         let l1 = loads[&ServerId(1)];
@@ -288,15 +287,14 @@ pub(crate) mod tests {
         // One dominant set: optimal places it on the fastest server.
         let i = inst(&[100.0, 1.0, 1.0], &[1.0, 10.0]);
         let a = i.solve();
-        assert_eq!(a[&FileSetId(0)], ServerId(1));
+        assert_eq!(a[0], ServerId(1));
     }
 
     #[test]
     fn refine_improves_bad_start() {
         let i = inst(&[8.0, 7.0, 6.0, 5.0, 4.0], &[1.0, 1.0]);
         // Pathological start: everything on server 0.
-        let mut a: BTreeMap<FileSetId, ServerId> =
-            (0..5).map(|k| (FileSetId(k), ServerId(0))).collect();
+        let mut a = vec![ServerId(0); 5];
         let before = i.makespan(&a);
         i.refine(&mut a, 100);
         let after = i.makespan(&a);
@@ -328,7 +326,9 @@ pub(crate) mod tests {
         ) {
             let speed: BTreeMap<ServerId, f64> = self.servers.iter().copied().collect();
             for _ in 0..max_rounds {
-                let loads = self.loads(assignment);
+                let in_order: Vec<ServerId> =
+                    self.demands.iter().map(|(fs, _)| assignment[fs]).collect();
+                let loads = self.loads(&in_order);
                 let (&hot, &hot_load) = loads
                     .iter()
                     .max_by(|a, b| a.1.total_cmp(b.1))
@@ -447,17 +447,24 @@ pub(crate) mod tests {
         let (mut runs, mut changed) = (0, 0);
         for case in 0..2_000 {
             let i = random_instance(&mut rng, 40, 7);
-            let random_start: BTreeMap<FileSetId, ServerId> = i
+            let random_start: Vec<ServerId> = i
                 .demands
                 .iter()
-                .map(|&(fs, _)| (fs, i.servers[rng.index(i.servers.len())].0))
+                .map(|_| i.servers[rng.index(i.servers.len())].0)
                 .collect();
+            let keyed = |a: &[ServerId]| -> BTreeMap<FileSetId, ServerId> {
+                i.demands
+                    .iter()
+                    .map(|&(fs, _)| fs)
+                    .zip(a.to_vec())
+                    .collect()
+            };
             for start in [i.lpt(), random_start] {
                 let mut fast = start.clone();
-                let mut reference = start.clone();
+                let mut reference = keyed(&start);
                 i.refine(&mut fast, 64);
                 i.refine_reference(&mut reference, 64);
-                assert_eq!(fast, reference, "case {case}: {i:?} from {start:?}");
+                assert_eq!(keyed(&fast), reference, "case {case}: {i:?} from {start:?}");
                 runs += 1;
                 changed += usize::from(fast != start);
             }

@@ -79,6 +79,18 @@ impl Prescient {
     }
 }
 
+/// `assignment` as a packing of `inst`, if every set sits on one of its
+/// servers: only such a configuration can stay, and its makespan is the
+/// bar a fresh packing must beat. A set orphaned by a failure or homed on
+/// a dead server forces a re-pack.
+fn current_packing(inst: &Instance, assignment: &Assignment) -> Option<Vec<ServerId>> {
+    let packing: Option<Vec<ServerId>> = assignment
+        .iter()
+        .map(|&s| s.filter(|s| inst.servers.iter().any(|&(id, _)| id == *s)))
+        .collect();
+    packing.filter(|p| p.len() == inst.demands.len())
+}
+
 /// Whether no packing of `inst` can reach a makespan below `bar`: its
 /// lower bound misses the bar by a margin that covers the rounding of the
 /// float sums behind the bound and the makespans.
@@ -97,7 +109,7 @@ impl PlacementPolicy for Prescient {
         let inst = self.instance(view, SimTime::ZERO);
         let solution = inst.solve();
         debug_assert_eq!(solution.len(), file_sets.len());
-        solution
+        solution.into_iter().map(Some).collect()
     }
 
     fn on_tick(
@@ -112,13 +124,9 @@ impl PlacementPolicy for Prescient {
             return Vec::new();
         }
         let inst = self.instance(view, view.now);
-        // Current configuration evaluated against the upcoming window. A
-        // set currently homed on a dead server cannot stay; force re-pack.
-        let current_valid = assignment
-            .values()
-            .all(|s| inst.servers.iter().any(|&(id, _)| id == *s));
-        let bar = (current_valid && assignment.len() == inst.demands.len())
-            .then(|| inst.makespan(assignment) * self.improvement_threshold);
+        // Current configuration evaluated against the upcoming window.
+        let bar = current_packing(&inst, assignment)
+            .map(|current| inst.makespan(&current) * self.improvement_threshold);
         // No packing beats the lower bound, so when the bound misses the
         // bar a fresh packing could not be adopted: skip the solve.
         if bar.is_some_and(|bar| bound_misses(&inst, bar)) {
@@ -157,6 +165,8 @@ impl PlacementPolicy for Prescient {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::assign::fixtures::apply;
+    use crate::assign::sets_on;
     use crate::lpt::tests::random_instance;
     use anu_des::RngStream;
     use anu_workload::{CostModel, SyntheticConfig, WeightDist};
@@ -197,7 +207,7 @@ mod tests {
         assert_eq!(a.len(), 50);
         // Normalized loads of the first window are close to each other.
         let inst = p.instance(&view(), SimTime::ZERO);
-        let loads = inst.loads(&a);
+        let loads = inst.loads(&current_packing(&inst, &a).expect("every set placed"));
         let max = loads.values().fold(0.0f64, |x, &y| x.max(y));
         let total: f64 = inst.demands.iter().map(|(_, d)| d).sum();
         let ideal = total / 25.0;
@@ -220,9 +230,7 @@ mod tests {
             v.now = SimTime::from_secs_f64(120.0 * k as f64);
             let moves = p.on_tick(&v, &[], &a);
             total_moves += moves.len();
-            for m in moves {
-                a.insert(m.set, m.to);
-            }
+            apply(&mut a, moves);
         }
         assert!(
             total_moves <= 10,
@@ -239,10 +247,8 @@ mod tests {
         v.servers[4].1 = false; // fastest server dies
         let moves = p.on_fail(&v, ServerId(4), &a);
         // Every set on the dead server must move.
-        for (fs, &s) in &a {
-            if s == ServerId(4) {
-                assert!(moves.iter().any(|m| m.set == *fs));
-            }
+        for fs in sets_on(&a, ServerId(4)) {
+            assert!(moves.iter().any(|m| m.set == fs));
         }
         assert!(moves.iter().all(|m| m.to != ServerId(4)));
     }
@@ -251,12 +257,9 @@ mod tests {
     /// the hysteresis test.
     fn always_solve(p: &Prescient, view: &ClusterView, assignment: &Assignment) -> Vec<MoveSet> {
         let inst = p.instance(view, view.now);
-        let current_valid = assignment
-            .values()
-            .all(|s| inst.servers.iter().any(|&(id, _)| id == *s));
         let fresh = inst.solve();
-        if current_valid && assignment.len() == fresh.len() {
-            let cur_span = inst.makespan(assignment);
+        if let Some(current) = current_packing(&inst, assignment) {
+            let cur_span = inst.makespan(&current);
             let new_span = inst.makespan(&fresh);
             if new_span >= cur_span * p.improvement_threshold {
                 return Vec::new();
@@ -282,13 +285,13 @@ mod tests {
             );
             // Current assignments from the solve's own to uniformly random.
             for scatter in [0.0, 0.1, 1.0] {
-                let current: Assignment = fresh
+                let current: Vec<ServerId> = fresh
                     .iter()
-                    .map(|(&fs, &s)| {
+                    .map(|&s| {
                         if rng.chance(scatter) {
-                            (fs, i.servers[rng.index(i.servers.len())].0)
+                            i.servers[rng.index(i.servers.len())].0
                         } else {
-                            (fs, s)
+                            s
                         }
                     })
                     .collect();
@@ -310,11 +313,7 @@ mod tests {
         let w = workload();
         let mut p = Prescient::new(w.clone(), speeds(), SimDuration::from_secs(120));
         let balanced = p.initial(&view(), &w.file_sets());
-        let piled: Assignment = w
-            .file_sets()
-            .into_iter()
-            .map(|fs| (fs, ServerId(0)))
-            .collect();
+        let piled: Assignment = vec![Some(ServerId(0)); w.n_file_sets];
         let (mut skipped, mut adopted) = (0, 0);
         for start in [balanced, piled] {
             let mut a = start;
@@ -325,19 +324,16 @@ mod tests {
                     v.servers[2].1 = false; // its sets must move on this tick
                 }
                 let inst = p.instance(&v, v.now);
-                let valid = a
-                    .values()
-                    .all(|s| inst.servers.iter().any(|&(id, _)| id == *s));
-                if valid && bound_misses(&inst, inst.makespan(&a) * p.improvement_threshold) {
+                if current_packing(&inst, &a).is_some_and(|current| {
+                    bound_misses(&inst, inst.makespan(&current) * p.improvement_threshold)
+                }) {
                     skipped += 1;
                 }
                 let expected = always_solve(&p, &v, &a);
                 let moves = p.on_tick(&v, &[], &a);
                 assert_eq!(moves, expected, "tick {k}");
                 adopted += usize::from(!moves.is_empty());
-                for m in moves {
-                    a.insert(m.set, m.to);
-                }
+                apply(&mut a, moves);
             }
         }
         assert!(

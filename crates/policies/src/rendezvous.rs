@@ -22,7 +22,7 @@
 //! Scores use the standard `-w / ln(U)` transform of the server-keyed
 //! uniform hash, which makes weighted placement exact.
 
-use crate::assign::diff_moves;
+use crate::assign::sets_on;
 use anu_cluster::{Assignment, ClusterView, MoveSet, PlacementPolicy};
 use anu_core::hash::mix64;
 use anu_core::{FileSetId, LoadReport, ServerId};
@@ -92,7 +92,7 @@ impl PlacementPolicy for Rendezvous {
         let alive = view.alive();
         file_sets
             .iter()
-            .map(|&fs| (fs, self.pick(fs, &alive)))
+            .map(|&fs| Some(self.pick(fs, &alive)))
             .collect()
     }
 
@@ -114,12 +114,12 @@ impl PlacementPolicy for Rendezvous {
         // HRW's celebrated property: removing a server re-homes exactly
         // its own keys (every other key's argmax is unchanged).
         let alive = view.alive();
-        let target = assignment
-            .iter()
-            .filter(|&(_, &s)| s == failed)
-            .map(|(&fs, _)| (fs, self.pick(fs, &alive)))
-            .collect();
-        diff_moves(assignment, &target)
+        sets_on(assignment, failed)
+            .map(|set| MoveSet {
+                set,
+                to: self.pick(set, &alive),
+            })
+            .collect()
     }
 
     fn on_recover(
@@ -131,13 +131,13 @@ impl PlacementPolicy for Rendezvous {
         // The recovered server wins back exactly the sets whose argmax it
         // is; everything else stays.
         let alive = view.alive();
-        let target: BTreeMap<FileSetId, ServerId> = assignment
-            .keys()
-            .map(|&fs| (fs, self.pick(fs, &alive)))
-            .collect();
-        diff_moves(assignment, &target)
-            .into_iter()
-            .filter(|m| m.to == recovered)
+        assignment
+            .iter()
+            .enumerate()
+            .filter(|&(_, &s)| s.is_some_and(|s| s != recovered))
+            .map(|(i, _)| FileSetId(i as u64))
+            .filter(|&set| self.pick(set, &alive) == recovered)
+            .map(|set| MoveSet { set, to: recovered })
             .collect()
     }
 }
@@ -145,25 +145,14 @@ impl PlacementPolicy for Rendezvous {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use anu_des::SimTime;
-
-    fn view(n: u32) -> ClusterView {
-        ClusterView {
-            servers: (0..n).map(|i| (ServerId(i), true)).collect(),
-            now: SimTime::ZERO,
-        }
-    }
-
-    fn sets(n: u64) -> Vec<FileSetId> {
-        (0..n).map(FileSetId).collect()
-    }
+    use crate::assign::fixtures::{apply, sets, view};
 
     #[test]
     fn unweighted_is_roughly_uniform() {
         let mut p = Rendezvous::new(5);
         let a = p.initial(&view(4), &sets(4000));
         let mut counts = BTreeMap::new();
-        for s in a.values() {
+        for s in a.iter().flatten() {
             *counts.entry(*s).or_insert(0usize) += 1;
         }
         for (&s, &c) in &counts {
@@ -178,8 +167,8 @@ mod tests {
             .collect();
         let mut p = Rendezvous::weighted(7, weights);
         let a = p.initial(&view(2), &sets(8000));
-        let c1 = a.values().filter(|&&s| s == ServerId(1)).count() as f64;
-        let c0 = a.values().filter(|&&s| s == ServerId(0)).count() as f64;
+        let c1 = a.iter().filter(|&&s| s == Some(ServerId(1))).count() as f64;
+        let c0 = a.iter().filter(|&&s| s == Some(ServerId(0))).count() as f64;
         let ratio = c1 / c0;
         assert!((2.5..3.6).contains(&ratio), "ratio {ratio}, want ~3");
     }
@@ -191,11 +180,7 @@ mod tests {
         let mut v = view(5);
         v.servers[2].1 = false;
         let moves = p.on_fail(&v, ServerId(2), &a);
-        let orphans: Vec<FileSetId> = a
-            .iter()
-            .filter(|&(_, &s)| s == ServerId(2))
-            .map(|(&f, _)| f)
-            .collect();
+        let orphans: Vec<FileSetId> = sets_on(&a, ServerId(2)).collect();
         assert_eq!(moves.len(), orphans.len());
         assert!(moves
             .iter()
@@ -216,9 +201,7 @@ mod tests {
         // the full-membership assignment.
         assert!(moves.iter().all(|m| m.to == ServerId(3)));
         let mut restored = degraded.clone();
-        for m in &moves {
-            restored.insert(m.set, m.to);
-        }
+        apply(&mut restored, moves);
         assert_eq!(restored, full);
     }
 

@@ -6,7 +6,7 @@
 //! the per-server *count* is exactly balanced, which isolates the effect of
 //! workload skew (unequal work per set) from placement variance.
 
-use crate::assign::diff_moves;
+use crate::assign::sets_on;
 use anu_cluster::{Assignment, ClusterView, MoveSet, PlacementPolicy};
 use anu_core::{FileSetId, LoadReport, ServerId};
 
@@ -28,10 +28,8 @@ impl PlacementPolicy for RoundRobin {
 
     fn initial(&mut self, view: &ClusterView, file_sets: &[FileSetId]) -> Assignment {
         let alive = view.alive();
-        file_sets
-            .iter()
-            .enumerate()
-            .map(|(i, &fs)| (fs, alive[i % alive.len()]))
+        (0..file_sets.len())
+            .map(|i| Some(alive[i % alive.len()]))
             .collect()
     }
 
@@ -52,13 +50,13 @@ impl PlacementPolicy for RoundRobin {
     ) -> Vec<MoveSet> {
         // Deal the orphans around the survivors, preserving equal counts.
         let alive = view.alive();
-        let target = assignment
-            .iter()
-            .filter(|&(_, &s)| s == failed)
+        sets_on(assignment, failed)
             .enumerate()
-            .map(|(i, (&fs, _))| (fs, alive[i % alive.len()]))
-            .collect();
-        diff_moves(assignment, &target)
+            .map(|(k, set)| MoveSet {
+                set,
+                to: alive[k % alive.len()],
+            })
+            .collect()
     }
 
     fn on_recover(
@@ -74,25 +72,14 @@ impl PlacementPolicy for RoundRobin {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use anu_des::SimTime;
-
-    fn view(n: u32) -> ClusterView {
-        ClusterView {
-            servers: (0..n).map(|i| (ServerId(i), true)).collect(),
-            now: SimTime::ZERO,
-        }
-    }
-
-    fn sets(n: u64) -> Vec<FileSetId> {
-        (0..n).map(FileSetId).collect()
-    }
+    use crate::assign::fixtures::{sets, view};
 
     #[test]
     fn counts_exactly_balanced() {
         let mut p = RoundRobin::new();
         let a = p.initial(&view(5), &sets(100));
         let mut counts = std::collections::BTreeMap::new();
-        for s in a.values() {
+        for s in a.iter().flatten() {
             *counts.entry(*s).or_insert(0usize) += 1;
         }
         assert!(counts.values().all(|&c| c == 20));
@@ -103,7 +90,7 @@ mod tests {
         let mut p = RoundRobin::new();
         let a = p.initial(&view(3), &sets(10));
         let mut counts = std::collections::BTreeMap::new();
-        for s in a.values() {
+        for s in a.iter().flatten() {
             *counts.entry(*s).or_insert(0usize) += 1;
         }
         let min = counts.values().min().unwrap();

@@ -11,7 +11,7 @@
 //! stable (re-hash over the remaining alive servers, like peer-to-peer
 //! randomized placement).
 
-use crate::assign::diff_moves;
+use crate::assign::sets_on;
 use anu_cluster::{Assignment, ClusterView, MoveSet, PlacementPolicy};
 use anu_core::hash::mix64;
 use anu_core::{FileSetId, LoadReport, ServerId};
@@ -43,7 +43,7 @@ impl PlacementPolicy for SimpleRandom {
         let alive = view.alive();
         file_sets
             .iter()
-            .map(|&fs| (fs, self.pick(fs, &alive)))
+            .map(|&fs| Some(self.pick(fs, &alive)))
             .collect()
     }
 
@@ -63,12 +63,12 @@ impl PlacementPolicy for SimpleRandom {
         assignment: &Assignment,
     ) -> Vec<MoveSet> {
         let alive = view.alive();
-        let target = assignment
-            .iter()
-            .filter(|&(_, &s)| s == failed)
-            .map(|(&fs, _)| (fs, self.pick(fs, &alive)))
-            .collect();
-        diff_moves(assignment, &target)
+        sets_on(assignment, failed)
+            .map(|set| MoveSet {
+                set,
+                to: self.pick(set, &alive),
+            })
+            .collect()
     }
 
     fn on_recover(
@@ -84,25 +84,14 @@ impl PlacementPolicy for SimpleRandom {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use anu_des::SimTime;
-
-    fn view(n: u32) -> ClusterView {
-        ClusterView {
-            servers: (0..n).map(|i| (ServerId(i), true)).collect(),
-            now: SimTime::ZERO,
-        }
-    }
-
-    fn sets(n: u64) -> Vec<FileSetId> {
-        (0..n).map(FileSetId).collect()
-    }
+    use crate::assign::fixtures::{sets, view};
 
     #[test]
     fn covers_all_servers_roughly_uniformly() {
         let mut p = SimpleRandom::new(7);
         let a = p.initial(&view(4), &sets(4000));
         let mut counts = std::collections::BTreeMap::new();
-        for s in a.values() {
+        for s in a.iter().flatten() {
             *counts.entry(*s).or_insert(0usize) += 1;
         }
         assert_eq!(counts.len(), 4);
@@ -140,11 +129,7 @@ mod tests {
         let mut v = view(3);
         v.servers[1].1 = false;
         let moves = p.on_fail(&v, ServerId(1), &a);
-        let orphans: Vec<FileSetId> = a
-            .iter()
-            .filter(|&(_, &s)| s == ServerId(1))
-            .map(|(&f, _)| f)
-            .collect();
+        let orphans: Vec<FileSetId> = sets_on(&a, ServerId(1)).collect();
         assert_eq!(moves.len(), orphans.len());
         for m in &moves {
             assert!(orphans.contains(&m.set));

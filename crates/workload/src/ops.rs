@@ -111,8 +111,10 @@ impl OpMix {
     /// Draw one operation and its cost (seconds), given the workload's
     /// mean service demand.
     pub fn sample(&self, mean_cost_secs: f64, rng: &mut RngStream) -> (OpKind, f64) {
+        // Inverse transform over the cumulative frequencies.
         let cdf = self.cdf();
-        let idx = rng.discrete_cdf(&cdf);
+        let x = rng.uniform() * cdf[cdf.len() - 1];
+        let idx = cdf.partition_point(|&c| c <= x).min(cdf.len() - 1);
         let (_, rel) = self.table()[idx];
         // ±20% uniform spread around the op's relative cost keeps the
         // low-variance profile of short metadata transactions.
