@@ -4,7 +4,8 @@
 # (no panics, no stdio), the per-lint ceilings on `#[expect]` exceptions,
 # rustdoc with warnings as errors, the tier-1 build and test suite (whose
 # lint-case tests run the gate over each construct in ci/lint-cases under
-# the library flags below), the figures determinism gate
+# the library flags below), anu-workload's tests in release with its
+# benchmark-size ignored test, the figures determinism gate
 # (parallel run's outputs and manifest byte-identical to serial, the
 # studies beyond the figures included), the
 # committed-record gate (BENCH_figures.json, whose outputs[] pins every
@@ -144,6 +145,13 @@ cargo build --release
 
 step "tier-1: cargo test"
 cargo test -q
+
+step "anu-workload in release, ignored tests included: generation order at benchmark sizes"
+# The one ignored test builds e2e-bench's largest inputs (fig8 x50, fig6
+# x20, a 1M-request adversarial storm) both ways, without and with the
+# global sort, and requires them equal; debug tier-1 cannot build 8.25M
+# requests twice in bounded time.
+cargo test --release -q -p anu-workload -- --include-ignored
 
 step "figures + chaos + storm + meanfield + studies + trace determinism gate (--jobs \$(nproc) vs --jobs 1)"
 JOBS="$(nproc)"

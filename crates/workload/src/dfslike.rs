@@ -21,8 +21,12 @@
 //! Placement policies observe only arrival times, file-set ids and service
 //! demands, so matching the demand distribution, skew and burstiness
 //! exercises the same code paths as the original trace.
+//!
+//! Like the synthetic generator, it draws set by set (most active set
+//! first) and has the constructor place the set-major draws in arrival
+//! order without a global sort; ties keep generation order.
 
-use crate::request::{Request, Workload};
+use crate::request::{repeat_runs, Draws, Workload};
 use crate::synthetic::{apportion, CostModel};
 use crate::weights::WeightDist;
 use anu_core::FileSetId;
@@ -109,6 +113,16 @@ impl DfsLikeConfig {
 
     /// Generate the trace workload.
     pub fn generate(&self) -> Workload {
+        Workload::from_draws(self.draws())
+    }
+
+    /// The trace's draws in generation order: file set by file set, from
+    /// the most active down, each set's arrivals and costs from the
+    /// `dfslike/arrivals` and `dfslike/costs` streams.
+    pub(crate) fn draws(
+        &self,
+    ) -> Draws<impl Iterator<Item = (SimTime, FileSetId)> + Clone, impl FnMut() -> SimDuration>
+    {
         assert!(self.n_file_sets > 0 && self.total_requests > 0);
         let mut wrng = RngStream::new(self.seed, "dfslike/weights");
         let mut arng = RngStream::new(self.seed, "dfslike/arrivals");
@@ -124,25 +138,29 @@ impl DfsLikeConfig {
         let mut by_activity: Vec<usize> = (0..self.n_file_sets).collect();
         by_activity.sort_by(|&a, &b| counts[b].cmp(&counts[a]));
 
-        let mut requests = Vec::with_capacity(self.total_requests as usize);
-        for (rank, &j) in by_activity.iter().enumerate() {
-            let bursts = self.bursts.get(rank).map(|v| v.as_slice()).unwrap_or(&[]);
-            let sampler = IntensitySampler::new(self.duration_secs, bursts);
-            for _ in 0..counts[j] {
-                let t = sampler.sample(&mut arng);
-                requests.push(Request {
-                    arrival: SimTime::from_secs_f64(t),
-                    file_set: FileSetId(j as u64),
-                    cost: self.cost.sample(self.mean_cost_secs, &mut crng),
-                });
-            }
+        let samplers: Vec<IntensitySampler> = (0..self.n_file_sets)
+            .map(|rank| {
+                let bursts = self.bursts.get(rank).map(|v| v.as_slice()).unwrap_or(&[]);
+                IntensitySampler::new(self.duration_secs, bursts)
+            })
+            .collect();
+        let runs = by_activity
+            .iter()
+            .enumerate()
+            .map(|(rank, &j)| ((rank, FileSetId(j as u64)), counts[j]))
+            .collect();
+        let (cost, mean_cost_secs) = (self.cost, self.mean_cost_secs);
+        Draws {
+            label: "dfstrace-like".into(),
+            n_file_sets: self.n_file_sets,
+            duration: SimDuration::from_secs_f64(self.duration_secs),
+            len: self.total_requests as usize,
+            arrivals: repeat_runs(runs).map(move |(rank, j)| {
+                let t = samplers[rank].sample(&mut arng);
+                (SimTime::from_secs_f64(t), j)
+            }),
+            costs: move || cost.sample(mean_cost_secs, &mut crng),
         }
-        Workload::new(
-            "dfstrace-like",
-            self.n_file_sets,
-            SimDuration::from_secs_f64(self.duration_secs),
-            requests,
-        )
     }
 }
 
@@ -150,6 +168,7 @@ impl DfsLikeConfig {
 /// 1, multiplied inside burst windows. A non-homogeneous Poisson process
 /// conditioned on its count has arrivals i.i.d. with density proportional
 /// to the intensity.
+#[derive(Clone)]
 struct IntensitySampler {
     /// Piece boundaries in seconds (ascending, starts at 0, ends at T).
     edges: Vec<f64>,
@@ -206,6 +225,7 @@ impl IntensitySampler {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::request::{assert_places_like_the_sort, Request};
 
     #[test]
     fn paper_statistics_match() {
@@ -288,5 +308,28 @@ mod tests {
         cfg.total_requests = 1000;
         let w = cfg.generate();
         assert_eq!(w.requests.len(), 1000);
+    }
+
+    #[test]
+    fn draws_place_like_the_sort() {
+        let mut crowded = DfsLikeConfig::paper(6);
+        // 40x the rate over 2% of the hour on the most active set: its
+        // buckets there hold thousands of requests.
+        crowded.bursts = vec![vec![Burst {
+            start_frac: 0.5,
+            end_frac: 0.52,
+            factor: 40.0,
+        }]];
+        let mut calm = DfsLikeConfig::paper(6);
+        calm.bursts.clear();
+        for base in [DfsLikeConfig::paper(6), calm, crowded] {
+            for total in [1, 300, 11_259, 20_000] {
+                let cfg = DfsLikeConfig {
+                    total_requests: total,
+                    ..base.clone()
+                };
+                assert_places_like_the_sort(|| cfg.draws(), &format!("{cfg:?}"));
+            }
+        }
     }
 }

@@ -15,7 +15,6 @@
 //!   diurnal curves, correlated popularity shifts, and an adversarial
 //!   rotating-hot-set generator, all deterministic time-warps or phased
 //!   re-draws of the synthetic base;
-//! * [`ops`] — metadata operation mixes (lookup/stat/open/…);
 //! * [`trace`] — CSV/JSON persistence for replayable traces;
 //! * [`request`] — the common representation and the prescient oracle
 //!   ([`Workload::window_demands`]).
@@ -43,7 +42,6 @@
 #![forbid(unsafe_code)]
 
 pub mod dfslike;
-pub mod ops;
 pub mod request;
 pub mod storm;
 pub mod synthetic;
@@ -51,7 +49,6 @@ pub mod trace;
 pub mod weights;
 
 pub use dfslike::{Burst, DfsLikeConfig};
-pub use ops::{OpKind, OpMix};
 pub use request::{Request, Workload, WorkloadStats};
 pub use storm::{StormConfig, StormKind};
 pub use synthetic::{CostModel, SyntheticConfig};

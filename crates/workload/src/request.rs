@@ -5,6 +5,12 @@
 //! needs to serve it). Both the trace-like and synthetic generators produce
 //! this one representation, and all policies consume it — the prescient
 //! baseline additionally reads future windows of it as its oracle.
+//!
+//! Two constructors put requests in arrival order. [`Workload::new`]
+//! stably sorts requests that arrive as a finished list (traces read
+//! back, merges, tests). The generators hand over replayable draws
+//! instead, which `Workload::from_draws` places in arrival order without
+//! a global sort; both give the same vector for the same draws.
 
 use anu_core::json::{FromJson, Json, JsonError, ToJson};
 use anu_core::FileSetId;
@@ -49,8 +55,160 @@ pub struct Workload {
     pub requests: Vec<Request>,
 }
 
+/// A generator's requests as draws in generation order, which
+/// [`Workload::from_draws`] places in arrival order.
+pub(crate) struct Draws<A, C> {
+    /// Human-readable provenance.
+    pub(crate) label: String,
+    /// Number of file sets; ids are `0..n_file_sets`.
+    pub(crate) n_file_sets: usize,
+    /// Nominal duration. Arrivals may equal or pass it.
+    pub(crate) duration: SimDuration,
+    /// How many requests `arrivals` yields.
+    pub(crate) len: usize,
+    /// Every request's arrival and file set, in generation order. A clone
+    /// replays the same draws: its random streams start where the
+    /// original's did.
+    pub(crate) arrivals: A,
+    /// The next request's cost, in generation order. Called once per
+    /// request, in the placing pass only.
+    pub(crate) costs: C,
+}
+
+/// Each item `count` times over, run after run: a generator's set-major
+/// walk over its `(file set, request count)` runs.
+pub(crate) fn repeat_runs<T: Clone>(runs: Vec<(T, u64)>) -> impl Iterator<Item = T> + Clone {
+    runs.into_iter()
+        .flat_map(|(item, count)| std::iter::repeat_n(item, count as usize))
+}
+
+/// Requests per arrival bucket of [`Workload::from_draws`], on average.
+/// The placing pass writes at one frontier per bucket, so n/512
+/// frontiers of a 64-byte line each keep its writes in a 4 MiB L2 (fig8
+/// ×50's 5M requests: 9,537 buckets, 610 KB), while buckets stay small
+/// enough for the finish to sort each in cache.
+const REQUESTS_PER_BUCKET: usize = 512;
+
+/// Cap on the bits of the fine digit the finish counts a bucket by, so
+/// its tally holds at most 2,048 slots.
+const FINE_BITS: u32 = 11;
+
+/// Runs of at most this many requests are insertion-sorted.
+const INSERTION_MAX: usize = 16;
+
+/// The largest bucket the finish sorts through its reused scratch.
+/// Generators' buckets hold about [`REQUESTS_PER_BUCKET`]; a bucket past
+/// 16 times that (arrivals bunched far above their mean density, such as
+/// a zero-length duration) goes to the standard stable sort.
+const FINISH_MAX: usize = 1 << 13;
+
+/// The arrival buckets of [`Workload::from_draws`]: bucket `b` holds the
+/// arrivals in `[b << shift, (b + 1) << shift)`, and the last one every
+/// later arrival too. The bucket is a monotone function of the arrival.
+struct Buckets {
+    shift: u32,
+    last: u64,
+}
+
+impl Buckets {
+    /// About `len / REQUESTS_PER_BUCKET` buckets over `[0, duration]`.
+    fn new(duration: SimDuration, len: usize) -> Self {
+        let target = (len / REQUESTS_PER_BUCKET).max(1) as u64;
+        let shift = (0..63).find(|&s| duration.0 >> s < target).unwrap_or(63);
+        Buckets {
+            shift,
+            last: duration.0 >> shift,
+        }
+    }
+
+    fn count(&self) -> usize {
+        self.last as usize + 1
+    }
+
+    #[inline]
+    fn of(&self, arrival: SimTime) -> usize {
+        (arrival.0 >> self.shift).min(self.last) as usize
+    }
+}
+
+/// The finish of [`Workload::from_draws`]: it sorts one bucket at a time
+/// by arrival, stably, in a scratch reused across buckets.
+#[derive(Default)]
+struct Finish {
+    scratch: Vec<Request>,
+    /// Per fine digit, where its run starts, then where it ends.
+    ends: Vec<usize>,
+}
+
+impl Finish {
+    /// Sort `bucket`, whose arrivals are all at least `lo` and, unless it
+    /// is the last bucket, below `lo + (1 << shift)`.
+    fn sort(&mut self, bucket: &mut [Request], lo: u64, shift: u32) {
+        if bucket.len() <= INSERTION_MAX {
+            insertion_sort(bucket);
+            return;
+        }
+        if bucket.len() > FINISH_MAX {
+            bucket.sort_by_key(|r| r.arrival);
+            return;
+        }
+        // A counting sort by a fine digit of the arrival, with about as
+        // many digits as requests. Arrivals past the bucket's span (only
+        // in the last bucket) clamp to the top digit, so the digit is
+        // monotone in the arrival.
+        let bits = (usize::BITS - bucket.len().leading_zeros()).min(FINE_BITS);
+        let fine_shift = shift.saturating_sub(bits);
+        let top = (1u64 << bits) - 1;
+        let digit = |r: &Request| ((r.arrival.0 - lo) >> fine_shift).min(top) as usize;
+        self.scratch.clear();
+        self.scratch.extend_from_slice(bucket);
+        self.ends.clear();
+        self.ends.resize((1 << bits) + 1, 0);
+        for r in &self.scratch {
+            self.ends[digit(r) + 1] += 1;
+        }
+        for d in 1..self.ends.len() {
+            self.ends[d] += self.ends[d - 1];
+        }
+        for r in &self.scratch {
+            let end = &mut self.ends[digit(r)];
+            bucket[*end] = *r;
+            *end += 1;
+        }
+        // Each digit's run keeps generation order; sort it by arrival.
+        let mut start = 0;
+        for &end in &self.ends[..1 << bits] {
+            let run = &mut bucket[start..end];
+            if run.len() <= INSERTION_MAX {
+                insertion_sort(run);
+            } else {
+                run.sort_by_key(|r| r.arrival);
+            }
+            start = end;
+        }
+    }
+}
+
+/// Stable insertion sort by arrival, for runs of a few requests.
+fn insertion_sort(run: &mut [Request]) {
+    for i in 1..run.len() {
+        let r = run[i];
+        let mut j = i;
+        while j > 0 && run[j - 1].arrival > r.arrival {
+            run[j] = run[j - 1];
+            j -= 1;
+        }
+        run[j] = r;
+    }
+}
+
 impl Workload {
-    /// Build a workload from parts, sorting requests by arrival.
+    /// Build a workload from parts, stably sorting requests by arrival.
+    ///
+    /// This is the constructor for requests that cannot be replayed:
+    /// traces read back ([`crate::read_csv`], `from_json`), the two
+    /// streams of [`Workload::merge`], and hand-built test inputs. The
+    /// generators build in arrival order without the global sort.
     pub fn new(
         label: impl Into<String>,
         n_file_sets: usize,
@@ -60,6 +218,98 @@ impl Workload {
         requests.sort_by_key(|r| r.arrival);
         Workload {
             label: label.into(),
+            n_file_sets,
+            duration_us: duration.0,
+            requests,
+        }
+    }
+
+    /// Build a generator's workload in arrival order, equal bit for bit
+    /// to [`Workload::new`] over the same draws, without sorting all of
+    /// it at once.
+    ///
+    /// The generators draw set by set, so their stream is set-major, and
+    /// a global sort of millions of requests misses cache on every pass.
+    /// Instead:
+    /// 1. a counting pass replays the arrival draws and counts requests
+    ///    per coarse arrival bucket (about [`REQUESTS_PER_BUCKET`] each);
+    /// 2. a placing pass replays them again, draws each cost, and writes
+    ///    each request at its bucket's next slot, so a bucket keeps
+    ///    generation order;
+    /// 3. a finish stably sorts each bucket in a small scratch that stays
+    ///    in cache.
+    ///
+    /// The bucket is monotone in the arrival, placing keeps generation
+    /// order within a bucket, and the finish is stable, so ties keep
+    /// generation order as the stable global sort keeps it. Beyond the
+    /// output this holds two words per bucket and the finish's scratch of
+    /// at most [`FINISH_MAX`] requests; a bucket larger than that goes to
+    /// the standard stable sort, whose scratch is at most what the global
+    /// sort of all the requests would take.
+    ///
+    /// # Panics
+    /// Panics if the arrivals do not yield `len` requests, or if the
+    /// placing pass does not fill every bucket exactly to the count the
+    /// counting pass made: a replay that differs must not scramble the
+    /// order.
+    pub(crate) fn from_draws<A, C>(draws: Draws<A, C>) -> Workload
+    where
+        A: Iterator<Item = (SimTime, FileSetId)> + Clone,
+        C: FnMut() -> SimDuration,
+    {
+        let Draws {
+            label,
+            n_file_sets,
+            duration,
+            len,
+            arrivals,
+            mut costs,
+        } = draws;
+        let buckets = Buckets::new(duration, len);
+        // `start[b]` is where bucket `b` starts: its count, then a prefix sum.
+        let mut start = vec![0usize; buckets.count() + 1];
+        arrivals
+            .clone()
+            .for_each(|(arrival, _)| start[buckets.of(arrival) + 1] += 1);
+        for b in 1..start.len() {
+            start[b] += start[b - 1];
+        }
+        assert_eq!(
+            start[buckets.count()],
+            len,
+            "the arrival draws yield a different number of requests than promised"
+        );
+
+        let mut next = start[..buckets.count()].to_vec();
+        let mut requests = vec![
+            Request {
+                arrival: SimTime::ZERO,
+                file_set: FileSetId(0),
+                cost: SimDuration::ZERO,
+            };
+            len
+        ];
+        arrivals.for_each(|(arrival, file_set)| {
+            let slot = &mut next[buckets.of(arrival)];
+            requests[*slot] = Request {
+                arrival,
+                file_set,
+                cost: costs(),
+            };
+            *slot += 1;
+        });
+        assert!(
+            next[..] == start[1..],
+            "replaying the arrival draws filled the buckets differently than counting them"
+        );
+
+        let mut finish = Finish::default();
+        for (b, span) in start.windows(2).enumerate() {
+            let lo = (b as u64) << buckets.shift;
+            finish.sort(&mut requests[span[0]..span[1]], lo, buckets.shift);
+        }
+        Workload {
+            label,
             n_file_sets,
             duration_us: duration.0,
             requests,
@@ -255,9 +505,51 @@ impl FromJson for Workload {
     }
 }
 
+/// Requires [`Workload::from_draws`] to build what [`Workload::new`], the
+/// stable global sort, builds from the same draws collected in generation
+/// order. `draws` must return the same draws on every call.
+#[cfg(test)]
+pub(crate) fn assert_places_like_the_sort<A, C>(draws: impl Fn() -> Draws<A, C>, what: &str)
+where
+    A: Iterator<Item = (SimTime, FileSetId)> + Clone,
+    C: FnMut() -> SimDuration,
+{
+    let Draws {
+        label,
+        n_file_sets,
+        duration,
+        arrivals,
+        mut costs,
+        ..
+    } = draws();
+    let requests = arrivals
+        .map(|(arrival, file_set)| Request {
+            arrival,
+            file_set,
+            cost: costs(),
+        })
+        .collect();
+    let want = Workload::new(label, n_file_sets, duration, requests);
+    let got = Workload::from_draws(draws());
+    assert_eq!(
+        (&got.label, got.n_file_sets, got.duration_us),
+        (&want.label, want.n_file_sets, want.duration_us),
+        "{what}"
+    );
+    assert_eq!(got.requests.len(), want.requests.len(), "{what}");
+    let first_difference = (got.requests.iter().zip(&want.requests)).position(|(g, w)| g != w);
+    if let Some(i) = first_difference {
+        panic!(
+            "{what}: request {i} is {:?}, the sort puts {:?} there",
+            got.requests[i], want.requests[i]
+        );
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use anu_des::RngStream;
 
     fn req(t: f64, fs: u64, cost_ms: u64) -> Request {
         Request {
@@ -376,5 +668,186 @@ mod tests {
         let text = r#"{"label":"t","n_file_sets":3,"duration_us":10,"requests":[[0,1,1],[0,7,1]]}"#;
         let err = Workload::from_json(&Json::parse(text).unwrap()).unwrap_err();
         assert!(err.to_string().contains("request 1: file_set 7"), "{err}");
+    }
+
+    /// Draws that yield `requests` in the given (generation) order.
+    fn handmade(
+        duration_us: u64,
+        requests: &[Request],
+    ) -> Draws<
+        impl Iterator<Item = (SimTime, FileSetId)> + Clone + '_,
+        impl FnMut() -> SimDuration + '_,
+    > {
+        let mut costs = requests.iter().map(|r| r.cost);
+        Draws {
+            label: "handmade".into(),
+            n_file_sets: 1 + requests
+                .iter()
+                .map(|r| r.file_set.0 as usize)
+                .max()
+                .unwrap_or(0),
+            duration: SimDuration(duration_us),
+            len: requests.len(),
+            arrivals: requests.iter().map(|r| (r.arrival, r.file_set)),
+            costs: move || costs.next().expect("one cost per request"),
+        }
+    }
+
+    /// `n` requests, set-major over `sets` file sets, each arriving at
+    /// `arrival(i)` µs and costing `i` µs, so every request is distinct.
+    fn stream(n: u64, sets: u64, mut arrival: impl FnMut(u64) -> u64) -> Vec<Request> {
+        (0..n)
+            .map(|i| Request {
+                arrival: SimTime(arrival(i)),
+                file_set: FileSetId(i * sets / n.max(1)),
+                cost: SimDuration(i),
+            })
+            .collect()
+    }
+
+    fn check(duration_us: u64, requests: &[Request], what: &str) {
+        assert_places_like_the_sort(|| handmade(duration_us, requests), what);
+    }
+
+    #[test]
+    fn from_draws_keeps_ties_across_sets_in_generation_order() {
+        // Each of 5 sets draws the same 400 instants, so every instant is
+        // a five-way tie across sets.
+        let reqs = stream(2_000, 5, |i| (i % 400) * 2_500);
+        check(1_000_000, &reqs, "ties across sets");
+    }
+
+    #[test]
+    fn from_draws_keeps_ties_within_a_set_in_generation_order() {
+        // One set, ten instants in a scrambled order, about a hundred
+        // requests at each, all in one fine digit: the run is far past
+        // insertion size and an unstable sort reorders its ties.
+        let reqs = stream(1_000, 1, |i| (i * 7 % 10) * 100);
+        check(1_000_000, &reqs, "ties within a set, one fine digit");
+        // The same over a bucket with many digits, and over more buckets.
+        for n in [17, 100, 3_000, 20_000] {
+            let reqs = stream(n, 1, |i| (i * 7_919) % 97 * 10_000);
+            check(
+                1_000_000,
+                &reqs,
+                &format!("ties within a set, {n} requests"),
+            );
+        }
+    }
+
+    #[test]
+    fn from_draws_orders_arrivals_at_and_past_the_duration() {
+        // Duration 1,000 µs: the last bucket also takes every arrival
+        // past it, up to the largest instant there is.
+        for n in [5, 3_000, 12_000] {
+            let reqs = stream(n, 3, |i| match i % 6 {
+                0 => 1_000,
+                1 => 1_000 + i * 37 % 5_000,
+                2 => i * 104_729 % 10_000_000,
+                3 => u64::MAX - i % 3,
+                _ => i * 13 % 1_001,
+            });
+            check(
+                1_000,
+                &reqs,
+                &format!("arrivals past the duration, {n} requests"),
+            );
+        }
+    }
+
+    #[test]
+    fn from_draws_keeps_one_instant_in_generation_order() {
+        for n in [1, 16, 17, 5_000, 10_000] {
+            let reqs = stream(n, 4, |_| 777);
+            check(1_000, &reqs, &format!("one instant, {n} requests"));
+        }
+    }
+
+    #[test]
+    fn from_draws_handles_a_zero_length_duration() {
+        // One bucket holds everything: past the finish scratch at 10,000.
+        for n in [3, 600, 10_000] {
+            let reqs = stream(n, 2, |i| (i * 31) % 50);
+            check(0, &reqs, &format!("zero duration, {n} requests"));
+        }
+    }
+
+    #[test]
+    fn from_draws_handles_one_request_and_none() {
+        check(10, &stream(1, 1, |_| 3), "one request");
+        check(10, &stream(1, 1, |_| 30), "one request past the duration");
+        check(10, &[], "no request");
+    }
+
+    #[test]
+    fn from_draws_matches_the_sort_on_random_streams() {
+        // From one request a bucket to a few thousand, over durations that
+        // make ties rare, common, or the rule.
+        let mut rng = RngStream::new(1, "test/from-draws");
+        for n in [1, 2, 15, 16, 17, 100, 511, 512, 1_024, 4_000, 30_000] {
+            for duration_us in [0, 1, 1_000, 1 << 20, 3_600_000_000] {
+                let span = duration_us + duration_us / 100 + 1;
+                let reqs = stream(n, 7, |_| rng.next_u64() % span);
+                check(
+                    duration_us,
+                    &reqs,
+                    &format!("{n} requests over {duration_us} µs"),
+                );
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "filled the buckets differently")]
+    fn from_draws_fails_loudly_on_a_replay_that_differs() {
+        // The placing pass sees every arrival at 0, where the counting
+        // pass counted them over two buckets.
+        let reqs = stream(2_048, 1, |i| i * 1_000);
+        let d = handmade(2_048_000, &reqs);
+        let seen = std::cell::Cell::new(0);
+        let arrivals = d.arrivals.map(|(arrival, file_set)| {
+            seen.set(seen.get() + 1);
+            let replaying = seen.get() > reqs.len();
+            (if replaying { SimTime::ZERO } else { arrival }, file_set)
+        });
+        Workload::from_draws(Draws {
+            label: d.label,
+            n_file_sets: d.n_file_sets,
+            duration: d.duration,
+            len: d.len,
+            arrivals,
+            costs: d.costs,
+        });
+    }
+
+    /// The benchmark's largest inputs, which debug builds cannot build
+    /// twice in bounded time: `e2e-bench`'s `scale_hotpath` cells (fig8
+    /// ×50 and fig6 ×20) and a `churn_storm` adversarial cell. Run with
+    /// `cargo test --release -p anu-workload -- --include-ignored`.
+    #[test]
+    #[ignore = "builds 8.25M requests twice; run in release"]
+    fn from_draws_matches_the_sort_at_benchmark_sizes() {
+        use crate::{CostModel, DfsLikeConfig, StormConfig, StormKind, SyntheticConfig};
+        let mut fig8 = SyntheticConfig::paper(1);
+        fig8.n_file_sets *= 50;
+        fig8.total_requests *= 50;
+        let fig8 = fig8.with_offered_load(0.5, 25.0);
+        assert_places_like_the_sort(|| fig8.draws(), "fig8 x50");
+        let mut fig6 = DfsLikeConfig::paper(1);
+        fig6.n_file_sets *= 20;
+        fig6.total_requests *= 20;
+        fig6.mean_cost_secs /= 20.0;
+        assert_places_like_the_sort(|| fig6.draws(), "fig6 x20");
+        let storm = StormConfig {
+            kind: StormKind::Adversarial,
+            intensity: 2.0,
+            base: SyntheticConfig {
+                total_requests: 1_000_000,
+                duration_secs: 100_000.0,
+                cost: CostModel::Pareto { alpha: 1.5 },
+                ..SyntheticConfig::paper(1)
+            },
+        };
+        assert_places_like_the_sort(|| storm.phased(true), "adversarial storm, 1M requests");
     }
 }

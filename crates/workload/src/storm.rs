@@ -26,9 +26,14 @@
 //! Rate-shaping storms are implemented as a monotone time-warp of the
 //! base workload's arrivals (inverse-CDF of the target rate profile), so
 //! per-set popularity, request counts, and costs are exactly the base
-//! workload's; only *when* requests land changes. Every draw comes from
-//! dedicated labeled [`RngStream`]s, so storms are byte-deterministic in
-//! `(config, seed)` and never perturb other generators.
+//! workload's; only *when* requests land changes. The warp is monotone
+//! (see `invert_cdf`), so the base's arrival order survives it and the
+//! warped requests need no second sort. Phased storms draw phase by
+//! phase and set by set, and the constructor places those draws in
+//! arrival order without a global sort, as for the synthetic base.
+//! Every draw comes from dedicated labeled [`RngStream`]s, so storms are
+//! byte-deterministic in `(config, seed)` and never perturb other
+//! generators.
 //!
 //! The warp inverts the CDF by bisection, eight arrivals at a time in
 //! lockstep. One arrival's bisection is a chain of 60 dependent steps:
@@ -41,7 +46,7 @@
 //! its `(lo, hi)` after every step, and hence every warped arrival, is
 //! bit-identical to the scalar loop's, for any CDF (monotone or not).
 
-use crate::request::{Request, Workload};
+use crate::request::{repeat_runs, Draws, Workload};
 use crate::synthetic::{apportion, SyntheticConfig};
 use anu_core::FileSetId;
 use anu_des::{RngStream, SimDuration, SimTime};
@@ -105,18 +110,17 @@ impl StormConfig {
             self.intensity >= 0.0 && self.intensity.is_finite(),
             "storm intensity must be finite and non-negative"
         );
-        let w = match self.kind {
+        match self.kind {
             StormKind::FlashCrowd => self.warp(|x| flash_crowd_cdf(x, self.intensity)),
             StormKind::Diurnal => self.warp(|x| diurnal_cdf(x, self.intensity)),
-            StormKind::PopularityShift => self.phased(false),
-            StormKind::Adversarial => self.phased(true),
-        };
-        Workload::new(
-            format!("storm({},i{:.2})", self.kind.name(), self.intensity),
-            w.n_file_sets,
-            w.duration(),
-            w.requests,
-        )
+            StormKind::PopularityShift => Workload::from_draws(self.phased(false)),
+            StormKind::Adversarial => Workload::from_draws(self.phased(true)),
+        }
+    }
+
+    /// The storm's label: its kind and intensity.
+    fn label(&self) -> String {
+        format!("storm({},i{:.2})", self.kind.name(), self.intensity)
     }
 
     /// Rate-shaping storms: generate the base workload, then push every
@@ -124,7 +128,8 @@ impl StormConfig {
     /// arrivals are i.i.d. uniform in [0, T), so the warped arrivals are
     /// i.i.d. with density proportional to the profile — and the warp is
     /// monotone, so relative order (and every per-set property) is
-    /// preserved.
+    /// preserved: the warped requests stay sorted, ties in base order,
+    /// with no second sort (see [`invert_cdf`]).
     fn warp(&self, cdf: impl Fn(f64) -> f64) -> Workload {
         let mut w = self.base.generate();
         let t_total = self.base.duration_secs;
@@ -134,14 +139,20 @@ impl StormConfig {
             |r| (r.arrival.as_secs_f64() / t_total).clamp(0.0, 1.0),
             |r, x| r.arrival = SimTime::from_secs_f64(x * t_total),
         );
+        w.label = self.label();
         w
     }
 
     /// Phase-structured storms: the run splits into equal phases; each
     /// phase draws its own per-set popularity. `adversarial` concentrates
     /// most of each phase's budget on a small rotating hot subset instead
-    /// of re-drawing from the base distribution.
-    fn phased(&self, adversarial: bool) -> Workload {
+    /// of re-drawing from the base distribution. The draws run phase by
+    /// phase, and within a phase file set by file set.
+    pub(crate) fn phased(
+        &self,
+        adversarial: bool,
+    ) -> Draws<impl Iterator<Item = (SimTime, FileSetId)> + Clone, impl FnMut() -> SimDuration>
+    {
         let base = &self.base;
         assert!(base.n_file_sets > 0 && base.total_requests > 0);
         let phases = (2 + (2.0 * self.intensity) as usize).min(16);
@@ -155,7 +166,7 @@ impl StormConfig {
         let hot_count = (base.n_file_sets / 10).max(1);
         let hot_share = (0.5 + 0.2 * self.intensity).min(0.95);
 
-        let mut requests = Vec::with_capacity(base.total_requests as usize);
+        let mut runs = Vec::with_capacity(phases * base.n_file_sets);
         for (p, &budget) in phase_budget.iter().enumerate() {
             let mut weights = if adversarial {
                 // Cold floor for every set, hot spike on the rotating
@@ -181,23 +192,25 @@ impl StormConfig {
             }
             let counts = apportion(budget, &weights);
             let t0 = p as f64 * phase_len;
-            for (j, &count) in counts.iter().enumerate() {
-                for _ in 0..count {
-                    let t = t0 + arng.uniform() * phase_len;
-                    requests.push(Request {
-                        arrival: SimTime::from_secs_f64(t),
-                        file_set: FileSetId(j as u64),
-                        cost: base.cost.sample(base.mean_cost_secs, &mut crng),
-                    });
-                }
-            }
+            runs.extend(
+                counts
+                    .into_iter()
+                    .enumerate()
+                    .map(|(j, count)| ((t0, FileSetId(j as u64)), count)),
+            );
         }
-        Workload::new(
-            "storm-phased",
-            base.n_file_sets,
-            SimDuration::from_secs_f64(base.duration_secs),
-            requests,
-        )
+        let (cost, mean_cost_secs) = (base.cost, base.mean_cost_secs);
+        Draws {
+            label: self.label(),
+            n_file_sets: base.n_file_sets,
+            duration: SimDuration::from_secs_f64(base.duration_secs),
+            len: base.total_requests as usize,
+            arrivals: repeat_runs(runs).map(move |(t0, j)| {
+                let t = t0 + arng.uniform() * phase_len;
+                (SimTime::from_secs_f64(t), j)
+            }),
+            costs: move || cost.sample(mean_cost_secs, &mut crng),
+        }
     }
 }
 
@@ -239,6 +252,16 @@ const LANES: usize = 8;
 /// `(lo, hi)` equals what a scalar loop holds for its target, and the
 /// result `0.5·(lo + hi)` is the scalar result, bit for bit, whatever
 /// `cdf` is.
+///
+/// The inverse is non-decreasing in the target, for any `cdf`, monotone
+/// or not. Two bisections with targets `x ≤ y` share every midpoint until
+/// they part, because `cdf(mid) < x` implies `cdf(mid) < y`: `y`'s lane
+/// goes up whenever `x`'s does. Where they part, `x`'s lane keeps
+/// `[lo, mid]` and `y`'s `[mid, hi]`, and every later step stays inside
+/// its interval, so `x`'s result lies at or below `y`'s. Items sorted by
+/// target thus come out sorted by inverse, and equal targets get equal
+/// inverses. With the monotone `x·T` and [`SimTime::from_secs_f64`], a
+/// warped sorted workload stays sorted, ties in base order.
 fn invert_cdf<T>(
     cdf: &impl Fn(f64) -> f64,
     items: &mut [T],
@@ -268,6 +291,7 @@ fn invert_cdf<T>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::request::assert_places_like_the_sort;
     use crate::synthetic::CostModel;
     use crate::weights::WeightDist;
 
@@ -484,6 +508,56 @@ mod tests {
             let share = hot_reqs as f64 / total as f64;
             // hot_share at intensity 1 is 0.7 for a tenth of the sets.
             assert!(share > 0.6, "phase {p}: hot share {share}");
+        }
+    }
+
+    #[test]
+    fn phased_storms_place_like_the_sort() {
+        for kind in [StormKind::PopularityShift, StormKind::Adversarial] {
+            for intensity in [0.0, 0.5, 1.0, 2.0, 4.0] {
+                for total in [7, 2_500, 12_000] {
+                    let cfg = StormConfig {
+                        kind,
+                        intensity,
+                        base: SyntheticConfig {
+                            total_requests: total,
+                            ..base(3)
+                        },
+                    };
+                    let adversarial = kind == StormKind::Adversarial;
+                    assert_places_like_the_sort(|| cfg.phased(adversarial), &format!("{cfg:?}"));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn sorted_targets_invert_to_sorted_results() {
+        let mut rng = RngStream::new(4, "test/warp-order");
+        let mut targets: Vec<f64> = (0..3_000).map(|_| rng.uniform()).collect();
+        targets.extend_from_within(..500);
+        targets.extend([0.0, 0.0, 0.5, 0.5, 1.0, 1.0]);
+        targets.sort_by(f64::total_cmp);
+        let check = |what: &str, cdf: &dyn Fn(f64) -> f64| {
+            let mut inverse = targets.clone();
+            invert_cdf(&cdf, &mut inverse, |&x| x, |x, inv| *x = inv);
+            for (i, pair) in inverse.windows(2).enumerate() {
+                assert!(
+                    pair[0] <= pair[1],
+                    "{what}: targets {:e} <= {:e} invert to {:e} > {:e}",
+                    targets[i],
+                    targets[i + 1],
+                    pair[0],
+                    pair[1]
+                );
+            }
+        };
+        check("a non-monotone cdf", &|x| x + 0.3 * (40.0 * x).sin());
+        for kind in [StormKind::FlashCrowd, StormKind::Diurnal] {
+            for intensity in [0.0, 0.5, 1.0, 2.0, 3.0, 4.0] {
+                let what = format!("{} at {intensity}", kind.name());
+                check(&what, &rate_cdf(kind, intensity));
+            }
         }
     }
 }

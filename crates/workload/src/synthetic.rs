@@ -13,8 +13,15 @@
 //! as a homogeneous Poisson process — implemented by drawing its request
 //! count's arrival instants uniformly over the duration, which is the
 //! distribution of a Poisson process conditioned on its count.
+//!
+//! The draws run file set by file set, so they come out set-major, not in
+//! time order. The generator hands them to the workload constructor as a
+//! replayable arrival stream and a cost stream, and the constructor places
+//! them in arrival order bucket by bucket, without a global sort (see
+//! EXPERIMENTS.md, "Set-up: generation without the global sort"). The
+//! result equals a stable sort of the set-major stream bit for bit.
 
-use crate::request::{Request, Workload};
+use crate::request::{repeat_runs, Draws, Workload};
 use crate::weights::WeightDist;
 use anu_core::FileSetId;
 use anu_des::{RngStream, SimDuration, SimTime};
@@ -32,10 +39,6 @@ pub enum CostModel {
     },
     /// Exponential with the given mean (memoryless, higher variance).
     Exponential,
-    /// Costs drawn from a metadata operation mix (see [`crate::ops`]):
-    /// each request is a lookup/stat/open/…, costing the op's relative
-    /// weight times the mean.
-    Ops(crate::ops::OpMix),
     /// Heavy-tailed (bounded Pareto) service demands with the given mean —
     /// the storm engine's "one elephant stalls the queue" regime. `alpha`
     /// is the tail exponent (must be > 1 so the mean exists; 1.5 is a
@@ -57,7 +60,6 @@ impl CostModel {
                 rng.uniform_range(mean_secs * (1.0 - spread), mean_secs * (1.0 + spread))
             }
             CostModel::Exponential => rng.exponential(1.0 / mean_secs),
-            CostModel::Ops(mix) => mix.sample(mean_secs, rng).1,
             CostModel::Pareto { alpha } => {
                 debug_assert!(alpha > 1.0, "Pareto tail exponent must exceed 1");
                 let xm = mean_secs * (alpha - 1.0) / alpha;
@@ -125,6 +127,16 @@ impl SyntheticConfig {
 
     /// Generate the workload.
     pub fn generate(&self) -> Workload {
+        Workload::from_draws(self.draws())
+    }
+
+    /// The workload's draws in generation order: file set by file set,
+    /// each set's arrivals and costs from the `synthetic/arrivals` and
+    /// `synthetic/costs` streams.
+    pub(crate) fn draws(
+        &self,
+    ) -> Draws<impl Iterator<Item = (SimTime, FileSetId)> + Clone, impl FnMut() -> SimDuration>
+    {
         assert!(self.n_file_sets > 0 && self.total_requests > 0);
         let mut wrng = RngStream::new(self.seed, "synthetic/weights");
         let mut arng = RngStream::new(self.seed, "synthetic/arrivals");
@@ -132,27 +144,25 @@ impl SyntheticConfig {
 
         let weights = self.weights.sample(self.n_file_sets, &mut wrng);
         let counts = apportion(self.total_requests, &weights);
-
-        let mut requests = Vec::with_capacity(self.total_requests as usize);
-        for (j, &count) in counts.iter().enumerate() {
-            for _ in 0..count {
-                // A Poisson process conditioned on N arrivals in [0, T) has
-                // its arrivals i.i.d. uniform — draw them directly, which
-                // both matches the model and hits the exact request budget.
-                let t = arng.uniform() * self.duration_secs;
-                requests.push(Request {
-                    arrival: SimTime::from_secs_f64(t),
-                    file_set: FileSetId(j as u64),
-                    cost: self.cost.sample(self.mean_cost_secs, &mut crng),
-                });
-            }
+        let runs = counts
+            .into_iter()
+            .enumerate()
+            .map(|(j, count)| (FileSetId(j as u64), count))
+            .collect();
+        let (duration_secs, cost, mean_cost_secs) =
+            (self.duration_secs, self.cost, self.mean_cost_secs);
+        Draws {
+            label: format!("synthetic({:?})", self.weights),
+            n_file_sets: self.n_file_sets,
+            duration: SimDuration::from_secs_f64(duration_secs),
+            len: self.total_requests as usize,
+            // A Poisson process conditioned on N arrivals in [0, T) has its
+            // arrivals i.i.d. uniform — draw them directly, which both
+            // matches the model and hits the exact request budget.
+            arrivals: repeat_runs(runs)
+                .map(move |j| (SimTime::from_secs_f64(arng.uniform() * duration_secs), j)),
+            costs: move || cost.sample(mean_cost_secs, &mut crng),
         }
-        Workload::new(
-            format!("synthetic({:?})", self.weights),
-            self.n_file_sets,
-            SimDuration::from_secs_f64(self.duration_secs),
-            requests,
-        )
     }
 }
 
@@ -185,6 +195,7 @@ pub(crate) fn apportion(total: u64, weights: &[f64]) -> Vec<u64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::request::assert_places_like_the_sort;
 
     #[test]
     fn apportion_exact() {
@@ -298,5 +309,43 @@ mod tests {
             (r1 - r2).abs() / r1 < 0.25,
             "top-set share drifted: {r1} vs {r2}"
         );
+    }
+
+    #[test]
+    fn draws_place_like_the_sort() {
+        let dists = [
+            WeightDist::Constant,
+            WeightDist::Uniform { lo: 0.5, hi: 2.0 },
+            WeightDist::PowerOfUniform { alpha: 1000.0 },
+            WeightDist::Zipfian { s: 1.2 },
+            WeightDist::GeometricSpread { ratio: 150.0 },
+        ];
+        let costs = [
+            CostModel::Deterministic,
+            CostModel::UniformSpread { spread: 0.2 },
+            CostModel::Exponential,
+            CostModel::Pareto { alpha: 1.5 },
+        ];
+        let cfg = |weights, cost, total_requests, duration_secs| SyntheticConfig {
+            n_file_sets: 60,
+            total_requests,
+            duration_secs,
+            weights,
+            mean_cost_secs: 0.01,
+            cost,
+            seed: 4,
+        };
+        // One request to a few thousand a bucket; at 0.02 s, 20,000
+        // requests share 20,000 instants, so ties are common.
+        for weights in dists {
+            for (total, duration) in [(1, 10.0), (40, 10.0), (2_000, 1e4), (20_000, 0.02)] {
+                let c = cfg(weights, costs[1], total, duration);
+                assert_places_like_the_sort(|| c.draws(), &format!("{c:?}"));
+            }
+        }
+        for cost in costs {
+            let c = cfg(dists[2], cost, 5_000, 100.0);
+            assert_places_like_the_sort(|| c.draws(), &format!("{c:?}"));
+        }
     }
 }
