@@ -5,7 +5,7 @@
 # rustdoc with warnings as errors, the tier-1 build and test suite (whose
 # lint-case tests run the gate over each construct in ci/lint-cases under
 # the library flags below), anu-workload's tests in release with its
-# benchmark-size ignored test, the figures determinism gate
+# ignored tests, the figures determinism gate
 # (parallel run's outputs and manifest byte-identical to serial, the
 # studies beyond the figures included), the
 # committed-record gate (BENCH_figures.json, whose outputs[] pins every
@@ -82,7 +82,7 @@ step "lint exceptions: #[expect] count per lint within its ceiling"
 # exception lowers it here, and raising one is a reviewed edit of this
 # list. A lint with no ceiling allows no exception.
 declare -A CEILING=(
-    [clippy::expect_used]=23
+    [clippy::expect_used]=21
     [clippy::panic]=2
     [clippy::print_stdout]=1
     [clippy::print_stderr]=1
@@ -146,11 +146,12 @@ cargo build --release
 step "tier-1: cargo test"
 cargo test -q
 
-step "anu-workload in release, ignored tests included: generation order at benchmark sizes"
-# The one ignored test builds e2e-bench's largest inputs (fig8 x50, fig6
-# x20, a 1M-request adversarial storm) both ways, without and with the
-# global sort, and requires them equal; debug tier-1 cannot build 8.25M
-# requests twice in bounded time.
+step "anu-workload in release, ignored tests included: generation order and the storm warp at full size"
+# Two ignored tests, too slow for debug tier-1: one builds e2e-bench's
+# largest inputs (fig8 x50, fig6 x20, a 1M-request adversarial storm) both
+# ways, without and with the global sort, and requires them equal; the
+# other checks the lockstep storm warp against the scalar bisection on
+# 100,000 seeded targets per rate CDF.
 cargo test --release -q -p anu-workload -- --include-ignored
 
 step "figures + chaos + storm + meanfield + studies + trace determinism gate (--jobs \$(nproc) vs --jobs 1)"

@@ -33,7 +33,6 @@
 
 pub mod autoscaler;
 pub mod closed_loop;
-mod dense;
 pub mod faults;
 pub mod metrics;
 pub mod policy;
@@ -49,5 +48,6 @@ pub use policy::{Assignment, ClusterView, MoveSet, PlacementPolicy};
 pub use profile::{NoProfiler, ProfileScope, RunProfiler};
 pub use spec::{
     ClusterConfig, ColdCacheConfig, FaultEvent, MigrationConfig, ServerSpec, ShedConfig,
+    FAILOVER_DELAY, SERIES_BUCKET,
 };
 pub use world::{run, run_traced, run_traced_profiled};

@@ -91,7 +91,7 @@ pub struct RunSummary {
     pub band_freezes: u64,
     /// Tuner decisions frozen by divergent tuning.
     pub divergent_freezes: u64,
-    /// Tuner moves bounded by the `max_factor` clamp.
+    /// Tuner moves bounded by the [`MAX_FACTOR`](anu_core::heuristics::MAX_FACTOR) clamp.
     pub factor_clamps: u64,
     /// Server downtime in seconds, summed across servers. A window opens
     /// at a `Fail` fault and closes at the matching recovery (or the end

@@ -4,6 +4,14 @@ use crate::autoscaler::AutoscalerConfig;
 use anu_core::ServerId;
 use anu_des::{SimDuration, SimTime};
 
+/// Delay before a failed server's orphaned file sets restart on their new
+/// owners (failure detection + reassignment).
+pub const FAILOVER_DELAY: SimDuration = SimDuration::from_secs(5);
+
+/// Bucket width of the recorded per-server latency time series: the
+/// figures plot one point per minute.
+pub const SERIES_BUCKET: SimDuration = SimDuration::from_secs(60);
+
 /// One metadata server's static description.
 ///
 /// `speed` is relative processing power: a request with service demand `d`
@@ -12,7 +20,7 @@ use anu_des::{SimDuration, SimTime};
 /// times the least (§7).
 #[derive(Clone, Copy, PartialEq, Debug)]
 pub struct ServerSpec {
-    /// Server id.
+    /// Server id: its position in [`ClusterConfig::servers`].
     pub id: ServerId,
     /// Relative processing power (> 0).
     pub speed: f64,
@@ -202,7 +210,8 @@ impl FaultEvent {
 /// Full cluster configuration.
 #[derive(Clone, Debug, PartialEq)]
 pub struct ClusterConfig {
-    /// Server descriptions. Ids must be unique.
+    /// Server descriptions. Server `i` has id `i`: the world indexes its
+    /// per-server state by id.
     pub servers: Vec<ServerSpec>,
     /// Tuning interval — "the prescient policy and ANU randomization update
     /// the workload configuration every two minutes" (§7).
@@ -211,11 +220,6 @@ pub struct ClusterConfig {
     pub migration: MigrationConfig,
     /// Cold-cache penalty after migration.
     pub cold_cache: ColdCacheConfig,
-    /// Delay before a failed server's orphaned file sets restart on their
-    /// new owners (failure detection + reassignment).
-    pub failover_delay: SimDuration,
-    /// Bucket width of the recorded latency time series (figures: 1 min).
-    pub series_bucket: SimDuration,
     /// Fault injections, if any.
     pub faults: Vec<FaultEvent>,
     /// Latency-driven elasticity over a standby pool, if any. Servers
@@ -245,8 +249,6 @@ impl ClusterConfig {
             tick: SimDuration::from_secs(120),
             migration: MigrationConfig::default(),
             cold_cache: ColdCacheConfig::default(),
-            failover_delay: SimDuration::from_secs(5),
-            series_bucket: SimDuration::from_secs(60),
             faults: Vec::new(),
             autoscaler: None,
             shed: None,
@@ -295,16 +297,22 @@ impl ClusterConfig {
             .collect()
     }
 
-    /// Validate: non-empty, unique ids, positive speeds, positive tick.
+    /// Validate: non-empty, each server's id its position, positive
+    /// speeds, positive tick.
     pub fn validate(&self) -> Result<(), String> {
         if self.servers.is_empty() {
             return Err("no servers".into());
         }
-        let mut ids: Vec<ServerId> = self.server_ids();
-        ids.sort_unstable();
-        ids.dedup();
-        if ids.len() != self.servers.len() {
-            return Err("duplicate server ids".into());
+        if let Some((i, s)) = self
+            .servers
+            .iter()
+            .enumerate()
+            .find(|&(i, s)| s.id.0 as usize != i)
+        {
+            return Err(format!(
+                "server {} at position {i}: ids must be 0..n in order",
+                s.id
+            ));
         }
         if self
             .servers
@@ -316,14 +324,10 @@ impl ClusterConfig {
         if self.tick.0 == 0 {
             return Err("zero tick".into());
         }
-        if self.series_bucket.0 == 0 {
-            return Err("zero series bucket".into());
-        }
         if let Some(a) = &self.autoscaler {
             a.validate()?;
-            let ids = self.server_ids();
             for s in &a.standby {
-                if !ids.contains(s) {
+                if s.0 as usize >= self.servers.len() {
                     return Err(format!("standby {s} is not a cluster server"));
                 }
             }
@@ -362,10 +366,12 @@ impl ClusterConfig {
         use anu_core::AnuError;
         let bad = |index: usize, reason: String| AnuError::BadFaultScript { index, reason };
 
-        let ids = self.server_ids();
         let standby = self.standby_ids();
-        let mut alive: Vec<bool> = ids.iter().map(|id| !standby.contains(id)).collect();
-        let slot = |server: ServerId| ids.iter().position(|&s| s == server);
+        let mut alive: Vec<bool> = self
+            .servers
+            .iter()
+            .map(|s| !standby.contains(&s.id))
+            .collect();
 
         // Calendar delivery order: time, then schedule (= list) order.
         let mut order: Vec<usize> = (0..self.faults.len()).collect();
@@ -375,9 +381,11 @@ impl ClusterConfig {
             let f = &self.faults[i];
             let s = match f.server() {
                 Some(server) => {
-                    let Some(slot) = slot(server) else {
+                    // A server's id is its position (`validate`).
+                    let slot = server.0 as usize;
+                    if slot >= alive.len() {
                         return Err(bad(i, format!("unknown server {server}")));
-                    };
+                    }
                     if standby.contains(&server) {
                         return Err(bad(i, format!("fault targets standby {server}")));
                     }
@@ -473,6 +481,19 @@ mod tests {
         let mut c = ClusterConfig::paper();
         c.servers[1].id = c.servers[0].id;
         assert!(c.validate().is_err());
+        // A server's id is its position: a gap, a swap and an id past the
+        // server count are each rejected.
+        let with_ids = |ids: &[u32]| {
+            let mut c = ClusterConfig::homogeneous(ids.len());
+            for (s, &id) in c.servers.iter_mut().zip(ids) {
+                s.id = ServerId(id);
+            }
+            c
+        };
+        assert!(with_ids(&[0, 1]).validate().is_ok());
+        assert!(with_ids(&[0, 2]).validate().is_err());
+        assert!(with_ids(&[1, 0]).validate().is_err());
+        assert!(with_ids(&[0, 1, 7]).validate().is_err());
         let mut c = ClusterConfig::paper();
         c.servers[0].speed = 0.0;
         assert!(c.validate().is_err());

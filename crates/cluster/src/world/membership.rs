@@ -6,8 +6,8 @@
 use super::{Event, RebalanceClock, SetRow, World, NO_SERVER};
 use crate::autoscaler::{Autoscaler, ScaleAction};
 use crate::policy::{MoveSet, PlacementPolicy};
-use crate::spec::FaultEvent;
-use anu_core::{FileSetId, LoadReport};
+use crate::spec::{FaultEvent, FAILOVER_DELAY};
+use anu_core::{FileSetId, LoadReport, ServerId};
 use anu_des::{SimDuration, SimTime};
 use anu_trace::{TraceEvent, TraceLevel, WarnCode};
 
@@ -38,18 +38,13 @@ impl World<'_> {
     ) {
         let now = self.cal.now();
         for mv in moves {
-            let to = self
-                .server_ids
-                .try_index(mv.to)
-                .filter(|&i| self.servers[i].alive);
+            let to = mv.to.0;
             assert!(
-                to.is_some(),
+                self.servers.get(to as usize).is_some_and(|st| st.alive),
                 "{policy_name} moved {} to dead/unknown server {}",
                 mv.set,
                 mv.to
             );
-            #[expect(clippy::expect_used, reason = "asserted Some just above")]
-            let to = to.expect("alive destination") as u32;
             let set = mv.set.0 as usize;
             let row = &mut self.sets[set];
             if row.dest().is_some() {
@@ -73,14 +68,13 @@ impl World<'_> {
             row.warmth = 0;
             row.dest = to;
             if self.tracer.enabled(TraceLevel::Epoch) {
-                let from_id = from.map(|s| self.server_ids.get(s as usize).0);
                 self.tracer.emit(
                     TraceLevel::Epoch,
                     now,
                     &TraceEvent::MigrationStart {
                         set: mv.set.0,
-                        from: from_id,
-                        to: mv.to.0,
+                        from,
+                        to,
                     },
                 );
                 // Emitted eagerly: tracing must never schedule calendar
@@ -91,7 +85,7 @@ impl World<'_> {
                     now,
                     &TraceEvent::MigrationFlush {
                         set: mv.set.0,
-                        from: from_id,
+                        from,
                         done_us: (now + self.cfg.migration.flush).0,
                     },
                 );
@@ -113,8 +107,7 @@ impl World<'_> {
         // retarget arrived, fall back to the releasing owner (still the
         // policy's placement for the set — its diff saw the set as
         // already home, so inventing any other owner would contradict
-        // the policy's map), then to the lowest-index alive server
-        // (= lowest-id: index order is sorted id order).
+        // the policy's map), then to the lowest-id alive server.
         #[expect(
             clippy::expect_used,
             reason = "a cluster with zero alive servers has no valid placement"
@@ -143,7 +136,7 @@ impl World<'_> {
             self.cal.now(),
             &TraceEvent::MigrationFinish {
                 set: u64::from(set),
-                to: self.server_ids.get(to as usize).0,
+                to,
                 buffered: buffered.len() as u64,
             },
         );
@@ -172,10 +165,10 @@ impl World<'_> {
         if self.autoscaler.is_none() {
             return;
         }
-        let standby_online: Vec<bool> = self
-            .standby_slots
+        let standby = self.cfg.standby_ids();
+        let standby_online: Vec<bool> = standby
             .iter()
-            .map(|&si| self.servers[si as usize].alive)
+            .map(|s| self.servers[s.0 as usize].alive)
             .collect();
         let live = self.servers.iter().filter(|st| st.alive).count();
         let mean = Autoscaler::mean_latency_ms(reports);
@@ -185,10 +178,10 @@ impl World<'_> {
         };
         match action {
             Some(ScaleAction::Commission(slot)) => {
-                self.bring_up(self.standby_slots[slot], Cause::Scale, policy);
+                self.bring_up(standby[slot].0, Cause::Scale, policy);
             }
             Some(ScaleAction::Decommission(slot)) => {
-                self.take_down(self.standby_slots[slot], Cause::Scale, policy);
+                self.take_down(standby[slot].0, Cause::Scale, policy);
             }
             None => return,
         }
@@ -203,7 +196,7 @@ impl World<'_> {
     /// scale-up.
     fn bring_up(&mut self, si: u32, cause: Cause, policy: &mut dyn PlacementPolicy) {
         let now = self.cal.now();
-        let server = self.server_ids.get(si as usize);
+        let server = ServerId(si);
         let st = &mut self.servers[si as usize];
         debug_assert!(!st.alive, "bring-up of alive {server}");
         st.alive = true;
@@ -240,7 +233,7 @@ impl World<'_> {
     /// scale-down.
     fn take_down(&mut self, si: u32, cause: Cause, policy: &mut dyn PlacementPolicy) {
         let now = self.cal.now();
-        let server = self.server_ids.get(si as usize);
+        let server = ServerId(si);
         let crash = cause == Cause::Fault;
         let st = &mut self.servers[si as usize];
         debug_assert!(st.alive, "take-down of dormant {server}");
@@ -279,10 +272,7 @@ impl World<'_> {
         let view = self.view();
         let planning = self.planning_assignment();
         let (moves, delay) = match cause {
-            Cause::Fault => (
-                policy.on_fail(&view, server, &planning),
-                self.cfg.failover_delay,
-            ),
+            Cause::Fault => (policy.on_fail(&view, server, &planning), FAILOVER_DELAY),
             Cause::Scale => (
                 policy.on_decommission(&view, server, &planning),
                 self.cfg.migration.total(),
@@ -366,15 +356,15 @@ impl World<'_> {
                 self.arrived
             ));
         }
-        // Dense index order is sorted id order, so violation order (and
-        // the trace bytes built from it) matches the map-keyed world.
+        // Index order is id order, so violation order (and the trace
+        // bytes built from it) matches the map-keyed world.
         for (i, row) in self.sets.iter().enumerate() {
             if let Some(s) = row.owner() {
                 if !self.servers[s as usize].alive {
                     violations.push(format!(
                         "{} assigned to dead {}",
                         FileSetId(i as u64),
-                        self.server_ids.get(s as usize)
+                        ServerId(s)
                     ));
                 }
             }
@@ -421,19 +411,17 @@ impl World<'_> {
     }
 
     /// The `i`-th scripted fault fires; the auditor then checks the
-    /// boundary. Fault scripts are validated against the server set, so
-    /// interning a fault's server id always succeeds.
+    /// boundary. Fault scripts are validated against the server set, so a
+    /// fault's server id always indexes the server table.
     pub(super) fn handle_fault(&mut self, i: u32, policy: &mut dyn PlacementPolicy) {
         let now = self.cal.now();
         let cfg = self.cfg;
         match cfg.faults[i as usize] {
             FaultEvent::Fail { server, .. } => {
-                let si = self.server_ids.index(server) as u32;
-                self.take_down(si, Cause::Fault, policy);
+                self.take_down(server.0, Cause::Fault, policy);
             }
             FaultEvent::Recover { server, .. } => {
-                let si = self.server_ids.index(server) as u32;
-                self.bring_up(si, Cause::Fault, policy);
+                self.bring_up(server.0, Cause::Fault, policy);
             }
             FaultEvent::Slowdown {
                 server,
@@ -441,7 +429,7 @@ impl World<'_> {
                 lasts,
                 ..
             } => {
-                let si = self.server_ids.index(server) as u32;
+                let si = server.0;
                 let st = &mut self.servers[si as usize];
                 debug_assert!(st.alive, "slowdown of failed {server}");
                 // A newer slowdown replaces a pending one outright.
@@ -464,7 +452,7 @@ impl World<'_> {
                 );
             }
             FaultEvent::ReportLoss { server, .. } => {
-                let st = &mut self.servers[self.server_ids.index(server)];
+                let st = &mut self.servers[server.0 as usize];
                 debug_assert!(st.alive, "report fault on failed {server}");
                 st.lose_report = true;
                 self.tracer.emit(
@@ -477,7 +465,7 @@ impl World<'_> {
                 );
             }
             FaultEvent::ReportDelay { server, .. } => {
-                let st = &mut self.servers[self.server_ids.index(server)];
+                let st = &mut self.servers[server.0 as usize];
                 debug_assert!(st.alive, "report fault on failed {server}");
                 st.delay_report = true;
                 self.tracer.emit(

@@ -20,12 +20,11 @@ mod membership;
 mod observe;
 
 use crate::autoscaler::Autoscaler;
-use crate::dense::Interner;
 use crate::metrics::{EpochRecord, RunResult};
 use crate::policy::{Assignment, ClusterView, PlacementPolicy};
 use crate::profile::{NoProfiler, ProfileScope, RunProfiler};
-use crate::spec::ClusterConfig;
-use anu_core::{FileSetId, LoadReport};
+use crate::spec::{ClusterConfig, SERIES_BUCKET};
+use anu_core::{FileSetId, LoadReport, ServerId};
 use anu_des::{
     Calendar, FifoStation, IntervalStats, Job, OnlineStats, SimDuration, SimTime, StartService,
     TimeSeries,
@@ -34,24 +33,23 @@ use anu_trace::{LogHistogram, NullSink, TraceEvent, TraceLevel, TraceSink, Trace
 use anu_workload::Workload;
 use observe::{SetLatency, WorldMetrics};
 
-/// Events of the cluster simulation. Server payloads are *dense
-/// indices* into the world's interned server table, not raw ids: the hot
-/// loop never touches an ordered map. File sets are `0..n`, so a set's
-/// index is its id. Trace emission maps server indices back to raw ids,
-/// so trace event ids are unchanged.
+/// Events of the cluster simulation. Server and file-set payloads are
+/// ids' values, which are also indices: a server's id is its position in
+/// [`ClusterConfig::servers`] (`ClusterConfig::validate` requires it) and
+/// file sets are `0..n`, so the hot loop never touches an ordered map.
 #[derive(Clone, Copy, Debug)]
 enum Event {
     /// The request its source tagged with this number arrives.
     Arrival(u32),
-    /// The in-service job at a server (dense index) completes.
+    /// The in-service job at a server completes.
     Complete(u32),
     /// Delegate tuning tick.
     Tick,
-    /// A file-set (dense index) migration finishes at its destination.
+    /// A file set's migration finishes at its destination.
     MigrationDone(u32),
     /// The `i`-th configured fault fires.
     Fault(u32),
-    /// A limping server's (dense index) slowdown lifts.
+    /// A limping server's slowdown lifts.
     SlowdownEnd(u32),
 }
 
@@ -182,13 +180,13 @@ const NO_SERVER: u32 = u32::MAX;
 /// and again when it lands (the new owner starts cold).
 #[derive(Clone, Copy)]
 struct SetRow {
-    /// Owning server (dense index); `NO_SERVER` while orphaned by a
+    /// Owning server; `NO_SERVER` while orphaned by a
     /// failure. While the set is in flight this is still the releasing
     /// owner, which the auditor's assignment shows and a landing at a
     /// dead destination falls back to; the planning assignment shows the
     /// destination instead.
     owner: u32,
-    /// Destination (dense index) while a migration is in flight;
+    /// Destination while a migration is in flight;
     /// `NO_SERVER` when settled.
     dest: u32,
     /// Requests the owner has served for this set since acquiring it —
@@ -211,8 +209,9 @@ impl SetRow {
     }
 }
 
-/// One server's queue, statistics and fault state. Nothing here is per
-/// file set: a set's warmth lives in its [`SetRow`].
+/// One server's queue, statistics and fault state, at the server id's
+/// index of the world's server table. Nothing here is per file set: a
+/// set's warmth lives in its [`SetRow`].
 struct ServerState {
     speed: f64,
     alive: bool,
@@ -257,26 +256,25 @@ struct RebalanceClock {
     outstanding: usize,
 }
 
-/// The simulation state, dense-indexed on the per-event path.
+/// The simulation state, indexed by id on the per-event path.
 ///
-/// Server and file-set universes are fixed at setup (servers interned in
-/// sorted order, file sets `0..n`), and every per-event structure (server
-/// table, per-set rows, migration buffers, per-server/per-set
-/// accumulators) is a `Vec` indexed by the dense id. The policy boundary
-/// is dense too: the [`Assignment`] a policy reads is one owner entry per
-/// set, filled from the rows per call. `BTreeMap`s appear only in result
-/// assembly — and since dense index order equals sorted id order, every
-/// boundary iteration yields the exact sequence the old map-keyed world
-/// produced, byte for byte.
+/// Server and file-set universes are fixed at setup (servers `0..n` in
+/// declaration order, file sets `0..n`), and every per-event structure
+/// (server table, per-set rows, migration buffers, per-server/per-set
+/// accumulators) is a `Vec` indexed by the id's value. The policy
+/// boundary is indexed the same way: the [`Assignment`] a policy reads is
+/// one owner entry per set, filled from the rows per call. `BTreeMap`s
+/// appear only in result assembly — and since index order is id order,
+/// every boundary iteration yields the exact sequence the old map-keyed
+/// world produced, byte for byte.
 struct World<'a> {
     cfg: &'a ClusterConfig,
     cal: Calendar<Event>,
-    server_ids: Interner,
     servers: Vec<ServerState>,
-    /// Owner, in-flight destination and warmth per file set (dense
-    /// index): the one per-set table the arrival path reads.
+    /// Owner, in-flight destination and warmth per file set: the one
+    /// per-set table the arrival path reads.
     sets: Vec<SetRow>,
-    /// Per file set (dense index): requests that arrived while the set
+    /// Per file set: requests that arrived while the set
     /// was in flight, as `(arrival, job)`. Only in-flight sets touch it.
     buffered: Vec<Vec<(SimTime, JobInfo)>>,
     horizon: SimTime,
@@ -319,8 +317,6 @@ struct World<'a> {
     degraded_span: Option<u64>,
     /// Latency-driven elasticity, when configured.
     autoscaler: Option<Autoscaler>,
-    /// Dense server index of each standby-pool entry, in pool order.
-    standby_slots: Vec<u32>,
     /// Standby servers commissioned / decommissioned over the run.
     scale_ups: u64,
     scale_downs: u64,
@@ -334,7 +330,7 @@ struct World<'a> {
     rebalance_clocks: Vec<RebalanceClock>,
     /// Completed failure→fully-re-homed durations, in seconds.
     rebalance_secs: Vec<f64>,
-    /// Per file set (dense index): the rebalance clock an in-flight
+    /// Per file set: the rebalance clock an in-flight
     /// orphaned set closes on landing.
     orphan_fault: Vec<Option<u32>>,
     /// The invariant auditor arms only when membership can change (a
@@ -348,10 +344,10 @@ struct World<'a> {
     /// Local event-mix accumulators (indexed by [`Event::mix`]) — plain
     /// increments on the hot path, folded into the registry at ticks.
     event_mix: [u64; 6],
-    /// Per file set (dense index) latency histograms, recorded in batches
+    /// Per file set latency histograms, recorded in batches
     /// and installed into the registry once at the end of the run.
     set_latency: SetLatency,
-    /// Per file set (dense index) admission-shed counts — which sets paid
+    /// Per file set admission-shed counts — which sets paid
     /// for graceful degradation. Feeds the completion-fairness index.
     set_shed: Vec<u64>,
     /// The metrics registry and its cached publish ids.
@@ -365,7 +361,7 @@ impl<'a> World<'a> {
                 .servers
                 .iter()
                 .enumerate()
-                .map(|(i, st)| (self.server_ids.get(i), st.alive))
+                .map(|(i, st)| (ServerId(i as u32), st.alive))
                 .collect(),
             now: self.cal.now(),
         }
@@ -379,11 +375,7 @@ impl<'a> World<'a> {
         let factor = self.cfg.cold_cache.factor(row.warmth);
         row.warmth += 1;
         let st = &mut self.servers[server as usize];
-        debug_assert!(
-            st.alive,
-            "routing to dead server {}",
-            self.server_ids.get(server as usize)
-        );
+        debug_assert!(st.alive, "routing to dead server {}", ServerId(server));
         let service =
             SimDuration::from_secs_f64(cost.as_secs_f64() / st.speed * factor * st.slow_factor);
         let job = Job {
@@ -398,17 +390,14 @@ impl<'a> World<'a> {
             self.tracer.emit(
                 TraceLevel::Request,
                 now,
-                &TraceEvent::QueueDepth {
-                    server: self.server_ids.get(server as usize).0,
-                    depth,
-                },
+                &TraceEvent::QueueDepth { server, depth },
             );
             if let StartService::At(_) = started {
                 self.tracer.emit(
                     TraceLevel::Request,
                     now,
                     &TraceEvent::RequestDispatch {
-                        server: self.server_ids.get(server as usize).0,
+                        server,
                         set: u64::from(set),
                         wait_us: now.since(arrival).0,
                     },
@@ -486,7 +475,7 @@ impl<'a> World<'a> {
                 TraceLevel::Request,
                 now,
                 &TraceEvent::RequestArrival {
-                    server: Some(self.server_ids.get(server as usize).0),
+                    server: Some(server),
                     set: u64::from(set),
                     buffered: false,
                 },
@@ -521,7 +510,7 @@ impl<'a> World<'a> {
                 TraceLevel::Request,
                 now,
                 &TraceEvent::RequestComplete {
-                    server: self.server_ids.get(server as usize).0,
+                    server,
                     set: u64::from(job.meta.set),
                     latency_us: latency.0,
                     depth,
@@ -532,7 +521,7 @@ impl<'a> World<'a> {
                     TraceLevel::Request,
                     now,
                     &TraceEvent::RequestDispatch {
-                        server: self.server_ids.get(server as usize).0,
+                        server,
                         set: u64::from(set),
                         wait_us,
                     },
@@ -550,7 +539,7 @@ impl<'a> World<'a> {
     fn collect_reports(&mut self) -> Vec<LoadReport> {
         let mut reports = Vec::new();
         for (i, st) in self.servers.iter_mut().enumerate() {
-            let s = self.server_ids.get(i);
+            let s = ServerId(i as u32);
             if !st.alive {
                 // A dead server transmits nothing; pending report faults
                 // are moot once the server itself is down.
@@ -594,11 +583,7 @@ impl<'a> World<'a> {
     fn planning_assignment(&self) -> Assignment {
         self.sets
             .iter()
-            .map(|row| {
-                row.dest()
-                    .or(row.owner())
-                    .map(|s| self.server_ids.get(s as usize))
-            })
+            .map(|row| row.dest().or(row.owner()).map(ServerId))
             .collect()
     }
 
@@ -607,7 +592,7 @@ impl<'a> World<'a> {
     fn assignment_map(&self) -> Assignment {
         self.sets
             .iter()
-            .map(|row| row.owner().map(|s| self.server_ids.get(s as usize)))
+            .map(|row| row.owner().map(ServerId))
             .collect()
     }
 
@@ -658,7 +643,7 @@ impl<'a> World<'a> {
                 .iter()
                 .enumerate()
                 .filter(|(_, st)| st.alive)
-                .map(|(i, st)| (self.server_ids.get(i).0, st.station.population() as u64))
+                .map(|(i, st)| (i as u32, st.station.population() as u64))
                 .collect();
             for (server, depth) in depths {
                 self.tracer.emit(
@@ -769,42 +754,29 @@ pub(crate) fn simulate<S: ArrivalSource>(
     )]
     cfg.validate_faults().expect("invalid fault script");
     let horizon = SimTime::ZERO + source.duration();
-    let series_len = source.duration() + cfg.series_bucket;
+    let series_len = source.duration() + SERIES_BUCKET;
 
-    // Intern the server universe up front; every per-event structure
-    // below is indexed by these dense ids (file sets are already `0..n`).
-    let server_ids = Interner::new(cfg.servers.iter().map(|s| s.id).collect());
+    // Every per-event structure below is indexed by id: validation made
+    // each server's id its position, and file sets are `0..n`.
     let n_sets = source.n_file_sets();
-    let mut speeds = vec![0.0; server_ids.len()];
-    for s in &cfg.servers {
-        speeds[server_ids.index(s.id)] = s.speed;
-    }
-    let metrics = WorldMetrics::new(&server_ids, n_sets);
-    // Standby servers are part of the interned universe (dense ids, trace
-    // ids and metric names are fixed at setup) but start dormant: not
-    // alive, so the initial placement and the fault script never see them.
-    let mut standby_dense = vec![false; server_ids.len()];
-    for s in cfg.standby_ids() {
-        standby_dense[server_ids.index(*s)] = true;
-    }
-    let standby_slots: Vec<u32> = cfg
-        .standby_ids()
-        .iter()
-        .map(|&s| server_ids.index(s) as u32)
-        .collect();
+    let metrics = WorldMetrics::new(cfg.servers.len(), n_sets);
+    // Standby servers have their slots (trace ids and metric names are
+    // fixed at setup) but start dormant: not alive, so the initial
+    // placement and the fault script never see them.
+    let standby = cfg.standby_ids();
 
     let mut world = World {
         cfg,
         cal: Calendar::new(),
-        servers: speeds
+        servers: cfg
+            .servers
             .iter()
-            .enumerate()
-            .map(|(i, &speed)| ServerState {
-                speed,
-                alive: !standby_dense[i],
+            .map(|s| ServerState {
+                speed: s.speed,
+                alive: !standby.contains(&s.id),
                 station: FifoStation::new(),
                 interval: IntervalStats::new(),
-                series: TimeSeries::new(cfg.series_bucket, series_len),
+                series: TimeSeries::new(SERIES_BUCKET, series_len),
                 all: OnlineStats::new(),
                 completed: 0,
                 completion: None,
@@ -829,7 +801,6 @@ pub(crate) fn simulate<S: ArrivalSource>(
             n_sets
         ],
         buffered: vec![Vec::new(); n_sets],
-        server_ids,
         horizon,
         migration_count: 0,
         max_latency_ms: 0.0,
@@ -848,7 +819,6 @@ pub(crate) fn simulate<S: ArrivalSource>(
         shed_since_tick: false,
         degraded_span: None,
         autoscaler: cfg.autoscaler.clone().map(Autoscaler::new),
-        standby_slots,
         scale_ups: 0,
         scale_downs: 0,
         degraded_capacity_secs: 0.0,
@@ -876,9 +846,8 @@ pub(crate) fn simulate<S: ArrivalSource>(
             reason = "a policy that skips a file set is a contract violation worth halting on"
         )]
         let s = initial[i].unwrap_or_else(|| panic!("{} left {fs} unassigned", policy.name()));
-        let si = world.server_ids.index(s) as u32;
-        assert!(world.servers[si as usize].alive);
-        world.sets[i].owner = si;
+        assert!(world.servers[s.0 as usize].alive);
+        world.sets[i].owner = s.0;
     }
 
     // Seed events: first arrivals, first tick, faults.

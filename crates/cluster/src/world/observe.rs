@@ -3,9 +3,9 @@
 //! assembly once the calendar runs dry.
 
 use super::World;
-use crate::dense::Interner;
 use crate::metrics::{late_imbalance, late_mean, RunResult, RunSummary};
 use crate::profile::{ProfileScope, RunProfiler};
+use anu_core::ServerId;
 use anu_des::{OnlineStats, SimTime};
 use anu_metrics::{MetricId, Registry};
 use anu_trace::{LogHistogram, TraceEvent, TraceLevel, WarnCode};
@@ -26,7 +26,7 @@ pub(super) const SET_LATENCY_BATCH: usize = 1024;
 
 /// Per-file-set latency histograms (µs), recorded in batches.
 ///
-/// With tens of thousands of sets the histograms (528 bytes each) far
+/// With tens of thousands of sets the histograms (520 bytes each) far
 /// outgrow the cache, so recording each completion straight into its
 /// set's histogram costs a cache miss or two per request. Records queue
 /// in a small buffer instead, and fold into the histograms a batch at a
@@ -104,15 +104,15 @@ pub(super) struct WorldMetrics {
     jain_millionths: MetricId,
     /// Worst per-file-set p99 latency (µs), set once at the end of the run.
     p99_set_max_us: MetricId,
-    /// Per server (dense index): queue population gauge.
+    /// Per server: queue population gauge.
     server_occupancy: Vec<MetricId>,
-    /// Per server (dense index): fault-state gauge (1 = alive, 0 = down).
+    /// Per server: fault-state gauge (1 = alive, 0 = down).
     server_alive: Vec<MetricId>,
-    /// Per server (dense index): completed-request gauge.
+    /// Per server: completed-request gauge.
     server_completed: Vec<MetricId>,
     /// Overall request-latency histogram (µs), installed at run end.
     latency_all: MetricId,
-    /// Per file set (dense index): latency histogram (µs), installed at
+    /// Per file set: latency histogram (µs), installed at
     /// run end from the world's local accumulators.
     set_latency: Vec<MetricId>,
 }
@@ -121,7 +121,7 @@ impl WorldMetrics {
     /// Register every metric in one deterministic order: event mix,
     /// calendar, migration and requeue counters, per-server gauges in
     /// sorted id order, then the latency histograms.
-    pub(super) fn new(server_ids: &Interner, n_sets: usize) -> Self {
+    pub(super) fn new(n_servers: usize, n_sets: usize) -> Self {
         let mut reg = Registry::new();
         let ev_mix = EVENT_MIX_NAMES.map(|n| reg.counter(n));
         let cal_scheduled = reg.counter("des.calendar.scheduled");
@@ -138,11 +138,10 @@ impl WorldMetrics {
         let degraded = reg.gauge("world.degraded");
         let jain_millionths = reg.gauge("fairness.jain_millionths");
         let p99_set_max_us = reg.gauge("fairness.p99_set_max_us");
-        let mut server_occupancy = Vec::with_capacity(server_ids.len());
-        let mut server_alive = Vec::with_capacity(server_ids.len());
-        let mut server_completed = Vec::with_capacity(server_ids.len());
-        for i in 0..server_ids.len() {
-            let s = server_ids.get(i).0;
+        let mut server_occupancy = Vec::with_capacity(n_servers);
+        let mut server_alive = Vec::with_capacity(n_servers);
+        let mut server_completed = Vec::with_capacity(n_servers);
+        for s in 0..n_servers {
             server_occupancy.push(reg.gauge(&format!("server.{s}.occupancy")));
             server_alive.push(reg.gauge(&format!("server.{s}.alive")));
             server_completed.push(reg.gauge(&format!("server.{s}.completed")));
@@ -325,7 +324,7 @@ impl World<'_> {
         let mut total_lat = OnlineStats::new();
         let mut completed = 0;
         for (i, st) in self.servers.iter().enumerate() {
-            let s = self.server_ids.get(i);
+            let s = ServerId(i as u32);
             series.insert(s, st.series.clone());
             per_server_mean_ms.insert(s, st.all.mean());
             per_server_requests.insert(s, st.completed);

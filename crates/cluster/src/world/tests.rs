@@ -565,7 +565,7 @@ fn fail_recover_records_availability_metrics() {
     );
     // Orphans re-home after exactly the failover delay.
     assert!(
-        (r.summary.mean_rebalance_secs - cfg.failover_delay.as_secs_f64()).abs() < 1e-6,
+        (r.summary.mean_rebalance_secs - crate::spec::FAILOVER_DELAY.as_secs_f64()).abs() < 1e-6,
         "rebalance {:.6}",
         r.summary.mean_rebalance_secs
     );

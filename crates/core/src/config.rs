@@ -1,10 +1,10 @@
 //! Top-level ANU configuration.
 
 use crate::heuristics::TuningConfig;
-use crate::placement::DEFAULT_ROUNDS;
 
 /// Everything a node needs to participate in ANU placement: the shared hash
-/// seed, the probe-round bound, and the delegate's tuning knobs.
+/// seed and the delegate's tuning knobs. The probe-round bound is
+/// [`DEFAULT_ROUNDS`](crate::placement::DEFAULT_ROUNDS).
 ///
 /// This is configuration, not state — the replicated *state* is the
 /// [`crate::placement::PlacementMap`] the delegate distributes after each
@@ -13,8 +13,6 @@ use crate::placement::DEFAULT_ROUNDS;
 pub struct AnuConfig {
     /// Seed of the agreed-upon hash family.
     pub seed: u64,
-    /// Number of re-hash rounds before the direct-to-server fallback.
-    pub rounds: u32,
     /// Delegate tuning configuration.
     pub tuning: TuningConfig,
 }
@@ -23,7 +21,6 @@ impl Default for AnuConfig {
     fn default() -> Self {
         AnuConfig {
             seed: 0x5EED_AB1E,
-            rounds: DEFAULT_ROUNDS,
             tuning: TuningConfig::paper(),
         }
     }
@@ -36,7 +33,6 @@ mod tests {
     #[test]
     fn default_is_paper_config() {
         let c = AnuConfig::default();
-        assert_eq!(c.rounds, DEFAULT_ROUNDS);
         assert!(c.tuning.top_off && c.tuning.divergent);
     }
 }

@@ -21,6 +21,29 @@
 //!   previous-interval state (e.g. after a delegate failover) it is simply
 //!   skipped, preserving graceful degradation.
 
+/// Per-tick clamp on the scaling factor: one pass scales a share by at
+/// most `MAX_FACTOR` and by at least `1 / MAX_FACTOR`. An idle server
+/// grows at the clamp.
+pub const MAX_FACTOR: f64 = 2.0;
+
+/// When growing a server whose share collapsed toward zero, the tuner
+/// pretends it has at least this fraction of the total so multiplication
+/// can restart it.
+pub const MIN_GROW_SHARE: f64 = 1e-3;
+
+/// Oldest usable [`LoadReport`](crate::tuner::LoadReport), in ticks. A
+/// report with `age_ticks` beyond this is discarded as stale; the server's
+/// share is then frozen for the epoch (`TuneOutcome::NoReport`) rather than
+/// treated as zero latency. Age 1 admits a report delayed by exactly one
+/// tick (the fault injector's `ReportDelay`).
+pub const MAX_REPORT_AGE: u32 = 1;
+
+/// Minimum fraction of share-holding servers with a usable report for the
+/// delegate to tune at all. Below quorum the whole epoch freezes: every
+/// share is carried forward unchanged. A full-report tick always meets the
+/// quorum, so it only bites under report loss.
+pub const MIN_QUORUM: f64 = 0.5;
+
 /// How the delegate condenses per-server latencies into one "average".
 ///
 /// The paper uses a request-weighted mean but notes the system "is robust to
@@ -41,12 +64,6 @@ pub enum AverageKind {
 pub struct TuningConfig {
     /// Exponent of the scaling rule `s' = s · (μ/λ)^γ`. Smaller is gentler.
     pub gamma: f64,
-    /// Per-tick clamp on the scaling factor, in `[1/max_factor, max_factor]`.
-    pub max_factor: f64,
-    /// When growing a server whose share collapsed toward zero, pretend it
-    /// has at least this fraction of the total so multiplication can
-    /// restart it.
-    pub min_grow_share: f64,
     /// Thresholding parameter `t`; `None` disables thresholding entirely
     /// (every imbalanced server is a candidate mover).
     pub threshold: Option<f64>,
@@ -56,17 +73,6 @@ pub struct TuningConfig {
     pub divergent: bool,
     /// Average used by the delegate.
     pub average: AverageKind,
-    /// Oldest usable [`LoadReport`](crate::tuner::LoadReport), in ticks. A
-    /// report with `age_ticks` beyond this is discarded as stale; the
-    /// server's share is then frozen for the epoch (`TuneOutcome::NoReport`)
-    /// rather than treated as zero latency. Age 1 admits a report delayed by
-    /// exactly one tick (the fault injector's `ReportDelay`).
-    pub max_report_age: u32,
-    /// Minimum fraction of share-holding servers with a usable report for
-    /// the delegate to tune at all. Below quorum the whole epoch freezes:
-    /// every share is carried forward unchanged. A full-report tick always
-    /// meets any quorum ≤ 1, so this only bites under report loss.
-    pub min_quorum: f64,
 }
 
 impl Default for TuningConfig {
@@ -81,14 +87,10 @@ impl TuningConfig {
     pub fn plain() -> Self {
         TuningConfig {
             gamma: 0.5,
-            max_factor: 2.0,
-            min_grow_share: 1e-3,
             threshold: None,
             top_off: false,
             divergent: false,
             average: AverageKind::WeightedMean,
-            max_report_age: 1,
-            min_quorum: 0.5,
         }
     }
 
@@ -184,10 +186,6 @@ mod tests {
         assert!(TuningConfig::top_off_only(0.3).top_off);
         assert!(TuningConfig::divergent_only().divergent);
         assert_eq!(TuningConfig::default(), TuningConfig::paper());
-        // Robustness defaults: a one-tick-stale report is still usable and
-        // the delegate tunes from any majority quorum.
-        assert_eq!(p.max_report_age, 1);
-        assert!((p.min_quorum - 0.5).abs() < 1e-12);
     }
 
     #[test]

@@ -37,24 +37,6 @@ impl fmt::Display for Pos {
     }
 }
 
-/// Convert a width in fixed-point units to a fraction of the unit interval.
-#[inline]
-pub fn width_fraction(width: u64) -> f64 {
-    num::f64_of(width) / num::UNIT_WIDTH_F64
-}
-
-/// Convert a fraction of *half* the interval (i.e. of the total mapped
-/// region) into fixed-point units. `1.0` maps to [`HALF_UNIT`].
-#[inline]
-pub fn half_units(fraction_of_half: f64) -> u64 {
-    debug_assert!(fraction_of_half.is_finite());
-    let clamped = fraction_of_half.clamp(0.0, 1.0);
-    // `f64_of(HALF_UNIT)` is exact (power of two); the product rounds to the
-    // nearest representable value, which is fine — exact sums are restored
-    // by the largest-remainder pass in `shares`.
-    num::trunc_u64(clamped * num::f64_of(HALF_UNIT))
-}
-
 /// A half-open segment `[start, start + len)` of the unit interval.
 ///
 /// Used to report region ownership changes so callers (and tests) can reason
@@ -106,20 +88,6 @@ mod tests {
         assert!((Pos(HALF_UNIT).as_fraction() - 0.5).abs() < 1e-12);
         // u64::MAX rounds up to 2^64 in f64, so the fraction saturates at 1.
         assert!(Pos(u64::MAX).as_fraction() <= 1.0);
-    }
-
-    #[test]
-    fn half_units_roundtrip() {
-        assert_eq!(half_units(1.0), HALF_UNIT);
-        assert_eq!(half_units(0.0), 0);
-        let q = half_units(0.25);
-        assert!((width_fraction(q) - 0.125).abs() < 1e-12); // quarter of half = eighth of unit
-    }
-
-    #[test]
-    fn half_units_clamps() {
-        assert_eq!(half_units(2.0), HALF_UNIT);
-        assert_eq!(half_units(-3.0), 0);
     }
 
     #[test]

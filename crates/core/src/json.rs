@@ -1,5 +1,5 @@
-//! Minimal, dependency-free JSON tree: parser, writer, and conversion
-//! traits.
+//! Minimal, dependency-free JSON tree: parser, writer, and a conversion
+//! trait.
 //!
 //! The reproduction runs in hermetic environments with no crate registry,
 //! so persistence (configs, traces, placement state, reports) cannot lean
@@ -10,8 +10,8 @@
 //!   exactly — no silent `f64` truncation;
 //! * objects preserve insertion order, so emitted documents are
 //!   byte-stable across runs and platforms;
-//! * the API is intentionally tiny: a [`Json`] tree, [`ToJson`] /
-//!   [`FromJson`] traits, and a recursive-descent [`Json::parse`].
+//! * the API is intentionally tiny: a [`Json`] tree, a [`ToJson`] trait,
+//!   and a recursive-descent [`Json::parse`].
 
 use std::fmt;
 
@@ -64,12 +64,6 @@ impl std::error::Error for JsonError {}
 pub trait ToJson {
     /// Build the JSON representation.
     fn to_json(&self) -> Json;
-}
-
-/// Types that can be rebuilt from a [`Json`] tree.
-pub trait FromJson: Sized {
-    /// Rebuild from JSON, validating shape.
-    fn from_json(j: &Json) -> Result<Self, JsonError>;
 }
 
 impl Json {

@@ -74,7 +74,7 @@ pub use hash::HashFamily;
 pub use heuristics::{AverageKind, TuningConfig};
 pub use ids::{FileSetId, ServerId, SetName};
 pub use interval::{Pos, Segment, HALF_UNIT};
-pub use json::{FromJson, Json, JsonError, ToJson};
+pub use json::{Json, JsonError, ToJson};
 pub use pairwise::{Matching, PairwiseTuner};
 pub use partition::{PartitionState, PartitionTable, RegionChange};
 pub use placement::{Placement, PlacementMap, DEFAULT_ROUNDS};

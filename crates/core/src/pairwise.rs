@@ -24,7 +24,7 @@
 //! With an odd number of servers, one server sits the round out.
 
 use crate::hash::mix64;
-use crate::heuristics::TuningConfig;
+use crate::heuristics::{TuningConfig, MAX_FACTOR, MIN_GROW_SHARE};
 use crate::ids::ServerId;
 use crate::tuner::LoadReport;
 use std::collections::BTreeMap;
@@ -170,13 +170,13 @@ impl PairwiseTuner {
                     return None;
                 }
                 let raw = if l <= 0.0 {
-                    self.cfg.max_factor
+                    MAX_FACTOR
                 } else {
                     (mu / l).powf(self.cfg.gamma)
                 };
-                let factor = raw.clamp(1.0 / self.cfg.max_factor, self.cfg.max_factor);
+                let factor = raw.clamp(1.0 / MAX_FACTOR, MAX_FACTOR);
                 let base = if factor > 1.0 {
-                    share.max(self.cfg.min_grow_share * total)
+                    share.max(MIN_GROW_SHARE * total)
                 } else {
                     share
                 };

@@ -433,34 +433,6 @@ impl PartitionTable {
         Ok(changes)
     }
 
-    /// Remove server `s`, freeing all its regions (used for failure,
-    /// decommissioning). Returns the freed share; the caller restores the
-    /// half-occupancy invariant by growing the survivors.
-    pub fn remove_server(&mut self, s: ServerId, changes: &mut Vec<RegionChange>) -> Result<u64> {
-        let w = self.part_width();
-        let reg = self.regions.remove(&s).ok_or(AnuError::UnknownServer(s))?;
-        let freed = reg.share(w);
-        for p in reg.fulls {
-            self.parts[num::usize_of_u32(p)] = PartitionState::Free;
-            self.free.insert(p);
-            changes.push(RegionChange {
-                segment: self.seg(p, 0, w),
-                from: Some(s),
-                to: None,
-            });
-        }
-        if let Some((p, len)) = reg.partial {
-            self.parts[num::usize_of_u32(p)] = PartitionState::Free;
-            self.free.insert(p);
-            changes.push(RegionChange {
-                segment: self.seg(p, 0, len),
-                from: Some(s),
-                to: None,
-            });
-        }
-        Ok(freed)
-    }
-
     /// Remove server `s` with **exact takeover**: every full partition of
     /// `s` is handed wholesale to a survivor (greedily, to the survivor
     /// with the largest deficit versus its proportional post-failure
@@ -914,20 +886,6 @@ mod tests {
         t.rebalance(&targets2).unwrap();
         t.check_invariants().unwrap();
         assert_eq!(t.share(ServerId(2)), 1000);
-    }
-
-    #[test]
-    fn remove_server_frees_regions() {
-        let mut t = PartitionTable::with_equal_shares(&ids(4), 3).unwrap();
-        let share1 = t.share(ServerId(1));
-        let mut changes = Vec::new();
-        let freed = t.remove_server(ServerId(1), &mut changes).unwrap();
-        assert_eq!(freed, share1);
-        assert_eq!(t.num_servers(), 3);
-        let freed_width: u64 = changes.iter().map(|c| c.segment.len).sum();
-        assert_eq!(freed_width, share1);
-        t.check_invariants_shape().unwrap();
-        assert_eq!(t.total_share(), HALF_UNIT - share1);
     }
 
     #[test]

@@ -13,7 +13,9 @@
 //! stateful extension and degrades gracefully when the state is missing
 //! (see [`crate::heuristics`]).
 
-use crate::heuristics::{AverageKind, TuningConfig};
+use crate::heuristics::{
+    AverageKind, TuningConfig, MAX_FACTOR, MAX_REPORT_AGE, MIN_GROW_SHARE, MIN_QUORUM,
+};
 use crate::ids::ServerId;
 use crate::json::{Json, ToJson};
 use std::collections::BTreeMap;
@@ -34,7 +36,7 @@ pub struct LoadReport {
     pub requests: u64,
     /// How many ticks old the report is. `0` is a fresh report; a report
     /// delayed in flight arrives with `1`. Reports older than
-    /// [`TuningConfig::max_report_age`] are discarded by the delegate and
+    /// [`MAX_REPORT_AGE`] are discarded by the delegate and
     /// the server's share is frozen ([`TuneOutcome::NoReport`]) instead of
     /// being mistaken for an idle server.
     pub age_ticks: u32,
@@ -58,10 +60,11 @@ pub struct TunePlan {
 pub enum TuneOutcome {
     /// The raw scaling factor was applied unmodified.
     Scaled,
-    /// The raw factor exceeded `±max_factor` and was clamped (includes the
-    /// idle-server case, which grows pinned at the clamp).
+    /// The raw factor exceeded [`MAX_FACTOR`] or fell below its inverse
+    /// and was clamped (includes the idle-server case, which grows pinned
+    /// at the clamp).
     Clamped,
-    /// The share was floored at `min_grow_share` before growing, so a
+    /// The share was floored at [`MIN_GROW_SHARE`] before growing, so a
     /// collapsed region could re-enter.
     Floored,
     /// Thresholding froze the server: its latency was within the band
@@ -71,8 +74,8 @@ pub enum TuneOutcome {
     /// its own.
     FrozenDivergent,
     /// The delegate had no usable report for the server (lost in flight or
-    /// older than `max_report_age`), or the whole epoch fell below
-    /// `min_quorum`. The share is carried forward unchanged — a missing
+    /// older than [`MAX_REPORT_AGE`]), or the whole epoch fell below
+    /// [`MIN_QUORUM`]. The share is carried forward unchanged — a missing
     /// report is missing information, not zero latency.
     NoReport,
 }
@@ -325,9 +328,9 @@ impl Tuner {
     /// then be left untouched. Previous-interval state is updated either
     /// way.
     ///
-    /// Robustness: reports older than `max_report_age` ticks are discarded;
+    /// Robustness: reports older than [`MAX_REPORT_AGE`] ticks are discarded;
     /// a share-holding server with no usable report is frozen at its
-    /// current share ([`TuneOutcome::NoReport`]); if fewer than `min_quorum`
+    /// current share ([`TuneOutcome::NoReport`]); if fewer than [`MIN_QUORUM`]
     /// of the share holders have a usable report, the whole pass freezes.
     pub fn plan(
         &mut self,
@@ -346,7 +349,7 @@ impl Tuner {
             if !shares.contains_key(&r.server) {
                 continue;
             }
-            if r.age_ticks > self.cfg.max_report_age {
+            if r.age_ticks > MAX_REPORT_AGE {
                 continue;
             }
             match freshest.get(&r.server) {
@@ -389,7 +392,7 @@ impl Tuner {
         // the configuration stands; every decision records `no_report` so
         // the telemetry shows *why* the epoch froze.
         let reporting = shares.keys().filter(|s| lat.contains_key(s)).count();
-        if !shares.is_empty() && (reporting as f64) < self.cfg.min_quorum * shares.len() as f64 {
+        if !shares.is_empty() && (reporting as f64) < MIN_QUORUM * shares.len() as f64 {
             let decisions = shares
                 .iter()
                 .map(|(&s, &share)| {
@@ -458,15 +461,15 @@ impl Tuner {
             }
             movers.push(s);
             let raw_factor = if latency <= 0.0 {
-                self.cfg.max_factor // idle server: grow at the clamp
+                MAX_FACTOR // idle server: grow at the clamp
             } else {
                 (mu / latency).powf(self.cfg.gamma)
             };
-            let factor = raw_factor.clamp(1.0 / self.cfg.max_factor, self.cfg.max_factor);
+            let factor = raw_factor.clamp(1.0 / MAX_FACTOR, MAX_FACTOR);
             // Multiplication cannot restart a share that collapsed to ~zero;
             // floor it when growing so the server can re-enter.
             let base = if factor > 1.0 {
-                share.max(self.cfg.min_grow_share * share_total)
+                share.max(MIN_GROW_SHARE * share_total)
             } else {
                 share
             };
@@ -604,9 +607,7 @@ mod tests {
 
     #[test]
     fn factor_clamped() {
-        let mut cfg = TuningConfig::plain();
-        cfg.max_factor = 2.0;
-        let mut t = Tuner::new(cfg);
+        let mut t = Tuner::new(TuningConfig::plain());
         let shares = equal_shares(2);
         // mu ~= 1.0; server 0 is 10000x over (raw factor 0.01 -> clamp 0.5)
         // and server 1 is 1000x under (raw factor ~31.6 -> clamp 2.0).
@@ -632,7 +633,7 @@ mod tests {
             .unwrap();
         assert!(
             plan.targets[&ServerId(0)] > 0.0,
-            "min_grow_share must restart the idle server"
+            "MIN_GROW_SHARE must restart the idle server"
         );
     }
 
@@ -784,9 +785,7 @@ mod tests {
 
     #[test]
     fn epoch_telemetry_marks_clamped_movers() {
-        let mut cfg = TuningConfig::plain();
-        cfg.max_factor = 2.0;
-        let mut t = Tuner::new(cfg);
+        let mut t = Tuner::new(TuningConfig::plain());
         let shares = equal_shares(2);
         t.plan(&shares, &[report(0, 10_000.0, 1), report(1, 0.001, 10_000)])
             .unwrap();
@@ -843,9 +842,7 @@ mod tests {
 
     #[test]
     fn stale_report_is_aged_out() {
-        let mut cfg = TuningConfig::plain();
-        cfg.max_report_age = 1;
-        let mut t = Tuner::new(cfg);
+        let mut t = Tuner::new(TuningConfig::plain());
         let shares = equal_shares(3);
         // Server 2's report is two ticks old: discarded, share frozen.
         let plan = t
@@ -910,9 +907,7 @@ mod tests {
 
     #[test]
     fn below_quorum_freezes_the_whole_epoch() {
-        let mut cfg = TuningConfig::plain();
-        cfg.min_quorum = 0.5;
-        let mut t = Tuner::new(cfg);
+        let mut t = Tuner::new(TuningConfig::plain());
         let shares = equal_shares(5);
         // Only one of five share holders reported: below the 50% quorum,
         // the configuration stands and every decision says why.

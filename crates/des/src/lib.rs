@@ -11,8 +11,7 @@
 //! * [`resource`] — a single-server FIFO service station (the paper's
 //!   queuing discipline) with utilization accounting;
 //! * [`random`] — labelled deterministic RNG streams plus the
-//!   exponential sampler, an alias table for weighted draws, and Zipf
-//!   rank probabilities;
+//!   exponential sampler and an alias table for weighted draws;
 //! * [`stats`] — online moments, per-interval latency collection, and the
 //!   bucketed time series behind every latency-vs-time figure.
 //!
@@ -61,7 +60,7 @@ pub mod stats;
 pub mod time;
 
 pub use calendar::{Calendar, CalendarStats, EventHandle};
-pub use random::{task_seed, AliasTable, RngStream, Zipf};
+pub use random::{task_seed, AliasTable, RngStream};
 pub use resource::{FifoStation, Job, StartService};
 pub use stats::{Bucket, IntervalStats, OnlineStats, TimeSeries};
 pub use time::{SimDuration, SimTime};

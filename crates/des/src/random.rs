@@ -12,8 +12,7 @@
 //! upgrades, which the whole evaluation methodology relies on.
 //!
 //! The exponential sampler and the alias table for weighted draws are
-//! built on the raw uniforms — no extra dependency. [`Zipf`] holds the
-//! rank probabilities the Zipf popularity weights are built from.
+//! built on the raw uniforms — no extra dependency.
 
 /// A deterministic random stream (xoshiro256++ with SplitMix64 seeding).
 #[derive(Clone, Debug)]
@@ -70,13 +69,6 @@ impl RngStream {
             *w = splitmix64(&mut h);
         }
         RngStream { state }
-    }
-
-    /// Create a stream for one task of a sweep grid: the stream of
-    /// `(task_seed(base_seed, task_id), label)`. See [`task_seed`] for the
-    /// determinism contract.
-    pub fn for_task(base_seed: u64, task_id: u64, label: &str) -> Self {
-        RngStream::new(task_seed(base_seed, task_id), label)
     }
 
     /// Uniform draw in `[0, 1)`.
@@ -252,36 +244,6 @@ impl AliasTable {
     }
 }
 
-/// Precomputed Zipf(s) rank probabilities over ranks `1..=n`: rank `k`
-/// has weight `k^-s`.
-#[derive(Clone, Debug)]
-pub struct Zipf {
-    cdf: Vec<f64>,
-    /// The total weight, `cdf`'s last entry.
-    total: f64,
-}
-
-impl Zipf {
-    /// Build the table for `n` ranks with exponent `s >= 0`.
-    pub fn new(n: usize, s: f64) -> Self {
-        assert!(n > 0, "Zipf over zero ranks");
-        assert!(s >= 0.0 && s.is_finite());
-        let mut cdf = Vec::with_capacity(n);
-        let mut acc = 0.0;
-        for k in 1..=n {
-            acc += (k as f64).powf(-s);
-            cdf.push(acc);
-        }
-        Zipf { cdf, total: acc }
-    }
-
-    /// The probability of rank `k` (0-based; rank 0 is the most popular).
-    pub fn prob(&self, k: usize) -> f64 {
-        let prev = if k == 0 { 0.0 } else { self.cdf[k - 1] };
-        (self.cdf[k] - prev) / self.total
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -416,14 +378,6 @@ mod tests {
     }
 
     #[test]
-    fn zipf_rank_one_dominates() {
-        let z = Zipf::new(100, 1.0);
-        assert!(z.prob(0) > z.prob(10) && z.prob(10) > z.prob(99));
-        // Harmonic(100) ~ 5.187; p(0) ~ 0.1928.
-        assert!((z.prob(0) - 0.1928).abs() < 1e-3);
-    }
-
-    #[test]
     fn chance_respects_probability_and_draw_count() {
         let mut r = RngStream::new(9, "c");
         let hits = (0..40_000).filter(|_| r.chance(0.3)).count();
@@ -437,14 +391,6 @@ mod tests {
         assert!(b.chance(1.0));
         for _ in 0..16 {
             assert_eq!(a.next_u64(), b.next_u64());
-        }
-    }
-
-    #[test]
-    fn zipf_s_zero_is_uniform() {
-        let z = Zipf::new(10, 0.0);
-        for k in 0..10 {
-            assert!((z.prob(k) - 0.1).abs() < 1e-12);
         }
     }
 
@@ -474,15 +420,6 @@ mod tests {
         for id in 1..50u64 {
             let stepped = splitmix64(&mut x);
             assert_eq!(task_seed(base, id), stepped, "task {id}");
-        }
-    }
-
-    #[test]
-    fn for_task_matches_derived_stream() {
-        let mut a = RngStream::for_task(7, 3, "arrivals");
-        let mut b = RngStream::new(task_seed(7, 3), "arrivals");
-        for _ in 0..32 {
-            assert_eq!(a.next_u64(), b.next_u64());
         }
     }
 

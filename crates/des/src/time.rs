@@ -63,7 +63,7 @@ impl SimDuration {
 
     /// Construct from whole seconds.
     #[inline]
-    pub fn from_secs(s: u64) -> Self {
+    pub const fn from_secs(s: u64) -> Self {
         SimDuration(s.saturating_mul(1_000_000))
     }
 

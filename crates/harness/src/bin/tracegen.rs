@@ -1,23 +1,23 @@
 //! Generate and persist workload traces for replayable experiments.
 //!
 //! ```text
-//! tracegen --kind dfslike|synthetic [--seed S] [--out FILE] [--format csv|json]
+//! tracegen --kind dfslike|synthetic [--seed S] [--out FILE]
 //!          [--requests N] [--file-sets N] [--duration SECS]
 //! ```
 //!
-//! Writes the trace and prints its statistics (request count, activity
-//! skew, offered load against the paper's 25-speed-unit cluster). Traces
-//! replay bit-identically: the same file driven through the simulator
-//! yields the same figures on any machine.
+//! Writes the trace as CSV (`anu_workload::write_csv`) and prints its
+//! statistics (request count, activity skew, offered load against the
+//! paper's 25-speed-unit cluster). Traces replay bit-identically: the same
+//! file driven through the simulator yields the same figures on any
+//! machine.
 
 use anu_workload::{
-    save_json, write_csv, CostModel, DfsLikeConfig, SyntheticConfig, TraceError, WeightDist,
-    Workload,
+    write_csv, CostModel, DfsLikeConfig, SyntheticConfig, TraceError, WeightDist, Workload,
 };
 use std::path::PathBuf;
 
 const USAGE: &str = "usage: tracegen --kind dfslike|synthetic [--seed S] [--out FILE] \
-     [--format csv|json] [--requests N] [--file-sets N] [--duration SECS]";
+     [--requests N] [--file-sets N] [--duration SECS]";
 
 /// Report a malformed command line and exit with the usage code 2.
 fn usage_error(msg: &str) -> ! {
@@ -29,7 +29,6 @@ struct Args {
     kind: String,
     seed: u64,
     out: PathBuf,
-    format: String,
     requests: Option<u64>,
     file_sets: Option<usize>,
     duration: Option<f64>,
@@ -40,7 +39,6 @@ fn parse() -> Args {
         kind: "dfslike".into(),
         seed: 11,
         out: PathBuf::from("trace.csv"),
-        format: "csv".into(),
         requests: None,
         file_sets: None,
         duration: None,
@@ -59,7 +57,6 @@ fn parse() -> Args {
                     .unwrap_or_else(|_| usage_error("--seed needs an integer"))
             }
             "--out" => args.out = PathBuf::from(val("--out")),
-            "--format" => args.format = val("--format"),
             "--requests" => {
                 args.requests = Some(
                     val("--requests")
@@ -129,18 +126,14 @@ fn main() {
     let args = parse();
     let w = generate(&args);
     let stats = w.stats();
-    let written = match args.format.as_str() {
-        "csv" => std::fs::File::create(&args.out)
-            .map_err(TraceError::from)
-            .and_then(|f| write_csv(&w, f)),
-        "json" => save_json(&w, &args.out),
-        other => usage_error(&format!("unknown format {other}; use csv or json")),
-    };
+    let written = std::fs::File::create(&args.out)
+        .map_err(TraceError::from)
+        .and_then(|f| write_csv(&w, f));
     if let Err(e) = written {
         eprintln!("tracegen: cannot write {}: {e}", args.out.display());
         std::process::exit(2);
     }
-    println!("wrote {} ({})", args.out.display(), args.format);
+    println!("wrote {} (csv)", args.out.display());
     println!(
         "  {} requests, {} file sets ({} active), {:.0} s",
         stats.total_requests, w.n_file_sets, stats.active_file_sets, stats.duration_secs

@@ -87,13 +87,11 @@ impl PolicyKind {
             }
             PolicyKind::Anu { tuning } => Box::new(AnuPolicy::new(AnuConfig {
                 seed,
-                rounds: anu_core::DEFAULT_ROUNDS,
                 tuning: *tuning,
             })),
             PolicyKind::AnuGossip { tuning, matching } => Box::new(AnuPolicy::decentralized(
                 AnuConfig {
                     seed,
-                    rounds: anu_core::DEFAULT_ROUNDS,
                     tuning: *tuning,
                 },
                 *matching,

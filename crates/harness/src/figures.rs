@@ -9,7 +9,7 @@
 
 use crate::experiment::{Experiment, PolicyKind, PrescientWindow};
 use crate::runner::{Cell, Finished, Sweep, Verdict};
-use anu_cluster::{flip_count, late_imbalance, late_mean, ClusterConfig, RunResult};
+use anu_cluster::{flip_count, late_imbalance, late_mean, ClusterConfig, RunResult, SERIES_BUCKET};
 use anu_core::{ServerId, TuningConfig};
 use anu_workload::{DfsLikeConfig, SyntheticConfig};
 
@@ -298,7 +298,7 @@ pub fn figures_sweep(figures: &[u32], seeds: &[u64]) -> Option<Sweep> {
                 .flat_map(|p| p.results)
                 .find(|r| r.policy == PLAIN_ANU_LABEL);
             let cluster = &c.exp.cluster;
-            let tick_buckets = (cluster.tick.0 / cluster.series_bucket.0).max(1) as usize;
+            let tick_buckets = (cluster.tick.0 / SERIES_BUCKET.0).max(1) as usize;
             Verdict {
                 name: c.exp.name.clone(),
                 seed,

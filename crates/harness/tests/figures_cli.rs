@@ -20,13 +20,15 @@ fn assert_usage_error(bin: &str, args: &[&str]) {
 
 #[test]
 fn unknown_argument_is_a_usage_error() {
-    let cases: [(&str, &[&str]); 3] = [
+    let cases: [(&str, &[&str]); 4] = [
         (env!("CARGO_BIN_EXE_figures"), &["--no-such-flag"]),
         // The hot-path stress mode lives in e2e-bench's `scale_hotpath`
         // workload; `figures` takes no scale factor.
         (env!("CARGO_BIN_EXE_figures"), &["--scale", "2"]),
         // The studies run as one sweep; there is no per-study selection.
         (env!("CARGO_BIN_EXE_figures"), &["--study", "churn"]),
+        // Traces are written in one format, CSV.
+        (env!("CARGO_BIN_EXE_tracegen"), &["--format", "json"]),
     ];
     for (bin, args) in cases {
         assert_usage_error(bin, args);

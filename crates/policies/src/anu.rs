@@ -59,7 +59,7 @@ pub struct AnuPolicy {
 }
 
 impl AnuPolicy {
-    /// Create from a configuration (seed, rounds, tuning knobs), with the
+    /// Create from a configuration (seed, tuning knobs), with the
     /// paper's centralized delegate tuner.
     pub fn new(cfg: AnuConfig) -> Self {
         AnuPolicy {
@@ -134,7 +134,7 @@ impl PlacementPolicy for AnuPolicy {
             clippy::expect_used,
             reason = "the simulator never calls initial on an empty cluster"
         )]
-        let map = PlacementMap::new(&alive, self.cfg.seed, self.cfg.rounds)
+        let map = PlacementMap::with_default_rounds(&alive, self.cfg.seed)
             .expect("at least one alive server");
         self.file_sets = file_sets.to_vec();
         let assignment = Self::target_assignment(&map, file_sets);
@@ -579,7 +579,6 @@ mod tests {
         let run = |planned: bool| -> (usize, f64) {
             let mut p = AnuPolicy::new(AnuConfig {
                 seed: 6,
-                rounds: anu_core::DEFAULT_ROUNDS,
                 // A tight band so the tuner actually chases imbalance,
                 // and no divergent-tuning veto: the closed loop here is
                 // noiseless, so "above average but not strictly rising"

@@ -9,11 +9,13 @@
 //! and identical across platforms.
 
 /// Power-of-two bucketed histogram over `u64` values.
+///
+/// The buckets are the whole state: the observation count is their sum,
+/// so recording touches one counter.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct LogHistogram {
     /// `buckets[0]` counts zeros; `buckets[i]` counts `[2^(i-1), 2^i-1]`.
     buckets: [u64; Self::BUCKETS],
-    count: u64,
 }
 
 impl Default for LogHistogram {
@@ -30,7 +32,6 @@ impl LogHistogram {
     pub fn new() -> Self {
         LogHistogram {
             buckets: [0; Self::BUCKETS],
-            count: 0,
         }
     }
 
@@ -59,12 +60,11 @@ impl LogHistogram {
     #[inline]
     pub fn record(&mut self, v: u64) {
         self.buckets[Self::bucket_of(v)] += 1;
-        self.count += 1;
     }
 
     /// Total observations recorded.
     pub fn count(&self) -> u64 {
-        self.count
+        self.buckets.iter().sum()
     }
 
     /// The quantile `q ∈ [0, 1]` as the upper bound of the bucket holding
@@ -72,10 +72,11 @@ impl LogHistogram {
     /// coarse by design: at most 2× above the true value). Returns 0 for
     /// an empty histogram.
     pub fn quantile(&self, q: f64) -> u64 {
-        if self.count == 0 {
+        let count = self.count();
+        if count == 0 {
             return 0;
         }
-        let rank = ((q * self.count as f64).ceil() as u64).clamp(1, self.count);
+        let rank = ((q * count as f64).ceil() as u64).clamp(1, count);
         let mut seen = 0u64;
         for (i, &n) in self.buckets.iter().enumerate() {
             seen += n;
@@ -91,7 +92,6 @@ impl LogHistogram {
         for (a, b) in self.buckets.iter_mut().zip(&other.buckets) {
             *a += b;
         }
-        self.count += other.count;
     }
 
     /// The non-empty buckets as `(upper_bound, count)`, low to high.

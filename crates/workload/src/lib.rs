@@ -15,7 +15,7 @@
 //!   diurnal curves, correlated popularity shifts, and an adversarial
 //!   rotating-hot-set generator, all deterministic time-warps or phased
 //!   re-draws of the synthetic base;
-//! * [`trace`] — CSV/JSON persistence for replayable traces;
+//! * [`trace`] — CSV persistence for replayable traces;
 //! * [`request`] — the common representation and the prescient oracle
 //!   ([`Workload::window_demands`]).
 
@@ -52,5 +52,5 @@ pub use dfslike::{Burst, DfsLikeConfig};
 pub use request::{Request, Workload, WorkloadStats};
 pub use storm::{StormConfig, StormKind};
 pub use synthetic::{CostModel, SyntheticConfig};
-pub use trace::{load_json, read_csv, save_json, write_csv, TraceError};
+pub use trace::{read_csv, write_csv, TraceError};
 pub use weights::WeightDist;

@@ -12,7 +12,6 @@
 //! instead, which `Workload::from_draws` places in arrival order without
 //! a global sort; both give the same vector for the same draws.
 
-use anu_core::json::{FromJson, Json, JsonError, ToJson};
 use anu_core::FileSetId;
 use anu_des::{SimDuration, SimTime};
 
@@ -206,7 +205,7 @@ impl Workload {
     /// Build a workload from parts, stably sorting requests by arrival.
     ///
     /// This is the constructor for requests that cannot be replayed:
-    /// traces read back ([`crate::read_csv`], `from_json`), the two
+    /// traces read back ([`crate::read_csv`]), the two
     /// streams of [`Workload::merge`], and hand-built test inputs. The
     /// generators build in arrival order without the global sort.
     pub fn new(
@@ -445,66 +444,6 @@ pub struct WorkloadStats {
     pub duration_secs: f64,
 }
 
-impl ToJson for Workload {
-    fn to_json(&self) -> Json {
-        // Requests encode as compact [arrival_us, file_set, cost_us]
-        // triples; the id/time newtypes are structural, not semantic.
-        Json::obj(vec![
-            ("label", Json::str(self.label.clone())),
-            ("n_file_sets", Json::usize(self.n_file_sets)),
-            ("duration_us", Json::u64(self.duration_us)),
-            (
-                "requests",
-                Json::arr(
-                    self.requests
-                        .iter()
-                        .map(|r| {
-                            Json::arr(vec![
-                                Json::u64(r.arrival.0),
-                                Json::u64(r.file_set.0),
-                                Json::u64(r.cost.0),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-        ])
-    }
-}
-
-impl FromJson for Workload {
-    fn from_json(j: &Json) -> Result<Self, JsonError> {
-        let n_file_sets =
-            indexable_set_count(j.get("n_file_sets")?.as_usize()?).map_err(JsonError::shape)?;
-        let mut requests = Vec::new();
-        for (i, r) in j.get("requests")?.as_arr()?.iter().enumerate() {
-            let triple = r.as_arr()?;
-            let [a, f, c] = triple else {
-                return Err(JsonError::shape(format!(
-                    "request {i}: expected [arrival, file_set, cost]"
-                )));
-            };
-            let file_set = f.as_u64()?;
-            if usize::try_from(file_set).map_or(true, |fs| fs >= n_file_sets) {
-                return Err(JsonError::shape(format!(
-                    "request {i}: file_set {file_set} is not below n_file_sets {n_file_sets}"
-                )));
-            }
-            requests.push(Request {
-                arrival: SimTime(a.as_u64()?),
-                file_set: FileSetId(file_set),
-                cost: SimDuration(c.as_u64()?),
-            });
-        }
-        Ok(Workload::new(
-            j.get("label")?.as_str()?.to_string(),
-            n_file_sets,
-            SimDuration(j.get("duration_us")?.as_u64()?),
-            requests,
-        ))
-    }
-}
-
 /// Requires [`Workload::from_draws`] to build what [`Workload::new`], the
 /// stable global sort, builds from the same draws collected in generation
 /// order. `draws` must return the same draws on every call.
@@ -643,31 +582,6 @@ mod tests {
         let a = Workload::new("a", 2, SimDuration::from_secs(1), vec![]);
         let b = Workload::new("b", 3, SimDuration::from_secs(1), vec![]);
         a.merge(&b);
-    }
-
-    #[test]
-    fn json_roundtrip() {
-        let w = Workload::new("t", 1, SimDuration::from_secs(1), vec![req(0.5, 0, 7)]);
-        let text = w.to_json().render();
-        let w2 = Workload::from_json(&Json::parse(&text).unwrap()).unwrap();
-        assert_eq!(w2.requests, w.requests);
-        assert_eq!(w2.label, "t");
-    }
-
-    #[test]
-    fn json_rejects_more_sets_than_the_simulator_indexes() {
-        let text = r#"{"label":"t","n_file_sets":4294967297,"duration_us":10,"requests":[]}"#;
-        let err = Workload::from_json(&Json::parse(text).unwrap()).unwrap_err();
-        assert!(err.to_string().contains("n_file_sets 4294967297"), "{err}");
-        let text = text.replace("4294967297", "4294967296");
-        assert!(Workload::from_json(&Json::parse(&text).unwrap()).is_ok());
-    }
-
-    #[test]
-    fn json_rejects_file_set_outside_the_namespace() {
-        let text = r#"{"label":"t","n_file_sets":3,"duration_us":10,"requests":[[0,1,1],[0,7,1]]}"#;
-        let err = Workload::from_json(&Json::parse(text).unwrap()).unwrap_err();
-        assert!(err.to_string().contains("request 1: file_set 7"), "{err}");
     }
 
     /// Draws that yield `requests` in the given (generation) order.

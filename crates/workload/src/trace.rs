@@ -1,16 +1,14 @@
-//! Trace persistence: CSV and JSON.
+//! Trace persistence: CSV.
 //!
 //! Generated workloads can be saved and replayed so experiments across
-//! policies (and across machines) run against byte-identical traces. CSV is
-//! the line format `arrival_us,file_set,cost_us`; JSON serializes the whole
-//! [`Workload`] including its label.
+//! policies (and across machines) run against byte-identical traces. The
+//! format is a `#` header carrying the label, set count and duration, then
+//! one `arrival_us,file_set,cost_us` line per request.
 
 use crate::request::{indexable_set_count, Request, Workload};
-use anu_core::json::{FromJson, Json, JsonError, ToJson};
 use anu_core::FileSetId;
 use anu_des::{SimDuration, SimTime};
 use std::io::{self, BufRead, BufWriter, Write};
-use std::path::Path;
 
 /// Errors from trace I/O.
 #[derive(Debug)]
@@ -24,8 +22,6 @@ pub enum TraceError {
         /// What was wrong.
         message: String,
     },
-    /// Malformed JSON.
-    Json(JsonError),
 }
 
 impl std::fmt::Display for TraceError {
@@ -35,7 +31,6 @@ impl std::fmt::Display for TraceError {
             TraceError::Parse { line, message } => {
                 write!(f, "trace parse error at line {line}: {message}")
             }
-            TraceError::Json(e) => write!(f, "trace json error: {e}"),
         }
     }
 }
@@ -45,12 +40,6 @@ impl std::error::Error for TraceError {}
 impl From<io::Error> for TraceError {
     fn from(e: io::Error) -> Self {
         TraceError::Io(e)
-    }
-}
-
-impl From<JsonError> for TraceError {
-    fn from(e: JsonError) -> Self {
-        TraceError::Json(e)
     }
 }
 
@@ -166,20 +155,6 @@ pub fn read_csv<R: BufRead>(input: R) -> Result<Workload, TraceError> {
     ))
 }
 
-/// Save a workload as JSON to `path`.
-pub fn save_json(w: &Workload, path: &Path) -> Result<(), TraceError> {
-    let mut out = BufWriter::new(std::fs::File::create(path)?);
-    out.write_all(w.to_json().render().as_bytes())?;
-    out.flush()?;
-    Ok(())
-}
-
-/// Load a workload from JSON at `path`.
-pub fn load_json(path: &Path) -> Result<Workload, TraceError> {
-    let text = std::fs::read_to_string(path)?;
-    Ok(Workload::from_json(&Json::parse(&text)?)?)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -292,17 +267,5 @@ mod tests {
     fn csv_missing_field() {
         let err = read_csv("123,4\n".as_bytes()).unwrap_err();
         assert!(err.to_string().contains("missing field"));
-    }
-
-    #[test]
-    fn json_roundtrip_via_files() {
-        let dir = std::env::temp_dir().join("anu_trace_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("w.json");
-        let w = small();
-        save_json(&w, &path).unwrap();
-        let w2 = load_json(&path).unwrap();
-        assert_eq!(w2.requests, w.requests);
-        std::fs::remove_file(&path).ok();
     }
 }

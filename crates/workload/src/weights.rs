@@ -3,34 +3,23 @@
 //! The paper ensures "file set workload heterogeneity" by defining each
 //! file set's workload as `β·α^x` with `x` drawn uniformly from `[0, 1)`
 //! and `α` a scaling factor (§7) — a log-uniform spread whose extremes
-//! differ by a factor of `α`. We implement that family plus Zipf, uniform
-//! and constant alternatives for sensitivity experiments.
+//! differ by a factor of `α`. Two more distributions serve the workloads
+//! that need them: constant weights (the homogeneous and balanced storm
+//! cells) and an exact geometric spectrum (the DFSTrace-like generator).
 
-use anu_des::{AliasTable, RngStream, Zipf};
+use anu_des::{AliasTable, RngStream};
 
 /// Distribution of relative per-file-set workload weights.
 #[derive(Clone, Copy, PartialEq, Debug)]
 pub enum WeightDist {
     /// Every file set has the same weight (homogeneous workload).
     Constant,
-    /// Uniform in `[lo, hi)`.
-    Uniform {
-        /// Lower bound (> 0).
-        lo: f64,
-        /// Upper bound.
-        hi: f64,
-    },
     /// The paper's distribution: `alpha^x`, `x ~ U[0, 1)`. Extremes differ
     /// by a factor of `alpha` (log-uniform).
     PowerOfUniform {
         /// Heterogeneity scale; the paper's experiments use extreme values
         /// (hundreds).
         alpha: f64,
-    },
-    /// Zipf-distributed: file set `k` gets weight `(k+1)^-s`.
-    Zipfian {
-        /// Zipf exponent.
-        s: f64,
     },
     /// Geometrically spaced weights `ratio^(k/(n-1))`, then shuffled: a
     /// deterministic spectrum with exact max/min ratio. Used by the
@@ -48,19 +37,9 @@ impl WeightDist {
         assert!(n > 0, "no file sets");
         match *self {
             WeightDist::Constant => vec![1.0; n],
-            WeightDist::Uniform { lo, hi } => {
-                assert!(lo > 0.0 && hi > lo);
-                (0..n).map(|_| rng.uniform_range(lo, hi)).collect()
-            }
             WeightDist::PowerOfUniform { alpha } => {
                 assert!(alpha > 1.0);
                 (0..n).map(|_| alpha.powf(rng.uniform())).collect()
-            }
-            WeightDist::Zipfian { s } => {
-                let z = Zipf::new(n, s);
-                let mut w: Vec<f64> = (0..n).map(|k| z.prob(k)).collect();
-                rng.shuffle(&mut w);
-                w
             }
             WeightDist::GeometricSpread { ratio } => {
                 assert!(ratio > 1.0);
@@ -118,21 +97,6 @@ mod tests {
         let w = WeightDist::GeometricSpread { ratio: 150.0 }.sample(21, &mut r);
         assert_eq!(w.len(), 21);
         assert!((ratio(&w) - 150.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn zipf_weights_sum_to_one() {
-        let mut r = RngStream::new(4, "w");
-        let w = WeightDist::Zipfian { s: 1.0 }.sample(50, &mut r);
-        let sum: f64 = w.iter().sum();
-        assert!((sum - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn uniform_in_bounds() {
-        let mut r = RngStream::new(5, "w");
-        let w = WeightDist::Uniform { lo: 2.0, hi: 3.0 }.sample(100, &mut r);
-        assert!(w.iter().all(|&x| (2.0..3.0).contains(&x)));
     }
 
     #[test]

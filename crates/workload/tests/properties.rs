@@ -116,7 +116,7 @@ fn csv_roundtrip_any_workload() {
             n_file_sets: 10,
             total_requests: n,
             duration_secs: 60.0,
-            weights: WeightDist::Zipfian { s: 1.0 },
+            weights: WeightDist::GeometricSpread { ratio: 100.0 },
             mean_cost_secs: 0.05,
             cost: CostModel::UniformSpread { spread: 0.2 },
             seed,

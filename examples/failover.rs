@@ -44,7 +44,6 @@ fn main() {
 
     let mut anu = AnuPolicy::new(anu::core::AnuConfig {
         seed: 7,
-        rounds: anu::core::DEFAULT_ROUNDS,
         tuning: TuningConfig::paper(),
     });
     let result = run(&cluster, &workload, &mut anu);

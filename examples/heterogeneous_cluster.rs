@@ -41,7 +41,6 @@ fn main() {
 
     let mut anu = AnuPolicy::new(anu::core::AnuConfig {
         seed: 2024,
-        rounds: anu::core::DEFAULT_ROUNDS,
         tuning: TuningConfig::paper(),
     });
     let anu_run = run(&cluster, &workload, &mut anu);

@@ -27,11 +27,7 @@ fn run_with(tuning: TuningConfig, label: &str) -> anu::cluster::RunResult {
     }
     .with_offered_load(0.5, cluster.total_speed())
     .generate();
-    let mut policy = AnuPolicy::new(anu::core::AnuConfig {
-        seed: 11,
-        rounds: anu::core::DEFAULT_ROUNDS,
-        tuning,
-    });
+    let mut policy = AnuPolicy::new(anu::core::AnuConfig { seed: 11, tuning });
     let mut r = run(&cluster, &workload, &mut policy);
     r.policy = label.to_string();
     r

@@ -12,7 +12,7 @@
 use anu::cluster::{
     plan_faults, run, run_closed_loop, ClosedLoopConfig, ClusterConfig, FaultEvent, FaultPlanConfig,
 };
-use anu::core::{AnuConfig, TuningConfig, DEFAULT_ROUNDS};
+use anu::core::{AnuConfig, TuningConfig};
 use anu::harness::PolicyKind;
 use anu::workload::{CostModel, SyntheticConfig, WeightDist};
 
@@ -168,7 +168,6 @@ fn closed_loop_clients_hold_every_invariant_under_storms() {
         cluster.faults = plan_faults(&env, &cluster.server_ids(), storm ^ 0x5707_0123);
         let mut policy = anu::policies::AnuPolicy::new(AnuConfig {
             seed: storm,
-            rounds: DEFAULT_ROUNDS,
             tuning: TuningConfig::paper(),
         });
         let r = run_closed_loop(&cluster, &cfg, &mut policy);

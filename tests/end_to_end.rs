@@ -6,7 +6,7 @@
 use anu::cluster::{
     late_imbalance, late_mean, run, run_closed_loop, ClosedLoopConfig, ClusterConfig, FaultEvent,
 };
-use anu::core::{AnuConfig, ServerId, TuningConfig, DEFAULT_ROUNDS};
+use anu::core::{AnuConfig, ServerId, TuningConfig};
 use anu::des::SimTime;
 use anu::policies::{AnuPolicy, Prescient, RoundRobin, SimpleRandom};
 use anu::workload::{CostModel, SyntheticConfig, WeightDist, Workload};
@@ -28,11 +28,7 @@ fn skewed_workload(seed: u64, requests: u64, duration: f64) -> Workload {
 }
 
 fn anu_policy(seed: u64, tuning: TuningConfig) -> AnuPolicy {
-    AnuPolicy::new(AnuConfig {
-        seed,
-        rounds: DEFAULT_ROUNDS,
-        tuning,
-    })
+    AnuPolicy::new(AnuConfig { seed, tuning })
 }
 
 #[test]

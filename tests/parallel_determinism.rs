@@ -6,6 +6,7 @@
 //! the determinism argument is scale-independent (task seeds are fixed at
 //! enumeration time, outcomes are slotted by task id).
 
+use anu::cluster::SERIES_BUCKET;
 use anu::harness::{
     chaos_sweep, checks_for, figure, group_results, reduced, run_grid, run_grid_traced,
     write_figure_csvs_tagged, write_metrics_csv, write_tuner_epochs_csv, FIGURE_NUMBERS,
@@ -56,8 +57,7 @@ fn serial_and_parallel_runs_are_byte_identical() {
                 let rel = p.strip_prefix(&dir).expect("under dir").to_path_buf();
                 run_csvs.push((rel, bytes));
             }
-            let tick_buckets =
-                (exps[i].cluster.tick.0 / exps[i].cluster.series_bucket.0).max(1) as usize;
+            let tick_buckets = (exps[i].cluster.tick.0 / SERIES_BUCKET.0).max(1) as usize;
             let checks = checks_for(n, results, Some(&plain), tick_buckets);
             run_verdicts.push((n, checks.into_iter().map(|c| (c.claim, c.pass)).collect()));
         }
