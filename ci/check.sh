@@ -2,7 +2,8 @@
 # Local CI gate. Runs everything a PR must pass, in cheap-to-expensive
 # order: formatting, the clippy wall (all targets), the library-only lints
 # (no panics, no stdio), the per-lint ceilings on `#[expect]` exceptions,
-# rustdoc with warnings as errors, the tier-1 build and test suite (whose
+# the workspace's Rust line count (reported only), rustdoc with warnings as
+# errors, the tier-1 build and test suite (whose
 # lint-case tests run the gate over each construct in ci/lint-cases under
 # the library flags below), anu-workload's tests in release with its
 # ignored tests, the figures determinism gate
@@ -95,6 +96,10 @@ while read -r count lint; do
 done < <(grep -rhzoP '#!?\[expect\(\K[^=]*?(?=,?\s*reason\s*=|\)\])' src crates/*/src |
     tr '\0,' '\n\n' | tr -d ' \t' | grep -v '^$' | sort | uniq -c)
 [[ "$RATCHET_OK" == 1 ]]
+
+step "workspace size: lines of Rust outside e2e-bench/ (reported, not gated)"
+# The number ROADMAP aim 2 tracks; a change records it before and after.
+find crates src tests examples ci -name '*.rs' | xargs cat | wc -l
 
 step "rustdoc: cargo doc --workspace --no-deps with warnings as errors"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps

@@ -273,11 +273,6 @@ impl ClusterConfig {
         self.servers.iter().map(|s| s.speed).sum()
     }
 
-    /// Server ids in declaration order.
-    pub fn server_ids(&self) -> Vec<ServerId> {
-        self.servers.iter().map(|s| s.id).collect()
-    }
-
     /// The autoscaler's standby pool (empty when no autoscaler).
     pub fn standby_ids(&self) -> &[ServerId] {
         self.autoscaler

@@ -342,7 +342,7 @@ impl World<'_> {
         }
         self.audit_checks += 1;
         let mut violations: Vec<String> = Vec::new();
-        let completed: u64 = self.servers.iter().map(|st| st.completed).sum();
+        let completed: u64 = self.servers.iter().map(|st| st.all.count()).sum();
         let queued: u64 = self
             .servers
             .iter()

@@ -29,7 +29,7 @@ use anu_des::{
     Calendar, FifoStation, IntervalStats, Job, OnlineStats, SimDuration, SimTime, StartService,
     TimeSeries,
 };
-use anu_trace::{LogHistogram, NullSink, TraceEvent, TraceLevel, TraceSink, Tracer};
+use anu_trace::{NullSink, TraceEvent, TraceLevel, TraceSink, Tracer};
 use anu_workload::Workload;
 use observe::{SetLatency, WorldMetrics};
 
@@ -218,8 +218,9 @@ struct ServerState {
     station: FifoStation<JobInfo>,
     interval: IntervalStats,
     series: TimeSeries,
+    /// Every completion's latency (ms); its count is the server's
+    /// completed requests.
     all: OnlineStats,
-    completed: u64,
     /// The pending completion event for the in-service job, so a failure
     /// that drains the station can cancel it (otherwise the stale event
     /// would fire against an idle — or worse, re-busy — station).
@@ -279,15 +280,11 @@ struct World<'a> {
     buffered: Vec<Vec<(SimTime, JobInfo)>>,
     horizon: SimTime,
     migration_count: u64,
-    max_latency_ms: f64,
     event_count: u64,
     /// Structured-trace emitter. With a `NullSink` every emission site is
     /// one integer compare; the tracer never schedules calendar events, so
     /// traced and untraced runs execute identical event sequences.
     tracer: Tracer<'a>,
-    /// Log-scaled request-latency histogram (µs), always recorded — the
-    /// p50/p95/p99 summary fields come from here.
-    latency_hist: LogHistogram,
     /// Largest queue population seen at any server at any enqueue.
     max_queue_depth: u64,
     /// One record per tuning tick (telemetry CSV + `RunResult::epochs`).
@@ -492,9 +489,6 @@ impl<'a> World<'a> {
         st.interval.record(latency);
         st.series.record(now, latency.as_millis_f64());
         st.all.push(latency.as_millis_f64());
-        st.completed += 1;
-        self.max_latency_ms = self.max_latency_ms.max(latency.as_millis_f64());
-        self.latency_hist.record(latency.0);
         self.set_latency.record(job.meta.set, latency.0);
         if now > self.horizon {
             self.post_horizon_completions += 1;
@@ -778,7 +772,6 @@ pub(crate) fn simulate<S: ArrivalSource>(
                 interval: IntervalStats::new(),
                 series: TimeSeries::new(SERIES_BUCKET, series_len),
                 all: OnlineStats::new(),
-                completed: 0,
                 completion: None,
                 slow_factor: 1.0,
                 slow_end: None,
@@ -803,10 +796,8 @@ pub(crate) fn simulate<S: ArrivalSource>(
         buffered: vec![Vec::new(); n_sets],
         horizon,
         migration_count: 0,
-        max_latency_ms: 0.0,
         event_count: 0,
         tracer: Tracer::new(sink),
-        latency_hist: LogHistogram::new(),
         max_queue_depth: 0,
         epochs: Vec::new(),
         band_freezes: 0,

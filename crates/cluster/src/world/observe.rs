@@ -224,7 +224,7 @@ impl World<'_> {
             m.reg
                 .set(m.server_occupancy[i], st.station.population() as u64);
             m.reg.set(m.server_alive[i], u64::from(st.alive));
-            m.reg.set(m.server_completed[i], st.completed);
+            m.reg.set(m.server_completed[i], st.all.count());
         }
         if let Some((epoch, at)) = snapshot_at {
             m.reg.snapshot(epoch, at.0);
@@ -242,6 +242,12 @@ impl World<'_> {
         profiler: &mut dyn RunProfiler,
     ) -> RunResult {
         let set_hists = std::mem::take(&mut self.set_latency).into_hists();
+        // Every completion is recorded once per set; the run's histogram
+        // (the p50/p95/p99 summary fields) is their sum.
+        let mut latency_hist = LogHistogram::new();
+        for h in &set_hists {
+            latency_hist.merge(h);
+        }
         // The calendar is empty: the workload has fully drained.
         let end_time = self.cal.now().max(self.horizon);
         if let Some(id) = self.degraded_span.take() {
@@ -255,7 +261,7 @@ impl World<'_> {
             // production runs pay nothing: every admitted request (sheds
             // never are) either completed or is still in flight — and after
             // a drained calendar, in-flight must be zero.
-            let completed_total: u64 = self.servers.iter().map(|st| st.completed).sum();
+            let completed_total: u64 = self.servers.iter().map(|st| st.all.count()).sum();
             let in_flight: u64 = self
                 .servers
                 .iter()
@@ -309,7 +315,7 @@ impl World<'_> {
             .set(self.metrics.p99_set_max_us, p99_set_max_us);
         self.metrics
             .reg
-            .install_histogram(self.metrics.latency_all, self.latency_hist.clone());
+            .install_histogram(self.metrics.latency_all, latency_hist.clone());
         for (i, h) in set_hists.into_iter().enumerate() {
             let id = self.metrics.set_latency[i];
             self.metrics.reg.install_histogram(id, h);
@@ -322,21 +328,19 @@ impl World<'_> {
         let mut per_server_requests = BTreeMap::new();
         let mut per_server_utilization = BTreeMap::new();
         let mut total_lat = OnlineStats::new();
-        let mut completed = 0;
         for (i, st) in self.servers.iter().enumerate() {
             let s = ServerId(i as u32);
             series.insert(s, st.series.clone());
             per_server_mean_ms.insert(s, st.all.mean());
-            per_server_requests.insert(s, st.completed);
+            per_server_requests.insert(s, st.all.count());
             per_server_utilization.insert(s, st.station.utilization(end_time));
             total_lat.merge(&st.all);
-            completed += st.completed;
         }
         let summary = RunSummary {
             offered_requests: self.arrived + self.requests_shed,
-            completed_requests: completed,
+            completed_requests: total_lat.count(),
             mean_latency_ms: total_lat.mean(),
-            max_latency_ms: self.max_latency_ms,
+            max_latency_ms: total_lat.max().unwrap_or(0.0),
             per_server_mean_ms,
             per_server_requests,
             per_server_utilization,
@@ -344,9 +348,9 @@ impl World<'_> {
             sim_events: self.event_count,
             late_imbalance_cov: late_imbalance(&series),
             late_mean_latency_ms: late_mean(&series),
-            p50_latency_ms: self.latency_hist.quantile(0.50) as f64 / 1000.0,
-            p95_latency_ms: self.latency_hist.quantile(0.95) as f64 / 1000.0,
-            p99_latency_ms: self.latency_hist.quantile(0.99) as f64 / 1000.0,
+            p50_latency_ms: latency_hist.quantile(0.50) as f64 / 1000.0,
+            p95_latency_ms: latency_hist.quantile(0.95) as f64 / 1000.0,
+            p99_latency_ms: latency_hist.quantile(0.99) as f64 / 1000.0,
             max_queue_depth: self.max_queue_depth,
             band_freezes: self.band_freezes,
             divergent_freezes: self.divergent_freezes,

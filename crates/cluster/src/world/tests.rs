@@ -7,6 +7,7 @@ use super::*;
 use crate::policy::MoveSet;
 use crate::spec::FaultEvent;
 use anu_core::ServerId;
+use anu_trace::LogHistogram;
 use anu_workload::{CostModel, SyntheticConfig, WeightDist};
 
 /// Static modulo policy for world and closed-loop tests: set j -> alive

@@ -73,9 +73,9 @@ pub use error::{AnuError, Result};
 pub use hash::HashFamily;
 pub use heuristics::{AverageKind, TuningConfig};
 pub use ids::{FileSetId, ServerId, SetName};
-pub use interval::{Pos, Segment, HALF_UNIT};
+pub use interval::{Pos, HALF_UNIT};
 pub use json::{Json, JsonError, ToJson};
 pub use pairwise::{Matching, PairwiseTuner};
-pub use partition::{PartitionState, PartitionTable, RegionChange};
+pub use partition::{PartitionState, PartitionTable};
 pub use placement::{Placement, PlacementMap, DEFAULT_ROUNDS};
 pub use tuner::{LoadReport, SharePlanner, TuneDecision, TuneEpoch, TuneOutcome, TunePlan, Tuner};

@@ -8,8 +8,11 @@
 //! * `Partial { s, len }` — server `s` occupies the prefix `[0, len)` of the
 //!   partition; the suffix is free.
 //!
-//! Two structural invariants are maintained at all times (checked by
-//! [`PartitionTable::check_invariants`] and exercised by property tests):
+//! The partition states are the table's only record of the layout: a
+//! server's share, its partial and full partitions, and the free
+//! partitions are read off them by a scan. Two structural invariants are
+//! maintained at all times (checked by [`PartitionTable::check_invariants`]
+//! and exercised by property tests):
 //!
 //! 1. **Half occupancy** — the widths of all mapped regions sum to exactly
 //!    half the unit interval ([`HALF_UNIT`]). This guarantees both that any
@@ -20,15 +23,19 @@
 //!    number of occupied partitions by `P/2 + n <= P`, so growth never runs
 //!    out of free partitions.
 //!
-//! Regions are only ever grown into free space and shrunk from the tail, so
-//! a reconfiguration moves the minimum amount of workload: only file sets
-//! whose probe path intersects a changed segment change owner.
+//! Regions are only ever grown into free space and shrunk from the tail, and
+//! a removed server's full partitions pass whole to survivors, so a
+//! reconfiguration moves the minimum amount of workload: a file set changes
+//! owner only if one of its probe positions did, which a [`lookup`] on a
+//! clone of the table taken before the change shows.
+//!
+//! [`lookup`]: PartitionTable::lookup
 
 #![cfg_attr(not(test), deny(clippy::as_conversions, clippy::float_cmp))]
 
 use crate::error::{AnuError, Result};
 use crate::ids::ServerId;
-use crate::interval::{Pos, Segment, HALF_UNIT};
+use crate::interval::{Pos, HALF_UNIT};
 use crate::num;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -48,32 +55,36 @@ pub enum PartitionState {
     },
 }
 
-/// Per-server index of owned partitions.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct ServerRegions {
-    /// Indices of partitions fully owned by the server.
-    pub fulls: BTreeSet<u32>,
-    /// The single partial partition, if any: `(index, occupied prefix len)`.
-    pub partial: Option<(u32, u64)>,
-}
+impl PartitionState {
+    /// Server `s` occupying the prefix `[0, len)` of a partition of width
+    /// `w`: free when `len` is 0, full when it is `w`.
+    fn prefix(s: ServerId, len: u64, w: u64) -> Self {
+        if len == 0 {
+            PartitionState::Free
+        } else if len == w {
+            PartitionState::Full(s)
+        } else {
+            PartitionState::Partial { server: s, len }
+        }
+    }
 
-impl ServerRegions {
-    /// Total mapped width of this server, given the partition width.
-    pub fn share(&self, part_width: u64) -> u64 {
-        num::u64_of_usize(self.fulls.len()) * part_width + self.partial.map_or(0, |(_, l)| l)
+    /// The occupying server and its mapped width, in a partition of width
+    /// `w`; `None` when free.
+    fn mapped(self, w: u64) -> Option<(ServerId, u64)> {
+        match self {
+            PartitionState::Free => None,
+            PartitionState::Full(s) => Some((s, w)),
+            PartitionState::Partial { server, len } => Some((server, len)),
+        }
     }
 }
 
-/// A single ownership change of a segment of the interval, produced by
-/// rescaling, membership changes, or failures.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct RegionChange {
-    /// The segment that changed hands.
-    pub segment: Segment,
-    /// Previous owner (`None` = was free).
-    pub from: Option<ServerId>,
-    /// New owner (`None` = now free).
-    pub to: Option<ServerId>,
+/// One server's mapped width and its partial partition, as
+/// `(index, len)`, read off the partitions by a scan.
+#[derive(Clone, Copy, Default)]
+struct Holding {
+    share: u64,
+    partial: Option<(usize, u64)>,
 }
 
 /// Mapped regions of all servers over the partitioned unit interval.
@@ -81,8 +92,7 @@ pub struct RegionChange {
 pub struct PartitionTable {
     log2_parts: u32,
     parts: Vec<PartitionState>,
-    regions: BTreeMap<ServerId, ServerRegions>,
-    free: BTreeSet<u32>,
+    servers: BTreeSet<ServerId>,
 }
 
 impl PartitionTable {
@@ -94,12 +104,10 @@ impl PartitionTable {
         if !(1..=20).contains(&log2_parts) {
             return Err(AnuError::BadPartitionCount(log2_parts));
         }
-        let n = 1usize << log2_parts;
         Ok(PartitionTable {
             log2_parts,
-            parts: vec![PartitionState::Free; n],
-            regions: BTreeMap::new(),
-            free: (0..num::u32_of_usize(n)).collect(),
+            parts: vec![PartitionState::Free; 1usize << log2_parts],
+            servers: BTreeSet::new(),
         })
     }
 
@@ -131,43 +139,63 @@ impl PartitionTable {
     /// Number of servers registered in the table.
     #[inline]
     pub fn num_servers(&self) -> usize {
-        self.regions.len()
+        self.servers.len()
     }
 
     /// Iterate over registered servers in id order.
     pub fn servers(&self) -> impl Iterator<Item = ServerId> + '_ {
-        self.regions.keys().copied()
+        self.servers.iter().copied()
     }
 
     /// Is `s` registered?
     pub fn contains_server(&self, s: ServerId) -> bool {
-        self.regions.contains_key(&s)
+        self.servers.contains(&s)
     }
 
-    /// The regions index of server `s`.
-    pub fn regions_of(&self, s: ServerId) -> Option<&ServerRegions> {
-        self.regions.get(&s)
+    /// The occupied partitions' owners and mapped widths, in index order.
+    fn mapped(&self) -> impl Iterator<Item = (ServerId, u64)> + '_ {
+        let w = self.part_width();
+        self.parts.iter().filter_map(move |p| p.mapped(w))
     }
 
     /// Mapped width of server `s` in fixed-point units.
     pub fn share(&self, s: ServerId) -> u64 {
-        self.regions
-            .get(&s)
-            .map_or(0, |r| r.share(self.part_width()))
+        self.mapped()
+            .filter(|&(owner, _)| owner == s)
+            .map(|(_, len)| len)
+            .sum()
+    }
+
+    /// Every registered server's holding, in one scan.
+    fn holdings(&self) -> BTreeMap<ServerId, Holding> {
+        let w = self.part_width();
+        let mut holdings: BTreeMap<ServerId, Holding> =
+            self.servers().map(|s| (s, Holding::default())).collect();
+        for (i, &p) in self.parts.iter().enumerate() {
+            if let Some((s, len)) = p.mapped(w) {
+                let h = holdings.entry(s).or_default();
+                h.share += len;
+                if len < w {
+                    h.partial = Some((i, len));
+                }
+            }
+        }
+        holdings
     }
 
     /// All shares, in fixed-point units, keyed by server.
     pub fn shares(&self) -> BTreeMap<ServerId, u64> {
-        let w = self.part_width();
-        self.regions.iter().map(|(&s, r)| (s, r.share(w))).collect()
+        self.holdings()
+            .into_iter()
+            .map(|(s, h)| (s, h.share))
+            .collect()
     }
 
     /// Total mapped width. Equals [`HALF_UNIT`] whenever the table is in a
     /// balanced state (after construction via `with_equal_shares` or any
     /// rebalance); transiently differs inside multi-step operations.
     pub fn total_share(&self) -> u64 {
-        let w = self.part_width();
-        self.regions.values().map(|r| r.share(w)).sum()
+        self.mapped().map(|(_, len)| len).sum()
     }
 
     /// State of partition `idx`.
@@ -177,10 +205,9 @@ impl PartitionTable {
 
     /// Register a new server with an empty mapped region.
     pub fn register_server(&mut self, s: ServerId) -> Result<()> {
-        if self.regions.contains_key(&s) {
+        if !self.servers.insert(s) {
             return Err(AnuError::DuplicateServer(s));
         }
-        self.regions.insert(s, ServerRegions::default());
         Ok(())
     }
 
@@ -211,187 +238,62 @@ impl PartitionTable {
         }
     }
 
-    /// Absolute start position of partition `idx`.
-    #[inline]
-    fn part_start(&self, idx: u32) -> Pos {
-        Pos(u64::from(idx) << (64 - self.log2_parts))
-    }
-
-    fn seg(&self, idx: u32, from_off: u64, to_off: u64) -> Segment {
-        debug_assert!(to_off > from_off);
-        Segment::new(Pos(self.part_start(idx).0 + from_off), to_off - from_off)
-    }
-
-    /// The region index of a server already validated as registered
-    /// (every public entry point returns `UnknownServer` first). Reaching
-    /// this with an unregistered id means the index is corrupt, which is
-    /// worth halting on.
-    #[inline]
-    fn region_mut(&mut self, s: ServerId) -> &mut ServerRegions {
-        let Some(reg) = self.regions.get_mut(&s) else {
-            unreachable!("server validated as registered at entry")
-        };
-        reg
-    }
-
-    /// Shrink server `s` by `amount` fixed-point units, shedding from its
-    /// partial first and then demoting full partitions (highest index
-    /// first). Appends the freed segments to `changes`.
+    /// Shrink server `s`, whose partial is `partial`, by `amount`
+    /// fixed-point units: cut the partial first, then full partitions from
+    /// the highest index down, in one pass that stops once `amount` is cut.
     ///
-    /// Shedding clips at the server's current share; the caller ensures
-    /// amounts come from a valid target vector, so clipping only guards
+    /// Cutting stops at the server's current share; the caller ensures
+    /// amounts come from a valid target vector, so that only guards
     /// against rounding dust.
-    pub(crate) fn shrink_server(
-        &mut self,
-        s: ServerId,
-        amount: u64,
-        changes: &mut Vec<RegionChange>,
-    ) -> Result<()> {
+    fn shrink_server(&mut self, s: ServerId, partial: Option<(usize, u64)>, amount: u64) {
         let w = self.part_width();
-        let reg = self.regions.get_mut(&s).ok_or(AnuError::UnknownServer(s))?;
-        let mut remaining = amount.min(reg.share(w));
-
-        // Phase 1: cut the tail of the partial region.
-        if remaining > 0 {
-            if let Some((p, len)) = reg.partial {
-                let cut = remaining.min(len);
-                let new_len = len - cut;
-                if new_len == 0 {
-                    reg.partial = None;
-                    self.parts[num::usize_of_u32(p)] = PartitionState::Free;
-                    self.free.insert(p);
-                } else {
-                    reg.partial = Some((p, new_len));
-                    self.parts[num::usize_of_u32(p)] = PartitionState::Partial {
-                        server: s,
-                        len: new_len,
-                    };
-                }
+        let mut remaining = amount;
+        if let Some((i, len)) = partial {
+            let cut = remaining.min(len);
+            self.parts[i] = PartitionState::prefix(s, len - cut, w);
+            remaining -= cut;
+        }
+        for p in self.parts.iter_mut().rev() {
+            if remaining == 0 {
+                break;
+            }
+            if *p == PartitionState::Full(s) {
+                let cut = remaining.min(w);
+                *p = PartitionState::prefix(s, w - cut, w);
                 remaining -= cut;
-                changes.push(RegionChange {
-                    segment: self.seg(p, new_len, len),
-                    from: Some(s),
-                    to: None,
-                });
             }
         }
-
-        // Phase 2: release or demote full partitions, highest index first.
-        while remaining > 0 {
-            let Some(reg) = self.regions.get_mut(&s) else {
-                unreachable!("`s` was validated at entry (UnknownServer)")
-            };
-            let Some(&p) = reg.fulls.iter().next_back() else {
-                break; // share exhausted (clipped by `min` above)
-            };
-            reg.fulls.remove(&p);
-            if remaining >= w {
-                self.parts[num::usize_of_u32(p)] = PartitionState::Free;
-                self.free.insert(p);
-                remaining -= w;
-                changes.push(RegionChange {
-                    segment: self.seg(p, 0, w),
-                    from: Some(s),
-                    to: None,
-                });
-            } else {
-                let new_len = w - remaining;
-                debug_assert!(reg.partial.is_none(), "partial was drained in phase 1");
-                reg.partial = Some((p, new_len));
-                self.parts[num::usize_of_u32(p)] = PartitionState::Partial {
-                    server: s,
-                    len: new_len,
-                };
-                changes.push(RegionChange {
-                    segment: self.seg(p, new_len, w),
-                    from: Some(s),
-                    to: None,
-                });
-                remaining = 0;
-            }
-        }
-        Ok(())
     }
 
-    /// Grow server `s` by `amount` fixed-point units: extend its partial to
-    /// the end of its partition, then claim free partitions (lowest index
-    /// first). Appends the gained segments to `changes`.
-    pub(crate) fn grow_server(
+    /// Grow server `s`, whose partial is `partial`, by `amount` fixed-point
+    /// units: extend the partial toward the end of its partition, then
+    /// claim the lowest free partitions, the last one partially, in one
+    /// pass that stops once `amount` is placed.
+    fn grow_server(
         &mut self,
         s: ServerId,
+        partial: Option<(usize, u64)>,
         amount: u64,
-        changes: &mut Vec<RegionChange>,
     ) -> Result<()> {
         let w = self.part_width();
-        if !self.regions.contains_key(&s) {
-            return Err(AnuError::UnknownServer(s));
-        }
         let mut remaining = amount;
-
-        // Phase 1: extend the existing partial toward the partition end.
-        {
-            let Some(reg) = self.regions.get_mut(&s) else {
-                unreachable!("`s` was validated at entry (UnknownServer)")
-            };
-            if let Some((p, len)) = reg.partial {
-                let add = remaining.min(w - len);
-                if add > 0 {
-                    let new_len = len + add;
-                    if new_len == w {
-                        reg.partial = None;
-                        reg.fulls.insert(p);
-                        self.parts[num::usize_of_u32(p)] = PartitionState::Full(s);
-                    } else {
-                        reg.partial = Some((p, new_len));
-                        self.parts[num::usize_of_u32(p)] = PartitionState::Partial {
-                            server: s,
-                            len: new_len,
-                        };
-                    }
-                    remaining -= add;
-                    changes.push(RegionChange {
-                        segment: self.seg(p, len, new_len),
-                        from: None,
-                        to: Some(s),
-                    });
-                }
+        if let Some((i, len)) = partial {
+            let add = remaining.min(w - len);
+            self.parts[i] = PartitionState::prefix(s, len + add, w);
+            remaining -= add;
+        }
+        for p in &mut self.parts {
+            if remaining == 0 {
+                break;
+            }
+            if *p == PartitionState::Free {
+                let add = remaining.min(w);
+                *p = PartitionState::prefix(s, add, w);
+                remaining -= add;
             }
         }
-
-        // Phase 2: claim whole free partitions.
-        while remaining >= w {
-            let Some(&p) = self.free.iter().next() else {
-                return Err(AnuError::NoFreePartition);
-            };
-            self.free.remove(&p);
-            self.parts[num::usize_of_u32(p)] = PartitionState::Full(s);
-            self.region_mut(s).fulls.insert(p);
-            remaining -= w;
-            changes.push(RegionChange {
-                segment: self.seg(p, 0, w),
-                from: None,
-                to: Some(s),
-            });
-        }
-
-        // Phase 3: claim one free partition partially.
         if remaining > 0 {
-            let Some(&p) = self.free.iter().next() else {
-                return Err(AnuError::NoFreePartition);
-            };
-            self.free.remove(&p);
-            self.parts[num::usize_of_u32(p)] = PartitionState::Partial {
-                server: s,
-                len: remaining,
-            };
-            let reg = self.region_mut(s);
-            debug_assert!(reg.partial.is_none(), "phase 1 drained or promoted it");
-            reg.partial = Some((p, remaining));
-            changes.push(RegionChange {
-                segment: self.seg(p, 0, remaining),
-                from: None,
-                to: Some(s),
-            });
+            return Err(AnuError::NoFreePartition);
         }
         Ok(())
     }
@@ -400,11 +302,12 @@ impl PartitionTable {
     /// exactly [`HALF_UNIT`], covering exactly the registered servers).
     ///
     /// Shrinks run before grows so freed partitions are available; within
-    /// each phase servers are processed in id order for determinism. Returns
-    /// the list of segments that changed hands — the minimal movement.
-    pub fn rebalance(&mut self, targets: &BTreeMap<ServerId, u64>) -> Result<Vec<RegionChange>> {
-        if targets.len() != self.regions.len()
-            || !targets.keys().all(|s| self.regions.contains_key(s))
+    /// each phase servers are processed in id order for determinism. Only
+    /// the shed and gained width changes owner — the minimal movement.
+    /// Each server touches only its own partial and full partitions and
+    /// free ones, so the partials read before the first shrink stay valid.
+    pub fn rebalance(&mut self, targets: &BTreeMap<ServerId, u64>) -> Result<()> {
+        if targets.len() != self.servers.len() || !targets.keys().all(|s| self.servers.contains(s))
         {
             return Err(AnuError::TargetServerMismatch);
         }
@@ -415,142 +318,115 @@ impl PartitionTable {
                 want: HALF_UNIT,
             });
         }
-        let current = self.shares();
-        let mut changes = Vec::new();
+        let current = self.holdings();
         for (&s, &t) in targets {
-            let cur = current[&s];
-            if t < cur {
-                self.shrink_server(s, cur - t, &mut changes)?;
+            let Holding { share, partial } = current[&s];
+            if t < share {
+                self.shrink_server(s, partial, share - t);
             }
         }
         for (&s, &t) in targets {
-            let cur = current[&s];
-            if t > cur {
-                self.grow_server(s, t - cur, &mut changes)?;
+            let Holding { share, partial } = current[&s];
+            if t > share {
+                self.grow_server(s, partial, t - share)?;
             }
         }
         debug_assert!(self.check_invariants().is_ok());
-        Ok(changes)
+        Ok(())
     }
 
     /// Remove server `s` with **exact takeover**: every full partition of
-    /// `s` is handed wholesale to a survivor (greedily, to the survivor
-    /// with the largest deficit versus its proportional post-failure
-    /// share), and the partial partition of `s` (if any) is freed. Because
-    /// takeover keeps the mapped coverage of every handed-over segment
-    /// identical, no probe path of any file set not owned by `s` changes.
+    /// `s`, in ascending index, is handed wholesale to the survivor with
+    /// the largest deficit versus its proportional post-failure share
+    /// (ties to the lowest id), and the partial partition of `s` (if any)
+    /// is freed. Because takeover keeps the mapped coverage of every
+    /// handed-over partition identical, no probe path of any file set not
+    /// owned by `s` changes.
     ///
     /// Returns the width left unmapped (the freed partial), which is less
     /// than one partition; the caller restores exact half occupancy at the
     /// next rebalance.
-    pub fn takeover_remove_server(
-        &mut self,
-        s: ServerId,
-        changes: &mut Vec<RegionChange>,
-    ) -> Result<u64> {
+    pub fn takeover_remove_server(&mut self, s: ServerId) -> Result<u64> {
         let w = self.part_width();
-        if !self.regions.contains_key(&s) {
+        if !self.servers.contains(&s) {
             return Err(AnuError::UnknownServer(s));
         }
-        if self.regions.len() <= 1 {
+        if self.servers.len() <= 1 {
             return Err(AnuError::EmptyCluster);
         }
-        let Some(reg) = self.regions.remove(&s) else {
-            unreachable!("membership checked two lines up")
-        };
-        let removed_share = reg.share(w);
+        let mut shares = self.shares();
+        let removed_share = shares.remove(&s).unwrap_or(0);
+        self.servers.remove(&s);
 
-        // Proportional post-failure targets for the survivors.
-        let surviving_total: u64 = {
-            let sum: u64 = self.regions.values().map(|r| r.share(w)).sum();
-            sum.max(1)
-        };
+        // Proportional post-failure targets for the survivors:
         // deficit(survivor) = target - current; target grows current shares
         // by the factor (surviving + removed) / surviving.
-        let mut deficits: BTreeMap<ServerId, f64> = self
-            .regions
-            .iter()
-            .map(|(&id, r)| {
-                let cur = num::f64_of(r.share(w));
+        let surviving_total = shares.values().sum::<u64>().max(1);
+        let mut deficits: Vec<(ServerId, f64)> = shares
+            .into_iter()
+            .map(|(id, share)| {
+                let cur = num::f64_of(share);
                 let target = cur * num::f64_of(surviving_total + removed_share)
                     / num::f64_of(surviving_total);
                 (id, target - cur)
             })
             .collect();
 
-        for p in reg.fulls {
-            // Hand partition `p` to the survivor with the largest deficit.
-            let Some((&taker, _)) = deficits
-                .iter()
-                .max_by(|a, b| a.1.total_cmp(b.1).then(b.0.cmp(a.0)))
-            else {
-                unreachable!("entry check guarantees >= 1 survivor")
-            };
-            *deficits.entry(taker).or_insert(0.0) -= num::f64_of(w);
-            self.parts[num::usize_of_u32(p)] = PartitionState::Full(taker);
-            self.region_mut(taker).fulls.insert(p);
-            changes.push(RegionChange {
-                segment: self.seg(p, 0, w),
-                from: Some(s),
-                to: Some(taker),
-            });
-        }
         let mut unmapped = 0;
-        if let Some((p, len)) = reg.partial {
-            self.parts[num::usize_of_u32(p)] = PartitionState::Free;
-            self.free.insert(p);
-            unmapped = len;
-            changes.push(RegionChange {
-                segment: self.seg(p, 0, len),
-                from: Some(s),
-                to: None,
-            });
+        for p in &mut self.parts {
+            match *p {
+                PartitionState::Full(owner) if owner == s => {
+                    let Some((taker, deficit)) = deficits
+                        .iter_mut()
+                        .max_by(|a, b| a.1.total_cmp(&b.1).then(b.0.cmp(&a.0)))
+                    else {
+                        unreachable!("entry check guarantees >= 1 survivor")
+                    };
+                    *deficit -= num::f64_of(w);
+                    *p = PartitionState::Full(*taker);
+                }
+                PartitionState::Partial { server, len } if server == s => {
+                    *p = PartitionState::Free;
+                    unmapped = len;
+                }
+                _ => {}
+            }
         }
         debug_assert!(self.check_invariants_shape().is_ok());
         Ok(unmapped)
     }
 
-    /// Hand `count` full partitions to server `to`, taking them from the
-    /// donors with the largest shares (their highest-index full partitions
-    /// first). Coverage of each taken partition is unchanged, so only file
-    /// sets inside the taken partitions change owner — the minimal-movement
-    /// commissioning path. Stops early (without error) if donors run out
-    /// of full partitions.
-    pub fn take_full_partitions(
-        &mut self,
-        to: ServerId,
-        count: usize,
-    ) -> Result<Vec<RegionChange>> {
-        let w = self.part_width();
-        if !self.regions.contains_key(&to) {
+    /// Hand `count` full partitions to server `to`, one at a time from the
+    /// donor with the largest share among those holding a full partition
+    /// (ties to the lowest id), starting at the donor's highest full
+    /// partition. Coverage of each taken partition is unchanged, so only
+    /// file sets inside the taken partitions change owner — the
+    /// minimal-movement commissioning path. Stops early (without error) if
+    /// donors run out of full partitions.
+    pub fn take_full_partitions(&mut self, to: ServerId, count: usize) -> Result<()> {
+        if !self.servers.contains(&to) {
             return Err(AnuError::UnknownServer(to));
         }
-        let mut changes = Vec::with_capacity(count);
         for _ in 0..count {
-            // Donor = largest current share among servers with >= 1 full
-            // partition (excluding the receiver); ties to the lowest id.
-            let donor = self
-                .regions
+            let shares = self.shares();
+            // `max_by` keeps the last of equal elements, so among one
+            // donor's full partitions it picks the highest index.
+            let Some((_, top)) = self
+                .parts
                 .iter()
-                .filter(|(&id, r)| id != to && !r.fulls.is_empty())
-                .max_by(|a, b| a.1.share(w).cmp(&b.1.share(w)).then(b.0.cmp(a.0)))
-                .map(|(&id, _)| id);
-            let Some(donor) = donor else { break };
-            let reg = self.region_mut(donor);
-            let Some(&p) = reg.fulls.iter().next_back() else {
-                unreachable!("donor filter requires a non-empty full set")
+                .enumerate()
+                .filter_map(|(i, &p)| match p {
+                    PartitionState::Full(owner) if owner != to => Some((owner, i)),
+                    _ => None,
+                })
+                .max_by(|a, b| shares[&a.0].cmp(&shares[&b.0]).then(b.0.cmp(&a.0)))
+            else {
+                break;
             };
-            reg.fulls.remove(&p);
-            self.parts[num::usize_of_u32(p)] = PartitionState::Full(to);
-            self.region_mut(to).fulls.insert(p);
-            changes.push(RegionChange {
-                segment: self.seg(p, 0, w),
-                from: Some(donor),
-                to: Some(to),
-            });
+            self.parts[top] = PartitionState::Full(to);
         }
         debug_assert!(self.check_invariants_shape().is_ok());
-        Ok(changes)
+        Ok(())
     }
 
     /// Double the number of partitions by splitting every partition in two.
@@ -563,105 +439,31 @@ impl PartitionTable {
         if self.log2_parts >= 20 {
             return Err(AnuError::BadPartitionCount(self.log2_parts + 1));
         }
-        let half = self.part_width() / 2;
-        let mut parts = Vec::with_capacity(self.parts.len() * 2);
-        for &p in &self.parts {
-            match p {
-                PartitionState::Free => {
-                    parts.push(PartitionState::Free);
-                    parts.push(PartitionState::Free);
+        let w = self.part_width();
+        let half = w / 2;
+        // Each child holds its half's piece of the parent's prefix.
+        let parts = self
+            .parts
+            .iter()
+            .flat_map(|p| match p.mapped(w) {
+                None => [PartitionState::Free; 2],
+                Some((s, len)) => {
+                    let first = len.min(half);
+                    [
+                        PartitionState::prefix(s, first, half),
+                        PartitionState::prefix(s, len - first, half),
+                    ]
                 }
-                PartitionState::Full(s) => {
-                    parts.push(PartitionState::Full(s));
-                    parts.push(PartitionState::Full(s));
-                }
-                PartitionState::Partial { server, len } => {
-                    if len < half {
-                        parts.push(PartitionState::Partial { server, len });
-                        parts.push(PartitionState::Free);
-                    } else if len == half {
-                        parts.push(PartitionState::Full(server));
-                        parts.push(PartitionState::Free);
-                    } else {
-                        parts.push(PartitionState::Full(server));
-                        parts.push(PartitionState::Partial {
-                            server,
-                            len: len - half,
-                        });
-                    }
-                }
-            }
-        }
+            })
+            .collect();
         self.log2_parts += 1;
         self.parts = parts;
-        // Rebuild the per-server and free indexes from the new layout.
-        self.free.clear();
-        for reg in self.regions.values_mut() {
-            reg.fulls.clear();
-            reg.partial = None;
-        }
-        for (i, &p) in self.parts.iter().enumerate() {
-            let i = num::u32_of_usize(i);
-            match p {
-                PartitionState::Free => {
-                    self.free.insert(i);
-                }
-                PartitionState::Full(s) => {
-                    let Some(reg) = self.regions.get_mut(&s) else {
-                        unreachable!("partitions only reference registered servers")
-                    };
-                    reg.fulls.insert(i);
-                }
-                PartitionState::Partial { server, len } => {
-                    let Some(reg) = self.regions.get_mut(&server) else {
-                        unreachable!("partitions only reference registered servers")
-                    };
-                    debug_assert!(reg.partial.is_none());
-                    reg.partial = Some((i, len));
-                }
-            }
-        }
         debug_assert!(self.check_invariants_shape().is_ok());
         Ok(())
     }
 
-    /// Render the interval as an ASCII strip of `width` cells — `.` for
-    /// free space, the server id's last hex digit for mapped cells, with
-    /// `|` partition boundaries. A debugging aid:
-    ///
-    /// ```text
-    /// |0000|1111|2222|....|3333|....|....|....|
-    /// ```
-    pub fn render(&self, cells_per_part: usize) -> String {
-        let cells = cells_per_part.max(1);
-        let w = self.part_width();
-        let mut out = String::with_capacity(self.parts.len() * (cells + 1) + 1);
-        for p in &self.parts {
-            out.push('|');
-            for c in 0..cells {
-                // Sample the midpoint of the c-th cell of this partition.
-                let off = (w / num::u64_of_usize(cells)) * num::u64_of_usize(c)
-                    + w / (2 * num::u64_of_usize(cells));
-                let ch = match *p {
-                    PartitionState::Free => '.',
-                    PartitionState::Full(s) => id_char(s),
-                    PartitionState::Partial { server, len } => {
-                        if off < len {
-                            id_char(server)
-                        } else {
-                            '.'
-                        }
-                    }
-                };
-                out.push(ch);
-            }
-        }
-        out.push('|');
-        out
-    }
-
-    /// Verify the structural invariants (shape + index consistency) and the
-    /// half-occupancy invariant. Intended for tests and debug assertions.
+    /// Verify the shape invariant and the half-occupancy invariant.
+    /// Intended for tests and debug assertions.
     pub fn check_invariants(&self) -> std::result::Result<(), String> {
         self.check_invariants_shape()?;
         let total = self.total_share();
@@ -673,66 +475,31 @@ impl PartitionTable {
         Ok(())
     }
 
-    /// Shape/index consistency only (no half-occupancy check); valid even in
-    /// transient states such as just after a failure.
+    /// The shape invariant only (no half-occupancy check), valid even in
+    /// transient states such as just after a failure: every owner is
+    /// registered, each partial's length is in `(0, w)`, and no server has
+    /// two partials.
     pub fn check_invariants_shape(&self) -> std::result::Result<(), String> {
         let w = self.part_width();
-        let mut seen_free = BTreeSet::new();
+        let mut with_partial = BTreeSet::new();
         for (i, &p) in self.parts.iter().enumerate() {
-            let i = num::u32_of_usize(i);
-            match p {
-                PartitionState::Free => {
-                    if !self.free.contains(&i) {
-                        return Err(format!("partition {i} free but not in free set"));
-                    }
-                    seen_free.insert(i);
-                }
-                PartitionState::Full(s) => {
-                    let reg = self
-                        .regions
-                        .get(&s)
-                        .ok_or(format!("partition {i} owned by unknown {s}"))?;
-                    if !reg.fulls.contains(&i) {
-                        return Err(format!("partition {i} full({s}) not in index"));
-                    }
-                }
-                PartitionState::Partial { server, len } => {
-                    if len == 0 || len >= w {
-                        return Err(format!("partition {i} partial len {len} out of (0,{w})"));
-                    }
-                    let reg = self
-                        .regions
-                        .get(&server)
-                        .ok_or(format!("partition {i} owned by unknown {server}"))?;
-                    if reg.partial != Some((i, len)) {
-                        return Err(format!("partition {i} partial({server}) not in index"));
-                    }
-                }
+            let Some((s, len)) = p.mapped(w) else {
+                continue;
+            };
+            if !self.servers.contains(&s) {
+                return Err(format!("partition {i} owned by unknown {s}"));
             }
-        }
-        if seen_free != self.free {
-            return Err("free set inconsistent with partition states".into());
-        }
-        for (s, reg) in &self.regions {
-            for &p in &reg.fulls {
-                if self.parts[num::usize_of_u32(p)] != PartitionState::Full(*s) {
-                    return Err(format!("{s} claims full {p} but partition disagrees"));
+            if let PartitionState::Partial { .. } = p {
+                if len == 0 || len >= w {
+                    return Err(format!("partition {i} partial len {len} out of (0,{w})"));
                 }
-            }
-            if let Some((p, len)) = reg.partial {
-                if (self.parts[num::usize_of_u32(p)] != PartitionState::Partial { server: *s, len })
-                {
-                    return Err(format!("{s} claims partial {p} but partition disagrees"));
+                if !with_partial.insert(s) {
+                    return Err(format!("{s} has a second partial at partition {i}"));
                 }
             }
         }
         Ok(())
     }
-}
-
-/// Last hex digit of a server id, for [`PartitionTable::render`].
-fn id_char(s: ServerId) -> char {
-    char::from_digit(s.0 % 16, 16).unwrap_or('?')
 }
 
 #[cfg(test)]
@@ -741,29 +508,6 @@ mod tests {
 
     fn ids(n: u32) -> Vec<ServerId> {
         (0..n).map(ServerId).collect()
-    }
-
-    #[test]
-    fn render_shows_layout() {
-        let t = PartitionTable::with_equal_shares(&ids(2), 2).unwrap();
-        // 4 partitions, two servers with one full partition each.
-        let r = t.render(2);
-        assert_eq!(r.matches('|').count(), 5);
-        assert_eq!(r.matches('0').count(), 2);
-        assert_eq!(r.matches('1').count(), 2);
-        assert_eq!(r.matches('.').count(), 4);
-    }
-
-    #[test]
-    fn render_partial_shows_prefix() {
-        let mut t = PartitionTable::new(1).unwrap();
-        t.register_server(ServerId(0)).unwrap();
-        let mut targets = BTreeMap::new();
-        targets.insert(ServerId(0), HALF_UNIT);
-        t.rebalance(&targets).unwrap();
-        // One server holds exactly one of the two partitions.
-        let r = t.render(4);
-        assert_eq!(r, "|0000|....|");
     }
 
     #[test]
@@ -819,8 +563,15 @@ mod tests {
         targets.insert(ServerId(1), HALF_UNIT - w - w / 2); // 0.5
         t.rebalance(&targets).unwrap();
         t.check_invariants().unwrap();
-        let r0 = t.regions_of(ServerId(0)).unwrap();
-        let (p, len) = r0.partial.unwrap();
+        let (p, len) = (0..4u32)
+            .find_map(|i| match t.part(i) {
+                PartitionState::Partial {
+                    server: ServerId(0),
+                    len,
+                } => Some((i, len)),
+                _ => None,
+            })
+            .unwrap();
         assert_eq!(len, w / 2);
         let start = (p as u64) * w;
         assert_eq!(t.lookup(Pos(start)), Some(ServerId(0)));
@@ -848,6 +599,20 @@ mod tests {
         assert_eq!(t.rebalance(&targets), Err(AnuError::TargetServerMismatch));
     }
 
+    /// Width of the interval whose owner differs between two layouts with
+    /// the same partition count. Within a partition, one owner's prefixes
+    /// differ by their lengths' difference; otherwise the whole longer
+    /// prefix changed hands (or between mapped and free).
+    fn changed_width(a: &PartitionTable, b: &PartitionTable) -> u64 {
+        let w = a.part_width();
+        (0..a.num_parts() as u32)
+            .map(|i| match (a.part(i).mapped(w), b.part(i).mapped(w)) {
+                (Some((x, la)), Some((y, lb))) if x == y => la.abs_diff(lb),
+                (x, y) => x.map_or(0, |m| m.1).max(y.map_or(0, |m| m.1)),
+            })
+            .sum()
+    }
+
     #[test]
     fn rebalance_moves_only_deltas() {
         let servers = ids(4);
@@ -858,12 +623,12 @@ mod tests {
         let delta = before[&ServerId(3)] / 2;
         *targets.get_mut(&ServerId(0)).unwrap() += delta;
         *targets.get_mut(&ServerId(3)).unwrap() -= delta;
-        let changes = t.rebalance(&targets).unwrap();
+        let layout = t.clone();
+        t.rebalance(&targets).unwrap();
         t.check_invariants().unwrap();
         assert_eq!(t.shares(), targets);
         // Total changed width = shed + gained = 2 * delta.
-        let moved: u64 = changes.iter().map(|c| c.segment.len).sum();
-        assert_eq!(moved, 2 * delta);
+        assert_eq!(changed_width(&layout, &t), 2 * delta);
         // Untouched servers' shares unchanged.
         assert_eq!(t.share(ServerId(1)), before[&ServerId(1)]);
         assert_eq!(t.share(ServerId(2)), before[&ServerId(2)]);

@@ -10,7 +10,7 @@
 //! driven by a seeded SplitMix64 case generator: 64 deterministic cases
 //! per property, reproducible from the printed case seed on failure.
 
-use anu_core::{shares, FileSetId, PlacementMap, ServerId, HALF_UNIT};
+use anu_core::{shares, FileSetId, PartitionState, PlacementMap, ServerId, HALF_UNIT};
 use std::collections::BTreeMap;
 
 /// Deterministic case generator (SplitMix64).
@@ -78,14 +78,16 @@ fn rebalance_keeps_invariants() {
         m.rebalance(&w).unwrap();
         assert!(m.check_invariants().is_ok(), "case {case}");
         assert_eq!(m.table().total_share(), HALF_UNIT, "case {case}");
-        // Shape: at most one partial per server.
-        for s in m.servers() {
-            let reg = m.table().regions_of(s).unwrap();
-            assert!(
-                reg.partial
-                    .is_none_or(|(_, l)| l > 0 && l < m.table().part_width()),
-                "case {case}"
-            );
+        // Shape, read off the partitions: every partial is in (0, w), and
+        // no server holds two.
+        let t = m.table();
+        let mut with_partial = Vec::new();
+        for i in 0..t.num_parts() as u32 {
+            if let PartitionState::Partial { server, len } = t.part(i) {
+                assert!(len > 0 && len < t.part_width(), "case {case}");
+                assert!(!with_partial.contains(&server), "case {case}");
+                with_partial.push(server);
+            }
         }
     }
 }
@@ -115,25 +117,26 @@ fn movement_bounded_by_changed_width() {
         let n = c.usize_in(2, 8);
         let seed = c.next_u64();
         // Movement after a rescale only affects names whose probe path
-        // intersects changed segments; names probing only unchanged mapped
-        // regions keep their owner.
+        // crosses a position that changed owner; names probing only
+        // unchanged mapped regions keep their owner.
         let servers = server_ids(n);
         let mut m = PlacementMap::new(&servers, seed, 16).unwrap();
         let all = names(400);
         let before: Vec<ServerId> = all.iter().map(|x| m.locate(x)).collect();
+        let layout = m.table().clone();
         let w: BTreeMap<ServerId, f64> = servers
             .iter()
             .map(|&s| (s, c.f64_in(0.0, 100.0) + 0.05))
             .collect();
-        let changes = m.rebalance(&w).unwrap();
+        m.rebalance(&w).unwrap();
         for (name, &old) in all.iter().zip(&before) {
             let new = m.locate(name);
             if new != old {
-                // The probe path must intersect a changed segment.
+                // Some probe position must have changed owner.
                 let base = m.hasher().base(name);
                 let hit = (0..m.hasher().rounds()).any(|k| {
                     let p = m.hasher().probe(base, k);
-                    changes.iter().any(|ch| ch.segment.contains(p))
+                    layout.lookup(p) != m.table().lookup(p)
                 });
                 assert!(hit, "case {case}: owner changed without probe-path change");
             }
@@ -254,6 +257,89 @@ fn churn_sequence_preserves_invariants() {
             );
         }
     }
+}
+
+/// FNV-1a over `words`' little-endian bytes, continuing from `acc`.
+fn fnv1a(mut acc: u64, words: &[u64]) -> u64 {
+    for b in words.iter().flat_map(|w| w.to_le_bytes()) {
+        acc ^= u64::from(b);
+        acc = acc.wrapping_mul(0x0000_0100_0000_01B3);
+    }
+    acc
+}
+
+/// Hash of every partition's state after every step of the walks in
+/// [`layout_walks_are_pinned`], as the table laid them out when the pin
+/// was taken. Any change to which partitions a shrink, grow, takeover or
+/// takeover-add picks moves it.
+const LAYOUT_PIN: u64 = 0xa7f2_8648_4d02_7ec0;
+
+#[test]
+fn layout_walks_are_pinned() {
+    const WALKS: u64 = 400;
+    const STEPS: usize = 30;
+    const MAX_SERVERS: usize = 12;
+    let mut h = 0xcbf2_9ce4_8422_2325;
+    for walk in 0..WALKS {
+        let mut c = Cases(0xA110_000C ^ walk);
+        let n = c.usize_in(1, 7);
+        let mut m = PlacementMap::new(&server_ids(n), c.next_u64(), 16).unwrap();
+        let mut next_id = n as u32;
+        for step in 0..STEPS {
+            let servers = m.servers();
+            let op = c.usize_in(0, 5);
+            match op {
+                1 | 2 if servers.len() < MAX_SERVERS => {
+                    let id = ServerId(next_id);
+                    next_id += 1;
+                    if op == 1 {
+                        m.add_server(id).unwrap();
+                    } else {
+                        m.add_server_takeover(id).unwrap();
+                    }
+                }
+                3 if servers.len() > 1 => {
+                    m.remove_server(servers[c.usize_in(0, servers.len())])
+                        .unwrap();
+                    // What the ANU policy does after a failure: restore
+                    // half occupancy only once the dip leaves the window.
+                    if m.check_invariants().is_err() {
+                        m.restore_half_occupancy().unwrap();
+                    }
+                }
+                4 => m.restore_half_occupancy().unwrap(),
+                _ => {
+                    // One weight in four is zero: shrink-to-nothing and
+                    // regrow from nothing are part of the walk.
+                    let w: BTreeMap<ServerId, f64> = servers
+                        .iter()
+                        .map(|&s| {
+                            let zero = c.usize_in(0, 4) == 0;
+                            (s, if zero { 0.0 } else { c.f64_in(0.0, 10.0) })
+                        })
+                        .collect();
+                    m.rebalance(&w).unwrap();
+                }
+            }
+            // Shape only: a takeover-add that doubles the partitions right
+            // after a failure leaves the failure's dip outside the halved
+            // occupancy window, which is not a layout decision.
+            let t = m.table();
+            let shape = t.check_invariants_shape();
+            assert!(shape.is_ok(), "walk {walk} step {step} op {op}: {shape:?}");
+            for i in 0..t.num_parts() as u32 {
+                h = match t.part(i) {
+                    PartitionState::Free => fnv1a(h, &[0]),
+                    PartitionState::Full(s) => fnv1a(h, &[1, u64::from(s.0)]),
+                    PartitionState::Partial { server, len } => {
+                        fnv1a(h, &[2, u64::from(server.0), len])
+                    }
+                };
+            }
+            h = fnv1a(h, &[u64::MAX]);
+        }
+    }
+    assert_eq!(h, LAYOUT_PIN, "layout hash {h:#018x}");
 }
 
 #[test]

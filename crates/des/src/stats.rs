@@ -158,8 +158,6 @@ pub struct Bucket {
     pub sum: f64,
     /// Number of samples.
     pub count: u64,
-    /// Maximum sample.
-    pub max: f64,
 }
 
 impl Bucket {
@@ -202,7 +200,6 @@ impl TimeSeries {
         let b = &mut self.buckets[idx];
         b.sum += value;
         b.count += 1;
-        b.max = b.max.max(value);
     }
 
     /// The buckets in time order.
@@ -294,7 +291,6 @@ mod tests {
         assert_eq!(ts.buckets().len(), 5);
         assert!((ts.buckets()[0].mean() - 150.0).abs() < 1e-12);
         assert!((ts.buckets()[1].mean() - 300.0).abs() < 1e-12);
-        assert_eq!(ts.buckets()[0].max, 200.0);
         assert_eq!(ts.buckets()[2].mean(), 0.0);
     }
 

@@ -11,9 +11,7 @@
 //! file driven through the simulator yields the same figures on any
 //! machine.
 
-use anu_workload::{
-    write_csv, CostModel, DfsLikeConfig, SyntheticConfig, TraceError, WeightDist, Workload,
-};
+use anu_workload::{write_csv, DfsLikeConfig, SyntheticConfig, TraceError, Workload};
 use std::path::PathBuf;
 
 const USAGE: &str = "usage: tracegen --kind dfslike|synthetic [--seed S] [--out FILE] \
@@ -105,8 +103,6 @@ fn generate(args: &Args) -> Workload {
         }
         "synthetic" => {
             let mut cfg = SyntheticConfig::paper(args.seed);
-            cfg.cost = CostModel::UniformSpread { spread: 0.2 };
-            cfg.weights = WeightDist::PowerOfUniform { alpha: 1000.0 };
             if let Some(r) = args.requests {
                 cfg.total_requests = r;
             }

@@ -91,7 +91,7 @@ const FLAG_SOME: u64 = 1 << 8;
 #[derive(Clone, Debug)]
 pub struct RingSink {
     level: TraceLevel,
-    /// Segment chain; every segment has capacity `SEG_WORDS` and only the
+    /// The chain of segments; each has capacity `SEG_WORDS` and only the
     /// last is partially filled.
     segs: Vec<Vec<u64>>,
     /// Total records encoded.

@@ -50,12 +50,10 @@ fn main() {
             .collect();
         match tuner.plan(&map.share_fractions(), &reports) {
             Some(plan) => {
-                let changes = map.rebalance(&plan.targets).unwrap();
+                map.rebalance(&plan.targets).unwrap();
                 println!(
-                    "round {round}: mu = {:.0} ms, movers {:?}, {} region segments changed",
-                    plan.mu,
-                    plan.movers,
-                    changes.len()
+                    "round {round}: mu = {:.0} ms, movers {:?}",
+                    plan.mu, plan.movers
                 );
             }
             None => println!("round {round}: balanced within threshold — no change"),

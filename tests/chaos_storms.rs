@@ -49,7 +49,7 @@ fn fifty_fault_storms_hold_every_invariant() {
         let mut cluster = ClusterConfig::paper();
         let workload = storm_workload(storm);
         let env = FaultPlanConfig::intensity(level, HORIZON_SECS);
-        cluster.faults = plan_faults(&env, &cluster.server_ids(), storm ^ 0x5707_0123);
+        cluster.faults = plan_faults(&env, &cluster.core_server_ids(), storm ^ 0x5707_0123);
         cluster
             .validate_faults()
             .unwrap_or_else(|e| panic!("storm {storm}: generated script invalid: {e}"));
@@ -165,7 +165,7 @@ fn closed_loop_clients_hold_every_invariant_under_storms() {
         let cfg = ClosedLoopConfig::demo(storm);
         let mut cluster = ClusterConfig::paper();
         let env = FaultPlanConfig::intensity(level, cfg.duration.as_secs_f64());
-        cluster.faults = plan_faults(&env, &cluster.server_ids(), storm ^ 0x5707_0123);
+        cluster.faults = plan_faults(&env, &cluster.core_server_ids(), storm ^ 0x5707_0123);
         let mut policy = anu::policies::AnuPolicy::new(AnuConfig {
             seed: storm,
             tuning: TuningConfig::paper(),

@@ -1,12 +1,13 @@
 //! Differential gate for the dense-world rewrite.
 //!
-//! The dense `Vec`-indexed world state (interned server/file-set ids,
-//! alias-table sampling) must be *observationally identical* to the
-//! original `BTreeMap`-keyed implementation. These fingerprints were
-//! generated on the commit **before** the rewrite, from the exact same
-//! experiments: reduced figure 6 and figure 8 configurations over ten
-//! seeds, hashing each policy's label, its full `RunSummary` debug
-//! rendering, and the bytes of its per-server series CSV.
+//! The dense `Vec`-indexed world state (servers and file sets indexed by
+//! their ids, which are their positions; alias-table sampling) must be
+//! *observationally identical* to the original `BTreeMap`-keyed
+//! implementation. These fingerprints were generated on the commit
+//! **before** the rewrite, from the exact same experiments: reduced
+//! figure 6 and figure 8 configurations over ten seeds, hashing each
+//! policy's label, its full `RunSummary` debug rendering, and the bytes of
+//! its per-server series CSV.
 //!
 //! If one of these assertions fires, the hot path changed behaviour —
 //! not just speed. That is a correctness bug (or an intentional change
