@@ -135,7 +135,8 @@ impl ArrivalSource for Replay<'_> {
     #[inline]
     fn arrive(&mut self, tag: u32, _now: SimTime) -> Arrival {
         let req = self.0.requests[tag as usize];
-        debug_assert!((req.file_set.0 as usize) < self.0.n_file_sets);
+        let set = req.file_set().0;
+        debug_assert!((set as usize) < self.0.n_file_sets);
         // Chain the next arrival so the calendar stays small.
         let next = self
             .0
@@ -143,8 +144,9 @@ impl ArrivalSource for Replay<'_> {
             .get(tag as usize + 1)
             .map(|r| (r.arrival, tag + 1));
         Arrival {
-            set: req.file_set.0 as u32,
-            cost: req.cost,
+            // A request's set index is a `u32`.
+            set: set as u32,
+            cost: req.cost(),
             next,
         }
     }
@@ -753,7 +755,7 @@ pub(crate) fn simulate<S: ArrivalSource>(
     // Every per-event structure below is indexed by id: validation made
     // each server's id its position, and file sets are `0..n`.
     let n_sets = source.n_file_sets();
-    let metrics = WorldMetrics::new(cfg.servers.len(), n_sets);
+    let metrics = WorldMetrics::new(cfg.servers.len());
     // Standby servers have their slots (trace ids and metric names are
     // fixed at setup) but start dormant: not alive, so the initial
     // placement and the fault script never see them.

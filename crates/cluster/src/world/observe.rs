@@ -33,9 +33,13 @@ pub(super) const SET_LATENCY_BATCH: usize = 1024;
 /// time: a loop of independent increments whose misses the CPU overlaps.
 /// Counts commute, so the histograms equal per-completion recording.
 /// Nothing reads them before [`SetLatency::into_hists`] folds the rest.
+///
+/// The table is fixed at setup, one histogram per set, and each histogram
+/// is boxed so that the end of the run moves it into the registry as it
+/// is: the run holds one copy of each.
 #[derive(Default)]
 pub(super) struct SetLatency {
-    hists: Vec<LogHistogram>,
+    hists: Box<[Box<LogHistogram>]>,
     /// `(set, latency_us)` records not yet folded into `hists`.
     pending: Vec<(u32, u64)>,
 }
@@ -43,7 +47,7 @@ pub(super) struct SetLatency {
 impl SetLatency {
     pub(super) fn new(n_sets: usize) -> Self {
         SetLatency {
-            hists: vec![LogHistogram::new(); n_sets],
+            hists: (0..n_sets).map(|_| Box::default()).collect(),
             pending: Vec::with_capacity(SET_LATENCY_BATCH),
         }
     }
@@ -65,7 +69,7 @@ impl SetLatency {
     }
 
     /// Fold the records still pending and hand over the histograms.
-    pub(super) fn into_hists(mut self) -> Vec<LogHistogram> {
+    pub(super) fn into_hists(mut self) -> Box<[Box<LogHistogram>]> {
         self.fold();
         self.hists
     }
@@ -110,18 +114,14 @@ pub(super) struct WorldMetrics {
     server_alive: Vec<MetricId>,
     /// Per server: completed-request gauge.
     server_completed: Vec<MetricId>,
-    /// Overall request-latency histogram (µs), installed at run end.
-    latency_all: MetricId,
-    /// Per file set: latency histogram (µs), installed at
-    /// run end from the world's local accumulators.
-    set_latency: Vec<MetricId>,
 }
 
 impl WorldMetrics {
-    /// Register every metric in one deterministic order: event mix,
-    /// calendar, migration and requeue counters, per-server gauges in
-    /// sorted id order, then the latency histograms.
-    pub(super) fn new(n_servers: usize, n_sets: usize) -> Self {
+    /// Register every counter and gauge in one deterministic order: event
+    /// mix, calendar, migration and requeue counters, then per-server
+    /// gauges in id order. The latency histograms follow at the end of the
+    /// run, registered with their contents (see `World::finish`).
+    pub(super) fn new(n_servers: usize) -> Self {
         let mut reg = Registry::new();
         let ev_mix = EVENT_MIX_NAMES.map(|n| reg.counter(n));
         let cal_scheduled = reg.counter("des.calendar.scheduled");
@@ -146,10 +146,6 @@ impl WorldMetrics {
             server_alive.push(reg.gauge(&format!("server.{s}.alive")));
             server_completed.push(reg.gauge(&format!("server.{s}.completed")));
         }
-        let latency_all = reg.histogram("latency.us");
-        let set_latency = (0..n_sets)
-            .map(|i| reg.histogram(&format!("set.{i}.latency_us")))
-            .collect();
         WorldMetrics {
             reg,
             ev_mix,
@@ -177,8 +173,6 @@ impl WorldMetrics {
             server_occupancy,
             server_alive,
             server_completed,
-            latency_all,
-            set_latency,
         }
     }
 }
@@ -244,10 +238,13 @@ impl World<'_> {
         let set_hists = std::mem::take(&mut self.set_latency).into_hists();
         // Every completion is recorded once per set; the run's histogram
         // (the p50/p95/p99 summary fields) is their sum.
-        let mut latency_hist = LogHistogram::new();
+        let mut latency_hist = Box::new(LogHistogram::new());
         for h in &set_hists {
             latency_hist.merge(h);
         }
+        let quantile_ms = |q| latency_hist.quantile(q) as f64 / 1000.0;
+        let (p50_latency_ms, p95_latency_ms, p99_latency_ms) =
+            (quantile_ms(0.50), quantile_ms(0.95), quantile_ms(0.99));
         // The calendar is empty: the workload has fully drained.
         let end_time = self.cal.now().max(self.horizon);
         if let Some(id) = self.degraded_span.take() {
@@ -298,8 +295,9 @@ impl World<'_> {
         }
 
         // Final metrics publish: fold the remaining counter deltas and the
-        // end-state gauges, then install the locally accumulated latency
-        // histograms. No snapshot — snapshots are per-epoch only.
+        // end-state gauges, then register the latency histograms after
+        // every scalar, the run's first and then each set's in set order.
+        // No snapshot — snapshots are per-epoch only.
         profiler.enter(ProfileScope::MetricsUpdate);
         self.publish_metrics(None);
         // Fairness across file sets, from the per-set histograms (before
@@ -313,12 +311,11 @@ impl World<'_> {
         self.metrics
             .reg
             .set(self.metrics.p99_set_max_us, p99_set_max_us);
-        self.metrics
-            .reg
-            .install_histogram(self.metrics.latency_all, latency_hist.clone());
-        for (i, h) in set_hists.into_iter().enumerate() {
-            let id = self.metrics.set_latency[i];
-            self.metrics.reg.install_histogram(id, h);
+        self.metrics.reg.histogram("latency.us", latency_hist);
+        for (i, h) in set_hists.into_vec().into_iter().enumerate() {
+            self.metrics
+                .reg
+                .histogram(&format!("set.{i}.latency_us"), h);
         }
         profiler.exit(ProfileScope::MetricsUpdate);
 
@@ -348,9 +345,9 @@ impl World<'_> {
             sim_events: self.event_count,
             late_imbalance_cov: late_imbalance(&series),
             late_mean_latency_ms: late_mean(&series),
-            p50_latency_ms: latency_hist.quantile(0.50) as f64 / 1000.0,
-            p95_latency_ms: latency_hist.quantile(0.95) as f64 / 1000.0,
-            p99_latency_ms: latency_hist.quantile(0.99) as f64 / 1000.0,
+            p50_latency_ms,
+            p95_latency_ms,
+            p99_latency_ms,
             max_queue_depth: self.max_queue_depth,
             band_freezes: self.band_freezes,
             divergent_freezes: self.divergent_freezes,
@@ -395,7 +392,7 @@ impl World<'_> {
 /// latency; maximal skew drives it toward `1/n`. With no active sets (or
 /// all-zero means) the index is defined as 1.0 — an idle system treats
 /// everyone equally.
-fn fairness(set_hists: &[LogHistogram]) -> (f64, u64) {
+fn fairness(set_hists: &[Box<LogHistogram>]) -> (f64, u64) {
     let (mut n, mut sum, mut sumsq, mut worst) = (0u64, 0.0f64, 0.0f64, 0u64);
     for h in set_hists {
         let count = h.count();
@@ -429,7 +426,7 @@ fn fairness(set_hists: &[LogHistogram]) -> (f64, u64) {
 /// shed policy gets *credit* for truncating a slow server's tail — this
 /// index charges every shed back to the file set that suffered it. With no
 /// shedding every fraction is 1.0 and so is the index.
-fn completion_fairness(set_hists: &[LogHistogram], set_shed: &[u64]) -> f64 {
+fn completion_fairness(set_hists: &[Box<LogHistogram>], set_shed: &[u64]) -> f64 {
     let (mut n, mut sum, mut sumsq) = (0u64, 0.0f64, 0.0f64);
     for (h, &shed) in set_hists.iter().zip(set_shed) {
         let offered = h.count() + shed;

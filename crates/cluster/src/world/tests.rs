@@ -633,19 +633,25 @@ fn policy_ignoring_failure_is_caught() {
 fn burst_then_trickle(burst: usize, burst_cost_secs: f64) -> Workload {
     let mut requests = Vec::new();
     for i in 0..burst {
-        requests.push(anu_workload::Request {
-            arrival: SimTime::from_secs_f64(i as f64 * 10.0 / burst as f64),
-            file_set: FileSetId((i % 4) as u64),
-            cost: SimDuration::from_secs_f64(burst_cost_secs),
-        });
+        requests.push(
+            anu_workload::Request::new(
+                SimTime::from_secs_f64(i as f64 * 10.0 / burst as f64),
+                FileSetId((i % 4) as u64),
+                SimDuration::from_secs_f64(burst_cost_secs),
+            )
+            .unwrap(),
+        );
     }
     let mut t = 130.0;
     while t < 590.0 {
-        requests.push(anu_workload::Request {
-            arrival: SimTime::from_secs_f64(t),
-            file_set: FileSetId((t as u64) % 4),
-            cost: SimDuration::from_secs_f64(0.001),
-        });
+        requests.push(
+            anu_workload::Request::new(
+                SimTime::from_secs_f64(t),
+                FileSetId((t as u64) % 4),
+                SimDuration::from_secs_f64(0.001),
+            )
+            .unwrap(),
+        );
         t += 2.0;
     }
     Workload::new("burst", 4, SimDuration::from_secs(600), requests)

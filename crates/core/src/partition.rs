@@ -158,14 +158,6 @@ impl PartitionTable {
         self.parts.iter().filter_map(move |p| p.mapped(w))
     }
 
-    /// Mapped width of server `s` in fixed-point units.
-    pub fn share(&self, s: ServerId) -> u64 {
-        self.mapped()
-            .filter(|&(owner, _)| owner == s)
-            .map(|(_, len)| len)
-            .sum()
-    }
-
     /// Every registered server's holding, in one scan.
     fn holdings(&self) -> BTreeMap<ServerId, Holding> {
         let w = self.part_width();
@@ -630,8 +622,9 @@ mod tests {
         // Total changed width = shed + gained = 2 * delta.
         assert_eq!(changed_width(&layout, &t), 2 * delta);
         // Untouched servers' shares unchanged.
-        assert_eq!(t.share(ServerId(1)), before[&ServerId(1)]);
-        assert_eq!(t.share(ServerId(2)), before[&ServerId(2)]);
+        let after = t.shares();
+        assert_eq!(after[&ServerId(1)], before[&ServerId(1)]);
+        assert_eq!(after[&ServerId(2)], before[&ServerId(2)]);
     }
 
     #[test]
@@ -643,14 +636,14 @@ mod tests {
         *targets.get_mut(&ServerId(2)).unwrap() = 0;
         t.rebalance(&targets).unwrap();
         t.check_invariants().unwrap();
-        assert_eq!(t.share(ServerId(2)), 0);
+        assert_eq!(t.shares()[&ServerId(2)], 0);
         // Regrow from zero.
         let mut targets2 = t.shares();
         *targets2.get_mut(&ServerId(0)).unwrap() -= 1000;
         *targets2.get_mut(&ServerId(2)).unwrap() += 1000;
         t.rebalance(&targets2).unwrap();
         t.check_invariants().unwrap();
-        assert_eq!(t.share(ServerId(2)), 1000);
+        assert_eq!(t.shares()[&ServerId(2)], 1000);
     }
 
     #[test]

@@ -173,6 +173,13 @@ impl PlacementMap {
     /// that within a tick or two. Compare the two strategies with the
     /// `churn` study of `figures --studies` or the `membership_churn`
     /// bench.
+    ///
+    /// A failure leaves occupancy below half by less than one partition
+    /// (see [`Self::remove_server`]), and doubling the partitions halves
+    /// that window. When the dip is a whole partition wide or more after
+    /// the take, the newcomer also grows into free space by the dip,
+    /// which restores exact half occupancy and still moves file sets only
+    /// to the newcomer.
     pub fn add_server_takeover(&mut self, s: ServerId) -> Result<()> {
         if self.table.contains_server(s) {
             return Err(AnuError::DuplicateServer(s));
@@ -185,7 +192,14 @@ impl PlacementMap {
         let w = self.table.part_width();
         let fair = num::f64_of(HALF_UNIT) / num::f64_of_usize(n_after);
         let parts_to_take = num::round_usize(fair / num::f64_of(w)).max(1);
-        self.table.take_full_partitions(s, parts_to_take)
+        self.table.take_full_partitions(s, parts_to_take)?;
+        let dip = HALF_UNIT - self.table.total_share();
+        if dip >= w {
+            let mut targets = self.table.shares();
+            *targets.entry(s).or_default() += dip;
+            self.table.rebalance(&targets)?;
+        }
+        Ok(())
     }
 
     /// Remove a server (failure or decommissioning).
@@ -459,6 +473,35 @@ mod tests {
             moved_takeover <= moved_paper,
             "takeover {moved_takeover} vs paper {moved_paper}"
         );
+    }
+
+    #[test]
+    fn add_server_takeover_after_a_failure_keeps_half_occupancy_when_it_doubles() {
+        // Two servers on 4 partitions at 3:7 leave one a 0.6-partition
+        // partial. Its failure dips occupancy by 0.6 of a partition; the
+        // second takeover-add doubles to 8 partitions, where the dip is
+        // 1.2 partitions wide.
+        let mut m = PlacementMap::with_default_rounds(&ids(2), 9).unwrap();
+        let skew = [(ServerId(0), 3.0), (ServerId(1), 7.0)]
+            .into_iter()
+            .collect();
+        m.rebalance(&skew).unwrap();
+        m.remove_server(ServerId(0)).unwrap();
+        m.check_invariants().unwrap();
+        let names = names(2_000);
+        for (id, parts) in [(2, 4), (3, 8)] {
+            let before = m.assignment(names.iter());
+            m.add_server_takeover(ServerId(id)).unwrap();
+            assert_eq!(m.table().num_parts(), parts);
+            m.check_invariants().unwrap();
+            for (n, s) in m.assignment(names.iter()) {
+                assert!(
+                    s == before[&n] || s == ServerId(id),
+                    "a set moved between old servers"
+                );
+            }
+        }
+        assert_eq!(m.table().total_share(), HALF_UNIT);
     }
 
     #[test]

@@ -247,7 +247,7 @@ pub fn model_input(
     let (mut n, mut sum, mut sum_sq) = (0u64, 0.0f64, 0.0f64);
     for r in &workload.requests {
         if r.arrival.as_secs_f64() >= from_secs {
-            let c = r.cost.as_secs_f64();
+            let c = r.cost().as_secs_f64();
             n += 1;
             sum += c;
             sum_sq += c * c;
@@ -630,7 +630,7 @@ mod tests {
             a.workload.requests[..50]
                 .iter()
                 .zip(&b.workload.requests[..50])
-                .any(|(x, y)| x.cost != y.cost || x.file_set != y.file_set),
+                .any(|(x, y)| x.cost() != y.cost() || x.file_set() != y.file_set()),
             "replicas produced identical draws"
         );
     }

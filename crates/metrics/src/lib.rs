@@ -51,7 +51,7 @@ pub enum MetricKind {
     Counter,
     /// Last-write-wins level (`set`).
     Gauge,
-    /// Log-scaled value distribution (`observe`).
+    /// Log-scaled value distribution, registered with its observations.
     Histogram,
 }
 
@@ -157,9 +157,13 @@ impl Registry {
         self.register(name, Slot::Gauge(0))
     }
 
-    /// Register (or look up) a histogram.
-    pub fn histogram(&mut self, name: &str) -> MetricId {
-        self.register(name, Slot::Histogram(Box::new(LogHistogram::new())))
+    /// Register a histogram that holds `h`'s observations, moving the box
+    /// in without copying it: hot loops accumulate into their own
+    /// histograms and publish each once, at the end of the run.
+    /// Re-registering an existing name returns the original id and keeps
+    /// its histogram; `h` is dropped.
+    pub fn histogram(&mut self, name: &str, h: Box<LogHistogram>) -> MetricId {
+        self.register(name, Slot::Histogram(h))
     }
 
     /// Add `by` to a counter (saturating — a counter never wraps back).
@@ -179,28 +183,6 @@ impl Registry {
             *g = v;
         } else {
             debug_assert!(false, "set on a non-gauge id {id:?}");
-        }
-    }
-
-    /// Record one observation into a histogram.
-    #[inline]
-    pub fn observe(&mut self, id: MetricId, v: u64) {
-        if let Some(Slot::Histogram(h)) = self.slots.get_mut(id.index()) {
-            h.record(v);
-        } else {
-            debug_assert!(false, "observe on a non-histogram id {id:?}");
-        }
-    }
-
-    /// Install a prebuilt histogram into a slot (replacing its contents).
-    /// Lets hot loops accumulate into a local [`LogHistogram`] and publish
-    /// once at the end of the run instead of paying a registry lookup per
-    /// observation.
-    pub fn install_histogram(&mut self, id: MetricId, h: LogHistogram) {
-        if let Some(Slot::Histogram(slot)) = self.slots.get_mut(id.index()) {
-            **slot = h;
-        } else {
-            debug_assert!(false, "install_histogram on a non-histogram id {id:?}");
         }
     }
 
@@ -276,19 +258,25 @@ impl Registry {
 mod tests {
     use super::*;
 
+    /// A histogram holding `values`.
+    fn hist_of(values: &[u64]) -> Box<LogHistogram> {
+        let mut h = Box::new(LogHistogram::new());
+        for &v in values {
+            h.record(v);
+        }
+        h
+    }
+
     #[test]
     fn register_update_export_roundtrip() {
         let mut r = Registry::new();
         let c = r.counter("events_total");
         let g = r.gauge("queue_depth");
-        let h = r.histogram("latency_us");
+        let h = r.histogram("latency_us", hist_of(&[1, 1, 1000]));
         r.inc(c, 3);
         r.inc(c, 2);
         r.set(g, 7);
         r.set(g, 4);
-        for v in [1u64, 1, 1000] {
-            r.observe(h, v);
-        }
         assert_eq!(r.value(c), 5);
         assert_eq!(r.value(g), 4);
         assert_eq!(r.value(h), 3);
@@ -328,11 +316,10 @@ mod tests {
     fn snapshots_preserve_order_and_scalar_layout() {
         let mut r = Registry::new();
         let c = r.counter("done");
-        let h = r.histogram("lat");
+        r.histogram("lat", hist_of(&[5]));
         let g = r.gauge("depth");
         r.inc(c, 1);
         r.set(g, 9);
-        r.observe(h, 5);
         r.snapshot(0, 1_000_000);
         r.inc(c, 1);
         // A metric registered after the first snapshot appears only in
@@ -350,14 +337,13 @@ mod tests {
     }
 
     #[test]
-    fn install_histogram_replaces_slot() {
+    fn a_histogram_registers_with_its_observations() {
         let mut r = Registry::new();
-        let id = r.histogram("lat");
-        let mut local = LogHistogram::new();
-        local.record(7);
-        local.record(9);
-        r.install_histogram(id, local);
+        let id = r.histogram("lat", hist_of(&[7, 9]));
         assert_eq!(r.value(id), 2);
+        assert_eq!(r.quantile(id, 1.0), 15);
+        // A second registration under the name keeps the first histogram.
+        assert_eq!(r.histogram("lat", hist_of(&[1 << 40])), id);
         assert_eq!(r.quantile(id, 1.0), 15);
     }
 }

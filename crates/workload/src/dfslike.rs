@@ -27,7 +27,7 @@
 //! order without a global sort; ties keep generation order.
 
 use crate::request::{repeat_runs, Draws, Workload};
-use crate::synthetic::{apportion, CostModel};
+use crate::synthetic::{apportion, assert_costs_fit, CostModel};
 use crate::weights::WeightDist;
 use anu_core::FileSetId;
 use anu_des::{RngStream, SimDuration, SimTime};
@@ -124,6 +124,7 @@ impl DfsLikeConfig {
     ) -> Draws<impl Iterator<Item = (SimTime, FileSetId)> + Clone, impl FnMut() -> SimDuration>
     {
         assert!(self.n_file_sets > 0 && self.total_requests > 0);
+        assert_costs_fit(self.cost, self.mean_cost_secs);
         let mut wrng = RngStream::new(self.seed, "dfslike/weights");
         let mut arng = RngStream::new(self.seed, "dfslike/arrivals");
         let mut crng = RngStream::new(self.seed, "dfslike/costs");
@@ -253,7 +254,7 @@ mod tests {
         let dur = 3600.0;
         let in_window = |r: &Request, lo: f64, hi: f64| {
             let t = r.arrival.as_secs_f64();
-            r.file_set.0 == top && t >= lo * dur && t < hi * dur
+            r.file_set().0 == top && t >= lo * dur && t < hi * dur
         };
         let burst: usize = w
             .requests

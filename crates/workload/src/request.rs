@@ -6,11 +6,17 @@
 //! this one representation, and all policies consume it — the prescient
 //! baseline additionally reads future windows of it as its oracle.
 //!
+//! A replayed workload stays resident for the whole run, so a request is
+//! 16 bytes: its arrival, then its file set's index and its cost in µs as
+//! `u32`s. [`Request::new`] refuses a set or a cost that does not fit
+//! rather than truncate it: a set must be below 2^32, the most file sets
+//! the simulator indexes, and a cost below 2^32 µs, about 71.6 minutes.
+//!
 //! Two constructors put requests in arrival order. [`Workload::new`]
 //! stably sorts requests that arrive as a finished list (traces read
-//! back, merges, tests). The generators hand over replayable draws
-//! instead, which `Workload::from_draws` places in arrival order without
-//! a global sort; both give the same vector for the same draws.
+//! back, tests). The generators hand over replayable draws instead,
+//! which `Workload::from_draws` places in arrival order without a global
+//! sort; both give the same vector for the same draws.
 
 use anu_core::FileSetId;
 use anu_des::{SimDuration, SimTime};
@@ -30,15 +36,62 @@ pub(crate) fn indexable_set_count(n: usize) -> Result<usize, String> {
     Ok(n)
 }
 
-/// One metadata request.
+/// One metadata request, in 16 bytes.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct Request {
     /// Arrival time.
     pub arrival: SimTime,
+    /// Target file set's index.
+    set: u32,
+    /// Service demand on a speed-1 server, in µs.
+    cost_us: u32,
+}
+const _: () = assert!(size_of::<Request>() == 16);
+
+impl Request {
+    /// A request for `file_set` arriving at `arrival` with speed-1 demand
+    /// `cost`, or why it does not fit: the set must be below 2^32 and the
+    /// cost below 2^32 µs (about 71.6 minutes).
+    #[inline]
+    pub fn new(arrival: SimTime, file_set: FileSetId, cost: SimDuration) -> Result<Self, String> {
+        match (u32::try_from(file_set.0), u32::try_from(cost.0)) {
+            (Ok(set), Ok(cost_us)) => Ok(Request {
+                arrival,
+                set,
+                cost_us,
+            }),
+            _ => Err(why_unfit(file_set, cost)),
+        }
+    }
+
     /// Target file set.
-    pub file_set: FileSetId,
+    #[inline]
+    pub fn file_set(&self) -> FileSetId {
+        FileSetId(u64::from(self.set))
+    }
+
     /// Service demand on a speed-1 server.
-    pub cost: SimDuration,
+    #[inline]
+    pub fn cost(&self) -> SimDuration {
+        SimDuration(u64::from(self.cost_us))
+    }
+}
+
+/// Why a request cannot hold `file_set` or `cost`. Cold, so that
+/// [`Request::new`] inlines into the generators' placing loop.
+#[cold]
+fn why_unfit(file_set: FileSetId, cost: SimDuration) -> String {
+    if u32::try_from(file_set.0).is_err() {
+        format!(
+            "file_set {} needs n_file_sets above 2^32, the most file sets the simulator indexes",
+            file_set.0
+        )
+    } else {
+        format!(
+            "cost_us {} is not below 2^32 µs (about 71.6 minutes), the longest cost a request holds",
+            cost.0
+        )
+    }
 }
 
 /// A complete workload: requests sorted by arrival time.
@@ -205,9 +258,8 @@ impl Workload {
     /// Build a workload from parts, stably sorting requests by arrival.
     ///
     /// This is the constructor for requests that cannot be replayed:
-    /// traces read back ([`crate::read_csv`]), the two
-    /// streams of [`Workload::merge`], and hand-built test inputs. The
-    /// generators build in arrival order without the global sort.
+    /// traces read back ([`crate::read_csv`]) and hand-built test inputs.
+    /// The generators build in arrival order without the global sort.
     pub fn new(
         label: impl Into<String>,
         n_file_sets: usize,
@@ -247,10 +299,10 @@ impl Workload {
     /// sort of all the requests would take.
     ///
     /// # Panics
-    /// Panics if the arrivals do not yield `len` requests, or if the
-    /// placing pass does not fill every bucket exactly to the count the
-    /// counting pass made: a replay that differs must not scramble the
-    /// order.
+    /// Panics if the arrivals do not yield `len` requests, if the placing
+    /// pass does not fill every bucket exactly to the count the counting
+    /// pass made (a replay that differs must not scramble the order), or
+    /// if a draw does not fit a [`Request`] (it must not be truncated).
     pub(crate) fn from_draws<A, C>(draws: Draws<A, C>) -> Workload
     where
         A: Iterator<Item = (SimTime, FileSetId)> + Clone,
@@ -283,20 +335,24 @@ impl Workload {
         let mut requests = vec![
             Request {
                 arrival: SimTime::ZERO,
-                file_set: FileSetId(0),
-                cost: SimDuration::ZERO,
+                set: 0,
+                cost_us: 0,
             };
             len
         ];
+        // The first draw that does not fit a request, if any.
+        let mut unfit = None;
         arrivals.for_each(|(arrival, file_set)| {
             let slot = &mut next[buckets.of(arrival)];
-            requests[*slot] = Request {
-                arrival,
-                file_set,
-                cost: costs(),
-            };
+            match Request::new(arrival, file_set, costs()) {
+                Ok(request) => requests[*slot] = request,
+                Err(why) => {
+                    unfit.get_or_insert(why);
+                }
+            }
             *slot += 1;
         });
+        assert_eq!(unfit, None, "a draw does not fit a request");
         assert!(
             next[..] == start[1..],
             "replaying the arrival draws filled the buckets differently than counting them"
@@ -327,7 +383,7 @@ impl Workload {
 
     /// Total offered work (sum of service demands) in seconds.
     pub fn total_demand_secs(&self) -> f64 {
-        self.requests.iter().map(|r| r.cost.as_secs_f64()).sum()
+        self.requests.iter().map(|r| r.cost().as_secs_f64()).sum()
     }
 
     /// Per-file-set service demand (seconds, at speed 1) in the window
@@ -337,21 +393,16 @@ impl Workload {
         let hi = self.requests.partition_point(|r| r.arrival < to);
         let mut out = vec![0.0; self.n_file_sets];
         for r in &self.requests[lo..hi] {
-            out[r.file_set.0 as usize] += r.cost.as_secs_f64();
+            out[r.set as usize] += r.cost().as_secs_f64();
         }
         out
-    }
-
-    /// Per-file-set demand over the whole workload.
-    pub fn total_demands(&self) -> Vec<f64> {
-        self.window_demands(SimTime::ZERO, SimTime(u64::MAX))
     }
 
     /// Summary statistics.
     pub fn stats(&self) -> WorkloadStats {
         let mut counts = vec![0u64; self.n_file_sets];
         for r in &self.requests {
-            counts[r.file_set.0 as usize] += 1;
+            counts[r.set as usize] += 1;
         }
         let active: Vec<u64> = counts.iter().copied().filter(|&c| c > 0).collect();
         let max = active.iter().copied().max().unwrap_or(0);
@@ -376,49 +427,6 @@ impl Workload {
     /// (work-units per second): `rho = demand / (speed * duration)`.
     pub fn offered_load(&self, total_speed: f64) -> f64 {
         self.total_demand_secs() / (total_speed * self.duration().as_secs_f64())
-    }
-
-    /// Extract the sub-workload in `[from, to)`, re-based so the slice
-    /// starts at time zero. File-set ids are preserved (the slice serves
-    /// the same namespace).
-    pub fn slice(&self, from: SimTime, to: SimTime) -> Workload {
-        let lo = self.requests.partition_point(|r| r.arrival < from);
-        let hi = self.requests.partition_point(|r| r.arrival < to);
-        let requests = self.requests[lo..hi]
-            .iter()
-            .map(|r| Request {
-                arrival: SimTime(r.arrival.0 - from.0),
-                ..*r
-            })
-            .collect();
-        Workload {
-            label: format!("{}[{from}..{to}]", self.label),
-            n_file_sets: self.n_file_sets,
-            duration_us: to.0.saturating_sub(from.0),
-            requests,
-        }
-    }
-
-    /// Merge two workloads over the same namespace size into one stream
-    /// (e.g. a background load plus a burst overlay).
-    ///
-    /// # Panics
-    /// Panics if the namespaces differ (`n_file_sets` mismatch) — merging
-    /// across namespaces is almost certainly a bug.
-    pub fn merge(&self, other: &Workload) -> Workload {
-        assert_eq!(
-            self.n_file_sets, other.n_file_sets,
-            "merging workloads over different namespaces"
-        );
-        let mut requests = Vec::with_capacity(self.requests.len() + other.requests.len());
-        requests.extend_from_slice(&self.requests);
-        requests.extend_from_slice(&other.requests);
-        Workload::new(
-            format!("{}+{}", self.label, other.label),
-            self.n_file_sets,
-            SimDuration(self.duration_us.max(other.duration_us)),
-            requests,
-        )
     }
 }
 
@@ -462,11 +470,7 @@ where
         ..
     } = draws();
     let requests = arrivals
-        .map(|(arrival, file_set)| Request {
-            arrival,
-            file_set,
-            cost: costs(),
-        })
+        .map(|(arrival, file_set)| Request::new(arrival, file_set, costs()).unwrap())
         .collect();
     let want = Workload::new(label, n_file_sets, duration, requests);
     let got = Workload::from_draws(draws());
@@ -491,10 +495,33 @@ mod tests {
     use anu_des::RngStream;
 
     fn req(t: f64, fs: u64, cost_ms: u64) -> Request {
-        Request {
-            arrival: SimTime::from_secs_f64(t),
-            file_set: FileSetId(fs),
-            cost: SimDuration::from_millis(cost_ms),
+        Request::new(
+            SimTime::from_secs_f64(t),
+            FileSetId(fs),
+            SimDuration::from_millis(cost_ms),
+        )
+        .unwrap()
+    }
+
+    #[test]
+    fn a_request_holds_sets_and_costs_below_2_pow_32_only() {
+        let top = Request::new(
+            SimTime(u64::MAX),
+            FileSetId(u32::MAX.into()),
+            SimDuration(u32::MAX.into()),
+        )
+        .unwrap();
+        assert_eq!(top.arrival, SimTime(u64::MAX));
+        assert_eq!(top.file_set(), FileSetId(u64::from(u32::MAX)));
+        assert_eq!(top.cost(), SimDuration(u64::from(u32::MAX)));
+        for (set, cost, what) in [
+            (1 << 32, 1, "n_file_sets above 2^32"),
+            (u64::MAX, 1, "n_file_sets above 2^32"),
+            (0, 1 << 32, "cost_us 4294967296 is not below 2^32"),
+            (0, u64::MAX, "not below 2^32 µs"),
+        ] {
+            let why = Request::new(SimTime::ZERO, FileSetId(set), SimDuration(cost)).unwrap_err();
+            assert!(why.contains(what), "{why}");
         }
     }
 
@@ -521,7 +548,7 @@ mod tests {
         let d = w.window_demands(SimTime::ZERO, SimTime::from_secs_f64(3.0));
         assert!((d[0] - 0.1).abs() < 1e-9);
         assert!((d[1] - 0.2).abs() < 1e-9);
-        let all = w.total_demands();
+        let all = w.window_demands(SimTime::ZERO, SimTime(u64::MAX));
         assert!((all[0] - 0.4).abs() < 1e-9);
     }
 
@@ -550,40 +577,6 @@ mod tests {
         assert!((w.offered_load(2.0) - 0.5).abs() < 1e-9);
     }
 
-    #[test]
-    fn slice_rebases_times() {
-        let w = Workload::new(
-            "t",
-            2,
-            SimDuration::from_secs(10),
-            vec![req(1.0, 0, 10), req(4.0, 1, 10), req(8.0, 0, 10)],
-        );
-        let s = w.slice(SimTime::from_secs_f64(3.0), SimTime::from_secs_f64(9.0));
-        assert_eq!(s.requests.len(), 2);
-        assert!((s.requests[0].arrival.as_secs_f64() - 1.0).abs() < 1e-9);
-        assert!((s.requests[1].arrival.as_secs_f64() - 5.0).abs() < 1e-9);
-        assert_eq!(s.duration_us, 6_000_000);
-        assert_eq!(s.n_file_sets, 2);
-    }
-
-    #[test]
-    fn merge_combines_sorted() {
-        let a = Workload::new("a", 2, SimDuration::from_secs(10), vec![req(1.0, 0, 10)]);
-        let b = Workload::new("b", 2, SimDuration::from_secs(5), vec![req(0.5, 1, 10)]);
-        let m = a.merge(&b);
-        assert_eq!(m.requests.len(), 2);
-        assert_eq!(m.requests[0].file_set, FileSetId(1)); // earlier arrival
-        assert_eq!(m.duration_us, 10_000_000);
-    }
-
-    #[test]
-    #[should_panic(expected = "different namespaces")]
-    fn merge_rejects_mismatched_namespaces() {
-        let a = Workload::new("a", 2, SimDuration::from_secs(1), vec![]);
-        let b = Workload::new("b", 3, SimDuration::from_secs(1), vec![]);
-        a.merge(&b);
-    }
-
     /// Draws that yield `requests` in the given (generation) order.
     fn handmade(
         duration_us: u64,
@@ -592,17 +585,17 @@ mod tests {
         impl Iterator<Item = (SimTime, FileSetId)> + Clone + '_,
         impl FnMut() -> SimDuration + '_,
     > {
-        let mut costs = requests.iter().map(|r| r.cost);
+        let mut costs = requests.iter().map(|r| r.cost());
         Draws {
             label: "handmade".into(),
             n_file_sets: 1 + requests
                 .iter()
-                .map(|r| r.file_set.0 as usize)
+                .map(|r| r.file_set().0 as usize)
                 .max()
                 .unwrap_or(0),
             duration: SimDuration(duration_us),
             len: requests.len(),
-            arrivals: requests.iter().map(|r| (r.arrival, r.file_set)),
+            arrivals: requests.iter().map(|r| (r.arrival, r.file_set())),
             costs: move || costs.next().expect("one cost per request"),
         }
     }
@@ -611,10 +604,9 @@ mod tests {
     /// `arrival(i)` µs and costing `i` µs, so every request is distinct.
     fn stream(n: u64, sets: u64, mut arrival: impl FnMut(u64) -> u64) -> Vec<Request> {
         (0..n)
-            .map(|i| Request {
-                arrival: SimTime(arrival(i)),
-                file_set: FileSetId(i * sets / n.max(1)),
-                cost: SimDuration(i),
+            .map(|i| {
+                let set = FileSetId(i * sets / n.max(1));
+                Request::new(SimTime(arrival(i)), set, SimDuration(i)).unwrap()
             })
             .collect()
     }
@@ -731,6 +723,20 @@ mod tests {
             len: d.len,
             arrivals,
             costs: d.costs,
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "cost_us 4294967296 is not below 2^32")]
+    fn from_draws_refuses_a_cost_a_request_cannot_hold() {
+        let mut costs = [SimDuration(7), SimDuration(1 << 32), SimDuration(9)].into_iter();
+        Workload::from_draws(Draws {
+            label: "too costly".into(),
+            n_file_sets: 1,
+            duration: SimDuration(1_000),
+            len: 3,
+            arrivals: (0..3).map(|i| (SimTime(i * 100), FileSetId(0))),
+            costs: move || costs.next().unwrap_or(SimDuration::ZERO),
         });
     }
 

@@ -47,7 +47,7 @@
 //! bit-identical to the scalar loop's, for any CDF (monotone or not).
 
 use crate::request::{repeat_runs, Draws, Workload};
-use crate::synthetic::{apportion, SyntheticConfig};
+use crate::synthetic::{apportion, assert_costs_fit, SyntheticConfig};
 use anu_core::FileSetId;
 use anu_des::{RngStream, SimDuration, SimTime};
 
@@ -155,6 +155,7 @@ impl StormConfig {
     {
         let base = &self.base;
         assert!(base.n_file_sets > 0 && base.total_requests > 0);
+        assert_costs_fit(base.cost, base.mean_cost_secs);
         let phases = (2 + (2.0 * self.intensity) as usize).min(16);
         let mut arng = RngStream::new(base.seed, "storm/arrivals");
         let mut crng = RngStream::new(base.seed, "storm/costs");
@@ -490,7 +491,7 @@ mod tests {
         let mut counts = vec![vec![0u64; 40]; 4];
         for r in &w.requests {
             let p = phase_of(r.arrival.as_secs_f64()).min(3);
-            counts[p][r.file_set.0 as usize] += 1;
+            counts[p][r.file_set().0 as usize] += 1;
         }
         let top: Vec<usize> = counts
             .iter()
@@ -515,7 +516,7 @@ mod tests {
                 let t = r.arrival.as_secs_f64();
                 if t >= p as f64 * phase_len && t < (p + 1) as f64 * phase_len {
                     total += 1;
-                    if hot.contains(&(r.file_set.0 as usize)) {
+                    if hot.contains(&(r.file_set().0 as usize)) {
                         hot_reqs += 1;
                     }
                 }

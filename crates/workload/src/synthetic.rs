@@ -68,6 +68,34 @@ impl CostModel {
         };
         SimDuration::from_secs_f64(secs.max(1e-6))
     }
+
+    /// The longest demand [`CostModel::sample`] can draw with the given
+    /// mean: the mean itself, the top of the spread, or the Pareto cap.
+    fn max_draw(&self, mean_secs: f64) -> SimDuration {
+        let secs = match *self {
+            CostModel::Deterministic => mean_secs,
+            CostModel::UniformSpread { spread } => mean_secs * (1.0 + spread),
+            CostModel::Pareto { .. } => mean_secs * 100.0,
+        };
+        SimDuration::from_secs_f64(secs.max(1e-6))
+    }
+}
+
+/// Refuse a cost model that can draw a demand a
+/// [`Request`](crate::Request) cannot hold, before a generator draws
+/// anything: a request's cost is below 2^32 µs (about 71.6 minutes).
+///
+/// # Panics
+/// Panics, naming the model, its mean and its longest draw, if that draw
+/// is 2^32 µs or more.
+pub(crate) fn assert_costs_fit(cost: CostModel, mean_secs: f64) {
+    let max = cost.max_draw(mean_secs);
+    assert!(
+        u32::try_from(max.0).is_ok(),
+        "{cost:?} with a mean of {mean_secs} s can draw {} µs, past the 2^32 µs \
+         (about 71.6 minutes) a request's cost holds",
+        max.0
+    );
 }
 
 /// Configuration of the synthetic generator.
@@ -135,6 +163,7 @@ impl SyntheticConfig {
     ) -> Draws<impl Iterator<Item = (SimTime, FileSetId)> + Clone, impl FnMut() -> SimDuration>
     {
         assert!(self.n_file_sets > 0 && self.total_requests > 0);
+        assert_costs_fit(self.cost, self.mean_cost_secs);
         let mut wrng = RngStream::new(self.seed, "synthetic/weights");
         let mut arng = RngStream::new(self.seed, "synthetic/arrivals");
         let mut crng = RngStream::new(self.seed, "synthetic/costs");
@@ -256,6 +285,39 @@ mod tests {
             let u = CostModel::UniformSpread { spread: 0.2 }.sample(1.0, &mut r);
             let s = u.as_secs_f64();
             assert!((0.8..=1.2).contains(&s), "{s}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "can draw 6000000000 µs, past the 2^32 µs")]
+    fn a_cost_model_that_can_draw_past_2_pow_32_us_is_refused() {
+        // A 60 s Pareto mean caps draws at 6,000 s; 100 requests almost
+        // surely draw none past 2^32 µs, and the generator still refuses.
+        SyntheticConfig {
+            n_file_sets: 5,
+            total_requests: 100,
+            duration_secs: 1_000.0,
+            weights: WeightDist::Constant,
+            mean_cost_secs: 60.0,
+            cost: CostModel::Pareto { alpha: 1.5 },
+            seed: 1,
+        }
+        .generate();
+    }
+
+    #[test]
+    fn cost_models_up_to_2_pow_32_us_are_accepted() {
+        // The largest mean each model may have, and one µs more.
+        let limit = (1u64 << 32) as f64 / 1e6;
+        for (cost, top) in [
+            (CostModel::Deterministic, 1.0),
+            (CostModel::UniformSpread { spread: 0.2 }, 1.2),
+            (CostModel::Pareto { alpha: 1.5 }, 100.0),
+        ] {
+            let fits = (limit - 1e-6) / top;
+            assert_costs_fit(cost, fits);
+            let refused = std::panic::catch_unwind(|| assert_costs_fit(cost, (limit + 1e-6) / top));
+            assert!(refused.is_err(), "{cost:?}");
         }
     }
 

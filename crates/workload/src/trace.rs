@@ -3,7 +3,9 @@
 //! Generated workloads can be saved and replayed so experiments across
 //! policies (and across machines) run against byte-identical traces. The
 //! format is a `#` header carrying the label, set count and duration, then
-//! one `arrival_us,file_set,cost_us` line per request.
+//! one `arrival_us,file_set,cost_us` line per request. The reader refuses
+//! a `file_set` or a `cost_us` at or above 2^32, which a [`Request`] cannot
+//! hold, and names its line.
 
 use crate::request::{indexable_set_count, Request, Workload};
 use anu_core::FileSetId;
@@ -51,7 +53,7 @@ pub fn write_csv<W: Write>(w: &Workload, out: W) -> Result<(), TraceError> {
     writeln!(out, "# duration_us: {}", w.duration_us)?;
     writeln!(out, "arrival_us,file_set,cost_us")?;
     for r in &w.requests {
-        writeln!(out, "{},{},{}", r.arrival.0, r.file_set.0, r.cost.0)?;
+        writeln!(out, "{},{},{}", r.arrival.0, r.file_set().0, r.cost().0)?;
     }
     out.flush()?;
     Ok(())
@@ -118,22 +120,23 @@ pub fn read_csv<R: BufRead>(input: R) -> Result<Workload, TraceError> {
         let arrival = field("arrival_us")?;
         let fs = field("file_set")?;
         let cost = field("cost_us")?;
+        let request = Request::new(SimTime(arrival), FileSetId(fs), SimDuration(cost)).map_err(
+            |message| TraceError::Parse {
+                line: lineno,
+                message,
+            },
+        )?;
         max_fs = max_fs.max((fs, lineno));
         max_arrival = max_arrival.max((arrival, lineno));
-        requests.push(Request {
-            arrival: SimTime(arrival),
-            file_set: FileSetId(fs),
-            cost: SimDuration(cost),
-        });
+        requests.push(request);
     }
     let (fs, line) = max_fs;
     if n_file_sets == 0 {
-        n_file_sets = fs
-            .checked_add(1)
-            .and_then(|n| usize::try_from(n).ok())
-            .ok_or_else(|| format!("file_set {fs} is too large to infer n_file_sets"))
-            .and_then(indexable_set_count)
-            .map_err(|message| TraceError::Parse { line, message })?;
+        // Every set is below 2^32, so the inferred count is indexable.
+        n_file_sets = usize::try_from(fs + 1).map_err(|_| TraceError::Parse {
+            line,
+            message: format!("file_set {fs} is too large to infer n_file_sets"),
+        })?;
     } else if usize::try_from(fs).map_or(true, |fs| fs >= n_file_sets) {
         return Err(TraceError::Parse {
             line,
@@ -237,6 +240,35 @@ mod tests {
         // The largest indexable set still reads.
         let w = read_csv("0,4294967295,1\n".as_bytes()).unwrap();
         assert_eq!(w.n_file_sets, 1 << 32);
+    }
+
+    #[test]
+    fn csv_rejects_costs_and_sets_a_request_cannot_hold() {
+        for (csv, bad_line, what) in [
+            ("0,0,1\n5,1,4294967296\n", 2, "cost_us 4294967296"),
+            (
+                "0,0,18446744073709551615\n",
+                1,
+                "cost_us 18446744073709551615",
+            ),
+            (
+                "# n_file_sets: 3\n0,0,1\n1,4294967296,1\n",
+                3,
+                "file_set 4294967296",
+            ),
+        ] {
+            match read_csv(csv.as_bytes()).unwrap_err() {
+                TraceError::Parse { line, message } => {
+                    assert_eq!(line, bad_line, "{csv}");
+                    assert!(message.contains(what), "{message}");
+                    assert!(message.contains("2^32"), "{message}");
+                }
+                other => panic!("wrong error: {other}"),
+            }
+        }
+        // The largest cost a request holds still reads.
+        let w = read_csv("0,0,4294967295\n".as_bytes()).unwrap();
+        assert_eq!(w.requests[0].cost(), SimDuration(u64::from(u32::MAX)));
     }
 
     #[test]

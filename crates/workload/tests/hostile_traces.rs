@@ -5,14 +5,16 @@
 //! synthetic workload as CSV and mutates the bytes with a seeded generator
 //! (also without the header, so the reader infers the set count):
 //! truncation at a random byte, single bit flips, splices of two cuts, a
-//! number replaced by a random `u64`, and a 100,000-bracket wrap. Every
-//! mutant must return `Ok` or `Err` without panicking, and every `Ok` must
-//! satisfy `file_set < n_file_sets <= 2^32`. The invariant is checked
-//! directly rather than through `Workload::stats`, so memory stays bounded
-//! whatever count a mutant claims.
+//! number replaced by a random `u64` or by 2^32 - 1 or 2^32 (the largest
+//! set index and cost in µs that a request holds, and one more), and a
+//! 100,000-bracket wrap. Every mutant must return `Ok` or `Err` without
+//! panicking, and every `Ok` must satisfy `file_set < n_file_sets <= 2^32`
+//! and write back as CSV that reads as the same workload. The invariant is
+//! checked directly rather than through `Workload::stats`, so memory stays
+//! bounded whatever count a mutant claims.
 
 use anu_des::RngStream;
-use anu_workload::{read_csv, write_csv, CostModel, SyntheticConfig, WeightDist};
+use anu_workload::{read_csv, write_csv, CostModel, SyntheticConfig, WeightDist, Workload};
 use std::panic;
 
 /// Mutants per kind and format.
@@ -51,10 +53,35 @@ fn mutants(text: &str, rng: &mut RngStream) -> Vec<String> {
         let (start, end) = numbers[rng.index(numbers.len())];
         let number = rng.next_u64() >> rng.index(64);
         out.push(format!("{}{number}{}", &text[..start], &text[end..]));
+
+        // A number at the edge of what a request holds as a set or a cost.
+        let (start, end) = numbers[rng.index(numbers.len())];
+        let number = (1u64 << 32) - 1 + rng.index(2) as u64;
+        out.push(format!("{}{number}{}", &text[..start], &text[end..]));
     }
     let deep = 100_000;
     out.push("[".repeat(deep) + text + &"]".repeat(deep));
     out
+}
+
+/// Whether `w` writes as CSV that reads back as `w`.
+fn round_trips(w: &Workload) -> Result<(), String> {
+    let mut csv = Vec::new();
+    write_csv(w, &mut csv).map_err(|e| format!("write: {e}"))?;
+    let back = read_csv(csv.as_slice()).map_err(|e| format!("read back: {e}"))?;
+    let fields = |w: &Workload| {
+        (
+            w.label.clone(),
+            w.n_file_sets,
+            w.duration_us,
+            w.requests.clone(),
+        )
+    };
+    if fields(&back) == fields(w) {
+        Ok(())
+    } else {
+        Err("reads back differently".into())
+    }
 }
 
 #[test]
@@ -88,9 +115,12 @@ fn mutated_traces_never_panic_and_stay_indexable() {
                 Err(_) => failures.push(format!("{format} mutant {k} panicked")),
                 Ok(Some(w)) => {
                     let n = w.n_file_sets as u64;
-                    let top = w.requests.iter().map(|r| r.file_set.0).max();
+                    let top = w.requests.iter().map(|r| r.file_set().0).max();
                     if n > MAX_FILE_SETS || top.is_some_and(|id| id >= n) {
                         failures.push(format!("{format} mutant {k}: {n} sets, top id {top:?}"));
+                    }
+                    if let Err(why) = round_trips(&w) {
+                        failures.push(format!("{format} mutant {k}: {why}"));
                     }
                     accepted += 1;
                 }

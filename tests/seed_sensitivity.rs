@@ -40,14 +40,16 @@ fn assert_workload_seeded(name: &str, generate: impl Fn(u64) -> Workload) {
         let w = generate(seed);
         let mut counts = vec![0u32; w.n_file_sets];
         for r in &w.requests {
-            counts[r.file_set.0 as usize] += 1;
+            counts[r.file_set().0 as usize] += 1;
         }
         counts
     });
     assert_seeded(&format!("{name}/arrivals"), |seed| {
         sorted(seed, |r| r.arrival.0)
     });
-    assert_seeded(&format!("{name}/costs"), |seed| sorted(seed, |r| r.cost.0));
+    assert_seeded(&format!("{name}/costs"), |seed| {
+        sorted(seed, |r| r.cost().0)
+    });
 }
 
 fn synthetic(seed: u64) -> SyntheticConfig {
