@@ -20,8 +20,8 @@
 #
 # Usage: ci/check.sh [--quick]
 #   --quick   skip the release build and the figures gate; run the debug
-#             test suite only. For fast local iteration — the full gate
-#             still runs in CI.
+#             test suite and type-check e2e-bench only. For fast local
+#             iteration — the full gate still runs in CI.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -105,6 +105,12 @@ step "rustdoc: cargo doc --workspace --no-deps with warnings as errors"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
 if [[ "$QUICK" == 1 ]]; then
+    step "e2e-bench type-check (its own workspace; all targets)"
+    # The root workspace never builds e2e-bench, and some workspace APIs
+    # have no other caller (see the e2e-bench test step of the full gate),
+    # so a change that breaks one fails here in seconds.
+    cargo check -q --manifest-path e2e-bench/Cargo.toml --all-targets
+
     step "tier-1: cargo test (debug, --quick)"
     cargo test -q
 
@@ -230,8 +236,10 @@ cargo run --release --quiet --manifest-path e2e-bench/Cargo.toml --bin e2e -- \
 step "e2e-bench tests (its own workspace; not covered by the tier-1 cargo test)"
 # e2e-bench is a separate Cargo workspace, so the root `cargo test` never
 # builds its tests. They call workspace APIs (`run_traced_profiled`,
-# `Assignment`, `ClusterView`, `MoveSet`), so a workspace change that
-# breaks an API only e2e-bench uses fails here and nowhere else.
+# `Assignment`, `ClusterView`, `MoveSet`, and the metrics registry's
+# `Registry::{find, value, hist, snapshots}`), so a workspace change that
+# breaks an API only e2e-bench uses fails here and nowhere else; --quick
+# type-checks them too.
 cargo test -q --manifest-path e2e-bench/Cargo.toml
 
 summary

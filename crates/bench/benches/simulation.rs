@@ -66,7 +66,7 @@ fn bench_station() {
             now += SimDuration(25);
             black_box(st.complete(now));
         }
-        st.counters()
+        st.busy_time()
     });
 }
 

@@ -115,11 +115,6 @@ impl Autoscaler {
         }
     }
 
-    /// The configuration in use.
-    pub fn config(&self) -> &AutoscalerConfig {
-        &self.cfg
-    }
-
     /// Request-weighted mean latency across this epoch's reports; `None`
     /// when nothing completed anywhere (an idle epoch carries no signal).
     pub fn mean_latency_ms(reports: &[LoadReport]) -> Option<f64> {

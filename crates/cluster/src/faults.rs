@@ -9,19 +9,18 @@
 //! yields a byte-identical script and the generator never perturbs the
 //! workload's or any other component's random streams.
 //!
-//! The raw per-server draws are *candidates*: a final replay pass (the
-//! same `(time, order)` discipline [`ClusterConfig::validate_faults`]
-//! checks) drops any candidate that would contradict the evolving
-//! cluster state — double failures, repairs of live servers, slowdowns
-//! of dead servers, or a failure that would breach the minimum-live
-//! floor. The returned script therefore always validates.
+//! The raw per-server draws are *candidates*: a final replay pass, by
+//! the same step [`ClusterConfig::validate_faults`] replays with, drops
+//! any candidate that would contradict the evolving cluster state —
+//! double failures, repairs of live servers, slowdowns of dead servers
+//! or with a factor below 1, or a failure that would breach the
+//! minimum-live floor. The returned script therefore always validates.
 //!
 //! [`ClusterConfig::validate_faults`]: crate::spec::ClusterConfig::validate_faults
 
 use crate::spec::FaultEvent;
 use anu_core::ServerId;
 use anu_des::{RngStream, SimDuration, SimTime};
-use std::collections::BTreeMap;
 
 /// Parameters of a stochastic fault environment.
 ///
@@ -40,7 +39,8 @@ pub struct FaultPlanConfig {
     /// Fraction of drawn failures that materialize as a limping-server
     /// slowdown instead of a crash.
     pub slowdown_share: f64,
-    /// Service-time inflation while a server limps (≥ 1).
+    /// Service-time inflation while a server limps (≥ 1; with a factor
+    /// below 1 or not finite, the plan holds no slowdown).
     pub slowdown_factor: f64,
     /// Mean duration of a slowdown (exponential).
     pub mean_slowdown_secs: f64,
@@ -241,40 +241,16 @@ pub fn plan_faults(cfg: &FaultPlanConfig, servers: &[ServerId], seed: u64) -> Ve
     }
 
     // Replay in delivery order and drop every candidate that would
-    // contradict the evolving cluster state. The surviving script is
-    // exactly what `validate_faults` accepts.
+    // contradict the evolving cluster state, by the step `validate_faults`
+    // replays with: the surviving script is exactly what it accepts.
     candidates.sort_by_key(|ev| (ev.at(), server_key(ev), rank(ev)));
-    let mut alive: BTreeMap<ServerId, bool> = servers.iter().map(|&s| (s, true)).collect();
-    let mut live = servers.len();
-    let min_live = cfg.min_live.max(1);
-    let mut plan = Vec::new();
-    for ev in candidates {
-        match ev {
-            FaultEvent::Fail { server, .. } => {
-                if alive.get(&server) == Some(&true) && live > min_live {
-                    alive.insert(server, false);
-                    live -= 1;
-                    plan.push(ev);
-                }
-            }
-            FaultEvent::Recover { server, .. } => {
-                if alive.get(&server) == Some(&false) {
-                    alive.insert(server, true);
-                    live += 1;
-                    plan.push(ev);
-                }
-            }
-            FaultEvent::Slowdown { server, .. }
-            | FaultEvent::ReportLoss { server, .. }
-            | FaultEvent::ReportDelay { server, .. } => {
-                if alive.get(&server) == Some(&true) {
-                    plan.push(ev);
-                }
-            }
-            FaultEvent::DelegateFail { .. } => plan.push(ev),
-        }
+    let mut alive = vec![false; servers.iter().map(|s| s.0 as usize + 1).max().unwrap_or(0)];
+    for s in servers {
+        alive[s.0 as usize] = true;
     }
-    plan
+    let min_live = cfg.min_live.max(1);
+    candidates.retain(|ev| ev.replay(&mut alive, min_live).is_ok());
+    candidates
 }
 
 #[cfg(test)]
@@ -309,13 +285,25 @@ mod tests {
     #[test]
     fn plans_always_validate() {
         let servers = paper_servers();
-        for level in [0.5, 1.0, 2.0, 4.0, 8.0] {
+        let mut envs: Vec<FaultPlanConfig> = [0.5, 1.0, 2.0, 4.0, 8.0]
+            .into_iter()
+            .map(|level| FaultPlanConfig::intensity(level, 600.0))
+            .collect();
+        // Slowdown factors that `validate_faults` rejects: the plan drops
+        // those candidates instead of handing the world a script it
+        // refuses.
+        for factor in [0.5, f64::NAN] {
+            envs.push(FaultPlanConfig {
+                slowdown_factor: factor,
+                ..FaultPlanConfig::intensity(4.0, 600.0)
+            });
+        }
+        for (i, pc) in envs.iter().enumerate() {
             for seed in 0..20 {
-                let pc = FaultPlanConfig::intensity(level, 600.0);
                 let mut cfg = ClusterConfig::paper();
-                cfg.faults = plan_faults(&pc, &servers, seed);
+                cfg.faults = plan_faults(pc, &servers, seed);
                 cfg.validate_faults().unwrap_or_else(|e| {
-                    panic!("level {level} seed {seed}: {e}");
+                    panic!("environment {i} seed {seed}: {e}");
                 });
             }
         }

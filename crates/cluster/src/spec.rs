@@ -205,6 +205,53 @@ impl FaultEvent {
             FaultEvent::DelegateFail { .. } => None,
         }
     }
+
+    /// One step of a fault-script replay: apply the event to `alive`, the
+    /// alive flag of each server by id just before the event, or say why
+    /// the event contradicts that timeline. A failure that would leave
+    /// fewer than `min_live` servers alive is refused.
+    /// [`ClusterConfig::validate_faults`] replays with a floor of one live
+    /// server, and [`plan_faults`](crate::plan_faults) keeps the candidates
+    /// that pass at its configured floor.
+    pub(crate) fn replay(&self, alive: &mut [bool], min_live: usize) -> Result<(), String> {
+        let Some(server) = self.server() else {
+            return Ok(()); // the delegate is a role, not a server
+        };
+        let slot = server.0 as usize;
+        let Some(&up) = alive.get(slot) else {
+            return Err(format!("unknown server {server}"));
+        };
+        match *self {
+            FaultEvent::Fail { .. } if !up => Err(format!("double failure of {server}")),
+            FaultEvent::Fail { .. } => {
+                let live = alive.iter().filter(|&&a| a).count();
+                if live <= min_live {
+                    return Err(format!(
+                        "failing {server} leaves {} live servers, below the floor of {min_live}",
+                        live - 1
+                    ));
+                }
+                alive[slot] = false;
+                Ok(())
+            }
+            FaultEvent::Recover { .. } if up => Err(format!("recovery of alive {server}")),
+            FaultEvent::Recover { .. } => {
+                alive[slot] = true;
+                Ok(())
+            }
+            FaultEvent::Slowdown { factor, .. } if !factor.is_finite() || factor < 1.0 => {
+                Err(format!("slowdown factor {factor} must be >= 1"))
+            }
+            FaultEvent::Slowdown { lasts, .. } if lasts.0 == 0 => {
+                Err("zero-duration slowdown".to_string())
+            }
+            FaultEvent::Slowdown { .. } if !up => Err(format!("slowdown of failed {server}")),
+            FaultEvent::ReportLoss { .. } | FaultEvent::ReportDelay { .. } if !up => {
+                Err(format!("report fault on failed {server}"))
+            }
+            _ => Ok(()),
+        }
+    }
 }
 
 /// Full cluster configuration.
@@ -374,58 +421,10 @@ impl ClusterConfig {
 
         for i in order {
             let f = &self.faults[i];
-            let s = match f.server() {
-                Some(server) => {
-                    // A server's id is its position (`validate`).
-                    let slot = server.0 as usize;
-                    if slot >= alive.len() {
-                        return Err(bad(i, format!("unknown server {server}")));
-                    }
-                    if standby.contains(&server) {
-                        return Err(bad(i, format!("fault targets standby {server}")));
-                    }
-                    Some((server, slot))
-                }
-                None => None,
-            };
-            match (*f, s) {
-                (FaultEvent::Fail { .. }, Some((server, slot))) => {
-                    if !alive[slot] {
-                        return Err(bad(i, format!("double failure of {server}")));
-                    }
-                    if alive.iter().filter(|&&a| a).count() == 1 {
-                        return Err(bad(i, format!("failing {server} leaves no live server")));
-                    }
-                    alive[slot] = false;
-                }
-                (FaultEvent::Recover { .. }, Some((server, slot))) => {
-                    if alive[slot] {
-                        return Err(bad(i, format!("recovery of alive {server}")));
-                    }
-                    alive[slot] = true;
-                }
-                (FaultEvent::Slowdown { factor, lasts, .. }, Some((server, slot))) => {
-                    if !factor.is_finite() || factor < 1.0 {
-                        return Err(bad(i, format!("slowdown factor {factor} must be >= 1")));
-                    }
-                    if lasts.0 == 0 {
-                        return Err(bad(i, "zero-duration slowdown".to_string()));
-                    }
-                    if !alive[slot] {
-                        return Err(bad(i, format!("slowdown of failed {server}")));
-                    }
-                }
-                (
-                    FaultEvent::ReportLoss { .. } | FaultEvent::ReportDelay { .. },
-                    Some((server, slot)),
-                ) if !alive[slot] => {
-                    return Err(bad(i, format!("report fault on failed {server}")));
-                }
-                (FaultEvent::DelegateFail { .. }, _) => {}
-                // `server()` returns Some for every server-targeting kind,
-                // so the remaining combinations cannot occur.
-                _ => {}
+            if let Some(server) = f.server().filter(|s| standby.contains(s)) {
+                return Err(bad(i, format!("fault targets standby {server}")));
             }
+            f.replay(&mut alive, 1).map_err(|reason| bad(i, reason))?;
         }
         Ok(())
     }
@@ -621,7 +620,7 @@ mod tests {
         ];
         let (index, reason) = reason_of(c.validate_faults().unwrap_err());
         assert_eq!(index, 1);
-        assert!(reason.contains("no live server"), "{reason}");
+        assert!(reason.contains("leaves 0 live servers"), "{reason}");
         // A recovery in between makes the same final fail legal.
         c.faults.insert(
             1,

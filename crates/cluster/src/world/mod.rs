@@ -29,9 +29,10 @@ use anu_des::{
     Calendar, FifoStation, IntervalStats, Job, OnlineStats, SimDuration, SimTime, StartService,
     TimeSeries,
 };
+use anu_metrics::Registry;
 use anu_trace::{NullSink, TraceEvent, TraceLevel, TraceSink, Tracer};
 use anu_workload::Workload;
-use observe::{SetLatency, WorldMetrics};
+use observe::SetLatency;
 
 /// Events of the cluster simulation. Server and file-set payloads are
 /// ids' values, which are also indices: a server's id is its position in
@@ -270,6 +271,12 @@ struct RebalanceClock {
 /// appear only in result assembly — and since index order is id order,
 /// every boundary iteration yields the exact sequence the old map-keyed
 /// world produced, byte for byte.
+///
+/// Each count is kept once. The hot path bumps plain fields here (or the
+/// calendar's and the stations' own statistics); the metrics registry
+/// receives their current totals at each publication, and the result's
+/// tallies are read off the same fields, or off `epochs` for the tuner's
+/// decisions, when the run ends.
 struct World<'a> {
     cfg: &'a ClusterConfig,
     cal: Calendar<Event>,
@@ -282,7 +289,6 @@ struct World<'a> {
     buffered: Vec<Vec<(SimTime, JobInfo)>>,
     horizon: SimTime,
     migration_count: u64,
-    event_count: u64,
     /// Structured-trace emitter. With a `NullSink` every emission site is
     /// one integer compare; the tracer never schedules calendar events, so
     /// traced and untraced runs execute identical event sequences.
@@ -291,12 +297,6 @@ struct World<'a> {
     max_queue_depth: u64,
     /// One record per tuning tick (telemetry CSV + `RunResult::epochs`).
     epochs: Vec<EpochRecord>,
-    /// Tuner decisions frozen by thresholding, across all epochs.
-    band_freezes: u64,
-    /// Tuner decisions frozen by divergent tuning.
-    divergent_freezes: u64,
-    /// Tuner moves bounded by the max-factor clamp.
-    factor_clamps: u64,
     /// Requests that completed after the nominal horizon (stragglers).
     post_horizon_completions: u64,
     /// Requests admitted so far (enqueued or buffered) — the conservation
@@ -340,8 +340,8 @@ struct World<'a> {
     audit_checks: u64,
     /// Invariant violations detected.
     audit_violations: u64,
-    /// Local event-mix accumulators (indexed by [`Event::mix`]) — plain
-    /// increments on the hot path, folded into the registry at ticks.
+    /// Events fired, by kind (indexed by [`Event::mix`]): plain increments
+    /// on the hot path. Their sum is the run's event count.
     event_mix: [u64; 6],
     /// Per file set latency histograms, recorded in batches
     /// and installed into the registry once at the end of the run.
@@ -349,8 +349,14 @@ struct World<'a> {
     /// Per file set admission-shed counts — which sets paid
     /// for graceful degradation. Feeds the completion-fairness index.
     set_shed: Vec<u64>,
-    /// The metrics registry and its cached publish ids.
-    metrics: WorldMetrics,
+    /// Jain's fairness index over per-set mean latencies, in millionths,
+    /// and the worst per-set p99 latency (µs): gauges that read 0 until
+    /// the end of the run computes them from the per-set histograms.
+    jain_millionths: u64,
+    p99_set_max_us: u64,
+    /// The metrics registry: the metric table's rows and the per-server
+    /// gauges, set from the fields above at each publication.
+    metrics: Registry,
 }
 
 impl<'a> World<'a> {
@@ -617,18 +623,6 @@ impl<'a> World<'a> {
         let moves = policy.on_tick(&view, &reports, &self.planning_assignment());
         let move_count = moves.len() as u64;
         let tune = policy.take_epoch();
-        if let Some(t) = &tune {
-            for d in &t.decisions {
-                match d.outcome {
-                    anu_core::TuneOutcome::FrozenBand => self.band_freezes += 1,
-                    anu_core::TuneOutcome::FrozenDivergent => {
-                        self.divergent_freezes += 1;
-                    }
-                    anu_core::TuneOutcome::Clamped => self.factor_clamps += 1,
-                    _ => {}
-                }
-            }
-        }
         let delay = self.cfg.migration.total();
         self.apply_moves(moves, delay, policy.name());
         if self.tracer.enabled(TraceLevel::Epoch) {
@@ -755,7 +749,11 @@ pub(crate) fn simulate<S: ArrivalSource>(
     // Every per-event structure below is indexed by id: validation made
     // each server's id its position, and file sets are `0..n`.
     let n_sets = source.n_file_sets();
-    let metrics = WorldMetrics::new(cfg.servers.len());
+    // The registry is allocated before the per-set tables. Allocated after
+    // them, the same blocks landed worse: `e2e-bench`'s `scale_hotpath`
+    // peaked at 181.5 MB instead of 175.4 MB (seed 7, glibc malloc on
+    // x86-64 Linux).
+    let metrics = observe::registry(cfg.servers.len());
     // Standby servers have their slots (trace ids and metric names are
     // fixed at setup) but start dormant: not alive, so the initial
     // placement and the fault script never see them.
@@ -798,13 +796,9 @@ pub(crate) fn simulate<S: ArrivalSource>(
         buffered: vec![Vec::new(); n_sets],
         horizon,
         migration_count: 0,
-        event_count: 0,
         tracer: Tracer::new(sink),
         max_queue_depth: 0,
         epochs: Vec::new(),
-        band_freezes: 0,
-        divergent_freezes: 0,
-        factor_clamps: 0,
         post_horizon_completions: 0,
         arrived: 0,
         requests_requeued: 0,
@@ -826,6 +820,8 @@ pub(crate) fn simulate<S: ArrivalSource>(
         event_mix: [0; 6],
         set_latency: SetLatency::new(n_sets),
         set_shed: vec![0; n_sets],
+        jain_millionths: 0,
+        p99_set_max_us: 0,
         metrics,
     };
 
@@ -855,7 +851,6 @@ pub(crate) fn simulate<S: ArrivalSource>(
     // Main loop.
     let run_span = world.tracer.open(SimTime::ZERO, "run");
     while let Some((_, ev)) = world.cal.pop() {
-        world.event_count += 1;
         world.event_mix[ev.mix()] += 1;
         match ev {
             Event::Arrival(tag) => world.handle_arrival(tag, source),

@@ -2,24 +2,90 @@
 //! per-file-set latency records, the two fairness indices, and result
 //! assembly once the calendar runs dry.
 
-use super::World;
+use super::{ServerState, World};
 use crate::metrics::{late_imbalance, late_mean, RunResult, RunSummary};
 use crate::profile::{ProfileScope, RunProfiler};
-use anu_core::ServerId;
+use anu_core::{ServerId, TuneOutcome};
 use anu_des::{OnlineStats, SimTime};
-use anu_metrics::{MetricId, Registry};
+use anu_metrics::MetricKind::{self, Counter, Gauge};
+use anu_metrics::Registry;
 use anu_trace::{LogHistogram, TraceEvent, TraceLevel, WarnCode};
 use std::collections::BTreeMap;
 
-/// Metric names for the event-mix counters, indexed by `Event::mix`.
-pub(super) const EVENT_MIX_NAMES: [&str; 6] = [
-    "world.events.arrival",
-    "world.events.complete",
-    "world.events.tick",
-    "world.events.migration_done",
-    "world.events.fault",
-    "world.events.slowdown_end",
+/// One scalar metric: its name, its kind, and where the world keeps its
+/// value. A counter's value is its running total.
+type Scalar = (&'static str, MetricKind, fn(&World<'_>) -> u64);
+
+/// The world's scalar metrics, in registration order: the event mix, the
+/// calendar, migrations, requeues, sheds, scaling, the degraded flag and
+/// the two fairness gauges. Setup registers these rows first and each
+/// publication writes their values in the same order. The per-server
+/// gauges follow, then the histograms the end of the run registers. This
+/// order is the column order of the metrics CSVs.
+const SCALARS: [Scalar; 20] = [
+    ("world.events.arrival", Counter, |w| w.event_mix[0]),
+    ("world.events.complete", Counter, |w| w.event_mix[1]),
+    ("world.events.tick", Counter, |w| w.event_mix[2]),
+    ("world.events.migration_done", Counter, |w| w.event_mix[3]),
+    ("world.events.fault", Counter, |w| w.event_mix[4]),
+    ("world.events.slowdown_end", Counter, |w| w.event_mix[5]),
+    ("des.calendar.scheduled", Counter, |w| {
+        w.cal.stats().scheduled
+    }),
+    ("des.calendar.fired", Counter, |w| w.cal.stats().fired),
+    ("des.calendar.cancelled", Counter, |w| {
+        w.cal.stats().cancelled
+    }),
+    ("des.calendar.pending", Gauge, |w| w.cal.pending() as u64),
+    ("des.calendar.max_pending", Gauge, |w| {
+        w.cal.stats().max_pending
+    }),
+    ("migrations.total", Counter, |w| w.migration_count),
+    ("migrations.in_flight", Gauge, |w| {
+        w.sets.iter().filter(|r| r.dest().is_some()).count() as u64
+    }),
+    ("requests.requeued", Counter, |w| w.requests_requeued),
+    ("requests.shed", Counter, |w| w.requests_shed),
+    ("scale.commissions", Counter, |w| w.scale_ups),
+    ("scale.decommissions", Counter, |w| w.scale_downs),
+    // 1 while a `degraded` span is open (the shed ceiling is biting).
+    ("world.degraded", Gauge, |w| {
+        u64::from(w.degraded_span.is_some())
+    }),
+    ("fairness.jain_millionths", Gauge, |w| w.jain_millionths),
+    ("fairness.p99_set_max_us", Gauge, |w| w.p99_set_max_us),
 ];
+
+/// One per-server gauge: its name and where the server keeps its value.
+type ServerGauge = (&'static str, fn(&ServerState) -> u64);
+
+/// Gauges registered per server, as `server.{id}.{name}` in id order
+/// after [`SCALARS`]: queue population, fault state (1 = alive) and
+/// completed requests.
+const SERVER_GAUGES: [ServerGauge; 3] = [
+    ("occupancy", |st| st.station.population() as u64),
+    ("alive", |st| u64::from(st.alive)),
+    ("completed", |st| st.all.count()),
+];
+
+/// A registry with the world's scalar metrics and `n_servers` servers'
+/// gauges registered in table order.
+pub(super) fn registry(n_servers: usize) -> Registry {
+    let mut reg = Registry::new();
+    for (name, kind, _) in SCALARS {
+        if kind == Counter {
+            reg.counter(name);
+        } else {
+            reg.gauge(name);
+        }
+    }
+    for s in 0..n_servers {
+        for (gauge, _) in SERVER_GAUGES {
+            reg.gauge(&format!("server.{s}.{gauge}"));
+        }
+    }
+    reg
+}
 
 /// Per-set latency records buffered before they reach a histogram.
 pub(super) const SET_LATENCY_BATCH: usize = 1024;
@@ -75,153 +141,24 @@ impl SetLatency {
     }
 }
 
-/// The world's metrics registry plus every id it publishes to, cached at
-/// setup so the per-tick publish path does zero name lookups. Counters
-/// fold in as deltas against `prev_*` shadows of the world's local
-/// accumulators — the hot loop bumps plain fields and histograms; the
-/// registry is touched only at tick boundaries and at the end of the run.
-pub(super) struct WorldMetrics {
-    reg: Registry,
-    ev_mix: [MetricId; 6],
-    prev_mix: [u64; 6],
-    cal_scheduled: MetricId,
-    cal_fired: MetricId,
-    cal_cancelled: MetricId,
-    cal_pending: MetricId,
-    cal_max_pending: MetricId,
-    prev_cal: (u64, u64, u64),
-    migrations_total: MetricId,
-    prev_migrations: u64,
-    migrations_in_flight: MetricId,
-    requests_requeued: MetricId,
-    prev_requeued: u64,
-    requests_shed: MetricId,
-    prev_shed: u64,
-    scale_ups: MetricId,
-    prev_scale_ups: u64,
-    scale_downs: MetricId,
-    prev_scale_downs: u64,
-    /// 1 while a `degraded` span is open (the shed ceiling is biting).
-    degraded: MetricId,
-    /// Jain's fairness index over per-set mean latencies, in millionths
-    /// (gauges are integers), set once at the end of the run.
-    jain_millionths: MetricId,
-    /// Worst per-file-set p99 latency (µs), set once at the end of the run.
-    p99_set_max_us: MetricId,
-    /// Per server: queue population gauge.
-    server_occupancy: Vec<MetricId>,
-    /// Per server: fault-state gauge (1 = alive, 0 = down).
-    server_alive: Vec<MetricId>,
-    /// Per server: completed-request gauge.
-    server_completed: Vec<MetricId>,
-}
-
-impl WorldMetrics {
-    /// Register every counter and gauge in one deterministic order: event
-    /// mix, calendar, migration and requeue counters, then per-server
-    /// gauges in id order. The latency histograms follow at the end of the
-    /// run, registered with their contents (see `World::finish`).
-    pub(super) fn new(n_servers: usize) -> Self {
-        let mut reg = Registry::new();
-        let ev_mix = EVENT_MIX_NAMES.map(|n| reg.counter(n));
-        let cal_scheduled = reg.counter("des.calendar.scheduled");
-        let cal_fired = reg.counter("des.calendar.fired");
-        let cal_cancelled = reg.counter("des.calendar.cancelled");
-        let cal_pending = reg.gauge("des.calendar.pending");
-        let cal_max_pending = reg.gauge("des.calendar.max_pending");
-        let migrations_total = reg.counter("migrations.total");
-        let migrations_in_flight = reg.gauge("migrations.in_flight");
-        let requests_requeued = reg.counter("requests.requeued");
-        let requests_shed = reg.counter("requests.shed");
-        let scale_ups = reg.counter("scale.commissions");
-        let scale_downs = reg.counter("scale.decommissions");
-        let degraded = reg.gauge("world.degraded");
-        let jain_millionths = reg.gauge("fairness.jain_millionths");
-        let p99_set_max_us = reg.gauge("fairness.p99_set_max_us");
-        let mut server_occupancy = Vec::with_capacity(n_servers);
-        let mut server_alive = Vec::with_capacity(n_servers);
-        let mut server_completed = Vec::with_capacity(n_servers);
-        for s in 0..n_servers {
-            server_occupancy.push(reg.gauge(&format!("server.{s}.occupancy")));
-            server_alive.push(reg.gauge(&format!("server.{s}.alive")));
-            server_completed.push(reg.gauge(&format!("server.{s}.completed")));
-        }
-        WorldMetrics {
-            reg,
-            ev_mix,
-            prev_mix: [0; 6],
-            cal_scheduled,
-            cal_fired,
-            cal_cancelled,
-            cal_pending,
-            cal_max_pending,
-            prev_cal: (0, 0, 0),
-            migrations_total,
-            prev_migrations: 0,
-            migrations_in_flight,
-            requests_requeued,
-            prev_requeued: 0,
-            requests_shed,
-            prev_shed: 0,
-            scale_ups,
-            prev_scale_ups: 0,
-            scale_downs,
-            prev_scale_downs: 0,
-            degraded,
-            jain_millionths,
-            p99_set_max_us,
-            server_occupancy,
-            server_alive,
-            server_completed,
-        }
-    }
-}
-
 impl World<'_> {
-    /// Fold the local accumulators into the registry: counter deltas
-    /// against the `prev_*` shadows, fresh gauge values, calendar stats.
-    /// Runs at tick boundaries (taking a per-epoch scalar snapshot) and
-    /// once at the end of the run — never on the per-request path.
+    /// Write the world's current values into the registry, paired with
+    /// the ids in registration order: each [`SCALARS`] row, then each
+    /// server's gauges. Runs at tick boundaries (taking a per-epoch scalar
+    /// snapshot) and once at the end of the run, never on the per-request
+    /// path.
     pub(super) fn publish_metrics(&mut self, snapshot_at: Option<(u64, SimTime)>) {
-        let m = &mut self.metrics;
-        for k in 0..EVENT_MIX_NAMES.len() {
-            m.reg.inc(m.ev_mix[k], self.event_mix[k] - m.prev_mix[k]);
-            m.prev_mix[k] = self.event_mix[k];
-        }
-        let stats = self.cal.stats();
-        m.reg.inc(m.cal_scheduled, stats.scheduled - m.prev_cal.0);
-        m.reg.inc(m.cal_fired, stats.fired - m.prev_cal.1);
-        m.reg.inc(m.cal_cancelled, stats.cancelled - m.prev_cal.2);
-        m.prev_cal = (stats.scheduled, stats.fired, stats.cancelled);
-        m.reg.set(m.cal_pending, self.cal.pending() as u64);
-        m.reg.set(m.cal_max_pending, stats.max_pending);
-        m.reg
-            .inc(m.migrations_total, self.migration_count - m.prev_migrations);
-        m.prev_migrations = self.migration_count;
-        let in_flight = self.sets.iter().filter(|r| r.dest().is_some()).count() as u64;
-        m.reg.set(m.migrations_in_flight, in_flight);
-        m.reg.inc(
-            m.requests_requeued,
-            self.requests_requeued - m.prev_requeued,
-        );
-        m.prev_requeued = self.requests_requeued;
-        m.reg.inc(m.requests_shed, self.requests_shed - m.prev_shed);
-        m.prev_shed = self.requests_shed;
-        m.reg.inc(m.scale_ups, self.scale_ups - m.prev_scale_ups);
-        m.prev_scale_ups = self.scale_ups;
-        m.reg
-            .inc(m.scale_downs, self.scale_downs - m.prev_scale_downs);
-        m.prev_scale_downs = self.scale_downs;
-        m.reg
-            .set(m.degraded, u64::from(self.degraded_span.is_some()));
-        for (i, st) in self.servers.iter().enumerate() {
-            m.reg
-                .set(m.server_occupancy[i], st.station.population() as u64);
-            m.reg.set(m.server_alive[i], u64::from(st.alive));
-            m.reg.set(m.server_completed[i], st.all.count());
+        let scalars = SCALARS.map(|(_, _, value)| value(self));
+        let servers = self
+            .servers
+            .iter()
+            .flat_map(|st| SERVER_GAUGES.map(|(_, value)| value(st)));
+        let reg = &mut self.metrics;
+        for (id, v) in reg.ids().zip(scalars.into_iter().chain(servers)) {
+            reg.set(id, v);
         }
         if let Some((epoch, at)) = snapshot_at {
-            m.reg.snapshot(epoch, at.0);
+            reg.snapshot(epoch, at.0);
         }
     }
 
@@ -294,32 +231,32 @@ impl World<'_> {
             }
         }
 
-        // Final metrics publish: fold the remaining counter deltas and the
-        // end-state gauges, then register the latency histograms after
-        // every scalar, the run's first and then each set's in set order.
-        // No snapshot — snapshots are per-epoch only.
+        // Final metrics publish: the end-state totals with the fairness
+        // gauges, then the latency histograms after every scalar, the
+        // run's first and then each set's in set order. No snapshot:
+        // snapshots are per-epoch only.
         profiler.enter(ProfileScope::MetricsUpdate);
-        self.publish_metrics(None);
         // Fairness across file sets, from the per-set histograms (before
         // they are moved into the registry).
         let (jain_fairness, p99_set_max_us) = fairness(&set_hists);
         let completion_fairness = completion_fairness(&set_hists, &self.set_shed);
-        self.metrics.reg.set(
-            self.metrics.jain_millionths,
-            (jain_fairness * 1_000_000.0).round() as u64,
-        );
-        self.metrics
-            .reg
-            .set(self.metrics.p99_set_max_us, p99_set_max_us);
-        self.metrics.reg.histogram("latency.us", latency_hist);
+        self.jain_millionths = (jain_fairness * 1_000_000.0).round() as u64;
+        self.p99_set_max_us = p99_set_max_us;
+        self.publish_metrics(None);
+        self.metrics.histogram("latency.us", latency_hist);
         for (i, h) in set_hists.into_vec().into_iter().enumerate() {
-            self.metrics
-                .reg
-                .histogram(&format!("set.{i}.latency_us"), h);
+            self.metrics.histogram(&format!("set.{i}.latency_us"), h);
         }
         profiler.exit(ProfileScope::MetricsUpdate);
 
         // Assemble results.
+        let tuner_decisions = |outcome| {
+            self.epochs
+                .iter()
+                .flat_map(|e| e.tune.iter().flat_map(|t| &t.decisions))
+                .filter(|d| d.outcome == outcome)
+                .count() as u64
+        };
         let mut series = BTreeMap::new();
         let mut per_server_mean_ms = BTreeMap::new();
         let mut per_server_requests = BTreeMap::new();
@@ -342,16 +279,16 @@ impl World<'_> {
             per_server_requests,
             per_server_utilization,
             migrations: self.migration_count,
-            sim_events: self.event_count,
+            sim_events: self.event_mix.iter().sum(),
             late_imbalance_cov: late_imbalance(&series),
             late_mean_latency_ms: late_mean(&series),
             p50_latency_ms,
             p95_latency_ms,
             p99_latency_ms,
             max_queue_depth: self.max_queue_depth,
-            band_freezes: self.band_freezes,
-            divergent_freezes: self.divergent_freezes,
-            factor_clamps: self.factor_clamps,
+            band_freezes: tuner_decisions(TuneOutcome::FrozenBand),
+            divergent_freezes: tuner_decisions(TuneOutcome::FrozenDivergent),
+            factor_clamps: tuner_decisions(TuneOutcome::Clamped),
             unavailable_secs: self.unavailable_secs,
             unavailability_windows: self.unavailability_windows,
             mean_rebalance_secs: if self.rebalance_secs.is_empty() {
@@ -377,7 +314,7 @@ impl World<'_> {
             series,
             epochs: self.epochs,
             summary,
-            metrics: self.metrics.reg,
+            metrics: self.metrics,
         }
     }
 }

@@ -2,7 +2,7 @@
 //! metrics and tracing, driven through [`run`] and its traced variants.
 #![cfg(test)]
 
-use super::observe::{EVENT_MIX_NAMES, SET_LATENCY_BATCH};
+use super::observe::SET_LATENCY_BATCH;
 use super::*;
 use crate::policy::MoveSet;
 use crate::spec::FaultEvent;
@@ -138,49 +138,153 @@ fn tracing_does_not_perturb_the_run() {
     assert_eq!(lines, ring2.decode_lines());
 }
 
+/// A two-server cluster with one standby that every counter of the
+/// metric table sees move: under [`burst_then_trickle`] it sheds, a crash
+/// drains and requeues a busy server's queue and migrates its sets, a
+/// slowdown ends, and the autoscaler commissions and retires the standby.
+fn stormy_config() -> ClusterConfig {
+    use crate::autoscaler::AutoscalerConfig;
+    let mut cfg = ClusterConfig::homogeneous(3);
+    cfg.autoscaler = Some(AutoscalerConfig {
+        high_latency_ms: 1_000.0,
+        low_latency_ms: 10.0,
+        cooldown_ticks: 1,
+        min_servers: 2,
+        standby: vec![ServerId(2)],
+    });
+    cfg.shed = Some(crate::spec::ShedConfig { max_queue: 5 });
+    cfg.faults = vec![
+        FaultEvent::Fail {
+            at: SimTime::from_secs_f64(5.0),
+            server: ServerId(1),
+        },
+        FaultEvent::Slowdown {
+            at: SimTime::from_secs_f64(200.0),
+            server: ServerId(0),
+            factor: 2.0,
+            lasts: SimDuration::from_secs(30),
+        },
+        FaultEvent::Recover {
+            at: SimTime::from_secs_f64(300.0),
+            server: ServerId(1),
+        },
+    ];
+    cfg
+}
+
 #[test]
 fn metrics_registry_is_deterministic_and_conserves_events() {
-    let cfg = ClusterConfig::paper();
-    let w = small_workload(2);
-    let a = run(&cfg, &w, &mut Modulo);
-    let b = run(&cfg, &w, &mut Modulo);
-    assert_eq!(a.metrics, b.metrics, "registry must be run-deterministic");
-    // ...and identical with a sink attached: metrics are a function of
-    // the simulated trajectory, which tracing never perturbs.
-    let mut ring = anu_trace::RingSink::new(TraceLevel::Request);
-    let traced = run_traced(&cfg, &w, &mut Modulo, &mut ring);
-    assert_eq!(a.metrics, traced.metrics);
+    use anu_metrics::MetricKind::{Counter, Gauge, Histogram};
+    let quiet = (ClusterConfig::paper(), small_workload(2));
+    let stormy = (stormy_config(), burst_then_trickle(200, 1.0));
+    for (case, (cfg, w)) in [quiet, stormy].into_iter().enumerate() {
+        let a = run(&cfg, &w, &mut Modulo);
+        let b = run(&cfg, &w, &mut Modulo);
+        assert_eq!(a.metrics, b.metrics, "registry must be run-deterministic");
+        // ...and identical with a sink attached: metrics are a function of
+        // the simulated trajectory, which tracing never perturbs.
+        let mut ring = anu_trace::RingSink::new(TraceLevel::Request);
+        let traced = run_traced(&cfg, &w, &mut Modulo, &mut ring);
+        assert_eq!(a.metrics, traced.metrics);
 
-    // The event-mix counters partition the simulated event count.
-    let mix_total: u64 = EVENT_MIX_NAMES
-        .iter()
-        .map(|n| {
-            let id = a.metrics.find(n).expect("event-mix metric registered");
-            a.metrics.value(id)
-        })
-        .sum();
-    assert_eq!(mix_total, a.summary.sim_events);
-    // Calendar fires equal the event count too — every pop is an event.
-    let fired = a.metrics.find("des.calendar.fired").expect("registered");
-    assert_eq!(a.metrics.value(fired), a.summary.sim_events);
-    // The overall latency histogram saw every completed request.
-    let lat = a.metrics.find("latency.us").expect("registered");
-    assert_eq!(a.metrics.value(lat), a.summary.completed_requests);
-    // Per-set histogram counts sum to the overall count.
-    let per_set: u64 = w
-        .file_sets()
-        .iter()
-        .map(|fs| {
-            let id = a
-                .metrics
-                .find(&format!("set.{}.latency_us", fs.0))
-                .expect("per-set histogram registered");
-            a.metrics.value(id)
-        })
-        .sum();
-    assert_eq!(per_set, a.summary.completed_requests);
-    // One scalar snapshot per tuning epoch.
-    assert_eq!(a.metrics.snapshots().len(), a.epochs.len());
+        // The registration order is the metrics CSVs' column contract:
+        // the scalar table, each server's gauges, then the histograms.
+        let reg = &a.metrics;
+        let mut want = vec![
+            ("world.events.arrival", Counter),
+            ("world.events.complete", Counter),
+            ("world.events.tick", Counter),
+            ("world.events.migration_done", Counter),
+            ("world.events.fault", Counter),
+            ("world.events.slowdown_end", Counter),
+            ("des.calendar.scheduled", Counter),
+            ("des.calendar.fired", Counter),
+            ("des.calendar.cancelled", Counter),
+            ("des.calendar.pending", Gauge),
+            ("des.calendar.max_pending", Gauge),
+            ("migrations.total", Counter),
+            ("migrations.in_flight", Gauge),
+            ("requests.requeued", Counter),
+            ("requests.shed", Counter),
+            ("scale.commissions", Counter),
+            ("scale.decommissions", Counter),
+            ("world.degraded", Gauge),
+            ("fairness.jain_millionths", Gauge),
+            ("fairness.p99_set_max_us", Gauge),
+        ]
+        .into_iter()
+        .map(|(name, kind)| (name.to_string(), kind))
+        .collect::<Vec<_>>();
+        for s in 0..cfg.servers.len() {
+            for g in ["occupancy", "alive", "completed"] {
+                want.push((format!("server.{s}.{g}"), Gauge));
+            }
+        }
+        want.push(("latency.us".to_string(), Histogram));
+        for i in 0..w.n_file_sets {
+            want.push((format!("set.{i}.latency_us"), Histogram));
+        }
+        let got: Vec<_> = reg
+            .ids()
+            .map(|id| (reg.name(id).to_string(), reg.kind(id)))
+            .collect();
+        assert_eq!(got, want, "case {case}");
+
+        // Each counter equals its twin in the result.
+        let value = |name: &str| reg.value(reg.find(name).expect("registered"));
+        let s = &a.summary;
+        let twins = [
+            ("world.events.arrival", s.offered_requests),
+            ("world.events.complete", s.completed_requests),
+            ("world.events.tick", a.epochs.len() as u64),
+            ("world.events.migration_done", s.migrations),
+            ("world.events.fault", cfg.faults.len() as u64),
+            ("des.calendar.fired", s.sim_events),
+            ("migrations.total", s.migrations),
+            ("requests.requeued", s.requests_requeued),
+            ("requests.shed", s.requests_shed),
+            ("scale.commissions", s.scale_ups),
+            ("scale.decommissions", s.scale_downs),
+        ];
+        for (name, twin) in twins {
+            assert_eq!(value(name), twin, "case {case}: {name}");
+        }
+        // The event-mix counters partition the simulated event count, and
+        // the drained calendar fired or cancelled everything it scheduled.
+        let mix_total: u64 = got[..6].iter().map(|(n, _)| value(n)).sum();
+        assert_eq!(mix_total, s.sim_events, "case {case}");
+        assert_eq!(
+            value("des.calendar.scheduled"),
+            value("des.calendar.fired") + value("des.calendar.cancelled"),
+            "case {case}"
+        );
+        // The overall latency histogram saw every completed request, and
+        // the per-set histogram counts sum to it.
+        assert_eq!(value("latency.us"), s.completed_requests);
+        let per_set: u64 = (0..w.n_file_sets)
+            .map(|i| value(&format!("set.{i}.latency_us")))
+            .sum();
+        assert_eq!(per_set, s.completed_requests);
+        // One scalar snapshot per tuning epoch, taken after its tick
+        // fired; no standby retires before it was commissioned.
+        assert_eq!(reg.snapshots().len(), a.epochs.len());
+        let id = |name: &str| reg.find(name).expect("registered").index();
+        let (tick, ups, downs) = (
+            id("world.events.tick"),
+            id("scale.commissions"),
+            id("scale.decommissions"),
+        );
+        for snap in reg.snapshots() {
+            let at = |i: usize| snap.scalars[i].1;
+            assert_eq!(at(tick), snap.epoch + 1, "case {case}");
+            assert!(at(ups) >= at(downs), "case {case} epoch {}", snap.epoch);
+        }
+        if case == 1 {
+            for id in reg.ids().filter(|&id| reg.kind(id) == Counter) {
+                assert!(reg.value(id) > 0, "{} never moved", reg.name(id));
+            }
+        }
+    }
 }
 
 #[test]

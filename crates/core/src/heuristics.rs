@@ -20,6 +20,12 @@
 //!   configuration. It is the one stateful policy; when the delegate has no
 //!   previous-interval state (e.g. after a delegate failover) it is simply
 //!   skipped, preserving graceful degradation.
+//!
+//! A server the heuristics let move is scaled by one rule,
+//! [`TuningConfig::scale_share`], which both the central delegate and the
+//! pairwise tuner apply.
+
+use crate::tuner::TuneOutcome;
 
 /// Per-tick clamp on the scaling factor: one pass scales a share by at
 /// most `MAX_FACTOR` and by at least `1 / MAX_FACTOR`. An idle server
@@ -168,6 +174,37 @@ impl TuningConfig {
         } else {
             latency < prev // below average and strictly falling
         }
+    }
+
+    /// The scaling rule for a server that tuning moves: its `share` (of
+    /// `total`) times `(mu/latency)^gamma`, with the factor clamped to
+    /// `[1/MAX_FACTOR, MAX_FACTOR]`; an idle server grows at
+    /// [`MAX_FACTOR`]. Multiplication cannot restart a share that collapsed
+    /// to about zero, so a growing share is first floored at
+    /// [`MIN_GROW_SHARE`] of `total`. Returns the new share and what shaped
+    /// it: [`TuneOutcome::Clamped`] when the clamp bit,
+    /// [`TuneOutcome::Floored`] when the floor did, and
+    /// [`TuneOutcome::Scaled`] otherwise.
+    pub fn scale_share(&self, share: f64, total: f64, latency: f64, mu: f64) -> (f64, TuneOutcome) {
+        let raw = if latency <= 0.0 {
+            MAX_FACTOR
+        } else {
+            (mu / latency).powf(self.gamma)
+        };
+        let factor = raw.clamp(1.0 / MAX_FACTOR, MAX_FACTOR);
+        let base = if factor > 1.0 {
+            share.max(MIN_GROW_SHARE * total)
+        } else {
+            share
+        };
+        let outcome = if factor != raw {
+            TuneOutcome::Clamped
+        } else if base != share {
+            TuneOutcome::Floored
+        } else {
+            TuneOutcome::Scaled
+        };
+        (base * factor, outcome)
     }
 }
 

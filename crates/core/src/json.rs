@@ -77,11 +77,6 @@ impl Json {
         Json::Num(v.to_string())
     }
 
-    /// A number from an `i64` (exact).
-    pub fn i64(v: i64) -> Json {
-        Json::Num(v.to_string())
-    }
-
     /// A number from a `usize` (exact).
     pub fn usize(v: usize) -> Json {
         Json::Num(v.to_string())

@@ -86,15 +86,6 @@ pub fn usize_of_u32(x: u32) -> usize {
     x as usize
 }
 
-/// `usize` → `u32`, saturating.
-///
-/// Used for part counts, which the partition table keeps far below `2^32`;
-/// saturation is a defensive bound, not an expected path.
-#[inline]
-pub fn u32_of_usize(x: usize) -> u32 {
-    u32::try_from(x).unwrap_or(u32::MAX)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -131,7 +122,5 @@ mod tests {
     #[test]
     fn narrowing_saturates() {
         assert_eq!(usize_of(42), 42);
-        assert_eq!(u32_of_usize(7), 7);
-        assert_eq!(u32_of_usize(usize::MAX), u32::MAX);
     }
 }

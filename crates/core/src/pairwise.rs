@@ -24,7 +24,7 @@
 //! With an odd number of servers, one server sits the round out.
 
 use crate::hash::mix64;
-use crate::heuristics::{TuningConfig, MAX_FACTOR, MIN_GROW_SHARE};
+use crate::heuristics::TuningConfig;
 use crate::ids::ServerId;
 use crate::tuner::LoadReport;
 use std::collections::BTreeMap;
@@ -60,11 +60,6 @@ impl PairwiseTuner {
             round: 0,
             seed,
         }
-    }
-
-    /// The tuning configuration in use.
-    pub fn config(&self) -> &TuningConfig {
-        &self.cfg
     }
 
     /// Drop previous-round state (peer restart); divergent tuning abstains
@@ -169,18 +164,7 @@ impl PairwiseTuner {
                 if self.cfg.within_band(l, mu) || !divergence(s, l) {
                     return None;
                 }
-                let raw = if l <= 0.0 {
-                    MAX_FACTOR
-                } else {
-                    (mu / l).powf(self.cfg.gamma)
-                };
-                let factor = raw.clamp(1.0 / MAX_FACTOR, MAX_FACTOR);
-                let base = if factor > 1.0 {
-                    share.max(MIN_GROW_SHARE * total)
-                } else {
-                    share
-                };
-                Some(base * factor)
+                Some(self.cfg.scale_share(share, total, l, mu).0)
             };
             let na = scaled(a, la, sa);
             let nb = scaled(b, lb, sb);

@@ -68,11 +68,6 @@ impl PlacementMap {
         &self.table
     }
 
-    /// The hash family (read-only).
-    pub fn hasher(&self) -> &HashFamily {
-        &self.hasher
-    }
-
     /// Servers currently in the map, in id order.
     pub fn servers(&self) -> Vec<ServerId> {
         self.table.servers().collect()
@@ -252,12 +247,6 @@ impl PlacementMap {
                 (n, s)
             })
             .collect()
-    }
-
-    /// Fraction of the unit interval currently mapped (0.5 in steady state;
-    /// transiently less than one partition width below after a failure).
-    pub fn mapped_fraction(&self) -> f64 {
-        num::f64_of(self.table.total_share()) / (2.0 * num::f64_of(HALF_UNIT))
     }
 
     /// Validate internal invariants (for tests/debugging): structural shape
@@ -565,11 +554,13 @@ mod tests {
     #[test]
     fn mapped_fraction_reports_dip_after_failure() {
         let mut m = PlacementMap::new(&ids(4), 3, 16).unwrap();
-        assert!((m.mapped_fraction() - 0.5).abs() < 1e-12);
+        assert_eq!(m.table().total_share(), HALF_UNIT);
         m.remove_server(ServerId(1)).unwrap();
-        let f = m.mapped_fraction();
-        assert!(f <= 0.5 && f > 0.5 - 1.0 / 8.0, "{f}");
+        // A failure leaves the map less than one partition width short of
+        // half occupancy: 1/8 of the unit interval with four servers.
+        let dip = HALF_UNIT - m.table().total_share();
+        assert!(dip < HALF_UNIT / 4, "{dip}");
         m.restore_half_occupancy().unwrap();
-        assert!((m.mapped_fraction() - 0.5).abs() < 1e-12);
+        assert_eq!(m.table().total_share(), HALF_UNIT);
     }
 }

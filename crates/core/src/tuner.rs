@@ -13,9 +13,7 @@
 //! stateful extension and degrades gracefully when the state is missing
 //! (see [`crate::heuristics`]).
 
-use crate::heuristics::{
-    AverageKind, TuningConfig, MAX_FACTOR, MAX_REPORT_AGE, MIN_GROW_SHARE, MIN_QUORUM,
-};
+use crate::heuristics::{AverageKind, TuningConfig, MAX_REPORT_AGE, MIN_QUORUM};
 use crate::ids::ServerId;
 use crate::json::{Json, ToJson};
 use std::collections::BTreeMap;
@@ -58,14 +56,21 @@ pub struct TunePlan {
 /// or which clamp bounded the move.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum TuneOutcome {
-    /// The raw scaling factor was applied unmodified.
+    /// The raw scaling factor was applied unmodified. An idle server's
+    /// raw factor is [`MAX_FACTOR`] itself, so it grows as `Scaled` (or
+    /// `Floored`).
+    ///
+    /// [`MAX_FACTOR`]: crate::heuristics::MAX_FACTOR
     Scaled,
     /// The raw factor exceeded [`MAX_FACTOR`] or fell below its inverse
-    /// and was clamped (includes the idle-server case, which grows pinned
-    /// at the clamp).
+    /// and was clamped.
+    ///
+    /// [`MAX_FACTOR`]: crate::heuristics::MAX_FACTOR
     Clamped,
     /// The share was floored at [`MIN_GROW_SHARE`] before growing, so a
     /// collapsed region could re-enter.
+    ///
+    /// [`MIN_GROW_SHARE`]: crate::heuristics::MIN_GROW_SHARE
     Floored,
     /// Thresholding froze the server: its latency was within the band
     /// around `μ`.
@@ -267,11 +272,6 @@ impl Tuner {
         }
     }
 
-    /// The configuration in use.
-    pub fn config(&self) -> &TuningConfig {
-        &self.cfg
-    }
-
     /// Drop the previous-interval state, as a delegate failover would.
     pub fn forget_state(&mut self) {
         self.prev = None;
@@ -460,27 +460,8 @@ impl Tuner {
                 continue;
             }
             movers.push(s);
-            let raw_factor = if latency <= 0.0 {
-                MAX_FACTOR // idle server: grow at the clamp
-            } else {
-                (mu / latency).powf(self.cfg.gamma)
-            };
-            let factor = raw_factor.clamp(1.0 / MAX_FACTOR, MAX_FACTOR);
-            // Multiplication cannot restart a share that collapsed to ~zero;
-            // floor it when growing so the server can re-enter.
-            let base = if factor > 1.0 {
-                share.max(MIN_GROW_SHARE * share_total)
-            } else {
-                share
-            };
-            let outcome = if factor != raw_factor {
-                TuneOutcome::Clamped
-            } else if base != share {
-                TuneOutcome::Floored
-            } else {
-                TuneOutcome::Scaled
-            };
-            targets.insert(s, base * factor);
+            let (target, outcome) = self.cfg.scale_share(share, share_total, latency, mu);
+            targets.insert(s, target);
             decisions.push(TuneDecision {
                 server: s,
                 latency_ms: latency,

@@ -10,7 +10,7 @@
 //! driven by a seeded SplitMix64 case generator: 64 deterministic cases
 //! per property, reproducible from the printed case seed on failure.
 
-use anu_core::{shares, FileSetId, PartitionState, PlacementMap, ServerId, HALF_UNIT};
+use anu_core::{shares, FileSetId, HashFamily, PartitionState, PlacementMap, ServerId, HALF_UNIT};
 use std::collections::BTreeMap;
 
 /// Deterministic case generator (SplitMix64).
@@ -121,6 +121,8 @@ fn movement_bounded_by_changed_width() {
         // unchanged mapped regions keep their owner.
         let servers = server_ids(n);
         let mut m = PlacementMap::new(&servers, seed, 16).unwrap();
+        // The hash family the map probes with.
+        let hasher = HashFamily::new(seed, 16);
         let all = names(400);
         let before: Vec<ServerId> = all.iter().map(|x| m.locate(x)).collect();
         let layout = m.table().clone();
@@ -133,9 +135,9 @@ fn movement_bounded_by_changed_width() {
             let new = m.locate(name);
             if new != old {
                 // Some probe position must have changed owner.
-                let base = m.hasher().base(name);
-                let hit = (0..m.hasher().rounds()).any(|k| {
-                    let p = m.hasher().probe(base, k);
+                let base = hasher.base(name);
+                let hit = (0..hasher.rounds()).any(|k| {
+                    let p = hasher.probe(base, k);
                     layout.lookup(p) != m.table().lookup(p)
                 });
                 assert!(hit, "case {case}: owner changed without probe-path change");
@@ -178,6 +180,8 @@ fn repartition_moves_nothing() {
         let seed = c.next_u64();
         let servers = server_ids(n);
         let mut m = PlacementMap::new(&servers, seed, 16).unwrap();
+        // The hash family the map probes with.
+        let hasher = HashFamily::new(seed, 16);
         let w: BTreeMap<ServerId, f64> = servers
             .iter()
             .map(|&s| (s, c.f64_in(0.0, 100.0) + 1e-3))
@@ -189,9 +193,9 @@ fn repartition_moves_nothing() {
         let mut t = m.table().clone();
         t.repartition_double().unwrap();
         for name in &all {
-            let base = m.hasher().base(name);
-            for k in 0..m.hasher().rounds() {
-                let p = m.hasher().probe(base, k);
+            let base = hasher.base(name);
+            for k in 0..hasher.rounds() {
+                let p = hasher.probe(base, k);
                 assert_eq!(t.lookup(p), m.table().lookup(p), "case {case}");
             }
         }

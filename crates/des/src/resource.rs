@@ -41,8 +41,6 @@ pub struct FifoStation<M> {
     busy: SimDuration,
     /// When the current service started (valid while `in_service`).
     service_start: SimTime,
-    completed: u64,
-    arrived: u64,
 }
 
 impl<M> Default for FifoStation<M> {
@@ -59,19 +57,7 @@ impl<M> FifoStation<M> {
             in_service: None,
             busy: SimDuration::ZERO,
             service_start: SimTime::ZERO,
-            completed: 0,
-            arrived: 0,
         }
-    }
-
-    /// Is a job currently in service?
-    pub fn is_busy(&self) -> bool {
-        self.in_service.is_some()
-    }
-
-    /// Jobs waiting (excluding the one in service).
-    pub fn queue_len(&self) -> usize {
-        self.queue.len()
     }
 
     /// Jobs at the station including the one in service.
@@ -85,11 +71,6 @@ impl<M> FifoStation<M> {
         self.in_service.as_ref()
     }
 
-    /// Total jobs that have arrived / completed.
-    pub fn counters(&self) -> (u64, u64) {
-        (self.arrived, self.completed)
-    }
-
     /// Accumulated busy time (through the last completion).
     pub fn busy_time(&self) -> SimDuration {
         self.busy
@@ -98,7 +79,6 @@ impl<M> FifoStation<M> {
     /// A job arrives at time `now`. If the station was idle it enters
     /// service immediately and the completion time is returned.
     pub fn arrive(&mut self, now: SimTime, job: Job<M>) -> StartService {
-        self.arrived += 1;
         if self.in_service.is_none() {
             let done = now + job.service;
             self.service_start = now;
@@ -126,7 +106,6 @@ impl<M> FifoStation<M> {
             .take()
             .expect("completion event for idle station");
         self.busy += now.since(self.service_start);
-        self.completed += 1;
         let next = self.queue.pop_front().map(|j| {
             let done = now + j.service;
             self.service_start = now;
@@ -182,7 +161,7 @@ mod tests {
             StartService::At(t) => assert_eq!(t, SimTime(15)),
             StartService::Queued => panic!("should start immediately"),
         }
-        assert!(st.is_busy());
+        assert!(st.in_service().is_some());
         assert_eq!(st.population(), 1);
     }
 
@@ -191,7 +170,6 @@ mod tests {
         let mut st = FifoStation::new();
         st.arrive(SimTime(0), job(0, 10));
         assert_eq!(st.arrive(SimTime(1), job(1, 10)), StartService::Queued);
-        assert_eq!(st.queue_len(), 1);
         assert_eq!(st.population(), 2);
     }
 
@@ -231,8 +209,7 @@ mod tests {
         let (j3, next) = st.complete(SimTime(22));
         assert_eq!(j3.meta, 3);
         assert_eq!(next, None);
-        assert!(!st.is_busy());
-        assert_eq!(st.counters(), (3, 3));
+        assert!(st.in_service().is_none());
         assert_eq!(st.busy_time(), SimDuration(22));
     }
 
@@ -267,7 +244,7 @@ mod tests {
             drained.iter().map(|j| j.meta).collect::<Vec<_>>(),
             vec![1, 2]
         );
-        assert!(!st.is_busy());
+        assert!(st.in_service().is_none());
         assert_eq!(st.population(), 0);
         // Partial service charged: 4 of 10.
         assert_eq!(st.busy_time(), SimDuration(4));

@@ -17,9 +17,12 @@
 //!    handle to any event queue and cannot acquire one: this crate does
 //!    not depend on `anu-des`, so an update can only mutate local state.
 //!    Instrumented code observes the simulation; it must never perturb it.
-//! 3. **Cheap on the hot path.** An update is an index into a slot vector
-//!    plus an add — name lookup happens once, at registration, and the
-//!    returned [`MetricId`] is cached by the instrumented site.
+//! 3. **Off the hot path.** The instrumented code keeps its own totals
+//!    and publishes them at epoch boundaries: [`Registry::set`] stores a
+//!    counter's running total or a gauge's level into its slot. Name
+//!    lookup happens once, at registration; ids are registration
+//!    positions, so a site that registers a fixed list of metrics can
+//!    walk [`Registry::ids`] beside its values.
 //!
 //! Histograms reuse [`anu_trace::LogHistogram`] (power-of-two buckets,
 //! integer quantiles), so percentiles exported here agree bucket-for-
@@ -47,7 +50,7 @@ impl MetricId {
 /// What a metric slot holds.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum MetricKind {
-    /// Monotone event count (`inc`).
+    /// Monotone event count: `set` to a running total, never lower.
     Counter,
     /// Last-write-wins level (`set`).
     Gauge,
@@ -120,16 +123,6 @@ impl Registry {
         Registry::default()
     }
 
-    /// Number of registered metrics.
-    pub fn len(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// True when nothing is registered.
-    pub fn is_empty(&self) -> bool {
-        self.slots.is_empty()
-    }
-
     fn register(&mut self, name: &str, slot: Slot) -> MetricId {
         if let Some(&i) = self.by_name.get(name) {
             debug_assert_eq!(
@@ -166,23 +159,17 @@ impl Registry {
         self.register(name, Slot::Histogram(h))
     }
 
-    /// Add `by` to a counter (saturating — a counter never wraps back).
-    #[inline]
-    pub fn inc(&mut self, id: MetricId, by: u64) {
-        if let Some(Slot::Counter(v)) = self.slots.get_mut(id.index()) {
-            *v = v.saturating_add(by);
-        } else {
-            debug_assert!(false, "inc on a non-counter id {id:?}");
-        }
-    }
-
-    /// Set a gauge to `v`.
+    /// Set a counter to its running total, or a gauge to its level. A
+    /// counter never goes down.
     #[inline]
     pub fn set(&mut self, id: MetricId, v: u64) {
-        if let Some(Slot::Gauge(g)) = self.slots.get_mut(id.index()) {
-            *g = v;
-        } else {
-            debug_assert!(false, "set on a non-gauge id {id:?}");
+        match self.slots.get_mut(id.index()) {
+            Some(Slot::Counter(c)) => {
+                debug_assert!(v >= *c, "counter {id:?} set down from {c} to {v}");
+                *c = v;
+            }
+            Some(Slot::Gauge(g)) => *g = v,
+            _ => debug_assert!(false, "set on a histogram or unknown id {id:?}"),
         }
     }
 
@@ -228,7 +215,9 @@ impl Registry {
     }
 
     /// Every metric id in registration order — the canonical export order.
-    pub fn ids(&self) -> impl Iterator<Item = MetricId> + '_ {
+    /// The iterator holds no borrow, so a caller can set each id's value
+    /// as it walks them.
+    pub fn ids(&self) -> impl Iterator<Item = MetricId> {
         (0..self.slots.len() as u32).map(MetricId)
     }
 
@@ -273,8 +262,8 @@ mod tests {
         let c = r.counter("events_total");
         let g = r.gauge("queue_depth");
         let h = r.histogram("latency_us", hist_of(&[1, 1, 1000]));
-        r.inc(c, 3);
-        r.inc(c, 2);
+        r.set(c, 3);
+        r.set(c, 5);
         r.set(g, 7);
         r.set(g, 4);
         assert_eq!(r.value(c), 5);
@@ -294,10 +283,20 @@ mod tests {
         let a = r.counter("x");
         let b = r.counter("x");
         assert_eq!(a, b);
-        r.inc(a, 1);
-        r.inc(b, 1);
+        r.set(a, 1);
+        r.set(b, 2);
         assert_eq!(r.value(a), 2);
-        assert_eq!(r.len(), 1);
+        assert_eq!(r.ids().count(), 1);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "set down")]
+    fn a_counter_never_goes_down() {
+        let mut r = Registry::new();
+        let c = r.counter("done");
+        r.set(c, 2);
+        r.set(c, 1);
     }
 
     #[test]
@@ -318,10 +317,10 @@ mod tests {
         let c = r.counter("done");
         r.histogram("lat", hist_of(&[5]));
         let g = r.gauge("depth");
-        r.inc(c, 1);
+        r.set(c, 1);
         r.set(g, 9);
         r.snapshot(0, 1_000_000);
-        r.inc(c, 1);
+        r.set(c, 2);
         // A metric registered after the first snapshot appears only in
         // later snapshots.
         let late = r.gauge("late");
