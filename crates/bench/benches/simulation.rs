@@ -44,18 +44,22 @@ fn bench_calendar_hold() {
     });
 }
 
+/// The world's queued job: its service demand, then its request's tag
+/// and file set.
+type WorldJob = Job<(u32, u32)>;
+const _: () = assert!(size_of::<WorldJob>() == 16);
+
 fn bench_station() {
     bench("fifo_station/arrive+complete", || {
-        let mut st: FifoStation<u32> = FifoStation::new();
+        let mut st: FifoStation<(u32, u32)> = FifoStation::new();
         let mut t = SimTime::ZERO;
         for i in 0..256u32 {
             t += SimDuration(10);
             if let StartService::At(done) = st.arrive(
                 t,
-                Job {
-                    arrival: t,
+                WorldJob {
                     service: SimDuration(25),
-                    meta: i,
+                    meta: (i, i % 16),
                 },
             ) {
                 black_box(done);

@@ -109,9 +109,11 @@ struct Clients<'c> {
     rng: RngStream,
     /// O(1) weighted file-set selection per issue, regardless of set count.
     sampler: AliasTable,
-    /// When each client issued its current metadata request (for
-    /// end-to-end cycle latency).
-    issued: Vec<SimTime>,
+    /// Each client's outstanding metadata request (a client has at most
+    /// one): when it was issued, for end-to-end cycle latency, and its
+    /// speed-1 cost, which the world reads back through
+    /// [`ArrivalSource::admitted`].
+    outstanding: Vec<(SimTime, SimDuration)>,
     horizon: SimTime,
     cycles: u64,
     cycle_ms_sum: f64,
@@ -148,14 +150,18 @@ impl ArrivalSource for Clients<'_> {
     }
 
     fn arrive(&mut self, client: u32, now: SimTime) -> Arrival {
-        self.issued[client as usize] = now;
         let set = self.sampler.sample(&mut self.rng) as u32;
         let cost = self.draw(self.cfg.metadata_cost);
+        self.outstanding[client as usize] = (now, cost);
         Arrival {
             set,
             cost,
             next: None,
         }
+    }
+
+    fn admitted(&self, client: u32) -> (SimTime, SimDuration) {
+        self.outstanding[client as usize]
     }
 
     fn depart(&mut self, client: u32, now: SimTime, served: bool) -> Option<(SimTime, u32)> {
@@ -173,7 +179,8 @@ impl ArrivalSource for Clients<'_> {
                 return None;
             }
             self.cycles += 1;
-            self.cycle_ms_sum += done.since(self.issued[client as usize]).as_millis_f64();
+            let (issued, _) = self.outstanding[client as usize];
+            self.cycle_ms_sum += done.since(issued).as_millis_f64();
         }
         // A shed request sends its client straight back to think time.
         let next = done + self.draw(self.cfg.think);
@@ -199,7 +206,7 @@ pub fn run_closed_loop(
         cfg,
         rng: RngStream::new(cfg.seed, "closed-loop"),
         sampler: AliasTable::new(&weights),
-        issued: vec![SimTime::ZERO; cfg.clients],
+        outstanding: vec![(SimTime::ZERO, SimDuration::ZERO); cfg.clients],
         horizon: SimTime::ZERO + cfg.duration,
         cycles: 0,
         cycle_ms_sum: 0.0,

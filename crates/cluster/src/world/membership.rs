@@ -3,7 +3,7 @@
 //! auditor. A server leaves through one take-down path and joins
 //! through one bring-up path, whether a fault or the autoscaler moves it.
 
-use super::{Event, RebalanceClock, SetRow, World, NO_SERVER};
+use super::{ArrivalSource, Event, JobInfo, RebalanceClock, SetRow, World, NO_SERVER};
 use crate::autoscaler::{Autoscaler, ScaleAction};
 use crate::policy::{MoveSet, PlacementPolicy};
 use crate::spec::{FaultEvent, FAILOVER_DELAY};
@@ -96,7 +96,7 @@ impl World<'_> {
         }
     }
 
-    pub(super) fn handle_migration_done(&mut self, set: u32) {
+    pub(super) fn handle_migration_done<S: ArrivalSource>(&mut self, set: u32, source: &S) {
         let row = self.sets[set as usize];
         #[expect(
             clippy::expect_used,
@@ -140,8 +140,8 @@ impl World<'_> {
                 buffered: buffered.len() as u64,
             },
         );
-        for (arrival, job) in buffered {
-            self.enqueue(to, arrival, job);
+        for tag in buffered {
+            self.enqueue(to, JobInfo { tag, set }, source.admitted(tag));
         }
         // If this set was orphaned by a failure, its landing may close
         // that failure's rebalance clock.
@@ -161,7 +161,12 @@ impl World<'_> {
     /// decommission per tick; the membership change flows through the
     /// same bring-up / take-down path scripted faults use, and the
     /// invariant auditor runs at the boundary.
-    pub(super) fn autoscale(&mut self, reports: &[LoadReport], policy: &mut dyn PlacementPolicy) {
+    pub(super) fn autoscale<S: ArrivalSource>(
+        &mut self,
+        reports: &[LoadReport],
+        policy: &mut dyn PlacementPolicy,
+        source: &S,
+    ) {
         if self.autoscaler.is_none() {
             return;
         }
@@ -181,7 +186,7 @@ impl World<'_> {
                 self.bring_up(standby[slot].0, Cause::Scale, policy);
             }
             Some(ScaleAction::Decommission(slot)) => {
-                self.take_down(standby[slot].0, Cause::Scale, policy);
+                self.take_down(standby[slot].0, Cause::Scale, policy, source);
             }
             None => return,
         }
@@ -231,7 +236,13 @@ impl World<'_> {
     /// ([`Cause::Scale`]) re-homes exactly like a crash but pays the
     /// ordinary migration cost (there is nothing to detect) and counts a
     /// scale-down.
-    fn take_down(&mut self, si: u32, cause: Cause, policy: &mut dyn PlacementPolicy) {
+    fn take_down<S: ArrivalSource>(
+        &mut self,
+        si: u32,
+        cause: Cause,
+        policy: &mut dyn PlacementPolicy,
+        source: &S,
+    ) {
         let now = self.cal.now();
         let server = ServerId(si);
         let crash = cause == Cause::Fault;
@@ -309,10 +320,11 @@ impl World<'_> {
         for job in drained {
             // Most drained jobs belong to orphaned sets (now in flight); a
             // few may belong to sets that migrated away earlier but still
-            // had queued work here.
+            // had queued work here. Either way the request keeps its
+            // original arrival, and its new server re-costs it.
             let set = job.meta.set as usize;
             if self.sets[set].dest().is_some() {
-                self.buffered[set].push((job.arrival, job.meta));
+                self.buffered[set].push(job.meta.tag);
             } else {
                 #[expect(
                     clippy::expect_used,
@@ -321,7 +333,7 @@ impl World<'_> {
                 let owner = self.sets[set]
                     .owner()
                     .expect("set is assigned or migrating");
-                self.enqueue(owner, job.arrival, job.meta);
+                self.enqueue(owner, job.meta, source.admitted(job.meta.tag));
             }
         }
         if !crash {
@@ -413,12 +425,17 @@ impl World<'_> {
     /// The `i`-th scripted fault fires; the auditor then checks the
     /// boundary. Fault scripts are validated against the server set, so a
     /// fault's server id always indexes the server table.
-    pub(super) fn handle_fault(&mut self, i: u32, policy: &mut dyn PlacementPolicy) {
+    pub(super) fn handle_fault<S: ArrivalSource>(
+        &mut self,
+        i: u32,
+        policy: &mut dyn PlacementPolicy,
+        source: &S,
+    ) {
         let now = self.cal.now();
         let cfg = self.cfg;
         match cfg.faults[i as usize] {
             FaultEvent::Fail { server, .. } => {
-                self.take_down(server.0, Cause::Fault, policy);
+                self.take_down(server.0, Cause::Fault, policy, source);
             }
             FaultEvent::Recover { server, .. } => {
                 self.bring_up(server.0, Cause::Fault, policy);

@@ -77,6 +77,11 @@ impl Event {
 /// replay, a client number for closed-loop clients); it rides in the job
 /// and in any migration buffer until the request departs.
 ///
+/// A request's fields stay with its source: the world holds only its tag
+/// and file set, and reads the arrival and cost back through
+/// [`ArrivalSource::admitted`] when a completion measures latency or a
+/// drained or buffered job is re-costed.
+///
 /// The loop is generic over the source, so each source compiles to its
 /// own loop with no dynamic call per event.
 pub(crate) trait ArrivalSource {
@@ -90,6 +95,10 @@ pub(crate) trait ArrivalSource {
     fn first_arrivals(&mut self) -> Vec<(SimTime, u32)>;
     /// Resolve the request tagged `tag`, arriving `now`.
     fn arrive(&mut self, tag: u32, now: SimTime) -> Arrival;
+    /// The arrival and speed-1 cost of the admitted request tagged `tag`:
+    /// the `now` it arrived at and the cost [`ArrivalSource::arrive`]
+    /// resolved. Valid from its admission until its departure.
+    fn admitted(&self, tag: u32) -> (SimTime, SimDuration);
     /// The request tagged `tag` left `now`: served, or shed at admission.
     /// Returns the arrival its departure causes, as `(time, tag)`.
     fn depart(&mut self, tag: u32, now: SimTime, served: bool) -> Option<(SimTime, u32)>;
@@ -109,24 +118,31 @@ pub(crate) struct Arrival {
 /// Trace replay: the workload's requests in arrival order, one pending
 /// arrival at a time. A request's tag is its position in the trace, and a
 /// departure causes nothing.
-struct Replay<'w>(&'w Workload);
+///
+/// Each arrival is chained at its request's own arrival time, never before
+/// the one firing, so the calendar never clamps it: an admitted request
+/// arrived at exactly its trace arrival, which [`ArrivalSource::admitted`]
+/// reads back from the stream.
+struct Replay<'w> {
+    workload: &'w Workload,
+    requests: &'w [anu_workload::Request],
+}
 
 impl ArrivalSource for Replay<'_> {
     fn n_file_sets(&self) -> usize {
-        self.0.n_file_sets
+        self.workload.n_file_sets
     }
 
     fn duration(&self) -> SimDuration {
-        self.0.duration()
+        self.workload.duration()
     }
 
     fn label(&self) -> &str {
-        &self.0.label
+        &self.workload.label
     }
 
     fn first_arrivals(&mut self) -> Vec<(SimTime, u32)> {
-        self.0
-            .requests
+        self.requests
             .first()
             .map(|r| (r.arrival, 0))
             .into_iter()
@@ -135,12 +151,11 @@ impl ArrivalSource for Replay<'_> {
 
     #[inline]
     fn arrive(&mut self, tag: u32, _now: SimTime) -> Arrival {
-        let req = self.0.requests[tag as usize];
+        let req = self.requests[tag as usize];
         let set = req.file_set().0;
-        debug_assert!((set as usize) < self.0.n_file_sets);
+        debug_assert!((set as usize) < self.workload.n_file_sets);
         // Chain the next arrival so the calendar stays small.
         let next = self
-            .0
             .requests
             .get(tag as usize + 1)
             .map(|r| (r.arrival, tag + 1));
@@ -153,21 +168,27 @@ impl ArrivalSource for Replay<'_> {
     }
 
     #[inline]
+    fn admitted(&self, tag: u32) -> (SimTime, SimDuration) {
+        let req = self.requests[tag as usize];
+        (req.arrival, req.cost())
+    }
+
+    #[inline]
     fn depart(&mut self, _tag: u32, _now: SimTime, _served: bool) -> Option<(SimTime, u32)> {
         None
     }
 }
 
-/// Job metadata: which set the request targets, its source's tag, and
-/// the raw (speed-1) service demand so a drained job can be re-costed on
-/// its new server. 16 bytes: the tag fills what would be padding.
+/// Job metadata: the request's source tag and the set it targets. The
+/// request's arrival and raw (speed-1) cost stay with its source, which
+/// [`ArrivalSource::admitted`] reads back by tag, so a queued job is 16
+/// bytes: its service demand and these 8.
 #[derive(Clone, Copy, Debug)]
 struct JobInfo {
-    set: u32,
     tag: u32,
-    cost: SimDuration,
+    set: u32,
 }
-const _: () = assert!(size_of::<JobInfo>() == 16);
+const _: () = assert!(size_of::<Job<JobInfo>>() == 16);
 
 /// No server: the owner of an orphaned file set, or the destination of
 /// a settled one.
@@ -284,9 +305,9 @@ struct World<'a> {
     /// Owner, in-flight destination and warmth per file set: the one
     /// per-set table the arrival path reads.
     sets: Vec<SetRow>,
-    /// Per file set: requests that arrived while the set
-    /// was in flight, as `(arrival, job)`. Only in-flight sets touch it.
-    buffered: Vec<Vec<(SimTime, JobInfo)>>,
+    /// Per file set: the tags of requests that arrived while the set was
+    /// in flight, in arrival order. Only in-flight sets touch it.
+    buffered: Vec<Vec<u32>>,
     horizon: SimTime,
     migration_count: u64,
     /// Structured-trace emitter. With a `NullSink` every emission site is
@@ -372,8 +393,10 @@ impl<'a> World<'a> {
         }
     }
 
-    fn enqueue(&mut self, server: u32, arrival: SimTime, info: JobInfo) {
-        let (set, cost) = (info.set, info.cost);
+    /// Queue the request `info` names at `server`, the set's owner, with
+    /// its arrival and speed-1 cost.
+    fn enqueue(&mut self, server: u32, info: JobInfo, (arrival, cost): (SimTime, SimDuration)) {
+        let set = info.set;
         let now = self.cal.now();
         let row = &mut self.sets[set as usize];
         debug_assert_eq!(row.owner, server, "enqueue away from the owner");
@@ -384,7 +407,6 @@ impl<'a> World<'a> {
         let service =
             SimDuration::from_secs_f64(cost.as_secs_f64() / st.speed * factor * st.slow_factor);
         let job = Job {
-            arrival,
             service,
             meta: info,
         };
@@ -426,17 +448,15 @@ impl<'a> World<'a> {
     fn handle_arrival<S: ArrivalSource>(&mut self, tag: u32, source: &mut S) {
         let now = self.cal.now();
         let req = source.arrive(tag, now);
+        // The source reads back what it resolved: a queued or buffered
+        // job's arrival and cost are this `now` and this cost.
+        debug_assert_eq!(source.admitted(tag), (now, req.cost));
         self.chain(req.next);
         let set = req.set;
-        let job = JobInfo {
-            set,
-            tag,
-            cost: req.cost,
-        };
         let row = self.sets[set as usize];
         if row.dest().is_some() {
             self.arrived += 1;
-            self.buffered[set as usize].push((now, job));
+            self.buffered[set as usize].push(tag);
             if self.tracer.enabled(TraceLevel::Request) {
                 self.tracer.emit(
                     TraceLevel::Request,
@@ -486,14 +506,14 @@ impl<'a> World<'a> {
                 },
             );
         }
-        self.enqueue(server, now, job);
+        self.enqueue(server, JobInfo { tag, set }, (now, req.cost));
     }
 
     fn handle_complete<S: ArrivalSource>(&mut self, server: u32, source: &mut S) {
         let now = self.cal.now();
         let st = &mut self.servers[server as usize];
         let (job, next) = st.station.complete(now);
-        let latency = now.since(job.arrival);
+        let latency = now.since(source.admitted(job.meta.tag).0);
         st.interval.record(latency);
         st.series.record(now, latency.as_millis_f64());
         st.all.push(latency.as_millis_f64());
@@ -507,7 +527,7 @@ impl<'a> World<'a> {
             let dispatched = st
                 .station
                 .in_service()
-                .map(|j| (j.meta.set, now.since(j.arrival).0));
+                .map(|j| (j.meta.set, now.since(source.admitted(j.meta.tag).0).0));
             self.tracer.emit(
                 TraceLevel::Request,
                 now,
@@ -601,7 +621,12 @@ impl<'a> World<'a> {
     /// A tuning tick: collect the servers' reports, let the autoscaler and
     /// then the policy act on them, record the epoch, publish metrics, and
     /// schedule the next tick while it falls within the horizon.
-    fn handle_tick(&mut self, policy: &mut dyn PlacementPolicy, profiler: &mut dyn RunProfiler) {
+    fn handle_tick<S: ArrivalSource>(
+        &mut self,
+        policy: &mut dyn PlacementPolicy,
+        profiler: &mut dyn RunProfiler,
+        source: &S,
+    ) {
         let now = self.cal.now();
         // A full tick passed without a shed: the overload is
         // over, close the degraded span at this quiet boundary
@@ -618,7 +643,7 @@ impl<'a> World<'a> {
         self.tracer
             .emit(TraceLevel::Epoch, now, &TraceEvent::EpochBegin { epoch });
         let reports = self.collect_reports();
-        self.autoscale(&reports, policy);
+        self.autoscale(&reports, policy, source);
         let view = self.view();
         let moves = policy.on_tick(&view, &reports, &self.planning_assignment());
         let move_count = moves.len() as u64;
@@ -716,7 +741,11 @@ pub fn run_traced_profiled(
     sink: &mut dyn TraceSink,
     profiler: &mut dyn RunProfiler,
 ) -> RunResult {
-    simulate(cfg, &mut Replay(workload), policy, sink, profiler)
+    let mut replay = Replay {
+        workload,
+        requests: &workload.requests,
+    };
+    simulate(cfg, &mut replay, policy, sink, profiler)
 }
 
 /// The one event loop. Sets up the world for `source`'s file sets and
@@ -855,10 +884,10 @@ pub(crate) fn simulate<S: ArrivalSource>(
         match ev {
             Event::Arrival(tag) => world.handle_arrival(tag, source),
             Event::Complete(s) => world.handle_complete(s, source),
-            Event::MigrationDone(set) => world.handle_migration_done(set),
-            Event::Tick => world.handle_tick(policy, profiler),
+            Event::MigrationDone(set) => world.handle_migration_done(set, source),
+            Event::Tick => world.handle_tick(policy, profiler, source),
             Event::SlowdownEnd(s) => world.handle_slowdown_end(s),
-            Event::Fault(i) => world.handle_fault(i, policy),
+            Event::Fault(i) => world.handle_fault(i, policy, source),
         }
     }
     world.finish(run_span, policy.name(), source.label(), profiler)

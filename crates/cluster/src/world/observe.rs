@@ -41,8 +41,10 @@ const SCALARS: [Scalar; 20] = [
         w.cal.stats().max_pending
     }),
     ("migrations.total", Counter, |w| w.migration_count),
+    // Each started migration schedules one `MigrationDone`, never
+    // cancelled, and a retarget starts none: started minus landed.
     ("migrations.in_flight", Gauge, |w| {
-        w.sets.iter().filter(|r| r.dest().is_some()).count() as u64
+        w.migration_count - w.event_mix[3]
     }),
     ("requests.requeued", Counter, |w| w.requests_requeued),
     ("requests.shed", Counter, |w| w.requests_shed),
@@ -148,6 +150,12 @@ impl World<'_> {
     /// snapshot) and once at the end of the run, never on the per-request
     /// path.
     pub(super) fn publish_metrics(&mut self, snapshot_at: Option<(u64, SimTime)>) {
+        // The in-flight gauge against its reference, the set rows.
+        debug_assert_eq!(
+            self.migration_count - self.event_mix[3],
+            self.sets.iter().filter(|r| r.dest().is_some()).count() as u64,
+            "migrations in flight"
+        );
         let scalars = SCALARS.map(|(_, _, value)| value(self));
         let servers = self
             .servers

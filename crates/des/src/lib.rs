@@ -24,30 +24,35 @@
 //! use anu_des::{Calendar, FifoStation, Job, SimDuration, SimTime, StartService};
 //!
 //! #[derive(Debug)]
-//! enum Ev { Arrive, Done }
+//! enum Ev { Arrive(usize), Done }
 //!
+//! // The requests hold their arrivals; a queued job names its request.
+//! let arrivals = [SimTime::from_secs_f64(1.0), SimTime::from_secs_f64(1.002)];
 //! let mut cal = Calendar::new();
-//! let mut station: FifoStation<u32> = FifoStation::new();
-//! cal.schedule(SimTime::from_secs_f64(1.0), Ev::Arrive);
-//! let mut completed = 0;
+//! let mut station: FifoStation<usize> = FifoStation::new();
+//! for (i, &at) in arrivals.iter().enumerate() {
+//!     cal.schedule(at, Ev::Arrive(i));
+//! }
+//! let mut latencies = Vec::new();
 //! while let Some((now, ev)) = cal.pop() {
 //!     match ev {
-//!         Ev::Arrive => {
-//!             let job = Job { arrival: now, service: SimDuration::from_millis(5), meta: 0 };
+//!         Ev::Arrive(i) => {
+//!             let job = Job { service: SimDuration::from_millis(5), meta: i };
 //!             if let StartService::At(t) = station.arrive(now, job) {
 //!                 cal.schedule(t, Ev::Done);
 //!             }
 //!         }
 //!         Ev::Done => {
-//!             let (_job, next) = station.complete(now);
-//!             completed += 1;
+//!             let (job, next) = station.complete(now);
+//!             latencies.push(now.since(arrivals[job.meta]));
 //!             if let Some(t) = next {
 //!                 cal.schedule(t, Ev::Done);
 //!             }
 //!         }
 //!     }
 //! }
-//! assert_eq!(completed, 1);
+//! // The second request waited 3 ms behind the first.
+//! assert_eq!(latencies, [SimDuration::from_millis(5), SimDuration::from_millis(8)]);
 //! ```
 
 #![warn(missing_docs)]

@@ -11,15 +11,18 @@
 use crate::time::{SimDuration, SimTime};
 use std::collections::VecDeque;
 
-/// A job queued at a station.
+/// A job queued at a station: what the station serves, and the caller's
+/// name for it.
+///
+/// The station reads only `service`. A caller that measures latency keeps
+/// the job's arrival where `meta` finds it, so a deep queue holds no copy
+/// of what the caller already holds. The world's `meta` is its request's
+/// tag and file set, 8 bytes, so its jobs are 16 bytes.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct Job<M> {
-    /// When the job arrived at the station (for latency accounting; this is
-    /// the *original* arrival, preserved across retries/migrations).
-    pub arrival: SimTime,
     /// Service demand at this station (already divided by server speed).
     pub service: SimDuration,
-    /// Caller-defined metadata (e.g. file-set id).
+    /// Caller-defined metadata (e.g. which request this is).
     pub meta: M,
 }
 
@@ -146,9 +149,8 @@ impl<M> FifoStation<M> {
 mod tests {
     use super::*;
 
-    fn job(arr: u64, svc: u64) -> Job<u32> {
+    fn job(svc: u64) -> Job<u32> {
         Job {
-            arrival: SimTime(arr),
             service: SimDuration(svc),
             meta: 0,
         }
@@ -157,7 +159,7 @@ mod tests {
     #[test]
     fn idle_station_starts_immediately() {
         let mut st = FifoStation::new();
-        match st.arrive(SimTime(10), job(10, 5)) {
+        match st.arrive(SimTime(10), job(5)) {
             StartService::At(t) => assert_eq!(t, SimTime(15)),
             StartService::Queued => panic!("should start immediately"),
         }
@@ -168,8 +170,8 @@ mod tests {
     #[test]
     fn busy_station_queues() {
         let mut st = FifoStation::new();
-        st.arrive(SimTime(0), job(0, 10));
-        assert_eq!(st.arrive(SimTime(1), job(1, 10)), StartService::Queued);
+        st.arrive(SimTime(0), job(10));
+        assert_eq!(st.arrive(SimTime(1), job(10)), StartService::Queued);
         assert_eq!(st.population(), 2);
     }
 
@@ -179,7 +181,6 @@ mod tests {
         st.arrive(
             SimTime(0),
             Job {
-                arrival: SimTime(0),
                 service: SimDuration(10),
                 meta: 1u32,
             },
@@ -187,7 +188,6 @@ mod tests {
         st.arrive(
             SimTime(2),
             Job {
-                arrival: SimTime(2),
                 service: SimDuration(5),
                 meta: 2,
             },
@@ -195,7 +195,6 @@ mod tests {
         st.arrive(
             SimTime(3),
             Job {
-                arrival: SimTime(3),
                 service: SimDuration(7),
                 meta: 3,
             },
@@ -226,7 +225,6 @@ mod tests {
         st.arrive(
             SimTime(0),
             Job {
-                arrival: SimTime(0),
                 service: SimDuration(10),
                 meta: 1u32,
             },
@@ -234,7 +232,6 @@ mod tests {
         st.arrive(
             SimTime(1),
             Job {
-                arrival: SimTime(1),
                 service: SimDuration(5),
                 meta: 2,
             },
@@ -253,7 +250,7 @@ mod tests {
     #[test]
     fn utilization_counts_in_progress() {
         let mut st = FifoStation::new();
-        st.arrive(SimTime::ZERO, job(0, 1_000_000));
+        st.arrive(SimTime::ZERO, job(1_000_000));
         assert!((st.utilization(SimTime(500_000)) - 1.0).abs() < 1e-9);
         st.complete(SimTime(1_000_000));
         assert!((st.utilization(SimTime(2_000_000)) - 0.5).abs() < 1e-9);

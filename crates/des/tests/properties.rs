@@ -206,11 +206,10 @@ fn station_matches_reference_queue() {
         while let Some((nowt, ev)) = ev_cal.pop() {
             match ev {
                 Ev::Arrive(i) => {
-                    let (a, s) = arrivals[i];
+                    let (_, s) = arrivals[i];
                     if let StartService::At(done) = st.arrive(
                         nowt,
                         Job {
-                            arrival: a,
                             service: s,
                             meta: i,
                         },
@@ -289,7 +288,6 @@ fn station_utilization_bounded() {
             if let StartService::At(d) = st.arrive(
                 t,
                 Job {
-                    arrival: t,
                     service: SimDuration(service),
                     meta: i as u32,
                 },

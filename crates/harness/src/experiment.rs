@@ -60,7 +60,9 @@ pub enum PolicyKind {
 }
 
 impl PolicyKind {
-    /// Instantiate the policy for a concrete experiment.
+    /// Instantiate the policy for a concrete experiment. A prescient
+    /// policy's oracle is a clone of `workload`, which shares its request
+    /// stream rather than copying it.
     pub fn build(
         &self,
         cluster: &ClusterConfig,
@@ -218,6 +220,28 @@ mod tests {
         for (a, b) in one.iter().zip(&four) {
             assert_eq!(a.policy, b.policy);
             assert_eq!(a.summary, b.summary, "{}", a.policy);
+        }
+    }
+
+    #[test]
+    fn prescient_policies_share_the_experiment_stream() {
+        use std::sync::Arc;
+        let e = tiny();
+        let stream = &e.workload.requests;
+        for kind in [
+            PolicyKind::Prescient {
+                window: PrescientWindow::Tick,
+            },
+            PolicyKind::Prescient {
+                window: PrescientWindow::Full,
+            },
+            PolicyKind::PrescientFrozen,
+        ] {
+            let before = Arc::strong_count(stream);
+            let policy = kind.build(&e.cluster, &e.workload, e.seed);
+            assert_eq!(Arc::strong_count(stream), before + 1, "{kind:?}");
+            drop(policy);
+            assert_eq!(Arc::strong_count(stream), before, "{kind:?}");
         }
     }
 

@@ -27,7 +27,9 @@ use std::collections::BTreeMap;
 
 /// The prescient policy.
 pub struct Prescient {
-    /// The full future workload — the oracle.
+    /// The full future workload — the oracle. It shares the request
+    /// stream of the workload it was cloned from, so the oracle reads the
+    /// same requests the run replays.
     oracle: Workload,
     /// Server speeds — the capability knowledge ANU does not get.
     speeds: BTreeMap<ServerId, f64>,

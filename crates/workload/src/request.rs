@@ -6,7 +6,10 @@
 //! this one representation, and all policies consume it — the prescient
 //! baseline additionally reads future windows of it as its oracle.
 //!
-//! A replayed workload stays resident for the whole run, so a request is
+//! A replayed workload stays resident for the whole run, and a run holds
+//! its requests once: [`Workload::requests`] is a shared stream, so a
+//! clone of the workload (the prescient oracle's, say) shares it instead
+//! of copying it, and queued jobs name requests by position. A request is
 //! 16 bytes: its arrival, then its file set's index and its cost in µs as
 //! `u32`s. [`Request::new`] refuses a set or a cost that does not fit
 //! rather than truncate it: a set must be below 2^32, the most file sets
@@ -20,6 +23,7 @@
 
 use anu_core::FileSetId;
 use anu_des::{SimDuration, SimTime};
+use std::sync::Arc;
 
 /// The most file sets a workload may have: the simulator indexes sets as
 /// `u32`, so ids run over `0..2^32`. Readers reject larger counts before
@@ -95,6 +99,9 @@ fn why_unfit(file_set: FileSetId, cost: SimDuration) -> String {
 }
 
 /// A complete workload: requests sorted by arrival time.
+///
+/// A clone shares the request stream: it copies a pointer, not the
+/// requests.
 #[derive(Clone, Debug)]
 pub struct Workload {
     /// Human-readable provenance ("synthetic α=1000", "dfstrace-like", …).
@@ -103,8 +110,11 @@ pub struct Workload {
     pub n_file_sets: usize,
     /// Nominal duration of the workload.
     pub duration_us: u64,
-    /// The requests, sorted by arrival (ties in generation order).
-    pub requests: Vec<Request>,
+    /// The requests, sorted by arrival (ties in generation order), as a
+    /// read-only stream every clone shares. A constructor fills the vector
+    /// before sharing it, and [`Arc::make_mut`] on a stream no clone
+    /// shares yet edits it in place.
+    pub requests: Arc<Vec<Request>>,
 }
 
 /// A generator's requests as draws in generation order, which
@@ -271,7 +281,7 @@ impl Workload {
             label: label.into(),
             n_file_sets,
             duration_us: duration.0,
-            requests,
+            requests: Arc::new(requests),
         }
     }
 
@@ -367,7 +377,7 @@ impl Workload {
             label,
             n_file_sets,
             duration_us: duration.0,
-            requests,
+            requests: Arc::new(requests),
         }
     }
 
@@ -401,7 +411,7 @@ impl Workload {
     /// Summary statistics.
     pub fn stats(&self) -> WorkloadStats {
         let mut counts = vec![0u64; self.n_file_sets];
-        for r in &self.requests {
+        for r in self.requests.iter() {
             counts[r.set as usize] += 1;
         }
         let active: Vec<u64> = counts.iter().copied().filter(|&c| c > 0).collect();
@@ -480,7 +490,7 @@ where
         "{what}"
     );
     assert_eq!(got.requests.len(), want.requests.len(), "{what}");
-    let first_difference = (got.requests.iter().zip(&want.requests)).position(|(g, w)| g != w);
+    let first_difference = (got.requests.iter().zip(&want.requests[..])).position(|(g, w)| g != w);
     if let Some(i) = first_difference {
         panic!(
             "{what}: request {i} is {:?}, the sort puts {:?} there",
@@ -535,6 +545,21 @@ mod tests {
         );
         let times: Vec<f64> = w.requests.iter().map(|r| r.arrival.as_secs_f64()).collect();
         assert_eq!(times, vec![1.0, 3.0, 5.0]);
+    }
+
+    #[test]
+    fn a_clone_shares_the_request_stream() {
+        let w = Workload::new(
+            "t",
+            2,
+            SimDuration::from_secs(10),
+            vec![req(2.0, 1, 1), req(1.0, 0, 1)],
+        );
+        let c = w.clone();
+        assert!(Arc::ptr_eq(&w.requests, &c.requests));
+        assert_eq!(Arc::strong_count(&w.requests), 2);
+        drop(c);
+        assert_eq!(Arc::strong_count(&w.requests), 1);
     }
 
     #[test]

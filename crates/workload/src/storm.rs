@@ -50,6 +50,7 @@ use crate::request::{repeat_runs, Draws, Workload};
 use crate::synthetic::{apportion, assert_costs_fit, SyntheticConfig};
 use anu_core::FileSetId;
 use anu_des::{RngStream, SimDuration, SimTime};
+use std::sync::Arc;
 
 /// Which storm shape to generate.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -133,9 +134,11 @@ impl StormConfig {
     fn warp(&self, cdf: impl Fn(f64) -> f64) -> Workload {
         let mut w = self.base.generate();
         let t_total = self.base.duration_secs;
+        // The stream was just generated and nothing shares it yet, so this
+        // edits it in place.
         invert_cdf(
             &cdf,
-            &mut w.requests,
+            Arc::make_mut(&mut w.requests).as_mut_slice(),
             |r| (r.arrival.as_secs_f64() / t_total).clamp(0.0, 1.0),
             |r, x| r.arrival = SimTime::from_secs_f64(x * t_total),
         );
@@ -406,7 +409,7 @@ mod tests {
             base.total_requests = 10_003;
             let cdf = rate_cdf(kind, 1.5);
             let mut want = base.generate();
-            for r in &mut want.requests {
+            for r in Arc::make_mut(&mut want.requests) {
                 let x = (r.arrival.as_secs_f64() / base.duration_secs).clamp(0.0, 1.0);
                 r.arrival = SimTime::from_secs_f64(invert_cdf_scalar(&cdf, x) * base.duration_secs);
             }
@@ -417,7 +420,7 @@ mod tests {
             }
             .generate();
             assert_eq!(got.requests.len(), want.requests.len(), "{}", kind.name());
-            for (i, (g, w)) in got.requests.iter().zip(&want.requests).enumerate() {
+            for (i, (g, w)) in got.requests.iter().zip(want.requests.iter()).enumerate() {
                 assert_eq!(g, w, "{}: request {i}", kind.name());
             }
         }
@@ -489,7 +492,7 @@ mod tests {
         // not be the hottest of every phase (the weights re-draw).
         let phase_of = |t: f64| (t / 250.0) as usize;
         let mut counts = vec![vec![0u64; 40]; 4];
-        for r in &w.requests {
+        for r in w.requests.iter() {
             let p = phase_of(r.arrival.as_secs_f64()).min(3);
             counts[p][r.file_set().0 as usize] += 1;
         }
@@ -512,7 +515,7 @@ mod tests {
         for p in 0..phases {
             let hot: Vec<usize> = (0..hot_count).map(|k| (p * hot_count + k) % 40).collect();
             let (mut hot_reqs, mut total) = (0u64, 0u64);
-            for r in &w.requests {
+            for r in w.requests.iter() {
                 let t = r.arrival.as_secs_f64();
                 if t >= p as f64 * phase_len && t < (p + 1) as f64 * phase_len {
                     total += 1;

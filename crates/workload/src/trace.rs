@@ -52,7 +52,7 @@ pub fn write_csv<W: Write>(w: &Workload, out: W) -> Result<(), TraceError> {
     writeln!(out, "# n_file_sets: {}", w.n_file_sets)?;
     writeln!(out, "# duration_us: {}", w.duration_us)?;
     writeln!(out, "arrival_us,file_set,cost_us")?;
-    for r in &w.requests {
+    for r in w.requests.iter() {
         writeln!(out, "{},{},{}", r.arrival.0, r.file_set().0, r.cost().0)?;
     }
     out.flush()?;

@@ -176,7 +176,7 @@ fn window_demands_partition_total() {
         let a = w.window_demands(SimTime::ZERO, mid);
         let b = w.window_demands(mid, SimTime(u64::MAX));
         let mut total = [0.0; 20];
-        for r in &w.requests {
+        for r in w.requests.iter() {
             total[r.file_set().0 as usize] += r.cost().as_secs_f64();
         }
         for i in 0..20 {

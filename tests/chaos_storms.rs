@@ -7,17 +7,27 @@
 //! auditor completely silent while it checks every fault/tick boundary,
 //! (c) account for every offered request, and (d) resume tuning after the
 //! last delegate crash. Closed-loop clients run through the same world,
-//! so ten storms also drive them, with the same checks.
+//! so ten storms also drive them, with the same checks, and their results
+//! are pinned: they are the one faulted closed-loop run, so the pin is what
+//! checks a drained client request's re-cost.
 
 use anu::cluster::{
     plan_faults, run, run_closed_loop, ClosedLoopConfig, ClusterConfig, FaultEvent, FaultPlanConfig,
 };
+use anu::core::hash::fnv1a64;
 use anu::core::{AnuConfig, TuningConfig};
 use anu::harness::PolicyKind;
 use anu::workload::{CostModel, SyntheticConfig, WeightDist};
 
 const STORMS: u64 = 50;
 const HORIZON_SECS: f64 = 600.0;
+
+/// FNV-1a over the ten closed-loop storms' results, in storm order: the
+/// summary fields `e2e-bench` fingerprints (offered, completed and shed
+/// requests, migrations, simulated events, the bits of the mean and
+/// maximum latency, and each server's id and completed requests), then
+/// the completed client cycles.
+const CLOSED_LOOP_STORMS_PIN: u64 = 0x978e_2762_3ab9_d210;
 
 /// A small-but-real workload: enough requests that every server stays
 /// busy across the horizon, small enough that fifty runs stay cheap.
@@ -160,6 +170,7 @@ fn closed_loop_clients_hold_every_invariant_under_storms() {
     // Ten storm scripts planned over the closed-loop demo's duration. The
     // auditor checks every boundary, every admitted request completes
     // after the drain, and each crash opens one downtime window.
+    let mut pinned = Vec::new();
     for storm in 0..10 {
         let level = 0.5 * (1 + storm % 8) as f64;
         let cfg = ClosedLoopConfig::demo(storm);
@@ -195,7 +206,28 @@ fn closed_loop_clients_hold_every_invariant_under_storms() {
             r.completed_ops > 0,
             "storm {storm}: no client cycle completed"
         );
+        for v in [
+            s.offered_requests,
+            s.completed_requests,
+            s.requests_shed,
+            s.migrations,
+            s.sim_events,
+            s.mean_latency_ms.to_bits(),
+            s.max_latency_ms.to_bits(),
+        ] {
+            pinned.extend_from_slice(&v.to_le_bytes());
+        }
+        for (server, n) in &s.per_server_requests {
+            pinned.extend_from_slice(&server.0.to_le_bytes());
+            pinned.extend_from_slice(&n.to_le_bytes());
+        }
+        pinned.extend_from_slice(&r.completed_ops.to_le_bytes());
     }
+    let got = fnv1a64(&pinned);
+    assert_eq!(
+        got, CLOSED_LOOP_STORMS_PIN,
+        "closed-loop storm results moved: {got:#018x}"
+    );
 }
 
 fn count(faults: &[FaultEvent], pred: impl Fn(&FaultEvent) -> bool) -> usize {

@@ -39,7 +39,7 @@ fn assert_workload_seeded(name: &str, generate: impl Fn(u64) -> Workload) {
     assert_seeded(&format!("{name}/weights"), |seed| {
         let w = generate(seed);
         let mut counts = vec![0u32; w.n_file_sets];
-        for r in &w.requests {
+        for r in w.requests.iter() {
             counts[r.file_set().0 as usize] += 1;
         }
         counts
