@@ -83,8 +83,8 @@ step "lint exceptions: #[expect] count per lint within its ceiling"
 # exception lowers it here, and raising one is a reviewed edit of this
 # list. A lint with no ceiling allows no exception.
 declare -A CEILING=(
-    [clippy::expect_used]=20
-    [clippy::panic]=2
+    [clippy::expect_used]=19
+    [clippy::panic]=1
     [clippy::print_stdout]=1
     [clippy::print_stderr]=1
 )

@@ -69,8 +69,8 @@ fn bench_tune_cycle() {
                     age_ticks: 0,
                 })
                 .collect();
-            if let Some(plan) = tuner.plan(&map.share_fractions(), &rs) {
-                map.rebalance(&plan.targets).unwrap();
+            if let Some(targets) = tuner.plan(&map.share_fractions(), &rs) {
+                map.rebalance(&targets).unwrap();
             }
             let mut acc = 0u64;
             for n in &names {

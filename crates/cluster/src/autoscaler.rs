@@ -28,7 +28,7 @@
 //! The decision procedure is a pure function of the observed latency
 //! sequence, so runs are byte-identical at any worker count.
 
-use anu_core::{LoadReport, ServerId};
+use anu_core::ServerId;
 
 /// Autoscaler knobs, carried on
 /// [`ClusterConfig::autoscaler`](crate::ClusterConfig::autoscaler).
@@ -115,20 +115,6 @@ impl Autoscaler {
         }
     }
 
-    /// Request-weighted mean latency across this epoch's reports; `None`
-    /// when nothing completed anywhere (an idle epoch carries no signal).
-    pub fn mean_latency_ms(reports: &[LoadReport]) -> Option<f64> {
-        let total: u64 = reports.iter().map(|r| r.requests).sum();
-        if total == 0 {
-            return None;
-        }
-        let sum: f64 = reports
-            .iter()
-            .map(|r| r.mean_latency_ms * r.requests as f64)
-            .sum();
-        Some(sum / total as f64)
-    }
-
     /// One decision per tuning tick. `standby_online[i]` says whether
     /// `cfg.standby[i]` is currently live; `live_servers` counts all live
     /// servers (core + commissioned standby). Ticks inside the cooldown
@@ -164,6 +150,7 @@ impl Autoscaler {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use anu_core::{weighted_mean_latency, LoadReport};
 
     fn cfg(standby: usize) -> AutoscalerConfig {
         AutoscalerConfig {
@@ -206,9 +193,9 @@ mod tests {
 
     #[test]
     fn weighted_mean_ignores_idle() {
-        assert_eq!(Autoscaler::mean_latency_ms(&[]), None);
-        assert_eq!(Autoscaler::mean_latency_ms(&[report(500.0, 0)]), None);
-        let m = Autoscaler::mean_latency_ms(&[report(100.0, 300), report(500.0, 100)]).unwrap();
+        assert_eq!(weighted_mean_latency(&[]), None);
+        assert_eq!(weighted_mean_latency(&[report(500.0, 0)]), None);
+        let m = weighted_mean_latency(&[report(100.0, 300), report(500.0, 100)]).unwrap();
         assert!((m - 200.0).abs() < 1e-9, "{m}");
     }
 

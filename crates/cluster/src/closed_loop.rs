@@ -37,52 +37,25 @@ use crate::world::{simulate, Arrival, ArrivalSource};
 use anu_des::{AliasTable, RngStream, SimDuration, SimTime};
 use anu_trace::NullSink;
 
-/// Closed-loop experiment configuration.
-#[derive(Clone, Debug, PartialEq)]
-pub struct ClosedLoopConfig {
-    /// Number of concurrent clients.
-    pub clients: usize,
-    /// Number of file sets; client requests pick one ∝ `weights`.
-    pub n_file_sets: usize,
-    /// Relative popularity per file set (uniform if empty).
-    pub weights: Vec<f64>,
-    /// Mean metadata service demand at speed 1.
-    pub metadata_cost: SimDuration,
-    /// Mean SAN data-transfer time following each metadata op.
-    pub data_transfer: SimDuration,
-    /// Mean client think time between cycles.
-    pub think: SimDuration,
-    /// SAN capacity in concurrent transfer lanes (for the utilization
-    /// denominator; the SAN itself never queues — it is the
-    /// high-bandwidth resource the clients fail to saturate).
-    pub san_lanes: usize,
-    /// Simulated duration.
-    pub duration: SimDuration,
-    /// RNG seed.
-    pub seed: u64,
-}
-
-impl ClosedLoopConfig {
-    /// A demonstrative default: 120 clients, skewed popularity over 40
-    /// file sets, metadata demand sized so the metadata tier is the
-    /// bottleneck under bad placement but comfortable under good.
-    pub fn demo(seed: u64) -> Self {
-        ClosedLoopConfig {
-            clients: 120,
-            n_file_sets: 40,
-            weights: (0..40).map(|i| 1.0 / (1.0 + i as f64 / 4.0)).collect(),
-            metadata_cost: SimDuration::from_millis(120),
-            data_transfer: SimDuration::from_millis(400),
-            think: SimDuration::from_millis(300),
-            // One lane per client: utilization reads as "fraction of
-            // clients actively moving data" — the quantity metadata
-            // blocking suppresses.
-            san_lanes: 120,
-            duration: SimDuration::from_secs(2_400),
-            seed,
-        }
-    }
-}
+/// Concurrent clients.
+const CLIENTS: usize = 120;
+/// File sets the clients pick from; set `i` has popularity
+/// `1 / (1 + i/4)`, so the load is skewed toward the low ids.
+const FILE_SETS: usize = 40;
+/// Mean metadata service demand at speed 1, sized so the metadata tier is
+/// the bottleneck under bad placement but comfortable under good.
+const METADATA_COST: SimDuration = SimDuration::from_millis(120);
+/// Mean SAN data-transfer time following each metadata operation.
+const DATA_TRANSFER: SimDuration = SimDuration::from_millis(400);
+/// Mean client think time between cycles.
+const THINK: SimDuration = SimDuration::from_millis(300);
+/// SAN capacity in concurrent transfer lanes, the utilization
+/// denominator. One lane per client: utilization reads as "fraction of
+/// clients actively moving data", the quantity metadata blocking
+/// suppresses. The SAN itself never queues.
+const SAN_LANES: usize = CLIENTS;
+/// Simulated duration of a closed-loop run.
+pub const CLOSED_LOOP_DURATION: SimDuration = SimDuration::from_secs(2_400);
 
 /// Outcome of a closed-loop run: the world's result for the metadata
 /// tier, plus what only the clients know.
@@ -104,8 +77,7 @@ pub struct ClosedLoopResult {
 }
 
 /// The clients as an arrival source: a request's tag is its client.
-struct Clients<'c> {
-    cfg: &'c ClosedLoopConfig,
+struct Clients {
     rng: RngStream,
     /// O(1) weighted file-set selection per issue, regardless of set count.
     sampler: AliasTable,
@@ -120,20 +92,20 @@ struct Clients<'c> {
     san_busy: SimDuration,
 }
 
-impl Clients<'_> {
+impl Clients {
     /// An exponential draw with the given mean.
     fn draw(&mut self, mean: SimDuration) -> SimDuration {
         SimDuration::from_secs_f64(self.rng.exponential(1.0 / mean.as_secs_f64()))
     }
 }
 
-impl ArrivalSource for Clients<'_> {
+impl ArrivalSource for Clients {
     fn n_file_sets(&self) -> usize {
-        self.cfg.n_file_sets
+        FILE_SETS
     }
 
     fn duration(&self) -> SimDuration {
-        self.cfg.duration
+        CLOSED_LOOP_DURATION
     }
 
     fn label(&self) -> &str {
@@ -142,8 +114,8 @@ impl ArrivalSource for Clients<'_> {
 
     fn first_arrivals(&mut self) -> Vec<(SimTime, u32)> {
         // Stagger initial issues across one think time.
-        let think = self.cfg.think.as_secs_f64();
-        (0..self.cfg.clients as u32)
+        let think = THINK.as_secs_f64();
+        (0..CLIENTS as u32)
             .map(|c| (SimTime::from_secs_f64(self.rng.uniform() * think), c))
             .filter(|&(t, _)| t <= self.horizon)
             .collect()
@@ -151,7 +123,7 @@ impl ArrivalSource for Clients<'_> {
 
     fn arrive(&mut self, client: u32, now: SimTime) -> Arrival {
         let set = self.sampler.sample(&mut self.rng) as u32;
-        let cost = self.draw(self.cfg.metadata_cost);
+        let cost = self.draw(METADATA_COST);
         self.outstanding[client as usize] = (now, cost);
         Arrival {
             set,
@@ -172,7 +144,7 @@ impl ArrivalSource for Clients<'_> {
         let mut done = now;
         if served {
             // Metadata granted: the client now drives the SAN directly.
-            let transfer = self.draw(self.cfg.data_transfer);
+            let transfer = self.draw(DATA_TRANSFER);
             self.san_busy += transfer;
             done = now + transfer;
             if done > self.horizon {
@@ -183,31 +155,26 @@ impl ArrivalSource for Clients<'_> {
             self.cycle_ms_sum += done.since(issued).as_millis_f64();
         }
         // A shed request sends its client straight back to think time.
-        let next = done + self.draw(self.cfg.think);
+        let next = done + self.draw(THINK);
         (next <= self.horizon).then_some((next, client))
     }
 }
 
-/// Run the closed-loop experiment under `policy`, through the world's
-/// event loop.
+/// Run the closed-loop experiment at `seed` under `policy`, through the
+/// world's event loop.
 pub fn run_closed_loop(
     cluster: &ClusterConfig,
-    cfg: &ClosedLoopConfig,
+    seed: u64,
     policy: &mut dyn PlacementPolicy,
 ) -> ClosedLoopResult {
-    assert!(cfg.clients > 0 && cfg.n_file_sets > 0 && cfg.san_lanes > 0);
-    let weights = if cfg.weights.is_empty() {
-        vec![1.0; cfg.n_file_sets]
-    } else {
-        assert_eq!(cfg.weights.len(), cfg.n_file_sets);
-        cfg.weights.clone()
-    };
+    let weights: Vec<f64> = (0..FILE_SETS)
+        .map(|i| 1.0 / (1.0 + i as f64 / 4.0))
+        .collect();
     let mut clients = Clients {
-        cfg,
-        rng: RngStream::new(cfg.seed, "closed-loop"),
+        rng: RngStream::new(seed, "closed-loop"),
         sampler: AliasTable::new(&weights),
-        outstanding: vec![(SimTime::ZERO, SimDuration::ZERO); cfg.clients],
-        horizon: SimTime::ZERO + cfg.duration,
+        outstanding: vec![(SimTime::ZERO, SimDuration::ZERO); CLIENTS],
+        horizon: SimTime::ZERO + CLOSED_LOOP_DURATION,
         cycles: 0,
         cycle_ms_sum: 0.0,
         san_busy: SimDuration::ZERO,
@@ -219,7 +186,7 @@ pub fn run_closed_loop(
         &mut NullSink,
         &mut NoProfiler,
     );
-    let dur = cfg.duration.as_secs_f64();
+    let dur = CLOSED_LOOP_DURATION.as_secs_f64();
     let cycles = clients.cycles;
     ClosedLoopResult {
         run,
@@ -229,7 +196,7 @@ pub fn run_closed_loop(
         } else {
             clients.cycle_ms_sum / cycles as f64
         },
-        san_utilization: clients.san_busy.as_secs_f64() / (cfg.san_lanes as f64 * dur),
+        san_utilization: clients.san_busy.as_secs_f64() / (SAN_LANES as f64 * dur),
         throughput_ops_per_sec: cycles as f64 / dur,
     }
 }
@@ -240,24 +207,10 @@ mod tests {
     use crate::spec::ShedConfig;
     use crate::world::tests::Modulo;
 
-    fn small_cfg(seed: u64) -> ClosedLoopConfig {
-        ClosedLoopConfig {
-            clients: 20,
-            n_file_sets: 10,
-            weights: Vec::new(),
-            metadata_cost: SimDuration::from_millis(50),
-            data_transfer: SimDuration::from_millis(100),
-            think: SimDuration::from_millis(100),
-            san_lanes: 10,
-            duration: SimDuration::from_secs(200),
-            seed,
-        }
-    }
-
     #[test]
     fn closed_loop_completes_cycles() {
         let cluster = ClusterConfig::paper();
-        let r = run_closed_loop(&cluster, &small_cfg(1), &mut Modulo);
+        let r = run_closed_loop(&cluster, 1, &mut Modulo);
         assert!(r.completed_ops > 1_000, "{}", r.completed_ops);
         assert!(r.mean_cycle_ms > 0.0);
         assert!(r.san_utilization > 0.0 && r.san_utilization < 1.0);
@@ -267,8 +220,8 @@ mod tests {
     #[test]
     fn deterministic() {
         let cluster = ClusterConfig::paper();
-        let a = run_closed_loop(&cluster, &small_cfg(2), &mut Modulo);
-        let b = run_closed_loop(&cluster, &small_cfg(2), &mut Modulo);
+        let a = run_closed_loop(&cluster, 2, &mut Modulo);
+        let b = run_closed_loop(&cluster, 2, &mut Modulo);
         assert_eq!(a.run.summary, b.run.summary);
         assert_eq!(a.run.epochs, b.run.epochs);
         assert_eq!(a.run.metrics, b.run.metrics);
@@ -285,14 +238,12 @@ mod tests {
         // when shed could be shed at most once.
         let mut cluster = ClusterConfig::paper();
         cluster.shed = Some(ShedConfig { max_queue: 1 });
-        let cfg = small_cfg(3);
-        let r = run_closed_loop(&cluster, &cfg, &mut Modulo);
+        let r = run_closed_loop(&cluster, 3, &mut Modulo);
         let s = &r.run.summary;
         assert!(
-            s.requests_shed > cfg.clients as u64,
-            "{} sheds for {} clients",
-            s.requests_shed,
-            cfg.clients
+            s.requests_shed > CLIENTS as u64,
+            "{} sheds for {CLIENTS} clients",
+            s.requests_shed
         );
         assert_eq!(s.completed_requests + s.requests_shed, s.offered_requests);
         assert!(r.completed_ops > 0);

@@ -12,9 +12,9 @@
 //! The raw per-server draws are *candidates*: a final replay pass, by
 //! the same step [`ClusterConfig::validate_faults`] replays with, drops
 //! any candidate that would contradict the evolving cluster state —
-//! double failures, repairs of live servers, slowdowns of dead servers
-//! or with a factor below 1, or a failure that would breach the
-//! minimum-live floor. The returned script therefore always validates.
+//! double failures, repairs of live servers, slowdowns of dead servers,
+//! or a failure that would leave fewer than two servers alive. The
+//! returned script therefore always validates.
 //!
 //! [`ClusterConfig::validate_faults`]: crate::spec::ClusterConfig::validate_faults
 
@@ -22,10 +22,29 @@ use crate::spec::FaultEvent;
 use anu_core::ServerId;
 use anu_des::{RngStream, SimDuration, SimTime};
 
+/// Service-time inflation while a server limps.
+const SLOWDOWN_FACTOR: f64 = 6.0;
+/// A slowdown's mean duration is the horizon divided by this.
+const SLOWDOWN_DIVISOR: f64 = 10.0;
+/// Tuning ticks the policy pauses for after each delegate crash.
+const DELEGATE_PAUSE_TICKS: u32 = 1;
+/// Probability that a server crash takes the next server (cyclic in id
+/// order) down with it at the same instant: correlated failures of
+/// servers sharing a rack or power domain.
+const GROUP_FAIL_PROB: f64 = 0.25;
+/// The generator never lets the plan take the cluster below this many
+/// live servers.
+const MIN_LIVE: usize = 2;
+
 /// Parameters of a stochastic fault environment.
 ///
 /// All times are in seconds of simulated time. Setting a mean to zero
-/// (or a probability to zero) disables that fault class entirely.
+/// (or the slowdown share to zero) disables that fault class entirely.
+/// The rest is the same in every environment: a slowdown inflates
+/// service times 6× for a mean of a tenth of the horizon, a delegate
+/// crash pauses tuning for one tick, a crash drags its neighbour down
+/// with probability 0.25, and no plan leaves fewer than two servers
+/// alive.
 #[derive(Clone, Debug, PartialEq)]
 pub struct FaultPlanConfig {
     /// Length of the window faults are drawn over; no fault fires at or
@@ -39,11 +58,6 @@ pub struct FaultPlanConfig {
     /// Fraction of drawn failures that materialize as a limping-server
     /// slowdown instead of a crash.
     pub slowdown_share: f64,
-    /// Service-time inflation while a server limps (≥ 1; with a factor
-    /// below 1 or not finite, the plan holds no slowdown).
-    pub slowdown_factor: f64,
-    /// Mean duration of a slowdown (exponential).
-    pub mean_slowdown_secs: f64,
     /// Mean time between one server's latency-report faults
     /// (exponential); each is a loss or a one-tick delay with equal
     /// probability. Zero disables report faults.
@@ -51,15 +65,6 @@ pub struct FaultPlanConfig {
     /// Mean time between delegate crashes (exponential). Zero disables
     /// delegate faults.
     pub delegate_mttf_secs: f64,
-    /// Tuning ticks the policy pauses for after each delegate crash.
-    pub delegate_pause_ticks: u32,
-    /// Probability that a server crash takes the next server (cyclic in
-    /// id order) down with it at the same instant — correlated failures
-    /// of servers sharing a rack or power domain.
-    pub group_fail_prob: f64,
-    /// The generator never lets the plan take the cluster below this
-    /// many live servers (floored at 1: the last server never fails).
-    pub min_live: usize,
 }
 
 impl FaultPlanConfig {
@@ -76,13 +81,8 @@ impl FaultPlanConfig {
             mttf_secs: scaled(horizon_secs),
             mttr_secs: horizon_secs / 8.0,
             slowdown_share: 0.3,
-            slowdown_factor: 6.0,
-            mean_slowdown_secs: horizon_secs / 10.0,
             mean_report_fault_secs: scaled(horizon_secs / 2.0),
             delegate_mttf_secs: scaled(horizon_secs),
-            delegate_pause_ticks: 1,
-            group_fail_prob: 0.25,
-            min_live: 2,
         }
     }
 
@@ -106,13 +106,8 @@ impl FaultPlanConfig {
             mttf_secs: scaled(horizon_secs / 3.0),
             mttr_secs: horizon_secs / 50.0,
             slowdown_share: 0.0,
-            slowdown_factor: 1.0,
-            mean_slowdown_secs: horizon_secs / 10.0,
             mean_report_fault_secs: 0.0,
             delegate_mttf_secs: 0.0,
-            delegate_pause_ticks: 0,
-            group_fail_prob: 0.25,
-            min_live: 2,
         }
     }
 }
@@ -157,11 +152,12 @@ pub fn plan_faults(cfg: &FaultPlanConfig, servers: &[ServerId], seed: u64) -> Ve
                     break;
                 }
                 if cfg.slowdown_share > 0.0 && rng.chance(cfg.slowdown_share) {
-                    let lasts = rng.exponential(1.0 / cfg.mean_slowdown_secs).max(floor);
+                    let mean_slowdown_secs = cfg.horizon_secs / SLOWDOWN_DIVISOR;
+                    let lasts = rng.exponential(1.0 / mean_slowdown_secs).max(floor);
                     candidates.push(FaultEvent::Slowdown {
                         at: SimTime::from_secs_f64(t),
                         server: s,
-                        factor: cfg.slowdown_factor,
+                        factor: SLOWDOWN_FACTOR,
                         lasts: SimDuration::from_secs_f64(lasts),
                     });
                     t += lasts;
@@ -174,10 +170,10 @@ pub fn plan_faults(cfg: &FaultPlanConfig, servers: &[ServerId], seed: u64) -> Ve
                     // A correlated group failure drags the next server
                     // (cyclically) down at the same instant, with its own
                     // repair draw.
-                    if servers.len() > 1 && cfg.group_fail_prob > 0.0 {
+                    if servers.len() > 1 {
                         let partner = servers[(pos + 1) % servers.len()];
                         let partner_repair = rng.exponential(1.0 / cfg.mttr_secs).max(floor);
-                        if rng.chance(cfg.group_fail_prob) {
+                        if rng.chance(GROUP_FAIL_PROB) {
                             candidates.push(FaultEvent::Fail {
                                 at: SimTime::from_secs_f64(t),
                                 server: partner,
@@ -235,7 +231,7 @@ pub fn plan_faults(cfg: &FaultPlanConfig, servers: &[ServerId], seed: u64) -> Ve
             }
             candidates.push(FaultEvent::DelegateFail {
                 at: SimTime::from_secs_f64(t),
-                pause_ticks: cfg.delegate_pause_ticks,
+                pause_ticks: DELEGATE_PAUSE_TICKS,
             });
         }
     }
@@ -248,8 +244,7 @@ pub fn plan_faults(cfg: &FaultPlanConfig, servers: &[ServerId], seed: u64) -> Ve
     for s in servers {
         alive[s.0 as usize] = true;
     }
-    let min_live = cfg.min_live.max(1);
-    candidates.retain(|ev| ev.replay(&mut alive, min_live).is_ok());
+    candidates.retain(|ev| ev.replay(&mut alive, MIN_LIVE).is_ok());
     candidates
 }
 
@@ -285,19 +280,7 @@ mod tests {
     #[test]
     fn plans_always_validate() {
         let servers = paper_servers();
-        let mut envs: Vec<FaultPlanConfig> = [0.5, 1.0, 2.0, 4.0, 8.0]
-            .into_iter()
-            .map(|level| FaultPlanConfig::intensity(level, 600.0))
-            .collect();
-        // Slowdown factors that `validate_faults` rejects: the plan drops
-        // those candidates instead of handing the world a script it
-        // refuses.
-        for factor in [0.5, f64::NAN] {
-            envs.push(FaultPlanConfig {
-                slowdown_factor: factor,
-                ..FaultPlanConfig::intensity(4.0, 600.0)
-            });
-        }
+        let envs = [0.5, 1.0, 2.0, 4.0, 8.0].map(|level| FaultPlanConfig::intensity(level, 600.0));
         for (i, pc) in envs.iter().enumerate() {
             for seed in 0..20 {
                 let mut cfg = ClusterConfig::paper();
@@ -322,7 +305,7 @@ mod tests {
                     FaultEvent::Recover { .. } => live += 1,
                     _ => {}
                 }
-                assert!(live >= pc.min_live, "seed {seed} dipped to {live}");
+                assert!(live >= MIN_LIVE, "seed {seed} dipped to {live}");
             }
         }
     }

@@ -41,9 +41,9 @@ pub mod spec;
 pub mod world;
 
 pub use autoscaler::{Autoscaler, AutoscalerConfig, ScaleAction};
-pub use closed_loop::{run_closed_loop, ClosedLoopConfig, ClosedLoopResult};
+pub use closed_loop::{run_closed_loop, ClosedLoopResult, CLOSED_LOOP_DURATION};
 pub use faults::{plan_faults, FaultPlanConfig};
-pub use metrics::{flip_count, late_imbalance, late_mean, EpochRecord, RunResult, RunSummary};
+pub use metrics::{flip_count, EpochRecord, RunResult, RunSummary};
 pub use policy::{Assignment, ClusterView, MoveSet, PlacementPolicy};
 pub use profile::{NoProfiler, ProfileScope, RunProfiler};
 pub use spec::{

@@ -153,7 +153,7 @@ pub struct RunSummary {
 /// For each server, take its mean latency over the buckets in the second
 /// half of the run; the CoV of those per-server numbers is the imbalance
 /// measure. A perfectly balanced system scores 0.
-pub fn late_imbalance(series: &BTreeMap<ServerId, TimeSeries>) -> f64 {
+pub(crate) fn late_imbalance(series: &BTreeMap<ServerId, TimeSeries>) -> f64 {
     let mut per_server = OnlineStats::new();
     for ts in series.values() {
         let buckets = ts.buckets();
@@ -168,7 +168,7 @@ pub fn late_imbalance(series: &BTreeMap<ServerId, TimeSeries>) -> f64 {
 }
 
 /// Mean latency across all servers over the second half of the run.
-pub fn late_mean(series: &BTreeMap<ServerId, TimeSeries>) -> f64 {
+pub(crate) fn late_mean(series: &BTreeMap<ServerId, TimeSeries>) -> f64 {
     let (mut sum, mut count) = (0.0, 0u64);
     for ts in series.values() {
         let buckets = ts.buckets();

@@ -45,7 +45,7 @@ fn uniform_workload(seed: u64) -> Workload {
         duration_secs: 800.0,
         weights: WeightDist::Constant,
         mean_cost_secs: 0.01,
-        cost: CostModel::Deterministic,
+        cost: CostModel::UniformSpread { spread: 0.2 },
         seed,
     }
     .generate()

@@ -4,10 +4,10 @@
 //! through one bring-up path, whether a fault or the autoscaler moves it.
 
 use super::{ArrivalSource, Event, JobInfo, RebalanceClock, SetRow, World, NO_SERVER};
-use crate::autoscaler::{Autoscaler, ScaleAction};
+use crate::autoscaler::ScaleAction;
 use crate::policy::{MoveSet, PlacementPolicy};
 use crate::spec::{FaultEvent, FAILOVER_DELAY};
-use anu_core::{FileSetId, LoadReport, ServerId};
+use anu_core::{weighted_mean_latency, FileSetId, LoadReport, ServerId};
 use anu_des::{SimDuration, SimTime};
 use anu_trace::{TraceEvent, TraceLevel, WarnCode};
 
@@ -176,7 +176,7 @@ impl World<'_> {
             .map(|s| self.servers[s.0 as usize].alive)
             .collect();
         let live = self.servers.iter().filter(|st| st.alive).count();
-        let mean = Autoscaler::mean_latency_ms(reports);
+        let mean = weighted_mean_latency(reports);
         let action = match self.autoscaler.as_mut() {
             Some(scaler) => scaler.decide(mean, &standby_online, live),
             None => None,

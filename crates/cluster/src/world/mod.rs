@@ -370,11 +370,6 @@ struct World<'a> {
     /// Per file set admission-shed counts — which sets paid
     /// for graceful degradation. Feeds the completion-fairness index.
     set_shed: Vec<u64>,
-    /// Jain's fairness index over per-set mean latencies, in millionths,
-    /// and the worst per-set p99 latency (µs): gauges that read 0 until
-    /// the end of the run computes them from the per-set histograms.
-    jain_millionths: u64,
-    p99_set_max_us: u64,
     /// The metrics registry: the metric table's rows and the per-server
     /// gauges, set from the fields above at each publication.
     metrics: Registry,
@@ -849,8 +844,6 @@ pub(crate) fn simulate<S: ArrivalSource>(
         event_mix: [0; 6],
         set_latency: SetLatency::new(n_sets),
         set_shed: vec![0; n_sets],
-        jain_millionths: 0,
-        p99_set_max_us: 0,
         metrics,
     };
 

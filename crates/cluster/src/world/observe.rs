@@ -17,12 +17,12 @@ use std::collections::BTreeMap;
 type Scalar = (&'static str, MetricKind, fn(&World<'_>) -> u64);
 
 /// The world's scalar metrics, in registration order: the event mix, the
-/// calendar, migrations, requeues, sheds, scaling, the degraded flag and
-/// the two fairness gauges. Setup registers these rows first and each
-/// publication writes their values in the same order. The per-server
-/// gauges follow, then the histograms the end of the run registers. This
-/// order is the column order of the metrics CSVs.
-const SCALARS: [Scalar; 20] = [
+/// calendar, migrations, requeues, sheds, scaling and the degraded flag.
+/// Setup registers these rows first and each publication writes their
+/// values in the same order. The per-server gauges follow, then the
+/// histograms the end of the run registers. This order is the column
+/// order of the metrics CSVs.
+const SCALARS: [Scalar; 18] = [
     ("world.events.arrival", Counter, |w| w.event_mix[0]),
     ("world.events.complete", Counter, |w| w.event_mix[1]),
     ("world.events.tick", Counter, |w| w.event_mix[2]),
@@ -54,8 +54,6 @@ const SCALARS: [Scalar; 20] = [
     ("world.degraded", Gauge, |w| {
         u64::from(w.degraded_span.is_some())
     }),
-    ("fairness.jain_millionths", Gauge, |w| w.jain_millionths),
-    ("fairness.p99_set_max_us", Gauge, |w| w.p99_set_max_us),
 ];
 
 /// One per-server gauge: its name and where the server keeps its value.
@@ -239,17 +237,14 @@ impl World<'_> {
             }
         }
 
-        // Final metrics publish: the end-state totals with the fairness
-        // gauges, then the latency histograms after every scalar, the
-        // run's first and then each set's in set order. No snapshot:
-        // snapshots are per-epoch only.
+        // Final metrics publish: the end-state totals, then the latency
+        // histograms after every scalar, the run's first and then each
+        // set's in set order. No snapshot: snapshots are per-epoch only.
         profiler.enter(ProfileScope::MetricsUpdate);
         // Fairness across file sets, from the per-set histograms (before
         // they are moved into the registry).
         let (jain_fairness, p99_set_max_us) = fairness(&set_hists);
         let completion_fairness = completion_fairness(&set_hists, &self.set_shed);
-        self.jain_millionths = (jain_fairness * 1_000_000.0).round() as u64;
-        self.p99_set_max_us = p99_set_max_us;
         self.publish_metrics(None);
         self.metrics.histogram("latency.us", latency_hist);
         for (i, h) in set_hists.into_vec().into_iter().enumerate() {

@@ -86,7 +86,7 @@ fn small_workload(seed: u64) -> Workload {
         duration_secs: 600.0,
         weights: WeightDist::Constant,
         mean_cost_secs: 0.02,
-        cost: CostModel::Deterministic,
+        cost: CostModel::UniformSpread { spread: 0.2 },
         seed,
     }
     .generate()
@@ -209,8 +209,6 @@ fn metrics_registry_is_deterministic_and_conserves_events() {
             ("scale.commissions", Counter),
             ("scale.decommissions", Counter),
             ("world.degraded", Gauge),
-            ("fairness.jain_millionths", Gauge),
-            ("fairness.p99_set_max_us", Gauge),
         ]
         .into_iter()
         .map(|(name, kind)| (name.to_string(), kind))
@@ -875,12 +873,4 @@ fn fairness_fields_are_populated() {
         r.summary.jain_fairness
     );
     assert!(r.summary.p99_per_file_set_max >= r.summary.p99_latency_ms);
-    let g = r
-        .metrics
-        .find("fairness.jain_millionths")
-        .expect("registered");
-    assert_eq!(
-        r.metrics.value(g),
-        (r.summary.jain_fairness * 1_000_000.0).round() as u64
-    );
 }

@@ -50,6 +50,10 @@ pub const MAX_REPORT_AGE: u32 = 1;
 /// quorum, so it only bites under report loss.
 pub const MIN_QUORUM: f64 = 0.5;
 
+/// The paper's "fairly large" threshold `t`, which the production
+/// configuration and the Figure 11 presets that threshold all use.
+pub const PAPER_THRESHOLD: f64 = 0.5;
+
 /// How the delegate condenses per-server latencies into one "average".
 ///
 /// The paper uses a request-weighted mean but notes the system "is robust to
@@ -104,27 +108,27 @@ impl TuningConfig {
     /// threshold — the production configuration (Figure 10b).
     pub fn paper() -> Self {
         TuningConfig {
-            threshold: Some(0.5),
+            threshold: Some(PAPER_THRESHOLD),
             top_off: true,
             divergent: true,
             ..TuningConfig::plain()
         }
     }
 
-    /// Thresholding only (Figure 11a).
-    pub fn thresholding_only(t: f64) -> Self {
+    /// Thresholding only, at [`PAPER_THRESHOLD`] (Figure 11a).
+    pub fn thresholding_only() -> Self {
         TuningConfig {
-            threshold: Some(t),
+            threshold: Some(PAPER_THRESHOLD),
             ..TuningConfig::plain()
         }
     }
 
     /// Top-off only (Figure 11b). Top-off is "an extension to thresholding
     /// in which the threshold interval is `[0, μ(1+t)]`", so it carries the
-    /// threshold parameter too.
-    pub fn top_off_only(t: f64) -> Self {
+    /// threshold too, at [`PAPER_THRESHOLD`].
+    pub fn top_off_only() -> Self {
         TuningConfig {
-            threshold: Some(t),
+            threshold: Some(PAPER_THRESHOLD),
             top_off: true,
             ..TuningConfig::plain()
         }
@@ -219,15 +223,16 @@ mod tests {
         let paper = TuningConfig::paper();
         assert_eq!(paper.threshold, Some(0.5));
         assert!(paper.top_off && paper.divergent);
-        assert!(TuningConfig::thresholding_only(0.3).threshold == Some(0.3));
-        assert!(TuningConfig::top_off_only(0.3).top_off);
+        assert_eq!(TuningConfig::thresholding_only().threshold, Some(0.5));
+        let top_off = TuningConfig::top_off_only();
+        assert!(top_off.top_off && top_off.threshold == Some(0.5));
         assert!(TuningConfig::divergent_only().divergent);
         assert_eq!(TuningConfig::default(), TuningConfig::paper());
     }
 
     #[test]
     fn band_with_threshold() {
-        let c = TuningConfig::thresholding_only(0.5);
+        let c = TuningConfig::thresholding_only();
         assert!(c.within_band(100.0, 100.0));
         assert!(c.within_band(149.0, 100.0));
         assert!(c.within_band(51.0, 100.0));
@@ -245,7 +250,7 @@ mod tests {
 
     #[test]
     fn top_off_band_reaches_zero() {
-        let c = TuningConfig::top_off_only(0.5);
+        let c = TuningConfig::top_off_only();
         assert!(c.within_band(0.0, 100.0), "idle server is tolerated");
         assert!(c.within_band(149.0, 100.0));
         assert!(!c.within_band(151.0, 100.0));

@@ -47,8 +47,8 @@
 //!         age_ticks: 0,
 //!     })
 //!     .collect();
-//! if let Some(plan) = tuner.plan(&map.share_fractions(), &reports) {
-//!     map.rebalance(&plan.targets).unwrap();
+//! if let Some(targets) = tuner.plan(&map.share_fractions(), &reports) {
+//!     map.rebalance(&targets).unwrap();
 //! }
 //! // The slow server's mapped region shrank; it now owns fewer file sets.
 //! assert!(map.share_fractions()[&ServerId(0)] < 0.25);
@@ -78,4 +78,6 @@ pub use json::{Json, JsonError, ToJson};
 pub use pairwise::{Matching, PairwiseTuner};
 pub use partition::{PartitionState, PartitionTable};
 pub use placement::{Placement, PlacementMap, DEFAULT_ROUNDS};
-pub use tuner::{LoadReport, SharePlanner, TuneDecision, TuneEpoch, TuneOutcome, TunePlan, Tuner};
+pub use tuner::{
+    weighted_mean_latency, LoadReport, SharePlanner, TuneDecision, TuneEpoch, TuneOutcome, Tuner,
+};

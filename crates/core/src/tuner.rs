@@ -40,16 +40,19 @@ pub struct LoadReport {
     pub age_ticks: u32,
 }
 
-/// Outcome of one delegate tuning pass.
-#[derive(Clone, Debug, PartialEq)]
-pub struct TunePlan {
-    /// New relative shares (sum 1) to apply via
-    /// [`crate::placement::PlacementMap::rebalance`].
-    pub targets: BTreeMap<ServerId, f64>,
-    /// The average latency the movers were compared against.
-    pub mu: f64,
-    /// Servers whose regions were explicitly scaled this pass.
-    pub movers: Vec<ServerId>,
+/// The request-weighted mean latency (ms) of `reports`; `None` when
+/// nothing completed anywhere (an idle epoch carries no signal). The
+/// delegate's default average and the autoscaler's load signal.
+pub fn weighted_mean_latency(reports: &[LoadReport]) -> Option<f64> {
+    let total: u64 = reports.iter().map(|r| r.requests).sum();
+    if total == 0 {
+        return None;
+    }
+    let sum: f64 = reports
+        .iter()
+        .map(|r| r.mean_latency_ms * r.requests as f64)
+        .sum();
+    Some(sum / total as f64)
 }
 
 /// Why the tuner arrived at a server's new share — which heuristic fired,
@@ -126,8 +129,8 @@ pub struct TuneDecision {
 pub struct TuneEpoch {
     /// The average latency (ms) the pass compared against.
     pub mu_ms: f64,
-    /// True when the pass produced a [`TunePlan`] (some mover scaled);
-    /// false when every server was frozen and the configuration stood.
+    /// True when the pass produced new targets (some mover scaled); false
+    /// when every server was frozen and the configuration stood.
     pub planned: bool,
     /// Per-server decisions, in `ServerId` order.
     pub decisions: Vec<TuneDecision>,
@@ -186,9 +189,6 @@ pub trait SharePlanner: Send {
     /// planner that keeps no per-server state uses the no-op default.
     fn forget_server(&mut self, _server: ServerId) {}
 
-    /// Label for reports and figures.
-    fn planner_name(&self) -> &'static str;
-
     /// Telemetry from the most recent [`plan_shares`] call, consumed on
     /// read. Planners without per-epoch telemetry return `None` (the
     /// default), which costs nothing.
@@ -205,7 +205,7 @@ impl SharePlanner for Tuner {
         shares: &BTreeMap<ServerId, f64>,
         reports: &[LoadReport],
     ) -> Option<BTreeMap<ServerId, f64>> {
-        self.plan(shares, reports).map(|p| p.targets)
+        self.plan(shares, reports)
     }
 
     fn forget(&mut self) {
@@ -214,10 +214,6 @@ impl SharePlanner for Tuner {
 
     fn forget_server(&mut self, server: ServerId) {
         self.forget_server_state(server);
-    }
-
-    fn planner_name(&self) -> &'static str {
-        "centralized-delegate"
     }
 
     fn take_epoch(&mut self) -> Option<TuneEpoch> {
@@ -240,10 +236,6 @@ impl SharePlanner for crate::pairwise::PairwiseTuner {
 
     fn forget_server(&mut self, server: ServerId) {
         self.forget_server_state(server);
-    }
-
-    fn planner_name(&self) -> &'static str {
-        "pairwise-gossip"
     }
 }
 
@@ -293,17 +285,7 @@ impl Tuner {
     /// completed anywhere).
     pub fn average(&self, reports: &[LoadReport]) -> Option<f64> {
         match self.cfg.average {
-            AverageKind::WeightedMean => {
-                let total: u64 = reports.iter().map(|r| r.requests).sum();
-                if total == 0 {
-                    return None;
-                }
-                let sum: f64 = reports
-                    .iter()
-                    .map(|r| r.mean_latency_ms * r.requests as f64)
-                    .sum();
-                Some(sum / total as f64)
-            }
+            AverageKind::WeightedMean => weighted_mean_latency(reports),
             AverageKind::Median => {
                 if reports.iter().all(|r| r.requests == 0) {
                     return None;
@@ -323,10 +305,13 @@ impl Tuner {
     /// Run one tuning pass.
     ///
     /// `shares` are the current relative shares (any non-negative scale);
-    /// `reports` cover the last interval. Returns `None` if the system is
-    /// considered balanced (no mover selected) — the configuration should
-    /// then be left untouched. Previous-interval state is updated either
-    /// way.
+    /// `reports` cover the last interval. Returns the new relative shares
+    /// (sum 1) to apply via
+    /// [`PlacementMap::rebalance`](crate::placement::PlacementMap::rebalance),
+    /// or `None` if the system is considered balanced (no mover selected) —
+    /// the configuration should then be left untouched. Previous-interval
+    /// state is updated either way, and the pass's μ and per-server
+    /// decisions are kept for [`SharePlanner::take_epoch`].
     ///
     /// Robustness: reports older than [`MAX_REPORT_AGE`] ticks are discarded;
     /// a share-holding server with no usable report is frozen at its
@@ -336,7 +321,7 @@ impl Tuner {
         &mut self,
         shares: &BTreeMap<ServerId, f64>,
         reports: &[LoadReport],
-    ) -> Option<TunePlan> {
+    ) -> Option<BTreeMap<ServerId, f64>> {
         // Age out stale reports, then keep only the freshest report per
         // server: a delayed report delivered alongside the next fresh one
         // must not double-count that server in the cluster average.
@@ -375,7 +360,7 @@ impl Tuner {
         shares: &BTreeMap<ServerId, f64>,
         reports: &[LoadReport],
         lat: &BTreeMap<ServerId, f64>,
-    ) -> (Option<TunePlan>, Option<TuneEpoch>) {
+    ) -> (Option<BTreeMap<ServerId, f64>>, Option<TuneEpoch>) {
         let Some(mu) = self.average(reports) else {
             return (None, None);
         };
@@ -416,7 +401,7 @@ impl Tuner {
         }
 
         let mut targets = BTreeMap::new();
-        let mut movers = Vec::new();
+        let mut moved = false;
         let mut decisions = Vec::with_capacity(shares.len());
         for (&s, &share) in shares {
             let old_share = share / share_total;
@@ -459,7 +444,7 @@ impl Tuner {
                 });
                 continue;
             }
-            movers.push(s);
+            moved = true;
             let (target, outcome) = self.cfg.scale_share(share, share_total, latency, mu);
             targets.insert(s, target);
             decisions.push(TuneDecision {
@@ -472,7 +457,7 @@ impl Tuner {
             });
         }
 
-        if movers.is_empty() {
+        if !moved {
             // Every server frozen: the configuration stands; decisions
             // already carry new == old.
             let epoch = TuneEpoch {
@@ -498,14 +483,7 @@ impl Tuner {
             planned: true,
             decisions,
         };
-        (
-            Some(TunePlan {
-                targets,
-                mu,
-                movers,
-            }),
-            Some(epoch),
-        )
+        (Some(targets), Some(epoch))
     }
 }
 
@@ -524,6 +502,22 @@ mod tests {
 
     fn equal_shares(n: u32) -> BTreeMap<ServerId, f64> {
         (0..n).map(|i| (ServerId(i), 1.0 / n as f64)).collect()
+    }
+
+    /// The servers a pass scaled: the decisions that no heuristic froze
+    /// and no missing report held.
+    fn movers(epoch: &TuneEpoch) -> Vec<ServerId> {
+        let scaled = [
+            TuneOutcome::Scaled,
+            TuneOutcome::Clamped,
+            TuneOutcome::Floored,
+        ];
+        epoch
+            .decisions
+            .iter()
+            .filter(|d| scaled.contains(&d.outcome))
+            .map(|d| d.server)
+            .collect()
     }
 
     #[test]
@@ -560,14 +554,14 @@ mod tests {
     fn overloaded_server_shrinks() {
         let mut t = Tuner::new(TuningConfig::plain());
         let shares = equal_shares(2);
-        let plan = t
+        let targets = t
             .plan(&shares, &[report(0, 400.0, 100), report(1, 100.0, 100)])
             .unwrap();
-        assert!(plan.targets[&ServerId(0)] < shares[&ServerId(0)]);
-        assert!(plan.targets[&ServerId(1)] > shares[&ServerId(1)]);
-        let sum: f64 = plan.targets.values().sum();
+        assert!(targets[&ServerId(0)] < shares[&ServerId(0)]);
+        assert!(targets[&ServerId(1)] > shares[&ServerId(1)]);
+        let sum: f64 = targets.values().sum();
         assert!((sum - 1.0).abs() < 1e-12);
-        assert_eq!(plan.movers.len(), 2);
+        assert_eq!(movers(&t.take_epoch().unwrap()).len(), 2);
     }
 
     #[test]
@@ -577,13 +571,13 @@ mod tests {
         let mut t = Tuner::new(TuningConfig::plain());
         let shares = equal_shares(2);
         // mu = (400*100 + 100*300)/400 = 175; factor0 = (175/400)^0.5.
-        let plan = t
+        let targets = t
             .plan(&shares, &[report(0, 400.0, 100), report(1, 100.0, 300)])
             .unwrap();
         let raw0 = 0.5 * (175.0f64 / 400.0).sqrt();
         let raw1 = 0.5 * (175.0f64 / 100.0).sqrt();
         let want0 = raw0 / (raw0 + raw1);
-        assert!((plan.targets[&ServerId(0)] - want0).abs() < 1e-9);
+        assert!((targets[&ServerId(0)] - want0).abs() < 1e-9);
     }
 
     #[test]
@@ -592,14 +586,14 @@ mod tests {
         let shares = equal_shares(2);
         // mu ~= 1.0; server 0 is 10000x over (raw factor 0.01 -> clamp 0.5)
         // and server 1 is 1000x under (raw factor ~31.6 -> clamp 2.0).
-        let plan = t
+        let targets = t
             .plan(&shares, &[report(0, 10_000.0, 1), report(1, 0.001, 10_000)])
             .unwrap();
         // raw shares: s0 = 0.5*0.5 = 0.25, s1 = 0.5*2.0 = 1.0.
         assert!(
-            (plan.targets[&ServerId(0)] - 0.25 / 1.25).abs() < 1e-3,
+            (targets[&ServerId(0)] - 0.25 / 1.25).abs() < 1e-3,
             "got {}",
-            plan.targets[&ServerId(0)]
+            targets[&ServerId(0)]
         );
     }
 
@@ -609,20 +603,20 @@ mod tests {
         let mut shares = equal_shares(2);
         *shares.get_mut(&ServerId(0)).unwrap() = 0.0; // collapsed
         *shares.get_mut(&ServerId(1)).unwrap() = 1.0;
-        let plan = t
+        let targets = t
             .plan(&shares, &[report(0, 0.0, 0), report(1, 100.0, 500)])
             .unwrap();
         assert!(
-            plan.targets[&ServerId(0)] > 0.0,
+            targets[&ServerId(0)] > 0.0,
             "MIN_GROW_SHARE must restart the idle server"
         );
     }
 
     #[test]
     fn top_off_leaves_idle_server_alone() {
-        let mut t = Tuner::new(TuningConfig::top_off_only(0.5));
+        let mut t = Tuner::new(TuningConfig::top_off_only());
         let shares = equal_shares(3);
-        let plan = t
+        let targets = t
             .plan(
                 &shares,
                 &[
@@ -632,15 +626,15 @@ mod tests {
                 ],
             )
             .unwrap();
-        assert_eq!(plan.movers, vec![ServerId(1)]);
+        assert_eq!(movers(&t.take_epoch().unwrap()), vec![ServerId(1)]);
         // Idle server 0 still gains implicitly via renormalization.
-        assert!(plan.targets[&ServerId(0)] > shares[&ServerId(0)]);
-        assert!(plan.targets[&ServerId(1)] < shares[&ServerId(1)]);
+        assert!(targets[&ServerId(0)] > shares[&ServerId(0)]);
+        assert!(targets[&ServerId(1)] < shares[&ServerId(1)]);
     }
 
     #[test]
     fn thresholding_freezes_in_band() {
-        let mut t = Tuner::new(TuningConfig::thresholding_only(0.5));
+        let mut t = Tuner::new(TuningConfig::thresholding_only());
         let shares = equal_shares(2);
         // Both servers within ±50% of mu: no plan.
         assert!(t
@@ -680,16 +674,14 @@ mod tests {
         // included, μ would be pulled far up by the 9000 ms outlier.
         let mut t = Tuner::new(TuningConfig::plain());
         let shares = equal_shares(2);
-        let plan = t
-            .plan(
-                &shares,
-                &[
-                    report(0, 100.0, 100),
-                    report(1, 100.0, 100),
-                    report(2, 9_000.0, 100),
-                ],
-            )
-            .map(|p| p.mu);
+        let plan = t.plan(
+            &shares,
+            &[
+                report(0, 100.0, 100),
+                report(1, 100.0, 100),
+                report(2, 9_000.0, 100),
+            ],
+        );
         // Balanced members => no plan at all; the ghost report is ignored.
         assert!(plan.is_none(), "ghost report skewed the average: {plan:?}");
     }
@@ -732,16 +724,17 @@ mod tests {
     fn epoch_telemetry_records_decisions() {
         let mut t = Tuner::new(TuningConfig::plain());
         let shares = equal_shares(2);
-        let plan = t
+        let targets = t
             .plan(&shares, &[report(0, 400.0, 100), report(1, 100.0, 100)])
             .unwrap();
         let epoch = t.take_epoch().expect("plan produced telemetry");
         assert!(epoch.planned);
-        assert!((epoch.mu_ms - plan.mu).abs() < 1e-12);
+        // μ weights each latency by its requests: (400 + 100) / 2.
+        assert_eq!(epoch.mu_ms, 250.0);
         assert_eq!(epoch.decisions.len(), 2);
         for d in &epoch.decisions {
             assert_eq!(d.outcome, TuneOutcome::Scaled);
-            assert!((d.new_share - plan.targets[&d.server]).abs() < 1e-12);
+            assert!((d.new_share - targets[&d.server]).abs() < 1e-12);
             assert_eq!(d.applied_share, d.new_share);
         }
         assert!((epoch.decisions[0].old_share - 0.5).abs() < 1e-12);
@@ -751,7 +744,7 @@ mod tests {
 
     #[test]
     fn epoch_telemetry_names_the_freezing_heuristic() {
-        let mut t = Tuner::new(TuningConfig::thresholding_only(0.5));
+        let mut t = Tuner::new(TuningConfig::thresholding_only());
         let shares = equal_shares(2);
         assert!(t
             .plan(&shares, &[report(0, 120.0, 100), report(1, 90.0, 100)])
@@ -800,25 +793,25 @@ mod tests {
         // Server 2 filed no report. The old behavior treated it as idle
         // (zero latency) and grew it at the clamp; it must now hold its
         // share exactly while the reporting pair rebalances around it.
-        let plan = t
+        let targets = t
             .plan(&shares, &[report(0, 400.0, 100), report(1, 100.0, 100)])
             .unwrap();
         let s2 = ServerId(2);
         // Frozen means "not a mover": like the band-frozen case, the share
         // only drifts by the renormalization slack (here within ±15%), far
         // from the ~2x the old zero-latency clamp growth produced.
-        assert!(!plan.movers.contains(&s2));
-        let drift = plan.targets[&s2] / shares[&s2];
+        let epoch = t.take_epoch().unwrap();
+        assert!(!movers(&epoch).contains(&s2));
+        let drift = targets[&s2] / shares[&s2];
         assert!(
             (0.85..=1.15).contains(&drift),
             "silent server share moved: {} -> {}",
             shares[&s2],
-            plan.targets[&s2]
+            targets[&s2]
         );
-        let epoch = t.take_epoch().unwrap();
         let d2 = epoch.decisions.iter().find(|d| d.server == s2).unwrap();
         assert_eq!(d2.outcome, TuneOutcome::NoReport);
-        assert_eq!(d2.new_share, plan.targets[&s2]);
+        assert_eq!(d2.new_share, targets[&s2]);
     }
 
     #[test]
@@ -826,7 +819,7 @@ mod tests {
         let mut t = Tuner::new(TuningConfig::plain());
         let shares = equal_shares(3);
         // Server 2's report is two ticks old: discarded, share frozen.
-        let plan = t
+        let targets = t
             .plan(
                 &shares,
                 &[
@@ -837,14 +830,14 @@ mod tests {
             )
             .unwrap();
         let s2 = ServerId(2);
-        assert!(!plan.movers.contains(&s2), "aged-out server is frozen");
-        let drift = plan.targets[&s2] / shares[&s2];
-        assert!((0.85..=1.15).contains(&drift), "drift {drift}");
         let epoch = t.take_epoch().unwrap();
+        assert!(!movers(&epoch).contains(&s2), "aged-out server is frozen");
+        let drift = targets[&s2] / shares[&s2];
+        assert!((0.85..=1.15).contains(&drift), "drift {drift}");
         let d2 = epoch.decisions.iter().find(|d| d.server == s2).unwrap();
         assert_eq!(d2.outcome, TuneOutcome::NoReport);
         // A one-tick-stale report (ReportDelay) is still usable.
-        let plan = t
+        let targets = t
             .plan(
                 &shares,
                 &[
@@ -855,7 +848,7 @@ mod tests {
             )
             .unwrap();
         assert!(
-            plan.targets[&s2] > shares[&s2],
+            targets[&s2] > shares[&s2],
             "delayed report still tunes the fast server up"
         );
     }
@@ -882,8 +875,11 @@ mod tests {
         let clean = t2
             .plan(&shares, &[report(0, 400.0, 100), report(1, 100.0, 100)])
             .unwrap();
-        assert_eq!(duped.targets, clean.targets);
-        assert_eq!(duped.movers, clean.movers);
+        assert_eq!(duped, clean);
+        assert_eq!(
+            movers(&t.take_epoch().unwrap()),
+            movers(&t2.take_epoch().unwrap())
+        );
     }
 
     #[test]

@@ -69,7 +69,7 @@ impl SimDuration {
 
     /// Construct from whole milliseconds.
     #[inline]
-    pub fn from_millis(ms: u64) -> Self {
+    pub const fn from_millis(ms: u64) -> Self {
         SimDuration(ms.saturating_mul(1_000))
     }
 

@@ -164,7 +164,7 @@ mod tests {
                 duration_secs: 500.0,
                 weights: WeightDist::PowerOfUniform { alpha: 50.0 },
                 mean_cost_secs: 0.5,
-                cost: CostModel::Deterministic,
+                cost: CostModel::UniformSpread { spread: 0.2 },
                 seed: 17,
             }
             .generate(),

@@ -9,7 +9,7 @@
 
 use crate::experiment::{Experiment, PolicyKind, PrescientWindow};
 use crate::runner::{Cell, Finished, Sweep, Verdict};
-use anu_cluster::{flip_count, late_imbalance, late_mean, ClusterConfig, RunResult, SERIES_BUCKET};
+use anu_cluster::{flip_count, ClusterConfig, RunResult, SERIES_BUCKET};
 use anu_core::{ServerId, TuningConfig};
 use anu_workload::{DfsLikeConfig, SyntheticConfig};
 
@@ -184,13 +184,13 @@ fn fig11_scaled(seed: u64, scale: u64) -> Experiment {
             (
                 "thresholding-only".into(),
                 PolicyKind::Anu {
-                    tuning: TuningConfig::thresholding_only(0.5),
+                    tuning: TuningConfig::thresholding_only(),
                 },
             ),
             (
                 "top-off-only".into(),
                 PolicyKind::Anu {
-                    tuning: TuningConfig::top_off_only(0.5),
+                    tuning: TuningConfig::top_off_only(),
                 },
             ),
             (
@@ -331,24 +331,34 @@ pub(crate) fn comparable(late_ms: f64, reference_ms: f64) -> bool {
     late_ms <= 3.0 * reference_ms.max(1.0)
 }
 
-fn find<'a>(results: &'a [RunResult], label: &str) -> &'a RunResult {
-    #[expect(
-        clippy::panic,
-        reason = "figure definitions name only policies they themselves run"
-    )]
+/// A figure's checks, or the one failing check that names a run they read
+/// and the results lack.
+type Checks = Result<Vec<ShapeCheck>, ShapeCheck>;
+
+/// The failing check for a run labelled `label` that the results lack.
+fn missing(label: &str) -> ShapeCheck {
+    ShapeCheck {
+        claim: format!("the figure ran every run its checks read, {label} included"),
+        measured: format!("no result labelled {label}"),
+        pass: false,
+    }
+}
+
+/// The result labelled `label`, or the failing check that names it.
+fn find<'a>(results: &'a [RunResult], label: &str) -> Result<&'a RunResult, ShapeCheck> {
     results
         .iter()
         .find(|r| r.policy == label)
-        .unwrap_or_else(|| panic!("no result labelled {label}"))
+        .ok_or_else(|| missing(label))
 }
 
 /// Shape checks for the four-policy figures (6 and 8): static policies
 /// leave the cluster imbalanced and slower; adaptive policies fix it.
-pub fn check_four_policy(results: &[RunResult]) -> Vec<ShapeCheck> {
-    let simple = find(results, "simple-randomization");
-    let rr = find(results, "round-robin");
-    let presc = find(results, "dynamic-prescient");
-    let anu = find(results, "anu-randomization");
+fn check_four_policy(results: &[RunResult]) -> Checks {
+    let simple = find(results, "simple-randomization")?;
+    let rr = find(results, "round-robin")?;
+    let presc = find(results, "dynamic-prescient")?;
+    let anu = find(results, "anu-randomization")?;
     let mut checks = Vec::new();
 
     for r in [simple, rr] {
@@ -364,7 +374,8 @@ pub fn check_four_policy(results: &[RunResult]) -> Vec<ShapeCheck> {
         });
     }
 
-    let lm = |r: &RunResult| late_mean(&r.series);
+    let lm = |r: &RunResult| r.summary.late_mean_latency_ms;
+    let imbalance = |r: &RunResult| r.summary.late_imbalance_cov;
     checks.push(ShapeCheck {
         claim: "adaptive policies beat both static policies in steady state".into(),
         measured: format!(
@@ -391,23 +402,22 @@ pub fn check_four_policy(results: &[RunResult]) -> Vec<ShapeCheck> {
         claim: "adaptive policies balance latency across servers far better than static".into(),
         measured: format!(
             "late imbalance CoV — simple {:.2}, rr {:.2}, prescient {:.2}, anu {:.2}",
-            late_imbalance(&simple.series),
-            late_imbalance(&rr.series),
-            late_imbalance(&presc.series),
-            late_imbalance(&anu.series)
+            imbalance(simple),
+            imbalance(rr),
+            imbalance(presc),
+            imbalance(anu)
         ),
-        pass: late_imbalance(&anu.series)
-            < 0.7 * late_imbalance(&simple.series).min(late_imbalance(&rr.series)),
+        pass: imbalance(anu) < 0.7 * imbalance(simple).min(imbalance(rr)),
     });
-    checks
+    Ok(checks)
 }
 
 /// Shape checks for the close-up figures (7 and 9): ANU starts unbalanced
 /// (no knowledge) and converges to the prescient neighbourhood within a few
 /// tuning intervals.
-pub fn check_closeup(results: &[RunResult], tick_buckets: usize) -> Vec<ShapeCheck> {
-    let presc = find(results, "dynamic-prescient");
-    let anu = find(results, "anu-randomization");
+fn check_closeup(results: &[RunResult], tick_buckets: usize) -> Checks {
+    let presc = find(results, "dynamic-prescient")?;
+    let anu = find(results, "anu-randomization")?;
     let mut checks = Vec::new();
 
     // Early window (first ~3 ticks) vs the rest: ANU's spread must shrink.
@@ -442,8 +452,8 @@ pub fn check_closeup(results: &[RunResult], tick_buckets: usize) -> Vec<ShapeChe
         pass: anu_late < anu_early,
     });
 
-    let lm_p = late_mean(&presc.series);
-    let lm_a = late_mean(&anu.series);
+    let lm_p = presc.summary.late_mean_latency_ms;
+    let lm_a = anu.summary.late_mean_latency_ms;
     checks.push(ShapeCheck {
         claim: "after convergence ANU performs comparably to prescient".into(),
         measured: format!("late mean: anu {lm_a:.1} ms vs prescient {lm_p:.1} ms"),
@@ -459,7 +469,7 @@ pub fn check_closeup(results: &[RunResult], tick_buckets: usize) -> Vec<ShapeChe
         ),
         pass: spread(presc, 0, early) < anu_early,
     });
-    checks
+    Ok(checks)
 }
 
 /// Busy/idle thresholds (ms) classifying a server bucket for the
@@ -473,13 +483,17 @@ const BUSY_MS: f64 = 500.0;
 /// improving load balance"; the weakest server "cyclically takes on
 /// workload, exhibits high latency, releases workload, and goes to zero
 /// latency"), stability with all three heuristics.
-pub fn check_overtuning(results: &[RunResult]) -> Vec<ShapeCheck> {
-    let plain = find(results, "anu-no-heuristics");
-    let cured = find(results, "anu-all-heuristics");
+fn check_overtuning(results: &[RunResult]) -> Checks {
+    let plain = find(results, PLAIN_ANU_LABEL)?;
+    let cured = find(results, "anu-all-heuristics")?;
     let s0 = ServerId(0);
     let flips_plain = flip_count(&plain.series[&s0], IDLE_MS, BUSY_MS);
     let flips_cured = flip_count(&cured.series[&s0], IDLE_MS, BUSY_MS);
-    vec![
+    let (late_plain, late_cured) = (
+        plain.summary.late_mean_latency_ms,
+        cured.summary.late_mean_latency_ms,
+    );
+    Ok(vec![
         ShapeCheck {
             claim: "without heuristics the weakest server cycles between zero and high latency; the heuristics stop the cycling".into(),
             measured: format!(
@@ -493,13 +507,13 @@ pub fn check_overtuning(results: &[RunResult]) -> Vec<ShapeCheck> {
                 "migrations {} vs {}; late mean {:.0} ms vs {:.0} ms",
                 plain.summary.migrations,
                 cured.summary.migrations,
-                late_mean(&plain.series),
-                late_mean(&cured.series)
+                late_plain,
+                late_cured
             ),
             pass: plain.summary.migrations * 2 > 3 * cured.summary.migrations.max(1)
-                && late_mean(&plain.series) > late_mean(&cured.series),
+                && late_plain > late_cured,
         },
-    ]
+    ])
 }
 
 /// Shape checks for Figure 11, per the paper's own per-heuristic claims:
@@ -511,25 +525,27 @@ pub fn check_overtuning(results: &[RunResult]) -> Vec<ShapeCheck> {
 ///   the least powerful server down to no workload;
 /// * divergent tuning targets overshoot only; alone it still re-tunes
 ///   heavily (it reaches balance more slowly than all three combined).
-pub fn check_decomposition(plain_result: &RunResult, results: &[RunResult]) -> Vec<ShapeCheck> {
+fn check_decomposition(plain_result: &RunResult, results: &[RunResult]) -> Checks {
     let s0 = ServerId(0);
     let mut checks = Vec::new();
+    let late = |r: &RunResult| r.summary.late_mean_latency_ms;
 
-    let thresh = find(results, "thresholding-only");
+    let thresh = find(results, "thresholding-only")?;
+    let topoff = find(results, "top-off-only")?;
+    let div = find(results, "divergent-only")?;
     checks.push(ShapeCheck {
         claim: "thresholding alone stabilizes the system (fewer moves, better balance than no heuristics)".into(),
         measured: format!(
             "moves {} vs plain {}; late mean {:.0} ms vs plain {:.0} ms",
             thresh.summary.migrations,
             plain_result.summary.migrations,
-            late_mean(&thresh.series),
-            late_mean(&plain_result.series)
+            late(thresh),
+            late(plain_result)
         ),
         pass: thresh.summary.migrations * 2 < plain_result.summary.migrations
-            && late_mean(&thresh.series) < late_mean(&plain_result.series),
+            && late(thresh) < late(plain_result),
     });
 
-    let topoff = find(results, "top-off-only");
     let share0 = topoff.summary.per_server_requests[&s0];
     let total: u64 = topoff.summary.per_server_requests.values().sum();
     checks.push(ShapeCheck {
@@ -547,59 +563,51 @@ pub fn check_decomposition(plain_result: &RunResult, results: &[RunResult]) -> V
             "server0 flips — top-off {}, thresholding {}, divergent {}",
             flip_count(&topoff.series[&s0], IDLE_MS, BUSY_MS),
             flip_count(&thresh.series[&s0], IDLE_MS, BUSY_MS),
-            flip_count(
-                &find(results, "divergent-only").series[&s0],
-                IDLE_MS,
-                BUSY_MS
-            ),
+            flip_count(&div.series[&s0], IDLE_MS, BUSY_MS),
         ),
         pass: {
             let f = |r: &RunResult| flip_count(&r.series[&s0], IDLE_MS, BUSY_MS);
-            f(topoff) <= f(thresh) && f(topoff) <= f(find(results, "divergent-only"))
+            f(topoff) <= f(thresh) && f(topoff) <= f(div)
         },
     });
 
-    let div = find(results, "divergent-only");
     checks.push(ShapeCheck {
         claim: "divergent tuning alone improves on no heuristics but reaches balance more slowly than all three combined".into(),
         measured: format!(
             "late mean — divergent {:.0} ms, plain {:.0} ms, all-three {:.0} ms",
-            late_mean(&div.series),
-            late_mean(&plain_result.series),
-            late_mean(&topoff.series), // proxy shown for scale
+            late(div),
+            late(plain_result),
+            late(topoff), // proxy shown for scale
         ),
-        pass: late_mean(&div.series) < late_mean(&plain_result.series),
+        pass: late(div) < late(plain_result),
     });
-    checks
+    Ok(checks)
 }
 
 /// Shape checks for figure `n` over its per-policy results — the single
-/// dispatcher the binaries and the sweep engine share.
+/// dispatcher the binaries, the sweep engine and the tests share.
 ///
 /// `plain` must be the no-heuristics ANU result (the [`PLAIN_ANU_LABEL`]
 /// run of Figure 10) when `n == 11`; every other figure ignores it.
 /// `tick_buckets` is the number of series buckets per tuning interval
-/// (used by the close-up figures 7 and 9).
+/// (used by the close-up figures 7 and 9). When a run the checks read is
+/// missing, the figure gets one failing check that names it.
 pub fn checks_for(
     n: u32,
     results: &[RunResult],
     plain: Option<&RunResult>,
     tick_buckets: usize,
 ) -> Vec<ShapeCheck> {
-    match n {
+    let checks = match n {
         6 | 8 => check_four_policy(results),
         7 | 9 => check_closeup(results, tick_buckets),
         10 => check_overtuning(results),
-        11 => {
-            #[expect(
-                clippy::expect_used,
-                reason = "callers schedule the fig10 plain run before checking fig11; running decomposition checks without the baseline is a harness bug"
-            )]
-            let plain = plain.expect("figure 11 checks need the fig10 no-heuristics run");
-            check_decomposition(plain, results)
-        }
-        _ => Vec::new(),
-    }
+        11 => plain
+            .ok_or_else(|| missing(PLAIN_ANU_LABEL))
+            .and_then(|plain| check_decomposition(plain, results)),
+        _ => Ok(Vec::new()),
+    };
+    checks.unwrap_or_else(|missing| vec![missing])
 }
 
 #[cfg(test)]
@@ -664,6 +672,18 @@ mod tests {
         let b = figure_scaled(6, 1, 1).unwrap();
         assert_eq!(a.workload.requests, b.workload.requests);
         assert!(figure_scaled(12, 1, 10).is_none());
+    }
+
+    #[test]
+    fn missing_runs_fail_their_figure_checks() {
+        // Figure 11 without its no-heuristics baseline, and figure 6 with
+        // no runs at all: each yields one failing check naming the run.
+        for (n, label) in [(11, PLAIN_ANU_LABEL), (6, "simple-randomization")] {
+            let checks = checks_for(n, &[], None, 1);
+            assert_eq!(checks.len(), 1, "figure {n}");
+            assert!(!checks[0].pass, "figure {n}");
+            assert!(checks[0].measured.contains(label), "{}", checks[0].measured);
+        }
     }
 
     #[test]

@@ -53,9 +53,8 @@ pub use chaos::{
 };
 pub use experiment::{Experiment, PolicyKind, PrescientWindow};
 pub use figures::{
-    check_closeup, check_decomposition, check_four_policy, check_overtuning, checks_for, fig10,
-    fig11, fig6, fig7, fig8, fig9, figure, figure_scaled, figures_sweep, reduced, ShapeCheck,
-    DEFAULT_SEED, FIGURE_NUMBERS, PLAIN_ANU_LABEL,
+    checks_for, fig10, fig11, fig6, fig7, fig8, fig9, figure, figure_scaled, figures_sweep,
+    reduced, ShapeCheck, DEFAULT_SEED, FIGURE_NUMBERS, PLAIN_ANU_LABEL,
 };
 pub use meanfield::{
     meanfield_cell, meanfield_checks, meanfield_lens, meanfield_name, meanfield_rows,

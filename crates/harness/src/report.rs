@@ -2,7 +2,7 @@
 //! verdict tables.
 
 use crate::figures::ShapeCheck;
-use anu_cluster::{late_imbalance, late_mean, RunResult};
+use anu_cluster::RunResult;
 use std::fmt::Write as _;
 use std::io;
 use std::path::Path;
@@ -49,9 +49,9 @@ pub fn summary_table(results: &[RunResult]) -> String {
             "{:<22} {:>10.1} {:>10.1} {:>10.1} {:>10.2} {:>7}",
             r.policy,
             r.summary.mean_latency_ms,
-            late_mean(&r.series),
+            r.summary.late_mean_latency_ms,
             r.summary.max_latency_ms,
-            late_imbalance(&r.series),
+            r.summary.late_imbalance_cov,
             r.summary.migrations
         )
         .ok();
@@ -312,7 +312,7 @@ mod tests {
                 duration_secs: 200.0,
                 weights: WeightDist::Constant,
                 mean_cost_secs: 0.05,
-                cost: CostModel::Deterministic,
+                cost: CostModel::UniformSpread { spread: 0.2 },
                 seed: 5,
             }
             .generate(),
@@ -392,7 +392,7 @@ mod tests {
                 duration_secs: 600.0,
                 weights: WeightDist::PowerOfUniform { alpha: 50.0 },
                 mean_cost_secs: 0.3,
-                cost: CostModel::Deterministic,
+                cost: CostModel::UniformSpread { spread: 0.2 },
                 seed: 5,
             }
             .generate(),

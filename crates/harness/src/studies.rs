@@ -38,8 +38,7 @@ use crate::figures::{comparable, ShapeCheck};
 use crate::report::csv_field;
 use crate::runner::{Cell, Finished, Sweep, Verdict};
 use anu_cluster::{
-    late_imbalance, late_mean, run_closed_loop, ClosedLoopConfig, ClosedLoopResult, ClusterConfig,
-    FaultEvent, RunResult, ServerSpec,
+    run_closed_loop, ClosedLoopResult, ClusterConfig, FaultEvent, RunResult, ServerSpec,
 };
 use anu_core::{AverageKind, FileSetId, Matching, PlacementMap, ServerId, TuningConfig};
 use anu_des::{SimDuration, SimTime};
@@ -304,8 +303,8 @@ fn write_summary_csv(cells: &[StudyCell<'_>], dir: &Path) -> io::Result<PathBuf>
                 csv_field(&c.at.1),
                 csv_field(&r.policy),
                 c.exp.seed,
-                late_mean(&r.series),
-                late_imbalance(&r.series),
+                r.summary.late_mean_latency_ms,
+                r.summary.late_imbalance_cov,
                 r.summary.migrations,
                 r.epochs.iter().filter(|e| e.moves > 0).count(),
                 r.epochs.len()
@@ -328,8 +327,13 @@ fn check(claim: &str, measured: String, pass: bool) -> ShapeCheck {
 /// read it off a run, and its decimals.
 struct Metric(&'static str, &'static str, fn(&RunResult) -> f64, usize);
 
-const LATE_MEAN: Metric = Metric("late mean", " ms", |r| late_mean(&r.series), 1);
-const IMBALANCE: Metric = Metric("late imbalance CoV", "", |r| late_imbalance(&r.series), 2);
+const LATE_MEAN: Metric = Metric("late mean", " ms", |r| r.summary.late_mean_latency_ms, 1);
+const IMBALANCE: Metric = Metric(
+    "late imbalance CoV",
+    "",
+    |r| r.summary.late_imbalance_cov,
+    2,
+);
 const MOVES: Metric = Metric("moves", "", |r| r.summary.migrations as f64, 0);
 
 /// A check that labelled run `a` reads lower than `b` on `metric`.
@@ -351,7 +355,7 @@ fn replay_checks(study: &str, cells: &[StudyCell<'_>]) -> Option<Vec<ShapeCheck>
         cell.results.iter().find(|r| r.policy == policy)
     };
     let on_base = |policy| get(BASE, policy);
-    let late = |r: &RunResult| late_mean(&r.series);
+    let late = |r: &RunResult| r.summary.late_mean_latency_ms;
     Some(match study {
         "average" => {
             let (mean, median) = (late(on_base("weighted-mean")?), late(on_base("median")?));
@@ -628,10 +632,10 @@ impl Churn {
 /// randomization and ANU. Prescient is absent: closed-loop clients have
 /// no future trace to read.
 fn motivation_runs(seed: u64) -> [(&'static str, ClosedLoopResult); 3] {
-    let (cluster, cfg) = (ClusterConfig::paper(), ClosedLoopConfig::demo(seed));
-    let rr = run_closed_loop(&cluster, &cfg, &mut RoundRobin::new());
-    let simple = run_closed_loop(&cluster, &cfg, &mut SimpleRandom::new(seed));
-    let anu = run_closed_loop(&cluster, &cfg, &mut AnuPolicy::with_seed(seed));
+    let cluster = ClusterConfig::paper();
+    let rr = run_closed_loop(&cluster, seed, &mut RoundRobin::new());
+    let simple = run_closed_loop(&cluster, seed, &mut SimpleRandom::new(seed));
+    let anu = run_closed_loop(&cluster, seed, &mut AnuPolicy::with_seed(seed));
     [
         ("round-robin", rr),
         ("simple-randomization", simple),
@@ -762,8 +766,8 @@ mod tests {
             let with_moves = r.epochs.iter().filter(|e| e.moves > 0).count();
             let expected = format!(
                 "{study},{cell},{policy},{seed},{:.3},{:.4},{},{with_moves},{}",
-                late_mean(&r.series),
-                late_imbalance(&r.series),
+                r.summary.late_mean_latency_ms,
+                r.summary.late_imbalance_cov,
                 r.summary.migrations,
                 r.epochs.len()
             );

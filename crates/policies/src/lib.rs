@@ -25,7 +25,7 @@
 //!     duration_secs: 400.0,
 //!     weights: WeightDist::PowerOfUniform { alpha: 50.0 },
 //!     mean_cost_secs: 0.1,
-//!     cost: CostModel::Deterministic,
+//!     cost: CostModel::UniformSpread { spread: 0.2 },
 //!     seed: 3,
 //! }
 //! .generate();

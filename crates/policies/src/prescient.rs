@@ -180,7 +180,7 @@ mod tests {
             duration_secs: 1_000.0,
             weights: WeightDist::PowerOfUniform { alpha: 100.0 },
             mean_cost_secs: 0.1,
-            cost: CostModel::Deterministic,
+            cost: CostModel::UniformSpread { spread: 0.2 },
             seed: 11,
         }
         .generate()

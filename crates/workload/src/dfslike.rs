@@ -12,11 +12,14 @@
 //! * **112,590 client requests** in **one hour**, hit exactly;
 //! * "the most active file set has more than one hundred times as many
 //!   requests as many of the least active file sets" — the activity
-//!   spectrum is geometric with an exact 150x max/min ratio;
+//!   spectrum is geometric with an exact [`ACTIVITY_RATIO`] (150x) max/min
+//!   ratio;
 //! * **bursts of load occurring in few file sets** (the paper's Figure 6/7
-//!   discussion): the most active file sets carry multiplicative burst
+//!   discussion): the two most active file sets carry multiplicative burst
 //!   windows partway through the hour, producing the latency spikes on the
-//!   most powerful servers both adaptive policies localize there.
+//!   most powerful servers both adaptive policies localize there;
+//! * service demands uniform within ±20% of the mean, the paper's "service
+//!   time variance is low" regime.
 //!
 //! Placement policies observe only arrival times, file-set ids and service
 //! demands, so matching the demand distribution, skew and burstiness
@@ -32,16 +35,45 @@ use crate::weights::WeightDist;
 use anu_core::FileSetId;
 use anu_des::{RngStream, SimDuration, SimTime};
 
+/// Exact max/min activity ratio across file sets: the paper's slice has
+/// "more than one hundred times" as many requests in its most active set
+/// as in many of its least active ones.
+pub const ACTIVITY_RATIO: f64 = 150.0;
+
+/// The service demand model: uniform within ±20% of the mean.
+const COST: CostModel = CostModel::UniformSpread { spread: 0.2 };
+
 /// A multiplicative burst window on one file set's arrival intensity.
-#[derive(Clone, Copy, PartialEq, Debug)]
-pub struct Burst {
+struct Burst {
     /// Start, as a fraction of the trace duration.
-    pub start_frac: f64,
+    start_frac: f64,
     /// End, as a fraction of the trace duration.
-    pub end_frac: f64,
+    end_frac: f64,
     /// Intensity multiplier inside the window.
-    pub factor: f64,
+    factor: f64,
 }
+
+/// The burst windows, entry `i` on the `i`-th most active file set: two
+/// windows on the most active set and one on the next.
+const BURSTS: [&[Burst]; 2] = [
+    &[
+        Burst {
+            start_frac: 0.30,
+            end_frac: 0.38,
+            factor: 3.0,
+        },
+        Burst {
+            start_frac: 0.63,
+            end_frac: 0.70,
+            factor: 2.5,
+        },
+    ],
+    &[Burst {
+        start_frac: 0.45,
+        end_frac: 0.52,
+        factor: 2.5,
+    }],
+];
 
 /// Configuration of the DFSTrace-like generator.
 #[derive(Clone, Debug, PartialEq)]
@@ -52,15 +84,8 @@ pub struct DfsLikeConfig {
     pub total_requests: u64,
     /// Duration in seconds (paper: one hour).
     pub duration_secs: f64,
-    /// Exact max/min activity ratio across file sets (paper: >100).
-    pub activity_ratio: f64,
-    /// Burst windows applied to the most active file sets: entry `i` is
-    /// attached to the `i`-th most active set.
-    pub bursts: Vec<Vec<Burst>>,
     /// Mean service demand at speed 1, seconds.
     pub mean_cost_secs: f64,
-    /// Service demand model.
-    pub cost: CostModel,
     /// Generator seed.
     pub seed: u64,
 }
@@ -73,8 +98,7 @@ impl Default for DfsLikeConfig {
 
 impl DfsLikeConfig {
     /// The paper-matching configuration: 21 file sets, 112,590 requests,
-    /// one hour, 150x activity spread, two burst windows on each of the two
-    /// most active file sets, and a mean cost putting the 1/3/5/7/9 cluster
+    /// one hour, and a mean cost putting the 1/3/5/7/9 cluster
     /// around offered load 0.35. At that intensity the most active file set
     /// demands ~2 speed-units/s: any server except the weakest can host it
     /// alone (matching the paper's dynamics, where adaptive policies
@@ -85,28 +109,7 @@ impl DfsLikeConfig {
             n_file_sets: 21,
             total_requests: 112_590,
             duration_secs: 3600.0,
-            activity_ratio: 150.0,
-            bursts: vec![
-                vec![
-                    Burst {
-                        start_frac: 0.30,
-                        end_frac: 0.38,
-                        factor: 3.0,
-                    },
-                    Burst {
-                        start_frac: 0.63,
-                        end_frac: 0.70,
-                        factor: 2.5,
-                    },
-                ],
-                vec![Burst {
-                    start_frac: 0.45,
-                    end_frac: 0.52,
-                    factor: 2.5,
-                }],
-            ],
             mean_cost_secs: 0.28,
-            cost: CostModel::UniformSpread { spread: 0.2 },
             seed,
         }
     }
@@ -124,13 +127,13 @@ impl DfsLikeConfig {
     ) -> Draws<impl Iterator<Item = (SimTime, FileSetId)> + Clone, impl FnMut() -> SimDuration>
     {
         assert!(self.n_file_sets > 0 && self.total_requests > 0);
-        assert_costs_fit(self.cost, self.mean_cost_secs);
+        assert_costs_fit(COST, self.mean_cost_secs);
         let mut wrng = RngStream::new(self.seed, "dfslike/weights");
         let mut arng = RngStream::new(self.seed, "dfslike/arrivals");
         let mut crng = RngStream::new(self.seed, "dfslike/costs");
 
         let weights = WeightDist::GeometricSpread {
-            ratio: self.activity_ratio,
+            ratio: ACTIVITY_RATIO,
         }
         .sample(self.n_file_sets, &mut wrng);
         let counts = apportion(self.total_requests, &weights);
@@ -141,7 +144,7 @@ impl DfsLikeConfig {
 
         let samplers: Vec<IntensitySampler> = (0..self.n_file_sets)
             .map(|rank| {
-                let bursts = self.bursts.get(rank).map(|v| v.as_slice()).unwrap_or(&[]);
+                let bursts = BURSTS.get(rank).copied().unwrap_or(&[]);
                 IntensitySampler::new(self.duration_secs, bursts)
             })
             .collect();
@@ -150,7 +153,7 @@ impl DfsLikeConfig {
             .enumerate()
             .map(|(rank, &j)| ((rank, FileSetId(j as u64)), counts[j]))
             .collect();
-        let (cost, mean_cost_secs) = (self.cost, self.mean_cost_secs);
+        let mean_cost_secs = self.mean_cost_secs;
         Draws {
             label: "dfstrace-like".into(),
             n_file_sets: self.n_file_sets,
@@ -160,7 +163,7 @@ impl DfsLikeConfig {
                 let t = samplers[rank].sample(&mut arng);
                 (SimTime::from_secs_f64(t), j)
             }),
-            costs: move || cost.sample(mean_cost_secs, &mut crng),
+            costs: move || COST.sample(mean_cost_secs, &mut crng),
         }
     }
 }
@@ -184,7 +187,6 @@ impl IntensitySampler {
         // Collect piece boundaries.
         let mut edges = vec![0.0, duration];
         for b in bursts {
-            assert!(b.start_frac < b.end_frac && b.factor > 0.0);
             edges.push(b.start_frac * duration);
             edges.push(b.end_frac * duration);
         }
@@ -303,27 +305,14 @@ mod tests {
     }
 
     #[test]
-    fn no_burst_config_still_works() {
-        let mut cfg = DfsLikeConfig::paper(1);
-        cfg.bursts.clear();
-        cfg.total_requests = 1000;
-        let w = cfg.generate();
-        assert_eq!(w.requests.len(), 1000);
-    }
-
-    #[test]
     fn draws_place_like_the_sort() {
-        let mut crowded = DfsLikeConfig::paper(6);
-        // 40x the rate over 2% of the hour on the most active set: its
-        // buckets there hold thousands of requests.
-        crowded.bursts = vec![vec![Burst {
-            start_frac: 0.5,
-            end_frac: 0.52,
-            factor: 40.0,
-        }]];
-        let mut calm = DfsLikeConfig::paper(6);
-        calm.bursts.clear();
-        for base in [DfsLikeConfig::paper(6), calm, crowded] {
+        // 20,000 requests in a tenth of a second: the buckets hold
+        // thousands of requests, and ties are common.
+        let crowded = DfsLikeConfig {
+            duration_secs: 0.1,
+            ..DfsLikeConfig::paper(6)
+        };
+        for base in [DfsLikeConfig::paper(6), crowded] {
             for total in [1, 300, 11_259, 20_000] {
                 let cfg = DfsLikeConfig {
                     total_requests: total,

@@ -48,7 +48,7 @@ pub mod synthetic;
 pub mod trace;
 pub mod weights;
 
-pub use dfslike::{Burst, DfsLikeConfig};
+pub use dfslike::DfsLikeConfig;
 pub use request::{Request, Workload, WorkloadStats};
 pub use storm::{StormConfig, StormKind};
 pub use synthetic::{CostModel, SyntheticConfig};

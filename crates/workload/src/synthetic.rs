@@ -29,8 +29,6 @@ use anu_des::{RngStream, SimDuration, SimTime};
 /// How per-request service demands are drawn.
 #[derive(Clone, Copy, PartialEq, Debug)]
 pub enum CostModel {
-    /// Every request costs exactly the mean.
-    Deterministic,
     /// Uniform in `mean * [1 - spread, 1 + spread]` — the paper's "service
     /// time variance is low" regime.
     UniformSpread {
@@ -53,7 +51,6 @@ impl CostModel {
     /// Draw one service demand with the given mean (seconds).
     pub fn sample(&self, mean_secs: f64, rng: &mut RngStream) -> SimDuration {
         let secs = match *self {
-            CostModel::Deterministic => mean_secs,
             CostModel::UniformSpread { spread } => {
                 rng.uniform_range(mean_secs * (1.0 - spread), mean_secs * (1.0 + spread))
             }
@@ -70,10 +67,9 @@ impl CostModel {
     }
 
     /// The longest demand [`CostModel::sample`] can draw with the given
-    /// mean: the mean itself, the top of the spread, or the Pareto cap.
+    /// mean: the top of the spread, or the Pareto cap.
     fn max_draw(&self, mean_secs: f64) -> SimDuration {
         let secs = match *self {
-            CostModel::Deterministic => mean_secs,
             CostModel::UniformSpread { spread } => mean_secs * (1.0 + spread),
             CostModel::Pareto { .. } => mean_secs * 100.0,
         };
@@ -268,7 +264,7 @@ mod tests {
             duration_secs: 100.0,
             weights: WeightDist::Constant,
             mean_cost_secs: 0.01,
-            cost: CostModel::Deterministic,
+            cost: CostModel::UniformSpread { spread: 0.2 },
             seed: 1,
         }
         .generate();
@@ -279,8 +275,6 @@ mod tests {
     #[test]
     fn cost_models() {
         let mut r = RngStream::new(1, "c");
-        let d = CostModel::Deterministic.sample(0.5, &mut r);
-        assert_eq!(d, SimDuration::from_secs_f64(0.5));
         for _ in 0..100 {
             let u = CostModel::UniformSpread { spread: 0.2 }.sample(1.0, &mut r);
             let s = u.as_secs_f64();
@@ -310,7 +304,6 @@ mod tests {
         // The largest mean each model may have, and one µs more.
         let limit = (1u64 << 32) as f64 / 1e6;
         for (cost, top) in [
-            (CostModel::Deterministic, 1.0),
             (CostModel::UniformSpread { spread: 0.2 }, 1.2),
             (CostModel::Pareto { alpha: 1.5 }, 100.0),
         ] {
@@ -372,7 +365,6 @@ mod tests {
             WeightDist::GeometricSpread { ratio: 150.0 },
         ];
         let costs = [
-            CostModel::Deterministic,
             CostModel::UniformSpread { spread: 0.2 },
             CostModel::Pareto { alpha: 1.5 },
         ];
@@ -389,7 +381,7 @@ mod tests {
         // requests share 20,000 instants, so ties are common.
         for weights in dists {
             for (total, duration) in [(1, 10.0), (40, 10.0), (2_000, 1e4), (20_000, 0.02)] {
-                let c = cfg(weights, costs[1], total, duration);
+                let c = cfg(weights, costs[0], total, duration);
                 assert_places_like_the_sort(|| c.draws(), &format!("{c:?}"));
             }
         }

@@ -172,7 +172,7 @@ mod tests {
             duration_secs: 10.0,
             weights: WeightDist::Constant,
             mean_cost_secs: 0.01,
-            cost: CostModel::Deterministic,
+            cost: CostModel::UniformSpread { spread: 0.2 },
             seed: 3,
         }
         .generate()

@@ -6,9 +6,8 @@
 //! reproduces exactly from the printed case index.
 
 use anu_des::RngStream;
-use anu_workload::{
-    read_csv, write_csv, Burst, CostModel, DfsLikeConfig, SyntheticConfig, WeightDist,
-};
+use anu_workload::dfslike::ACTIVITY_RATIO;
+use anu_workload::{read_csv, write_csv, CostModel, DfsLikeConfig, SyntheticConfig, WeightDist};
 
 const CASES: u64 = 32;
 
@@ -26,7 +25,7 @@ fn synthetic_hits_exact_budget() {
             duration_secs: duration,
             weights: WeightDist::PowerOfUniform { alpha: 100.0 },
             mean_cost_secs: 0.1,
-            cost: CostModel::Deterministic,
+            cost: CostModel::UniformSpread { spread: 0.2 },
             seed,
         }
         .generate();
@@ -62,7 +61,7 @@ fn offered_load_calibration_is_accurate() {
             duration_secs: 1_000.0,
             weights: WeightDist::Constant,
             mean_cost_secs: 0.0,
-            cost: CostModel::Deterministic,
+            cost: CostModel::UniformSpread { spread: 0.2 },
             seed,
         }
         .with_offered_load(rho, 25.0)
@@ -80,22 +79,16 @@ fn dfslike_respects_activity_ratio() {
     for case in 0..CASES {
         let mut rng = RngStream::new(case, "dfslike-ratio");
         let seed = rng.next_u64();
-        let ratio = 10.0 + rng.uniform() * 490.0;
+        let n_file_sets = 2 + rng.index(40);
         let w = DfsLikeConfig {
-            n_file_sets: 21,
+            n_file_sets,
             total_requests: 20_000,
             duration_secs: 600.0,
-            activity_ratio: ratio,
-            bursts: vec![vec![Burst {
-                start_frac: 0.4,
-                end_frac: 0.5,
-                factor: 2.0,
-            }]],
             mean_cost_secs: 0.1,
-            cost: CostModel::Deterministic,
             seed,
         }
         .generate();
+        let ratio = ACTIVITY_RATIO;
         let s = w.stats();
         assert_eq!(s.total_requests, 20_000, "case {case}");
         // Rounding moves the realized ratio a little; it must stay near the
@@ -167,7 +160,7 @@ fn window_demands_partition_total() {
             duration_secs: 100.0,
             weights: WeightDist::PowerOfUniform { alpha: 30.0 },
             mean_cost_secs: 0.02,
-            cost: CostModel::Deterministic,
+            cost: CostModel::UniformSpread { spread: 0.2 },
             seed,
         }
         .generate();

@@ -9,7 +9,7 @@
 //! with no knowledge of speeds — discovers the heterogeneity from latency
 //! and converges.
 
-use anu::cluster::{late_imbalance, late_mean, run, ClusterConfig};
+use anu::cluster::{run, ClusterConfig};
 use anu::core::TuningConfig;
 use anu::policies::{AnuPolicy, RoundRobin};
 use anu::workload::{CostModel, SyntheticConfig, WeightDist};
@@ -49,9 +49,7 @@ fn main() {
         println!("\n--- {} ---", r.policy);
         println!(
             "  mean latency {:.1} ms   steady-state {:.1} ms   migrations {}",
-            r.summary.mean_latency_ms,
-            late_mean(&r.series),
-            r.summary.migrations
+            r.summary.mean_latency_ms, r.summary.late_mean_latency_ms, r.summary.migrations
         );
         for (s, mean) in &r.summary.per_server_mean_ms {
             println!(
@@ -59,15 +57,16 @@ fn main() {
                 r.summary.per_server_requests[s], r.summary.per_server_utilization[s]
             );
         }
-        println!("  late imbalance CoV {:.2}", late_imbalance(&r.series));
+        println!("  late imbalance CoV {:.2}", r.summary.late_imbalance_cov);
     }
 
-    let improvement = late_mean(&static_run.series) / late_mean(&anu_run.series).max(1.0);
+    let improvement =
+        static_run.summary.late_mean_latency_ms / anu_run.summary.late_mean_latency_ms.max(1.0);
     println!(
         "\nANU steady-state latency is {improvement:.0}x better than round-robin on this cluster"
     );
     assert!(
-        late_mean(&anu_run.series) < late_mean(&static_run.series),
+        anu_run.summary.late_mean_latency_ms < static_run.summary.late_mean_latency_ms,
         "ANU must beat the static policy on a heterogeneous cluster"
     );
 }

@@ -9,7 +9,7 @@
 //! prints the weakest server's latency trajectory side by side, plus the
 //! migration counts that make the over-tuning visible.
 
-use anu::cluster::{flip_count, late_mean, run, ClusterConfig};
+use anu::cluster::{flip_count, run, ClusterConfig};
 use anu::core::{ServerId, TuningConfig};
 use anu::policies::AnuPolicy;
 use anu::workload::{CostModel, SyntheticConfig, WeightDist};
@@ -66,14 +66,14 @@ fn main() {
         plain.policy,
         plain.summary.migrations,
         flips(&plain),
-        late_mean(&plain.series)
+        plain.summary.late_mean_latency_ms
     );
     println!(
         "  {:<22} migrations {:>5}   server0 busy/idle flips {:>3}   steady-state latency {:>8.1} ms",
         cured.policy,
         cured.summary.migrations,
         flips(&cured),
-        late_mean(&cured.series)
+        cured.summary.late_mean_latency_ms
     );
 
     assert!(

@@ -8,7 +8,7 @@
 //! file-set ownership — shift toward the fast servers with minimal
 //! movement.
 
-use anu::core::{LoadReport, PlacementMap, ServerId, Tuner, TuningConfig};
+use anu::core::{LoadReport, PlacementMap, ServerId, SharePlanner, Tuner, TuningConfig};
 
 fn main() {
     // A four-server cluster. ANU knows nothing about their speeds.
@@ -48,15 +48,24 @@ fn main() {
                 age_ticks: 0,
             })
             .collect();
-        match tuner.plan(&map.share_fractions(), &reports) {
-            Some(plan) => {
-                map.rebalance(&plan.targets).unwrap();
+        let targets = tuner.plan(&map.share_fractions(), &reports);
+        // The pass records μ and what it decided for each server, and why.
+        let epoch = tuner.take_epoch();
+        match (targets, epoch) {
+            (Some(targets), Some(epoch)) => {
+                map.rebalance(&targets).unwrap();
+                let outcomes: Vec<String> = epoch
+                    .decisions
+                    .iter()
+                    .map(|d| format!("{} {}", d.server, d.outcome.name()))
+                    .collect();
                 println!(
-                    "round {round}: mu = {:.0} ms, movers {:?}",
-                    plan.mu, plan.movers
+                    "round {round}: mu = {:.0} ms, {}",
+                    epoch.mu_ms,
+                    outcomes.join(", ")
                 );
             }
-            None => println!("round {round}: balanced within threshold — no change"),
+            _ => println!("round {round}: balanced within threshold — no change"),
         }
     }
 

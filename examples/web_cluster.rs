@@ -66,8 +66,8 @@ fn main() {
             .iter()
             .map(|r| r.mean_latency_ms)
             .fold(f64::MAX, f64::min);
-        if let Some(plan) = tuner.plan(&map.share_fractions(), &reports) {
-            map.rebalance(&plan.targets).unwrap();
+        if let Some(targets) = tuner.plan(&map.share_fractions(), &reports) {
+            map.rebalance(&targets).unwrap();
         }
         (worst, best)
     };

@@ -12,7 +12,8 @@
 //! checks a drained client request's re-cost.
 
 use anu::cluster::{
-    plan_faults, run, run_closed_loop, ClosedLoopConfig, ClusterConfig, FaultEvent, FaultPlanConfig,
+    plan_faults, run, run_closed_loop, ClusterConfig, FaultEvent, FaultPlanConfig,
+    CLOSED_LOOP_DURATION,
 };
 use anu::core::hash::fnv1a64;
 use anu::core::{AnuConfig, TuningConfig};
@@ -38,7 +39,7 @@ fn storm_workload(seed: u64) -> anu::workload::Workload {
         duration_secs: HORIZON_SECS,
         weights: WeightDist::PowerOfUniform { alpha: 50.0 },
         mean_cost_secs: 0.5,
-        cost: CostModel::Deterministic,
+        cost: CostModel::UniformSpread { spread: 0.2 },
         seed,
     }
     .generate()
@@ -167,21 +168,20 @@ fn fifty_fault_storms_hold_every_invariant() {
 
 #[test]
 fn closed_loop_clients_hold_every_invariant_under_storms() {
-    // Ten storm scripts planned over the closed-loop demo's duration. The
+    // Ten storm scripts planned over the closed-loop run's duration. The
     // auditor checks every boundary, every admitted request completes
     // after the drain, and each crash opens one downtime window.
     let mut pinned = Vec::new();
     for storm in 0..10 {
         let level = 0.5 * (1 + storm % 8) as f64;
-        let cfg = ClosedLoopConfig::demo(storm);
         let mut cluster = ClusterConfig::paper();
-        let env = FaultPlanConfig::intensity(level, cfg.duration.as_secs_f64());
+        let env = FaultPlanConfig::intensity(level, CLOSED_LOOP_DURATION.as_secs_f64());
         cluster.faults = plan_faults(&env, &cluster.core_server_ids(), storm ^ 0x5707_0123);
         let mut policy = anu::policies::AnuPolicy::new(AnuConfig {
             seed: storm,
             tuning: TuningConfig::paper(),
         });
-        let r = run_closed_loop(&cluster, &cfg, &mut policy);
+        let r = run_closed_loop(&cluster, storm, &mut policy);
         let s = &r.run.summary;
         assert!(
             s.audit_checks > 0,

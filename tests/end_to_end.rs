@@ -3,9 +3,7 @@
 //! headline qualitative results on reduced-size experiments (seconds, not
 //! minutes, so they run in CI).
 
-use anu::cluster::{
-    late_imbalance, late_mean, run, run_closed_loop, ClosedLoopConfig, ClusterConfig, FaultEvent,
-};
+use anu::cluster::{run, run_closed_loop, ClusterConfig, FaultEvent};
 use anu::core::{AnuConfig, ServerId, TuningConfig};
 use anu::des::SimTime;
 use anu::policies::{AnuPolicy, Prescient, RoundRobin, SimpleRandom};
@@ -40,16 +38,16 @@ fn anu_beats_static_policies_on_heterogeneous_cluster() {
     let rr = run(&cluster, &w, &mut RoundRobin::new());
     let sr = run(&cluster, &w, &mut SimpleRandom::new(1));
 
-    let lm_anu = late_mean(&anu.series);
+    let lm_anu = anu.summary.late_mean_latency_ms;
     assert!(
-        lm_anu < late_mean(&rr.series),
+        lm_anu < rr.summary.late_mean_latency_ms,
         "anu {lm_anu} vs round-robin {}",
-        late_mean(&rr.series)
+        rr.summary.late_mean_latency_ms
     );
     assert!(
-        lm_anu < late_mean(&sr.series),
+        lm_anu < sr.summary.late_mean_latency_ms,
         "anu {lm_anu} vs simple-random {}",
-        late_mean(&sr.series)
+        sr.summary.late_mean_latency_ms
     );
 }
 
@@ -65,10 +63,10 @@ fn anu_comparable_to_prescient() {
 
     // Steady state: within 3x of the perfect-knowledge upper bound.
     assert!(
-        late_mean(&anu.series) <= 3.0 * late_mean(&presc.series).max(1.0),
+        anu.summary.late_mean_latency_ms <= 3.0 * presc.summary.late_mean_latency_ms.max(1.0),
         "anu {} vs prescient {}",
-        late_mean(&anu.series),
-        late_mean(&presc.series)
+        anu.summary.late_mean_latency_ms,
+        presc.summary.late_mean_latency_ms
     );
 }
 
@@ -118,10 +116,9 @@ fn metadata_balance_buys_san_throughput() {
     // placement and keeps the SAN busier than either static policy.
     let cluster = ClusterConfig::paper();
     for seed in 1..=3 {
-        let cfg = ClosedLoopConfig::demo(seed);
-        let anu = run_closed_loop(&cluster, &cfg, &mut anu_policy(seed, TuningConfig::paper()));
-        let rr = run_closed_loop(&cluster, &cfg, &mut RoundRobin::new());
-        let sr = run_closed_loop(&cluster, &cfg, &mut SimpleRandom::new(seed));
+        let anu = run_closed_loop(&cluster, seed, &mut anu_policy(seed, TuningConfig::paper()));
+        let rr = run_closed_loop(&cluster, seed, &mut RoundRobin::new());
+        let sr = run_closed_loop(&cluster, seed, &mut SimpleRandom::new(seed));
         assert!(
             anu.completed_ops as f64 >= 2.5 * rr.completed_ops as f64,
             "seed {seed}: anu {} cycles vs round-robin {}",
@@ -172,13 +169,13 @@ fn homogeneous_cluster_anu_beats_simple_randomization() {
     let anu = run(&cluster, &w, &mut anu_policy(6, TuningConfig::paper()));
     let sr = run(&cluster, &w, &mut SimpleRandom::new(6));
     assert!(
-        late_imbalance(&anu.series) < late_imbalance(&sr.series)
-            && late_mean(&anu.series) <= late_mean(&sr.series),
+        anu.summary.late_imbalance_cov < sr.summary.late_imbalance_cov
+            && anu.summary.late_mean_latency_ms <= sr.summary.late_mean_latency_ms,
         "anu CoV {} / late {} vs simple CoV {} / late {}",
-        late_imbalance(&anu.series),
-        late_mean(&anu.series),
-        late_imbalance(&sr.series),
-        late_mean(&sr.series)
+        anu.summary.late_imbalance_cov,
+        anu.summary.late_mean_latency_ms,
+        sr.summary.late_imbalance_cov,
+        sr.summary.late_mean_latency_ms
     );
 }
 

@@ -13,10 +13,7 @@
 //! asserts the same claims at every figure's paper size.
 
 use anu::core::ServerId;
-use anu::harness::{
-    check_closeup, check_decomposition, check_four_policy, check_overtuning, fig10, fig11, fig6,
-    fig7, fig8, fig9, reduced, ShapeCheck,
-};
+use anu::harness::{checks_for, fig10, fig11, fig6, fig7, fig8, fig9, reduced, ShapeCheck};
 
 /// Seed for the reduced-scale suite (see module docs).
 const SEED: u64 = 32;
@@ -31,21 +28,21 @@ fn assert_all_pass(checks: &[ShapeCheck]) {
 fn fig8_shapes_reduced() {
     let exp = reduced(fig8(SEED), SEED);
     let results = exp.run_all();
-    assert_all_pass(&check_four_policy(&results));
+    assert_all_pass(&checks_for(8, &results, None, 0));
 }
 
 #[test]
 fn fig9_shapes_reduced() {
     let exp = reduced(fig9(SEED), SEED);
     let results = exp.run_all();
-    assert_all_pass(&check_closeup(&results, 2));
+    assert_all_pass(&checks_for(9, &results, None, 2));
 }
 
 #[test]
 fn fig10_shapes_reduced() {
     let exp = reduced(fig10(SEED), SEED);
     let results = exp.run_all();
-    assert_all_pass(&check_overtuning(&results));
+    assert_all_pass(&checks_for(10, &results, None, 0));
 }
 
 #[test]
@@ -55,7 +52,7 @@ fn fig11_shapes_reduced() {
         .expect("plain run");
     let exp = reduced(fig11(SEED), SEED);
     let results = exp.run_all();
-    let checks = check_decomposition(&plain, &results);
+    let checks = checks_for(11, &results, Some(&plain), 0);
     // The divergent-only claim ("reaches balance, but more slowly than all
     // three combined") needs the full horizon to manifest — the paper's
     // own Figure 11(c) converges only late in the hour. Assert the
@@ -93,17 +90,15 @@ fn fig6_adaptive_policies_beat_static_reduced() {
     // the static-vs-adaptive ordering is what must hold (the server-0
     // specifics are asserted only at full scale — with 21 lumpy sets the
     // shrunken run realizes a different draw).
-    use anu::cluster::late_mean;
     let exp = reduced(fig6(SEED), SEED);
     let results = exp.run_all();
     let lm = |label: &str| {
-        late_mean(
-            &results
-                .iter()
-                .find(|r| r.policy == label)
-                .expect("policy present")
-                .series,
-        )
+        results
+            .iter()
+            .find(|r| r.policy == label)
+            .expect("policy present")
+            .summary
+            .late_mean_latency_ms
     };
     let static_best = lm("simple-randomization").min(lm("round-robin"));
     assert!(
@@ -129,7 +124,7 @@ fn fig7_prescient_knowledge_advantage_reduced() {
     // `figures` run.
     let exp = reduced(fig7(SEED), SEED);
     let results = exp.run_all();
-    let checks = check_closeup(&results, 1);
+    let checks = checks_for(7, &results, None, 1);
     let balanced_start = checks
         .iter()
         .find(|c| c.claim.contains("load-balanced state at time 0"))

@@ -9,9 +9,8 @@
 //! alone decide, and requires it to repeat under one seed and to differ
 //! between two.
 
-use anu_cluster::{plan_faults, run_closed_loop, ClosedLoopConfig, ClusterConfig, FaultPlanConfig};
+use anu_cluster::{plan_faults, run_closed_loop, ClusterConfig, FaultPlanConfig};
 use anu_core::ServerId;
-use anu_des::SimDuration;
 use anu_policies::RoundRobin;
 use anu_workload::{
     CostModel, DfsLikeConfig, Request, StormConfig, StormKind, SyntheticConfig, WeightDist,
@@ -67,12 +66,13 @@ fn synthetic(seed: u64) -> SyntheticConfig {
 #[test]
 fn workload_generators_draw_from_the_seed() {
     assert_workload_seeded("synthetic", |seed| synthetic(seed).generate());
-    // Without bursts every set shares one arrival sampler, so the sorted
-    // arrivals depend on the arrivals stream alone.
+    // The sets' request counts, ranked, do not depend on which set holds
+    // which count, and each rank draws its arrivals from its own burst
+    // schedule in rank order, so the sorted arrivals depend on the
+    // arrivals stream alone.
     assert_workload_seeded("dfslike", |seed| {
         DfsLikeConfig {
             total_requests: 500,
-            bursts: Vec::new(),
             ..DfsLikeConfig::paper(seed)
         }
         .generate()
@@ -92,18 +92,7 @@ fn workload_generators_draw_from_the_seed() {
 #[test]
 fn closed_loop_clients_draw_from_the_seed() {
     assert_seeded("closed-loop", |seed| {
-        let cfg = ClosedLoopConfig {
-            clients: 10,
-            n_file_sets: 8,
-            weights: Vec::new(),
-            metadata_cost: SimDuration::from_millis(50),
-            data_transfer: SimDuration::from_millis(100),
-            think: SimDuration::from_millis(100),
-            san_lanes: 4,
-            duration: SimDuration::from_secs(20),
-            seed,
-        };
-        let r = run_closed_loop(&ClusterConfig::paper(), &cfg, &mut RoundRobin::new());
+        let r = run_closed_loop(&ClusterConfig::paper(), seed, &mut RoundRobin::new());
         (r.completed_ops, r.mean_cycle_ms.to_bits())
     });
 }
@@ -123,13 +112,8 @@ fn fault_plans_draw_from_the_seed() {
             mttf_secs: mttf,
             mttr_secs: 20.0,
             slowdown_share: 0.3,
-            slowdown_factor: 2.0,
-            mean_slowdown_secs: 20.0,
             mean_report_fault_secs: report,
             delegate_mttf_secs: delegate,
-            delegate_pause_ticks: 2,
-            group_fail_prob: 0.25,
-            min_live: 1,
         };
         assert_seeded(stream, |seed| plan_faults(&cfg, &servers, seed));
     }
