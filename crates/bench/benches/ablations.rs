@@ -4,7 +4,9 @@
 //! versus a naive re-randomization.
 
 use anu_bench::bench;
-use anu_core::{AverageKind, FileSetId, LoadReport, PlacementMap, ServerId, Tuner, TuningConfig};
+use anu_core::{
+    AverageKind, FileSetId, LoadReport, PlacementMap, ServerId, SharePlanner, Tuner, TuningConfig,
+};
 use std::collections::BTreeMap;
 use std::hint::black_box;
 

@@ -144,7 +144,7 @@ impl ArrivalSource for Replay<'_> {
     fn first_arrivals(&mut self) -> Vec<(SimTime, u32)> {
         self.requests
             .first()
-            .map(|r| (r.arrival, 0))
+            .map(|r| (r.arrival(), 0))
             .into_iter()
             .collect()
     }
@@ -158,9 +158,9 @@ impl ArrivalSource for Replay<'_> {
         let next = self
             .requests
             .get(tag as usize + 1)
-            .map(|r| (r.arrival, tag + 1));
+            .map(|r| (r.arrival(), tag + 1));
         Arrival {
-            // A request's set index is a `u32`.
+            // A request's set index is below 2^24.
             set: set as u32,
             cost: req.cost(),
             next,
@@ -170,7 +170,7 @@ impl ArrivalSource for Replay<'_> {
     #[inline]
     fn admitted(&self, tag: u32) -> (SimTime, SimDuration) {
         let req = self.requests[tag as usize];
-        (req.arrival, req.cost())
+        (req.arrival(), req.cost())
     }
 
     #[inline]
@@ -364,8 +364,9 @@ struct World<'a> {
     /// Events fired, by kind (indexed by [`Event::mix`]): plain increments
     /// on the hot path. Their sum is the run's event count.
     event_mix: [u64; 6],
-    /// Per file set latency histograms, recorded in batches
-    /// and installed into the registry once at the end of the run.
+    /// Per file set latency counts, one cache line a set, built
+    /// into histograms and installed into the registry once at the end of
+    /// the run.
     set_latency: SetLatency,
     /// Per file set admission-shed counts — which sets paid
     /// for graceful degradation. Feeds the completion-fairness index.

@@ -1,6 +1,6 @@
-//! Observation: the metrics registry the world publishes to, the batched
-//! per-file-set latency records, the two fairness indices, and result
-//! assembly once the calendar runs dry.
+//! Observation: the metrics registry the world publishes to, the per-set
+//! latency counts, the two fairness indices, and result assembly once the
+//! calendar runs dry.
 
 use super::{ServerState, World};
 use crate::metrics::{late_imbalance, late_mean, RunResult, RunSummary};
@@ -87,58 +87,98 @@ pub(super) fn registry(n_servers: usize) -> Registry {
     reg
 }
 
-/// Per-set latency records buffered before they reach a histogram.
-pub(super) const SET_LATENCY_BATCH: usize = 1024;
+/// The first [`LogHistogram`] bucket a set's line counts: latencies of
+/// 128 µs and more.
+const LINE_FIRST_BUCKET: usize = 8;
 
-/// Per-file-set latency histograms (µs), recorded in batches.
+/// One file set's latency counts while the run lasts, in one 64-byte
+/// line: `counts[i]` counts the latencies in [`LogHistogram`] bucket
+/// `LINE_FIRST_BUCKET + i`, so the line covers 128 µs to 2^39 − 1 µs
+/// (about 6.4 days).
+#[derive(Clone, Copy, Default)]
+#[repr(align(64))]
+struct SetLine {
+    counts: [u16; 32],
+}
+const _: () = assert!(size_of::<SetLine>() == 64);
+
+/// Per-file-set latency histograms (µs), held as one line of counts per
+/// set until the end of the run.
 ///
-/// With tens of thousands of sets the histograms (520 bytes each) far
+/// Full histograms (520 bytes each) for tens of thousands of sets far
 /// outgrow the cache, so recording each completion straight into its
-/// set's histogram costs a cache miss or two per request. Records queue
-/// in a small buffer instead, and fold into the histograms a batch at a
-/// time: a loop of independent increments whose misses the CPU overlaps.
-/// Counts commute, so the histograms equal per-completion recording.
-/// Nothing reads them before [`SetLatency::into_hists`] folds the rest.
-///
-/// The table is fixed at setup, one histogram per set, and each histogram
-/// is boxed so that the end of the run moves it into the registry as it
-/// is: the run holds one copy of each.
+/// set's histogram costs a cache miss or two per request, and the boxes
+/// sit beside the run's deepest queues. A set's line instead holds `u16`
+/// counts for the 32 buckets from 128 µs to about 6.4 days, where every
+/// latency of the benchmark's runs falls, so the lines of 25,000 sets
+/// take 1.6 MB, inside a core's L2. A record its line cannot
+/// take — a latency outside the line's buckets, or a count that would
+/// pass `u16::MAX` — spills into the set's full histogram, made at its
+/// first spill. [`SetLatency::into_hists`] adds each line to its set's
+/// spills; counts commute, so the histograms equal per-completion
+/// recording.
 #[derive(Default)]
 pub(super) struct SetLatency {
-    hists: Box<[Box<LogHistogram>]>,
-    /// `(set, latency_us)` records not yet folded into `hists`.
-    pending: Vec<(u32, u64)>,
+    lines: Vec<SetLine>,
+    /// The full histogram of each set that spilled, by set.
+    spills: BTreeMap<u32, Box<LogHistogram>>,
 }
 
 impl SetLatency {
     pub(super) fn new(n_sets: usize) -> Self {
         SetLatency {
-            hists: (0..n_sets).map(|_| Box::default()).collect(),
-            pending: Vec::with_capacity(SET_LATENCY_BATCH),
+            lines: vec![SetLine::default(); n_sets],
+            spills: BTreeMap::new(),
         }
     }
 
     /// Record one completion of `set` after `latency_us`.
     #[inline]
     pub(super) fn record(&mut self, set: u32, latency_us: u64) {
-        self.pending.push((set, latency_us));
-        if self.pending.len() == SET_LATENCY_BATCH {
-            self.fold();
+        let bucket = LogHistogram::bucket_of(latency_us);
+        let line = &mut self.lines[set as usize];
+        match line_slot(line, bucket) {
+            Some(count) if *count < u16::MAX => *count += 1,
+            _ => self.spill(set, bucket),
         }
     }
 
-    fn fold(&mut self) {
-        for &(set, us) in &self.pending {
-            self.hists[set as usize].record(us);
-        }
-        self.pending.clear();
+    /// Record one latency in `bucket` that `set`'s line cannot take: it
+    /// moves the line's full count, if there is one, into the set's
+    /// histogram with this record.
+    #[cold]
+    fn spill(&mut self, set: u32, bucket: usize) {
+        let moved = line_slot(&mut self.lines[set as usize], bucket).map_or(0, std::mem::take);
+        self.spills
+            .entry(set)
+            .or_default()
+            .record_bucket(bucket, u64::from(moved) + 1);
     }
 
-    /// Fold the records still pending and hand over the histograms.
-    pub(super) fn into_hists(mut self) -> Box<[Box<LogHistogram>]> {
-        self.fold();
-        self.hists
+    /// Every set's full histogram, in set order: its spills plus its
+    /// line's counts.
+    pub(super) fn into_hists(self) -> Box<[Box<LogHistogram>]> {
+        let mut spills = self.spills;
+        self.lines
+            .iter()
+            .enumerate()
+            .map(|(set, line)| {
+                let mut hist = spills.remove(&(set as u32)).unwrap_or_default();
+                for (i, &n) in line.counts.iter().enumerate() {
+                    hist.record_bucket(LINE_FIRST_BUCKET + i, u64::from(n));
+                }
+                hist
+            })
+            .collect()
     }
+}
+
+/// The count `line` keeps for `bucket`, if the line covers the bucket.
+#[inline]
+fn line_slot(line: &mut SetLine, bucket: usize) -> Option<&mut u16> {
+    bucket
+        .checked_sub(LINE_FIRST_BUCKET)
+        .and_then(|i| line.counts.get_mut(i))
 }
 
 impl World<'_> {
@@ -178,6 +218,12 @@ impl World<'_> {
         workload: &str,
         profiler: &mut dyn RunProfiler,
     ) -> RunResult {
+        // The calendar is dry, so every queue is empty: give back the
+        // buffers the deepest queues grew before the per-set histograms
+        // are built, so the two never sit side by side.
+        for st in &mut self.servers {
+            st.station.shrink_queue();
+        }
         let set_hists = std::mem::take(&mut self.set_latency).into_hists();
         // Every completion is recorded once per set; the run's histogram
         // (the p50/p95/p99 summary fields) is their sum.

@@ -2,7 +2,6 @@
 //! metrics and tracing, driven through [`run`] and its traced variants.
 #![cfg(test)]
 
-use super::observe::SET_LATENCY_BATCH;
 use super::*;
 use crate::policy::MoveSet;
 use crate::spec::FaultEvent;
@@ -86,7 +85,7 @@ fn small_workload(seed: u64) -> Workload {
         duration_secs: 600.0,
         weights: WeightDist::Constant,
         mean_cost_secs: 0.02,
-        cost: CostModel::UniformSpread { spread: 0.2 },
+        cost: CostModel::UniformSpread,
         seed,
     }
     .generate()
@@ -287,10 +286,9 @@ fn metrics_registry_is_deterministic_and_conserves_events() {
 
 #[test]
 fn per_set_histograms_match_the_request_trace() {
-    // Reference check for the batched per-set records: rebuild every
-    // set's histogram from the request-level trace, one record per
-    // completion. The run completes more than two batches plus a partial
-    // one that only `finish` folds, and a crash migrates orphaned sets.
+    // Reference check for the per-set latency lines: rebuild every set's
+    // histogram from the request-level trace, one record per completion.
+    // A crash migrates orphaned sets.
     let mut cfg = ClusterConfig::paper();
     cfg.faults = vec![FaultEvent::Fail {
         at: SimTime::from_secs_f64(200.0),
@@ -299,9 +297,6 @@ fn per_set_histograms_match_the_request_trace() {
     let w = small_workload(5);
     let mut ring = anu_trace::RingSink::new(TraceLevel::Request);
     let r = run_traced(&cfg, &w, &mut Modulo, &mut ring);
-    let completed = r.summary.completed_requests as usize;
-    assert!(completed > 2 * SET_LATENCY_BATCH, "{completed}");
-    assert_ne!(completed % SET_LATENCY_BATCH, 0, "a partial batch remains");
     assert!(r.summary.migrations >= 1);
     let mut want = vec![LogHistogram::new(); w.n_file_sets];
     for (_, ev) in ring.decode_events() {
@@ -316,6 +311,38 @@ fn per_set_histograms_match_the_request_trace() {
         let id = r.metrics.find(&format!("set.{i}.latency_us"));
         assert_eq!(id.and_then(|id| r.metrics.hist(id)), Some(h), "set {i}");
     }
+}
+
+#[test]
+fn set_latency_lines_match_direct_recording() {
+    // Set 0 takes 70,000 records in one bucket, past what a line's `u16`
+    // count holds; set 1 takes none; set 2 takes latencies below the
+    // line's 128 µs, at and past its 2^39 µs, and inside it; sets 2-4
+    // then share a seeded stream over every magnitude.
+    let mut lines = SetLatency::new(5);
+    let mut want = vec![LogHistogram::new(); 5];
+    let mut record = |set: u32, us: u64| {
+        lines.record(set, us);
+        want[set as usize].record(us);
+    };
+    for _ in 0..70_000 {
+        record(0, 1_000);
+    }
+    for us in [0, 1, 127, 128, 255, 5_000, (1 << 39) - 1, 1 << 39, u64::MAX] {
+        record(2, us);
+    }
+    let mut rng = anu_des::RngStream::new(9, "test/set-latency");
+    for _ in 0..200_000 {
+        let set = 2 + rng.index(3) as u32;
+        record(set, rng.next_u64() >> rng.index(64));
+    }
+    let got = lines.into_hists();
+    assert_eq!(got.len(), 5);
+    for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+        assert_eq!(**g, *w, "set {i}");
+    }
+    assert_eq!(got[0].count(), 70_000);
+    assert_eq!(*got[1], LogHistogram::new());
 }
 
 #[test]

@@ -59,7 +59,7 @@ fn workload(seed: u64, n_sets: usize, requests: u64) -> anu_workload::Workload {
         duration_secs: 400.0,
         weights: WeightDist::PowerOfUniform { alpha: 20.0 },
         mean_cost_secs: 0.05,
-        cost: CostModel::UniformSpread { spread: 0.2 },
+        cost: CostModel::UniformSpread,
         seed,
     }
     .generate()

@@ -27,7 +27,7 @@
 //! ## Quick example
 //!
 //! ```
-//! use anu_core::{PlacementMap, ServerId, Tuner, TuningConfig, LoadReport};
+//! use anu_core::{LoadReport, PlacementMap, ServerId, SharePlanner, Tuner, TuningConfig};
 //!
 //! let servers: Vec<ServerId> = (0..4).map(ServerId).collect();
 //! let mut map = PlacementMap::with_default_rounds(&servers, 42).unwrap();

@@ -26,7 +26,7 @@
 use crate::hash::mix64;
 use crate::heuristics::TuningConfig;
 use crate::ids::ServerId;
-use crate::tuner::LoadReport;
+use crate::tuner::{LoadReport, SharePlanner};
 use std::collections::BTreeMap;
 
 /// How peers are matched each gossip round.
@@ -62,21 +62,6 @@ impl PairwiseTuner {
         }
     }
 
-    /// Drop previous-round state (peer restart); divergent tuning abstains
-    /// on the next round, exactly like the centralized delegate.
-    pub fn forget_state(&mut self) {
-        self.prev = None;
-    }
-
-    /// Drop the previous-round latency recorded for one departed server,
-    /// keeping every other peer's history (see
-    /// [`Tuner::forget_server_state`](crate::tuner::Tuner::forget_server_state)).
-    pub fn forget_server_state(&mut self, server: ServerId) {
-        if let Some(prev) = self.prev.as_mut() {
-            prev.remove(&server);
-        }
-    }
-
     /// Build this round's pairs from the latency reports.
     fn pairs(&self, reports: &[LoadReport]) -> Vec<(ServerId, ServerId)> {
         let mut order: Vec<(f64, ServerId)> = reports
@@ -103,25 +88,6 @@ impl PairwiseTuner {
                 order.chunks_exact(2).map(|c| (c[0].1, c[1].1)).collect()
             }
         }
-    }
-
-    /// One gossip round: returns new relative share targets (same sum as
-    /// the input shares — each pair conserves its combined share), or
-    /// `None` when no pair decided to exchange.
-    pub fn plan(
-        &mut self,
-        shares: &BTreeMap<ServerId, f64>,
-        reports: &[LoadReport],
-    ) -> Option<BTreeMap<ServerId, f64>> {
-        self.round += 1;
-        let lat: BTreeMap<ServerId, f64> = reports
-            .iter()
-            .map(|r| (r.server, r.mean_latency_ms))
-            .collect();
-        let req: BTreeMap<ServerId, u64> = reports.iter().map(|r| (r.server, r.requests)).collect();
-        let result = self.plan_inner(shares, reports, &lat, &req);
-        self.prev = Some(lat);
-        result
     }
 
     fn plan_inner(
@@ -183,6 +149,42 @@ impl PairwiseTuner {
             changed = true;
         }
         changed.then_some(targets)
+    }
+}
+
+impl SharePlanner for PairwiseTuner {
+    /// One gossip round: returns new relative share targets (same sum as
+    /// the input shares — each pair conserves its combined share), or
+    /// `None` when no pair decided to exchange.
+    fn plan(
+        &mut self,
+        shares: &BTreeMap<ServerId, f64>,
+        reports: &[LoadReport],
+    ) -> Option<BTreeMap<ServerId, f64>> {
+        self.round += 1;
+        let lat: BTreeMap<ServerId, f64> = reports
+            .iter()
+            .map(|r| (r.server, r.mean_latency_ms))
+            .collect();
+        let req: BTreeMap<ServerId, u64> = reports.iter().map(|r| (r.server, r.requests)).collect();
+        let result = self.plan_inner(shares, reports, &lat, &req);
+        self.prev = Some(lat);
+        result
+    }
+
+    /// Drop previous-round state (peer restart); divergent tuning abstains
+    /// on the next round, exactly like the centralized delegate.
+    fn forget(&mut self) {
+        self.prev = None;
+    }
+
+    /// Drop the previous-round latency recorded for one departed server,
+    /// keeping every other peer's history, as the centralized
+    /// [`Tuner`](crate::tuner::Tuner) does.
+    fn forget_server(&mut self, server: ServerId) {
+        if let Some(prev) = self.prev.as_mut() {
+            prev.remove(&server);
+        }
     }
 }
 
@@ -323,7 +325,7 @@ mod tests {
         let mut t = PairwiseTuner::new(TuningConfig::divergent_only(), Matching::HiLo, 1);
         let shares = equal_shares(2);
         t.plan(&shares, &[report(0, 400.0, 100), report(1, 100.0, 100)]);
-        t.forget_state();
+        t.forget();
         // With no prev state, divergence abstains: the exchange proceeds.
         let plan = t.plan(&shares, &[report(0, 300.0, 100), report(1, 150.0, 100)]);
         assert!(plan.is_some());

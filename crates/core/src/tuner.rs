@@ -173,7 +173,7 @@ pub trait SharePlanner: Send {
     /// Compute new relative share targets from the current shares and the
     /// last interval's reports; `None` means "leave the configuration
     /// untouched".
-    fn plan_shares(
+    fn plan(
         &mut self,
         shares: &BTreeMap<ServerId, f64>,
         reports: &[LoadReport],
@@ -189,119 +189,17 @@ pub trait SharePlanner: Send {
     /// planner that keeps no per-server state uses the no-op default.
     fn forget_server(&mut self, _server: ServerId) {}
 
-    /// Telemetry from the most recent [`plan_shares`] call, consumed on
-    /// read. Planners without per-epoch telemetry return `None` (the
-    /// default), which costs nothing.
+    /// Telemetry from the most recent [`plan`] call, consumed on read.
+    /// Planners without per-epoch telemetry return `None` (the default),
+    /// which costs nothing.
     ///
-    /// [`plan_shares`]: SharePlanner::plan_shares
+    /// [`plan`]: SharePlanner::plan
     fn take_epoch(&mut self) -> Option<TuneEpoch> {
         None
     }
 }
 
 impl SharePlanner for Tuner {
-    fn plan_shares(
-        &mut self,
-        shares: &BTreeMap<ServerId, f64>,
-        reports: &[LoadReport],
-    ) -> Option<BTreeMap<ServerId, f64>> {
-        self.plan(shares, reports)
-    }
-
-    fn forget(&mut self) {
-        self.forget_state();
-    }
-
-    fn forget_server(&mut self, server: ServerId) {
-        self.forget_server_state(server);
-    }
-
-    fn take_epoch(&mut self) -> Option<TuneEpoch> {
-        self.last_epoch.take()
-    }
-}
-
-impl SharePlanner for crate::pairwise::PairwiseTuner {
-    fn plan_shares(
-        &mut self,
-        shares: &BTreeMap<ServerId, f64>,
-        reports: &[LoadReport],
-    ) -> Option<BTreeMap<ServerId, f64>> {
-        self.plan(shares, reports)
-    }
-
-    fn forget(&mut self) {
-        self.forget_state();
-    }
-
-    fn forget_server(&mut self, server: ServerId) {
-        self.forget_server_state(server);
-    }
-}
-
-/// The delegate's tuner: consumes [`LoadReport`]s, produces share targets.
-#[derive(Clone, Debug, Default)]
-pub struct Tuner {
-    cfg: TuningConfig,
-    /// Latencies from the previous interval, for divergent tuning. `None`
-    /// until the first pass completes — and after any simulated delegate
-    /// failover via [`Tuner::forget_state`].
-    prev: Option<BTreeMap<ServerId, f64>>,
-    /// Telemetry from the last [`Tuner::plan`] call, for
-    /// [`SharePlanner::take_epoch`]. Recording it is a handful of copies
-    /// per pass; a pass runs once per tuning interval, so this costs
-    /// nothing measurable.
-    last_epoch: Option<TuneEpoch>,
-}
-
-impl Tuner {
-    /// Create a tuner with the given configuration.
-    pub fn new(cfg: TuningConfig) -> Self {
-        Tuner {
-            cfg,
-            prev: None,
-            last_epoch: None,
-        }
-    }
-
-    /// Drop the previous-interval state, as a delegate failover would.
-    pub fn forget_state(&mut self) {
-        self.prev = None;
-    }
-
-    /// Drop the previous-interval latency recorded for one server — it
-    /// left the membership. Without this, a decommissioned server's last
-    /// latency would survive as a ghost entry and poison divergent tuning
-    /// if the server is re-added later; the rest of the history stays.
-    pub fn forget_server_state(&mut self, server: ServerId) {
-        if let Some(prev) = self.prev.as_mut() {
-            prev.remove(&server);
-        }
-    }
-
-    /// Compute the delegate's average latency from `reports`.
-    ///
-    /// Returns `None` when there is no information to act on (no requests
-    /// completed anywhere).
-    pub fn average(&self, reports: &[LoadReport]) -> Option<f64> {
-        match self.cfg.average {
-            AverageKind::WeightedMean => weighted_mean_latency(reports),
-            AverageKind::Median => {
-                if reports.iter().all(|r| r.requests == 0) {
-                    return None;
-                }
-                let mut lats: Vec<f64> = reports.iter().map(|r| r.mean_latency_ms).collect();
-                lats.sort_by(f64::total_cmp);
-                let n = lats.len();
-                Some(if n % 2 == 1 {
-                    lats[n / 2]
-                } else {
-                    (lats[n / 2 - 1] + lats[n / 2]) / 2.0
-                })
-            }
-        }
-    }
-
     /// Run one tuning pass.
     ///
     /// `shares` are the current relative shares (any non-negative scale);
@@ -317,7 +215,7 @@ impl Tuner {
     /// a share-holding server with no usable report is frozen at its
     /// current share ([`TuneOutcome::NoReport`]); if fewer than [`MIN_QUORUM`]
     /// of the share holders have a usable report, the whole pass freezes.
-    pub fn plan(
+    fn plan(
         &mut self,
         shares: &BTreeMap<ServerId, f64>,
         reports: &[LoadReport],
@@ -353,6 +251,74 @@ impl Tuner {
         self.prev = Some(lat);
         self.last_epoch = epoch;
         result
+    }
+
+    /// Drop the previous-interval state, as a delegate failover would.
+    fn forget(&mut self) {
+        self.prev = None;
+    }
+
+    /// Drop the previous-interval latency recorded for one server — it
+    /// left the membership. Without this, a decommissioned server's last
+    /// latency would survive as a ghost entry and poison divergent tuning
+    /// if the server is re-added later; the rest of the history stays.
+    fn forget_server(&mut self, server: ServerId) {
+        if let Some(prev) = self.prev.as_mut() {
+            prev.remove(&server);
+        }
+    }
+
+    fn take_epoch(&mut self) -> Option<TuneEpoch> {
+        self.last_epoch.take()
+    }
+}
+
+/// The delegate's tuner: consumes [`LoadReport`]s, produces share targets.
+#[derive(Clone, Debug, Default)]
+pub struct Tuner {
+    cfg: TuningConfig,
+    /// Latencies from the previous interval, for divergent tuning. `None`
+    /// until the first pass completes — and after any simulated delegate
+    /// failover via [`SharePlanner::forget`].
+    prev: Option<BTreeMap<ServerId, f64>>,
+    /// Telemetry from the last [`SharePlanner::plan`] call, for
+    /// [`SharePlanner::take_epoch`]. Recording it is a handful of copies
+    /// per pass; a pass runs once per tuning interval, so this costs
+    /// nothing measurable.
+    last_epoch: Option<TuneEpoch>,
+}
+
+impl Tuner {
+    /// Create a tuner with the given configuration.
+    pub fn new(cfg: TuningConfig) -> Self {
+        Tuner {
+            cfg,
+            prev: None,
+            last_epoch: None,
+        }
+    }
+
+    /// Compute the delegate's average latency from `reports`.
+    ///
+    /// Returns `None` when there is no information to act on (no requests
+    /// completed anywhere).
+    pub fn average(&self, reports: &[LoadReport]) -> Option<f64> {
+        match self.cfg.average {
+            AverageKind::WeightedMean => weighted_mean_latency(reports),
+            AverageKind::Median => {
+                if reports.iter().all(|r| r.requests == 0) {
+                    return None;
+                }
+                let mut lats: Vec<f64> = reports.iter().map(|r| r.mean_latency_ms).collect();
+                lats.sort_by(f64::total_cmp);
+                let n = lats.len();
+                Some(if n % 2 == 1 {
+                    lats[n / 2]
+                } else {
+                    (lats[n / 2 - 1] + lats[n / 2]) / 2.0
+                })
+            }
+        }
     }
 
     fn plan_inner(
@@ -661,8 +627,8 @@ mod tests {
         let mut t = Tuner::new(TuningConfig::divergent_only());
         let shares = equal_shares(2);
         t.plan(&shares, &[report(0, 400.0, 100), report(1, 100.0, 100)]);
-        t.forget_state(); // delegate failover
-                          // Without prev state, divergence abstains: plan proceeds.
+        t.forget(); // delegate failover
+                    // Without prev state, divergence abstains: plan proceeds.
         let plan = t.plan(&shares, &[report(0, 300.0, 100), report(1, 150.0, 100)]);
         assert!(plan.is_some());
     }
@@ -694,7 +660,7 @@ mod tests {
         t.plan(&shares, &[report(0, 400.0, 100), report(1, 100.0, 100)]);
         // Server 0 is decommissioned; its history must vanish while
         // server 1's survives.
-        t.forget_server_state(ServerId(0));
+        t.forget_server(ServerId(0));
         // Re-added later: with no prev entry, divergence abstains for
         // server 0 (it cannot be judged "already converging"), so the
         // pass plans instead of freezing on ghost state.

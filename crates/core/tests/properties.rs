@@ -372,7 +372,9 @@ fn equal_share_balance_beats_nothing() {
 /// or non-finite shares.
 mod pairwise_props {
     use super::Cases;
-    use anu_core::{LoadReport, Matching, PairwiseTuner, PlacementMap, ServerId, TuningConfig};
+    use anu_core::{
+        LoadReport, Matching, PairwiseTuner, PlacementMap, ServerId, SharePlanner, TuningConfig,
+    };
     use std::collections::BTreeMap;
 
     #[test]

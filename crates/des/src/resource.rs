@@ -131,6 +131,13 @@ impl<M> FifoStation<M> {
         out
     }
 
+    /// Give back the queue's buffer, as far as what is queued allows: a
+    /// queue that once ran deep keeps its high-water capacity until this.
+    /// The world calls it once the calendar is dry and every queue empty.
+    pub fn shrink_queue(&mut self) {
+        self.queue.shrink_to_fit();
+    }
+
     /// Utilization over `[0, now]`: busy time / elapsed time. Counts the
     /// in-progress service up to `now`.
     pub fn utilization(&self, now: SimTime) -> f64 {
@@ -245,6 +252,26 @@ mod tests {
         assert_eq!(st.population(), 0);
         // Partial service charged: 4 of 10.
         assert_eq!(st.busy_time(), SimDuration(4));
+    }
+
+    #[test]
+    fn shrinking_the_queue_keeps_its_jobs_and_state() {
+        let mut st = FifoStation::new();
+        for t in 0..1_000 {
+            st.arrive(SimTime(t), job(10));
+        }
+        st.shrink_queue();
+        assert_eq!(st.population(), 1_000);
+        for k in 1..=1_000 {
+            st.complete(SimTime(10 * k));
+        }
+        assert_eq!(st.population(), 0);
+        st.shrink_queue();
+        assert_eq!(st.busy_time(), SimDuration(10_000));
+        assert_eq!(
+            st.arrive(SimTime(20_000), job(5)),
+            StartService::At(SimTime(20_005))
+        );
     }
 
     #[test]

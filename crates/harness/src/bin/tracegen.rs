@@ -9,9 +9,12 @@
 //! statistics (request count, activity skew, offered load against the
 //! paper's 25-speed-unit cluster). Traces replay bit-identically: the same
 //! file driven through the simulator yields the same figures on any
-//! machine.
+//! machine. A `--file-sets` or `--duration` whose requests a trace cannot
+//! hold (more than 2^24 file sets, or 2^40 µs or more) is a usage error.
 
-use anu_workload::{write_csv, DfsLikeConfig, SyntheticConfig, TraceError, Workload};
+use anu_core::FileSetId;
+use anu_des::{SimDuration, SimTime};
+use anu_workload::{write_csv, DfsLikeConfig, Request, SyntheticConfig, TraceError, Workload};
 use std::path::PathBuf;
 
 const USAGE: &str = "usage: tracegen --kind dfslike|synthetic [--seed S] [--out FILE] \
@@ -86,6 +89,20 @@ fn parse() -> Args {
     args
 }
 
+/// Exit with the usage code unless a request for the last of
+/// `n_file_sets` file sets, arriving at the end of `duration_secs`, fits:
+/// the generators refuse any other set count or duration.
+fn require_fit(n_file_sets: usize, duration_secs: f64) {
+    if !(duration_secs.is_finite() && duration_secs >= 0.0) {
+        usage_error("--duration needs a finite, non-negative number of seconds");
+    }
+    let last = FileSetId(n_file_sets.saturating_sub(1) as u64);
+    let end = SimTime::from_secs_f64(duration_secs);
+    if let Err(why) = Request::new(end, last, SimDuration::ZERO) {
+        usage_error(&format!("--file-sets or --duration too large: {why}"));
+    }
+}
+
 fn generate(args: &Args) -> Workload {
     match args.kind.as_str() {
         "dfslike" => {
@@ -99,6 +116,7 @@ fn generate(args: &Args) -> Workload {
             if let Some(d) = args.duration {
                 cfg.duration_secs = d;
             }
+            require_fit(cfg.n_file_sets, cfg.duration_secs);
             cfg.generate()
         }
         "synthetic" => {
@@ -112,6 +130,7 @@ fn generate(args: &Args) -> Workload {
             if let Some(d) = args.duration {
                 cfg.duration_secs = d;
             }
+            require_fit(cfg.n_file_sets, cfg.duration_secs);
             cfg.generate()
         }
         other => usage_error(&format!("unknown kind {other}; use dfslike or synthetic")),

@@ -246,7 +246,7 @@ pub fn model_input(
         .collect();
     let (mut n, mut sum, mut sum_sq) = (0u64, 0.0f64, 0.0f64);
     for r in workload.requests.iter() {
-        if r.arrival.as_secs_f64() >= from_secs {
+        if r.arrival().as_secs_f64() >= from_secs {
             let c = r.cost().as_secs_f64();
             n += 1;
             sum += c;

@@ -312,7 +312,7 @@ mod tests {
                 duration_secs: 200.0,
                 weights: WeightDist::Constant,
                 mean_cost_secs: 0.05,
-                cost: CostModel::UniformSpread { spread: 0.2 },
+                cost: CostModel::UniformSpread,
                 seed: 5,
             }
             .generate(),
@@ -392,7 +392,7 @@ mod tests {
                 duration_secs: 600.0,
                 weights: WeightDist::PowerOfUniform { alpha: 50.0 },
                 mean_cost_secs: 0.3,
-                cost: CostModel::UniformSpread { spread: 0.2 },
+                cost: CostModel::UniformSpread,
                 seed: 5,
             }
             .generate(),

@@ -585,7 +585,7 @@ pub(crate) mod tests {
                 duration_secs: 400.0,
                 weights: WeightDist::PowerOfUniform { alpha: 50.0 },
                 mean_cost_secs: 0.3,
-                cost: CostModel::UniformSpread { spread: 0.2 },
+                cost: CostModel::UniformSpread,
                 seed,
             }
             .generate(),

@@ -199,7 +199,7 @@ pub fn studies_sweep(seed: u64) -> Sweep {
             duration_secs: 10_000.0,
             weights: WeightDist::PowerOfUniform { alpha },
             mean_cost_secs: 0.0,
-            cost: CostModel::UniformSpread { spread: 0.2 },
+            cost: CostModel::UniformSpread,
             seed,
         }
         .with_offered_load(0.5, paper.total_speed())
@@ -223,7 +223,7 @@ pub fn studies_sweep(seed: u64) -> Sweep {
         duration_secs: 6_000.0,
         weights: WeightDist::PowerOfUniform { alpha: 1000.0 },
         mean_cost_secs: 0.0,
-        cost: CostModel::UniformSpread { spread: 0.2 },
+        cost: CostModel::UniformSpread,
         seed,
     }
     .with_offered_load(0.55, wide.total_speed())

@@ -37,12 +37,15 @@ fn unknown_argument_is_a_usage_error() {
 
 #[test]
 fn malformed_values_are_usage_errors() {
-    let cases: [(&str, &[&str]); 5] = [
+    let cases: [(&str, &[&str]); 7] = [
         (env!("CARGO_BIN_EXE_figures"), &["--fig", "x"]),
         (env!("CARGO_BIN_EXE_figures"), &["--trace-level", "loud"]),
         (env!("CARGO_BIN_EXE_figures"), &["--seed"]),
         (env!("CARGO_BIN_EXE_figures"), &["--jobs"]),
         (env!("CARGO_BIN_EXE_tracegen"), &["--seed", "x"]),
+        // More file sets, or a later arrival, than a request holds.
+        (env!("CARGO_BIN_EXE_tracegen"), &["--file-sets", "16777217"]),
+        (env!("CARGO_BIN_EXE_tracegen"), &["--duration", "1099512"]),
     ];
     for (bin, args) in cases {
         assert_usage_error(bin, args);

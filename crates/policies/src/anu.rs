@@ -160,7 +160,7 @@ impl PlacementPolicy for AnuPolicy {
         // tuning so the tuner sees a normalized configuration.
         restore(map);
         let shares = map.share_fractions();
-        let planned = self.planner.plan_shares(&shares, reports);
+        let planned = self.planner.plan(&shares, reports);
         let mut epoch = self.planner.take_epoch();
         let Some(targets) = planned else {
             // Balanced within the heuristics' tolerance: the map is

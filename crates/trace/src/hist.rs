@@ -62,6 +62,13 @@ impl LogHistogram {
         self.buckets[Self::bucket_of(v)] += 1;
     }
 
+    /// Record `n` observations in bucket `i` at once: the same as `n`
+    /// [`record`](LogHistogram::record)s of a value in that bucket.
+    #[inline]
+    pub fn record_bucket(&mut self, i: usize, n: u64) {
+        self.buckets[i] += n;
+    }
+
     /// Total observations recorded.
     pub fn count(&self) -> u64 {
         self.buckets.iter().sum()
@@ -183,6 +190,18 @@ mod tests {
             let bucket_sum: u64 = h.nonzero().iter().map(|&(_, c)| c).sum();
             assert_eq!(bucket_sum, n as u64, "seed {seed}: bucket sum");
         }
+    }
+
+    #[test]
+    fn recording_a_bucket_at_once_equals_recording_each_value() {
+        let (mut each, mut at_once) = (LogHistogram::new(), LogHistogram::new());
+        for v in [0u64, 1, 200, 255, 1 << 39, u64::MAX] {
+            for _ in 0..3 {
+                each.record(v);
+            }
+            at_once.record_bucket(LogHistogram::bucket_of(v), 3);
+        }
+        assert_eq!(each, at_once);
     }
 
     #[test]

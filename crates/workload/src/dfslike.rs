@@ -29,7 +29,7 @@
 //! first) and has the constructor place the set-major draws in arrival
 //! order without a global sort; ties keep generation order.
 
-use crate::request::{repeat_runs, Draws, Workload};
+use crate::request::{assert_draws_fit, repeat_runs, Draws, Workload};
 use crate::synthetic::{apportion, assert_costs_fit, CostModel};
 use crate::weights::WeightDist;
 use anu_core::FileSetId;
@@ -41,7 +41,7 @@ use anu_des::{RngStream, SimDuration, SimTime};
 pub const ACTIVITY_RATIO: f64 = 150.0;
 
 /// The service demand model: uniform within ±20% of the mean.
-const COST: CostModel = CostModel::UniformSpread { spread: 0.2 };
+const COST: CostModel = CostModel::UniformSpread;
 
 /// A multiplicative burst window on one file set's arrival intensity.
 struct Burst {
@@ -127,6 +127,8 @@ impl DfsLikeConfig {
     ) -> Draws<impl Iterator<Item = (SimTime, FileSetId)> + Clone, impl FnMut() -> SimDuration>
     {
         assert!(self.n_file_sets > 0 && self.total_requests > 0);
+        let duration = SimDuration::from_secs_f64(self.duration_secs);
+        assert_draws_fit(self.n_file_sets, duration);
         assert_costs_fit(COST, self.mean_cost_secs);
         let mut wrng = RngStream::new(self.seed, "dfslike/weights");
         let mut arng = RngStream::new(self.seed, "dfslike/arrivals");
@@ -157,7 +159,7 @@ impl DfsLikeConfig {
         Draws {
             label: "dfstrace-like".into(),
             n_file_sets: self.n_file_sets,
-            duration: SimDuration::from_secs_f64(self.duration_secs),
+            duration,
             len: self.total_requests as usize,
             arrivals: repeat_runs(runs).map(move |(rank, j)| {
                 let t = samplers[rank].sample(&mut arng);
@@ -255,7 +257,7 @@ mod tests {
         let top = (0..21).max_by_key(|&j| counts[j]).unwrap() as u64;
         let dur = 3600.0;
         let in_window = |r: &Request, lo: f64, hi: f64| {
-            let t = r.arrival.as_secs_f64();
+            let t = r.arrival().as_secs_f64();
             r.file_set().0 == top && t >= lo * dur && t < hi * dur
         };
         let burst: usize = w
@@ -282,8 +284,14 @@ mod tests {
     #[test]
     fn arrivals_in_range_and_sorted() {
         let w = DfsLikeConfig::paper(1).generate();
-        assert!(w.requests.iter().all(|r| r.arrival.as_secs_f64() < 3600.0));
-        assert!(w.requests.windows(2).all(|p| p[0].arrival <= p[1].arrival));
+        assert!(w
+            .requests
+            .iter()
+            .all(|r| r.arrival().as_secs_f64() < 3600.0));
+        assert!(w
+            .requests
+            .windows(2)
+            .all(|p| p[0].arrival() <= p[1].arrival()));
     }
 
     #[test]

@@ -17,7 +17,11 @@
 //!   re-draws of the synthetic base;
 //! * [`trace`] — CSV persistence for replayable traces;
 //! * [`request`] — the common representation and the prescient oracle
-//!   ([`Workload::window_demands`]).
+//!   ([`Workload::window_demands`]). A [`Request`] is 12 bytes and holds
+//!   an arrival below 2^40 µs (about 12.7 days), a file set below 2^24
+//!   and a cost below 2^32 µs (about 71.6 minutes); the generators, the
+//!   trace reader and the storm warp refuse anything past these bounds
+//!   rather than truncate it.
 
 //! ```
 //! use anu_workload::{CostModel, SyntheticConfig, WeightDist};
@@ -29,7 +33,7 @@
 //!     duration_secs: 100.0,
 //!     weights: WeightDist::PowerOfUniform { alpha: 100.0 },
 //!     mean_cost_secs: 0.0,
-//!     cost: CostModel::UniformSpread { spread: 0.2 },
+//!     cost: CostModel::UniformSpread,
 //!     seed: 7,
 //! }
 //! .with_offered_load(0.5, 25.0) // rho = 0.5 against the paper's cluster

@@ -10,10 +10,12 @@
 //! its requests once: [`Workload::requests`] is a shared stream, so a
 //! clone of the workload (the prescient oracle's, say) shares it instead
 //! of copying it, and queued jobs name requests by position. A request is
-//! 16 bytes: its arrival, then its file set's index and its cost in µs as
-//! `u32`s. [`Request::new`] refuses a set or a cost that does not fit
-//! rather than truncate it: a set must be below 2^32, the most file sets
-//! the simulator indexes, and a cost below 2^32 µs, about 71.6 minutes.
+//! 12 bytes: one word holds its arrival in 40 bits and its file set's
+//! index in 24, and a `u32` holds its cost in µs. [`Request::new`]
+//! refuses a value that does not fit rather than truncate it: an arrival
+//! must be below 2^40 µs (about 12.7 days), a set below 2^24 (16,777,216,
+//! the most file sets the simulator indexes), and a cost below 2^32 µs
+//! (about 71.6 minutes).
 //!
 //! Two constructors put requests in arrival order. [`Workload::new`]
 //! stably sorts requests that arrive as a finished list (traces read
@@ -23,55 +25,88 @@
 
 use anu_core::FileSetId;
 use anu_des::{SimDuration, SimTime};
+use std::fmt;
 use std::sync::Arc;
 
-/// The most file sets a workload may have: the simulator indexes sets as
-/// `u32`, so ids run over `0..2^32`. Readers reject larger counts before
-/// anything sized by the count is allocated.
-const MAX_FILE_SETS: u64 = 1 << 32;
+/// Bits of a request's word that hold its file set's index, below the
+/// arrival's 40.
+const SET_BITS: u32 = 24;
+
+/// The most file sets a workload may have: a request holds its set's
+/// index in 24 bits, so ids run over `0..2^24`. Readers and generators
+/// reject larger counts before anything sized by the count is allocated.
+const MAX_FILE_SETS: u64 = 1 << SET_BITS;
+
+/// The first arrival a request cannot hold: 2^40 µs, about 12.7 days.
+const ARRIVAL_LIMIT: u64 = 1 << (u64::BITS - SET_BITS);
 
 /// `n`, or why it names more file sets than the simulator can index.
 pub(crate) fn indexable_set_count(n: usize) -> Result<usize, String> {
     if u64::try_from(n).map_or(true, |n| n > MAX_FILE_SETS) {
         return Err(format!(
-            "n_file_sets {n} exceeds 2^32, the most file sets the simulator indexes"
+            "n_file_sets {n} exceeds 2^24, the most file sets the simulator indexes"
         ));
     }
     Ok(n)
 }
 
-/// One metadata request, in 16 bytes.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+/// Refuse, before a generator draws anything, a set count or a duration
+/// whose draws a [`Request`] could not hold: the generator's ids run over
+/// `0..n_file_sets`, and its arrivals fall in `[0, duration]`.
+///
+/// # Panics
+/// Panics, naming the bound, if `n_file_sets` exceeds 2^24 or `duration`
+/// is 2^40 µs or more.
+pub(crate) fn assert_draws_fit(n_file_sets: usize, duration: SimDuration) {
+    assert_eq!(
+        indexable_set_count(n_file_sets),
+        Ok(n_file_sets),
+        "a generator's file sets must fit a request"
+    );
+    assert!(
+        duration.0 < ARRIVAL_LIMIT,
+        "duration_us {} is not below 2^40 µs (about 12.7 days), the latest arrival a request holds",
+        duration.0
+    );
+}
+
+/// One metadata request, in 12 bytes.
+#[derive(Clone, Copy, PartialEq, Eq)]
+#[repr(C, packed(4))]
 pub struct Request {
-    /// Arrival time.
-    pub arrival: SimTime,
-    /// Target file set's index.
-    set: u32,
+    /// Arrival in µs, shifted past the target file set's index.
+    at_set: u64,
     /// Service demand on a speed-1 server, in µs.
     cost_us: u32,
 }
-const _: () = assert!(size_of::<Request>() == 16);
+const _: () = assert!(size_of::<Request>() == 12 && align_of::<Request>() == 4);
 
 impl Request {
     /// A request for `file_set` arriving at `arrival` with speed-1 demand
-    /// `cost`, or why it does not fit: the set must be below 2^32 and the
-    /// cost below 2^32 µs (about 71.6 minutes).
+    /// `cost`, or why it does not fit: the arrival must be below 2^40 µs
+    /// (about 12.7 days), the set below 2^24, and the cost below 2^32 µs
+    /// (about 71.6 minutes).
     #[inline]
     pub fn new(arrival: SimTime, file_set: FileSetId, cost: SimDuration) -> Result<Self, String> {
-        match (u32::try_from(file_set.0), u32::try_from(cost.0)) {
-            (Ok(set), Ok(cost_us)) => Ok(Request {
-                arrival,
-                set,
+        match u32::try_from(cost.0) {
+            Ok(cost_us) if arrival.0 < ARRIVAL_LIMIT && file_set.0 < MAX_FILE_SETS => Ok(Request {
+                at_set: (arrival.0 << SET_BITS) | file_set.0,
                 cost_us,
             }),
-            _ => Err(why_unfit(file_set, cost)),
+            _ => Err(why_unfit(arrival, file_set, cost)),
         }
+    }
+
+    /// Arrival time.
+    #[inline]
+    pub fn arrival(&self) -> SimTime {
+        SimTime(self.at_set >> SET_BITS)
     }
 
     /// Target file set.
     #[inline]
     pub fn file_set(&self) -> FileSetId {
-        FileSetId(u64::from(self.set))
+        FileSetId(self.at_set & (MAX_FILE_SETS - 1))
     }
 
     /// Service demand on a speed-1 server.
@@ -81,13 +116,28 @@ impl Request {
     }
 }
 
-/// Why a request cannot hold `file_set` or `cost`. Cold, so that
-/// [`Request::new`] inlines into the generators' placing loop.
+impl fmt::Debug for Request {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Request")
+            .field("arrival", &self.arrival())
+            .field("file_set", &self.file_set())
+            .field("cost", &self.cost())
+            .finish()
+    }
+}
+
+/// Why a request cannot hold `arrival`, `file_set` or `cost`. Cold, so
+/// that [`Request::new`] inlines into the generators' placing loop.
 #[cold]
-fn why_unfit(file_set: FileSetId, cost: SimDuration) -> String {
-    if u32::try_from(file_set.0).is_err() {
+fn why_unfit(arrival: SimTime, file_set: FileSetId, cost: SimDuration) -> String {
+    if arrival.0 >= ARRIVAL_LIMIT {
         format!(
-            "file_set {} needs n_file_sets above 2^32, the most file sets the simulator indexes",
+            "arrival_us {} is not below 2^40 µs (about 12.7 days), the latest arrival a request holds",
+            arrival.0
+        )
+    } else if file_set.0 >= MAX_FILE_SETS {
+        format!(
+            "file_set {} needs n_file_sets above 2^24, the most file sets the simulator indexes",
             file_set.0
         )
     } else {
@@ -211,7 +261,7 @@ impl Finish {
             return;
         }
         if bucket.len() > FINISH_MAX {
-            bucket.sort_by_key(|r| r.arrival);
+            bucket.sort_by_key(Request::arrival);
             return;
         }
         // A counting sort by a fine digit of the arrival, with about as
@@ -221,7 +271,7 @@ impl Finish {
         let bits = (usize::BITS - bucket.len().leading_zeros()).min(FINE_BITS);
         let fine_shift = shift.saturating_sub(bits);
         let top = (1u64 << bits) - 1;
-        let digit = |r: &Request| ((r.arrival.0 - lo) >> fine_shift).min(top) as usize;
+        let digit = |r: &Request| ((r.arrival().0 - lo) >> fine_shift).min(top) as usize;
         self.scratch.clear();
         self.scratch.extend_from_slice(bucket);
         self.ends.clear();
@@ -244,7 +294,7 @@ impl Finish {
             if run.len() <= INSERTION_MAX {
                 insertion_sort(run);
             } else {
-                run.sort_by_key(|r| r.arrival);
+                run.sort_by_key(Request::arrival);
             }
             start = end;
         }
@@ -256,7 +306,7 @@ fn insertion_sort(run: &mut [Request]) {
     for i in 1..run.len() {
         let r = run[i];
         let mut j = i;
-        while j > 0 && run[j - 1].arrival > r.arrival {
+        while j > 0 && run[j - 1].arrival() > r.arrival() {
             run[j] = run[j - 1];
             j -= 1;
         }
@@ -276,7 +326,7 @@ impl Workload {
         duration: SimDuration,
         mut requests: Vec<Request>,
     ) -> Self {
-        requests.sort_by_key(|r| r.arrival);
+        requests.sort_by_key(Request::arrival);
         Workload {
             label: label.into(),
             n_file_sets,
@@ -344,8 +394,7 @@ impl Workload {
         let mut next = start[..buckets.count()].to_vec();
         let mut requests = vec![
             Request {
-                arrival: SimTime::ZERO,
-                set: 0,
+                at_set: 0,
                 cost_us: 0,
             };
             len
@@ -399,11 +448,11 @@ impl Workload {
     /// Per-file-set service demand (seconds, at speed 1) in the window
     /// `[from, to)` — the prescient oracle.
     pub fn window_demands(&self, from: SimTime, to: SimTime) -> Vec<f64> {
-        let lo = self.requests.partition_point(|r| r.arrival < from);
-        let hi = self.requests.partition_point(|r| r.arrival < to);
+        let lo = self.requests.partition_point(|r| r.arrival() < from);
+        let hi = self.requests.partition_point(|r| r.arrival() < to);
         let mut out = vec![0.0; self.n_file_sets];
         for r in &self.requests[lo..hi] {
-            out[r.set as usize] += r.cost().as_secs_f64();
+            out[r.file_set().0 as usize] += r.cost().as_secs_f64();
         }
         out
     }
@@ -412,7 +461,7 @@ impl Workload {
     pub fn stats(&self) -> WorkloadStats {
         let mut counts = vec![0u64; self.n_file_sets];
         for r in self.requests.iter() {
-            counts[r.set as usize] += 1;
+            counts[r.file_set().0 as usize] += 1;
         }
         let active: Vec<u64> = counts.iter().copied().filter(|&c| c > 0).collect();
         let max = active.iter().copied().max().unwrap_or(0);
@@ -514,23 +563,80 @@ mod tests {
     }
 
     #[test]
-    fn a_request_holds_sets_and_costs_below_2_pow_32_only() {
+    fn a_request_holds_arrivals_sets_and_costs_below_their_bounds_only() {
         let top = Request::new(
-            SimTime(u64::MAX),
-            FileSetId(u32::MAX.into()),
+            SimTime((1 << 40) - 1),
+            FileSetId((1 << 24) - 1),
             SimDuration(u32::MAX.into()),
         )
         .unwrap();
-        assert_eq!(top.arrival, SimTime(u64::MAX));
-        assert_eq!(top.file_set(), FileSetId(u64::from(u32::MAX)));
+        assert_eq!(top.arrival(), SimTime((1 << 40) - 1));
+        assert_eq!(top.file_set(), FileSetId((1 << 24) - 1));
         assert_eq!(top.cost(), SimDuration(u64::from(u32::MAX)));
-        for (set, cost, what) in [
-            (1 << 32, 1, "n_file_sets above 2^32"),
-            (u64::MAX, 1, "n_file_sets above 2^32"),
-            (0, 1 << 32, "cost_us 4294967296 is not below 2^32"),
-            (0, u64::MAX, "not below 2^32 µs"),
+        for (arrival, set, cost, what) in [
+            (
+                1 << 40,
+                0,
+                1,
+                "arrival_us 1099511627776 is not below 2^40 µs",
+            ),
+            (u64::MAX, 0, 1, "not below 2^40 µs"),
+            (
+                0,
+                1 << 24,
+                1,
+                "file_set 16777216 needs n_file_sets above 2^24",
+            ),
+            (0, 1 << 32, 1, "n_file_sets above 2^24"),
+            (0, u64::MAX, 1, "n_file_sets above 2^24"),
+            (0, 0, 1 << 32, "cost_us 4294967296 is not below 2^32"),
+            (0, 0, u64::MAX, "not below 2^32 µs"),
         ] {
-            let why = Request::new(SimTime::ZERO, FileSetId(set), SimDuration(cost)).unwrap_err();
+            let why =
+                Request::new(SimTime(arrival), FileSetId(set), SimDuration(cost)).unwrap_err();
+            assert!(why.contains(what), "{why}");
+        }
+    }
+
+    #[test]
+    fn in_bound_triples_round_trip() {
+        let mut rng = RngStream::new(5, "test/request-round-trip");
+        // Every bit of each field, then each field's edges beside the
+        // others' seeded draws.
+        let mut triples = vec![
+            (0, 0, 0),
+            ((1 << 40) - 1, (1 << 24) - 1, u64::from(u32::MAX)),
+        ];
+        for _ in 0..10_000 {
+            let draw = rng.next_u64();
+            triples.push((draw >> 24, draw & ((1 << 24) - 1), draw >> 32));
+            triples.push(((1 << 40) - 1 - (draw >> 40), draw >> 40, draw & 0xFFFF));
+        }
+        for (arrival, set, cost) in triples {
+            let r = Request::new(SimTime(arrival), FileSetId(set), SimDuration(cost)).unwrap();
+            assert_eq!(
+                (r.arrival(), r.file_set(), r.cost()),
+                (SimTime(arrival), FileSetId(set), SimDuration(cost))
+            );
+        }
+    }
+
+    #[test]
+    fn draws_that_fit_a_request_are_accepted_and_others_refused() {
+        assert_draws_fit(1 << 24, SimDuration((1 << 40) - 1));
+        assert_draws_fit(1, SimDuration::ZERO);
+        for (n_file_sets, duration_us, what) in [
+            ((1 << 24) + 1, 1, "n_file_sets 16777217 exceeds 2^24"),
+            (1, 1 << 40, "duration_us 1099511627776 is not below 2^40 µs"),
+        ] {
+            let refused = std::panic::catch_unwind(|| {
+                assert_draws_fit(n_file_sets, SimDuration(duration_us));
+            })
+            .unwrap_err();
+            let why = refused
+                .downcast_ref::<String>()
+                .cloned()
+                .unwrap_or_default();
             assert!(why.contains(what), "{why}");
         }
     }
@@ -543,7 +649,11 @@ mod tests {
             SimDuration::from_secs(10),
             vec![req(5.0, 0, 1), req(1.0, 1, 1), req(3.0, 0, 1)],
         );
-        let times: Vec<f64> = w.requests.iter().map(|r| r.arrival.as_secs_f64()).collect();
+        let times: Vec<f64> = w
+            .requests
+            .iter()
+            .map(|r| r.arrival().as_secs_f64())
+            .collect();
         assert_eq!(times, vec![1.0, 3.0, 5.0]);
     }
 
@@ -620,7 +730,7 @@ mod tests {
                 .unwrap_or(0),
             duration: SimDuration(duration_us),
             len: requests.len(),
-            arrivals: requests.iter().map(|r| (r.arrival, r.file_set())),
+            arrivals: requests.iter().map(|r| (r.arrival(), r.file_set())),
             costs: move || costs.next().expect("one cost per request"),
         }
     }
@@ -669,13 +779,13 @@ mod tests {
     #[test]
     fn from_draws_orders_arrivals_at_and_past_the_duration() {
         // Duration 1,000 µs: the last bucket also takes every arrival
-        // past it, up to the largest instant there is.
+        // past it, up to the latest instant a request holds.
         for n in [5, 3_000, 12_000] {
             let reqs = stream(n, 3, |i| match i % 6 {
                 0 => 1_000,
                 1 => 1_000 + i * 37 % 5_000,
                 2 => i * 104_729 % 10_000_000,
-                3 => u64::MAX - i % 3,
+                3 => (1 << 40) - 1 - i % 3,
                 _ => i * 13 % 1_001,
             });
             check(
@@ -763,6 +873,37 @@ mod tests {
             arrivals: (0..3).map(|i| (SimTime(i * 100), FileSetId(0))),
             costs: move || costs.next().unwrap_or(SimDuration::ZERO),
         });
+    }
+
+    #[test]
+    fn from_draws_takes_the_last_arrival_and_set_a_request_holds_only() {
+        let draws = |arrival, set| Draws {
+            label: "edge".into(),
+            n_file_sets: 1 << 24,
+            duration: SimDuration(1_000),
+            len: 2,
+            arrivals: [
+                (SimTime(5), FileSetId(0)),
+                (SimTime(arrival), FileSetId(set)),
+            ]
+            .into_iter(),
+            costs: || SimDuration(1),
+        };
+        let w = Workload::from_draws(draws((1 << 40) - 1, (1 << 24) - 1));
+        assert_eq!(w.requests[1].arrival(), SimTime((1 << 40) - 1));
+        assert_eq!(w.requests[1].file_set(), FileSetId((1 << 24) - 1));
+        for (arrival, set, what) in [
+            (1 << 40, 0, "arrival_us 1099511627776 is not below 2^40 µs"),
+            (0, 1 << 24, "file_set 16777216 needs n_file_sets above 2^24"),
+        ] {
+            let refused =
+                std::panic::catch_unwind(|| Workload::from_draws(draws(arrival, set))).unwrap_err();
+            let why = refused
+                .downcast_ref::<String>()
+                .cloned()
+                .unwrap_or_default();
+            assert!(why.contains(what), "{why}");
+        }
     }
 
     /// The benchmark's largest inputs, which debug builds cannot build

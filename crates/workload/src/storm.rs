@@ -46,7 +46,7 @@
 //! its `(lo, hi)` after every step, and hence every warped arrival, is
 //! bit-identical to the scalar loop's, for any CDF (monotone or not).
 
-use crate::request::{repeat_runs, Draws, Workload};
+use crate::request::{assert_draws_fit, repeat_runs, Draws, Request, Workload};
 use crate::synthetic::{apportion, assert_costs_fit, SyntheticConfig};
 use anu_core::FileSetId;
 use anu_des::{RngStream, SimDuration, SimTime};
@@ -131,17 +131,30 @@ impl StormConfig {
     /// monotone, so relative order (and every per-set property) is
     /// preserved: the warped requests stay sorted, ties in base order,
     /// with no second sort (see [`invert_cdf`]).
+    ///
+    /// # Panics
+    /// Panics if a warped arrival does not fit a [`Request`] (it must not
+    /// be truncated). The warp lands every arrival at or before the
+    /// duration, which the base generator already holds below 2^40 µs.
     fn warp(&self, cdf: impl Fn(f64) -> f64) -> Workload {
         let mut w = self.base.generate();
         let t_total = self.base.duration_secs;
+        // The first warped arrival that does not fit a request, if any.
+        let mut unfit = None;
         // The stream was just generated and nothing shares it yet, so this
         // edits it in place.
         invert_cdf(
             &cdf,
             Arc::make_mut(&mut w.requests).as_mut_slice(),
-            |r| (r.arrival.as_secs_f64() / t_total).clamp(0.0, 1.0),
-            |r, x| r.arrival = SimTime::from_secs_f64(x * t_total),
+            |r| (r.arrival().as_secs_f64() / t_total).clamp(0.0, 1.0),
+            |r, x| match Request::new(SimTime::from_secs_f64(x * t_total), r.file_set(), r.cost()) {
+                Ok(warped) => *r = warped,
+                Err(why) => {
+                    unfit.get_or_insert(why);
+                }
+            },
         );
+        assert_eq!(unfit, None, "a warped arrival does not fit a request");
         w.label = self.label();
         w
     }
@@ -158,6 +171,8 @@ impl StormConfig {
     {
         let base = &self.base;
         assert!(base.n_file_sets > 0 && base.total_requests > 0);
+        let duration = SimDuration::from_secs_f64(base.duration_secs);
+        assert_draws_fit(base.n_file_sets, duration);
         assert_costs_fit(base.cost, base.mean_cost_secs);
         let phases = (2 + (2.0 * self.intensity) as usize).min(16);
         let mut arng = RngStream::new(base.seed, "storm/arrivals");
@@ -207,7 +222,7 @@ impl StormConfig {
         Draws {
             label: self.label(),
             n_file_sets: base.n_file_sets,
-            duration: SimDuration::from_secs_f64(base.duration_secs),
+            duration,
             len: base.total_requests as usize,
             arrivals: repeat_runs(runs).map(move |(t0, j)| {
                 let t = t0 + arng.uniform() * phase_len;
@@ -306,7 +321,7 @@ mod tests {
             duration_secs: 1_000.0,
             weights: WeightDist::PowerOfUniform { alpha: 100.0 },
             mean_cost_secs: 0.05,
-            cost: CostModel::UniformSpread { spread: 0.2 },
+            cost: CostModel::UniformSpread,
             seed,
         }
     }
@@ -410,8 +425,10 @@ mod tests {
             let cdf = rate_cdf(kind, 1.5);
             let mut want = base.generate();
             for r in Arc::make_mut(&mut want.requests) {
-                let x = (r.arrival.as_secs_f64() / base.duration_secs).clamp(0.0, 1.0);
-                r.arrival = SimTime::from_secs_f64(invert_cdf_scalar(&cdf, x) * base.duration_secs);
+                let x = (r.arrival().as_secs_f64() / base.duration_secs).clamp(0.0, 1.0);
+                let warped =
+                    SimTime::from_secs_f64(invert_cdf_scalar(&cdf, x) * base.duration_secs);
+                *r = Request::new(warped, r.file_set(), r.cost()).unwrap();
             }
             let got = StormConfig {
                 kind,
@@ -435,8 +452,11 @@ mod tests {
             assert!(w
                 .requests
                 .iter()
-                .all(|r| r.arrival.as_secs_f64() < 1_000.0 + 1e-6));
-            assert!(w.requests.windows(2).all(|p| p[0].arrival <= p[1].arrival));
+                .all(|r| r.arrival().as_secs_f64() < 1_000.0 + 1e-6));
+            assert!(w
+                .requests
+                .windows(2)
+                .all(|p| p[0].arrival() <= p[1].arrival()));
             let again = storm(kind, 1.0);
             assert_eq!(w.requests, again.requests, "{}", kind.name());
         }
@@ -448,7 +468,7 @@ mod tests {
             w.requests
                 .iter()
                 .filter(|r| {
-                    let t = r.arrival.as_secs_f64() / 1_000.0;
+                    let t = r.arrival().as_secs_f64() / 1_000.0;
                     (lo..hi).contains(&t)
                 })
                 .count() as f64
@@ -475,7 +495,7 @@ mod tests {
             w.requests
                 .iter()
                 .filter(|r| {
-                    let x = r.arrival.as_secs_f64() / 1_000.0;
+                    let x = r.arrival().as_secs_f64() / 1_000.0;
                     (lo..hi).contains(&x)
                 })
                 .count() as f64
@@ -493,7 +513,7 @@ mod tests {
         let phase_of = |t: f64| (t / 250.0) as usize;
         let mut counts = vec![vec![0u64; 40]; 4];
         for r in w.requests.iter() {
-            let p = phase_of(r.arrival.as_secs_f64()).min(3);
+            let p = phase_of(r.arrival().as_secs_f64()).min(3);
             counts[p][r.file_set().0 as usize] += 1;
         }
         let top: Vec<usize> = counts
@@ -516,7 +536,7 @@ mod tests {
             let hot: Vec<usize> = (0..hot_count).map(|k| (p * hot_count + k) % 40).collect();
             let (mut hot_reqs, mut total) = (0u64, 0u64);
             for r in w.requests.iter() {
-                let t = r.arrival.as_secs_f64();
+                let t = r.arrival().as_secs_f64();
                 if t >= p as f64 * phase_len && t < (p + 1) as f64 * phase_len {
                     total += 1;
                     if hot.contains(&(r.file_set().0 as usize)) {

@@ -21,20 +21,21 @@
 //! EXPERIMENTS.md, "Set-up: generation without the global sort"). The
 //! result equals a stable sort of the set-major stream bit for bit.
 
-use crate::request::{repeat_runs, Draws, Workload};
+use crate::request::{assert_draws_fit, repeat_runs, Draws, Workload};
 use crate::weights::WeightDist;
 use anu_core::FileSetId;
 use anu_des::{RngStream, SimDuration, SimTime};
 
+/// The relative half-width of [`CostModel::UniformSpread`]: every run
+/// that draws it draws demands within ±20% of the mean.
+const UNIFORM_SPREAD: f64 = 0.2;
+
 /// How per-request service demands are drawn.
 #[derive(Clone, Copy, PartialEq, Debug)]
 pub enum CostModel {
-    /// Uniform in `mean * [1 - spread, 1 + spread]` — the paper's "service
-    /// time variance is low" regime.
-    UniformSpread {
-        /// Relative half-width, e.g. 0.2 for ±20%.
-        spread: f64,
-    },
+    /// Uniform in `mean * [0.8, 1.2]`, within ±20% of the mean — the
+    /// paper's "service time variance is low" regime.
+    UniformSpread,
     /// Heavy-tailed (bounded Pareto) service demands with the given mean —
     /// the storm engine's "one elephant stalls the queue" regime. `alpha`
     /// is the tail exponent (must be > 1 so the mean exists; 1.5 is a
@@ -51,9 +52,10 @@ impl CostModel {
     /// Draw one service demand with the given mean (seconds).
     pub fn sample(&self, mean_secs: f64, rng: &mut RngStream) -> SimDuration {
         let secs = match *self {
-            CostModel::UniformSpread { spread } => {
-                rng.uniform_range(mean_secs * (1.0 - spread), mean_secs * (1.0 + spread))
-            }
+            CostModel::UniformSpread => rng.uniform_range(
+                mean_secs * (1.0 - UNIFORM_SPREAD),
+                mean_secs * (1.0 + UNIFORM_SPREAD),
+            ),
             CostModel::Pareto { alpha } => {
                 debug_assert!(alpha > 1.0, "Pareto tail exponent must exceed 1");
                 let xm = mean_secs * (alpha - 1.0) / alpha;
@@ -70,7 +72,7 @@ impl CostModel {
     /// mean: the top of the spread, or the Pareto cap.
     fn max_draw(&self, mean_secs: f64) -> SimDuration {
         let secs = match *self {
-            CostModel::UniformSpread { spread } => mean_secs * (1.0 + spread),
+            CostModel::UniformSpread => mean_secs * (1.0 + UNIFORM_SPREAD),
             CostModel::Pareto { .. } => mean_secs * 100.0,
         };
         SimDuration::from_secs_f64(secs.max(1e-6))
@@ -132,7 +134,7 @@ impl SyntheticConfig {
             duration_secs: 10_000.0,
             weights: WeightDist::PowerOfUniform { alpha: 1000.0 },
             mean_cost_secs: 1.25,
-            cost: CostModel::UniformSpread { spread: 0.2 },
+            cost: CostModel::UniformSpread,
             seed,
         }
     }
@@ -159,6 +161,8 @@ impl SyntheticConfig {
     ) -> Draws<impl Iterator<Item = (SimTime, FileSetId)> + Clone, impl FnMut() -> SimDuration>
     {
         assert!(self.n_file_sets > 0 && self.total_requests > 0);
+        let duration = SimDuration::from_secs_f64(self.duration_secs);
+        assert_draws_fit(self.n_file_sets, duration);
         assert_costs_fit(self.cost, self.mean_cost_secs);
         let mut wrng = RngStream::new(self.seed, "synthetic/weights");
         let mut arng = RngStream::new(self.seed, "synthetic/arrivals");
@@ -176,7 +180,7 @@ impl SyntheticConfig {
         Draws {
             label: format!("synthetic({:?})", self.weights),
             n_file_sets: self.n_file_sets,
-            duration: SimDuration::from_secs_f64(duration_secs),
+            duration,
             len: self.total_requests as usize,
             // A Poisson process conditioned on N arrivals in [0, T) has its
             // arrivals i.i.d. uniform — draw them directly, which both
@@ -264,19 +268,22 @@ mod tests {
             duration_secs: 100.0,
             weights: WeightDist::Constant,
             mean_cost_secs: 0.01,
-            cost: CostModel::UniformSpread { spread: 0.2 },
+            cost: CostModel::UniformSpread,
             seed: 1,
         }
         .generate();
-        assert!(w.requests.iter().all(|r| r.arrival.as_secs_f64() < 100.0));
-        assert!(w.requests.windows(2).all(|p| p[0].arrival <= p[1].arrival));
+        assert!(w.requests.iter().all(|r| r.arrival().as_secs_f64() < 100.0));
+        assert!(w
+            .requests
+            .windows(2)
+            .all(|p| p[0].arrival() <= p[1].arrival()));
     }
 
     #[test]
     fn cost_models() {
         let mut r = RngStream::new(1, "c");
         for _ in 0..100 {
-            let u = CostModel::UniformSpread { spread: 0.2 }.sample(1.0, &mut r);
+            let u = CostModel::UniformSpread.sample(1.0, &mut r);
             let s = u.as_secs_f64();
             assert!((0.8..=1.2).contains(&s), "{s}");
         }
@@ -304,13 +311,94 @@ mod tests {
         // The largest mean each model may have, and one µs more.
         let limit = (1u64 << 32) as f64 / 1e6;
         for (cost, top) in [
-            (CostModel::UniformSpread { spread: 0.2 }, 1.2),
+            (CostModel::UniformSpread, 1.2),
             (CostModel::Pareto { alpha: 1.5 }, 100.0),
         ] {
             let fits = (limit - 1e-6) / top;
             assert_costs_fit(cost, fits);
             let refused = std::panic::catch_unwind(|| assert_costs_fit(cost, (limit + 1e-6) / top));
             assert!(refused.is_err(), "{cost:?}");
+        }
+    }
+
+    #[test]
+    fn generators_take_only_set_counts_and_durations_a_request_holds() {
+        use crate::{DfsLikeConfig, StormConfig, StormKind};
+        // The latest duration a request holds: every draw lands at or
+        // before it, through the synthetic draws, both storm paths (the
+        // warp and the phased draws) and the DFSTrace-like sampler.
+        let last = ((1u64 << 40) - 1) as f64 / 1e6;
+        let base = SyntheticConfig {
+            n_file_sets: 5,
+            total_requests: 1_000,
+            duration_secs: last,
+            weights: WeightDist::Constant,
+            mean_cost_secs: 0.01,
+            cost: CostModel::UniformSpread,
+            seed: 2,
+        };
+        let storm = |kind| StormConfig {
+            kind,
+            intensity: 1.0,
+            base,
+        };
+        let dfs = DfsLikeConfig {
+            duration_secs: last,
+            ..DfsLikeConfig::paper(2)
+        };
+        for w in [
+            base.generate(),
+            storm(StormKind::FlashCrowd).generate(),
+            storm(StormKind::Adversarial).generate(),
+            dfs.generate(),
+        ] {
+            assert_eq!(w.duration_us, (1 << 40) - 1, "{}", w.label);
+            assert!(w.requests.iter().all(|r| r.arrival().0 < 1 << 40));
+        }
+        // One µs more, or one file set more than a request indexes, is
+        // refused before anything is drawn.
+        let too_long = (1u64 << 40) as f64 / 1e6;
+        let generate = |what: &str, n_file_sets, duration_secs| {
+            let base = SyntheticConfig {
+                n_file_sets,
+                duration_secs,
+                ..base
+            };
+            match what {
+                "synthetic" => base.generate(),
+                "phased storm" => StormConfig {
+                    kind: StormKind::PopularityShift,
+                    intensity: 1.0,
+                    base,
+                }
+                .generate(),
+                _ => DfsLikeConfig {
+                    n_file_sets,
+                    duration_secs,
+                    ..DfsLikeConfig::paper(2)
+                }
+                .generate(),
+            }
+        };
+        for what in ["synthetic", "phased storm", "dfstrace-like"] {
+            for (n_file_sets, duration_secs, bound) in [
+                (
+                    5,
+                    too_long,
+                    "duration_us 1099511627776 is not below 2^40 µs",
+                ),
+                ((1 << 24) + 1, 10.0, "n_file_sets 16777217 exceeds 2^24"),
+            ] {
+                let refused = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    generate(what, n_file_sets, duration_secs)
+                }))
+                .expect_err(what);
+                let why = refused
+                    .downcast_ref::<String>()
+                    .cloned()
+                    .unwrap_or_default();
+                assert!(why.contains(bound), "{what}: {why}");
+            }
         }
     }
 
@@ -364,10 +452,7 @@ mod tests {
             WeightDist::PowerOfUniform { alpha: 1000.0 },
             WeightDist::GeometricSpread { ratio: 150.0 },
         ];
-        let costs = [
-            CostModel::UniformSpread { spread: 0.2 },
-            CostModel::Pareto { alpha: 1.5 },
-        ];
+        let costs = [CostModel::UniformSpread, CostModel::Pareto { alpha: 1.5 }];
         let cfg = |weights, cost, total_requests, duration_secs| SyntheticConfig {
             n_file_sets: 60,
             total_requests,

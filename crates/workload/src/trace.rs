@@ -4,8 +4,9 @@
 //! policies (and across machines) run against byte-identical traces. The
 //! format is a `#` header carrying the label, set count and duration, then
 //! one `arrival_us,file_set,cost_us` line per request. The reader refuses
-//! a `file_set` or a `cost_us` at or above 2^32, which a [`Request`] cannot
-//! hold, and names its line.
+//! what a [`Request`] cannot hold, and names its line: an `arrival_us` at or
+//! above 2^40, a `file_set` at or above 2^24, or a `cost_us` at or above
+//! 2^32.
 
 use crate::request::{indexable_set_count, Request, Workload};
 use anu_core::FileSetId;
@@ -53,7 +54,7 @@ pub fn write_csv<W: Write>(w: &Workload, out: W) -> Result<(), TraceError> {
     writeln!(out, "# duration_us: {}", w.duration_us)?;
     writeln!(out, "arrival_us,file_set,cost_us")?;
     for r in w.requests.iter() {
-        writeln!(out, "{},{},{}", r.arrival.0, r.file_set().0, r.cost().0)?;
+        writeln!(out, "{},{},{}", r.arrival().0, r.file_set().0, r.cost().0)?;
     }
     out.flush()?;
     Ok(())
@@ -65,10 +66,10 @@ pub fn read_csv<R: BufRead>(input: R) -> Result<Workload, TraceError> {
     let mut n_file_sets = 0usize;
     let mut duration_us = 0u64;
     let mut requests = Vec::new();
-    // Largest file-set id and arrival, each with its 1-based line, for
-    // inferring the header fields the input leaves out.
+    // Largest file-set id, with its 1-based line, and largest arrival, for
+    // checking and inferring the header fields.
     let mut max_fs = (0u64, 0usize);
-    let mut max_arrival = (0u64, 0usize);
+    let mut max_arrival = 0u64;
 
     for (i, line) in input.lines().enumerate() {
         let line = line?;
@@ -127,28 +128,22 @@ pub fn read_csv<R: BufRead>(input: R) -> Result<Workload, TraceError> {
             },
         )?;
         max_fs = max_fs.max((fs, lineno));
-        max_arrival = max_arrival.max((arrival, lineno));
+        max_arrival = max_arrival.max(arrival);
         requests.push(request);
     }
+    // Every set is below 2^24 and every arrival below 2^40, so the counts
+    // inferred from them cannot overflow and the set count is indexable.
     let (fs, line) = max_fs;
     if n_file_sets == 0 {
-        // Every set is below 2^32, so the inferred count is indexable.
-        n_file_sets = usize::try_from(fs + 1).map_err(|_| TraceError::Parse {
-            line,
-            message: format!("file_set {fs} is too large to infer n_file_sets"),
-        })?;
-    } else if usize::try_from(fs).map_or(true, |fs| fs >= n_file_sets) {
+        n_file_sets = fs as usize + 1;
+    } else if fs as usize >= n_file_sets {
         return Err(TraceError::Parse {
             line,
             message: format!("file_set {fs} is not below n_file_sets {n_file_sets}"),
         });
     }
     if duration_us == 0 {
-        let (arrival, line) = max_arrival;
-        duration_us = arrival.checked_add(1).ok_or_else(|| TraceError::Parse {
-            line,
-            message: format!("arrival_us {arrival} is too large to infer duration_us"),
-        })?;
+        duration_us = max_arrival + 1;
     }
     Ok(Workload::new(
         label,
@@ -172,7 +167,7 @@ mod tests {
             duration_secs: 10.0,
             weights: WeightDist::Constant,
             mean_cost_secs: 0.01,
-            cost: CostModel::UniformSpread { spread: 0.2 },
+            cost: CostModel::UniformSpread,
             seed: 3,
         }
         .generate()
@@ -226,42 +221,55 @@ mod tests {
         for (csv, bad_line) in [
             ("# n_file_sets: 18446744073709551615\n0,0,1\n", 1),
             ("# n_file_sets: 4000000000000\n0,0,1\n", 1),
+            ("# n_file_sets: 16777217\n0,0,1\n", 1),
             ("0,0,1\n1,3999999999999,1\n", 2),
             ("0,4294967296,1\n", 1),
+            ("0,16777216,1\n", 1),
         ] {
             match read_csv(csv.as_bytes()).unwrap_err() {
                 TraceError::Parse { line, message } => {
                     assert_eq!(line, bad_line, "{csv}");
-                    assert!(message.contains("2^32"), "{message}");
+                    assert!(message.contains("2^24"), "{message}");
                 }
                 other => panic!("wrong error: {other}"),
             }
         }
-        // The largest indexable set still reads.
-        let w = read_csv("0,4294967295,1\n".as_bytes()).unwrap();
-        assert_eq!(w.n_file_sets, 1 << 32);
+        // The largest indexable set still reads, as does its count.
+        let w = read_csv("0,16777215,1\n".as_bytes()).unwrap();
+        assert_eq!(w.n_file_sets, 1 << 24);
+        assert_eq!(w.requests[0].file_set(), FileSetId((1 << 24) - 1));
+        let w = read_csv("# n_file_sets: 16777216\n0,0,1\n".as_bytes()).unwrap();
+        assert_eq!(w.n_file_sets, 1 << 24);
     }
 
     #[test]
     fn csv_rejects_costs_and_sets_a_request_cannot_hold() {
-        for (csv, bad_line, what) in [
-            ("0,0,1\n5,1,4294967296\n", 2, "cost_us 4294967296"),
+        for (csv, bad_line, what, bound) in [
+            ("0,0,1\n5,1,4294967296\n", 2, "cost_us 4294967296", "2^32"),
             (
                 "0,0,18446744073709551615\n",
                 1,
                 "cost_us 18446744073709551615",
+                "2^32",
             ),
             (
                 "# n_file_sets: 3\n0,0,1\n1,4294967296,1\n",
                 3,
                 "file_set 4294967296",
+                "2^24",
+            ),
+            (
+                "# n_file_sets: 3\n0,0,1\n1,16777216,1\n",
+                3,
+                "file_set 16777216",
+                "2^24",
             ),
         ] {
             match read_csv(csv.as_bytes()).unwrap_err() {
                 TraceError::Parse { line, message } => {
                     assert_eq!(line, bad_line, "{csv}");
                     assert!(message.contains(what), "{message}");
-                    assert!(message.contains("2^32"), "{message}");
+                    assert!(message.contains(bound), "{message}");
                 }
                 other => panic!("wrong error: {other}"),
             }
@@ -273,14 +281,26 @@ mod tests {
 
     #[test]
     fn csv_rejects_arrival_too_large_for_a_duration() {
-        let err = read_csv("18446744073709551615,0,1\n".as_bytes()).unwrap_err();
-        match err {
-            TraceError::Parse { line, message } => {
-                assert_eq!(line, 1);
-                assert!(message.contains("duration_us"), "{message}");
+        // An arrival a request cannot hold is refused at its line, before
+        // any duration is inferred from it.
+        for (csv, bad_line) in [
+            ("18446744073709551615,0,1\n", 1),
+            ("0,0,1\n1099511627776,0,1\n", 2),
+            ("# duration_us: 5\n0,0,1\n1099511627776,0,1\n", 3),
+        ] {
+            match read_csv(csv.as_bytes()).unwrap_err() {
+                TraceError::Parse { line, message } => {
+                    assert_eq!(line, bad_line, "{csv}");
+                    assert!(message.contains("not below 2^40 µs"), "{message}");
+                }
+                other => panic!("wrong error: {other}"),
             }
-            other => panic!("wrong error: {other}"),
         }
+        // The latest arrival a request holds still reads, and the duration
+        // inferred from it is one µs later.
+        let w = read_csv("0,0,1\n1099511627775,0,1\n".as_bytes()).unwrap();
+        assert_eq!(w.requests[1].arrival(), SimTime((1 << 40) - 1));
+        assert_eq!(w.duration_us, 1 << 40);
     }
 
     #[test]

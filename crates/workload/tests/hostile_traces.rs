@@ -5,11 +5,13 @@
 //! synthetic workload as CSV and mutates the bytes with a seeded generator
 //! (also without the header, so the reader infers the set count):
 //! truncation at a random byte, single bit flips, splices of two cuts, a
-//! number replaced by a random `u64` or by 2^32 - 1 or 2^32 (the largest
-//! set index and cost in µs that a request holds, and one more), and a
-//! 100,000-bracket wrap. Every mutant must return `Ok` or `Err` without
-//! panicking, and every `Ok` must satisfy `file_set < n_file_sets <= 2^32`
-//! and write back as CSV that reads as the same workload. The invariant is
+//! number replaced by a random `u64` or by a number at one of a request's
+//! three edges, 2^24 - 1 or 2^24, 2^32 - 1 or 2^32, and 2^40 - 1 or 2^40
+//! (the largest set index, cost in µs and arrival in µs a request holds,
+//! and one more), and a 100,000-bracket wrap. Every mutant must return
+//! `Ok` or `Err` without panicking, and every `Ok` must satisfy
+//! `file_set < n_file_sets <= 2^24` and `arrival < 2^40` µs and write back
+//! as CSV that reads as the same workload. The invariant is
 //! checked directly rather than through `Workload::stats`, so memory stays
 //! bounded whatever count a mutant claims.
 
@@ -20,8 +22,9 @@ use std::panic;
 /// Mutants per kind and format.
 const ROUNDS: usize = 200;
 
-/// The simulator indexes file sets as `u32`.
-const MAX_FILE_SETS: u64 = 1 << 32;
+/// A request holds its set's index in 24 bits and its arrival in 40.
+const MAX_FILE_SETS: u64 = 1 << 24;
+const ARRIVAL_LIMIT: u64 = 1 << 40;
 
 fn lossy(bytes: &[u8]) -> String {
     String::from_utf8_lossy(bytes).into_owned()
@@ -54,9 +57,11 @@ fn mutants(text: &str, rng: &mut RngStream) -> Vec<String> {
         let number = rng.next_u64() >> rng.index(64);
         out.push(format!("{}{number}{}", &text[..start], &text[end..]));
 
-        // A number at the edge of what a request holds as a set or a cost.
+        // A number at the edge of what a request holds as a set, a cost
+        // or an arrival.
         let (start, end) = numbers[rng.index(numbers.len())];
-        let number = (1u64 << 32) - 1 + rng.index(2) as u64;
+        let bits = [24, 32, 40][rng.index(3)];
+        let number = (1u64 << bits) - 1 + rng.index(2) as u64;
         out.push(format!("{}{number}{}", &text[..start], &text[end..]));
     }
     let deep = 100_000;
@@ -118,6 +123,10 @@ fn mutated_traces_never_panic_and_stay_indexable() {
                     let top = w.requests.iter().map(|r| r.file_set().0).max();
                     if n > MAX_FILE_SETS || top.is_some_and(|id| id >= n) {
                         failures.push(format!("{format} mutant {k}: {n} sets, top id {top:?}"));
+                    }
+                    let last = w.requests.iter().map(|r| r.arrival().0).max();
+                    if last.is_some_and(|t| t >= ARRIVAL_LIMIT) {
+                        failures.push(format!("{format} mutant {k}: arrival {last:?}"));
                     }
                     if let Err(why) = round_trips(&w) {
                         failures.push(format!("{format} mutant {k}: {why}"));

@@ -25,7 +25,7 @@ fn synthetic_hits_exact_budget() {
             duration_secs: duration,
             weights: WeightDist::PowerOfUniform { alpha: 100.0 },
             mean_cost_secs: 0.1,
-            cost: CostModel::UniformSpread { spread: 0.2 },
+            cost: CostModel::UniformSpread,
             seed,
         }
         .generate();
@@ -33,11 +33,13 @@ fn synthetic_hits_exact_budget() {
         assert!(
             w.requests
                 .iter()
-                .all(|r| r.arrival.as_secs_f64() < duration),
+                .all(|r| r.arrival().as_secs_f64() < duration),
             "case {case}"
         );
         assert!(
-            w.requests.windows(2).all(|p| p[0].arrival <= p[1].arrival),
+            w.requests
+                .windows(2)
+                .all(|p| p[0].arrival() <= p[1].arrival()),
             "case {case}"
         );
         assert!(
@@ -61,7 +63,7 @@ fn offered_load_calibration_is_accurate() {
             duration_secs: 1_000.0,
             weights: WeightDist::Constant,
             mean_cost_secs: 0.0,
-            cost: CostModel::UniformSpread { spread: 0.2 },
+            cost: CostModel::UniformSpread,
             seed,
         }
         .with_offered_load(rho, 25.0)
@@ -113,7 +115,7 @@ fn csv_roundtrip_any_workload() {
             duration_secs: 60.0,
             weights: WeightDist::GeometricSpread { ratio: 100.0 },
             mean_cost_secs: 0.05,
-            cost: CostModel::UniformSpread { spread: 0.2 },
+            cost: CostModel::UniformSpread,
             seed,
         }
         .generate();
@@ -160,7 +162,7 @@ fn window_demands_partition_total() {
             duration_secs: 100.0,
             weights: WeightDist::PowerOfUniform { alpha: 30.0 },
             mean_cost_secs: 0.02,
-            cost: CostModel::UniformSpread { spread: 0.2 },
+            cost: CostModel::UniformSpread,
             seed,
         }
         .generate();

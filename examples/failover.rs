@@ -36,7 +36,7 @@ fn main() {
         duration_secs: 3_600.0,
         weights: WeightDist::PowerOfUniform { alpha: 50.0 },
         mean_cost_secs: 0.0,
-        cost: CostModel::UniformSpread { spread: 0.2 },
+        cost: CostModel::UniformSpread,
         seed: 7,
     }
     .with_offered_load(0.45, cluster.total_speed())

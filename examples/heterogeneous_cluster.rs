@@ -22,7 +22,7 @@ fn main() {
         duration_secs: 4_000.0,
         weights: WeightDist::PowerOfUniform { alpha: 200.0 },
         mean_cost_secs: 0.0, // set below via offered load
-        cost: CostModel::UniformSpread { spread: 0.2 },
+        cost: CostModel::UniformSpread,
         seed: 2024,
     }
     .with_offered_load(0.5, cluster.total_speed())

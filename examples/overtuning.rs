@@ -22,7 +22,7 @@ fn run_with(tuning: TuningConfig, label: &str) -> anu::cluster::RunResult {
         duration_secs: 6_000.0,
         weights: WeightDist::PowerOfUniform { alpha: 500.0 },
         mean_cost_secs: 0.0,
-        cost: CostModel::UniformSpread { spread: 0.2 },
+        cost: CostModel::UniformSpread,
         seed: 11,
     }
     .with_offered_load(0.5, cluster.total_speed())

@@ -14,7 +14,7 @@
 //! and rebalances — all through the same public API the file system uses,
 //! with names as plain strings.
 
-use anu::core::{LoadReport, PlacementMap, ServerId, Tuner, TuningConfig};
+use anu::core::{LoadReport, PlacementMap, ServerId, SharePlanner, Tuner, TuningConfig};
 use std::collections::BTreeMap;
 
 /// Closed-loop latency model: response time grows with load per capacity.

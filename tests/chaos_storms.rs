@@ -39,7 +39,7 @@ fn storm_workload(seed: u64) -> anu::workload::Workload {
         duration_secs: HORIZON_SECS,
         weights: WeightDist::PowerOfUniform { alpha: 50.0 },
         mean_cost_secs: 0.5,
-        cost: CostModel::UniformSpread { spread: 0.2 },
+        cost: CostModel::UniformSpread,
         seed,
     }
     .generate()

@@ -18,7 +18,7 @@ fn skewed_workload(seed: u64, requests: u64, duration: f64) -> Workload {
         duration_secs: duration,
         weights: WeightDist::PowerOfUniform { alpha: 200.0 },
         mean_cost_secs: 0.0,
-        cost: CostModel::UniformSpread { spread: 0.2 },
+        cost: CostModel::UniformSpread,
         seed,
     }
     .with_offered_load(0.5, cluster.total_speed())
@@ -160,7 +160,7 @@ fn homogeneous_cluster_anu_beats_simple_randomization() {
         duration_secs: 3_000.0,
         weights: WeightDist::Constant,
         mean_cost_secs: 0.0,
-        cost: CostModel::UniformSpread { spread: 0.2 },
+        cost: CostModel::UniformSpread,
         seed: 6,
     }
     .with_offered_load(0.75, cluster.total_speed())

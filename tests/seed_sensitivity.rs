@@ -44,7 +44,7 @@ fn assert_workload_seeded(name: &str, generate: impl Fn(u64) -> Workload) {
         counts
     });
     assert_seeded(&format!("{name}/arrivals"), |seed| {
-        sorted(seed, |r| r.arrival.0)
+        sorted(seed, |r| r.arrival().0)
     });
     assert_seeded(&format!("{name}/costs"), |seed| {
         sorted(seed, |r| r.cost().0)
@@ -58,7 +58,7 @@ fn synthetic(seed: u64) -> SyntheticConfig {
         duration_secs: 100.0,
         weights: WeightDist::PowerOfUniform { alpha: 100.0 },
         mean_cost_secs: 0.1,
-        cost: CostModel::UniformSpread { spread: 0.2 },
+        cost: CostModel::UniformSpread,
         seed,
     }
 }
