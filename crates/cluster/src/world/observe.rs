@@ -91,16 +91,16 @@ pub(super) fn registry(n_servers: usize) -> Registry {
 /// 128 µs and more.
 const LINE_FIRST_BUCKET: usize = 8;
 
-/// One file set's latency counts while the run lasts, in one 64-byte
-/// line: `counts[i]` counts the latencies in [`LogHistogram`] bucket
-/// `LINE_FIRST_BUCKET + i`, so the line covers 128 µs to 2^39 − 1 µs
-/// (about 6.4 days).
+/// One file set's latency counts while the run lasts, in 32 bytes (half
+/// a cache line): `counts[i]` counts the latencies in [`LogHistogram`]
+/// bucket `LINE_FIRST_BUCKET + i`, so the line covers 128 µs to
+/// 2^39 − 1 µs (about 6.4 days).
 #[derive(Clone, Copy, Default)]
-#[repr(align(64))]
+#[repr(align(32))]
 struct SetLine {
-    counts: [u16; 32],
+    counts: [u8; 32],
 }
-const _: () = assert!(size_of::<SetLine>() == 64);
+const _: () = assert!(size_of::<SetLine>() == 32);
 
 /// Per-file-set latency histograms (µs), held as one line of counts per
 /// set until the end of the run.
@@ -108,15 +108,15 @@ const _: () = assert!(size_of::<SetLine>() == 64);
 /// Full histograms (520 bytes each) for tens of thousands of sets far
 /// outgrow the cache, so recording each completion straight into its
 /// set's histogram costs a cache miss or two per request, and the boxes
-/// sit beside the run's deepest queues. A set's line instead holds `u16`
+/// sit beside the run's deepest queues. A set's line instead holds `u8`
 /// counts for the 32 buckets from 128 µs to about 6.4 days, where every
-/// latency of the benchmark's runs falls, so the lines of 25,000 sets
-/// take 1.6 MB, inside a core's L2. A record its line cannot
+/// latency of the benchmark's runs falls, so two sets share a cache line
+/// and the lines of 25,000 sets take 800 KB. A record its line cannot
 /// take — a latency outside the line's buckets, or a count that would
-/// pass `u16::MAX` — spills into the set's full histogram, made at its
-/// first spill. [`SetLatency::into_hists`] adds each line to its set's
-/// spills; counts commute, so the histograms equal per-completion
-/// recording.
+/// pass `u8::MAX` — spills into the set's full histogram, made at its
+/// first spill, so a set spills once per 256 records in one bucket.
+/// [`SetLatency::into_hists`] adds each line to its set's spills; counts
+/// commute, so the histograms equal per-completion recording.
 #[derive(Default)]
 pub(super) struct SetLatency {
     lines: Vec<SetLine>,
@@ -138,7 +138,7 @@ impl SetLatency {
         let bucket = LogHistogram::bucket_of(latency_us);
         let line = &mut self.lines[set as usize];
         match line_slot(line, bucket) {
-            Some(count) if *count < u16::MAX => *count += 1,
+            Some(count) if *count < u8::MAX => *count += 1,
             _ => self.spill(set, bucket),
         }
     }
@@ -175,7 +175,7 @@ impl SetLatency {
 
 /// The count `line` keeps for `bucket`, if the line covers the bucket.
 #[inline]
-fn line_slot(line: &mut SetLine, bucket: usize) -> Option<&mut u16> {
+fn line_slot(line: &mut SetLine, bucket: usize) -> Option<&mut u8> {
     bucket
         .checked_sub(LINE_FIRST_BUCKET)
         .and_then(|i| line.counts.get_mut(i))

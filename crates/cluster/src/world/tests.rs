@@ -315,18 +315,21 @@ fn per_set_histograms_match_the_request_trace() {
 
 #[test]
 fn set_latency_lines_match_direct_recording() {
-    // Set 0 takes 70,000 records in one bucket, past what a line's `u16`
-    // count holds; set 1 takes none; set 2 takes latencies below the
-    // line's 128 µs, at and past its 2^39 µs, and inside it; sets 2-4
+    // Set 0 takes 70,000 records in one bucket, far past what a line's
+    // `u8` count holds; sets 5-8 take 255, 256, 511 and 512, at and
+    // around its spills; set 1 takes none; set 2 takes latencies below
+    // the line's 128 µs, at and past its 2^39 µs, and inside it; sets 2-4
     // then share a seeded stream over every magnitude.
-    let mut lines = SetLatency::new(5);
-    let mut want = vec![LogHistogram::new(); 5];
+    let mut lines = SetLatency::new(9);
+    let mut want = vec![LogHistogram::new(); 9];
     let mut record = |set: u32, us: u64| {
         lines.record(set, us);
         want[set as usize].record(us);
     };
-    for _ in 0..70_000 {
-        record(0, 1_000);
+    for (set, n) in [(0, 70_000), (5, 255), (6, 256), (7, 511), (8, 512)] {
+        for _ in 0..n {
+            record(set, 1_000);
+        }
     }
     for us in [0, 1, 127, 128, 255, 5_000, (1 << 39) - 1, 1 << 39, u64::MAX] {
         record(2, us);
@@ -337,11 +340,15 @@ fn set_latency_lines_match_direct_recording() {
         record(set, rng.next_u64() >> rng.index(64));
     }
     let got = lines.into_hists();
-    assert_eq!(got.len(), 5);
+    assert_eq!(got.len(), 9);
     for (i, (g, w)) in got.iter().zip(&want).enumerate() {
         assert_eq!(**g, *w, "set {i}");
     }
-    assert_eq!(got[0].count(), 70_000);
+    let counts: Vec<u64> = got.iter().map(|h| h.count()).collect();
+    assert_eq!(
+        [counts[0], counts[5], counts[6], counts[7], counts[8]],
+        [70_000, 255, 256, 511, 512]
+    );
     assert_eq!(*got[1], LogHistogram::new());
 }
 

@@ -3,16 +3,16 @@
 //! Events are ordered by `(time, sequence)` where the sequence number is
 //! assigned at scheduling time, so simultaneous events fire in the order
 //! they were scheduled — deterministic replay regardless of queue internals.
-//! Cancellation is supported through tombstones (the handle marks the entry
-//! dead; the queue lazily discards dead entries on pop), which is O(1) and
-//! keeps the hot path allocation-free.
 //!
-//! Liveness is tracked in a bit vector indexed by sequence number: one bit
-//! test-and-clear per schedule/cancel/pop, instead of an ordered-set
-//! insert/remove on the per-event path. Sequence numbers are dense (they
-//! count up from zero), so the bitmap stays compact — one bit per event
-//! ever scheduled — and the pop order is exactly the `(time, seq)` total
-//! order regardless of the bookkeeping structure.
+//! Cancellation leaves a tombstone: the cancelled event's seq, kept until
+//! its queue entry reaches the front and is dropped there. Only cancelled
+//! events carry any bookkeeping, so the calendar holds O(pending) memory
+//! and a pop with no tombstone queued pays one emptiness check. A cancel
+//! scans the queue for its seq, O(pending): the cluster world cancels
+//! only when a server goes down or a slowdown is replaced, a few hundred
+//! times a run at most. The counters are derived: every scheduled event
+//! is pending, fired or cancelled, so `fired` is what the other three
+//! leave.
 //!
 //! The queue is one `std::collections::BinaryHeap` of `(time, seq)`
 //! entries with payloads inline, O(log n) schedule/pop, plus one entry
@@ -29,6 +29,7 @@
 use crate::time::SimTime;
 use std::cmp::Ordering;
 use std::collections::binary_heap::BinaryHeap;
+use std::collections::BTreeSet;
 
 /// Handle to a scheduled event, usable to cancel it.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -74,14 +75,12 @@ pub struct Calendar<E> {
     side: Option<Entry<E>>,
     heap: BinaryHeap<Entry<E>>,
     now: SimTime,
+    /// The next seq to assign, which is also the number of events ever
+    /// scheduled.
     next_seq: u64,
-    /// One liveness bit per seq ever assigned: set while the event is
-    /// scheduled and neither fired nor cancelled.
-    live: Vec<u64>,
-    /// Number of set bits in `live`.
-    live_count: usize,
-    scheduled: u64,
-    fired: u64,
+    /// Tombstones: the seqs of cancelled events whose entries are still
+    /// queued, each dropped with its entry when that entry pops.
+    dead: BTreeSet<u64>,
     cancelled: u64,
     max_pending: usize,
 }
@@ -115,27 +114,9 @@ impl<E> Calendar<E> {
             heap: BinaryHeap::new(),
             now: SimTime::ZERO,
             next_seq: 0,
-            live: Vec::new(),
-            live_count: 0,
-            scheduled: 0,
-            fired: 0,
+            dead: BTreeSet::new(),
             cancelled: 0,
             max_pending: 0,
-        }
-    }
-
-    /// Test-and-clear the liveness bit for `seq`. Returns whether it was
-    /// set (i.e. the event was still pending).
-    #[inline]
-    fn take_live(&mut self, seq: u64) -> bool {
-        let (word, bit) = (seq as usize / 64, seq % 64);
-        match self.live.get_mut(word) {
-            Some(w) if *w & (1 << bit) != 0 => {
-                *w &= !(1 << bit);
-                self.live_count -= 1;
-                true
-            }
-            _ => false,
         }
     }
 
@@ -145,16 +126,20 @@ impl<E> Calendar<E> {
         self.now
     }
 
-    /// Number of live events still pending.
+    /// Number of live events still pending: the queued entries less
+    /// their tombstones.
     pub fn pending(&self) -> usize {
-        self.live_count
+        self.heap.len() + usize::from(self.side.is_some()) - self.dead.len()
     }
 
     /// Full lifetime statistics, including the pending high-water mark.
+    /// Every scheduled event is pending, fired or cancelled, so the fired
+    /// count is what the other three leave.
     pub fn stats(&self) -> CalendarStats {
+        let scheduled = self.next_seq;
         CalendarStats {
-            scheduled: self.scheduled,
-            fired: self.fired,
+            scheduled,
+            fired: scheduled - self.pending() as u64 - self.cancelled,
             cancelled: self.cancelled,
             max_pending: self.max_pending as u64,
         }
@@ -170,14 +155,6 @@ impl<E> Calendar<E> {
         let at = at.max(self.now);
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.scheduled += 1;
-        let word = seq as usize / 64;
-        if word >= self.live.len() {
-            self.live.resize(word + 1, 0);
-        }
-        self.live[word] |= 1 << (seq % 64);
-        self.live_count += 1;
-        self.max_pending = self.max_pending.max(self.live_count);
         let e = Entry {
             time: at,
             seq,
@@ -188,20 +165,31 @@ impl<E> Calendar<E> {
         } else {
             self.heap.push(e);
         }
+        self.max_pending = self.max_pending.max(self.pending());
         EventHandle(seq)
     }
 
     /// Cancel a previously scheduled event. Returns whether the event was
-    /// still pending (false if it already fired or was cancelled). The
-    /// queue entry becomes a tombstone, lazily discarded on pop.
+    /// still pending (false if it already fired or was cancelled). Its
+    /// queue entry stays, under a tombstone, until it pops; finding the
+    /// entry scans the queue, O(pending).
     pub fn cancel(&mut self, h: EventHandle) -> bool {
-        let was_live = self.take_live(h.0);
-        self.cancelled += u64::from(was_live);
-        was_live
+        let queued = !self.dead.contains(&h.0)
+            && self
+                .side
+                .iter()
+                .chain(self.heap.iter())
+                .any(|e| e.seq == h.0);
+        if queued {
+            self.dead.insert(h.0);
+            self.cancelled += 1;
+        }
+        queued
     }
 
     /// Pop the earliest live event, advancing the clock to its time.
-    /// Tombstones met on the way are dropped, from either place.
+    /// Entries met on the way under a tombstone are dropped with it, from
+    /// either place.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
         loop {
             // `Entry`'s order is reversed for the max-heap: greater is
@@ -210,12 +198,12 @@ impl<E> Calendar<E> {
                 Some(s) if self.heap.peek().is_none_or(|h| s > h) => self.side.take(),
                 _ => self.heap.pop(),
             }?;
-            if self.take_live(e.seq) {
-                debug_assert!(e.time >= self.now);
-                self.now = e.time;
-                self.fired += 1;
-                return Some((e.time, e.payload));
+            if !self.dead.is_empty() && self.dead.remove(&e.seq) {
+                continue;
             }
+            debug_assert!(e.time >= self.now);
+            self.now = e.time;
+            return Some((e.time, e.payload));
         }
     }
 }
@@ -269,9 +257,12 @@ mod tests {
     fn cancel_fired_handle_is_noop() {
         let mut c = Calendar::new();
         let h = c.schedule(SimTime(1), ());
-        c.pop();
+        c.schedule(SimTime(2), ());
+        assert_eq!(c.pop(), Some((SimTime(1), ())));
         assert!(!c.cancel(h));
-        assert_eq!(c.pending(), 0);
+        let s = c.stats();
+        assert_eq!((s.scheduled, s.fired, s.cancelled), (2, 1, 0));
+        assert_eq!(c.pending(), 1);
     }
 
     #[test]
@@ -297,6 +288,57 @@ mod tests {
             (s.scheduled, s.fired, s.cancelled, s.max_pending),
             (3, 1, 1, 3)
         );
+    }
+
+    #[test]
+    fn cancel_side_entry() {
+        // The first schedule fills the place beside the heap; cancelling
+        // it leaves the heap's event to pop first.
+        let mut c = Calendar::new();
+        let side = c.schedule(SimTime(1), "side");
+        c.schedule(SimTime(2), "heap");
+        assert!(c.cancel(side));
+        assert_eq!(c.pending(), 1);
+        assert_eq!(c.pop(), Some((SimTime(2), "heap")));
+        assert_eq!(c.pop(), None);
+        assert_eq!(c.stats().cancelled, 1);
+    }
+
+    #[test]
+    fn cancel_after_tombstone_popped_counts_once() {
+        // The cancelled entry is dropped, with its tombstone, by the pop
+        // that reaches it; a second cancel then finds neither.
+        let mut c = Calendar::new();
+        c.schedule(SimTime(1), "a");
+        let h = c.schedule(SimTime(2), "dead");
+        c.schedule(SimTime(3), "b");
+        assert!(c.cancel(h));
+        assert_eq!(c.pop(), Some((SimTime(1), "a")));
+        assert_eq!(c.pop(), Some((SimTime(3), "b")));
+        assert!(!c.cancel(h));
+        let s = c.stats();
+        assert_eq!((s.scheduled, s.fired, s.cancelled), (3, 2, 1));
+        assert_eq!(c.pending(), 0);
+    }
+
+    #[test]
+    fn fired_excludes_queued_tombstones() {
+        // Two tombstones wait behind the live events: they are neither
+        // pending nor fired, and stay so until their entries pop.
+        let mut c = Calendar::new();
+        let hs: Vec<_> = (0..5u64).map(|i| c.schedule(SimTime(i), i)).collect();
+        assert!(c.cancel(hs[3]));
+        assert!(c.cancel(hs[4]));
+        assert_eq!(c.pop(), Some((SimTime(0), 0)));
+        let s = c.stats();
+        assert_eq!((s.scheduled, s.fired, s.cancelled), (5, 1, 2));
+        assert_eq!(c.pending(), 2);
+        assert_eq!(c.pop(), Some((SimTime(1), 1)));
+        assert_eq!(c.pop(), Some((SimTime(2), 2)));
+        assert_eq!(c.pop(), None);
+        let s = c.stats();
+        assert_eq!((s.fired, s.cancelled, s.max_pending), (3, 2, 5));
+        assert_eq!(c.pending(), 0);
     }
 
     #[test]

@@ -179,6 +179,13 @@ impl Bucket {
 pub struct TimeSeries {
     width: SimDuration,
     buckets: Vec<Bucket>,
+    /// The bucket the last sample fell in, and the times `[lo, hi)` it
+    /// takes (the last bucket's `hi` is `u64::MAX`). A server records its
+    /// completions in time order, so most samples land where the last one
+    /// did and find their bucket without a division.
+    cursor: usize,
+    lo: u64,
+    hi: u64,
 }
 
 impl TimeSeries {
@@ -186,9 +193,13 @@ impl TimeSeries {
     pub fn new(width: SimDuration, horizon: SimDuration) -> Self {
         assert!(width.0 > 0, "zero bucket width");
         let n = horizon.0.div_ceil(width.0) as usize;
+        // An empty span: the first sample seeks its bucket.
         TimeSeries {
             width,
             buckets: vec![Bucket::default(); n.max(1)],
+            cursor: 0,
+            lo: 0,
+            hi: 0,
         }
     }
 
@@ -196,10 +207,24 @@ impl TimeSeries {
     /// last bucket (the horizon is chosen to cover the run, so this only
     /// catches stragglers completing just after the end).
     pub fn record(&mut self, t: SimTime, value: f64) {
-        let idx = ((t.0 / self.width.0) as usize).min(self.buckets.len() - 1);
-        let b = &mut self.buckets[idx];
+        if !(self.lo..self.hi).contains(&t.0) {
+            self.seek(t.0);
+        }
+        let b = &mut self.buckets[self.cursor];
         b.sum += value;
         b.count += 1;
+    }
+
+    /// Point the cursor at the bucket that takes time `t`.
+    fn seek(&mut self, t: u64) {
+        let last = self.buckets.len() - 1;
+        self.cursor = ((t / self.width.0) as usize).min(last);
+        self.lo = self.cursor as u64 * self.width.0;
+        self.hi = if self.cursor == last {
+            u64::MAX
+        } else {
+            self.lo + self.width.0
+        };
     }
 
     /// The buckets in time order.
@@ -299,6 +324,45 @@ mod tests {
         let mut ts = TimeSeries::new(SimDuration::from_secs(60), SimDuration::from_secs(120));
         ts.record(SimTime::from_secs_f64(1000.0), 42.0);
         assert_eq!(ts.buckets()[1].count, 1);
+    }
+
+    #[test]
+    fn time_series_buckets_match_the_division_in_any_order() {
+        // Edges, stragglers past the horizon and samples that go back in
+        // time, then a seeded stream of forward runs and backward jumps:
+        // every bucket must hold what dividing each time would give, in
+        // the same order of additions.
+        let mut rng = crate::RngStream::new(3, "test/time-series");
+        for (width, horizon) in [
+            (60_000_000, 300_000_000),
+            (60_000_000, 290_000_000),
+            (7, 50),
+            (5, 0),
+        ] {
+            let mut ts = TimeSeries::new(SimDuration(width), SimDuration(horizon));
+            let mut want = ts.buckets().to_vec();
+            let last = want.len() as u64 - 1;
+            let mut times = vec![0, width - 1, width, 2 * width - 1, 2 * width, last * width];
+            times.extend([horizon, horizon + 1, 10 * horizon + width, u64::MAX]);
+            times.extend([0, width, width - 1, (last * width).saturating_sub(1), 1]);
+            let mut t = 0;
+            for _ in 0..2_000 {
+                t = match rng.index(8) {
+                    0 => rng.next_u64() % (2 * horizon + 2 * width),
+                    1 => t.saturating_sub(rng.next_u64() % (2 * width)),
+                    _ => t + rng.next_u64() % width,
+                };
+                times.push(t);
+            }
+            for (i, &t) in times.iter().enumerate() {
+                let value = i as f64 * 0.37 + 0.1;
+                ts.record(SimTime(t), value);
+                let b = &mut want[(t / width).min(last) as usize];
+                b.sum += value;
+                b.count += 1;
+            }
+            assert_eq!(ts.buckets(), want, "width {width}, horizon {horizon}");
+        }
     }
 
     #[test]
