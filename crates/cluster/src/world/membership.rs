@@ -361,11 +361,11 @@ impl World<'_> {
             .map(|st| st.station.population() as u64)
             .sum();
         let buffered: u64 = self.buffered.iter().map(|b| b.len() as u64).sum();
-        if completed + queued + buffered != self.arrived {
+        let admitted = self.admitted_requests();
+        if completed + queued + buffered != admitted {
             violations.push(format!(
                 "conservation: completed {completed} + queued {queued} + \
-                 buffered {buffered} != admitted {}",
-                self.arrived
+                 buffered {buffered} != admitted {admitted}"
             ));
         }
         // Index order is id order, so violation order (and the trace

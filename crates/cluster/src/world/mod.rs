@@ -320,13 +320,9 @@ struct World<'a> {
     epochs: Vec<EpochRecord>,
     /// Requests that completed after the nominal horizon (stragglers).
     post_horizon_completions: u64,
-    /// Requests admitted so far (enqueued or buffered) — the conservation
-    /// denominator the auditor checks against.
-    arrived: u64,
     /// Requests drained from failed servers and requeued elsewhere.
     requests_requeued: u64,
-    /// Requests refused at admission by the shed ceiling (not admitted:
-    /// excluded from `arrived`, so request conservation still holds).
+    /// Requests refused at admission by the shed ceiling.
     requests_shed: u64,
     /// Whether any request was shed since the last tick boundary — the
     /// degraded span stays open until a full tick passes shed-free.
@@ -433,6 +429,13 @@ impl<'a> World<'a> {
         }
     }
 
+    /// Requests admitted so far, enqueued or buffered: the conservation
+    /// total the auditor checks against. Each fired arrival event admits
+    /// its request or sheds it, and no arrival is ever cancelled.
+    fn admitted_requests(&self) -> u64 {
+        self.event_mix[0] - self.requests_shed
+    }
+
     /// Schedule the arrival a source chained, if any.
     #[inline]
     fn chain(&mut self, next: Option<(SimTime, u32)>) {
@@ -451,7 +454,6 @@ impl<'a> World<'a> {
         let set = req.set;
         let row = self.sets[set as usize];
         if row.dest().is_some() {
-            self.arrived += 1;
             self.buffered[set as usize].push(tag);
             if self.tracer.enabled(TraceLevel::Request) {
                 self.tracer.emit(
@@ -475,10 +477,10 @@ impl<'a> World<'a> {
             if self.servers[server as usize].station.population() >= shed.max_queue {
                 // Graceful degradation: refuse the request at admission
                 // instead of letting the queue diverge. Shed requests are
-                // never admitted — they stay out of `arrived`, the trace,
-                // and the latency statistics — and the overloaded stretch
-                // is covered by one `degraded` span rather than a
-                // per-request event.
+                // never admitted — they stay out of the admitted count,
+                // the trace, and the latency statistics — and the
+                // overloaded stretch is covered by one `degraded` span
+                // rather than a per-request event.
                 self.requests_shed += 1;
                 self.set_shed[set as usize] += 1;
                 self.shed_since_tick = true;
@@ -490,7 +492,6 @@ impl<'a> World<'a> {
                 return;
             }
         }
-        self.arrived += 1;
         if self.tracer.enabled(TraceLevel::Request) {
             self.tracer.emit(
                 TraceLevel::Request,
@@ -825,7 +826,6 @@ pub(crate) fn simulate<S: ArrivalSource>(
         max_queue_depth: 0,
         epochs: Vec::new(),
         post_horizon_completions: 0,
-        arrived: 0,
         requests_requeued: 0,
         requests_shed: 0,
         shed_since_tick: false,

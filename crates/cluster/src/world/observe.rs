@@ -255,7 +255,7 @@ impl World<'_> {
                 .sum();
             debug_assert_eq!(
                 completed_total + in_flight,
-                self.arrived,
+                self.admitted_requests(),
                 "request conservation at drain"
             );
             if self.post_horizon_completions > 0 {
@@ -320,7 +320,7 @@ impl World<'_> {
             total_lat.merge(&st.all);
         }
         let summary = RunSummary {
-            offered_requests: self.arrived + self.requests_shed,
+            offered_requests: self.event_mix[0],
             completed_requests: total_lat.count(),
             mean_latency_ms: total_lat.mean(),
             max_latency_ms: total_lat.max().unwrap_or(0.0),

@@ -89,6 +89,16 @@ pub enum TuneOutcome {
 }
 
 impl TuneOutcome {
+    /// Every outcome, in declaration order.
+    pub const ALL: [TuneOutcome; 6] = [
+        TuneOutcome::Scaled,
+        TuneOutcome::Clamped,
+        TuneOutcome::Floored,
+        TuneOutcome::FrozenBand,
+        TuneOutcome::FrozenDivergent,
+        TuneOutcome::NoReport,
+    ];
+
     /// Stable lowercase label for CSV / JSONL rendering.
     pub fn name(self) -> &'static str {
         match self {
@@ -99,6 +109,11 @@ impl TuneOutcome {
             TuneOutcome::FrozenDivergent => "frozen_divergent",
             TuneOutcome::NoReport => "no_report",
         }
+    }
+
+    /// Parse the label form (inverse of [`name`](TuneOutcome::name)).
+    pub fn parse(s: &str) -> Option<TuneOutcome> {
+        TuneOutcome::ALL.into_iter().find(|o| o.name() == s)
     }
 }
 
@@ -872,6 +887,16 @@ mod tests {
             ],
         );
         assert!(plan.is_some());
+    }
+
+    #[test]
+    fn outcomes_round_trip_through_their_names() {
+        for (i, o) in TuneOutcome::ALL.into_iter().enumerate() {
+            assert_eq!(o as usize, i, "ALL is in declaration order");
+            assert_eq!(TuneOutcome::parse(o.name()), Some(o));
+        }
+        assert_eq!(TuneOutcome::parse("Scaled"), None);
+        assert_eq!(TuneOutcome::parse(""), None);
     }
 
     #[test]

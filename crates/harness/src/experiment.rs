@@ -9,6 +9,7 @@ use anu_cluster::{ClusterConfig, PlacementPolicy, RunResult};
 use anu_core::{AnuConfig, Matching, ServerId, TuningConfig};
 use anu_des::SimDuration;
 use anu_policies::{AnuPolicy, Prescient, Rendezvous, RoundRobin, SimpleRandom};
+use anu_trace::TraceLevel;
 use anu_workload::Workload;
 use std::collections::BTreeMap;
 
@@ -124,16 +125,11 @@ pub struct Experiment {
 }
 
 impl Experiment {
-    /// Run every policy on the deterministic worker pool (one worker per
-    /// available core), returning results in declaration order. Results
-    /// are identical at any worker count.
-    pub fn run_all(&self) -> Vec<RunResult> {
-        self.run_with_jobs(0)
-    }
-
-    /// [`Self::run_all`] with an explicit worker count (0 = auto).
-    pub fn run_with_jobs(&self, jobs: usize) -> Vec<RunResult> {
-        crate::runner::run_grid(std::slice::from_ref(self), jobs)
+    /// Run every policy on the deterministic worker pool of `jobs` workers
+    /// (0 = one per available core), returning results in declaration
+    /// order. Results are identical at any worker count.
+    pub fn run(&self, jobs: usize) -> Vec<RunResult> {
+        crate::runner::run_grid(std::slice::from_ref(self), jobs, TraceLevel::Off)
             .into_iter()
             .map(|o| o.result)
             .collect()
@@ -191,7 +187,7 @@ mod tests {
     #[test]
     fn run_all_returns_in_order() {
         let e = tiny();
-        let rs = e.run_all();
+        let rs = e.run(0);
         assert_eq!(rs.len(), 4);
         assert_eq!(rs[0].policy, "simple");
         assert_eq!(rs[3].policy, "anu");
@@ -203,7 +199,7 @@ mod tests {
     #[test]
     fn parallel_matches_sequential() {
         let e = tiny();
-        let par = e.run_all();
+        let par = e.run(0);
         for (label, _) in &e.policies {
             let seq = e.run_one(label).unwrap();
             let p = par.iter().find(|r| &r.policy == label).unwrap();
@@ -214,8 +210,8 @@ mod tests {
     #[test]
     fn jobs_count_does_not_change_results() {
         let e = tiny();
-        let one = e.run_with_jobs(1);
-        let four = e.run_with_jobs(4);
+        let one = e.run(1);
+        let four = e.run(4);
         assert_eq!(one.len(), four.len());
         for (a, b) in one.iter().zip(&four) {
             assert_eq!(a.policy, b.policy);
@@ -279,7 +275,7 @@ mod tests {
             ("hrw".into(), PolicyKind::Rendezvous),
             ("whrw".into(), PolicyKind::WeightedRendezvous),
         ];
-        let rs = e.run_all();
+        let rs = e.run(0);
         assert_eq!(rs.len(), 7);
         for r in &rs {
             assert_eq!(

@@ -31,10 +31,10 @@
 //!   claim a check;
 //! * [`report`] — text tables, CSV emission, and verdict rendering.
 //!
-//! Binaries: `figures` regenerates every figure's series and prints the
+//! Binary: `figures` regenerates every figure's series and prints the
 //! shape-check verdicts, and with `--chaos`, `--storm`, `--meanfield` and
-//! `--studies` runs the other sweeps; `tracegen` writes replayable
-//! workload traces.
+//! `--studies` runs the other sweeps. Every workload it simulates is
+//! regenerated from its config and seed.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -73,7 +73,6 @@ pub use storm::{
 pub use studies::studies_sweep;
 
 pub use runner::{
-    effective_jobs, group_results, manifest, measure_trace_overhead, plan, run_grid,
-    run_grid_traced, Cell, Finished, Output, SimTask, Sweep, TaskOutcome, TraceOverhead, Verdict,
-    MANIFEST_SCHEMA,
+    effective_jobs, group_results, manifest, measure_trace_overhead, plan, run_grid, Cell,
+    Finished, Output, SimTask, Sweep, TaskOutcome, TraceOverhead, Verdict, MANIFEST_SCHEMA,
 };

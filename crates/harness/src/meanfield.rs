@@ -576,7 +576,6 @@ pub fn meanfield_checks(report: &[ConvergenceRow]) -> Vec<ShapeCheck> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::{group_results, run_grid};
 
     #[test]
     fn meanfield_names_sort_by_scale_then_replica() {
@@ -654,11 +653,11 @@ mod tests {
     #[test]
     fn smallest_cell_rows_checks_and_manifest() {
         let exp = meanfield_cell(1, 1, 0);
-        let grouped = group_results(&run_grid(std::slice::from_ref(&exp), 0), 1);
+        let results = exp.run(0);
         let (rows, report) = meanfield_rows(&[Cell {
             at: &(1, 0),
             exp: &exp,
-            results: &grouped[0],
+            results: &results,
         }]);
         assert_eq!(rows.len(), 5 * 5, "5 policies x 5 servers");
         assert_eq!(report.len(), 5);

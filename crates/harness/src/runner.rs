@@ -135,7 +135,7 @@ pub fn plan(experiments: &[Experiment]) -> Vec<SimTask> {
 }
 
 /// Run every `(experiment, policy)` cell of the grid on `jobs` workers
-/// (0 = auto) and return the outcomes in task order.
+/// (0 = auto), tracing at `level`, and return the outcomes in task order.
 ///
 /// Workers share one atomic cursor over the planned task list: each
 /// `fetch_add` claims the next undone task, so the pool drains the queue
@@ -145,21 +145,14 @@ pub fn plan(experiments: &[Experiment]) -> Vec<SimTask> {
 /// sorted back into task order. A panicking simulation is re-raised when
 /// its worker is joined and fails the whole sweep — partial grids are
 /// never reported.
-pub fn run_grid(experiments: &[Experiment], jobs: usize) -> Vec<TaskOutcome> {
-    run_grid_traced(experiments, jobs, TraceLevel::Off)
-}
-
-/// [`run_grid`] with structured tracing: every task records its run into a
-/// per-task binary [`RingSink`] at `level`, decoded to JSONL lines once
-/// the simulation ends and returned as [`TaskOutcome::trace_lines`].
-/// Tracing never schedules simulation events, so the results (and the
-/// trace itself) stay byte-identical at any worker count;
-/// [`TraceLevel::Off`] skips the sink entirely.
-pub fn run_grid_traced(
-    experiments: &[Experiment],
-    jobs: usize,
-    level: TraceLevel,
-) -> Vec<TaskOutcome> {
+///
+/// Above [`TraceLevel::Off`] every task records its run into a per-task
+/// binary [`RingSink`] at `level`, decoded to JSONL lines once the
+/// simulation ends and returned as [`TaskOutcome::trace_lines`]. Tracing
+/// never schedules simulation events, so the results (and the trace
+/// itself) stay byte-identical at any worker count; [`TraceLevel::Off`]
+/// skips the sink entirely.
+pub fn run_grid(experiments: &[Experiment], jobs: usize, level: TraceLevel) -> Vec<TaskOutcome> {
     let tasks = plan(experiments);
     if tasks.is_empty() {
         return Vec::new();
@@ -390,7 +383,7 @@ impl Sweep {
         } else {
             TraceLevel::Off
         };
-        let outcomes = run_grid_traced(&self.experiments, jobs, level);
+        let outcomes = run_grid(&self.experiments, jobs, level);
         let grouped = group_results(&outcomes, self.experiments.len());
         (outcomes, grouped)
     }
@@ -629,10 +622,10 @@ pub(crate) mod tests {
     #[test]
     fn pool_drains_queue_at_any_worker_count() {
         let exps = grid();
-        let serial = run_grid(&exps, 1);
+        let serial = run_grid(&exps, 1, TraceLevel::Off);
         assert_eq!(serial.len(), 9);
         for workers in [2usize, 8] {
-            let parallel = run_grid(&exps, workers);
+            let parallel = run_grid(&exps, workers, TraceLevel::Off);
             assert_eq!(parallel.len(), serial.len(), "{workers} workers");
             for (a, b) in serial.iter().zip(&parallel) {
                 assert_eq!(a.task.id, b.task.id);
@@ -650,7 +643,7 @@ pub(crate) mod tests {
     #[test]
     fn group_results_preserves_policy_order() {
         let exps = grid();
-        let grouped = group_results(&run_grid(&exps, 4), exps.len());
+        let grouped = group_results(&run_grid(&exps, 4, TraceLevel::Off), exps.len());
         assert_eq!(grouped.len(), 3);
         for results in &grouped {
             let labels: Vec<&str> = results.iter().map(|r| r.policy.as_str()).collect();
@@ -660,7 +653,7 @@ pub(crate) mod tests {
 
     #[test]
     fn empty_grid_is_fine() {
-        assert!(run_grid(&[], 4).is_empty());
+        assert!(run_grid(&[], 4, TraceLevel::Off).is_empty());
         assert!(plan(&[]).is_empty());
     }
 
@@ -782,7 +775,7 @@ pub(crate) mod tests {
 
     #[test]
     fn all_pass_covers_every_verdict() {
-        let outcomes = run_grid(&[tiny_experiment("fig8", 5)], 2);
+        let outcomes = run_grid(&[tiny_experiment("fig8", 5)], 2, TraceLevel::Off);
         let all_pass = |verdicts: &[Verdict]| {
             let m = manifest(5, &outcomes, verdicts, TraceLevel::Off, &[]);
             m.get("all_pass").unwrap().as_bool().unwrap()
@@ -801,7 +794,7 @@ pub(crate) mod tests {
 
     #[test]
     fn manifest_shape_is_schema_stable() {
-        let outcomes = run_grid(&[tiny_experiment("fig8", 5)], 2);
+        let outcomes = run_grid(&[tiny_experiment("fig8", 5)], 2, TraceLevel::Off);
         let pins = vec![Output {
             file: "fig8_rr.csv".into(),
             bytes: 3,
@@ -853,8 +846,8 @@ pub(crate) mod tests {
     #[test]
     fn traces_are_identical_across_worker_counts() {
         let exps = vec![tiny_experiment("expT", 9)];
-        let serial = run_grid_traced(&exps, 1, TraceLevel::Request);
-        let parallel = run_grid_traced(&exps, 8, TraceLevel::Request);
+        let serial = run_grid(&exps, 1, TraceLevel::Request);
+        let parallel = run_grid(&exps, 8, TraceLevel::Request);
         assert_eq!(serial.len(), parallel.len());
         for (a, b) in serial.iter().zip(&parallel) {
             assert!(!a.trace_lines.is_empty(), "request level records events");
@@ -865,7 +858,7 @@ pub(crate) mod tests {
             );
         }
         // Off-level sweeps carry no trace payload.
-        let off = run_grid(&exps, 2);
+        let off = run_grid(&exps, 2, TraceLevel::Off);
         assert!(off.iter().all(|o| o.trace_lines.is_empty()));
     }
 

@@ -404,7 +404,6 @@ pub fn storm_checks(cells: &[StormCell<'_>]) -> Vec<ShapeCheck> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::{group_results, run_grid};
     use anu_cluster::RunResult;
 
     /// The storm checks of one cell at `(kind, level)`.
@@ -453,9 +452,9 @@ mod tests {
     #[test]
     fn storm_cell_is_deterministic_fair_scored_and_audited() {
         let exp = storm_experiment(StormKind::FlashCrowd, 1.0, 1);
-        let grouped_a = group_results(&run_grid(std::slice::from_ref(&exp), 1), 1);
-        let grouped_b = group_results(&run_grid(std::slice::from_ref(&exp), 4), 1);
-        for (a, b) in grouped_a[0].iter().zip(&grouped_b[0]) {
+        let results_a = exp.run(1);
+        let results_b = exp.run(4);
+        for (a, b) in results_a.iter().zip(&results_b) {
             assert_eq!(a.summary, b.summary, "{} differs across jobs", a.policy);
             assert!(a.summary.audit_checks > 0, "{} never audited", a.policy);
             assert_eq!(a.summary.audit_violations, 0, "{} violated", a.policy);
@@ -464,12 +463,12 @@ mod tests {
             assert!(a.summary.p99_per_file_set_max >= a.summary.p99_latency_ms);
         }
         // One summary row per policy in the storm lineup.
-        assert_eq!(grouped_a[0].len(), storm_policies().len());
-        assert_eq!(grouped_a[0].len(), 4);
+        assert_eq!(results_a.len(), storm_policies().len());
+        assert_eq!(results_a.len(), 4);
         let cell = Cell {
             at: &("flash_crowd", 1.0),
             exp: &exp,
-            results: &grouped_a[0],
+            results: &results_a,
         };
         let dir = std::env::temp_dir().join("anu_storm_csv_test");
         let path = write_storm_summary_csv(&[cell], &dir).unwrap();
@@ -495,9 +494,9 @@ mod tests {
     #[test]
     fn anu_beats_uniform_random_on_completion_fairness_under_adversarial_churn() {
         let exp = storm_experiment(StormKind::Adversarial, 1.0, 1);
-        let grouped = group_results(&run_grid(std::slice::from_ref(&exp), 0), 1);
+        let results = exp.run(0);
         let find = |p: &str| {
-            grouped[0]
+            results
                 .iter()
                 .find(|r| r.policy == p)
                 .unwrap_or_else(|| panic!("{p} row missing"))
@@ -511,7 +510,7 @@ mod tests {
             simple.summary.completion_fairness
         );
         // The sweep-level scoreboard gates the same claim.
-        let checks = checks_of("adversarial", 1.0, &exp, &grouped[0]);
+        let checks = checks_of("adversarial", 1.0, &exp, &results);
         let score = checks
             .iter()
             .find(|c| c.claim.contains("every adversarial cell"))
@@ -527,13 +526,13 @@ mod tests {
     #[test]
     fn converge_cell_scales_up_down_and_stays_fair() {
         let exp = storm_converge_experiment(1);
-        let grouped = group_results(&run_grid(std::slice::from_ref(&exp), 0), 1);
-        let checks = checks_of("converge", 0.0, &exp, &grouped[0]);
+        let results = exp.run(0);
+        let checks = checks_of("converge", 0.0, &exp, &results);
         assert_eq!(checks.len(), 3);
         for c in &checks {
             assert!(c.pass, "[FAIL] {} — {}", c.claim, c.measured);
         }
-        let s = &grouped[0][0].summary;
+        let s = &results[0].summary;
         assert!(s.scale_ups >= 1, "never commissioned: {s:?}");
         assert!(s.scale_downs >= 1, "never retired: {s:?}");
         assert!(

@@ -50,23 +50,6 @@ pub fn parse_jsonl(text: &str) -> Result<Vec<(SimTime, TraceEvent)>, String> {
     Ok(out)
 }
 
-/// Outcomes in declaration order (the timeline's column order).
-const OUTCOMES: [TuneOutcome; 6] = [
-    TuneOutcome::Scaled,
-    TuneOutcome::Clamped,
-    TuneOutcome::Floored,
-    TuneOutcome::FrozenBand,
-    TuneOutcome::FrozenDivergent,
-    TuneOutcome::NoReport,
-];
-
-fn outcome_parse(name: &str) -> Result<TuneOutcome, String> {
-    OUTCOMES
-        .into_iter()
-        .find(|o| o.name() == name)
-        .ok_or_else(|| format!("unknown tune outcome {name:?}"))
-}
-
 fn field<'a>(j: &'a Json, key: &str) -> Result<&'a Json, String> {
     j.get(key).map_err(|_| format!("missing field {key:?}"))
 }
@@ -125,7 +108,9 @@ fn parse_tune(j: &Json) -> Result<TuneEpoch, String> {
             old_share: f64_of(d, "old")?,
             new_share: f64_of(d, "new")?,
             applied_share: f64_of(d, "applied")?,
-            outcome: outcome_parse(str_of(d, "outcome")?)?,
+            outcome: str_of(d, "outcome").and_then(|name| {
+                TuneOutcome::parse(name).ok_or_else(|| format!("unknown tune outcome {name:?}"))
+            })?,
         });
     }
     Ok(TuneEpoch {
@@ -612,13 +597,13 @@ impl Analysis {
             for e in &self.epochs {
                 match &e.tune {
                     Some(tune) => {
-                        let mut counts = [0u64; OUTCOMES.len()];
+                        // Counted in declaration order, the timeline's
+                        // column order.
+                        let mut counts = [0u64; TuneOutcome::ALL.len()];
                         for d in &tune.decisions {
-                            if let Some(slot) = OUTCOMES.iter().position(|o| *o == d.outcome) {
-                                counts[slot] += 1;
-                            }
+                            counts[d.outcome as usize] += 1;
                         }
-                        let outcomes: Vec<String> = OUTCOMES
+                        let outcomes: Vec<String> = TuneOutcome::ALL
                             .iter()
                             .zip(counts)
                             .filter(|(_, n)| *n > 0)

@@ -231,14 +231,6 @@ fn gen_tune(state: &mut u64) -> Option<TuneEpoch> {
     if next(state).is_multiple_of(2) {
         return None;
     }
-    const OUTCOMES: [TuneOutcome; 6] = [
-        TuneOutcome::Scaled,
-        TuneOutcome::Clamped,
-        TuneOutcome::Floored,
-        TuneOutcome::FrozenBand,
-        TuneOutcome::FrozenDivergent,
-        TuneOutcome::NoReport,
-    ];
     let n = next(state) % 4;
     let decisions = (0..n)
         .map(|i| TuneDecision {
@@ -247,7 +239,7 @@ fn gen_tune(state: &mut u64) -> Option<TuneEpoch> {
             old_share: (next(state) % 100) as f64 / 100.0,
             new_share: (next(state) % 100) as f64 / 100.0,
             applied_share: (next(state) % 100) as f64 / 100.0,
-            outcome: OUTCOMES[(next(state) % 6) as usize],
+            outcome: TuneOutcome::ALL[(next(state) % 6) as usize],
         })
         .collect();
     Some(TuneEpoch {

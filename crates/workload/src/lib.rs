@@ -15,13 +15,12 @@
 //!   diurnal curves, correlated popularity shifts, and an adversarial
 //!   rotating-hot-set generator, all deterministic time-warps or phased
 //!   re-draws of the synthetic base;
-//! * [`trace`] — CSV persistence for replayable traces;
 //! * [`request`] — the common representation and the prescient oracle
 //!   ([`Workload::window_demands`]). A [`Request`] is 12 bytes and holds
 //!   an arrival below 2^40 µs (about 12.7 days), a file set below 2^24
-//!   and a cost below 2^32 µs (about 71.6 minutes); the generators, the
-//!   trace reader and the storm warp refuse anything past these bounds
-//!   rather than truncate it.
+//!   and a cost below 2^32 µs (about 71.6 minutes); the generators and
+//!   the storm warp refuse anything past these bounds rather than
+//!   truncate it.
 
 //! ```
 //! use anu_workload::{CostModel, SyntheticConfig, WeightDist};
@@ -49,12 +48,10 @@ pub mod dfslike;
 pub mod request;
 pub mod storm;
 pub mod synthetic;
-pub mod trace;
 pub mod weights;
 
 pub use dfslike::DfsLikeConfig;
 pub use request::{Request, Workload, WorkloadStats};
 pub use storm::{StormConfig, StormKind};
 pub use synthetic::{CostModel, SyntheticConfig};
-pub use trace::{read_csv, write_csv, TraceError};
 pub use weights::WeightDist;

@@ -18,8 +18,8 @@
 //! (about 71.6 minutes).
 //!
 //! Two constructors put requests in arrival order. [`Workload::new`]
-//! stably sorts requests that arrive as a finished list (traces read
-//! back, tests). The generators hand over replayable draws instead,
+//! stably sorts requests that arrive as a finished list (hand-built
+//! inputs). The generators hand over replayable draws instead,
 //! which `Workload::from_draws` places in arrival order without a global
 //! sort; both give the same vector for the same draws.
 
@@ -33,22 +33,12 @@ use std::sync::Arc;
 const SET_BITS: u32 = 24;
 
 /// The most file sets a workload may have: a request holds its set's
-/// index in 24 bits, so ids run over `0..2^24`. Readers and generators
-/// reject larger counts before anything sized by the count is allocated.
+/// index in 24 bits, so ids run over `0..2^24`. The generators reject
+/// larger counts before anything sized by the count is allocated.
 const MAX_FILE_SETS: u64 = 1 << SET_BITS;
 
 /// The first arrival a request cannot hold: 2^40 µs, about 12.7 days.
 const ARRIVAL_LIMIT: u64 = 1 << (u64::BITS - SET_BITS);
-
-/// `n`, or why it names more file sets than the simulator can index.
-pub(crate) fn indexable_set_count(n: usize) -> Result<usize, String> {
-    if u64::try_from(n).map_or(true, |n| n > MAX_FILE_SETS) {
-        return Err(format!(
-            "n_file_sets {n} exceeds 2^24, the most file sets the simulator indexes"
-        ));
-    }
-    Ok(n)
-}
 
 /// Refuse, before a generator draws anything, a set count or a duration
 /// whose draws a [`Request`] could not hold: the generator's ids run over
@@ -58,10 +48,10 @@ pub(crate) fn indexable_set_count(n: usize) -> Result<usize, String> {
 /// Panics, naming the bound, if `n_file_sets` exceeds 2^24 or `duration`
 /// is 2^40 µs or more.
 pub(crate) fn assert_draws_fit(n_file_sets: usize, duration: SimDuration) {
-    assert_eq!(
-        indexable_set_count(n_file_sets),
-        Ok(n_file_sets),
-        "a generator's file sets must fit a request"
+    assert!(
+        u64::try_from(n_file_sets).is_ok_and(|n| n <= MAX_FILE_SETS),
+        "a generator's file sets must fit a request: n_file_sets {n_file_sets} exceeds 2^24, \
+         the most file sets the simulator indexes"
     );
     assert!(
         duration.0 < ARRIVAL_LIMIT,
@@ -317,9 +307,10 @@ fn insertion_sort(run: &mut [Request]) {
 impl Workload {
     /// Build a workload from parts, stably sorting requests by arrival.
     ///
-    /// This is the constructor for requests that cannot be replayed:
-    /// traces read back ([`crate::read_csv`]) and hand-built test inputs.
-    /// The generators build in arrival order without the global sort.
+    /// This is the constructor for requests that cannot be replayed, such
+    /// as hand-built test inputs, and the reference the generators' path
+    /// must equal. The generators build in arrival order without the
+    /// global sort.
     pub fn new(
         label: impl Into<String>,
         n_file_sets: usize,
@@ -470,8 +461,6 @@ impl Workload {
             total_requests: self.requests.len() as u64,
             active_file_sets: active.len(),
             per_set_counts: counts,
-            max_set_requests: max,
-            min_set_requests: min,
             heterogeneity_ratio: if min > 0 {
                 max as f64 / min as f64
             } else {
@@ -498,12 +487,8 @@ pub struct WorkloadStats {
     pub active_file_sets: usize,
     /// Request count per file set id.
     pub per_set_counts: Vec<u64>,
-    /// Requests of the most active file set.
-    pub max_set_requests: u64,
-    /// Requests of the least active (but non-idle) file set.
-    pub min_set_requests: u64,
-    /// `max_set_requests / min_set_requests` (infinity if some active set
-    /// has zero — cannot happen by construction).
+    /// Requests of the most active file set over those of the least
+    /// active non-idle one (infinity if no set is active).
     pub heterogeneity_ratio: f64,
     /// Total offered work in seconds at speed 1.
     pub total_demand_secs: f64,
@@ -698,8 +683,6 @@ mod tests {
         let s = w.stats();
         assert_eq!(s.total_requests, 101);
         assert_eq!(s.active_file_sets, 2);
-        assert_eq!(s.max_set_requests, 100);
-        assert_eq!(s.min_set_requests, 1);
         assert!((s.heterogeneity_ratio - 100.0).abs() < 1e-9);
         assert_eq!(s.per_set_counts[2], 0);
     }

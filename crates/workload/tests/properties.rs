@@ -1,5 +1,6 @@
 //! Property tests for the workload generators: exact budgets, valid
-//! arrival ranges, determinism, serialization fidelity.
+//! arrival ranges, calibrated load, activity spread, determinism and the
+//! prescient oracle's windows.
 //!
 //! Cases are driven by a seeded [`RngStream`] (32 deterministic cases per
 //! property) so the suite needs no external property-test framework and
@@ -7,7 +8,7 @@
 
 use anu_des::RngStream;
 use anu_workload::dfslike::ACTIVITY_RATIO;
-use anu_workload::{read_csv, write_csv, CostModel, DfsLikeConfig, SyntheticConfig, WeightDist};
+use anu_workload::{CostModel, DfsLikeConfig, SyntheticConfig, WeightDist};
 
 const CASES: u64 = 32;
 
@@ -100,31 +101,6 @@ fn dfslike_respects_activity_ratio() {
             "case {case}: configured {ratio}, realized {}",
             s.heterogeneity_ratio
         );
-    }
-}
-
-#[test]
-fn csv_roundtrip_any_workload() {
-    for case in 0..CASES {
-        let mut rng = RngStream::new(case, "csv-roundtrip");
-        let seed = rng.next_u64();
-        let n = 1 + rng.next_u64() % 499;
-        let w = SyntheticConfig {
-            n_file_sets: 10,
-            total_requests: n,
-            duration_secs: 60.0,
-            weights: WeightDist::GeometricSpread { ratio: 100.0 },
-            mean_cost_secs: 0.05,
-            cost: CostModel::UniformSpread,
-            seed,
-        }
-        .generate();
-        let mut buf = Vec::new();
-        write_csv(&w, &mut buf).unwrap();
-        let w2 = read_csv(buf.as_slice()).unwrap();
-        assert_eq!(w.requests, w2.requests, "case {case}");
-        assert_eq!(w.n_file_sets, w2.n_file_sets, "case {case}");
-        assert_eq!(w.duration_us, w2.duration_us, "case {case}");
     }
 }
 

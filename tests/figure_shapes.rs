@@ -27,21 +27,21 @@ fn assert_all_pass(checks: &[ShapeCheck]) {
 #[test]
 fn fig8_shapes_reduced() {
     let exp = reduced(fig8(SEED), SEED);
-    let results = exp.run_all();
+    let results = exp.run(0);
     assert_all_pass(&checks_for(8, &results, None, 0));
 }
 
 #[test]
 fn fig9_shapes_reduced() {
     let exp = reduced(fig9(SEED), SEED);
-    let results = exp.run_all();
+    let results = exp.run(0);
     assert_all_pass(&checks_for(9, &results, None, 2));
 }
 
 #[test]
 fn fig10_shapes_reduced() {
     let exp = reduced(fig10(SEED), SEED);
-    let results = exp.run_all();
+    let results = exp.run(0);
     assert_all_pass(&checks_for(10, &results, None, 0));
 }
 
@@ -51,7 +51,7 @@ fn fig11_shapes_reduced() {
         .run_one("anu-no-heuristics")
         .expect("plain run");
     let exp = reduced(fig11(SEED), SEED);
-    let results = exp.run_all();
+    let results = exp.run(0);
     let checks = checks_for(11, &results, Some(&plain), 0);
     // The divergent-only claim ("reaches balance, but more slowly than all
     // three combined") needs the full horizon to manifest — the paper's
@@ -91,7 +91,7 @@ fn fig6_adaptive_policies_beat_static_reduced() {
     // specifics are asserted only at full scale — with 21 lumpy sets the
     // shrunken run realizes a different draw).
     let exp = reduced(fig6(SEED), SEED);
-    let results = exp.run_all();
+    let results = exp.run(0);
     let lm = |label: &str| {
         results
             .iter()
@@ -123,7 +123,7 @@ fn fig7_prescient_knowledge_advantage_reduced() {
     // while ANU starts blind — and leave convergence to the full-scale
     // `figures` run.
     let exp = reduced(fig7(SEED), SEED);
-    let results = exp.run_all();
+    let results = exp.run(0);
     let checks = checks_for(7, &results, None, 1);
     let balanced_start = checks
         .iter()

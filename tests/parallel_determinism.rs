@@ -8,9 +8,8 @@
 
 use anu::cluster::SERIES_BUCKET;
 use anu::harness::{
-    chaos_sweep, checks_for, figure, group_results, reduced, run_grid, run_grid_traced,
-    write_figure_csvs_tagged, write_metrics_csv, write_tuner_epochs_csv, FIGURE_NUMBERS,
-    PLAIN_ANU_LABEL,
+    chaos_sweep, checks_for, figure, group_results, reduced, run_grid, write_figure_csvs_tagged,
+    write_metrics_csv, write_tuner_epochs_csv, FIGURE_NUMBERS, PLAIN_ANU_LABEL,
 };
 use anu::trace::TraceLevel;
 
@@ -36,7 +35,7 @@ fn serial_and_parallel_runs_are_byte_identical() {
 
     for (run_idx, jobs) in [(0usize, 1usize), (1, 4)] {
         let dir = tmp.join(format!("jobs{jobs}"));
-        let outcomes = run_grid(&exps, jobs);
+        let outcomes = run_grid(&exps, jobs, TraceLevel::Off);
 
         let grouped = group_results(&outcomes, exps.len());
 
@@ -191,7 +190,7 @@ fn traces_and_tuner_csvs_are_byte_identical_across_jobs() {
     let mut metrics_csvs: Vec<Vec<Vec<u8>>> = Vec::new();
     for jobs in [1usize, 4] {
         let dir = tmp.join(format!("jobs{jobs}"));
-        let outcomes = run_grid_traced(&exps, jobs, TraceLevel::Request);
+        let outcomes = run_grid(&exps, jobs, TraceLevel::Request);
 
         let grouped = group_results(&outcomes, exps.len());
         let mut run_csvs = Vec::new();

@@ -91,7 +91,7 @@ fn fingerprint(results: &[anu_cluster::RunResult]) -> u64 {
 fn dense_world_matches_pre_rewrite_fig6_over_ten_seeds() {
     for (i, &expected) in FIG6_REFERENCE.iter().enumerate() {
         let seed = 1 + i as u64;
-        let got = fingerprint(&reduced_figure(6, seed).run_all());
+        let got = fingerprint(&reduced_figure(6, seed).run(0));
         assert_eq!(
             got, expected,
             "fig6 seed {seed}: dense world diverged from the pre-rewrite reference \
@@ -104,7 +104,7 @@ fn dense_world_matches_pre_rewrite_fig6_over_ten_seeds() {
 fn dense_world_matches_pre_rewrite_fig8_over_ten_seeds() {
     for (i, &expected) in FIG8_REFERENCE.iter().enumerate() {
         let seed = 1 + i as u64;
-        let got = fingerprint(&reduced_figure(8, seed).run_all());
+        let got = fingerprint(&reduced_figure(8, seed).run(0));
         assert_eq!(
             got, expected,
             "fig8 seed {seed}: dense world diverged from the pre-rewrite reference \
@@ -120,8 +120,8 @@ fn fingerprints_unchanged_at_any_worker_count() {
     // and dense state carry no cross-task mutable state.
     for fig in [6u32, 8] {
         let exp = reduced_figure(fig, 3);
-        let serial = fingerprint(&exp.run_with_jobs(1));
-        let parallel = fingerprint(&exp.run_with_jobs(4));
+        let serial = fingerprint(&exp.run(1));
+        let parallel = fingerprint(&exp.run(4));
         assert_eq!(
             serial, parallel,
             "fig{fig}: results differ between --jobs 1 and --jobs 4"
